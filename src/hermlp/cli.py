@@ -118,6 +118,13 @@ def _real(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _json_real(v):
+    """A real for JSON output: a number with 17 significant digits when
+    finite, else the string the CSV form prints ("inf", "-inf", "nan"),
+    so the output stays strict JSON."""
+    return json.loads(_real(v)) if math.isfinite(v) else _real(v)
+
+
 def _emit(rows, fmt: str, out):
     """rows: list of dicts with scalar values; reals get 17 significant
     digits in both formats."""
@@ -132,7 +139,7 @@ def _emit(rows, fmt: str, out):
                 )
     else:
         clean = [
-            {k: json.loads(_real(v)) if isinstance(v, float) else v for k, v in r.items()}
+            {k: _json_real(v) if isinstance(v, float) else v for k, v in r.items()}
             for r in rows
         ]
         json.dump(clean, out, indent=2)
@@ -258,7 +265,7 @@ def cmd_verify(args, cfg):
         row = r.row()
         if isinstance(row["computed"], dict):
             row["computed"] = json.dumps(
-                {k: json.loads(_real(v)) for k, v in row["computed"].items()}
+                {k: _json_real(v) for k, v in row["computed"].items()}
             )
         if not isinstance(row["expected"], (int, float)):
             row["expected"] = str(row["expected"])

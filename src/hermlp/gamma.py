@@ -7,6 +7,12 @@ An operator is stored as a d x N matrix whose column i is F(t_i) sqrt(w_i)
 for a represented profile F; in this weighted coordinate basis the Hilbert
 (q = 2) gamma norm is exactly the Frobenius norm, and the general case is
 estimated by Monte Carlo over independent standard Gaussian coefficients.
+
+A gamma norm depends on the operator A only through the covariance A A^T
+of the Gaussian vector A gamma in R^d.  The Monte Carlo route therefore
+draws in the rank-min(d, N) image of A: with the QR factorization
+A^T = Q R, each row of g @ R for a standard Gaussian g in R^min(d, N) has
+exactly the law N(0, A A^T), so no N-dimensional draw is needed.
 """
 
 from __future__ import annotations
@@ -76,7 +82,15 @@ class BanachModel:
             return np.max(np.abs(v), axis=-1)
         if self.q == 2.0:
             return np.sqrt(np.sum(v * v, axis=-1))
-        return np.sum(np.abs(v) ** self.q, axis=-1) ** (1.0 / self.q)
+        # divide by the largest entry so |v|^q neither overflows nor
+        # underflows; zero and non-finite vectors are left unscaled.  The
+        # entries go on the leading axis, because numpy reduces a short
+        # contiguous last axis several times slower.
+        a = np.abs(np.moveaxis(v, -1, 0), order="C")
+        top = np.max(a, axis=0)
+        a /= np.where((top > 0) & np.isfinite(top), top, 1.0)
+        np.power(a, self.q, out=a)
+        return top * np.sum(a, axis=0) ** (1.0 / self.q)
 
 
 @dataclass
@@ -130,23 +144,28 @@ def gamma_norm_hilbert(T: DiscreteGammaOperator) -> float:
 def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     """Monte Carlo gamma-norm estimate.
 
-    Draws M independent standard Gaussian vectors gamma in R^N, forms
-    ||matrix @ gamma||_B^2 and returns (sqrt of the sample mean, standard
-    error of the mean of the squared norms).  Deterministic given
-    (seed, M); draws are processed in fixed-size batches to cap memory.
+    Draws M independent samples of matrix @ gamma, gamma standard Gaussian
+    in R^N, forms their squared B-norms and returns (sqrt of the sample
+    mean, standard error of the mean of the squared norms).  The samples
+    are taken in the image of the operator: with R the (k, d) triangular
+    factor of the QR factorization of matrix.T, k = min(d, N), each row of
+    g @ R for g standard Gaussian in R^k has the law N(0, matrix @
+    matrix.T) of matrix @ gamma, exactly and for any rank.  Deterministic
+    given (seed, M); draws are processed in fixed-size batches to cap
+    memory.
     """
     if M < 2:
         raise ValueError("Monte Carlo estimate needs M >= 2 samples")
     rng = np.random.default_rng(seed)
-    N = T.times.N
+    R = np.linalg.qr(T.matrix.T, mode="r")
     batch = 20000
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < M:
         m = min(batch, M - done)
-        g = rng.standard_normal((m, N))
-        norms = T.B.norm(g @ T.matrix.T)
+        g = rng.standard_normal((m, R.shape[0]))
+        norms = T.B.norm(g @ R)
         sq = norms * norms
         total += float(np.sum(sq))
         total_sq += float(np.sum(sq * sq))

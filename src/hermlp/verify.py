@@ -123,7 +123,9 @@ def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
     accurate for Gaussian-decaying integrands); the heat branch compares
     the closed form against the truncated spectral sum.  Comparisons
     switch to absolute tolerance once both sides fall below 1e-8.  The
-    check passes only if the whole comparison is within 1e-6 and the heat
+    heat branch checks only the times t >= 0.1, listed in
+    details["heat_times"]; with none of them it reports NaN.  The check
+    passes only if the whole comparison is within 1e-6 and the heat
     branch within 1e-8.
     """
     if not t_list or not alpha_list:
@@ -147,15 +149,14 @@ def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
                 err = np.abs(got - want) / np.where(scale > 1e-8, scale, 1.0)
                 worst = max(worst, float(np.max(err)))
     # heat branch: closed form vs truncated spectral sum
-    heat_worst = 0.0
+    heat_times = [float(t) for t in t_list if t >= 0.1]
+    heat_worst = 0.0 if heat_times else math.nan
     Ksum = 200
     T = np.asarray([hermite_eval(k, xs) for k in range(Ksum + 1)])
-    for t in t_list:
-        if t < 0.1:
-            continue
-        lamf = np.exp(-float(t) * (2 * np.arange(Ksum + 1) + 1))
+    for t in heat_times:
+        lamf = np.exp(-t * (2 * np.arange(Ksum + 1) + 1))
         ssum = (T * lamf[:, None]).T @ T
-        W = heat_kernel(xs[:, None], xs[None, :], float(t))
+        W = heat_kernel(xs[:, None], xs[None, :], t)
         heat_worst = max(heat_worst, float(np.max(np.abs(W - ssum))))
     worst = max(worst, heat_worst)
     tol = 1e-6
@@ -167,7 +168,8 @@ def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
         tolerance=tol,
         passed=worst <= tol and heat_worst <= heat_tol,
         runtime=time.perf_counter() - start,
-        details={"heat_branch": heat_worst, "heat_tolerance": heat_tol},
+        details={"heat_branch": heat_worst, "heat_tolerance": heat_tol,
+                 "heat_times": heat_times},
     )
 
 

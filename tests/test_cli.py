@@ -75,6 +75,16 @@ def test_gamma_rank_one():
     assert est == pytest.approx(1.5, rel=0.05)
 
 
+def test_gamma_sup_norm_json():
+    # a rank-one l^inf estimate is finite; the emitter must keep any
+    # non-finite real as a string so the output stays strict JSON
+    r = run_cli("gamma", "--b", "3,0", "--q", "inf", "--M", "20000", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    row = json.loads(r.stdout, parse_constant=pytest.fail)[0]
+    assert row["q"] == "inf"
+    assert row["estimate"] == pytest.approx(1.5, rel=0.05)
+
+
 def test_unknown_subcommand_exits_2():
     r = run_cli("explode")
     assert r.returncode == 2

@@ -68,6 +68,17 @@ def test_kernel_vs_spectral_large_time_absolute():
     assert r.passed
 
 
+def test_kernel_vs_spectral_heat_branch_needs_a_checked_time():
+    # the heat branch skips t < 0.1; with no time left it must not pass
+    r = check_kernel_vs_spectral([0.05], [0.0])
+    assert r.details["heat_times"] == []
+    assert math.isnan(r.details["heat_branch"])
+    assert not r.passed
+    r = check_kernel_vs_spectral([0.05, 1.0], [0.0])
+    assert r.details["heat_times"] == [1.0]
+    assert r.passed
+
+
 def test_kernel_vs_spectral_rejects_empty():
     with pytest.raises(ValueError):
         check_kernel_vs_spectral([], [0.0])
