@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "SpatialGrid",
@@ -116,51 +116,44 @@ class SpatialGrid:
 
 
 def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
-    """Grid sized so `analyze` resolves Hermite oscillation up to degree K."""
+    """Grid sized so `analyze` resolves Hermite oscillation up to degree K.
+
+    The half-width sqrt(2K+n) + 4 that `analyze` requires is snapped up,
+    not to the nearest multiple of h, so the grid always covers it.
+    """
     if K is None:
         K = 60 if n == 1 else 20
-    R = math.sqrt(2 * K + n) + 4.0
     h = 0.005 if n == 1 else 0.03
-    return SpatialGrid(R, h, n)
+    m = math.ceil((math.sqrt(2 * K + n) + 4.0) / h - 1e-9)
+    return SpatialGrid(m * h, h, n)
 
 
-def _scaled_eval(m: int, x: np.ndarray, perturb: float = 0.0) -> np.ndarray:
-    """h_m(x) e^{x^2/2} by the normalized recurrence.
+def _scaled_rows(kmax: int, x, perturb: float = 0.0):
+    """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence.
 
     `perturb` multiplies the forward recurrence coefficient by (1+perturb);
     it exists only as a sensitivity canary for the verification suite.
     """
     x = np.asarray(x, dtype=float)
-    h0 = math.pi ** -0.25 * np.ones_like(x)
-    if m == 0:
-        return h0
-    cur = math.sqrt(2.0) * x * h0
-    prev = h0
-    for i in range(1, m):
+    prev = math.pi ** -0.25 * np.ones_like(x)
+    yield prev
+    if kmax == 0:
+        return
+    cur = math.sqrt(2.0) * x * prev
+    yield cur
+    for i in range(1, kmax):
         a = math.sqrt(2.0 / (i + 1)) * (1.0 + perturb)
         b = math.sqrt(i / (i + 1.0))
         prev, cur = cur, a * x * cur - b * prev
-    return cur
-
-
-def _scaled_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """All h_m(x) e^{x^2/2} for m = 0..kmax, shape (kmax+1, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape)
-    out[0] = math.pi ** -0.25
-    if kmax >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for m in range(1, kmax):
-        out[m + 1] = math.sqrt(2.0 / (m + 1)) * x * out[m] - math.sqrt(
-            m / (m + 1.0)
-        ) * out[m - 1]
-    return out
+        yield cur
 
 
 def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
     """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis))."""
     axis = np.asarray(axis, dtype=float)
-    return _scaled_table(kmax, axis) * np.exp(-0.5 * axis * axis)
+    table = np.stack(list(_scaled_rows(kmax, axis)))
+    table *= np.exp(-0.5 * axis * axis)
+    return table
 
 
 def _coords(k: tuple, x) -> list[np.ndarray]:
@@ -180,11 +173,10 @@ def hermite_eval(k, x, perturb: float = 0.0) -> np.ndarray:
     axis of `x` holds coordinates.  Total function: finite for any input.
     """
     k = as_index(k)
-    coords = _coords(k, x)
-    scaled = _scaled_eval(k[0], coords[0], perturb)
-    r2 = coords[0] * coords[0]
-    for kj, xj in zip(k[1:], coords[1:]):
-        scaled = scaled * _scaled_eval(kj, xj, perturb)
+    scaled, r2 = 1.0, 0.0
+    for kj, xj in zip(k, _coords(k, x)):
+        # only the last row of the recurrence is kept: O(|x|) working memory
+        scaled = scaled * deque(_scaled_rows(kj, xj, perturb), maxlen=1).pop()
         r2 = r2 + xj * xj
     return scaled * np.exp(-0.5 * r2)
 
@@ -378,18 +370,21 @@ def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
 
 def gauss_nodes(Q: int, family: str, beta: float | None = None):
     """Gauss nodes/weights: 'hermite' for e^{-x^2} on R, or
-    'generalized-laguerre' for u^beta e^{-u} on (0, inf).
+    'generalized-laguerre' for u^beta e^{-u} on (0, inf) with beta = -1/2.
 
     Exact for polynomials up to degree 2Q - 1 against the family weight.
+    The beta = -1/2 rule is the 2Q-point Gauss-Hermite rule folded onto
+    the half-line: u = x^2 maps e^{-x^2} dx on R to u^{-1/2} e^{-u} du on
+    (0, inf) twice over, so the nodes are the squared positive Hermite
+    nodes and the weights are doubled.
     """
     if Q < 1:
         raise ValueError("node count Q must be >= 1")
     if family == "hermite":
         return np.polynomial.hermite.hermgauss(Q)
     if family == "generalized-laguerre":
-        if beta is None:
-            raise ValueError("generalized-laguerre requires the exponent beta")
-        if beta <= -1:
-            raise ValueError("beta must exceed -1")
-        return roots_genlaguerre(Q, beta)
+        if beta != -0.5:
+            raise ValueError(f"generalized-laguerre supports only beta = -0.5, got {beta}")
+        x, w = np.polynomial.hermite.hermgauss(2 * Q)
+        return x[Q:] ** 2, 2.0 * w[Q:]
     raise ValueError(f"unknown quadrature family {family!r}")

@@ -152,11 +152,19 @@ def _parse_index(text: str):
 
 def _parse_point(text: str, n: int):
     parts = [float(p) for p in text.split(",")]
+    if not all(math.isfinite(p) for p in parts):
+        raise ConfigError(f"point {text!r} is not finite")
     if n == 1 and len(parts) == 1:
         return parts[0]
     if len(parts) != n:
         raise ConfigError(f"point {text!r} does not have {n} coordinates")
     return np.array(parts)
+
+
+def _parse_time(t: float) -> float:
+    if not math.isfinite(t):
+        raise ConfigError(f"time {t} is not finite")
+    return t
 
 
 def _single_mode(cfg: RunConfig, k) -> HermiteExpansion:
@@ -174,7 +182,7 @@ def cmd_basis(args, cfg):
 
 def cmd_kernel(args, cfg):
     x = _parse_point(args.x, cfg.n)
-    t = args.t
+    t = _parse_time(args.t)
     rule = cfg.rule()
     if args.which == "heat-one":
         value = float(heat_kernel_one(x, t, cfg.n))
@@ -198,7 +206,8 @@ def cmd_semigroup(args, cfg):
     lam = 2 * sum(k) + len(k) + args.alpha
     if lam <= 0:
         raise ConfigError(f"shift alpha={args.alpha} gives eigenvalue {lam} <= 0")
-    factor = math.exp(-args.t * (lam if args.kind == "heat" else math.sqrt(lam)))
+    t = _parse_time(args.t)
+    factor = math.exp(-t * (lam if args.kind == "heat" else math.sqrt(lam)))
     return [
         {"kind": args.kind, "k": args.k, "t": args.t, "alpha": args.alpha,
          "factor": factor}
@@ -217,8 +226,8 @@ def cmd_gamma(args, cfg):
 
 def cmd_spaces(args, cfg):
     if args.which == "rho":
-        x = _parse_point(args.x, cfg.n)
-        return [{"x": args.x, "rho": float(critical_radius(x))}], 0
+        x = np.reshape(_parse_point(args.x, cfg.n), (1, cfg.n))
+        return [{"x": args.x, "rho": critical_radius(x).item()}], 0
     k = _parse_index(args.k)
     value = h1_norm(
         HermiteExpansion.single(k),
@@ -356,10 +365,8 @@ def main(argv=None) -> int:
                 setattr(cfg, field, override)
         cfg.validate()
         rows, code = args.fn(args, cfg)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ConfigError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     buf = io.StringIO()

@@ -20,7 +20,6 @@ import numpy as np
 from .basis import (
     HermiteExpansion,
     SpatialGrid,
-    hermite_eval,
     point_synthesis_matrix,
     shift_index,
     synthesize,
@@ -101,15 +100,7 @@ def gfunction(
 ) -> TimeField:
     """t d/dt P_t^{L+alpha} f sampled on grid x times: mode k carries the
     profile -t sqrt(lambda) e^{-t sqrt(lambda)}."""
-    _check_shift(e, alpha)
-    values = np.zeros((grid.size, times.N, e.d))
-    t = times.nodes
-    for k, c in e.coeffs.items():
-        r = math.sqrt(e.eigenvalue(k, alpha))
-        prof = -t * r * np.exp(-t * r)
-        hk = np.asarray(hermite_eval(k, grid.points)).reshape(grid.size)
-        values += hk[:, None, None] * prof[None, :, None] * c[None, None, :]
-    return TimeField(grid, times, values)
+    return _field(_inner_terms(e, alpha, "g"), e, grid, times)
 
 
 def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
@@ -118,27 +109,6 @@ def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
     and that integral is 1/4 for every eigenvalue."""
     _check_shift(e, alpha)
     return 0.25 * e.l2_norm_sq()
-
-
-def _ladder_terms(e: HermiteExpansion, j: int, sign: int):
-    """(target index, amplitude, unshifted eigenvalue) triples for
-    t (d/dx_j +/- x_j) acting on each stored mode."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 1 <= j <= e.n:
-        raise ValueError(f"coordinate j={j} out of range for n={e.n}")
-    terms = []
-    for k, c in e.coeffs.items():
-        lam = e.eigenvalue(k, 0.0)
-        if sign == +1:
-            if k[j - 1] == 0:
-                continue
-            terms.append((shift_index(k, j, -1), math.sqrt(2 * k[j - 1]), lam, c))
-        else:
-            terms.append(
-                (shift_index(k, j, +1), -math.sqrt(2 * k[j - 1] + 2), lam, c)
-            )
-    return terms
 
 
 def ladder_transform(
@@ -150,12 +120,20 @@ def ladder_transform(
     -sqrt(2 k_j + 2) (lowering) and keeps the Poisson factor of the
     source eigenvalue 2|k| + n.
     """
-    values = np.zeros((grid.size, times.N, e.d))
-    t = times.nodes
-    for m, amp, lam, c in _ladder_terms(e, j, sign):
-        prof = t * amp * np.exp(-t * math.sqrt(lam))
-        hm = np.asarray(hermite_eval(m, grid.points)).reshape(grid.size)
-        values += hm[:, None, None] * prof[None, :, None] * c[None, None, :]
+    return _field(_inner_terms(e, 0.0, ("ladder", j, sign)), e, grid, times)
+
+
+def _field(terms, e: HermiteExpansion, grid: SpatialGrid, times: TimeGrid) -> TimeField:
+    """sum of h_m(x) prof(t) c over the (m, prof, c) terms, on grid x times.
+
+    The terms are packed into one expansion with N*d components, mode m
+    carrying outer(prof(t), c), so a single synthesize_grid call makes
+    the whole field.
+    """
+    coeffs = {m: np.outer(prof(times.nodes), c).ravel() for m, prof, c in terms}
+    K = max((total_degree(m) for m in coeffs), default=0)
+    packed = HermiteExpansion(n=e.n, d=times.N * e.d, K=K, coeffs=coeffs)
+    values = synthesize_grid(packed, grid).reshape(grid.size, times.N, e.d)
     return TimeField(grid, times, values)
 
 
@@ -228,9 +206,13 @@ def maximal_norm(
 
 
 def _inner_terms(e: HermiteExpansion, alpha: float, inner):
-    """(target index, t-profile function of t-array, s-eigenvalue) per mode.
+    """(target index, t-profile function of a t-array, coefficient) per
+    stored mode.
 
-    inner is "g" or a tuple ("ladder"|"riesz", j, sign).  The s-factor
+    inner is "g" or a tuple ("ladder"|"riesz", j, sign).  A ladder term
+    moves mode k to k -/+ e_j with amplitude sqrt(2 k_j) (raising) or
+    -sqrt(2 k_j + 2) (lowering) and keeps the Poisson factor of the
+    unshifted source eigenvalue.  The s-factor of `composed_maximal`
     always comes from P_s^{L+alpha} acting on the target mode.
     """
     terms = []
@@ -242,9 +224,19 @@ def _inner_terms(e: HermiteExpansion, alpha: float, inner):
         return terms
     name, j, sign = inner
     if name == "ladder":
-        for m, amp, lam, c in _ladder_terms(e, j, sign):
-            r = math.sqrt(lam)
-            terms.append((m, lambda t, a=amp, r=r: t * a * np.exp(-t * r), c))
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if not 1 <= j <= e.n:
+            raise ValueError(f"coordinate j={j} out of range for n={e.n}")
+        for k, c in e.coeffs.items():
+            kj = k[j - 1]
+            if sign == +1 and kj == 0:
+                continue
+            amp = math.sqrt(2 * kj) if sign == +1 else -math.sqrt(2 * kj + 2)
+            r = math.sqrt(e.eigenvalue(k, 0.0))
+            terms.append(
+                (shift_index(k, j, -sign), lambda t, a=amp, r=r: t * a * np.exp(-t * r), c)
+            )
         return terms
     if name == "riesz":
         re = riesz(e, j, sign)
@@ -279,7 +271,6 @@ def composed_maximal(
     # target-mode eigenvalues under the outer shifted operator
     svals = []
     profs = []
-    hvals = []
     for m, prof, c in terms:
         lam_s = 2.0 * total_degree(m) + e.n + alpha
         if lam_s <= 0:
@@ -288,7 +279,12 @@ def composed_maximal(
             )
         svals.append(math.sqrt(lam_s))
         profs.append(prof(times.nodes))
-        hvals.append(float(np.asarray(hermite_eval(m, x)).reshape(())) * c)  # (d,)
+    K = max(total_degree(m) for m, _, _ in terms)
+    targets = HermiteExpansion(e.n, e.d, K, {m: c for m, _, c in terms})
+    S, C, _ = point_synthesis_matrix(targets, x)
+    if S.shape[1] != 1:
+        raise ValueError("composed_maximal takes a single point x")
+    hvals = S[:, :1] * C  # (terms, d): h_m(x) c per target mode
     best = 0.0
     sw = np.sqrt(times.weights)
     for s in np.concatenate(([0.0], sgrid.nodes)):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +182,49 @@ def test_gauss_hermite_moment():
 def test_gauss_zero_nodes_rejected():
     with pytest.raises(ValueError):
         gauss_nodes(0, "hermite")
+
+
+@pytest.mark.parametrize("Q", [1, 8, 64, 128])
+def test_gauss_laguerre_half_matches_scipy(Q):
+    from scipy.special import roots_genlaguerre
+
+    x, w = gauss_nodes(Q, "generalized-laguerre", beta=-0.5)
+    ref_x, ref_w = roots_genlaguerre(Q, -0.5)
+    np.testing.assert_allclose(x, ref_x, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("beta", [None, 0.0, 0.5])
+def test_gauss_laguerre_other_exponents_rejected(beta):
+    with pytest.raises(ValueError, match="beta"):
+        gauss_nodes(4, "generalized-laguerre", beta=beta)
+
+
+@pytest.mark.parametrize("n, K", [(2, 20), (1, 30)])
+def test_default_grid_is_accepted_by_analyze(n, K):
+    # R = sqrt(2K+n) + 4 rounded to the nearest lattice step fell short of
+    # what analyze requires (10.47 < 10.4807 and 11.81 < 11.8102)
+    grid = default_grid(n, K)
+    assert grid.R >= math.sqrt(2 * K + n) + 4.0
+    e = analyze(np.zeros(grid.shape), grid, K)
+    assert e.K == K and not e.coeffs
+
+
+def test_default_grid_keeps_exact_fits():
+    # half-widths that are already lattice multiples are not moved up
+    assert default_grid(1, 60).axis.size == 6001
+    assert default_grid(1, 60).R == 15.0
+    assert default_grid(2, 8).axis.size == 551
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, hermlp; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_grid_weights_sum():

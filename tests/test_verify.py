@@ -179,5 +179,7 @@ def test_equivalence_rejects_empty_family():
 def test_report_row_shape():
     r = check_eigen_ladder(1)
     row = r.row()
-    assert set(row) == {"name", "computed", "expected", "tolerance", "passed", "runtime"}
+    # the wall-clock runtime stays on the report but out of the printed row
+    assert set(row) == {"name", "computed", "expected", "tolerance", "passed"}
+    assert r.runtime >= 0.0
     assert isinstance(r, CheckReport)
