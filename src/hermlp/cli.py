@@ -203,6 +203,8 @@ def cmd_kernel(args, cfg):
 
 def cmd_semigroup(args, cfg):
     k = _parse_index(args.k)
+    if not math.isfinite(args.alpha):
+        raise ConfigError(f"shift alpha={args.alpha} is not finite")
     lam = 2 * sum(k) + len(k) + args.alpha
     if lam <= 0:
         raise ConfigError(f"shift alpha={args.alpha} gives eigenvalue {lam} <= 0")

@@ -17,10 +17,20 @@ polynomial near u = 0 and stall at ~1e-2 relative error for small t.
 The Poisson, g-function and ladder kernels and g_of_one differ only in
 their integrand and prefactor; all four run through one quadrature loop,
 `_subordinate`.
+
+`heat_apply` applies W_t to samples on a uniform tensor lattice without
+forming the kernel matrix.  Expanding the exponent,
+
+    W_t(x, y) = c_t e^{-B|x|^2/2} e^{-(A-B)|x-y|^2/4} e^{-B|y|^2/2},
+
+with A = coth t and B = tanh t; the middle factor is Toeplitz on the
+lattice and splits per axis, so each axis is one FFT convolution
+(the structure behind the fast Gauss transform).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +41,7 @@ __all__ = [
     "SubordinationRule",
     "heat_kernel",
     "heat_kernel_one",
+    "heat_apply",
     "heat_one_dt",
     "poisson_kernel",
     "classical_poisson",
@@ -52,6 +63,8 @@ class ShiftedOperator:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"shift alpha={self.alpha} is not finite")
         if self.alpha <= -self.n:
             raise ValueError(f"shift alpha={self.alpha} must exceed -n={-self.n}")
 
@@ -109,6 +122,16 @@ def _check_time(t):
         raise ValueError("time t must be positive")
 
 
+def _mehler(t):
+    """Mehler coefficients (A, B, c1): A = coth t, B = tanh t and the
+    one-dimensional prefactor c1 = e^{-2t} / (pi (1 - e^{-4t})), from
+    cancellation-safe expm1 terms."""
+    em2t = np.exp(-2.0 * t)
+    m2 = -np.expm1(-2.0 * t)      # 1 - e^{-2t}
+    m4 = -np.expm1(-4.0 * t)      # 1 - e^{-4t}
+    return (1.0 + em2t) / m2, m2 / (1.0 + em2t), em2t / (math.pi * m4)
+
+
 def heat_kernel(x, y, t, n: int = 1):
     """Gaussian closed form of the oscillator heat kernel W_t(x, y).
 
@@ -116,16 +139,65 @@ def heat_kernel(x, y, t, n: int = 1):
     of x, y holds coordinates; t may broadcast against the points.
     """
     _check_time(t)
-    t = np.asarray(t, dtype=float)
-    em2t = np.exp(-2.0 * t)
-    m2 = -np.expm1(-2.0 * t)      # 1 - e^{-2t}, cancellation-safe
-    m4 = -np.expm1(-4.0 * t)      # 1 - e^{-4t}
-    A = (1.0 + em2t) / m2
-    B = m2 / (1.0 + em2t)
+    A, B, c1 = _mehler(np.asarray(t, dtype=float))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pref = (em2t / (math.pi * m4)) ** (n / 2.0)
+    pref = c1 ** (n / 2.0)
     return pref * np.exp(-0.25 * (A * _split(x - y, n) + B * _split(x + y, n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fft_size(m: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= m: a fast FFT length."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def heat_apply(values, axis, t):
+    """sum_y W_t(x, y) values(y) over the tensor lattice axis^n.
+
+    `axis` is a uniform 1-D grid of L points and `values` has shape
+    (L,)*n + (d,); the result has the same shape.  Each lattice axis is
+    one diagonal scaling, an FFT convolution with the Gaussian
+    e^{-(A-B)(h k)^2/4}, |k| < L, and the same scaling again, so the cost
+    is O(L^n log L) rather than the O(L^{2n}) of a dense kernel matrix.
+    Values must be finite: the FFT would spread a NaN over the lattice.
+    Quadrature weights are the caller's (multiply them into `values`).
+    """
+    t = float(t)
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("time t must be positive and finite")
+    axis = np.asarray(axis, dtype=float)
+    values = np.asarray(values, dtype=float)
+    L = axis.size
+    n = values.ndim - 1
+    if axis.ndim != 1 or L == 0 or n < 1 or values.shape[:-1] != (L,) * n:
+        raise ValueError("values must have shape (L,)*n + (d,) for an axis of L points")
+    h = (axis[-1] - axis[0]) / (L - 1) if L > 1 else 0.0
+    if L > 2 and np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
+        raise ValueError("heat_apply needs a uniform axis")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    _, B, c1 = _mehler(t)
+    edge = np.exp(-0.5 * B * axis * axis)
+    k = h * np.arange(1 - L, L)
+    size = _fft_size(2 * L - 1)  # >= 2L - 1: nothing wraps into the window
+    # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at large t
+    gauss = np.fft.rfft(np.exp(-math.pi * c1 * k * k), size)
+    column = (-1,) + (1,) * n  # broadcast along the leading axis
+    edge, gauss = edge.reshape(column), gauss.reshape(column)
+    out = values
+    for j in range(n):
+        v = np.moveaxis(out, j, 0) * edge
+        conv = np.fft.irfft(np.fft.rfft(v, size, axis=0) * gauss, size, axis=0)
+        out = np.moveaxis(conv[L - 1:2 * L - 1] * edge, 0, j)
+    return c1 ** (n / 2.0) * out
 
 
 def heat_kernel_one(x, t, n: int = 1):
@@ -198,10 +270,7 @@ def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None
 
 def _heat_ladder(x, y, s, j: int, sign: int, n: int):
     """(d/dx_j + sign x_j) W_s(x, y), differentiated analytically."""
-    em2s = np.exp(-2.0 * s)
-    m2 = -np.expm1(-2.0 * s)
-    A = (1.0 + em2s) / m2
-    B = m2 / (1.0 + em2s)
+    A, B, _ = _mehler(s)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if n == 1:

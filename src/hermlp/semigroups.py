@@ -192,9 +192,11 @@ def maximal_norm(
     _check_shift(e, alpha)
     if B.d != e.d:
         raise ValueError("Banach model dimension must match the expansion")
-    if not e.coeffs:
-        return 0.0
     S, C, ks = point_synthesis_matrix(e, x)
+    if S.shape[1] != 1:
+        raise ValueError("maximal_norm takes a single point x")
+    if not ks:
+        return 0.0
     hvals = S[:, 0]
     lam = np.array([e.eigenvalue(k, alpha) for k in ks])
     rate = lam if kind == "heat" else np.sqrt(lam)

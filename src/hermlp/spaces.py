@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthesize_grid
 from .gamma import BanachModel, TimeGrid
-from .kernels import heat_kernel
+from .kernels import heat_apply
 from .semigroups import TimeField, gfunction
 
 __all__ = [
@@ -150,9 +150,11 @@ def h1_norm(
     """L^1 norm in x of sup_t ||semigroup(t) f(x)||_B, with the t -> 0+
     candidate ||f(x)||_B included.
 
-    f may be a HermiteExpansion (spectral path) or an Atom / raw samples
-    of shape (grid.size, d) (heat-kernel quadrature path, restricted to
-    the support).
+    f may be a HermiteExpansion (spectral path: each mode decays by its
+    own eigenvalue) or an Atom / raw finite samples of shape
+    (grid.size, d) (sampled path, heat only: the trapezoid-weighted
+    samples go through `heat_apply`, a per-axis FFT convolution with the
+    Mehler kernel over the whole lattice, once per time node).
     """
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
@@ -177,23 +179,16 @@ def h1_norm(
         samples = np.atleast_2d(np.asarray(f, dtype=float))
     if samples.shape[0] != grid.size:
         raise ValueError("samples must cover the grid")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     if kind != "heat":
         raise ValueError("sampled inputs support the heat maximal function only")
     if alpha != 0.0:
         raise ValueError("sampled inputs support alpha = 0 only")
-    support = np.any(np.abs(samples) > 0, axis=1)
-    if not np.any(support):
-        return 0.0
-    ys = grid.points[support]
-    wf = grid.weights[support, None] * samples[support]  # (m, d)
-    xs = grid.points
+    wf = (grid.weights[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
     sup = B.norm(samples)
     for t in times.nodes:
-        if grid.n == 1:
-            W = heat_kernel(xs[:, None], ys[None, :], t, grid.n)
-        else:
-            W = heat_kernel(xs[:, None, :], ys[None, :, :], t, grid.n)
-        sup = np.maximum(sup, B.norm(W @ wf))
+        sup = np.maximum(sup, B.norm(heat_apply(wf, grid.axis, t)).ravel())
     return float(np.sum(grid.weights * sup))
 
 

@@ -168,6 +168,10 @@ def test_spaces_rho_of_an_nd_point():
         ("kernel", "poisson", "--x", "0", "--t", "nan"),
         ("kernel", "heat", "--n", "2", "--x", "1,nan", "--y", "0,0", "--t", "1"),
         ("semigroup", "--k", "1", "--t", "inf"),
+        ("kernel", "poisson", "--x", "0", "--t", "1", "--alpha", "nan"),
+        ("kernel", "g", "--x", "0", "--t", "1", "--alpha", "nan"),
+        ("semigroup", "--k", "1", "--t", "1", "--alpha", "nan"),
+        ("semigroup", "--k", "1", "--t", "1", "--alpha", "inf"),
     ],
 )
 def test_non_finite_input_exits_2(args):

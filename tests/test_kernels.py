@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hermlp.basis import gauss_nodes, hermite_eval
+from hermlp.basis import SpatialGrid, gauss_nodes, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
     SubordinationRule,
     classical_poisson,
     g_kernel,
     g_of_one,
+    heat_apply,
     heat_kernel,
     heat_kernel_one,
     heat_one_dt,
@@ -34,6 +37,12 @@ def test_operator_rejects_bad_shift():
     with pytest.raises(ValueError, match="shift"):
         ShiftedOperator(-2.0, 2)
     ShiftedOperator(-1.5, 2)  # fine: -1.5 > -2
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_operator_rejects_non_finite_shift(alpha):
+    with pytest.raises(ValueError, match="not finite"):
+        ShiftedOperator(alpha, 1)
 
 
 def test_rule_reproduces_half_line_mass():
@@ -306,3 +315,82 @@ def test_gradient_envelope_finite():
         ratio = np.abs(grad) * (t + dxy) ** 3 / t
         assert np.all(np.isfinite(ratio))
         assert ratio.max() <= 50.0
+
+
+# ---------------------------------------------------------------- heat_apply
+HARDY_GRID = SpatialGrid(12.0, 0.02)
+PLANE_GRID = SpatialGrid(3.0, 0.15, 2)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 20.0])
+@pytest.mark.parametrize("grid, d", [(HARDY_GRID, 1), (HARDY_GRID, 3), (PLANE_GRID, 2)])
+def test_heat_apply_matches_dense_kernel(grid, d, t):
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(grid.size, d))
+    P = grid.points
+    if grid.n == 1:
+        W = heat_kernel(P[:, None], P[None, :], t)
+    else:
+        W = heat_kernel(P[:, None, :], P[None, :, :], t, grid.n)
+    dense = W @ values
+    fast = heat_apply(values.reshape(grid.shape + (d,)), grid.axis, t)
+    assert fast.shape == grid.shape + (d,)
+    err = np.max(np.abs(fast.reshape(grid.size, d) - dense))
+    assert err <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_heat_apply_rejects_bad_input():
+    axis = HARDY_GRID.axis
+    ok = np.ones((axis.size, 1))
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time"):
+            heat_apply(ok, axis, t)
+    with pytest.raises(ValueError, match="shape"):
+        heat_apply(np.ones(axis.size), axis, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        heat_apply(np.ones((axis.size - 1, 1)), axis, 1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        heat_apply(np.ones((5, 1)), np.array([0.0, 0.1, 0.2, 0.4, 0.5]), 1.0)
+    bad = ok.copy()
+    bad[7, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        heat_apply(bad, axis, 1.0)
+
+
+SEMI_GRID = SpatialGrid(10.0, 0.05)
+SYM_GRID = SpatialGrid(6.0, 0.1)
+# (amplitude, center, width); amplitudes stay clear of the subnormal
+# range, where no floating-point route keeps its relative precision
+bump = st.tuples(
+    st.floats(-1.0, 1.0).filter(lambda a: abs(a) >= 1e-3),
+    st.floats(-3.0, 3.0),
+    st.floats(0.3, 1.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(bump, min_size=1, max_size=3), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
+def test_heat_apply_semigroup_law(bumps, s, t):
+    # W_t W_s f = W_{s+t} f for smooth f concentrated well inside the
+    # lattice, where trapezoid quadrature is accurate to rounding.  Errors
+    # are measured against W_{s+t}|f|, since bumps of opposite sign may
+    # cancel; over 2000 random draws the worst ratio was 5.7e-15.
+    x, w = SEMI_GRID.axis, SEMI_GRID.axis_weights[:, None]
+    f = sum(a * np.exp(-((x - c) ** 2) / (2 * r * r)) for a, c, r in bumps)[:, None]
+    twice = heat_apply(w * heat_apply(w * f, x, s), x, t)
+    once = heat_apply(w * f, x, s + t)
+    scale = np.max(heat_apply(w * np.abs(f), x, s + t))
+    assert np.max(np.abs(twice - once)) <= 5e-14 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 30.0), st.integers(1, 3))
+def test_heat_apply_is_symmetric(seed, t, d):
+    # <W_t f, g> = <f, W_t g> in the trapezoid inner product; over 2000
+    # random draws the worst error relative to <W_t|f|, |g|> was 5.2e-17
+    x, w = SYM_GRID.axis, SYM_GRID.axis_weights[:, None]
+    f, g = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, x.size, d))
+    left = np.sum(w * g * heat_apply(w * f, x, t))
+    right = np.sum(w * f * heat_apply(w * g, x, t))
+    scale = np.sum(w * np.abs(g) * heat_apply(w * np.abs(f), x, t))
+    assert abs(left - right) <= 1e-15 * scale

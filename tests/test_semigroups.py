@@ -416,6 +416,14 @@ def test_composed_maximal_inner_riesz_profile():
     assert v == pytest.approx(href * float(hermite_eval(0, 0.0)), rel=1e-10)
 
 
+def test_maximal_norm_rejects_several_points():
+    B = BanachModel(1, 2.0)
+    with pytest.raises(ValueError, match="single point"):
+        maximal_norm(expansion([(1, 1.0)]), [0.1, 0.5], "heat", 0.0, B, SMALL_TIMES)
+    with pytest.raises(ValueError, match="single point"):
+        maximal_norm(HermiteExpansion(1, 1, 0, {}), [0.1, 0.5], "heat", 0.0, B, SMALL_TIMES)
+
+
 def test_composed_maximal_rejects_several_points():
     e = expansion([(1, 1.0)])
     with pytest.raises(ValueError, match="single point"):

@@ -5,6 +5,7 @@ import pytest
 
 from hermlp.basis import HermiteExpansion, SpatialGrid, analyze, hermite_eval
 from hermlp.gamma import BanachModel, TimeGrid
+from hermlp.kernels import heat_kernel
 from hermlp.semigroups import gfunction
 from hermlp.spaces import (
     Atom,
@@ -120,6 +121,48 @@ def test_h1_norm_kernel_path_matches_spectral():
     spectral = h1_norm(e, B1, grid, ATOM_TIMES)
     sampled = h1_norm(samples, B1, grid, ATOM_TIMES)
     assert sampled == pytest.approx(spectral, rel=1e-3)
+
+
+def test_h1_norm_sampled_matches_dense_kernel():
+    # sampled path (FFT heat convolution) against sup_t |W_t f| built from
+    # dense heat-kernel matrices, for vector-valued atoms in l^2 and l^4
+    grid = SpatialGrid(R=6.0, h=0.02, n=1)
+    x, w = grid.axis, grid.weights
+    rng = np.random.default_rng(31)
+    for kind, d, q in (("cancel", 2, 4.0), ("local", 3, 2.0)):
+        a = make_random_atom(rng, grid, kind, d=d)
+        B = BanachModel(d, q)
+        sup = B.norm(a.samples)
+        for t in ATOM_TIMES.nodes:
+            W = heat_kernel(x[:, None], x[None, :], t)
+            sup = np.maximum(sup, B.norm(W @ (w[:, None] * a.samples)))
+        assert h1_norm(a, B, grid, ATOM_TIMES) == pytest.approx(w @ sup, rel=1e-12)
+
+
+def test_h1_norm_sampled_planar_separable():
+    # n = 2 on a 241 x 241 lattice: a dense kernel would be 58081 x 58081.
+    # For f = f1 (x) f2, W_t f = (W_t f1) (x) (W_t f2), and each factor
+    # comes from a one-dimensional dense heat-kernel matrix.
+    grid = SpatialGrid(R=6.0, h=0.05, n=2)
+    x, w = grid.axis, grid.axis_weights
+    f1 = np.exp(-((x - 1.0) ** 2)) * np.sin(2.0 * x)
+    f2 = np.exp(-2.0 * (x + 0.5) ** 2)
+    f = np.multiply.outer(f1, f2)
+    sup = np.abs(f)
+    for t in ATOM_TIMES.nodes:
+        W = heat_kernel(x[:, None], x[None, :], t)
+        sup = np.maximum(sup, np.abs(np.multiply.outer(W @ (w * f1), W @ (w * f2))))
+    want = float(np.sum(np.multiply.outer(w, w) * sup))
+    got = h1_norm(f.reshape(grid.size, 1), B1, grid, ATOM_TIMES)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_h1_norm_rejects_non_finite_samples(bad):
+    samples = np.zeros((ATOM_GRID.size, 1))
+    samples[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        h1_norm(samples, B1, ATOM_GRID, ATOM_TIMES)
 
 
 def test_uniform_atom_bound():
