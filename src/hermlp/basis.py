@@ -148,10 +148,13 @@ def _scaled_rows(kmax: int, x, perturb: float = 0.0):
         yield cur
 
 
-def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
-    """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis))."""
+def eval_table(kmax: int, axis: np.ndarray, perturb: float = 0.0) -> np.ndarray:
+    """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis)).
+
+    Row m is bit-identical to `hermite_eval(m, axis, perturb)`; `perturb`
+    is the same sensitivity canary."""
     axis = np.asarray(axis, dtype=float)
-    table = np.stack(list(_scaled_rows(kmax, axis)))
+    table = np.stack(list(_scaled_rows(kmax, axis, perturb)))
     table *= np.exp(-0.5 * axis * axis)
     return table
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -285,7 +286,11 @@ def cmd_verify(args, cfg):
     return rows, (1 if failed else 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a point query.  Callers
+    share the one instance and must not modify it."""
     parser = argparse.ArgumentParser(
         prog="hermlp",
         description=(

@@ -93,6 +93,15 @@ def test_scaled_recurrence_stays_finite():
         assert np.all(np.isfinite(v))
 
 
+@pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
+def test_eval_table_rows_are_hermite_eval(perturb):
+    # the table and the single-degree route share one recurrence, canary included
+    xs = np.linspace(-7.0, 7.0, 29)
+    table = eval_table(40, xs, perturb)
+    for k in (0, 1, 7, 40):
+        assert np.array_equal(table[k], hermite_eval(k, xs, perturb=perturb))
+
+
 def test_analyze_recovers_single_mode():
     grid = default_grid(n=1, K=60)
     samples = hermite_eval(2, grid.axis)

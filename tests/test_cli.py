@@ -190,3 +190,32 @@ def test_verify_json_is_byte_identical_in_process(capsys):
         outputs.append(capsys.readouterr().out.encode())
     assert outputs[0] == outputs[1]
     assert b"runtime" not in outputs[0]
+
+
+def test_cached_parser_keeps_calls_independent(capsys):
+    # the parser is built once per process; back-to-back calls with other
+    # subcommands and options print what calls on a fresh parser print
+    from hermlp import cli
+
+    calls = [
+        ["verify", "eigen", "--K", "60", "--format", "json"],
+        ["verify", "eigen", "--format", "csv"],
+        ["kernel", "poisson", "--x", "0.5", "--t", "1", "--alpha", "2"],
+        ["kernel", "poisson", "--x", "0.5", "--t", "1"],
+        ["spaces", "rho", "--x", "3"],
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    cached = [run(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert "K=60" in cached[0][1] and cached[0][1].lstrip().startswith("[")
+    assert "K=20" in cached[1][1] and cached[1][1].startswith("name,")
+    assert cached[2][1] != cached[3][1]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,3 +395,149 @@ def test_heat_apply_is_symmetric(seed, t, d):
     right = np.sum(w * f * heat_apply(w * g, x, t))
     scale = np.sum(w * np.abs(g) * heat_apply(w * np.abs(f), x, t))
     assert abs(left - right) <= 1e-15 * scale
+
+
+# ------------------------------------------------- times on one shared grid
+MULTI_TIMES = np.geomspace(1e-3, 20.0, 32)
+REFERENCE_RULE = SubordinationRule(Q=1024)
+
+
+def _pair_points(n):
+    if n == 1:
+        return np.linspace(-3.0, 3.0, 9)[:, None], np.linspace(-2.5, 2.5, 9)[None, :]
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-2.5, 2.5, size=(2, 8, 2))
+    return x[:, None, :], y[None, :, :]
+
+
+def _subordinated(name, n, alpha):
+    """kernel(t, rule) for one of the four subordinated kernels."""
+    x, y = _pair_points(n)
+    op = ShiftedOperator(alpha, n)
+    if name == "poisson":
+        return lambda t, rule=None: poisson_kernel(x, y, t, op, rule)
+    if name == "g":
+        return lambda t, rule=None: g_kernel(x, y, t, op, rule)
+    if name == "ladder":
+        return lambda t, rule=None: ladder_kernel(x, y, t, n, -1, n, rule)
+    return lambda t, rule=None: g_of_one(x[:, 0], t, op, rule)
+
+
+# The ladder kernel has no shift; it runs with the lowering sign.  The
+# raising kernel nearly cancels at large t (it annihilates the ground
+# mode), and there the Q = 1024 and Q = 4096 references themselves differ
+# by 1.3e-11 of its maximum at t = 20.
+MULTI_CASES = [(name, n, alpha) for name in ("poisson", "g", "g_of_one")
+               for n in (1, 2) for alpha in (0.0, 1.5)]
+MULTI_CASES += [("ladder", n, 0.0) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name,n,alpha", MULTI_CASES)
+def test_shared_grid_matches_fine_per_time_rule(name, n, alpha):
+    # the shared grid against a per-t Q = 1024 rule; measured 6e-14 to
+    # 9e-14 of max|K_t|, where the per-t Q = 64 rule misses by up to 1e-9
+    kernel = _subordinated(name, n, alpha)
+    multi = kernel(MULTI_TIMES)
+    ref = np.stack([kernel(float(t), REFERENCE_RULE) for t in MULTI_TIMES])
+    assert multi.shape == ref.shape
+    rows = len(MULTI_TIMES)
+    err = np.max(np.abs(multi - ref).reshape(rows, -1), axis=1)
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref).reshape(rows, -1), axis=1))
+
+
+@pytest.mark.parametrize("name,n,alpha", MULTI_CASES)
+def test_time_axis_shapes(name, n, alpha):
+    kernel = _subordinated(name, n, alpha)
+    size = 9 if n == 1 else 8
+    point_shape = (size,) if name == "g_of_one" else (size, size)
+    assert np.shape(kernel(0.7)) == point_shape
+    assert kernel([0.7]).shape == (1,) + point_shape
+    assert kernel(np.array([0.3, 2.0, 0.7])).shape == (3,) + point_shape
+
+
+class _NodeCounter:
+    """Counts the nodes at which the t-free blocks are evaluated: every
+    block calls heat_kernel(x, y, s, n) or heat_one_dt(x, s, op) with the
+    nodes s on the leading axis."""
+
+    def __init__(self, monkeypatch):
+        import hermlp.kernels as kernels
+
+        self.nodes = 0
+        for name, at in (("heat_kernel", 2), ("heat_one_dt", 1)):
+            def counted(*args, _inner=getattr(kernels, name), _at=at):
+                self.nodes += np.shape(args[_at])[0]
+                return _inner(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+
+
+@pytest.mark.parametrize("times,expected", [
+    ([0.5], 64),
+    ([1e-3, 40.0], 128),            # a shared grid would need 512 nodes
+    (list(np.geomspace(0.1, 2.0, 6)), 113),   # the envelope suite's times
+    (list(MULTI_TIMES), 392),
+])
+@pytest.mark.parametrize("name", ["poisson", "g", "ladder", "g_of_one"])
+def test_node_count_at_most_times_by_q(monkeypatch, name, times, expected):
+    kernel = _subordinated(name, 1, 0.0)
+    counter = _NodeCounter(monkeypatch)
+    kernel(np.array(times))
+    assert counter.nodes <= len(times) * 64
+    assert counter.nodes == expected
+
+
+def test_single_time_grid_is_the_per_time_rule():
+    rule = SubordinationRule()
+    for t in (1e-3, 0.3, 1.0, 40.0):
+        (s, w), = list(rule._node_blocks(np.array([t]), 2.5))
+        s_ref, w_ref = rule.s_nodes(t, 2.5)
+        assert np.array_equal(s, s_ref) and np.array_equal(w, w_ref)
+
+
+def test_per_time_fallback_matches_scalar_calls():
+    # {1e-3, 40} runs on the two per-t grids, so each row is its scalar
+    # call up to the summation order of the matmul (measured 6 ulp of max)
+    kernel = _subordinated("g", 1, 0.0)
+    both = kernel(np.array([1e-3, 40.0]))
+    for row, t in zip(both, (1e-3, 40.0)):
+        single = kernel(t)
+        assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+TIME_POOL = [1e-3, 0.02, 0.1, 0.5, 1.0, 3.0, 20.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(TIME_POOL) | st.floats(1e-3, 50.0), min_size=1, max_size=8),
+       st.sampled_from(["poisson", "g", "ladder", "g_of_one"]))
+def test_time_order_and_repeats_do_not_change_values(times, name):
+    kernel = _subordinated(name, 1, 0.0)
+    distinct = np.unique(times)
+    got = kernel(np.array(times))
+    want = kernel(distinct)[np.searchsorted(distinct, times)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heat_kernel(0.0, 0.0, math.nan),
+    lambda: heat_kernel_one(0.0, math.inf),
+    lambda: poisson_kernel(0.0, 0.0, math.nan, L),
+    lambda: g_kernel(0.0, 0.0, math.inf, L),
+    lambda: ladder_kernel(0.0, 0.0, [1.0, math.nan], 1, +1),
+    lambda: g_of_one(0.0, -math.inf, L),
+])
+def test_non_finite_time_rejected(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_subordinated_times_must_be_a_nonempty_list():
+    for bad in (np.ones((2, 2)), [[1.0]], []):
+        for call in (lambda t: poisson_kernel(0.0, 0.0, t, L),
+                     lambda t: ladder_kernel(0.0, 0.0, t, 1, -1),
+                     lambda t: g_of_one(0.0, t, L)):
+            with pytest.raises(ValueError, match="times"):
+                call(bad)

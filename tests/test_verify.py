@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hermlp.basis import HermiteExpansion, SpatialGrid, hermite_eval
+from hermlp.basis import (
+    HermiteExpansion,
+    SpatialGrid,
+    hermite_derivative,
+    hermite_eval,
+    hermite_ladder_eval,
+)
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.spaces import BallSpec, make_random_atom
 from hermlp.verify import (
@@ -35,6 +41,34 @@ def test_eigen_ladder_perturbation_canary():
     # a 1e-3 recurrence error must flip the verdict
     r = check_eigen_ladder(20, perturb=1e-3)
     assert not r.passed
+
+
+def _eigen_ladder_by_degree(K, perturb):
+    """The eigen-ladder residual degree by degree from hermite_eval."""
+    xs = np.linspace(-6.0, 6.0, 41)
+    step = 1e-5
+    worst = 0.0
+    for k in range(K + 1):
+        hk = hermite_eval(k, xs, perturb=perturb)
+        up = (math.sqrt(2 * k) * hermite_derivative(k - 1, xs, perturb=perturb)
+              if k > 0 else np.zeros_like(xs))
+        down = -math.sqrt(2 * k + 2) * hermite_derivative(k + 1, xs, perturb=perturb)
+        d2 = 0.5 * (up + down)
+        eigen = -d2 + xs * xs * hk - (2 * k + 1) * hk
+        worst = max(worst, float(np.max(np.abs(eigen))))
+        fd = (hermite_eval(k, xs + step, perturb=perturb)
+              - hermite_eval(k, xs - step, perturb=perturb)) / (2 * step)
+        for sign in (+1, -1):
+            ladder = hermite_ladder_eval(k, xs, 1, sign, perturb=perturb)
+            worst = max(worst, float(np.max(np.abs(fd + sign * xs * hk - ladder))))
+    return worst
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 20, 60])
+@pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
+def test_eigen_ladder_table_equals_degree_by_degree(K, perturb):
+    # the table-based check reads the same numbers as the per-degree route
+    assert check_eigen_ladder(K, perturb).computed == _eigen_ladder_by_degree(K, perturb)
 
 
 def test_eigen_ladder_rejects_negative_cap():
@@ -91,6 +125,15 @@ def test_envelope_ratios_stable(kind):
     r = kernel_bound_ratio(kind, xs, ts)
     assert r.passed, (kind, r.computed, r.details)
     assert np.isfinite(r.computed)
+
+
+@pytest.mark.parametrize("kind", ["heat", "poisson", "g", "gH", "ladder", "gradient"])
+def test_envelope_coarse_sup_is_the_coarse_lattice(kind):
+    # the coarse sup read from the fine lattice equals a run on xs[::2]
+    xs = np.linspace(-4.0, 4.0, 33)
+    ts = np.geomspace(0.1, 2.0, 6)
+    coarse = kernel_bound_ratio(kind, xs, ts).details["coarse"]
+    assert coarse == pytest.approx(kernel_bound_ratio(kind, xs[::2], ts).computed, rel=1e-14)
 
 
 def test_envelope_rejects_empty_region():
