@@ -2,7 +2,8 @@
 computation modules, and CSV/JSON emission of values and check reports.
 
 Exit codes: 0 on success (all checks passed), 1 when a verification
-check fails, 2 on usage or configuration errors.
+check fails, 2 on usage or configuration errors, 3 when a computation
+fails unexpectedly (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -376,6 +377,10 @@ def main(argv=None) -> int:
         # ConfigError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash is not a failed check: keep it apart from exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     buf = io.StringIO()
     _emit(rows, args.format, buf)
     if args.out:

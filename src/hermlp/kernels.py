@@ -15,9 +15,13 @@ rule in u = t^2/4s is *not* usable here: e^{-c/u} factors are far from
 polynomial near u = 0 and stall at ~1e-2 relative error for small t.
 
 Each subordinated integrand factors as a scalar weight f(s, t) times a
-t-free block K(s): W_s for the Poisson and g kernels, (d_j +/- x_j) W_s
-for the ladder kernel and d/ds e^{-alpha s} W_s(1) for g_of_one.  All
-four run through one quadrature loop, `_subordinate`, which takes a
+t-free block K(s): e^{ns} W_s for the Poisson and g kernels,
+(d_j +/- x_j) W_s for the ladder kernel and e^{(alpha+n)s} d/ds
+e^{-alpha s} W_s(1) for g_of_one.  The weights carry the whole large-s
+decay e^{-(alpha+n)s}, so for a negative shift neither factor overflows
+or underflows at the top of the window (e^{-alpha s} alone overflows
+there while W_s underflows, and inf * 0 would spread NaN to every time).
+All four run through one quadrature loop, `_subordinate`, which takes a
 scalar t or a 1-D array of T times (the result then gains a leading time
 axis).  The times share one log-s grid: K(s) is evaluated once per node,
 in blocks of at most Q nodes, and the (T x nodes) weight matrix f(s, t)
@@ -25,14 +29,16 @@ is applied by one tensordot per block.  Six times in [0.1, 2] need 113
 heat evaluations per point instead of 6 * 64 = 384.
 `SubordinationRule` describes the grid and its node-count bound.
 
-`heat_apply` applies W_t to samples on a uniform tensor lattice without
-forming the kernel matrix.  Expanding the exponent,
+`heat_apply` applies W_t, for one time or a 1-D array of times, to
+samples on a uniform tensor lattice without forming the kernel matrix.
+Expanding the exponent,
 
     W_t(x, y) = c_t e^{-B|x|^2/2} e^{-(A-B)|x-y|^2/4} e^{-B|y|^2/2},
 
 with A = coth t and B = tanh t; the middle factor is Toeplitz on the
 lattice and splits per axis, so each axis is one FFT convolution
-(the structure behind the fast Gauss transform).
+(the structure behind the fast Gauss transform); T times make one
+batched FFT per axis over a (T, ...) stack.
 """
 
 from __future__ import annotations
@@ -193,10 +199,21 @@ def heat_kernel(x, y, t, n: int = 1):
     """
     _check_time(t)
     A, B, c1 = _mehler(np.asarray(t, dtype=float))
+    return c1 ** (n / 2.0) * _mehler_gauss(x, y, A, B, n)
+
+
+def _mehler_gauss(x, y, A, B, n):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pref = c1 ** (n / 2.0)
-    return pref * np.exp(-0.25 * (A * _split(x - y, n) + B * _split(x + y, n)))
+    return np.exp(-0.25 * (A * _split(x - y, n) + B * _split(x + y, n)))
+
+
+def _heat_rescaled(x, y, s, n):
+    """e^{ns} W_s(x, y) = (pi (1 - e^{-4s}))^{-n/2} e^{-(A|x-y|^2 + B|x+y|^2)/4}:
+    finite at every s > 0, where W_s itself underflows to 0 once ns exceeds
+    about 745."""
+    A, B, _ = _mehler(s)
+    return (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0) * _mehler_gauss(x, y, A, B, n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -216,15 +233,21 @@ def heat_apply(values, axis, t):
     """sum_y W_t(x, y) values(y) over the tensor lattice axis^n.
 
     `axis` is a uniform 1-D grid of L points and `values` has shape
-    (L,)*n + (d,); the result has the same shape.  Each lattice axis is
-    one diagonal scaling, an FFT convolution with the Gaussian
-    e^{-(A-B)(h k)^2/4}, |k| < L, and the same scaling again, so the cost
-    is O(L^n log L) rather than the O(L^{2n}) of a dense kernel matrix.
-    Values must be finite: the FFT would spread a NaN over the lattice.
-    Quadrature weights are the caller's (multiply them into `values`).
+    (L,)*n + (d,); the result has the same shape.  `t` is a scalar or a
+    1-D array of T times; an array puts the times on a new leading axis,
+    shape (T,) + values.shape, equal bit for bit to stacking the scalar
+    calls.  Each lattice axis is one (T, L) diagonal scaling, one FFT
+    convolution with the T Gaussians e^{-(A-B)(h k)^2/4}, |k| < L, and
+    the same scaling again, so the cost is O(T L^n log L) rather than the
+    O(T L^{2n}) of dense kernel matrices; the caller bounds T L^n, since
+    a few arrays of that size are alive at once.  Values must be finite:
+    the FFT would spread a NaN over the lattice.  Quadrature weights are
+    the caller's (multiply them into `values`).
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0):
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError("time t must be a scalar or a nonempty 1-D array")
+    if not (np.all(np.isfinite(times)) and np.all(times > 0)):
         raise ValueError("time t must be positive and finite")
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -237,20 +260,35 @@ def heat_apply(values, axis, t):
         raise ValueError("heat_apply needs a uniform axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    _, B, c1 = _mehler(t)
-    edge = np.exp(-0.5 * B * axis * axis)
-    k = h * np.arange(1 - L, L)
+    _, B, c1 = _mehler(times.reshape(-1, 1))
+    edge = np.exp(-0.5 * B * axis * axis)  # (T, L)
+    k = h * np.arange(L)
     size = _fft_size(2 * L - 1)  # >= 2L - 1: nothing wraps into the window
-    # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at large t
-    gauss = np.fft.rfft(np.exp(-math.pi * c1 * k * k), size)
-    column = (-1,) + (1,) * n  # broadcast along the leading axis
+    # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at
+    # large t.  The Gaussian is even in k, so half of it is evaluated; e^x
+    # rounds to 0 below x = -745.2, and numpy's exp is several times slower
+    # on such arguments than on the rest, so they are skipped.
+    arg = -math.pi * c1 * k * k
+    half = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
+    gauss = np.fft.rfft(np.concatenate([half[:, :0:-1], half], axis=1), size)
+    del arg, half
+    column = (len(c1), -1) + (1,) * n  # broadcast along the lattice axis 1
     edge, gauss = edge.reshape(column), gauss.reshape(column)
-    out = values
-    for j in range(n):
-        v = np.moveaxis(out, j, 0) * edge
-        conv = np.fft.irfft(np.fft.rfft(v, size, axis=0) * gauss, size, axis=0)
-        out = np.moveaxis(conv[L - 1:2 * L - 1] * edge, 0, j)
-    return c1 ** (n / 2.0) * out
+    out = values[None]
+    for j in range(1, n + 1):
+        v = np.moveaxis(out, j, 1) * edge
+        spec = np.fft.rfft(v, size, axis=1)
+        del v
+        spec *= gauss
+        conv = np.fft.irfft(spec, size, axis=1)
+        del spec
+        out = np.moveaxis(conv[:, L - 1:2 * L - 1] * edge, 1, j)
+        del conv
+    # scalar powers, as heat_kernel takes them for a scalar t: numpy's
+    # vectorized power differs from the scalar one in the last bit for some c1
+    pref = np.array([c ** (n / 2.0) for c in c1.ravel()])
+    out = pref.reshape((-1,) + (1,) * (n + 1)) * out
+    return out if times.ndim else out[0]
 
 
 def heat_kernel_one(x, t, n: int = 1):
@@ -276,12 +314,18 @@ def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form."""
     _check_time(t)
     t = np.asarray(t, dtype=float)
+    return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(x, t, op)
+
+
+def _heat_one_dt_rescaled(x, t, op: ShiftedOperator):
+    """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x): the time derivative with
+    its large-t decay taken out, finite at every t > 0."""
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     onep = 1.0 + em4t
     r2 = _split(np.asarray(x, float), op.n)
     bracket = op.alpha + op.n * m4 / onep + r2 * 4.0 * em4t / (onep * onep)
-    return -np.exp(-op.alpha * t) * bracket * heat_kernel_one(x, t, op.n)
+    return -bracket * (2.0 / onep) ** (op.n / 2.0) * np.exp(-0.5 * m4 / onep * r2)
 
 
 def _subordinate(t, decay: float, points, n: int, rule, scale, weight, block):
@@ -316,10 +360,11 @@ def poisson_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None 
     A 1-D array of times gives a leading time axis (see `_subordinate`)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    decay = op.n + op.alpha
     return _subordinate(
-        t, op.n + op.alpha, x - y, op.n, rule, lambda t: t / _SQRT4PI,
-        lambda s, t: s ** -1.5 * np.exp(-t * t / (4.0 * s) - op.alpha * s),
-        lambda s: heat_kernel(x, y, s, op.n),
+        t, decay, x - y, op.n, rule, lambda t: t / _SQRT4PI,
+        lambda s, t: s ** -1.5 * np.exp(-t * t / (4.0 * s) - decay * s),
+        lambda s: _heat_rescaled(x, y, s, op.n),
     )
 
 
@@ -327,12 +372,13 @@ def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None
     """t d/dt of the Poisson kernel of L + alpha (g-function kernel)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    decay = op.n + op.alpha
     return _subordinate(
-        t, op.n + op.alpha, x - y, op.n, rule, lambda t: t / _SQRT4PI,
+        t, decay, x - y, op.n, rule, lambda t: t / _SQRT4PI,
         lambda s, t: s ** -1.5
         * (1.0 - t * t / (2.0 * s))
-        * np.exp(-t * t / (4.0 * s) - op.alpha * s),
-        lambda s: heat_kernel(x, y, s, op.n),
+        * np.exp(-t * t / (4.0 * s) - decay * s),
+        lambda s: _heat_rescaled(x, y, s, op.n),
     )
 
 
@@ -371,10 +417,11 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
     of the heat action on 1."""
     x = np.asarray(x, dtype=float)
+    decay = op.n + op.alpha
     return _subordinate(
-        t, op.n + op.alpha, x, op.n, rule, lambda t: t / math.sqrt(math.pi),
-        lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s)),
-        lambda s: heat_one_dt(x, s, op),
+        t, decay, x, op.n, rule, lambda t: t / math.sqrt(math.pi),
+        lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s) - decay * s),
+        lambda s: _heat_one_dt_rescaled(x, s, op),
     )
 
 

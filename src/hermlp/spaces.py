@@ -7,8 +7,10 @@ The local geometry is governed by the critical radius rho(x), which is
 balls B(x0, r0) with r0 <= rho(x0), bounded by the reciprocal ball
 volume, and mean-zero exactly when r0 <= rho(x0)/2.  All averages are
 deterministic lattice averages normalized by the quadrature mass of the
-interior points, so constants behave exactly (the BMO estimate of the
-function 1 is 1).
+interior points: each average is a weighted sum divided by the sum of
+the same weights, so the BMO estimate of the function 1 is exactly 1.
+The BMO and Carleson sweeps take their balls as arrays and each ball's
+interior as an index interval of the one-dimensional lattice.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthe
 from .gamma import BanachModel, TimeGrid
 from .kernels import heat_apply
 from .semigroups import TimeField, gfunction
+
+# lattice values (times x grid points x d) per heat_apply call in h1_norm:
+# 0.5 MB per real array, a few of which are alive during a call.  Blocks
+# of twice this size ran 1.5x slower on a 121 x 121 lattice.
+_HEAT_BLOCK = 2 ** 16
 
 __all__ = [
     "critical_radius",
@@ -154,7 +161,10 @@ def h1_norm(
     own eigenvalue) or an Atom / raw finite samples of shape
     (grid.size, d) (sampled path, heat only: the trapezoid-weighted
     samples go through `heat_apply`, a per-axis FFT convolution with the
-    Mehler kernel over the whole lattice, once per time node).
+    Mehler kernel over the whole lattice, for a block of time nodes at a
+    time: at most _HEAT_BLOCK lattice values per block, so the 16 times of
+    a 1201-point grid are one call and the times of a 241 x 241 lattice go
+    one per call).
     """
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
@@ -185,18 +195,22 @@ def h1_norm(
         raise ValueError("sampled inputs support the heat maximal function only")
     if alpha != 0.0:
         raise ValueError("sampled inputs support alpha = 0 only")
-    wf = (grid.weights[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
+    w = grid.weights
+    wf = (w[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
     sup = B.norm(samples)
-    for t in times.nodes:
-        sup = np.maximum(sup, B.norm(heat_apply(wf, grid.axis, t)).ravel())
-    return float(np.sum(grid.weights * sup))
+    step = max(1, _HEAT_BLOCK // wf.size)
+    for i in range(0, times.N, step):
+        heat = heat_apply(wf, grid.axis, times.nodes[i:i + step])
+        sup = np.maximum(sup, B.norm(heat.reshape(len(heat), grid.size, -1)).max(axis=0))
+        del heat
+    return float(np.sum(w * sup))
 
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Family of balls for BMO/Carleson sweeps: centers on a lattice of
-    given spacing/extent; per center, oscillation radii rho(a) 2^{-m} and
-    size radii rho(a) 2^{m} for m = 0..depth."""
+    """Family of balls for BMO/Carleson sweeps on one-dimensional grids:
+    centers on a lattice of given spacing/extent; per center, oscillation
+    radii rho(a) 2^{-m} and size radii rho(a) 2^{m} for m = 0..depth."""
 
     spacing: float = 0.5
     extent: float = 6.0
@@ -214,46 +228,68 @@ class BallSpec:
         return self.spacing * np.arange(-m, m + 1)
 
     def balls(self):
-        """(center, radius, needs_oscillation) triples."""
-        out = []
-        for a in self.centers:
-            rho = float(critical_radius(a))
-            for m in range(self.depth + 1):
-                out.append((float(a), rho * 2.0 ** (-m), True))
-                out.append((float(a), rho * 2.0 ** m, False))
-        return out
+        """(centers, radii, needs_oscillation) arrays, one entry per ball;
+        the balls of a center are adjacent, oscillation and size radii
+        alternating with m = 0..depth."""
+        a = self.centers
+        scale = 2.0 ** np.arange(self.depth + 1)
+        rho = critical_radius(a)[:, None, None]
+        radii = np.concatenate([rho / scale[:, None], rho * scale[:, None]], axis=2)
+        oscillation = np.tile([True, False], a.size * (self.depth + 1))
+        return np.repeat(a, 2 * (self.depth + 1)), radii.ravel(), oscillation
+
+
+def _ball_intervals(axis, centers, radii):
+    """Index intervals [lo, lo + count) of the ball interiors
+    {|x - a| < r} on a sorted 1-D axis, for balls given as arrays with
+    the balls of each center adjacent.  fl(x - a) is monotone in x, so
+    one searchsorted per center gives exactly the points that a mask
+    np.abs(axis - a) < r selects."""
+    lo = np.empty(radii.size, dtype=np.intp)
+    hi = np.empty(radii.size, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(centers, prepend=np.nan))
+    for i, j in zip(starts, np.r_[starts[1:], centers.size]):
+        d = axis - centers[i]
+        lo[i:j] = np.searchsorted(d, -radii[i:j], side="right")
+        hi[i:j] = np.searchsorted(d, radii[i:j], side="left")
+    return lo, np.maximum(hi - lo, 0)
+
+
+def _require_line(grid: SpatialGrid):
+    if grid.n != 1:
+        raise ValueError("ball sweeps run on one-dimensional grids (BallSpec centers are scalars)")
 
 
 def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> float:
     """Max over the ball family of mean oscillation (r < rho(a)) or mean
     size (r >= rho(a)); averages over interior lattice points weighted by
     quadrature mass.  Balls without interior points are skipped (with a
-    single warning reporting how many)."""
+    single warning reporting how many).  All interiors are gathered into
+    one index array and every sum is one np.add.reduceat over it; each
+    average is a weighted sum divided by the same mass, so the estimate
+    of the function 1 is exactly 1.  One-dimensional grids only."""
+    _require_line(grid)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] != grid.size:
         raise ValueError("samples must cover the grid")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    w = grid.weights
-    best = 0.0
-    skipped = 0
-    for a, r, oscillation in balls.balls():
-        mask = _distances(grid, a) < r
-        mass = float(np.sum(w[mask]))
-        if mass == 0.0:
-            skipped += 1
-            continue
-        wm = w[mask] / mass
-        sub = samples[mask]
-        if oscillation:
-            mean = wm @ sub
-            val = float(wm @ B.norm(sub - mean))
-        else:
-            val = float(wm @ B.norm(sub))
-        best = max(best, val)
+    centers, radii, oscillation = balls.balls()
+    lo, count = _ball_intervals(grid.axis, centers, radii)
+    used = count > 0
+    skipped = int(np.sum(~used))
     if skipped:
         warnings.warn(f"skipped {skipped} balls without interior lattice points")
-    return best
+    if not np.any(used):
+        return 0.0
+    lo, count, oscillation = lo[used], count[used], oscillation[used]
+    starts = np.cumsum(count) - count
+    idx = np.repeat(lo - starts, count) + np.arange(int(np.sum(count)))
+    w, f = grid.weights[idx], samples[idx]
+    mass = np.add.reduceat(w, starts)
+    mean = np.add.reduceat(w[:, None] * f, starts) / mass[:, None]
+    f -= np.repeat(np.where(oscillation[:, None], mean, 0.0), count, axis=0)
+    return float(np.max(np.add.reduceat(w * B.norm(f), starts) / mass))
 
 
 def _gfield(f: HermiteExpansion, alpha: float, grid: SpatialGrid, times: TimeGrid):
@@ -294,30 +330,21 @@ def carleson_functional(
     field: TimeField | None = None,
 ) -> float:
     """sup over family balls containing x of the normalized box integral
-    (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}."""
+    (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}.  The box
+    sums of all balls containing x are one (balls x points) @ g^2 product,
+    masked in t.  One-dimensional grids only."""
+    _require_line(grid)
     if field is None:
         field = _gfield(f, alpha, grid, times)
+    centers, radii, _ = balls.balls()
+    x = float(np.asarray(x, dtype=float).reshape(()))
+    keep = np.abs(x - centers) < radii
+    lo, count = _ball_intervals(grid.axis, centers[keep], radii[keep])
+    used = count > 0
+    lo, count, radii = lo[used], count[used], radii[keep][used]
+    i = np.arange(grid.size)
+    inside = (i >= lo[:, None]) & (i < (lo + count)[:, None])
+    wmask = np.where(inside, grid.weights, 0.0)  # (balls, points)
     g2 = field.values[:, :, 0] ** 2
-    w = grid.weights
-    t = times.nodes
-    best = 0.0
-    px = np.asarray(x, dtype=float)
-    for a, r, _ in balls.balls():
-        if grid.n == 1:
-            inside_x = abs(float(px) - a) < r
-        else:
-            inside_x = bool(np.linalg.norm(px - a) < r)
-        if not inside_x:
-            continue
-        mask = _distances(grid, a) < r
-        mass = float(np.sum(w[mask]))
-        if mass == 0.0:
-            continue
-        tmask = t < r
-        if not np.any(tmask):
-            continue
-        box = float(
-            np.sum(g2[np.ix_(mask, tmask)] * w[mask, None] * times.weights[None, tmask])
-        )
-        best = max(best, math.sqrt(box / mass))
-    return best
+    box = np.where(times.nodes < radii[:, None], wmask @ g2, 0.0) @ times.weights
+    return float(np.max(np.sqrt(box / np.sum(wmask, axis=1)), initial=0.0))

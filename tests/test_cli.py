@@ -219,3 +219,22 @@ def test_cached_parser_keeps_calls_independent(capsys):
     assert "K=60" in cached[0][1] and cached[0][1].lstrip().startswith("[")
     assert "K=20" in cached[1][1] and cached[1][1].startswith("name,")
     assert cached[2][1] != cached[3][1]
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    # a crash inside a subcommand is neither success, a failed check (1)
+    # nor a usage error (2)
+    from hermlp import cli
+
+    def boom(args, cfg):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli, "cmd_spaces", boom)
+    cli.build_parser.cache_clear()  # the cached parser holds the handlers
+    try:
+        assert cli.main(["spaces", "rho", "--x", "3"]) == 3
+    finally:
+        cli.build_parser.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: kaput\n"

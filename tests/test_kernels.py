@@ -358,6 +358,32 @@ def test_heat_apply_rejects_bad_input():
         heat_apply(bad, axis, 1.0)
 
 
+HEAT_TIMES = np.concatenate([[1e-3, 20.0], np.geomspace(2e-3, 10.0, 6), [0.37, 3.3]])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("grid", [HARDY_GRID, PLANE_GRID])
+def test_heat_apply_time_axis_is_the_stacked_scalar_calls(grid, d):
+    values = np.random.default_rng(17).normal(size=grid.shape + (d,))
+    batch = heat_apply(values, grid.axis, HEAT_TIMES)
+    assert batch.shape == (HEAT_TIMES.size,) + values.shape
+    stacked = np.stack([heat_apply(values, grid.axis, t) for t in HEAT_TIMES])
+    assert np.array_equal(batch, stacked)
+    # a one-element array keeps its time axis
+    assert np.array_equal(heat_apply(values, grid.axis, HEAT_TIMES[:1]), stacked[:1])
+
+
+def test_heat_apply_rejects_bad_time_arrays():
+    axis = HARDY_GRID.axis
+    ok = np.ones((axis.size, 1))
+    for bad in (np.array([]), np.ones((2, 2)), [[1.0]],
+                [1.0, math.nan], [math.inf, 1.0], [0.5, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time"):
+                heat_apply(ok, axis, bad)
+
+
 SEMI_GRID = SpatialGrid(10.0, 0.05)
 SYM_GRID = SpatialGrid(6.0, 0.1)
 # (amplitude, center, width); amplitudes stay clear of the subnormal
@@ -457,14 +483,16 @@ def test_time_axis_shapes(name, n, alpha):
 
 class _NodeCounter:
     """Counts the nodes at which the t-free blocks are evaluated: every
-    block calls heat_kernel(x, y, s, n) or heat_one_dt(x, s, op) with the
-    nodes s on the leading axis."""
+    block calls heat_kernel(x, y, s, n), its rescaled form
+    _heat_rescaled(x, y, s, n) or _heat_one_dt_rescaled(x, s, op) with
+    the nodes s on the leading axis."""
 
     def __init__(self, monkeypatch):
         import hermlp.kernels as kernels
 
         self.nodes = 0
-        for name, at in (("heat_kernel", 2), ("heat_one_dt", 1)):
+        for name, at in (("heat_kernel", 2), ("_heat_rescaled", 2),
+                         ("_heat_one_dt_rescaled", 1)):
             def counted(*args, _inner=getattr(kernels, name), _at=at):
                 self.nodes += np.shape(args[_at])[0]
                 return _inner(*args)
@@ -541,3 +569,70 @@ def test_subordinated_times_must_be_a_nonempty_list():
                      lambda t: g_of_one(0.0, t, L)):
             with pytest.raises(ValueError, match="times"):
                 call(bad)
+
+
+# ----------------------------------------------- shifts below zero (alpha < 0)
+def _unscaled_form(name, x, y, op):
+    """The kernel with weight e^{-alpha s} and block W_s (for g_of_one the
+    time derivative of e^{-alpha s} W_s(1) from heat_kernel_one): the
+    direct factorization, which overflows for negative shifts at large s."""
+    from hermlp import kernels
+
+    if name == "g_of_one":
+        r2 = x * x if op.n == 1 else np.sum(x * x, axis=-1)
+
+        def dt(s):
+            e4, m4 = np.exp(-4.0 * s), -np.expm1(-4.0 * s)
+            bracket = op.alpha + op.n * m4 / (1 + e4) + r2 * 4.0 * e4 / (1 + e4) ** 2
+            return -np.exp(-op.alpha * s) * bracket * heat_kernel_one(x, s, op.n)
+
+        return lambda t: kernels._subordinate(
+            t, op.n + op.alpha, x, op.n, None, lambda t: t / math.sqrt(math.pi),
+            lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s)), dt)
+    factor = (lambda s, t: 1.0) if name == "poisson" else (lambda s, t: 1.0 - t * t / (2.0 * s))
+    return lambda t: kernels._subordinate(
+        t, op.n + op.alpha, x - y, op.n, None, lambda t: t / math.sqrt(4.0 * math.pi),
+        lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - op.alpha * s),
+        lambda s: heat_kernel(x, y, s, op.n))
+
+
+NEGATIVE = ShiftedOperator(-0.9, 1)
+SUBORDINATED = {
+    "poisson": lambda t, op: poisson_kernel(0.0, 0.0, t, op),
+    "g": lambda t, op: g_kernel(0.0, 0.0, t, op),
+    "g_of_one": lambda t, op: g_of_one(0.3, t, op),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBORDINATED))
+def test_negative_shift_stays_finite_at_large_times(name):
+    kernel = SUBORDINATED[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = kernel([5.0, 200.0], NEGATIVE)
+        single = kernel(5.0, NEGATIVE)
+        far = kernel(120.0, NEGATIVE)
+    assert np.all(np.isfinite(both)) and np.isfinite(far)
+    # the pair shares one grid, so t = 5 agrees with its own grid to rounding
+    assert both[0] == pytest.approx(single, rel=1e-13)
+    if name == "poisson":
+        assert both[1] > 0 and far > 0
+        assert single == pytest.approx(0.11608819383429805, rel=1e-14)
+    else:
+        # t d/dt of a decreasing function of t
+        assert both[1] < 0 and far < 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 1.5, -0.5])
+@pytest.mark.parametrize("name", ["poisson", "g", "g_of_one"])
+def test_rescaled_blocks_move_values_by_rounding_only(name, n, alpha):
+    # where the e^{-alpha s} weight cannot overflow, carrying e^{-(alpha+n)s}
+    # in the weight and e^{ns} W_s in the block only reorders roundings
+    # (measured up to 3.2e-16 of the maximum here)
+    x, y = _pair_points(n)
+    op = ShiftedOperator(alpha, n)
+    kernel = _subordinated(name, n, alpha)
+    want = _unscaled_form(name, x[:, 0] if name == "g_of_one" else x, y, op)(MULTI_TIMES[::4])
+    got = kernel(MULTI_TIMES[::4])
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))

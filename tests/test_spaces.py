@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermlp.basis import HermiteExpansion, SpatialGrid, analyze, hermite_eval
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.kernels import heat_kernel
 from hermlp.semigroups import gfunction
+from hermlp import spaces
 from hermlp.spaces import (
     Atom,
     BallSpec,
@@ -200,6 +204,10 @@ def test_bmo_norm_constant_and_zero():
     ones = np.ones((grid.size, 1))
     assert bmo_norm(ones, B1, grid, balls) == pytest.approx(1.0, abs=1e-12)
     assert bmo_norm(np.zeros((grid.size, 1)), B1, grid, balls) == 0.0
+    # every average is a weighted sum over the mass of the same weights
+    hardy = SpatialGrid(R=12.0, h=0.02, n=1)
+    for q in (1.0, 2.0, math.inf):
+        assert bmo_norm(np.ones((hardy.size, 1)), BanachModel(1, q), hardy, BallSpec()) == 1.0
 
 
 def test_bmo_norm_positive_iff_nonzero():
@@ -292,3 +300,139 @@ def test_carleson_constant_surrogate_stable():
         vals.append(carleson_functional(e, 0.5, 0.0, balls, sub, times, field=field))
     assert np.isfinite(vals[1]) and vals[1] > 0
     assert abs(vals[1] - vals[0]) <= 0.05 * vals[0]
+
+
+# ------------------------------------------------------ batched estimators
+def test_h1_norm_sampled_equals_per_time_heat_calls():
+    # one batched heat_apply per block of times, bit for bit the max over
+    # scalar calls
+    from hermlp.kernels import heat_apply
+
+    rng = np.random.default_rng(12)
+    for grid, d, q in ((SpatialGrid(12.0, 0.02), 1, 2.0), (SpatialGrid(12.0, 0.02), 3, 1.5),
+                       (SpatialGrid(3.0, 0.15, 2), 2, math.inf)):
+        f = rng.normal(size=(grid.size, d))
+        B = BanachModel(d, q)
+        wf = (grid.weights[:, None] * f).reshape(grid.shape + (d,))
+        sup = B.norm(f)
+        for t in ATOM_TIMES.nodes:
+            sup = np.maximum(sup, B.norm(heat_apply(wf, grid.axis, t)).ravel())
+        assert h1_norm(f, B, grid, ATOM_TIMES) == float(np.sum(grid.weights * sup))
+
+
+@pytest.mark.parametrize("grid, N, calls", [
+    (SpatialGrid(12.0, 0.02), 16, [16]),        # the hardy lattice: one block
+    (SpatialGrid(3.0, 0.1, 2), 40, [17, 17, 6]),
+    (SpatialGrid(6.0, 0.05, 2), 512, [1] * 512),  # 241 x 241: never all 512 at once
+])
+def test_h1_norm_time_blocks_stay_under_the_budget(monkeypatch, grid, N, calls):
+    seen = []
+
+    def fake(values, axis, t):
+        seen.append(len(t))
+        return np.zeros((len(t),) + values.shape)
+
+    monkeypatch.setattr(spaces, "heat_apply", fake)
+    h1_norm(np.ones((grid.size, 1)), B1, grid, TimeGrid(1e-3, 20.0, N))
+    assert seen == calls
+    assert max(seen) * grid.size <= spaces._HEAT_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.005, 1.5), st.floats(0.01, 8.0), st.integers(0, 6),
+       st.floats(0.5, 10.0), st.floats(0.003, 0.2))
+def test_ball_intervals_are_the_distance_masks(spacing, extent, depth, R, h):
+    grid = SpatialGrid(R, h)
+    centers, radii, _ = BallSpec(spacing, extent, depth).balls()
+    lo, count = spaces._ball_intervals(grid.axis, centers, radii)
+    for a, r, start, size in zip(centers, radii, lo, count):
+        mask = np.abs(grid.points - a) < r
+        assert np.array_equal(np.flatnonzero(mask), np.arange(start, start + size))
+
+
+def test_ball_family_arrays_follow_the_ladder():
+    centers, radii, oscillation = BallSpec(0.5, 1.0, 2).balls()
+    assert centers.tolist() == [c for c in (-1.0, -0.5, 0.0, 0.5, 1.0) for _ in range(6)]
+    assert radii[:6].tolist() == [0.5, 0.5, 0.25, 1.0, 0.125, 2.0]
+    assert oscillation[:6].tolist() == [True, False] * 3
+    assert radii[-6:] == pytest.approx([0.5 / 2 ** m * s for m in range(3) for s in (1, 4 ** m)])
+
+
+def _bmo_loop(samples, B, grid, balls):
+    """Per-ball reference sweep: a distance mask and a weighted average
+    per ball."""
+    w, best, skipped = grid.weights, 0.0, 0
+    for a in balls.centers:
+        rho = float(critical_radius(a))
+        for m in range(balls.depth + 1):
+            for r, oscillation in ((rho * 2.0 ** -m, True), (rho * 2.0 ** m, False)):
+                mask = np.abs(grid.points - a) < r
+                if not mask.any():
+                    skipped += 1
+                    continue
+                wm = w[mask] / np.sum(w[mask])
+                sub = samples[mask]
+                dev = sub - wm @ sub if oscillation else sub
+                best = max(best, float(wm @ B.norm(dev)))
+    return best, skipped
+
+
+def _carleson_loop(g2, x, balls, grid, times):
+    w, t, best = grid.weights, times.nodes, 0.0
+    for a in balls.centers:
+        rho = float(critical_radius(a))
+        for r in [rho * 2.0 ** s for m in range(balls.depth + 1) for s in (-m, m)]:
+            mask = np.abs(grid.points - a) < r
+            if abs(x - a) >= r or not mask.any() or not np.any(t < r):
+                continue
+            tm = t < r
+            box = float(np.sum(g2[np.ix_(mask, tm)] * w[mask, None] * times.weights[None, tm]))
+            best = max(best, math.sqrt(box / float(np.sum(w[mask]))))
+    return best
+
+
+def test_bmo_norm_equals_a_per_ball_loop():
+    rng = np.random.default_rng(88)
+    for _ in range(40):
+        grid = SpatialGrid(float(rng.uniform(3.0, 12.0)), float(rng.uniform(0.01, 0.1)))
+        d = int(rng.integers(1, 4))
+        B = BanachModel(d, float(rng.choice([1.0, 1.5, 2.0, 4.0, math.inf])))
+        f = rng.normal(size=(grid.size, d)) + np.sin(grid.points)[:, None]
+        balls = BallSpec(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.5, 6.0)),
+                         int(rng.integers(0, 7)))
+        want, skipped = _bmo_loop(f, B, grid, balls)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = bmo_norm(f, B, grid, balls)
+        assert got == pytest.approx(want, rel=1e-14)
+        messages = [str(w.message) for w in caught]
+        assert messages == ([f"skipped {skipped} balls without interior lattice points"]
+                            if skipped else [])
+
+
+def test_carleson_functional_equals_a_per_ball_loop():
+    rng = np.random.default_rng(89)
+    for _ in range(25):
+        grid = SpatialGrid(float(rng.uniform(4.0, 8.0)), float(rng.uniform(0.02, 0.08)))
+        times = TimeGrid(10 ** rng.uniform(-3, -1), 10 ** rng.uniform(0, 1.3),
+                         int(rng.integers(4, 20)))
+        ks = rng.choice(12, size=3, replace=False)
+        e = HermiteExpansion(1, 1, int(max(ks)),
+                             {(int(k),): [float(rng.normal())] for k in ks})
+        field = gfunction(e, 0.0, grid, times)
+        balls = BallSpec(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 4.0)),
+                         int(rng.integers(0, 5)))
+        x = float(rng.uniform(-3.0, 3.0))
+        want = _carleson_loop(field.values[:, :, 0] ** 2, x, balls, grid, times)
+        got = carleson_functional(e, x, 0.0, balls, grid, times, field=field)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_ball_sweeps_reject_planar_grids():
+    # BallSpec centers are scalars: on a plane they would sit at (a, a)
+    grid = SpatialGrid(3.0, 0.25, 2)
+    e = HermiteExpansion.single((0, 0))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        bmo_norm(np.ones((grid.size, 1)), B1, grid, BallSpec())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        carleson_functional(e, [0.0, 0.0], 0.0, BallSpec(), grid, ATOM_TIMES)
