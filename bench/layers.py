@@ -1,0 +1,265 @@
+"""Timings of one group of hermlp layers for two source trees, written as
+one JSON record.
+
+    python3 bench/layers.py GROUP --before OLD/src --after NEW/src [--out FILE]
+
+GROUP is one of
+  hardy     the `hardy` estimators: sampled `h1_norm`, `bmo_norm`,
+            `carleson_functional`;
+  verify    the verification layers that subordinated kernels, Hermite
+            tables and the CLI parser dominate;
+  spectral  the spectral semigroup layer: spectral `h1_norm`,
+            `maximal_norm` and `composed_maximal`.
+
+Each tree is imported in its own child process with BLAS pinned to one
+thread.  Every case is timed as the minimum of REPEATS calls after one
+warm-up call; the record keeps both computed values and their relative
+difference, so a speed-up can be read next to what it changed.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+REPEATS = 7
+
+HARDY = "SpatialGrid(12, 0.02): 1201 points"
+ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
+POINT_ARGV = ["kernel", "poisson", "--x", "0.5", "--y", "-0.25", "--t", "1.3",
+              "--alpha", "2"]
+INNERS = {"g": "g", "ladder": ("ladder", 1, +1), "riesz": ("riesz", 1, -1)}
+
+
+def hardy_calls():
+    """name -> zero-argument call returning the case's value."""
+    import numpy as np
+    from hermlp import basis, gamma, semigroups, spaces
+
+    times = gamma.TimeGrid(1e-3, 20.0, 16)
+    B = gamma.BanachModel(1, 2.0)
+    grid = basis.SpatialGrid(12.0, 0.02)
+    balls = spaces.BallSpec(0.5, 6.0, 3)
+    rng = np.random.default_rng(7)
+    atom = spaces.make_random_atom(rng, grid, "cancel")
+
+    ks = rng.choice(31, size=5, replace=False)
+    e = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
+    fld = semigroups.gfunction(e, 0.0, grid, times)
+    profile = np.sqrt(np.einsum("xtc,t->x", fld.values ** 2, times.weights))[:, None]
+
+    plane = basis.SpatialGrid(6.0, 0.1, 2)
+    r2 = np.sum((plane.points - [0.5, -0.3]) ** 2, axis=-1)
+    bump = np.where(r2 < 0.36, (1.0 - r2 / 0.36) ** 2, 0.0)[:, None]
+
+    fine = basis.SpatialGrid(6.0, 0.05, 2)
+    x = fine.axis
+    separable = np.multiply.outer(np.exp(-((x - 1.0) ** 2)) * np.sin(2.0 * x),
+                                  np.exp(-2.0 * (x + 0.5) ** 2)).reshape(fine.size, 1)
+
+    x = grid.axis
+    a, b, s = rng.normal(size=3)
+    h5 = np.asarray(basis.hermite_eval(5, x))
+    mixed = (a + b * h5 + np.clip(s * x, -1.0, 1.0))[:, None]
+    ones = np.ones((grid.size, 1))
+
+    ks = rng.choice(31, size=3, replace=False)
+    c = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
+    return {
+        "h1_atom_hardy": lambda: spaces.h1_norm(atom, B, grid, times),
+        "h1_dense_profile": lambda: spaces.h1_norm(profile, B, grid, times),
+        "h1_plane_bump": lambda: spaces.h1_norm(bump, B, plane, times),
+        "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
+        "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
+        "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
+        "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
+    }
+
+
+def verify_calls():
+    import numpy as np
+    from hermlp import cli, verify
+
+    xs, ts = np.linspace(-4.0, 4.0, 65), np.geomspace(0.1, 2.0, 6)
+    out = {f"envelope_{kind}": lambda kind=kind: verify.kernel_bound_ratio(kind, xs, ts).computed
+           for kind in ENVELOPE_KINDS}
+
+    def point():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main(POINT_ARGV)
+        return float(buf.getvalue().splitlines()[1].split(",")[-1])
+
+    out.update({
+        "kernel_vs_spectral": lambda: verify.check_kernel_vs_spectral(
+            [0.1, 1.0, 5.0], [0.0, 2.0]).computed,
+        "eigen_ladder_K20": lambda: verify.check_eigen_ladder(20).computed,
+        "eigen_ladder_K60": lambda: verify.check_eigen_ladder(60).computed,
+        "cli_point_query": point,
+    })
+    return out
+
+
+def spectral_calls():
+    import numpy as np
+    from hermlp import basis, gamma, semigroups, spaces
+
+    rng = np.random.default_rng(11)
+
+    def modes(count, kmax, d=1):
+        ks = rng.choice(kmax + 1, size=count, replace=False)
+        return basis.HermiteExpansion(1, d, int(max(ks)),
+                                      {(int(k),): rng.normal(size=d) for k in ks})
+
+    grid = basis.SpatialGrid(12.0, 0.02)
+    times = gamma.TimeGrid(1e-3, 20.0, 16)
+    B = gamma.BanachModel(1, 2.0)
+    one, five = modes(1, 30), modes(5, 30)
+    out = {
+        "h1_spectral_mode": lambda: spaces.h1_norm(one, B, grid, times),
+        "h1_spectral_5modes": lambda: spaces.h1_norm(five, B, grid, times, "poisson", 1.0),
+        "maximal_norm_N16": lambda: semigroups.maximal_norm(five, 0.7, "poisson", 0.0, B, times),
+        "maximal_norm_N512": lambda: semigroups.maximal_norm(five, 0.7, "heat", 0.0, B,
+                                                             gamma.TimeGrid()),
+    }
+    for name, inner in INNERS.items():
+        e = modes(4, 20)
+        out[f"composed_q2_{name}"] = lambda e=e, inner=inner: semigroups.composed_maximal(
+            e, 0.4, 1.0, inner, B, gamma.TimeGrid(1e-3, 20.0, 64), M=2000)
+    e4, B4 = modes(1, 11, d=2), gamma.BanachModel(2, 4.0)
+    out["composed_q4_g"] = lambda: semigroups.composed_maximal(
+        e4, -0.6, 0.0, "g", B4, gamma.TimeGrid(1e-3, 20.0, 32), M=2000, seed=5)
+    return out
+
+
+GROUPS = {
+    "hardy": (
+        "spaces.h1_norm (sampled path), spaces.bmo_norm, spaces.carleson_functional",
+        hardy_calls,
+        {
+            "h1_atom_hardy": f"h1_norm of a cancel atom, d = 1, l^2, on {HARDY}, 16 times",
+            "h1_dense_profile": "h1_norm of the g-field profile of 5 random modes, l^2, on "
+                                f"{HARDY}, full support, 16 times",
+            "h1_plane_bump": "h1_norm of an n = 2 bump of radius 0.6, l^2, on "
+                             "SpatialGrid(6, 0.1, 2): 14641 points, 16 times",
+            "h1_plane_separable": "h1_norm of an n = 2 separable f1 (x) f2, l^2, on "
+                                  "SpatialGrid(6, 0.05, 2): 58081 points, full support, "
+                                  "16 times",
+            "bmo_constant": f"bmo_norm of the function 1, l^2, on {HARDY}, "
+                            "BallSpec(0.5, 6, 3): 200 balls",
+            "bmo_mixed": f"bmo_norm of a + b h_5 + clip(s x, -1, 1), l^2, on {HARDY}, "
+                         "BallSpec(0.5, 6, 3)",
+            "carleson": "carleson_functional at x = 0.7 of 3 random modes (K <= 30), "
+                        f"alpha = 1, on {HARDY}, 16 times, BallSpec(0.5, 6, 3), g-field "
+                        "computed in the call",
+        },
+    ),
+    "verify": (
+        "verification suites: subordinated kernels, Hermite tables, CLI parsing",
+        verify_calls,
+        {
+            **{f"envelope_{kind}": f"kernel_bound_ratio({kind!r}, linspace(-4, 4, 65), "
+                                   "geomspace(0.1, 2, 6)), as in `hermlp verify envelopes`"
+               for kind in ENVELOPE_KINDS},
+            "kernel_vs_spectral": "check_kernel_vs_spectral([0.1, 1, 5], [0, 2]), "
+                                  "as in `hermlp verify kernel`",
+            "eigen_ladder_K20": "check_eigen_ladder(20)",
+            "eigen_ladder_K60": "check_eigen_ladder(60)",
+            "cli_point_query": "cli.main(" + repr(POINT_ARGV) + ") in process, stdout captured",
+        },
+    ),
+    "spectral": (
+        "semigroups spectral table: spectral spaces.h1_norm, maximal_norm, composed_maximal",
+        spectral_calls,
+        {
+            "h1_spectral_mode": f"spectral h1_norm of one random mode (K <= 30), heat, l^2, "
+                                f"on {HARDY}, 16 times",
+            "h1_spectral_5modes": f"spectral h1_norm of 5 random modes (K <= 30), poisson, "
+                                  f"alpha = 1, l^2, on {HARDY}, 16 times",
+            "maximal_norm_N16": "maximal_norm at x = 0.7 of the same 5 modes, poisson, l^2, "
+                                "TimeGrid(1e-3, 20, 16)",
+            "maximal_norm_N512": "maximal_norm at x = 0.7 of the same 5 modes, heat, l^2, "
+                                 "TimeGrid(): 512 times",
+            **{f"composed_q2_{name}": f"composed_maximal at x = 0.4, inner {inner!r}, 4 random "
+                                      "modes (K <= 20), alpha = 1, l^2, TimeGrid(1e-3, 20, 64), "
+                                      "65 s-candidates"
+               for name, inner in INNERS.items()},
+            "composed_q4_g": "composed_maximal at x = -0.6, inner 'g', one random mode "
+                             "(K <= 11), d = 2, l^4, TimeGrid(1e-3, 20, 32), M = 2000, seed 5",
+        },
+    ),
+}
+
+
+def child(group):
+    out = {}
+    for name, fn in GROUPS[group][1]().items():
+        value = fn()
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        out[name] = {"seconds": best, "value": float(value)}
+    json.dump(out, sys.stdout)
+
+
+def run_side(src, group):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), group, "--child"],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("group", choices=sorted(GROUPS))
+    ap.add_argument("--before")
+    ap.add_argument("--after")
+    ap.add_argument("--out")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        child(args.group)
+        return
+    if not (args.before and args.after):
+        ap.error("--before and --after are required")
+    layer, _, inputs = GROUPS[args.group]
+    before, after = run_side(args.before, args.group), run_side(args.after, args.group)
+    cases = {}
+    for name, what in inputs.items():
+        b, a = before[name], after[name]
+        scale = abs(b["value"]) or 1.0
+        cases[name] = {
+            "input": what,
+            "before_s": b["seconds"], "after_s": a["seconds"],
+            "speedup": b["seconds"] / a["seconds"],
+            "before_value": b["value"], "after_value": a["value"],
+            "rel_diff": abs(a["value"] - b["value"]) / scale,
+        }
+    import numpy
+
+    record = {
+        "layer": layer,
+        "timing": f"min of {REPEATS} calls after one warm-up, one process per tree, "
+                  "BLAS pinned to 1 thread",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": numpy.__version__},
+        "cases": cases,
+    }
+    text = json.dumps(record, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

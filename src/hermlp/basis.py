@@ -15,6 +15,7 @@ point, which keeps products over coordinates away from underflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -65,6 +66,11 @@ def shift_index(k, j: int, step: int) -> tuple:
     return tuple(out)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class SpatialGrid:
     """Uniform tensor lattice on [-R, R]^n with trapezoid weights.
 
@@ -95,21 +101,23 @@ class SpatialGrid:
     def size(self) -> int:
         return self.axis.size ** self.n
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        """Flattened lattice, shape (size,) for n=1 and (size, n) otherwise."""
+        """Flattened lattice, shape (size,) for n=1 and (size, n) otherwise;
+        built on first access and read-only."""
         if self.n == 1:
-            return self.axis.copy()
+            return _read_only(self.axis.copy())
         mesh = np.meshgrid(*([self.axis] * self.n), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Flattened tensor trapezoid weights; they sum to (2R)^n."""
+        """Flattened tensor trapezoid weights; they sum to (2R)^n.  Built
+        on first access and read-only."""
         w = self.axis_weights
         for _ in range(self.n - 1):
             w = np.multiply.outer(w, self.axis_weights)
-        return w.ravel()
+        return _read_only(w.ravel())
 
     def coarsen(self, factor: int = 2) -> "SpatialGrid":
         return SpatialGrid(self.R, self.h * factor, self.n)
@@ -251,11 +259,6 @@ class HermiteExpansion:
         """lambda_alpha(k) = 2|k| + n + alpha (requires alpha > -n for positivity)."""
         return 2.0 * total_degree(k) + self.n + alpha
 
-    def min_eigenvalue(self, alpha: float = 0.0) -> float:
-        if not self.coeffs:
-            return self.n + alpha
-        return min(self.eigenvalue(k, alpha) for k in self.coeffs)
-
     def l2_norm_sq(self) -> float:
         return float(sum(float(c @ c) for c in self.coeffs.values()))
 
@@ -318,28 +321,20 @@ def analyze(samples, grid: SpatialGrid, K: int, d: int = 1) -> HermiteExpansion:
     return HermiteExpansion(n=n, d=d, K=K, coeffs=coeffs)
 
 
-def point_synthesis_matrix(e: HermiteExpansion, x) -> tuple[np.ndarray, np.ndarray, list]:
-    """Spatial factors h_k(x) for every stored k.
-
-    Returns (S, C, ks) with S of shape (nk, npts), C of shape (nk, d).
-    """
+def point_synthesis_matrix(e: HermiteExpansion, x) -> np.ndarray:
+    """Spatial factors h_k(x) for every stored k, in storage order:
+    shape (modes, npts)."""
     x = np.asarray(x, dtype=float)
     if e.n == 1:
         coords = [np.atleast_1d(x)]
     else:
         pts = x.reshape(-1, e.n)
         coords = [pts[:, j] for j in range(e.n)]
-    ks = list(e.coeffs)
-    if not ks:
-        return np.zeros((0, coords[0].size)), np.zeros((0, e.d)), ks
-    kmaxes = [max(k[j] for k in ks) for j in range(e.n)]
-    tables = [eval_table(kmaxes[j], coords[j]) for j in range(e.n)]
-    S = np.ones((len(ks), coords[0].size))
+    S = np.ones((len(e.coeffs), coords[0].size))
     for j in range(e.n):
-        idx = np.array([k[j] for k in ks])
-        S *= tables[j][idx]
-    C = np.stack([e.coeffs[k] for k in ks])
-    return S, C, ks
+        idx = np.array([k[j] for k in e.coeffs], dtype=int)
+        S *= eval_table(int(idx.max(initial=0)), coords[j])[idx]
+    return S
 
 
 def synthesize(e: HermiteExpansion, x) -> np.ndarray:
@@ -350,9 +345,8 @@ def synthesize(e: HermiteExpansion, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 if e.n == 1 else x.ndim == 1
-    S, C, _ = point_synthesis_matrix(e, x)
-    npts = 1 if single else (x.size if e.n == 1 else x.reshape(-1, e.n).shape[0])
-    out = S.T @ C if S.size else np.zeros((npts, e.d))
+    C = np.array(list(e.coeffs.values()), dtype=float).reshape(-1, e.d)
+    out = point_synthesis_matrix(e, x).T @ C
     return out[0] if single else out
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Run-wide numeric configuration shared by the subcommands."""
 
@@ -72,17 +72,15 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        groups = {"grid": {"R", "h"}, "time": {"tmin", "tmax", "N"},
-                  "quad": {"Q"}, "mc": {"M"}}
         flat = {}
         for key, value in raw.items():
-            if key in ("n", "K", "d", "q", "seed"):
+            if key in _TOP_LEVEL:
                 flat[key] = value
-            elif key in groups:
+            elif key in _GROUPS:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key {key!r} must be an object")
                 for sub, subval in value.items():
-                    if sub not in groups[key]:
+                    if sub not in _GROUPS[key]:
                         raise ConfigError(f"unknown config key {key}.{sub}")
                     flat[sub] = subval
             else:
@@ -114,6 +112,12 @@ class RunConfig:
 
     def rule(self) -> SubordinationRule:
         return SubordinationRule(self.Q)
+
+
+# config-file sections; every other RunConfig field is a top-level key
+_GROUPS = {"grid": {"R", "h"}, "time": {"tmin", "tmax", "N"}, "quad": {"Q"}, "mc": {"M"}}
+_FIELDS = dataclasses.fields(RunConfig)
+_TOP_LEVEL = {f.name for f in _FIELDS} - set().union(*_GROUPS.values())
 
 
 def _real(v) -> str:
@@ -303,13 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (RunConfig schema)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", help="output path (default: stdout)")
-    for flag, typ in (
-        ("n", int), ("K", int), ("d", int), ("q", float), ("R", float),
-        ("h", float), ("tmin", float), ("tmax", float), ("N", int),
-        ("Q", int), ("M", int), ("seed", int),
-    ):
-        common.add_argument(f"--{flag}", type=typ, default=None,
-                            help=f"override config field {flag}")
+    for f in _FIELDS:
+        common.add_argument(f"--{f.name}", type=type(f.default), default=None,
+                            help=f"override config field {f.name}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
@@ -366,11 +366,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        for field in ("n", "K", "d", "q", "R", "h", "tmin", "tmax", "N", "Q",
-                      "M", "seed"):
-            override = getattr(args, field)
+        for f in _FIELDS:
+            override = getattr(args, f.name)
             if override is not None:
-                setattr(cfg, field, override)
+                setattr(cfg, f.name, override)
         cfg.validate()
         rows, code = args.fn(args, cfg)
     except (OSError, ValueError) as exc:

@@ -8,6 +8,9 @@ of the shifted oscillator L + alpha has eigenvalue 2|k| + n + alpha;
 shifts with alpha <= -n are accepted only when every stored mode keeps
 a strictly positive eigenvalue (needed for alpha = -2 in low
 dimensions), and rejected otherwise.
+
+Every operator reads one table (`_spectral_table`): per stored mode a
+target mode, a coefficient and a time profile a t^p e^{-r t}.
 """
 
 from __future__ import annotations
@@ -17,16 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    HermiteExpansion,
-    SpatialGrid,
-    point_synthesis_matrix,
-    shift_index,
-    synthesize,
-    synthesize_grid,
-    total_degree,
-)
+from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthesize_grid
 from .gamma import BanachModel, DiscreteGammaOperator, TimeGrid, gamma_norm
+
+# values (times x d x points) per stacked product in `_maximal_function`
+_TIME_BLOCK = 2 ** 16
 
 __all__ = [
     "TimeField",
@@ -66,16 +64,82 @@ class TimeField:
             raise ValueError("time field has non-finite values")
 
 
-def _check_shift(e: HermiteExpansion, alpha: float):
-    """alpha > -n always works; otherwise every stored mode must keep a
-    positive eigenvalue (e.g. alpha = -2 with modes of degree >= 1)."""
-    if alpha > -e.n:
+def _modes(e: HermiteExpansion) -> np.ndarray:
+    """The stored multi-indices of e in storage order, shape (modes, n)."""
+    return np.array(list(e.coeffs), dtype=int).reshape(-1, e.n)
+
+
+def _eigenvalues(modes: np.ndarray, alpha: float) -> np.ndarray:
+    """2|k| + n + alpha for every row k of modes."""
+    return 2.0 * modes.sum(axis=1) + modes.shape[1] + alpha
+
+
+def _check_shift(modes: np.ndarray, alpha: float):
+    """alpha > -n always works; otherwise every mode (a row of `modes`)
+    must keep a positive eigenvalue (e.g. alpha = -2 with modes of
+    degree >= 1), and an empty set of modes is rejected."""
+    n = modes.shape[1]
+    if alpha > -n:
         return
-    if e.coeffs and e.min_eigenvalue(alpha) > 0:
+    if modes.size and np.min(_eigenvalues(modes, alpha)) > 0:
         return
-    raise ValueError(
-        f"shift alpha={alpha} gives non-positive eigenvalues for n={e.n}"
-    )
+    raise ValueError(f"shift alpha={alpha} gives non-positive eigenvalues for n={n}")
+
+
+def _expansion(n: int, d: int, modes: np.ndarray, coeffs, K: int | None = None):
+    """Expansion with coefficient coeffs[i] on mode modes[i]; K defaults
+    to the largest degree among the modes."""
+    if K is None:
+        K = int(modes.sum(axis=1).max(initial=0))
+    return HermiteExpansion(n, d, K, dict(zip(map(tuple, modes), coeffs)))
+
+
+def _spectral_table(e: HermiteExpansion, alpha: float, op):
+    """The operator `op` on e, one row per term: arrays (targets, C, amp,
+    rate, power).  Row i sends its stored mode, with coefficient C[i], to
+    mode targets[i] with the time profile amp[i] t^power e^{-t rate[i]}:
+      "heat", "poisson": e^{-t lam} or e^{-t sqrt(lam)} on every stored
+        mode, lam = 2|k| + n + alpha;
+      "g": t d/dt P_t^{L+alpha}, amp = -sqrt(lam), power 1;
+      ("ladder", j, sign): t (d/dx_j + sign x_j) P_t^L, k -> k - sign e_j,
+        amp sqrt(2 k_j) (raising; modes with k_j = 0 dropped) or
+        -sqrt(2 k_j + 2), power 1, rate sqrt(2|k| + n) (unshifted);
+      ("riesz", j, sign): the ladder rows with amp / rate and power 0.
+    The semigroup and g rows check the shift on the stored modes;
+    `composed_maximal` checks it on the targets.
+    """
+    modes = _modes(e)
+    C = np.array(list(e.coeffs.values()), dtype=float).reshape(-1, e.d)
+    if op in ("heat", "poisson", "g"):
+        _check_shift(modes, alpha)
+        lam = _eigenvalues(modes, alpha)
+        rate = lam if op == "heat" else np.sqrt(lam)
+        if op == "g":
+            return modes, C, -rate, rate, 1
+        return modes, C, np.ones_like(rate), rate, 0
+    if not (isinstance(op, tuple) and len(op) == 3 and op[0] in ("ladder", "riesz")):
+        raise ValueError(f"unknown spectral operator {op!r}")
+    name, j, sign = op
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not 1 <= j <= e.n:
+        raise ValueError(f"coordinate j={j} out of range for n={e.n}")
+    if sign == +1:
+        keep = modes[:, j - 1] > 0
+        modes, C = modes[keep], C[keep]
+    amp = sign * np.sqrt(2.0 * modes[:, j - 1] + (1 - sign))
+    rate = np.sqrt(_eigenvalues(modes, 0.0))
+    targets = modes.copy()
+    targets[:, j - 1] -= sign
+    if name == "ladder":
+        return targets, C, amp, rate, 1
+    return targets, C, amp / rate, rate, 0
+
+
+def _profiles(table, t: np.ndarray) -> np.ndarray:
+    """amp t^power e^{-t rate} per table row at the times t: (rows, len(t))."""
+    _, _, amp, rate, power = table
+    return amp[:, None] * t ** power * np.exp(-t * rate[:, None])
 
 
 def apply_semigroup(
@@ -87,12 +151,10 @@ def apply_semigroup(
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    _check_shift(e, alpha)
-    if kind == "heat":
-        return e.map_coeffs(lambda k, c: math.exp(-t * e.eigenvalue(k, alpha)) * c)
-    return e.map_coeffs(
-        lambda k, c: math.exp(-t * math.sqrt(e.eigenvalue(k, alpha))) * c
-    )
+    modes, C, _, rate, _ = _spectral_table(e, alpha, kind)
+    # math.exp per mode, as the CLI's semigroup factor: numpy's vectorized
+    # exp can differ from it in the last bit
+    return _expansion(e.n, e.d, modes, [math.exp(-t * r) * c for r, c in zip(rate, C)], e.K)
 
 
 def gfunction(
@@ -100,71 +162,52 @@ def gfunction(
 ) -> TimeField:
     """t d/dt P_t^{L+alpha} f sampled on grid x times: mode k carries the
     profile -t sqrt(lambda) e^{-t sqrt(lambda)}."""
-    return _field(_inner_terms(e, alpha, "g"), e, grid, times)
+    return _field(_spectral_table(e, alpha, "g"), e, grid, times)
 
 
 def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
     """Exact squared L^2(dx; H) norm of the square function: each mode
     contributes |c_k|^2 int_0^inf (t sqrt(lam) e^{-t sqrt(lam)})^2 dt/t,
     and that integral is 1/4 for every eigenvalue."""
-    _check_shift(e, alpha)
+    _check_shift(_modes(e), alpha)
     return 0.25 * e.l2_norm_sq()
 
 
 def ladder_transform(
     e: HermiteExpansion, j: int, sign: int, grid: SpatialGrid, times: TimeGrid
 ) -> TimeField:
-    """t (d/dx_j +/- x_j) P_t^L f sampled on grid x times.
+    """t (d/dx_j +/- x_j) P_t^L f sampled on grid x times, from the ladder
+    rows of `_spectral_table`: mode k moves to k -/+ e_j and keeps the
+    Poisson factor of its own eigenvalue 2|k| + n."""
+    return _field(_spectral_table(e, 0.0, ("ladder", j, sign)), e, grid, times)
 
-    Mode k moves to k -/+ e_j with amplitude sqrt(2 k_j) (raising) or
-    -sqrt(2 k_j + 2) (lowering) and keeps the Poisson factor of the
-    source eigenvalue 2|k| + n.
+
+def _field(table, e: HermiteExpansion, grid: SpatialGrid, times: TimeGrid) -> TimeField:
+    """sum over the table rows of h_target(x) profile(t) C, on grid x times.
+
+    The rows are packed into one expansion with N*d components, the
+    target mode carrying outer(profile(t), C), so a single synthesize_grid
+    call makes the whole field.
     """
-    return _field(_inner_terms(e, 0.0, ("ladder", j, sign)), e, grid, times)
-
-
-def _field(terms, e: HermiteExpansion, grid: SpatialGrid, times: TimeGrid) -> TimeField:
-    """sum of h_m(x) prof(t) c over the (m, prof, c) terms, on grid x times.
-
-    The terms are packed into one expansion with N*d components, mode m
-    carrying outer(prof(t), c), so a single synthesize_grid call makes
-    the whole field.
-    """
-    coeffs = {m: np.outer(prof(times.nodes), c).ravel() for m, prof, c in terms}
-    K = max((total_degree(m) for m in coeffs), default=0)
-    packed = HermiteExpansion(n=e.n, d=times.N * e.d, K=K, coeffs=coeffs)
+    targets, C = table[:2]
+    rows = _profiles(table, times.nodes)[:, :, None] * C[:, None, :]
+    packed = _expansion(e.n, times.N * e.d, targets, rows.reshape(len(C), times.N * e.d))
     values = synthesize_grid(packed, grid).reshape(grid.size, times.N, e.d)
     return TimeField(grid, times, values)
 
 
 def riesz(e: HermiteExpansion, j: int, sign: int) -> HermiteExpansion:
-    """Riesz transform: coefficient at k moves to k - e_j with factor
-    sqrt(2 k_j / (2|k|+n)) (sign +) or to k + e_j with factor
-    -sqrt((2 k_j + 2)/(2|k|+n)) (sign -)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 1 <= j <= e.n:
-        raise ValueError(f"coordinate j={j} out of range for n={e.n}")
-    coeffs: dict = {}
-    for k, c in e.coeffs.items():
-        lam = e.eigenvalue(k, 0.0)
-        if sign == +1:
-            if k[j - 1] == 0:
-                continue
-            m = shift_index(k, j, -1)
-            factor = math.sqrt(2 * k[j - 1] / lam)
-        else:
-            m = shift_index(k, j, +1)
-            factor = -math.sqrt((2 * k[j - 1] + 2) / lam)
-        coeffs[m] = coeffs.get(m, 0.0) + factor * c
-    K = max((total_degree(m) for m in coeffs), default=0)
-    return HermiteExpansion(n=e.n, d=e.d, K=K, coeffs=coeffs)
+    """Riesz transform: coefficient at k moves to k -/+ e_j (sign +/-)
+    with the ladder amplitude over sqrt(2|k| + n), the Riesz rows of
+    `_spectral_table`."""
+    targets, C, amp, _, _ = _spectral_table(e, 0.0, ("riesz", j, sign))
+    return _expansion(e.n, e.d, targets, amp[:, None] * C)
 
 
 def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
     """(L + alpha)^{-1/2}: scale coefficient at k by (2|k|+n+alpha)^{-1/2}."""
-    _check_shift(e, alpha)
-    return e.map_coeffs(lambda k, c: c / math.sqrt(e.eigenvalue(k, alpha)))
+    modes, C, _, rate, _ = _spectral_table(e, alpha, "poisson")
+    return _expansion(e.n, e.d, modes, C / rate[:, None], e.K)
 
 
 def coordinate_invsqrt(e: HermiteExpansion, j: int, grid: SpatialGrid) -> np.ndarray:
@@ -177,123 +220,75 @@ def coordinate_invsqrt(e: HermiteExpansion, j: int, grid: SpatialGrid) -> np.nda
     return xj[:, None] * vals
 
 
-def maximal_norm(
-    e: HermiteExpansion,
-    x,
-    kind: str,
-    alpha: float,
-    B: BanachModel,
-    times: TimeGrid,
-) -> float:
-    """sup_t ||semigroup(t) f (x)||_B over the time grid, including the
-    t -> 0+ candidate ||f(x)||_B."""
+def _maximal_function(
+    e: HermiteExpansion, x, kind: str, alpha: float, B: BanachModel, times: TimeGrid
+) -> np.ndarray:
+    """sup_t ||semigroup(t) f(x)||_B over the time grid at every point of
+    x (shape (points,)), with the t -> 0+ candidate ||f(x)||_B included.
+
+    Each time is one product (e^{-t rate} C)^T S of the semigroup rows
+    of `_spectral_table` with the Hermite values S at the points; the
+    products of a block of times (at most _TIME_BLOCK values) are one
+    stacked matmul, so a single point takes all its times at once."""
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
-    _check_shift(e, alpha)
     if B.d != e.d:
         raise ValueError("Banach model dimension must match the expansion")
-    S, C, ks = point_synthesis_matrix(e, x)
-    if S.shape[1] != 1:
+    _, C, _, rate, _ = _spectral_table(e, alpha, kind)
+    S = point_synthesis_matrix(e, x)
+    sup = B.norm(S.T @ C)
+    step = max(1, _TIME_BLOCK // (e.d * S.shape[1]))
+    for i in range(0, times.N, step):
+        decay = np.exp(-times.nodes[i:i + step, None] * rate)  # (T, rows)
+        vals = np.swapaxes(decay[:, :, None] * C, 1, 2) @ S  # (T, d, points)
+        sup = np.maximum(sup, B.norm(np.swapaxes(vals, 1, 2)).max(axis=0))
+    return sup
+
+
+def maximal_norm(
+    e: HermiteExpansion, x, kind: str, alpha: float, B: BanachModel, times: TimeGrid
+) -> float:
+    """sup_t ||semigroup(t) f (x)||_B over the time grid, including the
+    t -> 0+ candidate ||f(x)||_B, at a single point x: the maximal
+    function that `spaces.h1_norm` integrates over a grid."""
+    sup = _maximal_function(e, x, kind, alpha, B, times)
+    if sup.size != 1:
         raise ValueError("maximal_norm takes a single point x")
-    if not ks:
-        return 0.0
-    hvals = S[:, 0]
-    lam = np.array([e.eigenvalue(k, alpha) for k in ks])
-    rate = lam if kind == "heat" else np.sqrt(lam)
-    factors = np.exp(-times.nodes[:, None] * rate[None, :])  # (N, nk)
-    vals = (factors * hvals[None, :]) @ C  # (N, d)
-    best = float(np.max(B.norm(vals)))
-    limit = float(B.norm(synthesize(e, x)))
-    return max(best, limit)
-
-
-def _inner_terms(e: HermiteExpansion, alpha: float, inner):
-    """(target index, t-profile function of a t-array, coefficient) per
-    stored mode.
-
-    inner is "g" or a tuple ("ladder"|"riesz", j, sign).  A ladder term
-    moves mode k to k -/+ e_j with amplitude sqrt(2 k_j) (raising) or
-    -sqrt(2 k_j + 2) (lowering) and keeps the Poisson factor of the
-    unshifted source eigenvalue.  The s-factor of `composed_maximal`
-    always comes from P_s^{L+alpha} acting on the target mode.
-    """
-    terms = []
-    if inner == "g":
-        _check_shift(e, alpha)
-        for k, c in e.coeffs.items():
-            r = math.sqrt(e.eigenvalue(k, alpha))
-            terms.append((k, lambda t, r=r: -t * r * np.exp(-t * r), c))
-        return terms
-    name, j, sign = inner
-    if name == "ladder":
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not 1 <= j <= e.n:
-            raise ValueError(f"coordinate j={j} out of range for n={e.n}")
-        for k, c in e.coeffs.items():
-            kj = k[j - 1]
-            if sign == +1 and kj == 0:
-                continue
-            amp = math.sqrt(2 * kj) if sign == +1 else -math.sqrt(2 * kj + 2)
-            r = math.sqrt(e.eigenvalue(k, 0.0))
-            terms.append(
-                (shift_index(k, j, -sign), lambda t, a=amp, r=r: t * a * np.exp(-t * r), c)
-            )
-        return terms
-    if name == "riesz":
-        re = riesz(e, j, sign)
-        for m, c in re.coeffs.items():
-            # Poisson factor of the source mode: 2|m| + n -/+ 2 + 2 = source
-            lam = re.eigenvalue(m, 0.0) + 2 * sign
-            r = math.sqrt(lam)
-            terms.append((m, lambda t, r=r: np.exp(-t * r), c))
-        return terms
-    raise ValueError(f"unknown inner transform {name!r}")
+    return float(sup[0])
 
 
 def composed_maximal(
-    e: HermiteExpansion,
-    x,
-    alpha: float,
-    inner,
-    B: BanachModel,
-    times: TimeGrid,
-    sgrid: TimeGrid | None = None,
-    M: int = 20000,
-    seed: int = 0,
+    e: HermiteExpansion, x, alpha: float, inner, B: BanachModel, times: TimeGrid,
+    sgrid: TimeGrid | None = None, M: int = 20000, seed: int = 0,
 ) -> float:
     """sup_s ||gamma-norm of t -> P_s^{L+alpha} (inner f)(x, t)|| with the
-    s -> 0+ candidate included; sup taken over sgrid (defaults to times)."""
+    s -> 0+ candidate included; sup taken over sgrid (defaults to times).
+
+    inner is "g", ("ladder", j, sign) or ("riesz", j, sign): the rows of
+    `_spectral_table`, whose targets m then decay under P_s^{L+alpha}
+    with rate sqrt(2|m| + n + alpha).  The operator at s is
+    H diag(e^{-s rate}) P: the values h_m(x) C, the s-factors, and the
+    row profiles with the square roots of the time weights folded in.
+    """
+    if isinstance(inner, str) and inner != "g":
+        raise ValueError(f"unknown inner transform {inner!r}")
     if B.d != e.d:
         raise ValueError("Banach model dimension must match the expansion")
     sgrid = sgrid or times
-    terms = _inner_terms(e, alpha, inner)
-    if not terms:
+    table = _spectral_table(e, alpha, inner)
+    targets, C = table[:2]
+    _check_shift(targets, alpha)
+    if not len(targets):
         return 0.0
-    # target-mode eigenvalues under the outer shifted operator
-    svals = []
-    profs = []
-    for m, prof, c in terms:
-        lam_s = 2.0 * total_degree(m) + e.n + alpha
-        if lam_s <= 0:
-            raise ValueError(
-                f"shift alpha={alpha} gives non-positive eigenvalue on mode {m}"
-            )
-        svals.append(math.sqrt(lam_s))
-        profs.append(prof(times.nodes))
-    K = max(total_degree(m) for m, _, _ in terms)
-    targets = HermiteExpansion(e.n, e.d, K, {m: c for m, _, c in terms})
-    S, C, _ = point_synthesis_matrix(targets, x)
+    S = point_synthesis_matrix(_expansion(e.n, e.d, targets, C), x)
     if S.shape[1] != 1:
         raise ValueError("composed_maximal takes a single point x")
-    hvals = S[:, :1] * C  # (terms, d): h_m(x) c per target mode
+    hc = S * C  # (rows, d): h_m(x) C per target mode
+    rs = np.sqrt(_eigenvalues(targets, alpha))
+    P = _profiles(table, times.nodes) * np.sqrt(times.weights)
     best = 0.0
-    sw = np.sqrt(times.weights)
     for s in np.concatenate(([0.0], sgrid.nodes)):
-        matrix = np.zeros((B.d, times.N))
-        for rs, prof, hc in zip(svals, profs, hvals):
-            matrix += hc[:, None] * (math.exp(-s * rs) * prof)[None, :] * sw[None, :]
-        T = DiscreteGammaOperator(B, times, matrix)
-        est, _ = gamma_norm(T, M=M, seed=seed)
+        matrix = (np.exp(-s * rs)[:, None] * hc).T @ P
+        est, _ = gamma_norm(DiscreteGammaOperator(B, times, matrix), M=M, seed=seed)
         best = max(best, est)
     return best

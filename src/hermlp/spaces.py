@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthesize_grid
+from .basis import HermiteExpansion, SpatialGrid
 from .gamma import BanachModel, TimeGrid
 from .kernels import heat_apply
-from .semigroups import TimeField, gfunction
+from .semigroups import TimeField, _maximal_function, gfunction
 
 # lattice values (times x grid points x d) per heat_apply call in h1_norm:
 # 0.5 MB per real array, a few of which are alive during a call.  Blocks
@@ -158,7 +158,9 @@ def h1_norm(
     candidate ||f(x)||_B included.
 
     f may be a HermiteExpansion (spectral path: each mode decays by its
-    own eigenvalue) or an Atom / raw finite samples of shape
+    own eigenvalue; the integrand is the maximal function of
+    `semigroups.maximal_norm` at every grid point, with the same input
+    checks) or an Atom / raw finite samples of shape
     (grid.size, d) (sampled path, heat only: the trapezoid-weighted
     samples go through `heat_apply`, a per-axis FFT convolution with the
     Mehler kernel over the whole lattice, for a block of time nodes at a
@@ -171,17 +173,7 @@ def h1_norm(
     if isinstance(f, HermiteExpansion):
         if grid.h > 0.25 / math.sqrt(2 * f.K + f.n + 1e-12):
             raise ValueError("grid too coarse for the expansion degree")
-        S, C, ks = point_synthesis_matrix(f, grid.points)
-        if not ks:
-            return 0.0
-        lam = np.array([f.eigenvalue(k, alpha) for k in ks])
-        if np.any(lam <= 0):
-            raise ValueError(f"shift alpha={alpha} gives non-positive eigenvalues")
-        rate = lam if kind == "heat" else np.sqrt(lam)
-        sup = B.norm(S.T @ C)  # t -> 0 candidate, shape (size,)
-        for t in times.nodes:
-            vals = (np.exp(-t * rate)[:, None] * C).T @ S  # (d, size)
-            sup = np.maximum(sup, B.norm(vals.T))
+        sup = _maximal_function(f, grid.points, kind, alpha, B, times)
         return float(np.sum(grid.weights * sup))
     if isinstance(f, Atom):
         samples = f.samples

@@ -241,6 +241,19 @@ def test_grid_weights_sum():
     assert np.sum(grid.weights) == pytest.approx((2 * grid.R) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_arrays_are_built_once_and_read_only(n):
+    grid = SpatialGrid(R=1.0, h=0.25, n=n)
+    for name in ("points", "weights"):
+        first = getattr(grid, name)
+        assert getattr(grid, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert np.array_equal(getattr(SpatialGrid(R=1.0, h=0.25, n=n), name), first)
+    assert grid.points.shape == ((grid.size,) if n == 1 else (grid.size, n))
+
+
 def test_expansion_rejects_excess_degree():
     with pytest.raises(ValueError, match="degree cap"):
         HermiteExpansion(n=1, d=1, K=2, coeffs={(3,): [1.0]})

@@ -238,3 +238,43 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: kaput\n"
+
+
+OVERRIDES = {"n": "2", "K": "7", "d": "3", "q": "3.5", "R": "5", "h": "0.1", "tmin": "0.01",
+             "tmax": "9", "N": "16", "Q": "8", "M": "100", "seed": "5"}
+
+
+def test_overrides_cover_every_config_field():
+    import dataclasses
+
+    from hermlp.cli import RunConfig
+
+    assert set(OVERRIDES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDES))
+def test_every_config_field_can_be_overridden(monkeypatch, name):
+    import dataclasses
+
+    from hermlp import cli
+
+    seen = []
+
+    def record(args, cfg):
+        seen.append(cfg)
+        return [], 0
+
+    default = getattr(cli.RunConfig(), name)
+    monkeypatch.setattr(cli, "cmd_semigroup", record)
+    cli.build_parser.cache_clear()  # the cached parser holds the handlers
+    try:
+        argv = ["semigroup", "--k", "0", "--t", "1", f"--{name}", OVERRIDES[name]]
+        assert cli.main(argv) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    (cfg,) = seen
+    value = getattr(cfg, name)
+    assert value == type(default)(OVERRIDES[name]) != default
+    assert type(value) is type(default)
+    others = {f.name for f in dataclasses.fields(cfg)} - {name}
+    assert all(getattr(cfg, f) == getattr(cli.RunConfig(), f) for f in others)

@@ -636,3 +636,26 @@ def test_rescaled_blocks_move_values_by_rounding_only(name, n, alpha):
     want = _unscaled_form(name, x[:, 0] if name == "g_of_one" else x, y, op)(MULTI_TIMES[::4])
     got = kernel(MULTI_TIMES[::4])
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heat_kernel_time_array_is_the_stacked_scalar_calls(n):
+    # the Mehler prefactor c^{n/2} rounds the same way alone and in a batch
+    ts = np.geomspace(1e-3, 20.0, 1000)
+    x = 0.3 if n == 1 else np.full(n, 0.3)
+    y = -0.7 if n == 1 else np.linspace(-0.7, 0.4, n)
+    batch = heat_kernel(x, y, ts, n)
+    assert batch.shape == ts.shape
+    stacked = np.array([heat_kernel(x, y, t, n) for t in ts])
+    assert np.array_equal(batch, stacked)
+
+
+@pytest.mark.parametrize("t, bound", [(5.0, 1e-12), (20.0, 1e-10)])
+def test_raising_ladder_kernel_large_time_accuracy_as_documented(t, bound):
+    # ladder_kernel's docstring: 1.2e-13 (t = 5) and 3.0e-11 (t = 20) of the
+    # maximum against a Q = 4096 rule on the 9 x 9 lattice of [-2, 2]^2
+    x = np.linspace(-2.0, 2.0, 9)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    ref = ladder_kernel(X, Y, t, 1, +1, 1, SubordinationRule(4096))
+    got = ladder_kernel(X, Y, t, 1, +1, 1)
+    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))

@@ -435,3 +435,97 @@ def test_composed_maximal_rejects_bad_shift():
     B = BanachModel(1, 2.0)
     with pytest.raises(ValueError, match="shift"):
         composed_maximal(e, 0.0, -2.0, "g", B, TIMES)
+
+
+def _random_expansion(rng, n, d, K, count):
+    ks = [k for k in np.ndindex(*(K + 1,) * n) if sum(k) <= K]
+    pick = rng.choice(len(ks), size=min(count, len(ks)), replace=False)
+    return HermiteExpansion(n=n, d=d, K=K, coeffs={ks[i]: rng.normal(size=d) for i in pick})
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("n", [1, 2])
+def test_riesz_matches_the_closed_form_factor(n, sign):
+    # factor sqrt(2 k_j / lam) or -sqrt((2 k_j + 2) / lam), lam = 2|k| + n
+    e = _random_expansion(np.random.default_rng(n), n, 1, 30 if n == 1 else 12, 40)
+    for j in range(1, n + 1):
+        got = riesz(e, j, sign)
+        want = {}
+        for k, c in e.coeffs.items():
+            lam = 2 * sum(k) + n
+            if sign == +1 and k[j - 1] == 0:
+                continue
+            m = tuple(kk - sign * (i == j - 1) for i, kk in enumerate(k))
+            top = 2 * k[j - 1] + (2 if sign == -1 else 0)
+            want[m] = sign * math.sqrt(top / lam) * c
+        assert set(got.coeffs) == set(want)
+        for m, c in want.items():
+            assert got.coeffs[m] == pytest.approx(c, rel=1e-15, abs=0.0)
+
+
+def _composed_per_term(e, x, alpha, inner, B, times, M, seed):
+    """composed_maximal written as a sum over the modes, one term at a time."""
+    from hermlp.gamma import DiscreteGammaOperator, gamma_norm
+
+    t = times.nodes
+    terms = []  # (target mode, s-rate, profile, coefficient)
+    for k, c in e.coeffs.items():
+        lam0 = 2 * sum(k) + e.n
+        if inner == "g":
+            r = math.sqrt(lam0 + alpha)
+            terms.append((k, r, -t * r * np.exp(-t * r), c))
+            continue
+        name, j, sign = inner
+        if sign == +1 and k[j - 1] == 0:
+            continue
+        m = tuple(kk - sign * (i == j - 1) for i, kk in enumerate(k))
+        amp = math.sqrt(2 * k[j - 1]) if sign == +1 else -math.sqrt(2 * k[j - 1] + 2)
+        r = math.sqrt(lam0)
+        prof = t * amp * np.exp(-t * r) if name == "ladder" else amp / r * np.exp(-t * r)
+        terms.append((m, math.sqrt(2 * sum(m) + e.n + alpha), prof, c))
+    sw = np.sqrt(times.weights)
+    best = 0.0
+    for s in np.concatenate(([0.0], times.nodes)):
+        matrix = np.zeros((B.d, times.N))
+        for m, rs, prof, c in terms:
+            hc = float(hermite_eval(m, x)) * c
+            matrix += hc[:, None] * (math.exp(-s * rs) * prof * sw)[None, :]
+        best = max(best, gamma_norm(DiscreteGammaOperator(B, times, matrix), M=M, seed=seed)[0])
+    return best
+
+
+INNERS = ["g", ("ladder", 1, +1), ("ladder", 1, -1), ("riesz", 1, +1), ("riesz", 1, -1)]
+
+
+@pytest.mark.parametrize("inner", INNERS)
+def test_composed_maximal_matches_the_per_term_sum(inner):
+    rng = np.random.default_rng(3)
+    times = TimeGrid(1e-3, 20.0, 24)
+    for alpha in (0.0, 1.0):
+        e = _random_expansion(rng, 1, 1, 12, 4)
+        x = float(rng.uniform(-2.0, 2.0))
+        B = BanachModel(1, 2.0)
+        want = _composed_per_term(e, x, alpha, inner, B, times, 2000, 0)
+        got = composed_maximal(e, x, alpha, inner, B, times, M=2000)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_composed_maximal_q4_matches_the_per_term_sum():
+    rng = np.random.default_rng(4)
+    times = TimeGrid(1e-3, 20.0, 16)
+    B = BanachModel(2, 4.0)
+    e = _random_expansion(rng, 1, 2, 10, 3)
+    for x in (-0.8, 0.3, 1.7):
+        want = _composed_per_term(e, x, 0.0, "g", B, times, 2000, 11)
+        assert composed_maximal(e, x, 0.0, "g", B, times, M=2000, seed=11) == pytest.approx(want, rel=1e-14)
+
+
+def test_composed_maximal_rejects_semigroup_inners_and_empty_bad_shift():
+    e = expansion([(1, 1.0)])
+    B = BanachModel(1, 2.0)
+    for inner in ("heat", "poisson", ("wave", 1, +1)):
+        with pytest.raises(ValueError, match="unknown"):
+            composed_maximal(e, 0.0, 0.0, inner, B, SMALL_TIMES, M=100)
+    empty = HermiteExpansion(n=1, d=1, K=0, coeffs={})
+    with pytest.raises(ValueError, match="shift"):
+        composed_maximal(empty, 0.0, -5.0, ("ladder", 1, -1), B, SMALL_TIMES, M=100)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermlp.basis import HermiteExpansion, SpatialGrid, analyze, hermite_eval
+from hermlp.basis import HermiteExpansion, SpatialGrid, analyze, hermite_eval, point_synthesis_matrix
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.kernels import heat_kernel
-from hermlp.semigroups import gfunction
+from hermlp.semigroups import gfunction, maximal_norm
 from hermlp import spaces
 from hermlp.spaces import (
     Atom,
@@ -436,3 +436,55 @@ def test_ball_sweeps_reject_planar_grids():
         bmo_norm(np.ones((grid.size, 1)), B1, grid, BallSpec())
     with pytest.raises(ValueError, match="one-dimensional"):
         carleson_functional(e, [0.0, 0.0], 0.0, BallSpec(), grid, ATOM_TIMES)
+
+
+# (grid, degree cap) per dimension n; each spacing resolves its degree
+SPECTRAL_GRIDS = {1: (SpatialGrid(R=3.0, h=0.08, n=1), 3), 2: (SpatialGrid(R=1.0, h=0.1, n=2), 2),
+                  3: (SpatialGrid(R=0.3, h=0.1, n=3), 1)}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("kind", ["heat", "poisson"])
+@pytest.mark.parametrize("q", [1.5, 2.0, math.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_h1_norm_is_the_integrated_maximal_norm(n, q, kind, alpha):
+    grid, K = SPECTRAL_GRIDS[n]
+    rng = np.random.default_rng(n)
+    ks = [k for k in np.ndindex(*(K + 1,) * n) if sum(k) <= K]
+    e = HermiteExpansion(n=n, d=n, K=K, coeffs={k: rng.normal(size=n) for k in ks})
+    B = BanachModel(n, q)
+    times = TimeGrid(1e-2, 5.0, 8)
+    pts = grid.points
+    want = sum(w * maximal_norm(e, x, kind, alpha, B, times) for w, x in zip(grid.weights, pts))
+    assert h1_norm(e, B, grid, times, kind, alpha) == pytest.approx(want, rel=1e-14)
+
+
+def test_spectral_h1_norm_checks_its_input_as_maximal_norm_does():
+    grid = SpatialGrid(R=3.0, h=0.1, n=1)
+    one = HermiteExpansion.single(1)
+    empty = HermiteExpansion(n=1, d=1, K=0, coeffs={})
+    for call in (lambda e, B, alpha: h1_norm(e, B, grid, ATOM_TIMES, "heat", alpha),
+                 lambda e, B, alpha: maximal_norm(e, 0.3, "heat", alpha, B, ATOM_TIMES)):
+        with pytest.raises(ValueError, match="dimension must match"):
+            call(one, BanachModel(3, 2.0), 0.0)
+        with pytest.raises(ValueError, match="shift"):
+            call(empty, B1, -5.0)
+        assert call(empty, B1, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("n, q", [(1, 2.0), (1, 1.5), (2, math.inf), (3, 2.0)])
+def test_spectral_h1_norm_equals_the_per_time_products(n, q):
+    # the time blocks of one stacked product give the per-time values bit for bit
+    grid, K = SPECTRAL_GRIDS[n]
+    rng = np.random.default_rng(10 + n)
+    ks = [k for k in np.ndindex(*(K + 1,) * n) if sum(k) <= K]
+    e = HermiteExpansion(n=n, d=2, K=K, coeffs={k: rng.normal(size=2) for k in ks})
+    B = BanachModel(2, q)
+    times = TimeGrid(1e-3, 20.0, 40)
+    S = point_synthesis_matrix(e, grid.points)
+    C = np.array([e.coeffs[k] for k in e.coeffs])
+    rate = np.sqrt([e.eigenvalue(k, 0.5) for k in e.coeffs])
+    sup = B.norm(S.T @ C)
+    for t in times.nodes:
+        sup = np.maximum(sup, B.norm(((np.exp(-t * rate)[:, None] * C).T @ S).T))
+    assert h1_norm(e, B, grid, times, "poisson", 0.5) == float(np.sum(grid.weights * sup))
