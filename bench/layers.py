@@ -9,7 +9,9 @@ GROUP is one of
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI parser dominate;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
-            `maximal_norm` and `composed_maximal`.
+            `maximal_norm` and `composed_maximal`;
+  basis     the readers of the expansion's coefficient arrays: `analyze`,
+            a 2-D round trip, `gfunction` and spectral `h1_norm`.
 
 Each tree is imported in its own child process with BLAS pinned to one
 thread.  Every case is timed as the minimum of REPEATS calls after one
@@ -137,6 +139,39 @@ def spectral_calls():
     return out
 
 
+def basis_calls():
+    import numpy as np
+    from hermlp import basis, gamma, semigroups, spaces
+
+    rng = np.random.default_rng(13)
+    line = basis.default_grid(1, 30)
+    e30 = basis.HermiteExpansion(1, 1, 30, {(k,): rng.normal(size=1) for k in range(31)})
+    samples = basis.synthesize_grid(e30, line)[:, 0]
+
+    plane = basis.SpatialGrid(8.25, 0.055, 2)  # the coarsest lattice analyze takes at K = 8
+    ks = [k for k in np.ndindex(9, 9) if sum(k) <= 8]
+    e8 = basis.HermiteExpansion(2, 1, 8, {k: rng.normal(size=1) for k in ks})
+
+    grid = basis.SpatialGrid(12.0, 0.02)
+    times = gamma.TimeGrid(1e-3, 20.0, 16)
+    modes = rng.choice(31, size=5, replace=False)
+    five = basis.HermiteExpansion(1, 1, int(max(modes)),
+                                  {(int(k),): rng.normal(size=1) for k in modes})
+    one = basis.HermiteExpansion.single(int(rng.integers(31)))
+
+    def round_trip():
+        values = basis.synthesize_grid(e8, plane).reshape(plane.shape)
+        return basis.analyze(values, plane, 8).l2_norm()
+
+    return {
+        "analyze_K30": lambda: basis.analyze(samples, line, 30).l2_norm(),
+        "round_trip_2d_K8": round_trip,
+        "gfunction_5modes": lambda: float(np.sum(
+            semigroups.gfunction(five, 0.0, grid, times).values ** 2)),
+        "h1_spectral_mode": lambda: spaces.h1_norm(one, gamma.BanachModel(1, 2.0), grid, times),
+    }
+
+
 GROUPS = {
     "hardy": (
         "spaces.h1_norm (sampled path), spaces.bmo_norm, spaces.carleson_functional",
@@ -191,6 +226,21 @@ GROUPS = {
                for name, inner in INNERS.items()},
             "composed_q4_g": "composed_maximal at x = -0.6, inner 'g', one random mode "
                              "(K <= 11), d = 2, l^4, TimeGrid(1e-3, 20, 32), M = 2000, seed 5",
+        },
+    ),
+    "basis": (
+        "HermiteExpansion coefficient arrays: analyze, synthesize_grid, gfunction, "
+        "spectral h1_norm",
+        basis_calls,
+        {
+            "analyze_K30": "analyze onto K = 30 of 31 random modes sampled on "
+                           "default_grid(1, 30): 4727 points",
+            "round_trip_2d_K8": "synthesize_grid then analyze of the 45 modes |k| <= 8 on "
+                                "SpatialGrid(8.25, 0.055, 2): 301 x 301 points",
+            "gfunction_5modes": f"gfunction of 5 random modes (K <= 30), alpha = 0, on {HARDY}, "
+                                "16 times, summed squares",
+            "h1_spectral_mode": f"spectral h1_norm of one random mode (K <= 30), heat, l^2, "
+                                f"on {HARDY}, 16 times",
         },
     ),
 }

@@ -16,10 +16,8 @@ point, which keeps products over coordinates away from underflow.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,9 +117,6 @@ class SpatialGrid:
             w = np.multiply.outer(w, self.axis_weights)
         return _read_only(w.ravel())
 
-    def coarsen(self, factor: int = 2) -> "SpatialGrid":
-        return SpatialGrid(self.R, self.h * factor, self.n)
-
 
 def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
     """Grid sized so `analyze` resolves Hermite oscillation up to degree K.
@@ -181,9 +176,11 @@ def hermite_eval(k, x, perturb: float = 0.0) -> np.ndarray:
     """h_k(x) = prod_j h_{k_j}(x_j).
 
     For n = 1, `x` is a scalar or array of positions; for n > 1 the last
-    axis of `x` holds coordinates.  Total function: finite for any input.
+    axis of `x` holds coordinates.  Non-finite points are rejected.
     """
     k = as_index(k)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
     scaled, r2 = 1.0, 0.0
     for kj, xj in zip(k, _coords(k, x)):
         # only the last row of the recurrence is kept: O(|x|) working memory
@@ -219,34 +216,62 @@ def hermite_derivative(k, x, j: int = 1, perturb: float = 0.0) -> np.ndarray:
     return 0.5 * (up + down)
 
 
-@dataclass
 class HermiteExpansion:
-    """Finite spectral representation: coefficients on multi-indices.
+    """Finite spectral representation: coefficient rows on multi-indices.
 
-    coeffs maps an n-tuple k with |k| <= K to a length-d array.  The
-    eigenvalue of the shifted oscillator on mode k is 2|k| + n + alpha.
+    `modes` (int, shape (rows, n)) holds the stored multi-indices k, each
+    with |k| <= K, and row i of `C` (float, shape (rows, d)) is the
+    coefficient of modes[i]; both are read-only and in storage order.  The
+    constructor takes a dict {k: length-d coefficient}, `from_arrays` the
+    two arrays.  The eigenvalue of the shifted oscillator on mode k is
+    2|k| + n + alpha.
     """
 
-    n: int
-    d: int = 1
-    K: int = 0
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, n: int, d: int = 1, K: int = 0, coeffs: dict | None = None):
         clean = {}
-        for k, c in self.coeffs.items():
+        for k, c in (coeffs or {}).items():
             k = as_index(k)
-            if len(k) != self.n:
-                raise ValueError(f"index {k} has wrong dimension (n={self.n})")
-            if total_degree(k) > self.K:
-                raise ValueError(f"index {k} exceeds degree cap K={self.K}")
+            if len(k) != n:
+                raise ValueError(f"index {k} has wrong dimension (n={n})")
             c = np.atleast_1d(np.asarray(c, dtype=float))
-            if c.shape != (self.d,):
-                raise ValueError(f"coefficient for {k} must have shape ({self.d},)")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"non-finite coefficient at {k}")
+            if c.shape != (d,):
+                raise ValueError(f"coefficient for {k} must have shape ({d},)")
             clean[k] = c
-        self.coeffs = clean
+        self._store(n, d, K, list(clean), list(clean.values()))
+
+    @classmethod
+    def from_arrays(cls, n: int, d: int, modes, C, K: int | None = None) -> "HermiteExpansion":
+        """Expansion with coefficient C[i] on mode modes[i]; K defaults to
+        the largest degree among the modes."""
+        modes, C = np.asarray(modes), np.asarray(C)
+        if modes.ndim != 2 or modes.shape[1] != n:
+            raise ValueError(f"modes of shape {modes.shape} have wrong dimension (n={n})")
+        if C.shape != (len(modes), d):
+            raise ValueError(f"coefficients must have shape ({len(modes)}, {d}), got {C.shape}")
+        if K is None:
+            K = int(modes.sum(axis=1).max(initial=0))
+        e = cls.__new__(cls)
+        e._store(n, d, K, modes, C)
+        return e
+
+    def _store(self, n, d, K, modes, C):
+        self.n, self.d, self.K = int(n), int(d), int(K)
+        modes = np.array(modes, dtype=int, order="C").reshape(-1, self.n)
+        C = np.array(C, dtype=float, order="C").reshape(-1, self.d)
+        for bad, message in (
+            (np.any(modes < 0, axis=1), "multi-index must be nonnegative, got {k}"),
+            (modes.sum(axis=1) > self.K, f"index {{k}} exceeds degree cap K={self.K}"),
+            (~np.all(np.isfinite(C), axis=1), "non-finite coefficient at {k}"),
+        ):
+            if np.any(bad):
+                k = tuple(modes[np.argmax(bad)].tolist())
+                raise ValueError(message.format(k=k))
+        self.modes, self.C = _read_only(modes), _read_only(C)
+
+    @property
+    def coeffs(self) -> dict:
+        """{k: C[i]} in storage order, built on each access."""
+        return dict(zip(map(tuple, self.modes.tolist()), self.C))
 
     @classmethod
     def single(cls, k, value=1.0, n: int | None = None, d: int = 1):
@@ -260,28 +285,13 @@ class HermiteExpansion:
         return 2.0 * total_degree(k) + self.n + alpha
 
     def l2_norm_sq(self) -> float:
-        return float(sum(float(c @ c) for c in self.coeffs.values()))
+        return float(sum(float(c @ c) for c in self.C))
 
     def l2_norm(self) -> float:
         return math.sqrt(self.l2_norm_sq())
 
-    def map_coeffs(self, fn) -> "HermiteExpansion":
-        """New expansion with coeffs[k] replaced by fn(k, coeffs[k])."""
-        return HermiteExpansion(
-            n=self.n,
-            d=self.d,
-            K=self.K,
-            coeffs={k: fn(k, c) for k, c in self.coeffs.items()},
-        )
-
     def scaled(self, factor: float) -> "HermiteExpansion":
-        return self.map_coeffs(lambda k, c: factor * c)
-
-
-def _index_iter(n: int, K: int):
-    for k in itertools.product(range(K + 1), repeat=n):
-        if sum(k) <= K:
-            yield k
+        return HermiteExpansion.from_arrays(self.n, self.d, self.modes, factor * self.C, self.K)
 
 
 def analyze(samples, grid: SpatialGrid, K: int, d: int = 1) -> HermiteExpansion:
@@ -312,28 +322,30 @@ def analyze(samples, grid: SpatialGrid, K: int, d: int = 1) -> HermiteExpansion:
     T = eval_table(K, grid.axis) * grid.axis_weights  # (K+1, M)
     for _ in range(n):
         a = np.tensordot(a, T, axes=(0, 1))
-    # a now has shape (d, K+1, ..., K+1), one trailing axis per coordinate
-    coeffs = {}
-    for k in _index_iter(n, K):
-        c = a[(slice(None),) + k]
-        if np.any(c != 0.0):
-            coeffs[k] = c.copy()
-    return HermiteExpansion(n=n, d=d, K=K, coeffs=coeffs)
+    # a now has shape (d, K+1, ..., K+1), one trailing axis per coordinate;
+    # the modes |k| <= K in lexicographic order, all-zero rows dropped
+    modes = np.indices((K + 1,) * n).reshape(n, -1).T
+    modes = modes[modes.sum(axis=1) <= K]
+    C = a[(slice(None),) + tuple(modes.T)].T
+    keep = np.any(C != 0.0, axis=1)
+    return HermiteExpansion.from_arrays(n, d, modes[keep], C[keep], K)
 
 
-def point_synthesis_matrix(e: HermiteExpansion, x) -> np.ndarray:
-    """Spatial factors h_k(x) for every stored k, in storage order:
-    shape (modes, npts)."""
+def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:
+    """h_k(x) for every row k of `modes` (shape (rows, n)) at the points x,
+    shape (rows, npts); the last axis of x holds coordinates when n > 1.
+    Non-finite points are rejected."""
+    n = modes.shape[1]
     x = np.asarray(x, dtype=float)
-    if e.n == 1:
-        coords = [np.atleast_1d(x)]
-    else:
-        pts = x.reshape(-1, e.n)
-        coords = [pts[:, j] for j in range(e.n)]
-    S = np.ones((len(e.coeffs), coords[0].size))
-    for j in range(e.n):
-        idx = np.array([k[j] for k in e.coeffs], dtype=int)
-        S *= eval_table(int(idx.max(initial=0)), coords[j])[idx]
+    if n > 1 and x.shape[-1:] != (n,):
+        raise ValueError(f"points must have last axis {n}, got shape {x.shape}")
+    pts = x.reshape(-1, n)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    S = np.ones((len(modes), len(pts)))
+    for j in range(n):
+        idx = modes[:, j]
+        S *= eval_table(int(idx.max(initial=0)), pts[:, j])[idx]
     return S
 
 
@@ -345,20 +357,17 @@ def synthesize(e: HermiteExpansion, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 if e.n == 1 else x.ndim == 1
-    C = np.array(list(e.coeffs.values()), dtype=float).reshape(-1, e.d)
-    out = point_synthesis_matrix(e, x).T @ C
+    out = point_synthesis_matrix(e.modes, x).T @ e.C
     return out[0] if single else out
 
 
 def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
     """Synthesis on a full tensor grid, shape (grid.size, d)."""
-    if not e.coeffs:
+    if not len(e.C):
         return np.zeros((grid.size, e.d))
-    C = np.zeros((e.d,) + (e.K + 1,) * e.n)
-    for k, c in e.coeffs.items():
-        C[(slice(None),) + k] = c
+    a = np.zeros((e.d,) + (e.K + 1,) * e.n)
+    a[(slice(None),) + tuple(e.modes.T)] = e.C.T
     T = eval_table(e.K, grid.axis)  # (K+1, M)
-    a = C
     for _ in range(e.n):
         a = np.tensordot(a, T, axes=(1, 0))
     # (d, M, ..., M) -> (size, d)

@@ -30,6 +30,7 @@ from .kernels import (
     ladder_kernel,
     poisson_kernel,
 )
+from .semigroups import apply_semigroup
 from .spaces import critical_radius, h1_norm
 from .verify import (
     check_eigen_ladder,
@@ -53,7 +54,6 @@ class RunConfig:
 
     n: int = 1
     K: int = 20
-    d: int = 1
     q: float = 2.0
     R: float = 12.0
     h: float = 0.02
@@ -90,8 +90,8 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        if self.n < 1 or self.K < 0 or self.d < 1:
-            raise ConfigError("n, d must be >= 1 and K >= 0")
+        if self.n < 1 or self.K < 0:
+            raise ConfigError("n must be >= 1 and K >= 0")
         if self.q < 1:
             raise ConfigError("q must be >= 1")
         if self.R <= 0 or self.h <= 0:
@@ -106,9 +106,6 @@ class RunConfig:
 
     def times(self) -> TimeGrid:
         return TimeGrid(self.tmin, self.tmax, self.N)
-
-    def banach(self) -> BanachModel:
-        return BanachModel(self.d, self.q)
 
     def rule(self) -> SubordinationRule:
         return SubordinationRule(self.Q)
@@ -173,10 +170,6 @@ def _parse_time(t: float) -> float:
     return t
 
 
-def _single_mode(cfg: RunConfig, k) -> HermiteExpansion:
-    return HermiteExpansion.single(k if isinstance(k, tuple) else (k,) * cfg.n)
-
-
 def cmd_basis(args, cfg):
     k = _parse_index(args.k)
     rows = []
@@ -208,14 +201,8 @@ def cmd_kernel(args, cfg):
 
 
 def cmd_semigroup(args, cfg):
-    k = _parse_index(args.k)
-    if not math.isfinite(args.alpha):
-        raise ConfigError(f"shift alpha={args.alpha} is not finite")
-    lam = 2 * sum(k) + len(k) + args.alpha
-    if lam <= 0:
-        raise ConfigError(f"shift alpha={args.alpha} gives eigenvalue {lam} <= 0")
-    t = _parse_time(args.t)
-    factor = math.exp(-t * (lam if args.kind == "heat" else math.sqrt(lam)))
+    mode = HermiteExpansion.single(_parse_index(args.k))
+    factor = float(apply_semigroup(mode, args.kind, args.t, args.alpha).C[0, 0])
     return [
         {"kind": args.kind, "k": args.k, "t": args.t, "alpha": args.alpha,
          "factor": factor}

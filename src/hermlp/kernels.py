@@ -312,7 +312,7 @@ def heat_kernel_one(x, t, n: int = 1):
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
-    pref = (2.0 * em2t / (1.0 + em4t)) ** (n / 2.0)
+    pref = _half_power(2.0 * em2t / (1.0 + em4t), n)
     return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * _split(np.asarray(x, float), n))
 
 
@@ -331,7 +331,7 @@ def _heat_one_dt_rescaled(x, t, op: ShiftedOperator):
     onep = 1.0 + em4t
     r2 = _split(np.asarray(x, float), op.n)
     bracket = op.alpha + op.n * m4 / onep + r2 * 4.0 * em4t / (onep * onep)
-    return -bracket * (2.0 / onep) ** (op.n / 2.0) * np.exp(-0.5 * m4 / onep * r2)
+    return -bracket * _half_power(2.0 / onep, op.n) * np.exp(-0.5 * m4 / onep * r2)
 
 
 def _subordinate(t, decay: float, points, n: int, rule, scale, weight, block):

@@ -64,11 +64,6 @@ class TimeField:
             raise ValueError("time field has non-finite values")
 
 
-def _modes(e: HermiteExpansion) -> np.ndarray:
-    """The stored multi-indices of e in storage order, shape (modes, n)."""
-    return np.array(list(e.coeffs), dtype=int).reshape(-1, e.n)
-
-
 def _eigenvalues(modes: np.ndarray, alpha: float) -> np.ndarray:
     """2|k| + n + alpha for every row k of modes."""
     return 2.0 * modes.sum(axis=1) + modes.shape[1] + alpha
@@ -77,21 +72,16 @@ def _eigenvalues(modes: np.ndarray, alpha: float) -> np.ndarray:
 def _check_shift(modes: np.ndarray, alpha: float):
     """alpha > -n always works; otherwise every mode (a row of `modes`)
     must keep a positive eigenvalue (e.g. alpha = -2 with modes of
-    degree >= 1), and an empty set of modes is rejected."""
+    degree >= 1), and an empty set of modes is rejected.  A non-finite
+    alpha is rejected."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"shift alpha={alpha} is not finite")
     n = modes.shape[1]
     if alpha > -n:
         return
     if modes.size and np.min(_eigenvalues(modes, alpha)) > 0:
         return
     raise ValueError(f"shift alpha={alpha} gives non-positive eigenvalues for n={n}")
-
-
-def _expansion(n: int, d: int, modes: np.ndarray, coeffs, K: int | None = None):
-    """Expansion with coefficient coeffs[i] on mode modes[i]; K defaults
-    to the largest degree among the modes."""
-    if K is None:
-        K = int(modes.sum(axis=1).max(initial=0))
-    return HermiteExpansion(n, d, K, dict(zip(map(tuple, modes), coeffs)))
 
 
 def _spectral_table(e: HermiteExpansion, alpha: float, op):
@@ -108,8 +98,7 @@ def _spectral_table(e: HermiteExpansion, alpha: float, op):
     The semigroup and g rows check the shift on the stored modes;
     `composed_maximal` checks it on the targets.
     """
-    modes = _modes(e)
-    C = np.array(list(e.coeffs.values()), dtype=float).reshape(-1, e.d)
+    modes, C = e.modes, e.C
     if op in ("heat", "poisson", "g"):
         _check_shift(modes, alpha)
         lam = _eigenvalues(modes, alpha)
@@ -149,12 +138,15 @@ def apply_semigroup(
     (heat) or e^{-t sqrt(lambda)} (poisson), lambda = 2|k| + n + alpha."""
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"time {t} is not finite")
     if t < 0:
         raise ValueError("time must be nonnegative")
     modes, C, _, rate, _ = _spectral_table(e, alpha, kind)
-    # math.exp per mode, as the CLI's semigroup factor: numpy's vectorized
-    # exp can differ from it in the last bit
-    return _expansion(e.n, e.d, modes, [math.exp(-t * r) * c for r, c in zip(rate, C)], e.K)
+    # math.exp per mode: numpy's vectorized exp can differ from it in the
+    # last bit, and `hermlp semigroup` prints this factor to 17 digits
+    factor = np.array([math.exp(-t * r) for r in rate])
+    return HermiteExpansion.from_arrays(e.n, e.d, modes, factor[:, None] * C, e.K)
 
 
 def gfunction(
@@ -169,7 +161,7 @@ def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
     """Exact squared L^2(dx; H) norm of the square function: each mode
     contributes |c_k|^2 int_0^inf (t sqrt(lam) e^{-t sqrt(lam)})^2 dt/t,
     and that integral is 1/4 for every eigenvalue."""
-    _check_shift(_modes(e), alpha)
+    _check_shift(e.modes, alpha)
     return 0.25 * e.l2_norm_sq()
 
 
@@ -191,7 +183,8 @@ def _field(table, e: HermiteExpansion, grid: SpatialGrid, times: TimeGrid) -> Ti
     """
     targets, C = table[:2]
     rows = _profiles(table, times.nodes)[:, :, None] * C[:, None, :]
-    packed = _expansion(e.n, times.N * e.d, targets, rows.reshape(len(C), times.N * e.d))
+    packed = HermiteExpansion.from_arrays(e.n, times.N * e.d, targets,
+                                          rows.reshape(len(C), times.N * e.d))
     values = synthesize_grid(packed, grid).reshape(grid.size, times.N, e.d)
     return TimeField(grid, times, values)
 
@@ -201,13 +194,13 @@ def riesz(e: HermiteExpansion, j: int, sign: int) -> HermiteExpansion:
     with the ladder amplitude over sqrt(2|k| + n), the Riesz rows of
     `_spectral_table`."""
     targets, C, amp, _, _ = _spectral_table(e, 0.0, ("riesz", j, sign))
-    return _expansion(e.n, e.d, targets, amp[:, None] * C)
+    return HermiteExpansion.from_arrays(e.n, e.d, targets, amp[:, None] * C)
 
 
 def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
     """(L + alpha)^{-1/2}: scale coefficient at k by (2|k|+n+alpha)^{-1/2}."""
     modes, C, _, rate, _ = _spectral_table(e, alpha, "poisson")
-    return _expansion(e.n, e.d, modes, C / rate[:, None], e.K)
+    return HermiteExpansion.from_arrays(e.n, e.d, modes, C / rate[:, None], e.K)
 
 
 def coordinate_invsqrt(e: HermiteExpansion, j: int, grid: SpatialGrid) -> np.ndarray:
@@ -235,7 +228,7 @@ def _maximal_function(
     if B.d != e.d:
         raise ValueError("Banach model dimension must match the expansion")
     _, C, _, rate, _ = _spectral_table(e, alpha, kind)
-    S = point_synthesis_matrix(e, x)
+    S = point_synthesis_matrix(e.modes, x)
     sup = B.norm(S.T @ C)
     step = max(1, _TIME_BLOCK // (e.d * S.shape[1]))
     for i in range(0, times.N, step):
@@ -280,7 +273,7 @@ def composed_maximal(
     _check_shift(targets, alpha)
     if not len(targets):
         return 0.0
-    S = point_synthesis_matrix(_expansion(e.n, e.d, targets, C), x)
+    S = point_synthesis_matrix(targets, x)
     if S.shape[1] != 1:
         raise ValueError("composed_maximal takes a single point x")
     hc = S * C  # (rows, d): h_m(x) C per target mode

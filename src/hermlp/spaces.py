@@ -45,8 +45,11 @@ __all__ = [
 
 
 def critical_radius(x) -> np.ndarray:
-    """rho(x) = 1/2 for |x| < 1 and 1/(1+|x|) for |x| >= 1 (last axis of
-    x holds coordinates in dimension > 1)."""
+    """rho(x) = 1/2 for |x| < 1 and 1/(1+|x|) for |x| >= 1.
+
+    A scalar or 1-D array is one-dimensional points: [3, 4] gives
+    [0.25, 0.2].  An array of higher rank holds coordinates on its last
+    axis: [[3, 4]] is one point in n = 2 and gives [1/6]."""
     x = np.asarray(x, dtype=float)
     r = np.abs(x) if x.ndim <= 1 or x.shape[-1] == 1 else np.linalg.norm(x, axis=-1)
     r = np.asarray(r)
@@ -99,7 +102,7 @@ def validate_atom(a: Atom):
     outside = dist >= a.radius
     if np.any(np.abs(a.samples[outside]) > 1e-12):
         violations.append("support exceeds B(x0, r0)")
-    rho = float(critical_radius(a.center))
+    rho = critical_radius(np.reshape(a.center, (1, a.grid.n))).item()
     if a.radius > rho * (1 + 1e-12):
         violations.append("radius exceeds critical radius")
     bound = 1.0 / _ball_volume(a.radius, a.grid.n)
@@ -171,6 +174,8 @@ def h1_norm(
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if isinstance(f, HermiteExpansion):
+        if f.n != grid.n:
+            raise ValueError(f"expansion has n={f.n} but the grid has n={grid.n}")
         if grid.h > 0.25 / math.sqrt(2 * f.K + f.n + 1e-12):
             raise ValueError("grid too coarse for the expansion degree")
         sup = _maximal_function(f, grid.points, kind, alpha, B, times)

@@ -266,31 +266,21 @@ def check_polarization(
     lhs = float(
         np.einsum("xtc,xtc,x,t->", ga.values, gf.values, grid.weights, times.weights)
     )
-    pairing = sum(
-        float(a.coeffs[k] @ f.coeffs[k]) for k in a.coeffs if k in f.coeffs
-    )
+    # per common mode: the pairing a_k . f_k and the tails at N and 1/N
+    ca, cf = a.coeffs, f.coeffs
+    common = [
+        (float(ca[k] @ cf[k]),
+         _tail_factor(a.eigenvalue(k, alpha), N_trunc),
+         _tail_factor(a.eigenvalue(k, alpha), 1.0 / N_trunc))
+        for k in ca
+        if k in cf
+    ]
+    pairing = sum(p for p, _, _ in common)
     rhs = 0.25 * pairing
     err = abs(lhs - rhs)
     # truncated-interval variant, spectral closed form
-    truncated = sum(
-        float(a.coeffs[k] @ f.coeffs[k])
-        * (
-            _tail_factor(a.eigenvalue(k, alpha), N_trunc)
-            - _tail_factor(a.eigenvalue(k, alpha), 1.0 / N_trunc)
-        )
-        for k in a.coeffs
-        if k in f.coeffs
-    )
-    tail_bound = sum(
-        abs(float(a.coeffs[k] @ f.coeffs[k]))
-        * (
-            0.25
-            - _tail_factor(a.eigenvalue(k, alpha), N_trunc)
-            + _tail_factor(a.eigenvalue(k, alpha), 1.0 / N_trunc)
-        )
-        for k in a.coeffs
-        if k in f.coeffs
-    )
+    truncated = sum(p * (big - small) for p, big, small in common)
+    tail_bound = sum(abs(p) * (0.25 - big + small) for p, big, small in common)
     trunc_ok = abs(truncated - rhs) <= tail_bound + 1e-14
     tol = 1e-4 * max(1.0, abs(rhs) * 4.0)
     passed = err <= tol and trunc_ok
@@ -338,11 +328,11 @@ def check_operator_identities(
     gminus = gfunction(riesz(e, j, -1), -2.0, grid, times)
     worst_ab = max(worst_ab, float(np.max(np.abs(minus.values + gminus.values))))
     # (c): coefficient-level factorization through the negative power
-    half = inv_sqrt(e, 0.0)
+    half = inv_sqrt(e, 0.0).coeffs
     worst_c = 0.0
     for sign in (+1, -1):
-        r = riesz(e, j, sign)
-        for k, c in half.coeffs.items():
+        r = riesz(e, j, sign).coeffs
+        for k, c in half.items():
             kj = k[j - 1]
             if sign == +1:
                 if kj == 0:
@@ -350,7 +340,7 @@ def check_operator_identities(
                 target, amp = (kj - 1,), math.sqrt(2 * kj)
             else:
                 target, amp = (kj + 1,), -math.sqrt(2 * kj + 2)
-            worst_c = max(worst_c, abs(float(r.coeffs[target][0]) - amp * float(c[0])))
+            worst_c = max(worst_c, abs(float(r[target][0]) - amp * float(c[0])))
     worst = max(worst_ab, worst_c)
     tol = 1e-10
     return CheckReport(

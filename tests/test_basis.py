@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hermlp.basis import (
@@ -16,6 +18,7 @@ from hermlp.basis import (
     hermite_derivative,
     hermite_eval,
     hermite_ladder_eval,
+    point_synthesis_matrix,
     synthesize,
     synthesize_grid,
 )
@@ -257,6 +260,70 @@ def test_grid_arrays_are_built_once_and_read_only(n):
 def test_expansion_rejects_excess_degree():
     with pytest.raises(ValueError, match="degree cap"):
         HermiteExpansion(n=1, d=1, K=2, coeffs={(3,): [1.0]})
+
+
+def test_expansion_stores_read_only_mode_and_coefficient_arrays():
+    e = HermiteExpansion(n=2, d=2, K=4, coeffs={(2, 1): [1.0, -1.0], (0, 0): [0.5, 2.0]})
+    assert e.modes.dtype.kind == "i" and e.modes.tolist() == [[2, 1], [0, 0]]
+    assert e.C.tolist() == [[1.0, -1.0], [0.5, 2.0]]
+    assert not (e.modes.flags.writeable or e.C.flags.writeable)
+    assert list(e.coeffs) == [(2, 1), (0, 0)]
+    same = HermiteExpansion.from_arrays(2, 2, e.modes, e.C)
+    assert same.K == 3 and np.array_equal(same.modes, e.modes) and np.array_equal(same.C, e.C)
+    assert HermiteExpansion.from_arrays(2, 2, e.modes, e.C, K=4).K == 4
+    empty = HermiteExpansion(n=3, d=2)
+    assert empty.modes.shape == (0, 3) and empty.C.shape == (0, 2) and empty.coeffs == {}
+    assert e.scaled(2.0).C.tolist() == [[2.0, -2.0], [1.0, 4.0]]
+    assert e.l2_norm_sq() == 6.25
+
+
+@pytest.mark.parametrize(
+    "modes, C, match",
+    [
+        ([[1, 0]], [[1.0]], "wrong dimension"),
+        ([[3]], [[1.0]], "degree cap"),
+        ([[-1]], [[1.0]], "nonnegative"),
+        ([[1]], [[1.0, 2.0]], "shape"),
+        ([[0], [1]], [[1.0], [np.nan]], "non-finite coefficient at \\(1,\\)"),
+    ],
+)
+def test_from_arrays_applies_the_constructor_checks(modes, C, match):
+    with pytest.raises(ValueError, match=match):
+        HermiteExpansion.from_arrays(1, 1, np.array(modes), np.array(C), K=2)
+    with pytest.raises(ValueError, match=match):
+        HermiteExpansion(1, 1, 2, {tuple(k): c for k, c in zip(modes, C)})
+
+
+def test_analyze_returns_modes_in_lexicographic_order():
+    grid = default_grid(n=2, K=6)
+    rng = np.random.default_rng(2)
+    ks = [k for k in np.ndindex(7, 7) if sum(k) <= 6]
+    e = HermiteExpansion(n=2, d=1, K=6, coeffs={k: rng.normal(size=1) for k in ks})
+    back = analyze(synthesize_grid(e, grid).reshape(grid.shape), grid, K=6)
+    assert list(back.coeffs) == ks
+    assert np.max(np.abs(back.C - e.C)) < 1e-8
+
+
+def test_points_of_the_wrong_dimension_are_rejected():
+    e = HermiteExpansion.single((1, 1))
+    for x in (np.zeros(4), np.zeros((5, 3)), 0.5):
+        with pytest.raises(ValueError, match="last axis 2"):
+            synthesize(e, x)
+    assert synthesize(e, np.zeros((5, 2))).shape == (5, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.integers(0, 5),
+       n=st.integers(1, 3))
+def test_non_finite_points_are_rejected(bad, where, n):
+    pts = np.linspace(-1.0, 1.0, 6 * n).reshape(6, n)
+    pts[where, where % n] = bad
+    x = pts[:, 0] if n == 1 else pts
+    e = HermiteExpansion(n=n, d=1, K=2, coeffs={(1,) + (0,) * (n - 1): [1.0]})
+    for call in (lambda: synthesize(e, x), lambda: point_synthesis_matrix(e.modes, x),
+                 lambda: hermite_eval((1,) * n, x), lambda: hermite_eval((1,) * n, x[where])):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_quadrature_inner_product_against_quad():

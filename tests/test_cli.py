@@ -181,6 +181,22 @@ def test_non_finite_input_exits_2(args):
     assert "not finite" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("semigroup", "--k", "1", "--t", "-1"), "time must be nonnegative"),
+        (("semigroup", "--k", "0", "--t", "1", "--alpha", "-2"), "non-positive eigenvalues"),
+        (("spaces", "h1", "--n", "2", "--k", "3"), "expansion has n=1 but the grid has n=2"),
+        (("semigroup", "--k", "0", "--t", "1", "--d", "3"), "unrecognized arguments: --d"),
+    ],
+)
+def test_invalid_input_exits_2_with_a_message(args, message):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert message in r.stderr
+
+
 def test_verify_json_is_byte_identical_in_process(capsys):
     from hermlp.cli import main
 
@@ -240,7 +256,7 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: kaput\n"
 
 
-OVERRIDES = {"n": "2", "K": "7", "d": "3", "q": "3.5", "R": "5", "h": "0.1", "tmin": "0.01",
+OVERRIDES = {"n": "2", "K": "7", "q": "3.5", "R": "5", "h": "0.1", "tmin": "0.01",
              "tmax": "9", "N": "16", "Q": "8", "M": "100", "seed": "5"}
 
 

@@ -640,14 +640,18 @@ def test_rescaled_blocks_move_values_by_rounding_only(name, n, alpha):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_heat_kernel_time_array_is_the_stacked_scalar_calls(n):
-    # the Mehler prefactor c^{n/2} rounds the same way alone and in a batch
+    # the Mehler prefactors c^{n/2} round the same way alone and in a batch,
+    # for the kernel and for W_t(1) and its time derivative
     ts = np.geomspace(1e-3, 20.0, 1000)
     x = 0.3 if n == 1 else np.full(n, 0.3)
     y = -0.7 if n == 1 else np.linspace(-0.7, 0.4, n)
-    batch = heat_kernel(x, y, ts, n)
-    assert batch.shape == ts.shape
-    stacked = np.array([heat_kernel(x, y, t, n) for t in ts])
-    assert np.array_equal(batch, stacked)
+    op = ShiftedOperator(0.5, n)
+    for kernel in (lambda t: heat_kernel(x, y, t, n), lambda t: heat_kernel_one(x, t, n),
+                   lambda t: heat_one_dt(x, t, op)):
+        batch = kernel(ts)
+        assert batch.shape == ts.shape
+        stacked = np.array([kernel(t) for t in ts])
+        assert np.array_equal(batch, stacked)
 
 
 @pytest.mark.parametrize("t, bound", [(5.0, 1e-12), (20.0, 1e-10)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hermlp.basis import HermiteExpansion, SpatialGrid, hermite_eval, synthesize, synthesize_grid
@@ -61,6 +63,25 @@ def test_semigroup_rejects_bad_input():
         apply_semigroup(e, "heat", -1.0)
     with pytest.raises(ValueError, match="shift"):
         apply_semigroup(e, "poisson", 1.0, alpha=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time .* is not finite"):
+            apply_semigroup(e, "heat", bad)
+        with pytest.raises(ValueError, match="shift alpha=.* is not finite"):
+            apply_semigroup(e, "heat", 1.0, alpha=bad)
+        with pytest.raises(ValueError, match="shift alpha=.* is not finite"):
+            gfunction_l2_sq(e, bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), n=st.integers(1, 2))
+def test_point_maximal_functions_reject_non_finite_points(bad, n):
+    e = HermiteExpansion.single((1,) * n)
+    x = bad if n == 1 else np.array([0.2, bad])
+    B = BanachModel(1, 2.0)
+    with pytest.raises(ValueError, match="points must be finite"):
+        maximal_norm(e, x, "heat", 0.0, B, SMALL_TIMES)
+    with pytest.raises(ValueError, match="points must be finite"):
+        composed_maximal(e, x, 0.0, "g", B, SMALL_TIMES, M=100)
 
 
 def test_negative_shift_allowed_modewise():

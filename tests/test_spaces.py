@@ -37,6 +37,8 @@ def test_critical_radius_values():
     assert critical_radius(np.array([0.0, 2.0])) == pytest.approx([0.5, 1.0 / 3.0])
     # a planar point goes in with an explicit coordinate axis
     assert critical_radius(np.array([[0.0, 2.0]])) == pytest.approx([1.0 / 3.0])
+    assert critical_radius([3, 4]) == pytest.approx([0.25, 0.2])
+    assert critical_radius([[3, 4]]) == pytest.approx([1.0 / 6.0])
 
 
 def constant_atom(radius):
@@ -74,6 +76,19 @@ def test_validate_flags_every_violation():
     assert len(violations) == 3
 
 
+def test_validate_atom_in_the_plane():
+    # centre at distance 2.5: rho = 1/3.5; a bump of radius 0.25 <= rho
+    grid = SpatialGrid(R=4.0, h=0.05, n=2)
+    center = np.array([1.5, -2.0])
+    r2 = np.sum((grid.points - center) ** 2, axis=-1) / 0.25 ** 2
+    bump = np.where(r2 < 1.0, 1.0 - r2, 0.0)
+    samples = (bump * 0.9 / (math.pi * 0.3 ** 2))[:, None]
+    ok, violations = validate_atom(Atom(center, 0.25, "local", grid, samples))
+    assert ok, violations
+    ok, violations = validate_atom(Atom(center, 0.3, "local", grid, samples))
+    assert violations == ["radius exceeds critical radius"]
+
+
 def test_random_atoms_are_valid():
     rng = np.random.default_rng(101)
     for kind in ("cancel", "local"):
@@ -99,6 +114,11 @@ def test_h1_norm_zero_and_scaling():
     v1 = h1_norm(e, B1, grid, ATOM_TIMES)
     v3 = h1_norm(e.scaled(-3.0), B1, grid, ATOM_TIMES)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
+
+
+def test_h1_norm_rejects_an_expansion_of_another_dimension():
+    with pytest.raises(ValueError, match="expansion has n=1 but the grid has n=2"):
+        h1_norm(HermiteExpansion.single(3), B1, SpatialGrid(R=2.0, h=0.1, n=2), ATOM_TIMES)
 
 
 def test_h1_norm_rejects_coarse_grid():
@@ -481,7 +501,7 @@ def test_spectral_h1_norm_equals_the_per_time_products(n, q):
     e = HermiteExpansion(n=n, d=2, K=K, coeffs={k: rng.normal(size=2) for k in ks})
     B = BanachModel(2, q)
     times = TimeGrid(1e-3, 20.0, 40)
-    S = point_synthesis_matrix(e, grid.points)
+    S = point_synthesis_matrix(e.modes, grid.points)
     C = np.array([e.coeffs[k] for k in e.coeffs])
     rate = np.sqrt([e.eigenvalue(k, 0.5) for k in e.coeffs])
     sup = B.norm(S.T @ C)
