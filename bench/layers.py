@@ -4,8 +4,8 @@ one JSON record.
     python3 bench/layers.py GROUP --before OLD/src --after NEW/src [--out FILE]
 
 GROUP is one of
-  hardy     the `hardy` estimators: sampled `h1_norm`, `bmo_norm`,
-            `carleson_functional`;
+  hardy     the `hardy` estimators: sampled `h1_norm` (also on a time
+            grid no earlier call used), `bmo_norm`, `carleson_functional`;
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI parser dominate;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
@@ -22,6 +22,7 @@ difference, so a speed-up can be read next to what it changed.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -72,8 +73,17 @@ def hardy_calls():
 
     ks = rng.choice(31, size=3, replace=False)
     c = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
+    fresh = itertools.count(1)
+
+    def atom_cold():
+        # a time grid that no earlier call used: heat_apply cannot reuse
+        # anything it derived from the lattice and the times
+        t_max = 20.0 * (1.0 + 1e-9 * next(fresh))
+        return spaces.h1_norm(atom, B, grid, gamma.TimeGrid(1e-3, t_max, 16))
+
     return {
         "h1_atom_hardy": lambda: spaces.h1_norm(atom, B, grid, times),
+        "h1_atom_cold_times": atom_cold,
         "h1_dense_profile": lambda: spaces.h1_norm(profile, B, grid, times),
         "h1_plane_bump": lambda: spaces.h1_norm(bump, B, plane, times),
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
@@ -178,6 +188,9 @@ GROUPS = {
         hardy_calls,
         {
             "h1_atom_hardy": f"h1_norm of a cancel atom, d = 1, l^2, on {HARDY}, 16 times",
+            "h1_atom_cold_times": f"the same h1_norm on {HARDY} with a TimeGrid(1e-3, "
+                                  "20 (1 + 1e-9 i), 16) built fresh for call i, so no call "
+                                  "sees times an earlier call used",
             "h1_dense_profile": "h1_norm of the g-field profile of 5 random modes, l^2, on "
                                 f"{HARDY}, full support, 16 times",
             "h1_plane_bump": "h1_norm of an n = 2 bump of radius 0.6, l^2, on "

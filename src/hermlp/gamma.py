@@ -45,6 +45,8 @@ class TimeGrid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError("t_min and t_max must be finite")
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         if self.N < 2:
@@ -72,8 +74,8 @@ class BanachModel:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.q < 1:
-            raise ValueError("exponent q must be >= 1")
+        if not self.q >= 1:  # NaN fails every comparison
+            raise ValueError(f"exponent q={self.q} must be >= 1")
 
     def norm(self, v):
         """l^q norm along the last axis."""

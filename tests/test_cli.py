@@ -188,6 +188,8 @@ def test_non_finite_input_exits_2(args):
         (("semigroup", "--k", "0", "--t", "1", "--alpha", "-2"), "non-positive eigenvalues"),
         (("spaces", "h1", "--n", "2", "--k", "3"), "expansion has n=1 but the grid has n=2"),
         (("semigroup", "--k", "0", "--t", "1", "--d", "3"), "unrecognized arguments: --d"),
+        (("gamma", "--b", "1,2", "--q", "nan", "--M", "100"), "q=nan must be >= 1"),
+        (("gamma", "--b", "1,2", "--tmax", "inf", "--M", "100"), "must be finite"),
     ],
 )
 def test_invalid_input_exits_2_with_a_message(args, message):

@@ -34,6 +34,16 @@ def test_time_grid_rejects_bad_spans():
         TimeGrid(0.1, 1.0, 1)
 
 
+@pytest.mark.parametrize("span", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0),
+                                  (-math.inf, 1.0)])
+def test_time_grid_rejects_non_finite_ends(span):
+    # (1e-3, inf) used to build inf nodes and weights with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(*span, 8)
+
+
 def test_h_norm_exponential_profile():
     # int_0^inf (t e^{-t})^2 dt/t = 1/4
     assert h_norm(GRID.nodes * np.exp(-GRID.nodes), GRID) == pytest.approx(0.5, abs=1e-4)
@@ -102,6 +112,12 @@ def test_banach_model_rejects_bad_exponent():
         BanachModel(2, 0.5)
     with pytest.raises(ValueError):
         BanachModel(0, 2.0)
+
+
+def test_banach_model_rejects_nan_exponent():
+    with pytest.raises(ValueError, match="q=nan"):
+        BanachModel(1, math.nan)
+    assert BanachModel(1, math.inf).norm([3.0, -4.0]) == 4.0
 
 
 def test_operator_shape_checked():

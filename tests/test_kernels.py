@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hermlp import kernels
 from hermlp.basis import SpatialGrid, gauss_nodes, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
@@ -423,6 +424,67 @@ def test_heat_apply_is_symmetric(seed, t, d):
     assert abs(left - right) <= 1e-15 * scale
 
 
+# ------------------------------------------------- heat_apply's lattice plan
+@pytest.mark.parametrize("t", [0.37, HEAT_TIMES])
+@pytest.mark.parametrize("grid, d", [(HARDY_GRID, 1), (HARDY_GRID, 3), (PLANE_GRID, 2)])
+def test_lattice_plan_miss_gives_the_bits_of_a_hit(grid, d, t):
+    values = np.random.default_rng(23).normal(size=grid.shape + (d,))
+    heat_apply(values, grid.axis, t)
+    hit = heat_apply(values, grid.axis, t)
+    kernels._lattice_plan.cache_clear()
+    miss = heat_apply(values, grid.axis, t)
+    assert kernels._lattice_plan.cache_info().misses == 1
+    assert np.array_equal(miss, hit)
+
+
+def test_lattice_plan_arrays_are_read_only():
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), HEAT_TIMES.tobytes())
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+@pytest.mark.parametrize("t", [0.37, HEAT_TIMES])
+def test_heat_apply_result_is_not_the_cached_plan(t):
+    values = np.random.default_rng(31).normal(size=(HARDY_GRID.size, 2))
+    first = heat_apply(values, HARDY_GRID.axis, t)
+    want = first.copy()
+    first[...] = math.nan
+    assert np.array_equal(heat_apply(values, HARDY_GRID.axis, t), want)
+
+
+@pytest.mark.parametrize("where", [0, 2, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_heat_apply_rejects_a_non_finite_axis(bad, where):
+    # a NaN end point passed the uniformity check and gave NaN values
+    axis = np.linspace(-1.0, 1.0, 5)
+    axis[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="axis must be finite"):
+            heat_apply(np.ones((5, 1)), axis, 1.0)
+
+
+def test_lattice_plans_follow_spacing_offset_and_times():
+    # same L, another spacing or offset, and time arrays of one length:
+    # each pair gets its own plan, and each result is its own dense matrix
+    L = 101
+    axes = [np.linspace(-5.0, 5.0, L), np.linspace(-4.0, 4.0, L), np.linspace(-4.75, 5.25, L)]
+    time_lists = [np.array([0.1, 1.0]), np.array([0.1, 2.0])]
+    values = np.random.default_rng(37).normal(size=(L, 1))
+    kernels._lattice_plan.cache_clear()
+    for x in axes:
+        for ts in time_lists:
+            got = heat_apply(values, x, ts)
+            dense = heat_kernel(x[:, None], x[None, :], ts[:, None, None]) @ values
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    info = kernels._lattice_plan.cache_info()
+    assert (info.misses, info.hits) == (6, 0)
+
+
 # ------------------------------------------------- times on one shared grid
 MULTI_TIMES = np.geomspace(1e-3, 20.0, 32)
 REFERENCE_RULE = SubordinationRule(Q=1024)
@@ -560,6 +622,36 @@ def test_non_finite_time_rejected(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+# every kernel entry point, called as f(x, y) with n-point rows; the
+# one-point kernels take x + y, so a bad value in either argument reaches them
+POINT_CALLS = {
+    "heat_kernel": lambda x, y, n: heat_kernel(x, y, 0.5, n),
+    "heat_kernel_one": lambda x, y, n: heat_kernel_one(x + y, 0.5, n),
+    "heat_one_dt": lambda x, y, n: heat_one_dt(x + y, 0.5, ShiftedOperator(0.0, n)),
+    "poisson_kernel": lambda x, y, n: poisson_kernel(x, y, 0.5, ShiftedOperator(1.0, n)),
+    "g_kernel": lambda x, y, n: g_kernel(x, y, [0.5, 2.0], ShiftedOperator(0.0, n)),
+    "ladder_kernel": lambda x, y, n: ladder_kernel(x, y, 0.5, n, -1, n),
+    "g_of_one": lambda x, y, n: g_of_one(x + y, 0.5, ShiftedOperator(0.0, n)),
+    "classical_poisson": lambda x, y, n: classical_poisson(x + y, 0.5, n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(POINT_CALLS)), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.integers(1, 2), st.integers(0, 3), st.integers(0, 1), st.booleans())
+def test_non_finite_points_rejected(name, bad, n, row, coord, in_y):
+    # they returned NaN (or 0 for an infinite point) without an error
+    x = np.linspace(-1.0, 1.0, 4 * n).reshape(4, n)
+    y = np.zeros((4, n))
+    (y if in_y else x)[row, coord % n] = bad
+    if n == 1:
+        x, y = x[:, 0], y[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="points must be finite"):
+            POINT_CALLS[name](x, y, n)
 
 
 def test_subordinated_times_must_be_a_nonempty_list():

@@ -67,6 +67,18 @@ def test_zero_atom_passes():
     assert ok and violations == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_atom_rejects_non_finite_center_and_radius(bad):
+    # a NaN centre passed validate_atom: every clause compares with NaN
+    zeros = np.zeros((ATOM_GRID.size, 1))
+    with pytest.raises(ValueError, match="center"):
+        Atom(bad, 0.1, "cancel", ATOM_GRID, zeros)
+    with pytest.raises(ValueError, match="center"):
+        Atom([0.0, bad], 0.1, "local", SpatialGrid(2.0, 0.1, 2), np.zeros((41 * 41, 1)))
+    with pytest.raises(ValueError, match="radius"):
+        Atom(0.0, bad, "cancel", ATOM_GRID, zeros)
+
+
 def test_validate_flags_every_violation():
     # oversupported, oversized, and unbalanced all at once
     samples = np.full((ATOM_GRID.size, 1), 100.0)
@@ -307,6 +319,18 @@ def test_carleson_zero_and_monotone():
     assert v_large >= v_small - 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_area_and_carleson_reject_non_finite_points(bad):
+    # both returned 0.0: no cone or ball contains a non-finite point
+    grid = SpatialGrid(R=8.0, h=0.05, n=1)
+    e = HermiteExpansion(n=1, d=1, K=2, coeffs={(0,): [1.0], (2,): [0.4]})
+    field = gfunction(e, 0.0, grid, ATOM_TIMES)
+    with pytest.raises(ValueError, match="finite"):
+        area_integral(e, bad, 0.0, grid, ATOM_TIMES, field=field)
+    with pytest.raises(ValueError, match="finite"):
+        carleson_functional(e, bad, 0.0, BallSpec(1.0, 2.0, 1), grid, ATOM_TIMES, field=field)
+
+
 def test_carleson_constant_surrogate_stable():
     # truncated expansion of the constant function on [-R, R]
     grid = SpatialGrid(R=12.0, h=0.02, n=1)
@@ -356,6 +380,33 @@ def test_h1_norm_time_blocks_stay_under_the_budget(monkeypatch, grid, N, calls):
     h1_norm(np.ones((grid.size, 1)), B1, grid, TimeGrid(1e-3, 20.0, N))
     assert seen == calls
     assert max(seen) * grid.size <= spaces._HEAT_BLOCK
+
+
+HARDY_ATOMS = [make_random_atom(np.random.default_rng(29), SpatialGrid(12.0, 0.02), kind)
+               for kind in ("cancel", "local") * 32]
+HARDY_TIMES = TimeGrid(1e-3, 20.0, 16)
+
+
+def test_sampled_h1_builds_one_lattice_plan_for_a_grid_and_times():
+    from hermlp import kernels
+
+    grid = HARDY_ATOMS[0].grid
+    kernels._lattice_plan.cache_clear()
+    for a in HARDY_ATOMS:
+        h1_norm(a, B1, grid, HARDY_TIMES)
+    info = kernels._lattice_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 63)
+
+
+def test_sampled_h1_is_the_same_with_a_cleared_lattice_plan_cache():
+    from hermlp import kernels
+
+    grid = HARDY_ATOMS[0].grid
+    for a in HARDY_ATOMS[:6]:
+        kernels._lattice_plan.cache_clear()
+        cold = h1_norm(a, B1, grid, HARDY_TIMES)
+        assert h1_norm(a, B1, grid, HARDY_TIMES) == cold
+        assert kernels._lattice_plan.cache_info().hits == 1
 
 
 @settings(max_examples=60, deadline=None)
