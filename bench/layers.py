@@ -11,12 +11,17 @@ GROUP is one of
   spectral  the spectral semigroup layer: spectral `h1_norm`,
             `maximal_norm` and `composed_maximal`;
   basis     the readers of the expansion's coefficient arrays: `analyze`,
-            a 2-D round trip, `gfunction` and spectral `h1_norm`.
+            a 2-D round trip, `gfunction` and spectral `h1_norm`;
+  gamma     Monte Carlo gamma norms: `gamma_norm_mc` on rank-one and
+            full-rank operators, and `composed_maximal` at q = 4 and 2.
 
-Each tree is imported in its own child process with BLAS pinned to one
-thread.  Every case is timed as the minimum of REPEATS calls after one
-warm-up call; the record keeps both computed values and their relative
-difference, so a speed-up can be read next to what it changed.
+Each tree is imported in a child process of its own with BLAS pinned to
+one thread.  A child times every case as the minimum of REPEATS calls
+after one warm-up call.  ROUNDS children run per tree, alternating which
+tree goes first, and each case keeps its minimum over the rounds, so a
+drift in the host's speed falls on both trees alike.  The record keeps
+both computed values and their relative difference, so a speed-up can be
+read next to what it changed.
 """
 
 import argparse
@@ -31,6 +36,7 @@ import sys
 import time
 
 REPEATS = 7
+ROUNDS = 4
 
 HARDY = "SpatialGrid(12, 0.02): 1201 points"
 ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
@@ -182,6 +188,40 @@ def basis_calls():
     }
 
 
+def gamma_calls():
+    import numpy as np
+    from hermlp import basis, gamma, semigroups
+
+    rng = np.random.default_rng(17)
+    times = gamma.TimeGrid()
+    prof = times.nodes * np.exp(-times.nodes)
+    r8 = gamma.rank_one(prof, rng.normal(size=8), gamma.BanachModel(8, 1.5), times)
+    r3 = gamma.rank_one(prof, rng.normal(size=3), gamma.BanachModel(3, 4.0), times)
+    full = gamma.DiscreteGammaOperator(gamma.BanachModel(3, 4.0), times,
+                                       rng.normal(size=(3, times.N)) * np.exp(-times.nodes))
+
+    def modes(count, kmax, d):
+        ks = rng.choice(kmax + 1, size=count, replace=False)
+        return basis.HermiteExpansion(1, d, int(max(ks)),
+                                      {(int(k),): rng.normal(size=d) for k in ks})
+
+    one, three, four = modes(1, 11, 2), modes(3, 11, 2), modes(4, 20, 1)
+    s32 = gamma.TimeGrid(1e-3, 20.0, 32)
+    B4 = gamma.BanachModel(2, 4.0)
+    return {
+        "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
+        "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
+        "mc_full_rank_d3_q4": lambda: gamma.gamma_norm_mc(full, 20000, 5)[0],
+        "composed_q4_one_mode": lambda: semigroups.composed_maximal(
+            one, -0.6, 0.0, "g", B4, s32, M=2000, seed=6),
+        "composed_q4_3modes": lambda: semigroups.composed_maximal(
+            three, 0.4, 1.0, "g", B4, s32, M=2000, seed=7),
+        "composed_q2": lambda: semigroups.composed_maximal(
+            four, 0.4, 1.0, "g", gamma.BanachModel(1, 2.0), gamma.TimeGrid(1e-3, 20.0, 64),
+            M=2000),
+    }
+
+
 GROUPS = {
     "hardy": (
         "spaces.h1_norm (sampled path), spaces.bmo_norm, spaces.carleson_functional",
@@ -256,6 +296,26 @@ GROUPS = {
                                 f"on {HARDY}, 16 times",
         },
     ),
+    "gamma": (
+        "gamma.gamma_norm_mc and semigroups.composed_maximal (Monte Carlo and q = 2)",
+        gamma_calls,
+        {
+            "mc_rank_one_d8_q1.5": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b random "
+                                   "in R^8, l^1.5, TimeGrid(): 512 times, M = 20000, seed 3",
+            "mc_rank_one_d3_q4_M2e5": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b "
+                                      "random in R^3, l^4, TimeGrid(), M = 200000, seed 4",
+            "mc_full_rank_d3_q4": "gamma_norm_mc of a random 3 x 512 operator with columns "
+                                  "decaying like e^{-t}, l^4, TimeGrid(), M = 20000, seed 5",
+            "composed_q4_one_mode": "composed_maximal at x = -0.6, inner 'g', one random mode "
+                                    "(K <= 11), d = 2, l^4, TimeGrid(1e-3, 20, 32): 33 "
+                                    "s-candidates of rank one, M = 2000, seed 6",
+            "composed_q4_3modes": "composed_maximal at x = 0.4, inner 'g', 3 random modes "
+                                  "(K <= 11), d = 2, alpha = 1, l^4, TimeGrid(1e-3, 20, 32), "
+                                  "M = 2000, seed 7",
+            "composed_q2": "composed_maximal at x = 0.4, inner 'g', 4 random modes (K <= 20), "
+                           "alpha = 1, l^2, TimeGrid(1e-3, 20, 64): 65 s-candidates",
+        },
+    ),
 }
 
 
@@ -280,6 +340,13 @@ def run_side(src, group):
     return json.loads(proc.stdout)
 
 
+def fastest(records):
+    """Per case, the first round's value and the least time over the rounds."""
+    return {name: {"seconds": min(r[name]["seconds"] for r in records),
+                   "value": case["value"]}
+            for name, case in records[0].items()}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("group", choices=sorted(GROUPS))
@@ -294,7 +361,11 @@ def main():
     if not (args.before and args.after):
         ap.error("--before and --after are required")
     layer, _, inputs = GROUPS[args.group]
-    before, after = run_side(args.before, args.group), run_side(args.after, args.group)
+    runs = {"before": [], "after": []}
+    for i in range(ROUNDS):
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            runs[side].append(run_side(getattr(args, side), args.group))
+    before, after = (fastest(runs[side]) for side in ("before", "after"))
     cases = {}
     for name, what in inputs.items():
         b, a = before[name], after[name]
@@ -310,8 +381,9 @@ def main():
 
     record = {
         "layer": layer,
-        "timing": f"min of {REPEATS} calls after one warm-up, one process per tree, "
-                  "BLAS pinned to 1 thread",
+        "timing": f"min of {REPEATS} calls after one warm-up per child process, min over "
+                  f"{ROUNDS} rounds of one child per tree in alternating order, BLAS pinned "
+                  "to 1 thread",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "cases": cases,

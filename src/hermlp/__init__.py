@@ -25,6 +25,7 @@ from .gamma import (
     gamma_norm,
     gamma_norm_hilbert,
     gamma_norm_mc,
+    gamma_norms,
     h_norm,
     rank_one,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "gamma_norm",
     "gamma_norm_hilbert",
     "gamma_norm_mc",
+    "gamma_norms",
     "gfunction",
     "gfunction_l2_sq",
     "h1_norm",

@@ -90,16 +90,32 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        # counts must be integers and reals finite (q may be inf: l^inf);
+        # a config file can hold 1000.5 or 1e400, which JSON reads as inf
+        for f in _FIELDS:
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{f.name}={value!r} must be an integer")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{f.name}={value!r} must be a number")
+            else:
+                try:  # an integer too long for a float overflows
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is out of range") from None
+                if f.name != "q" and not math.isfinite(value):
+                    raise ConfigError(f"{f.name}={value!r} must be finite")
         if self.n < 1 or self.K < 0:
             raise ConfigError("n must be >= 1 and K >= 0")
-        if self.q < 1:
-            raise ConfigError("q must be >= 1")
+        if not self.q >= 1:  # NaN fails every comparison
+            raise ConfigError(f"exponent q={self.q} must be >= 1")
         if self.R <= 0 or self.h <= 0:
             raise ConfigError("grid.R and grid.h must be positive")
         if not (0 < self.tmin < self.tmax) or self.N < 2:
             raise ConfigError("time grid needs 0 < tmin < tmax and N >= 2")
-        if self.Q < 2 or self.M < 2:
-            raise ConfigError("quad.Q and mc.M must be >= 2")
+        if self.Q < 2 or self.M < 2 or self.seed < 0:
+            raise ConfigError("quad.Q and mc.M must be >= 2 and seed >= 0")
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.R, self.h, self.n)

@@ -10,17 +10,32 @@ estimated by Monte Carlo over independent standard Gaussian coefficients.
 
 A gamma norm depends on the operator A only through the covariance A A^T
 of the Gaussian vector A gamma in R^d.  The Monte Carlo route therefore
-draws in the rank-min(d, N) image of A: with the QR factorization
-A^T = Q R, each row of g @ R for a standard Gaussian g in R^min(d, N) has
-exactly the law N(0, A A^T), so no N-dimensional draw is needed.
+draws in the image of A, cut to its numerical rank.  With the QR
+factorization A^T = Q R (R has min(d, N) rows R_i), A A^T = R^T R =
+sum_i R_i^T R_i; the rows with ||R_i|| <= max(d, N) eps max_j ||R_j||
+are dropped, and each dropped row removes only its own R_i^T R_i, below
+(max(d, N) eps)^2 ||R||^2.  If r rows stay (F, kept in order), each row of
+g @ F for a standard Gaussian g in R^r has the law N(0, F^T F), so a
+sample costs r normals: one for a rank-one operator.  r is the numerical
+rank unless a column of A^T lies in the span of the columns before it
+while a later one does not (QR without pivoting keeps a row for it): a
+rank-one operator whose first target entry is 0 keeps two rows.
+Operators that keep every row draw exactly what a draw of min(d, N)
+normals gave before; rank-deficient ones draw fewer normals, so for a
+fixed seed their draws differ while their law is the same.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Monte Carlo draws per block, summed over a stack of operators
+_BLOCK = 20000
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "TimeGrid",
@@ -31,6 +46,7 @@ __all__ = [
     "gamma_norm_hilbert",
     "gamma_norm_mc",
     "gamma_norm",
+    "gamma_norms",
 ]
 
 
@@ -72,8 +88,7 @@ class BanachModel:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "d", _integer(self.d, "dimension d", 1))
         if not self.q >= 1:  # NaN fails every comparison
             raise ValueError(f"exponent q={self.q} must be >= 1")
 
@@ -149,33 +164,93 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     Draws M independent samples of matrix @ gamma, gamma standard Gaussian
     in R^N, forms their squared B-norms and returns (sqrt of the sample
     mean, standard error of the mean of the squared norms).  The samples
-    are taken in the image of the operator: with R the (k, d) triangular
-    factor of the QR factorization of matrix.T, k = min(d, N), each row of
-    g @ R for g standard Gaussian in R^k has the law N(0, matrix @
-    matrix.T) of matrix @ gamma, exactly and for any rank.  Deterministic
-    given (seed, M); draws are processed in fixed-size batches to cap
+    are taken in the image of the operator, cut to its numerical rank:
+    the rows R_i of the triangular factor of the QR factorization of
+    matrix.T with ||R_i|| > max(d, N) eps max_j ||R_j|| are kept (r of
+    them, F), and each row of g @ F for g standard Gaussian in R^r has the
+    law N(0, F^T F), which differs from the law N(0, matrix @ matrix.T) of
+    matrix @ gamma by less than (max(d, N) eps)^2 ||matrix||^2 in its
+    covariance.  A sample costs r normals, one for a rank-one operator
+    (two when its first target entry is 0; see the module docstring).
+    An operator that keeps all min(d, N) rows gets the draws and, up to
+    rounding, the estimate of a full min(d, N)-column draw; a
+    rank-deficient one gets other draws of the same law.  Deterministic
+    given (seed, M): M an integer >= 2, seed an integer >= 0, else
+    ValueError.  Draws are processed in blocks of at most 20000 to cap
     memory.
     """
-    if M < 2:
-        raise ValueError("Monte Carlo estimate needs M >= 2 samples")
-    rng = np.random.default_rng(seed)
-    R = np.linalg.qr(T.matrix.T, mode="r")
-    batch = 20000
-    total = 0.0
-    total_sq = 0.0
+    est, err = _mc_stack(T.matrix[None], T.B, M, seed)
+    return float(est[0]), float(err[0])
+
+
+def _integer(value, name: str, least: int) -> int:
+    """value as a Python int via operator.index; ValueError when it is not
+    an integer or falls below `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name}={value} must be >= {least}")
+    return value
+
+
+def _image_factor(A: np.ndarray):
+    """Per slice of a stack A (S, d, N): a factor F with A A^T = F^T F up
+    to (max(d, N) eps ||A||)^2, cut to the numerical rank.
+
+    One stacked QR of the transposes gives R (S, min(d, N), d); the rows
+    of each R with norm above max(d, N) eps times that slice's largest row
+    norm are kept, in order and first.  Returns (F, ranks): F is (S, r, d)
+    with r the largest rank, and slice s holds zeros below its ranks[s]
+    kept rows."""
+    S, d, N = A.shape
+    R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="r")
+    size = np.sqrt(np.sum(R * R, axis=2))
+    keep = size > max(d, N) * _EPS * size.max(axis=1, keepdims=True)
+    ranks = keep.sum(axis=1)
+    r = int(ranks.max())
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :r]
+    F = np.take_along_axis(R, first[:, :, None], axis=1)
+    F[np.arange(r) >= ranks[:, None]] = 0.0
+    return F, ranks
+
+
+def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
+    """Monte Carlo gamma norms of a stack A (S, d, N) of operator matrices
+    into B from one seed: arrays (estimates, stderrs) of length S, each
+    slice estimated as in `gamma_norm_mc`.
+
+    All slices share one draw: standard normals g of shape (M, r), r the
+    largest numerical rank over the stack (`_image_factor`), taken row by
+    row from default_rng(seed) in blocks of at most 20000 draws summed
+    over the stack (20000 // S samples of every slice per block).  Slice s
+    reads the first ranks[s] columns of g, so a slice of full rank r gets
+    the draws of a standalone call and one of lower rank gets other draws
+    of the same law.  The values of a block are formed entries first,
+    (d, S, m): `BanachModel.norm` of their transpose reduces contiguous
+    rows."""
+    M = _integer(M, "Monte Carlo sample count M", 2)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
+    S, d, _ = A.shape
+    F, _ = _image_factor(A)
+    r = F.shape[1]
+    Ft = np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(d * S, r)
+    batch = max(1, _BLOCK // S)
+    total = np.zeros(S)
+    total_sq = np.zeros(S)
     done = 0
     while done < M:
         m = min(batch, M - done)
-        g = rng.standard_normal((m, R.shape[0]))
-        norms = T.B.norm(g @ R)
+        g = rng.standard_normal((m, r))
+        norms = B.norm((Ft @ g.T).reshape(d, S * m).T).reshape(S, m)
         sq = norms * norms
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq * sq))
+        total += np.sum(sq, axis=1)
+        total_sq += np.sum(sq * sq, axis=1)
         done += m
     mean = total / M
-    var = max(total_sq / M - mean * mean, 0.0) * M / (M - 1)
-    stderr = math.sqrt(var / M)
-    return math.sqrt(mean), stderr
+    var = np.maximum(total_sq / M - mean * mean, 0.0) * M / (M - 1)
+    return np.sqrt(mean), np.sqrt(var / M)
 
 
 def gamma_norm(T: DiscreteGammaOperator, M: int = 200000, seed: int = 0):
@@ -184,3 +259,22 @@ def gamma_norm(T: DiscreteGammaOperator, M: int = 200000, seed: int = 0):
     if T.B.q == 2.0:
         return gamma_norm_hilbert(T), 0.0
     return gamma_norm_mc(T, M, seed)
+
+
+def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
+    """Gamma norms of a stack A (S, d, N) of operator matrices into B:
+    arrays (estimates, stderrs) of length S.  For q = 2 the Frobenius norm
+    of each slice with stderr 0; otherwise one Monte Carlo estimate of the
+    whole stack from `seed` (one stacked QR and one shared draw, in blocks
+    of at most 20000 draws summed over the stack).  A slice that keeps the
+    largest rank of the stack gets what `gamma_norm_mc` gives it alone; a
+    slice of lower rank reads fewer columns of the shared draw, so its
+    estimate has the same law but other draws."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[0] < 1 or A.shape[1] != B.d or A.shape[2] < 1:
+        raise ValueError(f"stack shape {A.shape} is not (S, d={B.d}, N)")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("operator matrix has non-finite entries")
+    if B.q == 2.0:
+        return np.sqrt(np.sum(A * A, axis=(1, 2))), np.zeros(len(A))
+    return _mc_stack(A, B, M, seed)

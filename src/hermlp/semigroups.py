@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthesize_grid
-from .gamma import BanachModel, DiscreteGammaOperator, TimeGrid, gamma_norm
+from .gamma import BanachModel, TimeGrid, gamma_norms
 
 # values (times x d x points) per stacked product in `_maximal_function`
 _TIME_BLOCK = 2 ** 16
@@ -262,6 +262,17 @@ def composed_maximal(
     with rate sqrt(2|m| + n + alpha).  The operator at s is
     H diag(e^{-s rate}) P: the values h_m(x) C, the s-factors, and the
     row profiles with the square roots of the time weights folded in.
+    All the s-candidates form one (s, d, N) stack, and the result is the
+    largest of its `gamma_norms`.  For q = 2 that is the largest
+    Frobenius norm of the slices.  Otherwise the whole stack goes to one
+    Monte Carlo estimate: one stacked QR of the slice transposes, each cut to its numerical rank,
+    and one shared draw of M samples from `seed` with as many normals
+    per sample as the largest rank, taken in blocks of at most 20000
+    draws summed over the stack.  A slice of that largest rank gets the
+    estimate a standalone `gamma_norm_mc` call with the same seed gives;
+    a slice of lower rank (at large s, where the faster modes have
+    decayed below rounding) reads fewer columns of the shared draw, so
+    its estimate has the same law but other draws.
     """
     if isinstance(inner, str) and inner != "g":
         raise ValueError(f"unknown inner transform {inner!r}")
@@ -279,9 +290,7 @@ def composed_maximal(
     hc = S * C  # (rows, d): h_m(x) C per target mode
     rs = np.sqrt(_eigenvalues(targets, alpha))
     P = _profiles(table, times.nodes) * np.sqrt(times.weights)
-    best = 0.0
-    for s in np.concatenate(([0.0], sgrid.nodes)):
-        matrix = (np.exp(-s * rs)[:, None] * hc).T @ P
-        est, _ = gamma_norm(DiscreteGammaOperator(B, times, matrix), M=M, seed=seed)
-        best = max(best, est)
-    return best
+    s = np.concatenate(([0.0], sgrid.nodes))
+    stack = np.swapaxes(np.exp(-s[:, None] * rs)[:, :, None] * hc, 1, 2) @ P
+    est, _ = gamma_norms(stack, B, M=M, seed=seed)
+    return float(np.max(est))

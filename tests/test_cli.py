@@ -1,26 +1,45 @@
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+
+from hermlp import cli
 
 CMD = [sys.executable, "-m", "hermlp"]
 
 
 def run_cli(*args):
+    """The `python -m hermlp` entry point in a fresh interpreter: kept for
+    the tests of the entry point, exit codes and byte-identical stdout."""
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, timeout=300
     )
 
 
+def run_main(*args):
+    """cli.main in this process with stdout and stderr captured: the exit
+    code and output the entry point gives, without starting an
+    interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
 def test_spaces_rho():
-    r = run_cli("spaces", "rho", "--x", "3")
+    r = run_main("spaces", "rho", "--x", "3")
     assert r.returncode == 0
     assert r.stdout.splitlines() == ["x,rho", "3,0.25"]
 
 
 def test_kernel_heat_value():
-    r = run_cli("kernel", "heat", "--x", "0", "--y", "0", "--t", "1")
+    r = run_main("kernel", "heat", "--x", "0", "--y", "0", "--t", "1")
     assert r.returncode == 0
     header, row = r.stdout.splitlines()
     assert header == "x,y,t,value"
@@ -28,7 +47,7 @@ def test_kernel_heat_value():
 
 
 def test_kernel_poisson_shift():
-    r = run_cli("kernel", "poisson", "--x", "0.5", "--y", "0", "--t", "1",
+    r = run_main("kernel", "poisson", "--x", "0.5", "--y", "0", "--t", "1",
                 "--alpha", "2")
     assert r.returncode == 0
     value = float(r.stdout.splitlines()[1].split(",")[-1])
@@ -38,14 +57,14 @@ def test_kernel_poisson_shift():
 def test_semigroup_factor():
     import math
 
-    r = run_cli("semigroup", "--k", "0", "--t", "1")
+    r = run_main("semigroup", "--k", "0", "--t", "1")
     assert r.returncode == 0
     value = float(r.stdout.splitlines()[1].split(",")[-1])
     assert value == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_basis_multiple_points():
-    r = run_cli("basis", "--k", "0", "--x", "0;1")
+    r = run_main("basis", "--k", "0", "--x", "0;1")
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     assert lines[0] == "k,x,value"
@@ -53,7 +72,7 @@ def test_basis_multiple_points():
 
 
 def test_verify_polarization_json():
-    r = run_cli("verify", "polarization", "--format", "json")
+    r = run_main("verify", "polarization", "--format", "json")
     assert r.returncode == 0
     reports = json.loads(r.stdout)
     assert reports[0]["name"] == "polarization"
@@ -61,13 +80,13 @@ def test_verify_polarization_json():
 
 
 def test_verify_identities_exit_zero():
-    r = run_cli("verify", "identities")
+    r = run_main("verify", "identities")
     assert r.returncode == 0
     assert "operator-identities" in r.stdout
 
 
 def test_gamma_rank_one():
-    r = run_cli("gamma", "--b", "3,0", "--M", "20000", "--q", "4")
+    r = run_main("gamma", "--b", "3,0", "--M", "20000", "--q", "4")
     assert r.returncode == 0
     header, row = r.stdout.splitlines()
     assert header == "q,estimate,stderr"
@@ -78,7 +97,7 @@ def test_gamma_rank_one():
 def test_gamma_sup_norm_json():
     # a rank-one l^inf estimate is finite; the emitter must keep any
     # non-finite real as a string so the output stays strict JSON
-    r = run_cli("gamma", "--b", "3,0", "--q", "inf", "--M", "20000", "--format", "json")
+    r = run_main("gamma", "--b", "3,0", "--q", "inf", "--M", "20000", "--format", "json")
     assert r.returncode == 0, r.stderr
     row = json.loads(r.stdout, parse_constant=pytest.fail)[0]
     assert row["q"] == "inf"
@@ -109,7 +128,7 @@ def test_config_file_roundtrip(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    r = run_cli("kernel", "poisson", "--x", "0", "--y", "0", "--t", "1",
+    r = run_main("kernel", "poisson", "--x", "0", "--y", "0", "--t", "1",
                 "--config", str(path))
     assert r.returncode == 0
 
@@ -117,7 +136,7 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_unknown_key_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 1, "bogus": 3}))
-    r = run_cli("spaces", "rho", "--x", "0", "--config", str(path))
+    r = run_main("spaces", "rho", "--x", "0", "--config", str(path))
     assert r.returncode == 2
     assert "bogus" in r.stderr
 
@@ -138,7 +157,7 @@ def test_deterministic_output():
 
 def test_out_file(tmp_path):
     path = tmp_path / "report.csv"
-    r = run_cli("spaces", "rho", "--x", "1", "--out", str(path))
+    r = run_main("spaces", "rho", "--x", "1", "--out", str(path))
     assert r.returncode == 0
     assert r.stdout == ""
     assert path.read_text().splitlines()[1] == "1,0.5"
@@ -153,7 +172,7 @@ def test_help_lists_subcommands():
 
 def test_spaces_rho_of_an_nd_point():
     # rho([3, 4]) = 1 / (1 + |x|) = 1/6, one radius for the point
-    r = run_cli("spaces", "rho", "--n", "2", "--x", "3,4")
+    r = run_main("spaces", "rho", "--n", "2", "--x", "3,4")
     assert r.returncode == 0, r.stderr
     header, row = r.stdout.splitlines()
     assert header == "x,rho"
@@ -175,7 +194,7 @@ def test_spaces_rho_of_an_nd_point():
     ],
 )
 def test_non_finite_input_exits_2(args):
-    r = run_cli(*args)
+    r = run_main(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert "not finite" in r.stderr
@@ -193,7 +212,7 @@ def test_non_finite_input_exits_2(args):
     ],
 )
 def test_invalid_input_exits_2_with_a_message(args, message):
-    r = run_cli(*args)
+    r = run_main(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert message in r.stderr
@@ -296,3 +315,64 @@ def test_every_config_field_can_be_overridden(monkeypatch, name):
     assert type(value) is type(default)
     others = {f.name for f in dataclasses.fields(cfg)} - {name}
     assert all(getattr(cfg, f) == getattr(cli.RunConfig(), f) for f in others)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"mc": {"M": 1000.5}}, "M=1000.5 must be an integer"),
+        ({"mc": {"M": math.inf}}, "M=inf must be an integer"),
+        ({"mc": {"M": "5000"}}, "M='5000' must be an integer"),
+        ({"seed": 1.5}, "seed=1.5 must be an integer"),
+        ({"seed": -1}, "seed >= 0"),
+        ({"n": True}, "n=True must be an integer"),
+        ({"time": {"N": 64.0}}, "N=64.0 must be an integer"),
+        ({"quad": {"Q": None}}, "Q=None must be an integer"),
+        ({"K": 2.5}, "K=2.5 must be an integer"),
+        ({"grid": {"h": math.inf}}, "h=inf must be finite"),
+        ({"grid": {"R": math.nan}}, "R=nan must be finite"),
+        ({"time": {"tmin": "0.1"}}, "tmin='0.1' must be a number"),
+        ({"time": {"tmax": -math.inf}}, "tmax=-inf must be finite"),
+        ({"q": math.nan}, "q=nan must be >= 1"),
+        ({"grid": {"R": 10 ** 400}}, "R is out of range"),
+        ({"q": 10 ** 400}, "q is out of range"),
+    ],
+)
+def test_config_rejects_non_integer_counts_and_non_finite_reals(raw, message):
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.RunConfig.from_mapping(raw)
+
+
+def test_config_takes_integer_reals_and_an_infinite_q():
+    cfg = cli.RunConfig.from_mapping({"q": math.inf, "grid": {"R": 10}, "time": {"tmax": 5}})
+    assert (cfg.q, cfg.R, cfg.tmax) == (math.inf, 10, 5)
+
+
+def test_config_file_with_an_infinite_sample_count_is_a_config_error(tmp_path):
+    # JSON reads 1e400 as inf; the gamma command used to hang drawing
+    # samples for it, so only the config is read here
+    path = tmp_path / "c.json"
+    path.write_text('{"mc": {"M": 1e400}}')
+    with pytest.raises(cli.ConfigError, match="M=inf must be an integer"):
+        cli.RunConfig.from_file(str(path))
+
+
+def test_spaces_with_a_too_long_integer_in_the_config_exits_2(tmp_path):
+    # JSON reads a 401-digit literal as an int no float holds; converting
+    # it raised OverflowError, which exited 3 with "internal error"
+    path = tmp_path / "c.json"
+    path.write_text('{"grid": {"R": 1%s}}' % ("0" * 400))
+    r = run_main("spaces", "h1", "--config", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: R is out of range\n"
+
+
+def test_gamma_with_a_fractional_sample_count_in_the_config_exits_2(tmp_path):
+    # used to exit 3 with "internal error: TypeError"
+    path = tmp_path / "c.json"
+    path.write_text('{"mc": {"M": 1000.5}}')
+    r = run_main("gamma", "--b", "1,2", "--q", "4", "--config", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: M=1000.5 must be an integer\n"

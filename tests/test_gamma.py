@@ -11,6 +11,7 @@ from hermlp.gamma import (
     gamma_norm,
     gamma_norm_hilbert,
     gamma_norm_mc,
+    gamma_norms,
     h_norm,
     rank_one,
 )
@@ -285,3 +286,108 @@ def test_gamma_norm_dispatch():
     est, err = gamma_norm(T4, M=50000, seed=4)
     assert err > 0.0
     assert est == pytest.approx(h_norm(prof, GRID) * float(T4.B.norm(b)), rel=0.02)
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, 2.5, 1000.0, "1000", -3])
+def test_mc_rejects_a_sample_count_that_is_not_an_integer_at_least_two(M):
+    # nan used to return (nan, nan), 2.5 raised TypeError and inf never returned
+    T = rank_one(GRID.nodes * np.exp(-GRID.nodes), np.array([1.0]), BanachModel(1, 4.0), GRID)
+    with pytest.raises(ValueError, match="M"):
+        gamma_norm_mc(T, M, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, -1, None])
+def test_mc_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    T = rank_one(GRID.nodes * np.exp(-GRID.nodes), np.array([1.0]), BanachModel(1, 4.0), GRID)
+    with pytest.raises(ValueError, match="seed"):
+        gamma_norm_mc(T, 100, seed)
+
+
+def test_mc_takes_numpy_integers():
+    T = rank_one(GRID.nodes * np.exp(-GRID.nodes), np.array([1.0, 2.0]), BanachModel(2, 4.0), GRID)
+    assert gamma_norm_mc(T, np.int64(500), np.uint32(3)) == gamma_norm_mc(T, 500, 3)
+
+
+@pytest.mark.parametrize("d", [2.5, math.nan, "2"])
+def test_banach_model_rejects_a_dimension_that_is_not_an_integer(d):
+    with pytest.raises(ValueError, match="dimension"):
+        BanachModel(d, 2.0)
+    assert BanachModel(np.int64(3), 2.0).d == 3
+
+
+@pytest.mark.parametrize("N", [4, 64])
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_image_factor_keeps_the_rank_and_the_covariance(rank, d, N):
+    from hermlp.gamma import _image_factor
+
+    rng = np.random.default_rng(100 * rank + 10 * d + N)
+    A = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, N))
+    F, ranks = _image_factor(A[None])
+    assert ranks.tolist() == [rank] and F.shape == (1, rank, d)
+    scale = np.linalg.norm(A, 2) ** 2
+    assert np.max(np.abs(F[0].T @ F[0] - A @ A.T)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("q", [1.5, 4.0, math.inf])
+def test_mc_rank_one_draws_one_normal_per_sample(q):
+    # a d = 8 rank-one operator keeps one row b^T h_norm of its factor, so
+    # sample i is |g_i| h_norm ||b||_q with g the first M normals of the seed
+    prof = GRID.nodes * np.exp(-GRID.nodes)
+    b = np.random.default_rng(61).normal(size=8)
+    B = BanachModel(8, q)
+    M, seed = 30011, 67
+    est, _ = gamma_norm_mc(rank_one(prof, b, B, GRID), M, seed)
+    g = np.random.default_rng(seed).standard_normal(M)
+    want = h_norm(prof, GRID) * float(B.norm(b)) * math.sqrt(float(np.mean(g * g)))
+    assert est == pytest.approx(want, rel=1e-14)
+
+
+# (estimate, stderr) of full-rank operators, recorded from the estimator
+# that drew min(d, N) normals per sample before draws were cut to the rank
+def _full_rank_operators():
+    rng = np.random.default_rng(2024)
+    g = TimeGrid()
+    yield DiscreteGammaOperator(BanachModel(3, 4.0), g,
+                                rng.normal(size=(3, g.N)) * np.exp(-g.nodes)), 30000, 7
+    g2 = TimeGrid(1e-3, 10.0, 64)
+    yield DiscreteGammaOperator(BanachModel(2, 1.5), g2, rng.normal(size=(2, g2.N))), 25000, 8
+    g3 = TimeGrid(1e-3, 10.0, 4)
+    yield DiscreteGammaOperator(BanachModel(8, math.inf), g3, rng.normal(size=(8, g3.N))), 5000, 9
+
+
+FULL_RANK_PINS = [
+    (27.10483874860816, 3.5584050913181677),
+    (12.404863481224961, 0.9871993678494965),
+    (4.346116872995713, 0.2933606558553061),
+]
+
+
+def test_mc_full_rank_operators_keep_their_recorded_estimates():
+    for (T, M, seed), pin in zip(_full_rank_operators(), FULL_RANK_PINS):
+        assert gamma_norm_mc(T, M, seed) == pytest.approx(pin, rel=1e-15, abs=0.0)
+
+
+def test_gamma_norms_of_a_stack_match_the_single_operator_norms():
+    # the slices share one draw; full-rank slices of one rank get what
+    # each gets alone, up to the order the blocks are summed in
+    rng = np.random.default_rng(31)
+    g = TimeGrid(1e-3, 10.0, 32)
+    A = rng.normal(size=(3, 2, g.N))
+    for q in (1.5, 4.0, math.inf):
+        B = BanachModel(2, q)
+        est, err = gamma_norms(A, B, M=30000, seed=5)
+        alone = [gamma_norm_mc(DiscreteGammaOperator(B, g, a), 30000, 5) for a in A]
+        assert np.allclose(est, [a[0] for a in alone], rtol=1e-14, atol=0.0)
+        assert np.allclose(err, [a[1] for a in alone], rtol=1e-12, atol=0.0)
+    est, err = gamma_norms(A, BanachModel(2, 2.0))
+    assert np.allclose(est, [gamma_norm_hilbert(DiscreteGammaOperator(BanachModel(2, 2.0), g, a))
+                             for a in A], rtol=1e-15, atol=0.0)
+    assert not err.any()
+
+
+@pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones((1, 2, 4)), np.ones((0, 3, 4)),
+                               np.full((1, 3, 4), np.inf)])
+def test_gamma_norms_reject_a_bad_stack(A):
+    with pytest.raises(ValueError):
+        gamma_norms(A, BanachModel(3, 4.0), M=100)

@@ -541,6 +541,40 @@ def test_composed_maximal_q4_matches_the_per_term_sum():
         assert composed_maximal(e, x, 0.0, "g", B, times, M=2000, seed=11) == pytest.approx(want, rel=1e-14)
 
 
+def test_composed_maximal_q4_when_the_rank_falls_with_s():
+    # modes 0 and 11 with independent coefficients give rank-2 slices at
+    # small s; from s of about 9 on, mode 11 has decayed below rounding
+    # against mode 0 (by e^{-s (sqrt 23 - 1)}) and the slice keeps one row
+    # of its factor.  Such a slice reads the first column of the shared
+    # draw: its estimate has the law of a standalone gamma_norm_mc call
+    # but other draws.  The sup is taken at a rank-2 slice, so the result
+    # still equals the per-term sum.
+    from hermlp.gamma import DiscreteGammaOperator, _image_factor, _mc_stack, gamma_norm_mc
+
+    e = HermiteExpansion(1, 2, 11, {(0,): [1.0, 0.5], (11,): [-0.7, 2.0]})
+    times = TimeGrid(1e-3, 20.0, 16)
+    B = BanachModel(2, 4.0)
+    x = 0.3
+    t, sw = times.nodes, np.sqrt(times.weights)
+    s = np.concatenate(([0.0], times.nodes))
+    stack = np.zeros((len(s), 2, times.N))
+    for (k,), c in e.coeffs.items():
+        r = math.sqrt(2 * k + 1)
+        prof = np.exp(-s * r)[:, None] * (-t * r * np.exp(-t * r) * sw)  # (s, N)
+        stack += float(hermite_eval(k, x)) * c[None, :, None] * prof[:, None, :]
+    _, ranks = _image_factor(stack)
+    assert ranks[0] == 2 and ranks[-1] == 1 and np.all(np.diff(ranks) <= 0)
+
+    got = composed_maximal(e, x, 0.0, "g", B, times, M=2000, seed=11)
+    assert got == pytest.approx(_composed_per_term(e, x, 0.0, "g", B, times, 2000, 11), rel=1e-14)
+    est, err = _mc_stack(stack, B, 2000, 11)
+    assert got == np.max(est) == np.max(est[ranks == 2])
+    T = DiscreteGammaOperator(B, times, stack[-1])
+    alone, alone_err = gamma_norm_mc(T, 2000, 11)
+    assert alone != est[-1]
+    assert abs(alone ** 2 - est[-1] ** 2) <= 4 * (alone_err + err[-1])
+
+
 def test_composed_maximal_rejects_semigroup_inners_and_empty_bad_shift():
     e = expansion([(1, 1.0)])
     B = BanachModel(1, 2.0)
