@@ -12,11 +12,15 @@ GROUP is one of
             `maximal_norm` and `composed_maximal`;
   basis     the readers of the expansion's coefficient arrays: `analyze`,
             a 2-D round trip, `gfunction` and spectral `h1_norm`;
-  gamma     Monte Carlo gamma norms: `gamma_norm_mc` on rank-one and
-            full-rank operators, and `composed_maximal` at q = 4 and 2.
+  gamma     Monte Carlo gamma norms: `gamma_norm_mc` on rank-one (one
+            with a zero target entry) and full-rank operators, and
+            `composed_maximal` at q = 4 and 2.
 
 Each tree is imported in a child process of its own with BLAS pinned to
-one thread.  A child times every case as the minimum of REPEATS calls
+one thread and glibc's malloc thresholds fixed: otherwise a case that
+frees large temporaries raises the mmap threshold for the cases after
+it, which then reuse heap pages instead of faulting in fresh ones, and a
+change to an earlier case moves the times of later ones.  A child times every case as the minimum of REPEATS calls
 after one warm-up call.  ROUNDS children run per tree, alternating which
 tree goes first, and each case keeps its minimum over the rounds, so a
 drift in the host's speed falls on both trees alike.  The record keeps
@@ -206,12 +210,18 @@ def gamma_calls():
                                       {(int(k),): rng.normal(size=d) for k in ks})
 
     one, three, four = modes(1, 11, 2), modes(3, 11, 2), modes(4, 20, 1)
+    t128 = gamma.TimeGrid(1e-4, 40.0, 128)
+    r8_128 = gamma.rank_one(t128.nodes * np.exp(-t128.nodes), rng.normal(size=8),
+                            gamma.BanachModel(8, 1.5), t128)
+    b03 = gamma.rank_one(prof, [0.0, 3.0], gamma.BanachModel(2, 4.0), times)
     s32 = gamma.TimeGrid(1e-3, 20.0, 32)
     B4 = gamma.BanachModel(2, 4.0)
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
         "mc_full_rank_d3_q4": lambda: gamma.gamma_norm_mc(full, 20000, 5)[0],
+        "mc_rank_one_d8_N128_M7500": lambda: gamma.gamma_norm_mc(r8_128, 7500, 8)[0],
+        "mc_rank_one_b03_q4": lambda: gamma.gamma_norm_mc(b03, 20000, 9)[0],
         "composed_q4_one_mode": lambda: semigroups.composed_maximal(
             one, -0.6, 0.0, "g", B4, s32, M=2000, seed=6),
         "composed_q4_3modes": lambda: semigroups.composed_maximal(
@@ -306,6 +316,12 @@ GROUPS = {
                                       "random in R^3, l^4, TimeGrid(), M = 200000, seed 4",
             "mc_full_rank_d3_q4": "gamma_norm_mc of a random 3 x 512 operator with columns "
                                   "decaying like e^{-t}, l^4, TimeGrid(), M = 20000, seed 5",
+            "mc_rank_one_d8_N128_M7500": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, "
+                                         "b random in R^8, l^1.5, TimeGrid(1e-4, 40, 128), "
+                                         "M = 7500, seed 8: the benchmark's mc_rank_one shape",
+            "mc_rank_one_b03_q4": "gamma_norm_mc of the rank-one operator t e^{-t} (x) (0, 3), "
+                                  "l^4, TimeGrid(), M = 20000, seed 9: a zero first target "
+                                  "entry, as in `hermlp gamma --b 0,3`",
             "composed_q4_one_mode": "composed_maximal at x = -0.6, inner 'g', one random mode "
                                     "(K <= 11), d = 2, l^4, TimeGrid(1e-3, 20, 32): 33 "
                                     "s-candidates of rank one, M = 2000, seed 6",
@@ -334,7 +350,8 @@ def child(group):
 
 def run_side(src, group):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               MALLOC_MMAP_THRESHOLD_=str(2 ** 25), MALLOC_TRIM_THRESHOLD_=str(2 ** 30))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), group, "--child"],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -383,7 +400,7 @@ def main():
         "layer": layer,
         "timing": f"min of {REPEATS} calls after one warm-up per child process, min over "
                   f"{ROUNDS} rounds of one child per tree in alternating order, BLAS pinned "
-                  "to 1 thread",
+                  "to 1 thread, glibc malloc mmap and trim thresholds fixed",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "cases": cases,

@@ -16,13 +16,20 @@ sum_i R_i^T R_i; the rows with ||R_i|| <= max(d, N) eps max_j ||R_j||
 are dropped, and each dropped row removes only its own R_i^T R_i, below
 (max(d, N) eps)^2 ||R||^2.  If r rows stay (F, kept in order), each row of
 g @ F for a standard Gaussian g in R^r has the law N(0, F^T F), so a
-sample costs r normals: one for a rank-one operator.  r is the numerical
-rank unless a column of A^T lies in the span of the columns before it
-while a later one does not (QR without pivoting keeps a row for it): a
-rank-one operator whose first target entry is 0 keeps two rows.
+sample costs r normals.  The QR does not pivot, so target entries whose
+row of A is numerically zero are moved last before it (a rank-one
+operator keeps one row wherever its zero entries are).  r is then the
+numerical rank unless a nonzero column of A^T lies in the span of the
+columns before it while a later one does not.  For r = 1, sample i of a
+slice is g_i F by homogeneity of the norm, so its squared norm is
+g_i^2 ||F||^2: one norm per operator and O(M) work for M samples.
 Operators that keep every row draw exactly what a draw of min(d, N)
 normals gave before; rank-deficient ones draw fewer normals, so for a
 fixed seed their draws differ while their law is the same.
+
+Each operator is scaled by the power of two at its largest |entry| before
+it is squared, and the results are scaled back, so entries anywhere in
+the double range neither overflow nor underflow; the scaling is exact.
 """
 
 from __future__ import annotations
@@ -155,7 +162,8 @@ def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperato
 
 def gamma_norm_hilbert(T: DiscreteGammaOperator) -> float:
     """Frobenius norm of the matrix: the exact gamma norm when q = 2."""
-    return float(np.linalg.norm(T.matrix))
+    A, e = _binary_scaled(T.matrix[None])
+    return float(np.ldexp(np.linalg.norm(A[0]), e[0]))
 
 
 def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
@@ -170,14 +178,16 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     them, F), and each row of g @ F for g standard Gaussian in R^r has the
     law N(0, F^T F), which differs from the law N(0, matrix @ matrix.T) of
     matrix @ gamma by less than (max(d, N) eps)^2 ||matrix||^2 in its
-    covariance.  A sample costs r normals, one for a rank-one operator
-    (two when its first target entry is 0; see the module docstring).
+    covariance.  A sample costs r normals; a rank-one operator (r = 1)
+    costs one normal per sample and one B-norm in all, so O(M) work.
     An operator that keeps all min(d, N) rows gets the draws and, up to
     rounding, the estimate of a full min(d, N)-column draw; a
-    rank-deficient one gets other draws of the same law.  Deterministic
-    given (seed, M): M an integer >= 2, seed an integer >= 0, else
-    ValueError.  Draws are processed in blocks of at most 20000 to cap
-    memory.
+    rank-deficient one gets other draws of the same law.  Entries may lie
+    anywhere in the double range (the operator is scaled by a power of
+    two); the stderr, in squared units, over- or underflows to inf or 0
+    once the entries pass about 1e+-154.  Deterministic given (seed, M):
+    M an integer >= 2, seed an integer >= 0, else ValueError.  Draws are
+    processed in blocks of at most 20000 to cap memory.
     """
     est, err = _mc_stack(T.matrix[None], T.B, M, seed)
     return float(est[0]), float(err[0])
@@ -195,19 +205,41 @@ def _integer(value, name: str, least: int) -> int:
     return value
 
 
+def _binary_scaled(A: np.ndarray):
+    """A stack A (S, d, N) as (A_s 2^-e_s, e): e_s is the binary exponent of
+    the largest |entry| of slice s (np.frexp; 0 for a zero slice), so each
+    scaled slice has its largest |entry| in [1/2, 1) and squares neither
+    overflow nor underflow.  Powers of two scale exactly."""
+    e = np.frexp(np.max(np.abs(A), axis=(1, 2)))[1]
+    return np.ldexp(A, -e[:, None, None]), e
+
+
 def _image_factor(A: np.ndarray):
     """Per slice of a stack A (S, d, N): a factor F with A A^T = F^T F up
     to (max(d, N) eps ||A||)^2, cut to the numerical rank.
 
-    One stacked QR of the transposes gives R (S, min(d, N), d); the rows
-    of each R with norm above max(d, N) eps times that slice's largest row
-    norm are kept, in order and first.  Returns (F, ranks): F is (S, r, d)
-    with r the largest rank, and slice s holds zeros below its ranks[s]
-    kept rows."""
+    A row (of A, then of R) is kept when its norm is above max(d, N) eps
+    times its slice's largest row norm.  The QR does not pivot, so a row
+    of A that is not kept (a zero target entry) ahead of one that is
+    would keep a row of R: such slices are factored with those rows moved
+    last, in a stable order, and the columns of F put back in target
+    order.  One stacked QR of the transposes gives R (S, min(d, N), d),
+    whose kept rows are taken, in order and first.  Returns (F, ranks): F
+    is (S, r, d) with r the largest rank, and slice s holds zeros below
+    its ranks[s] kept rows."""
     S, d, N = A.shape
+
+    def kept(rows):
+        size = np.sqrt(np.sum(rows * rows, axis=2))
+        return size > max(d, N) * _EPS * size.max(axis=1, keepdims=True)
+
+    zero = ~kept(A)
+    if np.any(zero[:, :-1] & ~zero[:, 1:]):
+        order = np.argsort(zero, axis=1, kind="stable")
+        F, ranks = _image_factor(np.take_along_axis(A, order[:, :, None], axis=1))
+        return np.take_along_axis(F, np.argsort(order, axis=1)[:, None, :], axis=2), ranks
     R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="r")
-    size = np.sqrt(np.sum(R * R, axis=2))
-    keep = size > max(d, N) * _EPS * size.max(axis=1, keepdims=True)
+    keep = kept(R)
     ranks = keep.sum(axis=1)
     r = int(ranks.max())
     first = np.argsort(~keep, axis=1, kind="stable")[:, :r]
@@ -221,21 +253,29 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     into B from one seed: arrays (estimates, stderrs) of length S, each
     slice estimated as in `gamma_norm_mc`.
 
-    All slices share one draw: standard normals g of shape (M, r), r the
-    largest numerical rank over the stack (`_image_factor`), taken row by
-    row from default_rng(seed) in blocks of at most 20000 draws summed
-    over the stack (20000 // S samples of every slice per block).  Slice s
-    reads the first ranks[s] columns of g, so a slice of full rank r gets
-    the draws of a standalone call and one of lower rank gets other draws
-    of the same law.  The values of a block are formed entries first,
-    (d, S, m): `BanachModel.norm` of their transpose reduces contiguous
-    rows."""
+    Each slice is scaled by a power of two (`_binary_scaled`); the
+    estimates are scaled back by 2^e and the stderrs by 4^e.  All slices
+    share one draw: standard normals g of shape (M, r), r the largest
+    numerical rank over the stack (`_image_factor`), taken row by row from
+    default_rng(seed) in blocks of at most 20000 draws summed over the
+    stack (20000 // S samples of every slice per block).  Slice s reads
+    the first ranks[s] columns of g, so a slice of full rank r gets the
+    draws of a standalone call and one of lower rank gets other draws of
+    the same law.  For r = 1 sample i of slice s is g_i F_s, so a block
+    adds ||F_s||^2 sum g^2 and ||F_s||^4 sum g^4: one B-norm per slice.
+    Otherwise the values of a block are formed entries first, (d, S, m):
+    `BanachModel.norm` of their transpose reduces contiguous rows."""
     M = _integer(M, "Monte Carlo sample count M", 2)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     S, d, _ = A.shape
+    A, e = _binary_scaled(A)
     F, _ = _image_factor(A)
     r = F.shape[1]
-    Ft = np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(d * S, r)
+    if r == 1:
+        unit = B.norm(F[:, 0])
+        unit *= unit
+    else:
+        Ft = np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(d * S, r)
     batch = max(1, _BLOCK // S)
     total = np.zeros(S)
     total_sq = np.zeros(S)
@@ -243,14 +283,20 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     while done < M:
         m = min(batch, M - done)
         g = rng.standard_normal((m, r))
-        norms = B.norm((Ft @ g.T).reshape(d, S * m).T).reshape(S, m)
-        sq = norms * norms
-        total += np.sum(sq, axis=1)
-        total_sq += np.sum(sq * sq, axis=1)
+        if r == 1:
+            g *= g
+            total += unit * np.sum(g)
+            total_sq += unit * unit * np.sum(g * g)
+        else:
+            norms = B.norm((Ft @ g.T).reshape(d, S * m).T).reshape(S, m)
+            sq = norms * norms
+            total += np.sum(sq, axis=1)
+            total_sq += np.sum(sq * sq, axis=1)
         done += m
     mean = total / M
     var = np.maximum(total_sq / M - mean * mean, 0.0) * M / (M - 1)
-    return np.sqrt(mean), np.sqrt(var / M)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(np.sqrt(mean), e), np.ldexp(np.sqrt(var / M), 2 * e)
 
 
 def gamma_norm(T: DiscreteGammaOperator, M: int = 200000, seed: int = 0):
@@ -276,5 +322,6 @@ def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
     if not np.all(np.isfinite(A)):
         raise ValueError("operator matrix has non-finite entries")
     if B.q == 2.0:
-        return np.sqrt(np.sum(A * A, axis=(1, 2))), np.zeros(len(A))
+        A, e = _binary_scaled(A)
+        return np.ldexp(np.sqrt(np.sum(A * A, axis=(1, 2))), e), np.zeros(len(A))
     return _mc_stack(A, B, M, seed)

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -102,6 +103,29 @@ def test_gamma_sup_norm_json():
     row = json.loads(r.stdout, parse_constant=pytest.fail)[0]
     assert row["q"] == "inf"
     assert row["estimate"] == pytest.approx(1.5, rel=0.05)
+
+
+def test_gamma_zero_target_entries_keep_the_estimate():
+    # a leading zero entry used to keep two rows of the image factor (the
+    # QR does not pivot), so --b 0,3 drew other normals than --b 3,0
+    rows = [run_main("gamma", "--b", b, "--q", "4", "--M", "2000").stdout for b in ("3,0", "0,3")]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("scale", ["1e-170", "1e200"])
+def test_gamma_of_a_tiny_or_a_huge_target(scale):
+    # 1e-170 printed 0,0 (R*R underflowed, so the rank read 0) and 1e200
+    # printed 0,0 with an overflow warning; the stderr, in squared units,
+    # underflows to 0 or overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run_main("gamma", "--b", scale + ",0", "--q", "4", "--M", "2000")
+        one = run_main("gamma", "--b", "1,0", "--q", "4", "--M", "2000")
+    assert r.returncode == 0, r.stderr
+    est, err = map(float, r.stdout.splitlines()[1].split(",")[1:])
+    assert est == pytest.approx(float(scale) * float(one.stdout.splitlines()[1].split(",")[1]),
+                                rel=1e-14, abs=0.0)
+    assert err == (math.inf if float(scale) > 1 else 0.0)
 
 
 def test_unknown_subcommand_exits_2():

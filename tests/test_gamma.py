@@ -391,3 +391,76 @@ def test_gamma_norms_of_a_stack_match_the_single_operator_norms():
 def test_gamma_norms_reject_a_bad_stack(A):
     with pytest.raises(ValueError):
         gamma_norms(A, BanachModel(3, 4.0), M=100)
+
+
+@pytest.mark.parametrize("S", [1, 5])
+@pytest.mark.parametrize("q", [1.5, 4.0, math.inf])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_mc_rank_one_route_matches_the_entrywise_norms(d, q, S):
+    # every slice b_s (x) h_s has rank <= 1 (slices 1 and 3 of the S = 5
+    # stack are zero), so sample i of slice s is g_i ||h_s|| b_s up to
+    # sign; here its norm is taken entry by entry for every sample
+    from hermlp.gamma import _mc_stack
+
+    rng = np.random.default_rng(10 * d + S)
+    g = TimeGrid(1e-3, 10.0, 64)
+    b = rng.normal(size=(S, d))
+    h = rng.normal(size=(S, g.N)) * np.exp(-g.nodes)
+    if S == 5:
+        b[1] = 0.0
+        h[3] = 0.0
+    B = BanachModel(d, q)
+    M, seed = 25013, 73
+    est, err = _mc_stack(b[:, :, None] * h[:, None, :], B, M, seed)
+    draws = np.random.default_rng(seed).standard_normal(M)
+    for s in range(S):
+        sq = B.norm(draws[:, None] * (np.linalg.norm(h[s]) * b[s])) ** 2
+        assert est[s] == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-14, abs=0.0)
+        assert err[s] == pytest.approx(math.sqrt(np.var(sq, ddof=1) / M), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [(0.0, 3.0), (0.0, 0.0, 1.0), (1.0, 0.0, -2.0), (0.0, 2.0, 0.0, 1.0)])
+def test_image_factor_of_a_rank_one_operator_with_zero_target_entries(b):
+    # the QR does not pivot: a zero column of matrix.T ahead of a nonzero
+    # one used to keep a row of R, so (0, 3) kept 2 rows and (0, 0, 1) 3
+    from hermlp.gamma import _image_factor
+
+    b = np.array(b)
+    prof = GRID.nodes * np.exp(-GRID.nodes)
+    T = rank_one(prof, b, BanachModel(b.size, 4.0), GRID)
+    F, ranks = _image_factor(T.matrix[None])
+    assert ranks.tolist() == [1]
+    assert np.allclose(np.abs(F[0, 0]), h_norm(prof, GRID) * np.abs(b), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_mc_scales_by_powers_of_two_exactly(k):
+    # 2^k T has the estimate 2^k and, in squared units, the stderr 4^k of
+    # T's: at k = +-600 that stderr overflows to inf or underflows to 0
+    rng = np.random.default_rng(79)
+    g = TimeGrid(1e-3, 10.0, 32)
+    for A in (rng.normal(size=(3, g.N)), rng.normal(size=(3, 1)) * rng.normal(size=(1, g.N))):
+        for q in (1.5, 4.0, math.inf):
+            T = DiscreteGammaOperator(BanachModel(3, q), g, A)
+            est, err = gamma_norm_mc(T, 5000, 83)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est_k, err_k = gamma_norm_mc(DiscreteGammaOperator(T.B, g, np.ldexp(A, k)), 5000, 83)
+            assert est_k == math.ldexp(est, k)
+            with np.errstate(over="ignore", under="ignore"):
+                assert err_k == np.ldexp(err, 2 * k)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_hilbert_norms_scale_by_powers_of_two_exactly(k):
+    # entries of 1e200 used to give inf and entries of 1e-170 squares of 0
+    A = np.random.default_rng(89).normal(size=(2, 3, GRID.N)) * np.exp(-GRID.nodes)
+    B = BanachModel(3, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in A:
+            one = gamma_norm_hilbert(DiscreteGammaOperator(B, GRID, a))
+            assert gamma_norm_hilbert(DiscreteGammaOperator(B, GRID, np.ldexp(a, k))) == math.ldexp(one, k)
+        est, err = gamma_norms(np.ldexp(A, k), B)
+        assert est.tolist() == np.ldexp(gamma_norms(A, B)[0], k).tolist()
+        assert not err.any()

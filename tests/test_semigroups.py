@@ -541,6 +541,26 @@ def test_composed_maximal_q4_matches_the_per_term_sum():
         assert composed_maximal(e, x, 0.0, "g", B, times, M=2000, seed=11) == pytest.approx(want, rel=1e-14)
 
 
+def test_composed_maximal_q4_of_one_mode_matches_the_closed_form():
+    # one mode gives rank-one slices e^{-s r} h_k(x) c (x) P, P the profile
+    # -t r e^{-t r}, so slice s estimates e^{-s r} |h_k(x)| ||c||_4 ||P||_H
+    # times the root mean square of the seed's first M normals; the
+    # largest is the s = 0 candidate
+    from hermlp.gamma import h_norm
+
+    times = TimeGrid(1e-3, 20.0, 32)
+    B = BanachModel(2, 4.0)
+    k, c, x, M, seed = 5, np.array([0.8, -1.3]), 0.6, 2000, 13
+    r = math.sqrt(2 * k + 1)
+    g = np.random.default_rng(seed).standard_normal(M)
+    want = (abs(float(hermite_eval(k, x))) * float(B.norm(c))
+            * h_norm(-times.nodes * r * np.exp(-times.nodes * r), times)
+            * math.sqrt(float(np.mean(g * g))))
+    got = composed_maximal(HermiteExpansion(1, 2, k, {(k,): c}), x, 0.0, "g", B, times,
+                           M=M, seed=seed)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_composed_maximal_q4_when_the_rank_falls_with_s():
     # modes 0 and 11 with independent coefficients give rank-2 slices at
     # small s; from s of about 9 on, mode 11 has decayed below rounding
