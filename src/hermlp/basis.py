@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "analyze",
     "synthesize",
     "synthesize_grid",
-    "gauss_nodes",
     "default_grid",
 ]
 
@@ -64,6 +64,18 @@ def shift_index(k, j: int, step: int) -> tuple:
     return tuple(out)
 
 
+def _integer(value, name: str, least: int) -> int:
+    """value as a Python int via operator.index; ValueError when it is not
+    an integer or falls below `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name}={value} must be >= {least}")
+    return value
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -77,12 +89,10 @@ class SpatialGrid:
     """
 
     def __init__(self, R: float, h: float, n: int = 1):
-        if R <= 0 or h <= 0:
-            raise ValueError("grid requires R > 0 and h > 0")
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (0 < R < math.inf and 0 < h < math.inf):
+            raise ValueError("grid requires finite R > 0 and h > 0")
+        self.n = _integer(n, "dimension n", 1)
         m = max(1, int(round(R / h)))
-        self.n = int(n)
         self.h = float(h)
         self.R = m * self.h
         self.axis = self.h * np.arange(-m, m + 1)
@@ -131,12 +141,13 @@ def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
     return SpatialGrid(m * h, h, n)
 
 
-def _scaled_rows(kmax: int, x, perturb: float = 0.0):
-    """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence.
+# factor on the forward recurrence coefficient; exactly 1, and the tests
+# set it to 1 + eps to check that the verification suite sees the error
+_FORWARD = 1.0
 
-    `perturb` multiplies the forward recurrence coefficient by (1+perturb);
-    it exists only as a sensitivity canary for the verification suite.
-    """
+
+def _scaled_rows(kmax: int, x):
+    """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence."""
     x = np.asarray(x, dtype=float)
     prev = math.pi ** -0.25 * np.ones_like(x)
     yield prev
@@ -145,19 +156,18 @@ def _scaled_rows(kmax: int, x, perturb: float = 0.0):
     cur = math.sqrt(2.0) * x * prev
     yield cur
     for i in range(1, kmax):
-        a = math.sqrt(2.0 / (i + 1)) * (1.0 + perturb)
+        a = math.sqrt(2.0 / (i + 1)) * _FORWARD
         b = math.sqrt(i / (i + 1.0))
         prev, cur = cur, a * x * cur - b * prev
         yield cur
 
 
-def eval_table(kmax: int, axis: np.ndarray, perturb: float = 0.0) -> np.ndarray:
+def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
     """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis)).
 
-    Row m is bit-identical to `hermite_eval(m, axis, perturb)`; `perturb`
-    is the same sensitivity canary."""
+    Row m is bit-identical to `hermite_eval(m, axis)`."""
     axis = np.asarray(axis, dtype=float)
-    table = np.stack(list(_scaled_rows(kmax, axis, perturb)))
+    table = np.stack(list(_scaled_rows(kmax, axis)))
     table *= np.exp(-0.5 * axis * axis)
     return table
 
@@ -172,7 +182,7 @@ def _coords(k: tuple, x) -> list[np.ndarray]:
     return [x[..., j] for j in range(n)]
 
 
-def hermite_eval(k, x, perturb: float = 0.0) -> np.ndarray:
+def hermite_eval(k, x) -> np.ndarray:
     """h_k(x) = prod_j h_{k_j}(x_j).
 
     For n = 1, `x` is a scalar or array of positions; for n > 1 the last
@@ -184,12 +194,12 @@ def hermite_eval(k, x, perturb: float = 0.0) -> np.ndarray:
     scaled, r2 = 1.0, 0.0
     for kj, xj in zip(k, _coords(k, x)):
         # only the last row of the recurrence is kept: O(|x|) working memory
-        scaled = scaled * deque(_scaled_rows(kj, xj, perturb), maxlen=1).pop()
+        scaled = scaled * deque(_scaled_rows(kj, xj), maxlen=1).pop()
         r2 = r2 + xj * xj
     return scaled * np.exp(-0.5 * r2)
 
 
-def hermite_ladder_eval(k, x, j: int, sign: int, perturb: float = 0.0) -> np.ndarray:
+def hermite_ladder_eval(k, x, j: int, sign: int) -> np.ndarray:
     """(d/dx_j + sign * x_j) h_k(x) in closed index form.
 
     sign=+1 gives sqrt(2 k_j) h_{k-e_j}(x)  (0 when k_j = 0),
@@ -204,15 +214,15 @@ def hermite_ladder_eval(k, x, j: int, sign: int, perturb: float = 0.0) -> np.nda
     if sign == +1:
         if kj == 0:
             # sqrt(0) * h_{k - e_j} := 0 by convention
-            return 0.0 * hermite_eval(k, x, perturb)
-        return math.sqrt(2.0 * kj) * hermite_eval(shift_index(k, j, -1), x, perturb)
-    return -math.sqrt(2.0 * kj + 2.0) * hermite_eval(shift_index(k, j, +1), x, perturb)
+            return 0.0 * hermite_eval(k, x)
+        return math.sqrt(2.0 * kj) * hermite_eval(shift_index(k, j, -1), x)
+    return -math.sqrt(2.0 * kj + 2.0) * hermite_eval(shift_index(k, j, +1), x)
 
 
-def hermite_derivative(k, x, j: int = 1, perturb: float = 0.0) -> np.ndarray:
+def hermite_derivative(k, x, j: int = 1) -> np.ndarray:
     """d/dx_j h_k(x) as the half-sum of the two ladder actions."""
-    up = hermite_ladder_eval(k, x, j, +1, perturb)
-    down = hermite_ladder_eval(k, x, j, -1, perturb)
+    up = hermite_ladder_eval(k, x, j, +1)
+    down = hermite_ladder_eval(k, x, j, -1)
     return 0.5 * (up + down)
 
 
@@ -373,24 +383,3 @@ def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
     # (d, M, ..., M) -> (size, d)
     return np.moveaxis(a, 0, -1).reshape(grid.size, e.d)
 
-
-def gauss_nodes(Q: int, family: str, beta: float | None = None):
-    """Gauss nodes/weights: 'hermite' for e^{-x^2} on R, or
-    'generalized-laguerre' for u^beta e^{-u} on (0, inf) with beta = -1/2.
-
-    Exact for polynomials up to degree 2Q - 1 against the family weight.
-    The beta = -1/2 rule is the 2Q-point Gauss-Hermite rule folded onto
-    the half-line: u = x^2 maps e^{-x^2} dx on R to u^{-1/2} e^{-u} du on
-    (0, inf) twice over, so the nodes are the squared positive Hermite
-    nodes and the weights are doubled.
-    """
-    if Q < 1:
-        raise ValueError("node count Q must be >= 1")
-    if family == "hermite":
-        return np.polynomial.hermite.hermgauss(Q)
-    if family == "generalized-laguerre":
-        if beta != -0.5:
-            raise ValueError(f"generalized-laguerre supports only beta = -0.5, got {beta}")
-        x, w = np.polynomial.hermite.hermgauss(2 * Q)
-        return x[Q:] ** 2, 2.0 * w[Q:]
-    raise ValueError(f"unknown quadrature family {family!r}")

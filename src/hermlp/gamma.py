@@ -35,10 +35,11 @@ the double range neither overflow nor underflow; the scaling is exact.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .basis import _integer
 
 # Monte Carlo draws per block, summed over a stack of operators
 _BLOCK = 20000
@@ -72,8 +73,7 @@ class TimeGrid:
             raise ValueError("t_min and t_max must be finite")
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
-        if self.N < 2:
-            raise ValueError("time grid needs at least two nodes")
+        object.__setattr__(self, "N", _integer(self.N, "time grid node count N", 2))
         nodes = np.geomspace(self.t_min, self.t_max, self.N)
         step = math.log(self.t_max / self.t_min) / (self.N - 1)
         weights = np.full(self.N, step)
@@ -193,18 +193,6 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     return float(est[0]), float(err[0])
 
 
-def _integer(value, name: str, least: int) -> int:
-    """value as a Python int via operator.index; ValueError when it is not
-    an integer or falls below `least`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}={value!r} must be an integer") from None
-    if value < least:
-        raise ValueError(f"{name}={value} must be >= {least}")
-    return value
-
-
 def _binary_scaled(A: np.ndarray):
     """A stack A (S, d, N) as (A_s 2^-e_s, e): e_s is the binary exponent of
     the largest |entry| of slice s (np.frexp; 0 for a zero slice), so each
@@ -300,11 +288,10 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
 
 
 def gamma_norm(T: DiscreteGammaOperator, M: int = 200000, seed: int = 0):
-    """Gamma norm with the cheapest exact route available: closed form for
-    q = 2, Monte Carlo otherwise.  Returns (estimate, stderr)."""
-    if T.B.q == 2.0:
-        return gamma_norm_hilbert(T), 0.0
-    return gamma_norm_mc(T, M, seed)
+    """Gamma norm by the route of `gamma_norms`: the Frobenius norm with
+    stderr 0 for q = 2, Monte Carlo otherwise.  Returns (estimate, stderr)."""
+    est, err = gamma_norms(T.matrix[None], T.B, M, seed)
+    return float(est[0]), float(err[0])
 
 
 def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):

@@ -56,6 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _integer
+
 __all__ = [
     "ShiftedOperator",
     "SubordinationRule",
@@ -71,6 +73,9 @@ __all__ = [
 ]
 
 _SQRT4PI = math.sqrt(4.0 * math.pi)
+# how far, in units of the exponents, a subordination window reaches into
+# both tails of its integrand (`SubordinationRule._window`)
+_CUT = 45.0
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,7 @@ class ShiftedOperator:
     n: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "n", _integer(self.n, "dimension n", 1))
         if not math.isfinite(self.alpha):
             raise ValueError(f"shift alpha={self.alpha} is not finite")
         if self.alpha <= -self.n:
@@ -95,7 +99,8 @@ class SubordinationRule:
 
     For one time t, `s_nodes` is a Q-point log-domain trapezoid rule whose
     truncation window adapts to the integrand peak at s = t/(2 sqrt(D));
-    `cut` sets how far into both exponential tails the window reaches.
+    the module constant `_CUT` sets how far into both exponential tails
+    the window reaches.
 
     A list of times shares one grid (`_node_blocks`): the union of the
     per-t windows at the finest per-t step, so every time sees a window
@@ -115,11 +120,9 @@ class SubordinationRule:
     """
 
     Q: int = 64
-    cut: float = 45.0
 
     def __post_init__(self):
-        if self.Q < 2:
-            raise ValueError("subordination rule needs Q >= 2 nodes")
+        self.Q = _integer(self.Q, "subordination node count Q", 2)
 
     def _window(self, t: float, decay: float):
         """The log-s interval (lo, hi) of the rule for time t."""
@@ -127,7 +130,7 @@ class SubordinationRule:
             raise ValueError("time must be positive")
         if decay <= 0:
             raise ValueError("large-s decay rate must be positive")
-        rt = t * math.sqrt(decay) + self.cut
+        rt = t * math.sqrt(decay) + _CUT
         return math.log(t * t / (4.0 * rt)), math.log(rt / decay)
 
     def s_nodes(self, t: float, decay: float):
@@ -181,19 +184,24 @@ def _split(x, n):
 
 def _check_points(*points):
     """Reject NaN and infinite points, where the kernels return NaN or a
-    meaningless 0.  Each entry point checks once per call; the ladder
-    kernel's blocks go through `heat_kernel` and check once per block."""
+    meaningless 0.  Each entry point checks once per call."""
     for p in points:
         if not np.isfinite(p).all():
             raise ValueError("points must be finite")
 
 
-def _check_time(t):
+def _check_time(t, ndim=None):
+    """t as a float array whose entries are finite and positive; with
+    ndim=1 it must also be a scalar or a nonempty 1-D array.  ValueError
+    otherwise."""
     t = np.asarray(t, dtype=float)
+    if ndim is not None and (t.ndim > ndim or t.size == 0):
+        raise ValueError("times must be a scalar or a nonempty 1-D array")
     if not np.all(np.isfinite(t)):
         raise ValueError("time t must be finite")
     if np.any(t <= 0):
         raise ValueError("time t must be positive")
+    return t
 
 
 def _mehler(t):
@@ -223,8 +231,7 @@ def heat_kernel(x, y, t, n: int = 1):
     of x, y holds coordinates; t may broadcast against the points.
     """
     _check_points(x, y)
-    _check_time(t)
-    A, B, c1 = _mehler(np.asarray(t, dtype=float))
+    A, B, c1 = _mehler(_check_time(t))
     return _half_power(c1, n) * _mehler_gauss(x, y, A, B, n)
 
 
@@ -310,11 +317,7 @@ def heat_apply(values, axis, t):
     bits whether it is built or reused; every input check runs on every
     call, and the result never shares memory with the plan.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or times.size == 0:
-        raise ValueError("time t must be a scalar or a nonempty 1-D array")
-    if not (np.all(np.isfinite(times)) and np.all(times > 0)):
-        raise ValueError("time t must be positive and finite")
+    times = _check_time(t, ndim=1)
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=float)
     L = axis.size
@@ -356,8 +359,7 @@ def heat_kernel_one(x, t, n: int = 1):
     Tends to 1 as t -> 0+ and is nonincreasing in |x|.
     """
     _check_points(x)
-    _check_time(t)
-    t = np.asarray(t, dtype=float)
+    t = _check_time(t)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
@@ -368,8 +370,7 @@ def heat_kernel_one(x, t, n: int = 1):
 def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form."""
     _check_points(x)
-    _check_time(t)
-    t = np.asarray(t, dtype=float)
+    t = _check_time(t)
     return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(x, t, op)
 
 
@@ -394,12 +395,7 @@ def _subordinate(t, decay: float, points, n: int, rule, scale, weight, block):
     against a column of times; `block(s)` gets the nodes on a leading
     axis and must not depend on t.  Repeated times are computed once.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("times must be a scalar or a 1-D array")
-    if times.size == 0:
-        raise ValueError("times must be nonempty")
-    _check_time(times)
+    times = _check_time(t, ndim=1)
     ts, inverse = np.unique(times, return_inverse=True)
     lead = (-1,) + (1,) * np.ndim(_split(points, n))
     total = 0.0
@@ -441,16 +437,15 @@ def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None
 
 
 def _heat_ladder(x, y, s, j: int, sign: int, n: int):
-    """(d/dx_j + sign x_j) W_s(x, y), differentiated analytically."""
-    A, B, _ = _mehler(s)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """(d/dx_j + sign x_j) W_s(x, y), differentiated analytically; x and
+    y are float arrays and s holds positive nodes."""
+    A, B, c1 = _mehler(s)
     if n == 1:
         xj, yj = x, y
     else:
         xj, yj = x[..., j - 1], y[..., j - 1]
     factor = sign * xj - 0.5 * A * (xj - yj) - 0.5 * B * (xj + yj)
-    return factor * heat_kernel(x, y, s, n)
+    return factor * (_half_power(c1, n) * _mehler_gauss(x, y, A, B, n))
 
 
 def ladder_kernel(
@@ -460,7 +455,7 @@ def ladder_kernel(
     analytically differentiated heat kernel.
 
     The raising kernel (sign +1) annihilates the ground mode, so at large
-    t it nearly cancels, and the fixed `cut` window truncates its
+    t it nearly cancels, and the fixed `_CUT` window truncates its
     integrand relative to the bulk rather than to the result.  For n = 1
     on the 9 x 9 lattice of (x, y) in [-2, 2]^2, against a Q = 4096
     per-time rule, the default rule is off by 3.0e-11 of the kernel's
@@ -498,8 +493,7 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
 def classical_poisson(x, t, n: int = 1):
     """Classical Poisson kernel P_t(x) = t^{-n} P(x/t) on R^n; unit mass."""
     _check_points(x)
-    _check_time(t)
-    t = np.asarray(t, dtype=float)
+    t = _check_time(t)
     c = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
     r2 = _split(np.asarray(x, float), n)
     return c * t ** (-n) * (1.0 + r2 / (t * t)) ** (-(n + 1) / 2.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid
+from .basis import HermiteExpansion, SpatialGrid, _integer
 from .gamma import BanachModel, TimeGrid
 from .kernels import heat_apply
 from .semigroups import TimeField, _maximal_function, gfunction
@@ -49,8 +49,10 @@ def critical_radius(x) -> np.ndarray:
 
     A scalar or 1-D array is one-dimensional points: [3, 4] gives
     [0.25, 0.2].  An array of higher rank holds coordinates on its last
-    axis: [[3, 4]] is one point in n = 2 and gives [1/6]."""
+    axis: [[3, 4]] is one point in n = 2 and gives [1/6].  Non-finite
+    points are rejected."""
     x = np.asarray(x, dtype=float)
+    _check_point(x)
     r = np.abs(x) if x.ndim <= 1 or x.shape[-1] == 1 else np.linalg.norm(x, axis=-1)
     r = np.asarray(r)
     return np.where(r < 1.0, 0.5, 1.0 / (1.0 + r))
@@ -97,6 +99,8 @@ class Atom:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if self.samples.shape[0] != self.grid.size:
             raise ValueError("atom samples must cover the grid")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("atom samples must be finite")
 
     @property
     def d(self) -> int:
@@ -157,6 +161,17 @@ def make_random_atom(
     return Atom(x0, r0, kind, grid, samples)
 
 
+def _grid_samples(f, grid: SpatialGrid) -> np.ndarray:
+    """The samples of an Atom, or an array as (grid.size, d) floats;
+    ValueError unless they cover the grid and are finite."""
+    samples = f.samples if isinstance(f, Atom) else np.atleast_2d(np.asarray(f, dtype=float))
+    if samples.shape[0] != grid.size:
+        raise ValueError("samples must cover the grid")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return samples
+
+
 def h1_norm(
     f,
     B: BanachModel,
@@ -192,14 +207,7 @@ def h1_norm(
             raise ValueError("grid too coarse for the expansion degree")
         sup = _maximal_function(f, grid.points, kind, alpha, B, times)
         return float(np.sum(grid.weights * sup))
-    if isinstance(f, Atom):
-        samples = f.samples
-    else:
-        samples = np.atleast_2d(np.asarray(f, dtype=float))
-    if samples.shape[0] != grid.size:
-        raise ValueError("samples must cover the grid")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
+    samples = _grid_samples(f, grid)
     if kind != "heat":
         raise ValueError("sampled inputs support the heat maximal function only")
     if alpha != 0.0:
@@ -226,10 +234,9 @@ class BallSpec:
     depth: int = 3
 
     def __post_init__(self):
-        if self.spacing <= 0 or self.extent <= 0:
-            raise ValueError("spacing and extent must be positive")
-        if self.depth < 0:
-            raise ValueError("ladder depth must be nonnegative")
+        if not (0 < self.spacing < math.inf and 0 < self.extent < math.inf):
+            raise ValueError("spacing and extent must be positive and finite")
+        object.__setattr__(self, "depth", _integer(self.depth, "ladder depth", 0))
 
     @property
     def centers(self) -> np.ndarray:
@@ -278,11 +285,7 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     average is a weighted sum divided by the same mass, so the estimate
     of the function 1 is exactly 1.  One-dimensional grids only."""
     _require_line(grid)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] != grid.size:
-        raise ValueError("samples must cover the grid")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
+    samples = _grid_samples(samples, grid)
     centers, radii, oscillation = balls.balls()
     lo, count = _ball_intervals(grid.axis, centers, radii)
     used = count > 0

@@ -74,12 +74,11 @@ class CheckReport:
         }
 
 
-def check_eigen_ladder(K: int, perturb: float = 0.0) -> CheckReport:
+def check_eigen_ladder(K: int) -> CheckReport:
     """Eigenrelation and ladder identities up to degree K on |x| <= 6.
 
     Second derivatives come from two ladder steps; ladder actions are
-    cross-checked against central finite differences.  `perturb` injects
-    an error into the recurrence (sensitivity canary).  Every row comes
+    cross-checked against central finite differences.  Every row comes
     from one Hermite table up to degree K + 2 and two shifted tables.
     """
     if K < 0:
@@ -87,7 +86,7 @@ def check_eigen_ladder(K: int, perturb: float = 0.0) -> CheckReport:
     start = time.perf_counter()
     xs = np.linspace(-6.0, 6.0, 41)
     step = 1e-5
-    H = eval_table(K + 2, xs, perturb)
+    H = eval_table(K + 2, xs)
     zero = np.zeros((1, xs.size))  # the row of degree -1
     m = np.arange(K + 2)[:, None]
     # (d/dx +/- x) h_m for m = 0..K+1: sqrt(2m) h_{m-1} and -sqrt(2m+2) h_{m+1}
@@ -101,7 +100,7 @@ def check_eigen_ladder(K: int, perturb: float = 0.0) -> CheckReport:
     eigen = -d2 + xs * xs * hk - (2 * k + 1) * hk
     worst = float(np.max(np.abs(eigen)))
     # ladder identities vs finite differences of h_k' +/- x h_k
-    fd = (eval_table(K, xs + step, perturb) - eval_table(K, xs - step, perturb)) / (2 * step)
+    fd = (eval_table(K, xs + step) - eval_table(K, xs - step)) / (2 * step)
     for sign, ladder in ((+1, plus[:K + 1]), (-1, minus[:K + 1])):
         worst = max(worst, float(np.max(np.abs(fd + sign * xs * hk - ladder))))
     tol = 1e-8 if K == 0 else 1e-6

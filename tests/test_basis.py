@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hermlp import basis
 from hermlp.basis import (
     HermiteExpansion,
     SpatialGrid,
     analyze,
     default_grid,
     eval_table,
-    gauss_nodes,
     hermite_derivative,
     hermite_eval,
     hermite_ladder_eval,
@@ -97,12 +97,13 @@ def test_scaled_recurrence_stays_finite():
 
 
 @pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
-def test_eval_table_rows_are_hermite_eval(perturb):
+def test_eval_table_rows_are_hermite_eval(monkeypatch, perturb):
     # the table and the single-degree route share one recurrence, canary included
+    monkeypatch.setattr(basis, "_FORWARD", 1.0 + perturb)
     xs = np.linspace(-7.0, 7.0, 29)
-    table = eval_table(40, xs, perturb)
+    table = eval_table(40, xs)
     for k in (0, 1, 7, 40):
-        assert np.array_equal(table[k], hermite_eval(k, xs, perturb=perturb))
+        assert np.array_equal(table[k], hermite_eval(k, xs))
 
 
 def test_analyze_recovers_single_mode():
@@ -173,43 +174,18 @@ def test_synthesize_examples():
     assert synthesize(e2, 0.7)[0] == pytest.approx(float(expected), rel=1e-12)
 
 
-def test_gauss_hermite_single_node():
-    x, w = gauss_nodes(1, "hermite")
-    assert x[0] == pytest.approx(0.0, abs=1e-15)
-    assert w[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gauss_laguerre_half_single_node():
-    x, w = gauss_nodes(1, "generalized-laguerre", beta=-0.5)
-    assert w[0] == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gauss_hermite_moment():
-    # int x^14 e^{-x^2} dx = Gamma(7.5)
-    x, w = gauss_nodes(8, "hermite")
-    approx = float(np.sum(w * x ** 14))
-    assert approx == pytest.approx(math.gamma(7.5), rel=1e-10)
-
-
-def test_gauss_zero_nodes_rejected():
-    with pytest.raises(ValueError):
-        gauss_nodes(0, "hermite")
-
-
-@pytest.mark.parametrize("Q", [1, 8, 64, 128])
-def test_gauss_laguerre_half_matches_scipy(Q):
-    from scipy.special import roots_genlaguerre
-
-    x, w = gauss_nodes(Q, "generalized-laguerre", beta=-0.5)
-    ref_x, ref_w = roots_genlaguerre(Q, -0.5)
-    np.testing.assert_allclose(x, ref_x, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("beta", [None, 0.0, 0.5])
-def test_gauss_laguerre_other_exponents_rejected(beta):
-    with pytest.raises(ValueError, match="beta"):
-        gauss_nodes(4, "generalized-laguerre", beta=beta)
+@settings(max_examples=40, deadline=None)
+@given(st.floats() | st.just("2"), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_spatial_grid_takes_an_integer_dimension_and_finite_reals(n, bad):
+    # SpatialGrid(12, 0.02, n=1.5) built a line, and an infinite R or h
+    # raised OverflowError
+    with pytest.raises(ValueError, match="dimension n"):
+        SpatialGrid(12.0, 0.02, n)
+    with pytest.raises(ValueError, match="finite R > 0 and h > 0"):
+        SpatialGrid(bad, 0.02)
+    with pytest.raises(ValueError, match="finite R > 0 and h > 0"):
+        SpatialGrid(12.0, bad)
+    assert type(SpatialGrid(1.0, 0.5, np.int64(2)).n) is int
 
 
 @pytest.mark.parametrize("n, K", [(2, 20), (1, 30)])

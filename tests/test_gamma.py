@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermlp.gamma import (
     BanachModel,
@@ -33,6 +35,15 @@ def test_time_grid_rejects_bad_spans():
         TimeGrid(0.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 1.0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats() | st.just("8"))
+def test_time_grid_takes_an_integer_node_count(N):
+    # TimeGrid(1e-3, 1, 2.5) raised TypeError
+    with pytest.raises(ValueError, match="node count N"):
+        TimeGrid(1e-3, 1.0, N)
+    assert type(TimeGrid(1e-3, 1.0, np.int64(8)).N) is int
 
 
 @pytest.mark.parametrize("span", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0),
@@ -286,6 +297,10 @@ def test_gamma_norm_dispatch():
     est, err = gamma_norm(T4, M=50000, seed=4)
     assert err > 0.0
     assert est == pytest.approx(h_norm(prof, GRID) * float(T4.B.norm(b)), rel=0.02)
+    # both are the first slice of gamma_norms, bit for bit
+    for T, M, seed in ((T2, 200000, 0), (T4, 50000, 4)):
+        stack = gamma_norms(T.matrix[None], T.B, M, seed)
+        assert gamma_norm(T, M, seed) == (stack[0][0], stack[1][0])
 
 
 @pytest.mark.parametrize("M", [math.nan, math.inf, 2.5, 1000.0, "1000", -3])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hermlp import kernels
-from hermlp.basis import SpatialGrid, gauss_nodes, hermite_eval
+from hermlp.basis import SpatialGrid, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
     SubordinationRule,
@@ -45,13 +45,6 @@ def test_operator_rejects_bad_shift():
 def test_operator_rejects_non_finite_shift(alpha):
     with pytest.raises(ValueError, match="not finite"):
         ShiftedOperator(alpha, 1)
-
-
-def test_rule_reproduces_half_line_mass():
-    # the generalized Gauss-Laguerre reference rule for u^{-1/2} e^{-u}
-    _, weights = gauss_nodes(32, "generalized-laguerre", beta=-0.5)
-    assert np.all(weights > 0)
-    assert float(np.sum(weights)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_rule_s_nodes_integrate_subordination_density():
@@ -545,15 +538,15 @@ def test_time_axis_shapes(name, n, alpha):
 
 class _NodeCounter:
     """Counts the nodes at which the t-free blocks are evaluated: every
-    block calls heat_kernel(x, y, s, n), its rescaled form
-    _heat_rescaled(x, y, s, n) or _heat_one_dt_rescaled(x, s, op) with
-    the nodes s on the leading axis."""
+    block calls _heat_ladder(x, y, s, j, sign, n), _heat_rescaled(x, y,
+    s, n) or _heat_one_dt_rescaled(x, s, op) with the nodes s on the
+    leading axis."""
 
     def __init__(self, monkeypatch):
         import hermlp.kernels as kernels
 
         self.nodes = 0
-        for name, at in (("heat_kernel", 2), ("_heat_rescaled", 2),
+        for name, at in (("_heat_ladder", 2), ("_heat_rescaled", 2),
                          ("_heat_one_dt_rescaled", 1)):
             def counted(*args, _inner=getattr(kernels, name), _at=at):
                 self.nodes += np.shape(args[_at])[0]
@@ -755,3 +748,67 @@ def test_raising_ladder_kernel_large_time_accuracy_as_documented(t, bound):
     ref = ladder_kernel(X, Y, t, 1, +1, 1, SubordinationRule(4096))
     got = ladder_kernel(X, Y, t, 1, +1, 1)
     assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+
+# ------------------------------------------------ one time validator
+_AXIS = np.linspace(-1.0, 1.0, 11)
+TIME_CALLS = {
+    "heat_kernel": lambda t: heat_kernel(0.3, -0.2, t),
+    "heat_kernel_one": lambda t: heat_kernel_one(0.3, t),
+    "heat_one_dt": lambda t: heat_one_dt(0.3, t, L),
+    "classical_poisson": lambda t: classical_poisson(0.3, t),
+    "heat_apply": lambda t: heat_apply(np.ones((_AXIS.size, 1)), _AXIS, t),
+    "poisson_kernel": lambda t: poisson_kernel(0.3, -0.2, t, L2),
+    "g_kernel": lambda t: g_kernel(0.3, -0.2, t, L),
+    "ladder_kernel": lambda t: ladder_kernel(0.3, -0.2, t, 1, +1),
+    "g_of_one": lambda t: g_of_one(0.3, t, L),
+}
+# every entry point rejects a bad time; the closed forms broadcast t
+# against the points, so only the other five reject 2-D and empty arrays
+BAD_TIMES = [(name, [1.0, bad]) for name in TIME_CALLS
+             for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+BAD_TIMES += [(name, bad) for name in ("heat_apply", "poisson_kernel", "g_kernel",
+                                       "ladder_kernel", "g_of_one")
+              for bad in (np.ones((2, 2)), np.array([]))]
+
+
+@pytest.mark.parametrize("name, bad", BAD_TIMES)
+def test_every_time_entry_point_rejects_bad_times(name, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time"):
+            TIME_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_ladder_block_is_the_differentiated_heat_kernel(n, sign):
+    # the block reuses its own Mehler coefficients instead of calling
+    # heat_kernel, and gives the same bits as factor * heat_kernel
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-2.0, 2.0, size=(5, 1, n))
+    y = rng.uniform(-2.0, 2.0, size=(1, 4, n))
+    if n == 1:
+        x, y = x[..., 0], y[..., 0]
+    s = np.geomspace(1e-3, 60.0, 200).reshape((-1,) + (1,) * x.ndim)
+    A, B, _ = kernels._mehler(s)
+    for j in range(1, n + 1):
+        xj, yj = (x, y) if n == 1 else (x[..., j - 1], y[..., j - 1])
+        factor = sign * xj - 0.5 * A * (xj - yj) - 0.5 * B * (xj + yj)
+        want = factor * heat_kernel(x, y, s, n)
+        assert np.array_equal(kernels._heat_ladder(x, y, s, j, sign, n), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats() | st.just("2"))
+def test_operator_and_rule_take_integer_counts_only(count):
+    # ShiftedOperator(0.0, 1.5) built a kernel on a 1.5-dimensional space
+    # and SubordinationRule(2.5) failed with TypeError at its first call
+    with pytest.raises(ValueError, match="dimension n"):
+        ShiftedOperator(0.0, count)
+    with pytest.raises(ValueError, match="node count Q"):
+        SubordinationRule(count)
+    with pytest.raises(ValueError, match="dimension n=0"):
+        ShiftedOperator(0.0, 0)
+    assert type(ShiftedOperator(0.0, np.int64(2)).n) is int
+    assert type(SubordinationRule(np.int32(16)).Q) is int

@@ -79,6 +79,44 @@ def test_atom_rejects_non_finite_center_and_radius(bad):
         Atom(0.0, bad, "cancel", ATOM_GRID, zeros)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, ATOM_GRID.size - 1),
+       st.booleans())
+def test_atom_rejects_non_finite_samples(bad, row, everywhere):
+    # an all-NaN atom was accepted and passed validate_atom: NaN fails
+    # every comparison
+    samples = np.zeros((ATOM_GRID.size, 1))
+    samples[slice(None) if everywhere else row] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        Atom(0.0, 0.1, "cancel", ATOM_GRID, samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(1, 2),
+       st.integers(0, 3), st.integers(0, 1))
+def test_critical_radius_rejects_non_finite_points(bad, n, row, coord):
+    # nan gave nan, inf gave 0.0 and [[nan, 0]] gave [nan], all silently
+    x = np.linspace(-2.0, 2.0, 4 * n).reshape(4, n)
+    x[row, coord % n] = bad
+    for points in ((x[:, 0], x[row, 0]) if n == 1 else (x, x[row:row + 1])):
+        with pytest.raises(ValueError, match="finite"):
+            critical_radius(points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats() | st.just("3"), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_ball_spec_takes_an_integer_depth_and_finite_reals(depth, bad):
+    # BallSpec(0.5, 6, 1.5) raised TypeError and BallSpec(0.5, inf, 3)
+    # OverflowError, both at the first sweep
+    with pytest.raises(ValueError, match="ladder depth"):
+        BallSpec(0.5, 6.0, depth)
+    with pytest.raises(ValueError, match="spacing and extent"):
+        BallSpec(bad, 6.0, 3)
+    with pytest.raises(ValueError, match="spacing and extent"):
+        BallSpec(0.5, bad, 3)
+    assert type(BallSpec(0.5, 6.0, np.int64(2)).depth) is int
+
+
 def test_validate_flags_every_violation():
     # oversupported, oversized, and unbalanced all at once
     samples = np.full((ATOM_GRID.size, 1), 100.0)

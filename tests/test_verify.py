@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hermlp import basis
 from hermlp.basis import (
     HermiteExpansion,
     SpatialGrid,
@@ -37,38 +38,40 @@ def test_eigen_ladder_ground_mode():
     assert r.computed <= 1e-8
 
 
-def test_eigen_ladder_perturbation_canary():
+def test_eigen_ladder_perturbation_canary(monkeypatch):
     # a 1e-3 recurrence error must flip the verdict
-    r = check_eigen_ladder(20, perturb=1e-3)
+    monkeypatch.setattr(basis, "_FORWARD", 1.0 + 1e-3)
+    r = check_eigen_ladder(20)
     assert not r.passed
 
 
-def _eigen_ladder_by_degree(K, perturb):
+def _eigen_ladder_by_degree(K):
     """The eigen-ladder residual degree by degree from hermite_eval."""
     xs = np.linspace(-6.0, 6.0, 41)
     step = 1e-5
     worst = 0.0
     for k in range(K + 1):
-        hk = hermite_eval(k, xs, perturb=perturb)
-        up = (math.sqrt(2 * k) * hermite_derivative(k - 1, xs, perturb=perturb)
+        hk = hermite_eval(k, xs)
+        up = (math.sqrt(2 * k) * hermite_derivative(k - 1, xs)
               if k > 0 else np.zeros_like(xs))
-        down = -math.sqrt(2 * k + 2) * hermite_derivative(k + 1, xs, perturb=perturb)
+        down = -math.sqrt(2 * k + 2) * hermite_derivative(k + 1, xs)
         d2 = 0.5 * (up + down)
         eigen = -d2 + xs * xs * hk - (2 * k + 1) * hk
         worst = max(worst, float(np.max(np.abs(eigen))))
-        fd = (hermite_eval(k, xs + step, perturb=perturb)
-              - hermite_eval(k, xs - step, perturb=perturb)) / (2 * step)
+        fd = (hermite_eval(k, xs + step)
+              - hermite_eval(k, xs - step)) / (2 * step)
         for sign in (+1, -1):
-            ladder = hermite_ladder_eval(k, xs, 1, sign, perturb=perturb)
+            ladder = hermite_ladder_eval(k, xs, 1, sign)
             worst = max(worst, float(np.max(np.abs(fd + sign * xs * hk - ladder))))
     return worst
 
 
 @pytest.mark.parametrize("K", [0, 1, 5, 20, 60])
 @pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
-def test_eigen_ladder_table_equals_degree_by_degree(K, perturb):
+def test_eigen_ladder_table_equals_degree_by_degree(monkeypatch, K, perturb):
     # the table-based check reads the same numbers as the per-degree route
-    assert check_eigen_ladder(K, perturb).computed == _eigen_ladder_by_degree(K, perturb)
+    monkeypatch.setattr(basis, "_FORWARD", 1.0 + perturb)
+    assert check_eigen_ladder(K).computed == _eigen_ladder_by_degree(K)
 
 
 def test_eigen_ladder_rejects_negative_cap():
