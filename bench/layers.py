@@ -12,9 +12,9 @@ GROUP is one of
             `maximal_norm` and `composed_maximal`;
   basis     the readers of the expansion's coefficient arrays: `analyze`,
             a 2-D round trip, `gfunction` and spectral `h1_norm`;
-  gamma     Monte Carlo gamma norms: `gamma_norm_mc` on rank-one (one
-            with a zero target entry) and full-rank operators, and
-            `composed_maximal` at q = 4 and 2.
+  gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
+            target entry) and full-rank operators, `composed_maximal` at
+            q = 4 and 2, and `gamma_norm_hilbert`.
 
 Each tree is imported in a child process of its own with BLAS pinned to
 one thread and glibc's malloc thresholds fixed: otherwise a case that
@@ -216,6 +216,9 @@ def gamma_calls():
     b03 = gamma.rank_one(prof, [0.0, 3.0], gamma.BanachModel(2, 4.0), times)
     s32 = gamma.TimeGrid(1e-3, 20.0, 32)
     B4 = gamma.BanachModel(2, 4.0)
+    t2048 = gamma.TimeGrid(1e-4, 40.0, 2048)
+    wide = gamma.DiscreteGammaOperator(gamma.BanachModel(8, 2.0), t2048,
+                                       rng.normal(size=(8, 2048)) * np.exp(-t2048.nodes))
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
@@ -229,6 +232,7 @@ def gamma_calls():
         "composed_q2": lambda: semigroups.composed_maximal(
             four, 0.4, 1.0, "g", gamma.BanachModel(1, 2.0), gamma.TimeGrid(1e-3, 20.0, 64),
             M=2000),
+        "hilbert_d8_N2048": lambda: gamma.gamma_norm_hilbert(wide),
     }
 
 
@@ -307,7 +311,8 @@ GROUPS = {
         },
     ),
     "gamma": (
-        "gamma.gamma_norm_mc and semigroups.composed_maximal (Monte Carlo and q = 2)",
+        "gamma.gamma_norm_mc, semigroups.composed_maximal (Monte Carlo and q = 2), "
+        "gamma.gamma_norm_hilbert",
         gamma_calls,
         {
             "mc_rank_one_d8_q1.5": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b random "
@@ -330,6 +335,9 @@ GROUPS = {
                                   "M = 2000, seed 7",
             "composed_q2": "composed_maximal at x = 0.4, inner 'g', 4 random modes (K <= 20), "
                            "alpha = 1, l^2, TimeGrid(1e-3, 20, 64): 65 s-candidates",
+            "hilbert_d8_N2048": "gamma_norm_hilbert of a random 8 x 2048 operator with columns "
+                                "decaying like e^{-t}, TimeGrid(1e-4, 40, 2048): the "
+                                "benchmark's largest hilbert job",
         },
     ),
 }

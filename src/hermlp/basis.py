@@ -265,7 +265,9 @@ class HermiteExpansion:
         return e
 
     def _store(self, n, d, K, modes, C):
-        self.n, self.d, self.K = int(n), int(d), int(K)
+        self.n = _integer(n, "dimension n", 1)
+        self.d = _integer(d, "dimension d", 1)
+        self.K = _integer(K, "degree cap K", 0)
         modes = np.array(modes, dtype=int, order="C").reshape(-1, self.n)
         C = np.array(C, dtype=float, order="C").reshape(-1, self.d)
         for bad, message in (
@@ -284,11 +286,10 @@ class HermiteExpansion:
         return dict(zip(map(tuple, self.modes.tolist()), self.C))
 
     @classmethod
-    def single(cls, k, value=1.0, n: int | None = None, d: int = 1):
+    def single(cls, k) -> "HermiteExpansion":
+        """The mode h_k with coefficient 1: n = len(k), d = 1, K = |k|."""
         k = as_index(k)
-        if n is None:
-            n = len(k)
-        return cls(n=n, d=d, K=total_degree(k), coeffs={k: np.full(d, float(value)) if np.isscalar(value) else value})
+        return cls(n=len(k), d=1, K=total_degree(k), coeffs={k: [1.0]})
 
     def eigenvalue(self, k, alpha: float = 0.0) -> float:
         """lambda_alpha(k) = 2|k| + n + alpha (requires alpha > -n for positivity)."""
@@ -304,8 +305,11 @@ class HermiteExpansion:
         return HermiteExpansion.from_arrays(self.n, self.d, self.modes, factor * self.C, self.K)
 
 
-def analyze(samples, grid: SpatialGrid, K: int, d: int = 1) -> HermiteExpansion:
+def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
     """Trapezoid projection of sampled f onto {h_k : |k| <= K}.
+
+    The samples have shape grid.shape (d = 1) or grid.shape + (d,), the
+    last axis holding the d components.
 
     The grid must resolve the oscillation of the highest mode
     (h <= 0.25 / sqrt(2K+n)) and contain its Gaussian envelope
@@ -325,13 +329,18 @@ def analyze(samples, grid: SpatialGrid, K: int, d: int = 1) -> HermiteExpansion:
     a = np.asarray(samples, dtype=float)
     if a.shape == grid.shape:
         a = a[..., np.newaxis]
-    if a.shape != grid.shape + (d,):
+    if a.ndim != n + 1 or a.shape[:n] != grid.shape:
         raise ValueError(
-            f"samples have shape {np.shape(samples)}, expected {grid.shape} or {grid.shape + (d,)}"
+            f"samples have shape {np.shape(samples)}, expected {grid.shape} or {grid.shape} + (d,)"
         )
+    d = a.shape[n]
     T = eval_table(K, grid.axis) * grid.axis_weights  # (K+1, M)
+    # one component at a time, so a column's coefficients do not depend on
+    # the columns beside it (BLAS may order its sums by the product's width)
+    parts = [a[..., c:c + 1] for c in range(d)]
     for _ in range(n):
-        a = np.tensordot(a, T, axes=(0, 1))
+        parts = [np.tensordot(p, T, axes=(0, 1)) for p in parts]
+    a = np.concatenate(parts)
     # a now has shape (d, K+1, ..., K+1), one trailing axis per coordinate;
     # the modes |k| <= K in lexicographic order, all-zero rows dropped
     modes = np.indices((K + 1,) * n).reshape(n, -1).T
@@ -373,6 +382,8 @@ def synthesize(e: HermiteExpansion, x) -> np.ndarray:
 
 def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
     """Synthesis on a full tensor grid, shape (grid.size, d)."""
+    if e.n != grid.n:
+        raise ValueError(f"expansion has n={e.n} but the grid has n={grid.n}")
     if not len(e.C):
         return np.zeros((grid.size, e.d))
     a = np.zeros((e.d,) + (e.K + 1,) * e.n)

@@ -256,7 +256,7 @@ def _verify_reports(name: str, cfg: RunConfig):
     if name in ("kernel", "all"):
         reports.append(check_kernel_vs_spectral([0.1, 1.0, 5.0], [0.0, 2.0]))
     if name in ("polarization", "all"):
-        e0 = HermiteExpansion.single((0,) * cfg.n if cfg.n > 1 else 0)
+        e0 = HermiteExpansion.single(0)
         reports.append(check_polarization(e0, e0))
     if name in ("identities", "all"):
         reports.append(check_operator_identities(min(cfg.K, 15), seed=cfg.seed))
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="0")
     p.set_defaults(fn=cmd_spaces)
 
-    p = add("verify", help="run verification suites")
+    p = add("verify", help="run the verification suites (one-dimensional; --n is ignored)")
     p.add_argument(
         "which",
         choices=("eigen", "kernel", "polarization", "identities", "envelopes",

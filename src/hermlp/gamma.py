@@ -161,9 +161,9 @@ def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperato
 
 
 def gamma_norm_hilbert(T: DiscreteGammaOperator) -> float:
-    """Frobenius norm of the matrix: the exact gamma norm when q = 2."""
-    A, e = _binary_scaled(T.matrix[None])
-    return float(np.ldexp(np.linalg.norm(A[0]), e[0]))
+    """Frobenius norm of the matrix: the exact gamma norm when q = 2, and
+    the same value, bit for bit, as `gamma_norm(T)[0]` there."""
+    return float(_frobenius(T.matrix[None])[0])
 
 
 def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
@@ -200,6 +200,15 @@ def _binary_scaled(A: np.ndarray):
     overflow nor underflow.  Powers of two scale exactly."""
     e = np.frexp(np.max(np.abs(A), axis=(1, 2)))[1]
     return np.ldexp(A, -e[:, None, None]), e
+
+
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the slices of a stack A (S, d, N), each slice
+    scaled by `_binary_scaled` and its squares summed by one dot product
+    (a batched matmul, which is faster here than sum(A * A) or einsum)."""
+    A, e = _binary_scaled(A)
+    row = A.reshape(len(A), 1, -1)
+    return np.ldexp(np.sqrt((row @ row.reshape(len(A), -1, 1)).reshape(-1)), e)
 
 
 def _image_factor(A: np.ndarray):
@@ -309,6 +318,5 @@ def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
     if not np.all(np.isfinite(A)):
         raise ValueError("operator matrix has non-finite entries")
     if B.q == 2.0:
-        A, e = _binary_scaled(A)
-        return np.ldexp(np.sqrt(np.sum(A * A, axis=(1, 2))), e), np.zeros(len(A))
+        return _frobenius(A), np.zeros(len(A))
     return _mc_stack(A, B, M, seed)

@@ -304,10 +304,18 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     return float(np.max(np.add.reduceat(w * B.norm(f), starts) / mass))
 
 
-def _gfield(f: HermiteExpansion, alpha: float, grid: SpatialGrid, times: TimeGrid):
-    if f.d != 1:
-        raise ValueError("area/Carleson functionals take scalar-valued inputs")
-    return gfunction(f, alpha, grid, times)
+def _gfield(f: HermiteExpansion, alpha: float, grid: SpatialGrid, times: TimeGrid,
+            field: TimeField | None) -> TimeField:
+    """`field`, or t d/dt P_t f on grid x times when it is None; either
+    must have the shape (grid.size, times.N, 1) of a scalar field there."""
+    if field is None:
+        field = gfunction(f, alpha, grid, times)
+    if field.values.shape != (grid.size, times.N, 1):
+        raise ValueError(
+            "area/Carleson functionals take scalar-valued inputs: the field has shape "
+            f"{field.values.shape}, expected {(grid.size, times.N, 1)}"
+        )
+    return field
 
 
 def area_integral(
@@ -320,10 +328,10 @@ def area_integral(
 ) -> float:
     """Square function over the cone {|x - y| < t}: the integral of
     |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted.  Pass a
-    precomputed `field` (from gfunction) when sweeping many x."""
+    precomputed `field` (from gfunction on the same grid and times) when
+    sweeping many x."""
     _check_point(x)
-    if field is None:
-        field = _gfield(f, alpha, grid, times)
+    field = _gfield(f, alpha, grid, times, field)
     dist = _distances(grid, x)
     t = times.nodes
     cone = dist[:, None] < t[None, :]  # (size, N)
@@ -348,8 +356,7 @@ def carleson_functional(
     masked in t.  One-dimensional grids only."""
     _require_line(grid)
     _check_point(x)
-    if field is None:
-        field = _gfield(f, alpha, grid, times)
+    field = _gfield(f, alpha, grid, times, field)
     centers, radii, _ = balls.balls()
     x = float(np.asarray(x, dtype=float).reshape(()))
     keep = np.abs(x - centers) < radii

@@ -5,12 +5,14 @@ Numeric checks compare two computations at a stated tolerance; envelope
 checks for bounds with unnamed constants report the empirical sup of
 |kernel| / envelope and pass when it is finite and grows by at most 10%
 over the value on a 2x-coarser lattice.
+
+Every check runs on the line (n = 1), and every one but the shift list
+of `check_kernel_vs_spectral` uses the unshifted operator L.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from .basis import (
     HermiteExpansion,
     SpatialGrid,
+    _integer,
     analyze,
     eval_table,
     synthesize_grid,
@@ -45,23 +48,20 @@ __all__ = [
 
 DEFAULT_GRID = SpatialGrid(R=12.0, h=0.02, n=1)
 DEFAULT_TIMES = TimeGrid(1e-3, 20.0, 32)
+# the truncated polarization variant integrates over t in [1/N, N]
+_N_TRUNC = 1000.0
 
 
 @dataclass
 class CheckReport:
     """Outcome of one verification: computed vs expected at a tolerance,
-    or an empirical constant with a stability predicate.
-
-    `row()` leaves out the wall-clock `runtime`, so the printed rows of a
-    run are the same byte for byte every time.
-    """
+    or an empirical constant with a stability predicate."""
 
     name: str
     computed: object
     expected: object
     tolerance: float
     passed: bool
-    runtime: float
     details: dict = field(default_factory=dict)
 
     def row(self):
@@ -81,9 +81,7 @@ def check_eigen_ladder(K: int) -> CheckReport:
     cross-checked against central finite differences.  Every row comes
     from one Hermite table up to degree K + 2 and two shifted tables.
     """
-    if K < 0:
-        raise ValueError("degree cap must be nonnegative")
-    start = time.perf_counter()
+    K = _integer(K, "degree cap K", 0)
     xs = np.linspace(-6.0, 6.0, 41)
     step = 1e-5
     H = eval_table(K + 2, xs)
@@ -110,12 +108,11 @@ def check_eigen_ladder(K: int) -> CheckReport:
         expected=0.0,
         tolerance=tol,
         passed=worst <= tol,
-        runtime=time.perf_counter() - start,
     )
 
 
-def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
-    """Kernel-quadrature vs spectral action on single modes.
+def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
+    """Kernel-quadrature vs spectral action on the modes h_0..h_10.
 
     Poisson kernels act by dense trapezoid quadrature in y (spectrally
     accurate for Gaussian-decaying integrands); the heat branch compares
@@ -128,7 +125,7 @@ def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
     """
     if not t_list or not alpha_list:
         raise ValueError("t_list and alpha_list must be nonempty")
-    start = time.perf_counter()
+    kmax = 10
     grid = DEFAULT_GRID
     ys = grid.points
     wy = grid.weights
@@ -166,16 +163,19 @@ def check_kernel_vs_spectral(t_list, alpha_list, kmax: int = 10) -> CheckReport:
         expected=0.0,
         tolerance=tol,
         passed=worst <= tol and heat_worst <= heat_tol,
-        runtime=time.perf_counter() - start,
         details={"heat_branch": heat_worst, "heat_tolerance": heat_tol,
                  "heat_times": heat_times},
     )
 
 
-def _envelope_ratio(kind, xs, ts, op, c):
+def _envelope_ratio(kind, xs, ts):
     """Sups of |kernel| / envelope over the off-diagonal pairs of xs and
     all times ts: on the lattice xs and on its 2x-coarser sublattice
-    xs[::2], whose pairs are the [::2, ::2] block of the same ratios."""
+    xs[::2], whose pairs are the [::2, ::2] block of the same ratios.
+    The kernels are those of the unshifted one-dimensional operator, and
+    the Gaussian envelope factors decay at rate c = 1/16."""
+    op = ShiftedOperator()
+    c = 1.0 / 16.0
     X = xs[:, None]
     Y = xs[None, :]
     D = np.abs(X - Y)
@@ -184,49 +184,41 @@ def _envelope_ratio(kind, xs, ts, op, c):
         # H-norm over the time grid of t d/dt P_t vs the singular envelope
         grid = TimeGrid(min(ts), max(ts), max(len(ts), 16))
         acc = np.tensordot(grid.weights, g_kernel(X, Y, grid.nodes, op) ** 2, axes=1)
-        env = np.exp(-c * (D * D + np.abs(Y) * D)) / np.where(off, D, 1.0) ** op.n
+        env = np.exp(-c * (D * D + np.abs(Y) * D)) / np.where(off, D, 1.0)
         ratio = np.where(off, np.sqrt(acc) / env, 0.0)
         return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
     t = ts.reshape(-1, 1, 1)  # one time per leading slice
     if kind == "heat":
-        val = heat_kernel(X, Y, t, op.n)
-        env = t ** (-op.n / 2.0) * np.exp(-D * D / (8.0 * t))
+        val = heat_kernel(X, Y, t)
+        env = t ** -0.5 * np.exp(-D * D / (8.0 * t))
     elif kind == "poisson":
         val = poisson_kernel(X, Y, ts, op)
-        env = t / (t + D) ** (op.n + 1) * np.exp(-c * (D * D + np.abs(X) * D))
+        env = t / (t + D) ** 2 * np.exp(-c * (D * D + np.abs(X) * D))
     elif kind == "g":
         val = np.abs(g_kernel(X, Y, ts, op))
-        env = t / (t + D) ** (op.n + 1)
+        env = t / (t + D) ** 2
     elif kind == "ladder":
-        val = np.abs(ladder_kernel(X, Y, ts, 1, +1, op.n))
-        env = t * t / (t + D) ** (op.n + 2) * np.exp(-c * (D * D + np.abs(Y) * D))
+        val = np.abs(ladder_kernel(X, Y, ts, 1, +1))
+        env = t * t / (t + D) ** 3 * np.exp(-c * (D * D + np.abs(Y) * D))
     elif kind == "gradient":
         h = 1e-5
         val = np.abs(g_kernel(X + h, Y, ts, op) - g_kernel(X - h, Y, ts, op)) / (2 * h)
-        env = t / (t + D) ** (op.n + 2)
+        env = t / (t + D) ** 3
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
     ratio = np.max(np.where(off, val / env, 0.0), axis=0)
     return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
 
 
-def kernel_bound_ratio(
-    kind: str,
-    xs,
-    ts,
-    alpha: float = 0.0,
-    n: int = 1,
-    c: float = 1.0 / 16.0,
-) -> CheckReport:
-    """Empirical sup of |kernel| / envelope over an off-diagonal lattice;
-    passes when finite and at most 1.1x the sup on a 2x-coarser lattice."""
+def kernel_bound_ratio(kind: str, xs, ts) -> CheckReport:
+    """Empirical sup of |kernel| / envelope over an off-diagonal lattice
+    of the line; passes when finite and at most 1.1x the sup on a
+    2x-coarser lattice."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if xs.size < 2 or ts.size < 1:
         raise ValueError("empty region")
-    start = time.perf_counter()
-    op = ShiftedOperator(alpha, n)
-    fine, coarse = _envelope_ratio(kind, xs, ts, op, c)
+    fine, coarse = _envelope_ratio(kind, xs, ts)
     passed = bool(np.isfinite(fine) and fine <= 1.1 * coarse)
     return CheckReport(
         name=f"envelope({kind})",
@@ -234,7 +226,6 @@ def kernel_bound_ratio(
         expected="finite/stable",
         tolerance=0.1,
         passed=passed,
-        runtime=time.perf_counter() - start,
         details={"coarse": coarse},
     )
 
@@ -245,23 +236,18 @@ def _tail_factor(lam: float, T: float) -> float:
     return 0.25 - (r * T / 2.0 + 0.25) * math.exp(-2.0 * r * T)
 
 
-def check_polarization(
-    a: HermiteExpansion,
-    f: HermiteExpansion,
-    alpha: float = 0.0,
-    N_trunc: float = 1000.0,
-    grid: SpatialGrid = DEFAULT_GRID,
-    times: TimeGrid = DEFAULT_TIMES,
-) -> CheckReport:
-    """Polarization identity int int (Ga)(Gf) dx dt/t = 1/4 int a f dx.
+def check_polarization(a: HermiteExpansion, f: HermiteExpansion) -> CheckReport:
+    """Polarization identity int int (Ga)(Gf) dx dt/t = 1/4 int a f dx
+    for the unshifted operator on the line.
 
-    The left side is computed by grid/time quadrature, the right side
-    spectrally.  The truncated variant over t in [1/N, N] is compared
-    against its closed-form per-mode tail bound.
+    The left side is computed by quadrature on DEFAULT_GRID x
+    DEFAULT_TIMES, the right side spectrally.  The truncated variant over
+    t in [1/N, N], N = _N_TRUNC, is compared against its closed-form
+    per-mode tail bound.
     """
-    start = time.perf_counter()
-    ga = gfunction(a, alpha, grid, times)
-    gf = gfunction(f, alpha, grid, times)
+    grid, times = DEFAULT_GRID, DEFAULT_TIMES
+    ga = gfunction(a, 0.0, grid, times)
+    gf = gfunction(f, 0.0, grid, times)
     lhs = float(
         np.einsum("xtc,xtc,x,t->", ga.values, gf.values, grid.weights, times.weights)
     )
@@ -269,8 +255,8 @@ def check_polarization(
     ca, cf = a.coeffs, f.coeffs
     common = [
         (float(ca[k] @ cf[k]),
-         _tail_factor(a.eigenvalue(k, alpha), N_trunc),
-         _tail_factor(a.eigenvalue(k, alpha), 1.0 / N_trunc))
+         _tail_factor(a.eigenvalue(k), _N_TRUNC),
+         _tail_factor(a.eigenvalue(k), 1.0 / _N_TRUNC))
         for k in ca
         if k in cf
     ]
@@ -289,29 +275,21 @@ def check_polarization(
         expected=rhs,
         tolerance=tol,
         passed=passed,
-        runtime=time.perf_counter() - start,
         details={"truncated": truncated, "tail_bound": tail_bound},
     )
 
 
-def check_operator_identities(
-    K: int,
-    j: int = 1,
-    seed: int = 0,
-    grid: SpatialGrid | None = None,
-    times: TimeGrid | None = None,
-) -> CheckReport:
-    """Sampled-value discrepancies of the transform identities:
+def check_operator_identities(K: int, seed: int = 0) -> CheckReport:
+    """Sampled-value discrepancies of the transform identities on the
+    line, for random coefficients on the modes 0..K:
 
-    (a) t (d_j + x_j) P_t  =  -(t d/dt P_t^{L+2}) R_{j,+},
+    (a) t (d/dx + x) P_t  =  -(t d/dt P_t^{L+2}) R_+,
     (b) the lowering analogue with shift -2 (valid modewise here),
-    (c) R_{j,+/-} = ladder amplitude applied after L^{-1/2} (coefficients).
+    (c) R_+/- = ladder amplitude applied after L^{-1/2} (coefficients).
     """
-    if K < 1:
-        raise ValueError("degree cap must be >= 1")
-    start = time.perf_counter()
-    grid = grid or SpatialGrid(R=6.0, h=0.25, n=1)
-    times = times or TimeGrid(0.1, 5.0, 12)
+    K = _integer(K, "degree cap K", 1)
+    grid = SpatialGrid(R=6.0, h=0.25, n=1)
+    times = TimeGrid(0.1, 5.0, 12)
     rng = np.random.default_rng(seed)
     e = HermiteExpansion(
         n=1,
@@ -320,19 +298,16 @@ def check_operator_identities(
         coeffs={(k,): [float(rng.normal())] for k in range(K + 1)},
     )
     worst_ab = 0.0
-    plus = ladder_transform(e, j, +1, grid, times)
-    gplus = gfunction(riesz(e, j, +1), 2.0, grid, times)
-    worst_ab = max(worst_ab, float(np.max(np.abs(plus.values + gplus.values))))
-    minus = ladder_transform(e, j, -1, grid, times)
-    gminus = gfunction(riesz(e, j, -1), -2.0, grid, times)
-    worst_ab = max(worst_ab, float(np.max(np.abs(minus.values + gminus.values))))
+    for sign, shift in ((+1, 2.0), (-1, -2.0)):
+        lhs = ladder_transform(e, 1, sign, grid, times)
+        rhs = gfunction(riesz(e, 1, sign), shift, grid, times)
+        worst_ab = max(worst_ab, float(np.max(np.abs(lhs.values + rhs.values))))
     # (c): coefficient-level factorization through the negative power
     half = inv_sqrt(e, 0.0).coeffs
     worst_c = 0.0
     for sign in (+1, -1):
-        r = riesz(e, j, sign).coeffs
-        for k, c in half.items():
-            kj = k[j - 1]
+        r = riesz(e, 1, sign).coeffs
+        for (kj,), c in half.items():
             if sign == +1:
                 if kj == 0:
                     continue
@@ -348,41 +323,32 @@ def check_operator_identities(
         expected=0.0,
         tolerance=tol,
         passed=worst <= tol,
-        runtime=time.perf_counter() - start,
         details={"sampled": worst_ab, "coefficient": worst_c},
     )
-
-
-def _h_norm_field(e, alpha, grid, times):
-    """Samples of x -> H-norm of (t d/dt P_t e)(x, .), shape (size, 1)."""
-    fld = gfunction(e, alpha, grid, times)
-    sq = np.einsum("xtc,t->x", fld.values ** 2, times.weights)
-    return np.sqrt(sq)[:, None]
 
 
 def equivalence_suite(
     space: str,
     family,
     B: BanachModel,
-    alpha: float = 0.0,
     grid: SpatialGrid = DEFAULT_GRID,
     times: TimeGrid = DEFAULT_TIMES,
-    balls: BallSpec | None = None,
 ) -> CheckReport:
-    """Two-sided norm comparison ||G f|| / ||f|| over a test family.
+    """Two-sided norm comparison ||G f|| / ||f|| over a test family, for
+    the unshifted operator.
 
     For each member the square function is reduced to the scalar field
     x -> H-norm of G f(x, .), and the requested space norm is taken of
-    that field and of f itself.  L2 ratios must equal 1/2 up to 1e-3;
-    H1/BMO families pass when max/min ratio <= 25.
+    that field and of f itself (BMO over the balls of `BallSpec()`).  L2
+    ratios must equal 1/2 up to 1e-3; H1/BMO families pass when max/min
+    ratio <= 25.
     """
     if space not in ("L2", "H1", "BMO"):
         raise ValueError(f"unknown space {space!r}")
     family = list(family)
     if not family:
         raise ValueError("test family must be nonempty")
-    start = time.perf_counter()
-    balls = balls or BallSpec(spacing=0.5, extent=6.0, depth=3)
+    balls = BallSpec()
     ratios = []
     for f in family:
         if isinstance(f, Atom):
@@ -398,7 +364,9 @@ def equivalence_suite(
             if fsamp.shape[0] != grid.size:
                 raise ValueError("samples must cover the grid")
             e = analyze(fsamp[:, 0], grid, K=30)
-        gnorm = _h_norm_field(e, alpha, grid, times)
+        # x -> H-norm of (t d/dt P_t e)(x, .), shape (size, 1)
+        g = gfunction(e, 0.0, grid, times).values
+        gnorm = np.sqrt(np.einsum("xtc,t->x", g ** 2, times.weights))[:, None]
         if space == "L2":
             num = math.sqrt(float(grid.weights @ (gnorm[:, 0] ** 2)))
             den = math.sqrt(float(grid.weights @ np.sum(fsamp ** 2, axis=1)))
@@ -422,6 +390,5 @@ def equivalence_suite(
         expected=expected,
         tolerance=tol,
         passed=passed,
-        runtime=time.perf_counter() - start,
         details={"ratios": ratios},
     )

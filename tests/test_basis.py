@@ -309,3 +309,29 @@ def test_quadrature_inner_product_against_quad():
     trap = float(np.sum(grid.weights * hermite_eval(3, grid.axis) ** 2))
     assert trap == pytest.approx(val, abs=1e-10)
     assert val == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["n", "d", "K"]),
+    value=st.floats(0.0, 40.0).filter(lambda v: v != int(v)),
+)
+def test_expansion_counts_must_be_integers(name, value):
+    # int() used to truncate them: K=2.7 gave K=2 and n=1.5 gave n=1
+    counts = {"n": 1, "d": 1, "K": 3, name: value}
+    with pytest.raises(ValueError, match="must be an integer"):
+        HermiteExpansion(counts["n"], counts["d"], counts["K"], {})
+
+
+@pytest.mark.parametrize("n, K", [(1, 10), (2, 6)])
+def test_analyze_reads_d_from_the_samples(n, K):
+    # each column is projected alone, so it matches its own call bit for bit
+    grid = default_grid(n, K)
+    samples = np.random.default_rng(31).normal(size=grid.shape + (3,))
+    whole = analyze(samples, grid, K)
+    assert (whole.n, whole.d, whole.K) == (n, 3, K)
+    for c in range(3):
+        one = analyze(samples[..., c], grid, K).coeffs
+        for k, row in whole.coeffs.items():
+            assert row[c] == (one[k][0] if k in one else 0.0)
+        assert set(one) <= set(whole.coeffs)

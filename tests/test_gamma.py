@@ -479,3 +479,13 @@ def test_hilbert_norms_scale_by_powers_of_two_exactly(k):
         est, err = gamma_norms(np.ldexp(A, k), B)
         assert est.tolist() == np.ldexp(gamma_norms(A, B)[0], k).tolist()
         assert not err.any()
+
+
+def test_hilbert_and_q2_gamma_norm_take_one_frobenius_route():
+    # a BLAS dot and a pairwise sum used to disagree by up to 2 ulp
+    rng = np.random.default_rng(97)
+    for _ in range(1000):
+        d, N = int(rng.integers(1, 9)), int(rng.integers(2, 2049))
+        A = rng.normal(size=(d, N)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        T = DiscreteGammaOperator(BanachModel(d, 2.0), TimeGrid(1e-3, 20.0, N), A)
+        assert gamma_norm_hilbert(T) == gamma_norm(T)[0]

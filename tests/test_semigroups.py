@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hermlp.semigroups import (
     maximal_norm,
     riesz,
 )
+from hermlp.verify import check_polarization
 
 TIMES = TimeGrid()
 SMALL_TIMES = TimeGrid(0.1, 5.0, 12)
@@ -604,3 +606,23 @@ def test_composed_maximal_rejects_semigroup_inners_and_empty_bad_shift():
     empty = HermiteExpansion(n=1, d=1, K=0, coeffs={})
     with pytest.raises(ValueError, match="shift"):
         composed_maximal(empty, 0.0, -5.0, ("ladder", 1, -1), B, SMALL_TIMES, M=100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, grid, times: gfunction(e, 0.0, grid, times),
+    lambda e, grid, times: ladder_transform(e, 1, +1, grid, times),
+    lambda e, grid, times: coordinate_invsqrt(e, 1, grid),
+    lambda e, grid, times: check_polarization(e, e),
+], ids=["gfunction", "ladder_transform", "coordinate_invsqrt", "check_polarization"])
+def test_dimension_mismatch_raises_before_the_dense_tensor(call):
+    # the two-dimensional mode on the line used to build a 370 MB tensor
+    # and then fail to reshape it
+    e = HermiteExpansion.single((0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expansion has n=2 but the grid has n=1"):
+            call(e, SpatialGrid(12.0, 0.02), TimeGrid(1e-3, 20.0, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

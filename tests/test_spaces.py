@@ -597,3 +597,17 @@ def test_spectral_h1_norm_equals_the_per_time_products(n, q):
     for t in times.nodes:
         sup = np.maximum(sup, B.norm(((np.exp(-t * rate)[:, None] * C).T @ S).T))
     assert h1_norm(e, B, grid, times, "poisson", 0.5) == float(np.sum(grid.weights * sup))
+
+
+def test_area_and_carleson_reject_a_field_of_another_shape():
+    # a d = 2 field was read through component 0, and a field from another
+    # grid failed inside numpy broadcasting
+    grid = SpatialGrid(12.0, 0.02)
+    e = HermiteExpansion(n=1, d=1, K=2, coeffs={(0,): [1.0], (2,): [0.4]})
+    pair = HermiteExpansion(n=1, d=2, K=2, coeffs={(0,): [1.0, 0.5], (2,): [0.4, 0.0]})
+    for field in (gfunction(pair, 0.0, grid, ATOM_TIMES),
+                  gfunction(e, 0.0, SpatialGrid(12.0, 0.1), ATOM_TIMES)):
+        with pytest.raises(ValueError, match="scalar-valued inputs"):
+            area_integral(e, 0.3, 0.0, grid, ATOM_TIMES, field=field)
+        with pytest.raises(ValueError, match="scalar-valued inputs"):
+            carleson_functional(e, 0.3, 0.0, BallSpec(), grid, ATOM_TIMES, field=field)
