@@ -15,18 +15,26 @@ rule in u = t^2/4s is *not* usable here: e^{-c/u} factors are far from
 polynomial near u = 0 and stall at ~1e-2 relative error for small t.
 
 Each subordinated integrand factors as a scalar weight f(s, t) times a
-t-free block K(s): e^{ns} W_s for the Poisson and g kernels,
-(d_j +/- x_j) W_s for the ladder kernel and e^{(alpha+n)s} d/ds
-e^{-alpha s} W_s(1) for g_of_one.  The weights carry the whole large-s
-decay e^{-(alpha+n)s}, so for a negative shift neither factor overflows
-or underflows at the top of the window (e^{-alpha s} alone overflows
-there while W_s underflows, and inf * 0 would spread NaN to every time).
-All four run through one quadrature loop, `_subordinate`, which takes a
-scalar t or a 1-D array of T times (the result then gains a leading time
-axis).  The times share one log-s grid: K(s) is evaluated once per node,
-in blocks of at most Q nodes, and the (T x nodes) weight matrix f(s, t)
-is applied by one tensordot per block.  Six times in [0.1, 2] need 113
-heat evaluations per point instead of 6 * 64 = 384.
+t-free block K(s), and every block is a function of point invariants:
+e^{ns} W_s depends on the points only through |x - y|^2 and |x + y|^2
+(`_mehler_block`), and e^{(alpha+n)s} d/ds e^{-alpha s} W_s(1), the
+block of g_of_one, only through |x|^2.  The Poisson and g kernels use
+e^{ns} W_s as it is.  The ladder kernel (d_j +/- x_j) W_s is affine in
+u = x_j - y_j and v = x_j + y_j, a(s) u + b(s) v times the same block,
+with node factors free of cancellation (`_ladder_coefficients`).  The
+weights carry the whole large-s decay e^{-(alpha+n)s}, so for a negative
+shift neither factor overflows or underflows at the top of the window
+(e^{-alpha s} alone overflows there while W_s underflows, and inf * 0
+would spread NaN to every time).  All of them run through one quadrature
+loop, `_subordinate`, which takes a scalar t or a 1-D array of T times
+(the result then gains a leading time axis).  The times share one log-s
+grid, in blocks of at most Q nodes; each block is evaluated once per
+node and distinct value of the invariants, the (T x nodes) weight matrix
+f(s, t) sums it by one matmul, and one inverse index scatters the sums
+back to the points.  Six times in [0.1, 2] need 113 nodes instead of
+6 * 64 = 384, and the 65 x 65 lattice of `verify envelopes` has 1089
+distinct pairs in its 4225 points, so a kernel there evaluates 113 *
+1089 Mehler entries instead of 384 * 4225.
 `SubordinationRule` describes the grid and its node-count bound.
 
 `heat_apply` applies W_t, for one time or a 1-D array of times, to
@@ -76,6 +84,11 @@ _SQRT4PI = math.sqrt(4.0 * math.pi)
 # how far, in units of the exponents, a subordination window reaches into
 # both tails of its integrand (`SubordinationRule._window`)
 _CUT = 45.0
+# e^x is subnormal or 0 below this, about -708.40 (`_mehler_block`)
+_LOG_TINY = math.log(np.finfo(float).tiny)
+# the most entries (nodes x distinct values) of a block evaluated at once:
+# its temporaries of 1 MiB each stay in a core's L2 cache (`_subordinate`)
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -109,12 +122,10 @@ class SubordinationRule:
     double-exponentially decaying integrands, so the shared grid is at
     least as accurate: over t in [1e-3, 20] it matches a Q = 1024 per-t
     reference to about 1e-13 of the kernel's maximum, where the per-t
-    Q = 64 rule misses it by up to 1e-9 at small t.  (The raising ladder
-    kernel nearly cancels at large t and is less accurate there; see
-    `ladder_kernel`.)  When the shared grid would need more than T * Q
-    nodes (times spread over many decades, e.g. {1e-3, 40} needs 512),
-    the nodes are the T per-t grids instead, so a call never evaluates
-    more than T * Q nodes.  For a single time the shared grid is exactly
+    Q = 64 rule misses it by up to 1e-9 at small t.  When the shared grid
+    would need more than T * Q nodes (times spread over many decades,
+    e.g. {1e-3, 40} needs 512), the nodes are the T per-t grids instead,
+    so a call never evaluates more than T * Q nodes.  For a single time the shared grid is exactly
     the Q nodes of `s_nodes`.  The rule holds no precomputed nodes, so
     constructing one costs nothing.
     """
@@ -163,7 +174,8 @@ class SubordinationRule:
 def _log_trapezoid(lo: float, hi: float, size: int):
     """Trapezoid nodes s = e^theta on [lo, hi] in theta, with weights
     including the ds = s dtheta Jacobian."""
-    theta = np.linspace(lo, hi, size)
+    theta = np.arange(size) * ((hi - lo) / (size - 1)) + lo  # np.linspace, bit for bit
+    theta[-1] = hi
     w = np.full(size, theta[1] - theta[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -175,19 +187,21 @@ _DEFAULT_RULE = SubordinationRule()
 
 
 def _split(x, n):
-    """|x - y|^2-style helper: squared Euclidean norm along the point axis."""
-    x = np.asarray(x, dtype=float)
+    """Squared Euclidean norm of the float array x along its point axis."""
     if n == 1:
         return x * x
     return np.sum(x * x, axis=-1)
 
 
 def _check_points(*points):
-    """Reject NaN and infinite points, where the kernels return NaN or a
-    meaningless 0.  Each entry point checks once per call."""
+    """The points as float arrays; ValueError for NaN and infinite points,
+    where the kernels return NaN or a meaningless 0.  Each entry point
+    checks once per call."""
+    points = [np.asarray(p, dtype=float) for p in points]
     for p in points:
         if not np.isfinite(p).all():
             raise ValueError("points must be finite")
+    return points
 
 
 def _check_time(t, ndim=None):
@@ -197,9 +211,9 @@ def _check_time(t, ndim=None):
     t = np.asarray(t, dtype=float)
     if ndim is not None and (t.ndim > ndim or t.size == 0):
         raise ValueError("times must be a scalar or a nonempty 1-D array")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("time t must be finite")
-    if np.any(t <= 0):
+    if not (t > 0).all():
         raise ValueError("time t must be positive")
     return t
 
@@ -230,23 +244,15 @@ def heat_kernel(x, y, t, n: int = 1):
     Symmetric in (x, y) and strictly positive.  For n > 1 the last axis
     of x, y holds coordinates; t may broadcast against the points.
     """
-    _check_points(x, y)
+    d2, s2 = _pair_keys(*_check_points(x, y), n)
     A, B, c1 = _mehler(_check_time(t))
-    return _half_power(c1, n) * _mehler_gauss(x, y, A, B, n)
+    return _half_power(c1, n) * np.exp(-0.25 * (A * d2 + B * s2))
 
 
-def _mehler_gauss(x, y, A, B, n):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.exp(-0.25 * (A * _split(x - y, n) + B * _split(x + y, n)))
-
-
-def _heat_rescaled(x, y, s, n):
-    """e^{ns} W_s(x, y) = (pi (1 - e^{-4s}))^{-n/2} e^{-(A|x-y|^2 + B|x+y|^2)/4}:
-    finite at every s > 0, where W_s itself underflows to 0 once ns exceeds
-    about 745."""
-    A, B, _ = _mehler(s)
-    return (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0) * _mehler_gauss(x, y, A, B, n)
+def _pair_keys(x, y, n: int):
+    """|x - y|^2 and |x + y|^2 for float points x, y: the Mehler kernel
+    depends on the points through these two invariants only."""
+    return _split(x - y, n), _split(x + y, n)
 
 
 def _fft_size(m: int) -> int:
@@ -358,94 +364,173 @@ def heat_kernel_one(x, t, n: int = 1):
 
     Tends to 1 as t -> 0+ and is nonincreasing in |x|.
     """
-    _check_points(x)
+    x, = _check_points(x)
     t = _check_time(t)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     pref = _half_power(2.0 * em2t / (1.0 + em4t), n)
-    return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * _split(np.asarray(x, float), n))
+    return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * _split(x, n))
 
 
 def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form."""
-    _check_points(x)
+    x, = _check_points(x)
     t = _check_time(t)
-    return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(x, t, op)
+    r2 = _split(x, op.n)
+    return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(r2, t, op)
 
 
-def _heat_one_dt_rescaled(x, t, op: ShiftedOperator):
-    """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x): the time derivative with
-    its large-t decay taken out, finite at every t > 0."""
+def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
+    """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x) at |x|^2 = r2: the time
+    derivative with its large-t decay taken out, finite at every t > 0."""
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     onep = 1.0 + em4t
-    r2 = _split(np.asarray(x, float), op.n)
     bracket = op.alpha + op.n * m4 / onep + r2 * 4.0 * em4t / (onep * onep)
     return -bracket * _half_power(2.0 / onep, op.n) * np.exp(-0.5 * m4 / onep * r2)
 
 
-def _subordinate(t, decay: float, points, n: int, rule, scale, weight, block):
+def _distinct(*keys):
+    """The distinct tuples of the equally long 1-D float arrays `keys`,
+    matched by exact equality and sorted by the first key, then the next,
+    as one array per key; and the index that maps each position to its
+    tuple.  For one key this is np.unique with return_inverse, at a
+    fraction of its fixed cost."""
+    size = keys[0].size
+    if size == 1:
+        return keys, np.zeros(1, dtype=np.intp)
+    order = np.lexsort(keys[::-1])
+    ordered = [k[order] for k in keys]
+    first = np.empty(size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=first[1:])
+    for k in ordered[1:]:
+        first[1:] |= k[1:] != k[:-1]
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return [k[first] for k in ordered], inverse
+
+
+def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None):
     """scale(t) * sum_i weight(s_i, t) block(s_i) over the log-s nodes of
     `rule` for a kernel decaying like e^{-decay s}.
 
+    The block depends on the points only through the invariants `keys`,
+    float arrays of the point shape (|x - y|^2 and |x + y|^2, or |x|^2).
+    `block(s, *values)` gets the nodes on a column and the distinct tuples
+    of the invariants (`_distinct`), one array per invariant, and returns
+    one row per node and one column per tuple, for at most _BLOCK_ENTRIES
+    entries at a time.  The rows of weights sum the columns by a 2-D
+    matmul, and one inverse index scatters the sums back to the points.
+    With `affine = (coefficients, u, v)` the integrand is (a(s) u + b(s)
+    v) block(s), where coefficients(s) returns the node factors (a, b)
+    and u, v are arrays of the point shape: a and b double the weight
+    rows of the same matmul, and u, v apply after the scatter.
+
     `t` is a scalar or a 1-D array of T times; an array puts the times on
-    a new leading axis in front of the point shape of `points` (whose last
-    axis holds coordinates when n > 1).  `weight(s, t)` broadcasts nodes
-    against a column of times; `block(s)` gets the nodes on a leading
-    axis and must not depend on t.  Repeated times are computed once.
+    a new leading axis in front of the point shape.  `weight(s, t)`
+    broadcasts nodes against a column of times.  Repeated times are
+    computed once.
     """
     times = _check_time(t, ndim=1)
-    ts, inverse = np.unique(times, return_inverse=True)
-    lead = (-1,) + (1,) * np.ndim(_split(points, n))
+    (ts,), back = _distinct(times.ravel())
+    shape = np.shape(keys[0])
+    values, inverse = _distinct(*(np.ravel(k) for k in keys))
+    rows = _BLOCK_ENTRIES // max(1, values[0].size) or 1
     total = 0.0
     for s, w in (rule or _DEFAULT_RULE)._node_blocks(ts, decay):
         weights = w * weight(s, ts[:, None])
-        # the block is a temporary: it is freed before the next is built
-        total = total + np.tensordot(weights, block(s.reshape(lead)), axes=1)
-    return (scale(ts).reshape(lead) * total)[inverse.reshape(times.shape)]
+        if affine is not None:
+            a, b = affine[0](s)
+            weights = np.concatenate([weights * a, weights * b])
+        for i in range(0, s.size, rows):
+            # the block is a temporary: it is freed before the next is built
+            total = total + weights[:, i:i + rows] @ block(s[i:i + rows, None], *values)
+    total = total[:, inverse].reshape(total.shape[:1] + shape)
+    if affine is not None:
+        total = affine[1] * total[:len(ts)] + affine[2] * total[len(ts):]
+    total = scale(ts).reshape((-1,) + (1,) * len(shape)) * total
+    return total[back].reshape(times.shape + shape)[()]  # a scalar for 0-d
+
+
+def _mehler_block(s, d2, s2, n: int):
+    """e^{ns} W_s at the pairs with |x - y|^2 = d2 and |x + y|^2 = s2, as
+    (pi (1 - e^{-4s}))^{-n/2} e^{-(A d2 + B s2)/4}; nodes s on a column.
+    Finite at every s > 0, where W_s itself underflows to 0 once ns
+    exceeds about 745.  At small s most exponents are far below
+    log(tiny), where numpy's exp returns a subnormal or 0 many times
+    slower than elsewhere (and products with subnormals are slow too), so
+    they become exact zeros without calling exp."""
+    em2s = np.exp(-2.0 * s)
+    m2 = -np.expm1(-2.0 * s)  # 1 - e^{-2s}
+    A, B = (1.0 + em2s) / m2, m2 / (1.0 + em2s)  # as in `_mehler`
+    # -(A d2 + B s2)/4 with the exact factor 1/4 on the node column
+    arg = (-0.25 * A) * d2
+    arg += (-0.25 * B) * s2
+    gauss = np.exp(arg, out=np.zeros_like(arg), where=arg >= _LOG_TINY)
+    gauss *= (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0)
+    return gauss
+
+
+def _subordinate_pairs(x, y, t, op: ShiftedOperator, rule, factor, affine=None):
+    """The Poisson-family kernel t/sqrt(4 pi) int s^{-3/2} factor(s, t)
+    e^{-t^2/(4s) - alpha s} W_s(x, y) ds, with W_s times the affine node
+    factor of `_subordinate` if one is given, for checked float points
+    x, y."""
+    decay = op.n + op.alpha
+    return _subordinate(
+        t, decay, rule, lambda t: t / _SQRT4PI,
+        lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s),
+        lambda s, d2, s2: _mehler_block(s, d2, s2, op.n), _pair_keys(x, y, op.n), affine,
+    )
 
 
 def poisson_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """Subordinated Poisson kernel of L + alpha; strictly positive.
 
     A 1-D array of times gives a leading time axis (see `_subordinate`)."""
-    _check_points(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    decay = op.n + op.alpha
-    return _subordinate(
-        t, decay, x - y, op.n, rule, lambda t: t / _SQRT4PI,
-        lambda s, t: s ** -1.5 * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s: _heat_rescaled(x, y, s, op.n),
-    )
+    x, y = _check_points(x, y)
+    return _subordinate_pairs(x, y, t, op, rule, lambda s, t: 1.0)
+
+
+def _g_factor(s, t):
+    """t d/dt of the Poisson weight, over that weight: 1 - t^2/(2s)."""
+    return 1.0 - t * t / (2.0 * s)
 
 
 def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt of the Poisson kernel of L + alpha (g-function kernel)."""
-    _check_points(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    decay = op.n + op.alpha
-    return _subordinate(
-        t, decay, x - y, op.n, rule, lambda t: t / _SQRT4PI,
-        lambda s, t: s ** -1.5
-        * (1.0 - t * t / (2.0 * s))
-        * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s: _heat_rescaled(x, y, s, op.n),
-    )
+    x, y = _check_points(x, y)
+    return _subordinate_pairs(x, y, t, op, rule, _g_factor)
 
 
-def _heat_ladder(x, y, s, j: int, sign: int, n: int):
-    """(d/dx_j + sign x_j) W_s(x, y), differentiated analytically; x and
-    y are float arrays and s holds positive nodes."""
-    A, B, c1 = _mehler(s)
-    if n == 1:
-        xj, yj = x, y
-    else:
-        xj, yj = x[..., j - 1], y[..., j - 1]
-    factor = sign * xj - 0.5 * A * (xj - yj) - 0.5 * B * (xj + yj)
-    return factor * (_half_power(c1, n) * _mehler_gauss(x, y, A, B, n))
+def _g_kernel_dx(x, y, t, op: ShiftedOperator):
+    """d/dx_1 of `g_kernel`, differentiated analytically: d/dx_1 of the
+    Mehler exponent -(A u^2 + B v^2)/4, with u = x_1 - y_1 and v = x_1 +
+    y_1, is -A u/2 - B v/2, so one subordination pass carries both terms."""
+    x, y = _check_points(x, y)
+    x1, y1 = (x, y) if op.n == 1 else (x[..., 0], y[..., 0])
+    return _subordinate_pairs(x, y, t, op, None, _g_factor, (_gradient_coefficients, x1 - y1, x1 + y1))
+
+
+def _gradient_coefficients(s):
+    """-(coth s)/2 and -(tanh s)/2, the node factors of `_g_kernel_dx`."""
+    A, B, _ = _mehler(s)
+    return -0.5 * A, -0.5 * B
+
+
+def _ladder_coefficients(s, sign: int):
+    """(sign - coth s)/2 and (sign - tanh s)/2, the factors of x_j - y_j
+    and x_j + y_j in sign x_j - (coth s)(x_j - y_j)/2 - (tanh s)(x_j +
+    y_j)/2, written without cancellation: with e = e^{-2s} they are
+    -e/(1 - e) and e/(1 + e) for sign +1, -1/(1 - e) and -1/(1 + e) for
+    sign -1."""
+    e = np.exp(-2.0 * s)
+    m2 = -np.expm1(-2.0 * s)  # 1 - e^{-2s}
+    if sign > 0:
+        return -e / m2, e / (1.0 + e)
+    return -1.0 / m2, -1.0 / (1.0 + e)
 
 
 def ladder_kernel(
@@ -454,46 +539,51 @@ def ladder_kernel(
     """Kernel of t (d/dx_j +/- x_j) P_t, by subordination of the
     analytically differentiated heat kernel.
 
+    (d/dx_j + sign x_j) W_s = (a(s) u + b(s) v) W_s with u = x_j - y_j,
+    v = x_j + y_j and the node factors of `_ladder_coefficients`, so the
+    kernel is u times one subordinated sum plus v times another, both
+    over the Mehler blocks of `poisson_kernel`.
+
     The raising kernel (sign +1) annihilates the ground mode, so at large
-    t it nearly cancels, and the fixed `_CUT` window truncates its
-    integrand relative to the bulk rather than to the result.  For n = 1
-    on the 9 x 9 lattice of (x, y) in [-2, 2]^2, against a Q = 4096
-    per-time rule, the default rule is off by 3.0e-11 of the kernel's
-    maximum at t = 20 (Q = 1024 by 6.2e-12) and by 1.2e-13 at t = 5.
-    The lowering kernel (sign -1) does not cancel: 6.5e-15 at t = 20
-    (Q = 1024: 1.9e-15).
+    t it nearly cancels.  The factor sign x_j - (coth s) u/2 - (tanh s)
+    v/2 as written subtracts nearly equal terms at large s (1 - coth s is
+    -2e^{-2s}/(1 - e^{-2s}), but coth s rounds to 1 beyond about s = 19),
+    which cost 3.0e-11 of the kernel's maximum at t = 20; a(s) and b(s)
+    are free of that cancellation.  For n = 1 on the 9 x 9 lattice of
+    (x, y) in [-2, 2]^2, against a Q = 4096 per-time rule, the default
+    rule is off by 7.4e-15 of the kernel's maximum at t = 20 (Q = 1024
+    by 3.8e-15) and by 1.2e-13 at t = 5; the lowering kernel (sign -1)
+    by 8.2e-15 at t = 20 and 1.2e-13 at t = 5.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not 1 <= j <= n:
         raise ValueError(f"coordinate j={j} out of range for n={n}")
-    _check_points(x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _subordinate(
-        t, float(n), x - y, n, rule, lambda t: t * t / _SQRT4PI,
-        lambda s, t: s ** -1.5 * np.exp(-t * t / (4.0 * s)),
-        lambda s: _heat_ladder(x, y, s, j, sign, n),
+    x, y = _check_points(x, y)
+    xj, yj = (x, y) if n == 1 else (x[..., j - 1], y[..., j - 1])
+    # the Poisson kernel of L with the weight factor t: t times t/sqrt(4 pi)
+    return _subordinate_pairs(
+        x, y, t, ShiftedOperator(0.0, n), rule, lambda s, t: t,
+        (lambda s: _ladder_coefficients(s, sign), xj - yj, xj + yj),
     )
 
 
 def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
-    of the heat action on 1."""
-    _check_points(x)
-    x = np.asarray(x, dtype=float)
+    of the heat action on 1; its block depends on |x|^2 alone."""
+    x, = _check_points(x)
     decay = op.n + op.alpha
     return _subordinate(
-        t, decay, x, op.n, rule, lambda t: t / math.sqrt(math.pi),
+        t, decay, rule, lambda t: t / math.sqrt(math.pi),
         lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s: _heat_one_dt_rescaled(x, s, op),
+        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),),
     )
 
 
 def classical_poisson(x, t, n: int = 1):
     """Classical Poisson kernel P_t(x) = t^{-n} P(x/t) on R^n; unit mass."""
-    _check_points(x)
+    x, = _check_points(x)
     t = _check_time(t)
     c = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
-    r2 = _split(np.asarray(x, float), n)
+    r2 = _split(x, n)
     return c * t ** (-n) * (1.0 + r2 / (t * t)) ** (-(n + 1) / 2.0)

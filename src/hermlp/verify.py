@@ -28,6 +28,7 @@ from .basis import (
 from .gamma import BanachModel, TimeGrid
 from .kernels import (
     ShiftedOperator,
+    _g_kernel_dx,
     g_kernel,
     heat_kernel,
     ladder_kernel,
@@ -130,20 +131,19 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     ys = grid.points
     wy = grid.weights
     xs = np.linspace(-4.0, 4.0, 5)
-    tables = eval_table(kmax, ys)
-    hx = eval_table(kmax, xs)
+    times = np.asarray(t_list, dtype=float)
+    modes = (wy * eval_table(kmax, ys)).T  # (len(ys), modes): quadrature in y
+    hx = eval_table(kmax, xs).T  # (5, modes)
+    eigen = 2.0 * np.arange(kmax + 1) + 1.0
     worst = 0.0
     for alpha in alpha_list:
         op = ShiftedOperator(float(alpha), 1)
         # one shared subordination grid for every time: shape (T, 5, len(ys))
-        stack = poisson_kernel(xs[:, None], ys[None, :], np.asarray(t_list, float), op)
-        for t, P in zip(t_list, stack):
-            for k in range(kmax + 1):
-                got = P @ (wy * tables[k])
-                want = math.exp(-t * math.sqrt(2 * k + 1 + alpha)) * hx[k]
-                scale = np.abs(want)
-                err = np.abs(got - want) / np.where(scale > 1e-8, scale, 1.0)
-                worst = max(worst, float(np.max(err)))
+        got = poisson_kernel(xs[:, None], ys[None, :], times, op) @ modes
+        want = np.exp(-times[:, None, None] * np.sqrt(eigen + float(alpha))) * hx
+        scale = np.abs(want)
+        err = np.abs(got - want) / np.where(scale > 1e-8, scale, 1.0)
+        worst = max(worst, float(np.max(err)))
     # heat branch: closed form vs truncated spectral sum
     heat_times = [float(t) for t in t_list if t >= 0.1]
     heat_worst = 0.0 if heat_times else math.nan
@@ -201,8 +201,7 @@ def _envelope_ratio(kind, xs, ts):
         val = np.abs(ladder_kernel(X, Y, ts, 1, +1))
         env = t * t / (t + D) ** 3 * np.exp(-c * (D * D + np.abs(Y) * D))
     elif kind == "gradient":
-        h = 1e-5
-        val = np.abs(g_kernel(X + h, Y, ts, op) - g_kernel(X - h, Y, ts, op)) / (2 * h)
+        val = np.abs(_g_kernel_dx(X, Y, ts, op))
         env = t / (t + D) ** 3
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -213,11 +212,18 @@ def _envelope_ratio(kind, xs, ts):
 def kernel_bound_ratio(kind: str, xs, ts) -> CheckReport:
     """Empirical sup of |kernel| / envelope over an off-diagonal lattice
     of the line; passes when finite and at most 1.1x the sup on a
-    2x-coarser lattice."""
+    2x-coarser lattice.  The "gH" kind integrates over a time grid
+    spanning ts, so it needs two distinct times."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
+    if xs.ndim != 1 or ts.ndim > 1:
+        raise ValueError("xs must be a 1-D lattice and ts a scalar or a 1-D array")
     if xs.size < 2 or ts.size < 1:
         raise ValueError("empty region")
+    if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
+        raise ValueError("points xs and times ts must be finite")
+    if kind == "gH" and np.min(ts) == np.max(ts):
+        raise ValueError("kind 'gH' needs two distinct times")
     fine, coarse = _envelope_ratio(kind, xs, ts)
     passed = bool(np.isfinite(fine) and fine <= 1.1 * coarse)
     return CheckReport(

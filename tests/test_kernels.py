@@ -501,16 +501,19 @@ def _subordinated(name, n, alpha):
         return lambda t, rule=None: g_kernel(x, y, t, op, rule)
     if name == "ladder":
         return lambda t, rule=None: ladder_kernel(x, y, t, n, -1, n, rule)
+    if name == "raising":
+        return lambda t, rule=None: ladder_kernel(x, y, t, n, +1, n, rule)
     return lambda t, rule=None: g_of_one(x[:, 0], t, op, rule)
 
 
-# The ladder kernel has no shift; it runs with the lowering sign.  The
+# The ladder kernels have no shift; "ladder" is the lowering sign.  The
 # raising kernel nearly cancels at large t (it annihilates the ground
-# mode), and there the Q = 1024 and Q = 4096 references themselves differ
-# by 1.3e-11 of its maximum at t = 20.
+# mode), but its node factors do not, so it is as accurate as the rest:
+# up to 8.0e-14 of its maximum against Q = 1024 here, where the Q = 1024
+# and Q = 4096 references differ by up to 4.0e-14 at t >= 15.
 MULTI_CASES = [(name, n, alpha) for name in ("poisson", "g", "g_of_one")
                for n in (1, 2) for alpha in (0.0, 1.5)]
-MULTI_CASES += [("ladder", n, 0.0) for n in (1, 2)]
+MULTI_CASES += [(name, n, 0.0) for name in ("ladder", "raising") for n in (1, 2)]
 
 
 @pytest.mark.parametrize("name,n,alpha", MULTI_CASES)
@@ -538,16 +541,14 @@ def test_time_axis_shapes(name, n, alpha):
 
 class _NodeCounter:
     """Counts the nodes at which the t-free blocks are evaluated: every
-    block calls _heat_ladder(x, y, s, j, sign, n), _heat_rescaled(x, y,
-    s, n) or _heat_one_dt_rescaled(x, s, op) with the nodes s on the
-    leading axis."""
+    block calls _mehler_block(s, d2, s2, n) or _heat_one_dt_rescaled(r2,
+    s, op) with the nodes s on the leading axis."""
 
     def __init__(self, monkeypatch):
         import hermlp.kernels as kernels
 
         self.nodes = 0
-        for name, at in (("_heat_ladder", 2), ("_heat_rescaled", 2),
-                         ("_heat_one_dt_rescaled", 1)):
+        for name, at in (("_mehler_block", 0), ("_heat_one_dt_rescaled", 1)):
             def counted(*args, _inner=getattr(kernels, name), _at=at):
                 self.nodes += np.shape(args[_at])[0]
                 return _inner(*args)
@@ -576,6 +577,8 @@ def test_single_time_grid_is_the_per_time_rule():
         (s, w), = list(rule._node_blocks(np.array([t]), 2.5))
         s_ref, w_ref = rule.s_nodes(t, 2.5)
         assert np.array_equal(s, s_ref) and np.array_equal(w, w_ref)
+        # the nodes are np.linspace's in log s, bit for bit
+        assert np.array_equal(s, np.exp(np.linspace(*rule._window(t, 2.5), 64)))
 
 
 def test_per_time_fallback_matches_scalar_calls():
@@ -660,25 +663,32 @@ def test_subordinated_times_must_be_a_nonempty_list():
 def _unscaled_form(name, x, y, op):
     """The kernel with weight e^{-alpha s} and block W_s (for g_of_one the
     time derivative of e^{-alpha s} W_s(1) from heat_kernel_one): the
-    direct factorization, which overflows for negative shifts at large s."""
+    direct factorization, which overflows for negative shifts at large s.
+    Its invariant is the point's flat index, so every block is the closed
+    form at the points themselves, with no pair shared."""
     from hermlp import kernels
 
+    pts = [x] if name == "g_of_one" else np.broadcast_arrays(x, y)
+    shape = pts[0].shape[:pts[0].ndim - (op.n > 1)]
+    flat = [p.reshape(-1, op.n) if op.n > 1 else p.ravel() for p in pts]
+    keys = (np.arange(math.prod(shape), dtype=float).reshape(shape),)
     if name == "g_of_one":
-        r2 = x * x if op.n == 1 else np.sum(x * x, axis=-1)
-
-        def dt(s):
+        def dt(s, k):
+            x = flat[0][k.astype(int)]
+            r2 = x * x if op.n == 1 else np.sum(x * x, axis=-1)
             e4, m4 = np.exp(-4.0 * s), -np.expm1(-4.0 * s)
             bracket = op.alpha + op.n * m4 / (1 + e4) + r2 * 4.0 * e4 / (1 + e4) ** 2
             return -np.exp(-op.alpha * s) * bracket * heat_kernel_one(x, s, op.n)
 
         return lambda t: kernels._subordinate(
-            t, op.n + op.alpha, x, op.n, None, lambda t: t / math.sqrt(math.pi),
-            lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s)), dt)
+            t, op.n + op.alpha, None, lambda t: t / math.sqrt(math.pi),
+            lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s)), dt, keys)
     factor = (lambda s, t: 1.0) if name == "poisson" else (lambda s, t: 1.0 - t * t / (2.0 * s))
     return lambda t: kernels._subordinate(
-        t, op.n + op.alpha, x - y, op.n, None, lambda t: t / math.sqrt(4.0 * math.pi),
+        t, op.n + op.alpha, None, lambda t: t / math.sqrt(4.0 * math.pi),
         lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - op.alpha * s),
-        lambda s: heat_kernel(x, y, s, op.n))
+        lambda s, k: heat_kernel(flat[0][k.astype(int)], flat[1][k.astype(int)], s, op.n),
+        keys)
 
 
 NEGATIVE = ShiftedOperator(-0.9, 1)
@@ -741,8 +751,9 @@ def test_heat_kernel_time_array_is_the_stacked_scalar_calls(n):
 
 @pytest.mark.parametrize("t, bound", [(5.0, 1e-12), (20.0, 1e-10)])
 def test_raising_ladder_kernel_large_time_accuracy_as_documented(t, bound):
-    # ladder_kernel's docstring: 1.2e-13 (t = 5) and 3.0e-11 (t = 20) of the
-    # maximum against a Q = 4096 rule on the 9 x 9 lattice of [-2, 2]^2
+    # ladder_kernel's docstring: 1.2e-13 (t = 5) and 7.4e-15 (t = 20) of the
+    # maximum against a Q = 4096 rule on the 9 x 9 lattice of [-2, 2]^2;
+    # before the cancellation-free node factors, 3.0e-11 at t = 20
     x = np.linspace(-2.0, 2.0, 9)
     X, Y = np.meshgrid(x, x, indexing="ij")
     ref = ladder_kernel(X, Y, t, 1, +1, 1, SubordinationRule(4096))
@@ -783,20 +794,110 @@ def test_every_time_entry_point_rejects_bad_times(name, bad):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_ladder_block_is_the_differentiated_heat_kernel(n, sign):
-    # the block reuses its own Mehler coefficients instead of calling
-    # heat_kernel, and gives the same bits as factor * heat_kernel
+    # the pair block reuses its own Mehler coefficients instead of calling
+    # heat_kernel, and its Gaussian has the same bits as heat_kernel's;
+    # with the node factors of _ladder_coefficients and the weight's
+    # e^{-ns} it is (d/dx_j + sign x_j) W_s up to the rounding of the
+    # direct form sign x_j - A u/2 - B v/2 (measured up to 3.3 ulp of its
+    # terms), except where the block's exponent is below log(tiny): there
+    # the block is 0 and W_s is subnormal
     rng = np.random.default_rng(n)
     x = rng.uniform(-2.0, 2.0, size=(5, 1, n))
     y = rng.uniform(-2.0, 2.0, size=(1, 4, n))
     if n == 1:
         x, y = x[..., 0], y[..., 0]
-    s = np.geomspace(1e-3, 60.0, 200).reshape((-1,) + (1,) * x.ndim)
+    s = np.geomspace(1e-3, 60.0, 200).reshape(-1, 1, 1)
     A, B, _ = kernels._mehler(s)
+    d2, s2 = kernels._pair_keys(x, y, n)
+    arg = -0.25 * (A * d2 + B * s2)
+    gauss = np.where(arg >= kernels._LOG_TINY, np.exp(arg), 0.0)
+    block = kernels._mehler_block(s, d2, s2, n)
+    assert np.array_equal(block, (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0) * gauss)
+    W = heat_kernel(x, y, s, n)
     for j in range(1, n + 1):
         xj, yj = (x, y) if n == 1 else (x[..., j - 1], y[..., j - 1])
-        factor = sign * xj - 0.5 * A * (xj - yj) - 0.5 * B * (xj + yj)
-        want = factor * heat_kernel(x, y, s, n)
-        assert np.array_equal(kernels._heat_ladder(x, y, s, j, sign, n), want)
+        u, v = xj - yj, xj + yj
+        a, b = kernels._ladder_coefficients(s, sign)
+        got = (a * u + b * v) * (np.exp(-n * s) * block)
+        want = (sign * xj - 0.5 * A * u - 0.5 * B * v) * W
+        scale = (np.abs(xj) + 0.5 * A * np.abs(u) + 0.5 * B * np.abs(v)) * W
+        kept = arg >= kernels._LOG_TINY
+        assert np.all(np.abs(got - want)[kept] <= 6 * np.finfo(float).eps * scale[kept])
+        assert np.all(got[~kept] == 0) and np.all(np.abs(want[~kept]) < 1e-300)
+
+
+def test_ladder_coefficients_are_sign_minus_coth_and_tanh():
+    # (sign - coth s)/2 and (sign - tanh s)/2 without cancellation, against
+    # 100-digit values: measured up to 1.2 ulp
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 100
+    s = np.geomspace(1e-3, 60.0, 400)
+    for sign in (+1, -1):
+        a, b = kernels._ladder_coefficients(s, sign)
+        for got, f in ((a, mpmath.coth), (b, mpmath.tanh)):
+            want = np.array([float((sign - f(mpmath.mpf(si))) / 2) for si in s])
+            assert np.all(np.abs(got - want) <= 3 * np.finfo(float).eps * np.abs(want))
+
+
+ENVELOPE_XS = np.linspace(-4.0, 4.0, 65)
+ENVELOPE_TS = np.geomspace(0.1, 2.0, 6)
+ENVELOPE_KERNELS = {
+    "poisson": lambda x, y, t: poisson_kernel(x, y, t, L),
+    "g": lambda x, y, t: g_kernel(x, y, t, L2),
+    "g_dx": lambda x, y, t: kernels._g_kernel_dx(x, y, t, L),
+    "raising": lambda x, y, t: ladder_kernel(x, y, t, 1, +1),
+    "lowering": lambda x, y, t: ladder_kernel(x, y, t, 1, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_KERNELS))
+def test_pair_blocks_match_entry_by_entry_calls(name):
+    # the envelope lattice has 1089 distinct (|x-y|^2, |x+y|^2) pairs in
+    # its 4225 points; evaluating each pair once and scattering the sums
+    # back agrees with one call per point
+    kernel = ENVELOPE_KERNELS[name]
+    X, Y = ENVELOPE_XS[:, None], ENVELOPE_XS[None, :]
+    batch = kernel(X, Y, ENVELOPE_TS)
+    single = np.array([[kernel(x, y, ENVELOPE_TS) for y in ENVELOPE_XS] for x in ENVELOPE_XS])
+    single = np.moveaxis(single, -1, 0)
+    assert batch.shape == single.shape == (6, 65, 65)
+    assert np.max(np.abs(batch - single)) <= 2e-15 * np.max(np.abs(single))
+
+
+def test_g_of_one_blocks_match_entry_by_entry_calls():
+    # one invariant, |x|^2: the 65 points have 33 distinct values
+    batch = g_of_one(ENVELOPE_XS, ENVELOPE_TS, L2)
+    single = np.stack([g_of_one(x, ENVELOPE_TS, L2) for x in ENVELOPE_XS], axis=1)
+    assert np.max(np.abs(batch - single)) <= 2e-15 * np.max(np.abs(single))
+
+
+def test_g_kernel_dx_matches_central_difference():
+    # the analytic x-derivative against a central difference of g_kernel
+    # at h = 1e-5 (measured 1.1e-8 of the maximum: the difference's error)
+    X, Y = ENVELOPE_XS[:, None], ENVELOPE_XS[None, :]
+    h = 1e-5
+    fd = (g_kernel(X + h, Y, ENVELOPE_TS, L) - g_kernel(X - h, Y, ENVELOPE_TS, L)) / (2 * h)
+    got = kernels._g_kernel_dx(X, Y, ENVELOPE_TS, L)
+    assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("keys", [
+    [np.array([0.7])],
+    [np.array([2.0, 2.0])],
+    [np.array([3.0, -1.0, 3.0, 0.0, -1.0, 3.0])],
+    list(kernels._pair_keys(ENVELOPE_XS[:, None], ENVELOPE_XS, 1)),
+    [np.array([1.0, 0.0, 1.0, 1.0]), np.array([2.0, 5.0, 2.0, 3.0])],
+])
+def test_distinct_is_np_unique(keys):
+    # tuples of keys match np.unique of the complex numbers they make
+    keys = [k.ravel() for k in keys]
+    values, inverse = kernels._distinct(*keys)
+    packed = keys[0] + 1j * keys[1] if len(keys) == 2 else keys[0]
+    want, want_inverse = np.unique(packed, return_inverse=True)
+    got = values[0] + 1j * values[1] if len(keys) == 2 else values[0]
+    assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse.ravel())
+    for k, v in zip(keys, values):
+        assert np.array_equal(v[inverse], k)
 
 
 @settings(max_examples=40, deadline=None)

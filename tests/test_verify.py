@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,26 @@ def test_kernel_vs_spectral_fails_on_heat_branch(monkeypatch):
     assert not r.passed
 
 
+def test_kernel_vs_spectral_fails_on_poisson_branch(monkeypatch):
+    # one Poisson mode action off by 1e-5 relative, at one time and shift,
+    # must show in the worst error of the whole (time, point, mode) stack
+    import hermlp.verify as verify
+
+    exact = verify.poisson_kernel
+
+    def skewed(x, y, t, op):
+        P = exact(x, y, t, op)
+        if op.alpha == 2.0:
+            P[1] *= 1 + 1e-5
+        return P
+
+    monkeypatch.setattr(verify, "poisson_kernel", skewed)
+    r = check_kernel_vs_spectral([0.1, 1.0, 5.0], [0.0, 2.0])
+    assert r.computed == pytest.approx(1e-5, rel=1e-3)
+    assert r.details["heat_branch"] <= 1e-8
+    assert not r.passed
+
+
 def test_kernel_vs_spectral_large_time_absolute():
     # at t = 20 both sides are below 1e-8 and the comparison is absolute
     r = check_kernel_vs_spectral([20.0], [0.0])
@@ -142,6 +163,41 @@ def test_envelope_coarse_sup_is_the_coarse_lattice(kind):
 def test_envelope_rejects_empty_region():
     with pytest.raises(ValueError, match="empty region"):
         kernel_bound_ratio("g", [0.0], [1.0])
+
+
+@pytest.mark.parametrize("kind", ["heat", "poisson", "g", "gH", "ladder", "gradient"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["xs", "ts"])
+def test_envelope_rejects_non_finite_input_before_arithmetic(kind, bad, where):
+    # an infinite point used to reach X - Y and warn before any error
+    xs, ts = [-1.0, 0.0, 1.0], [0.5, 1.0]
+    if where == "xs":
+        xs[1] = bad
+    else:
+        ts[0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            kernel_bound_ratio(kind, xs, ts)
+
+
+@pytest.mark.parametrize("xs, ts", [([[-1.0, 0.0], [0.5, 1.0]], [0.5, 1.0]),
+                                    ([-1.0, 0.0, 1.0], [[0.5, 1.0]])])
+def test_envelope_rejects_lattices_that_are_not_1d(xs, ts):
+    # a 2-D xs was read as a 4-D lattice of pairs and gave a meaningless sup
+    with pytest.raises(ValueError, match="1-D"):
+        kernel_bound_ratio("poisson", xs, ts)
+
+
+@pytest.mark.parametrize("ts", [[1.0], [0.5, 0.5]])
+def test_envelope_gh_needs_two_distinct_times(ts):
+    # it used to surface TimeGrid's "need 0 < t_min < t_max"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="two distinct times"):
+            kernel_bound_ratio("gH", [-1.0, 0.0, 1.0], ts)
+    # the other kinds take their times as given
+    assert np.isfinite(kernel_bound_ratio("g", [-1.0, 0.0, 1.0], ts).computed)
 
 
 def test_polarization_ground_mode():
