@@ -11,6 +11,17 @@ never from the raw Hermite polynomials (2^k k! overflows long before
 k = 100).  Internally the recurrence runs on the exponentially scaled
 values h_m(x) e^{x^2/2}; the Gaussian factor is reattached once per
 point, which keeps products over coordinates away from underflow.
+
+Layouts shared by every module:
+
+- A point of R^n is a bare position when n = 1 and has its n coordinates
+  on the last axis otherwise; points stack along the leading axes, so
+  for n = 1 an array of any shape holds positions.  `_points` checks
+  this layout and finiteness, `_point` also requires one point, and
+  `_coordinate` reads coordinate j; each names the argument it rejects.
+- Samples on a `SpatialGrid` follow `grid.points`: shape (grid.size,)
+  for one component or (grid.size, d) for d (`spaces._grid_samples`).
+  `analyze` alone takes the tensor layout grid.shape (+ (d,)).
 """
 
 from __future__ import annotations
@@ -65,9 +76,11 @@ def shift_index(k, j: int, step: int) -> tuple:
 
 
 def _integer(value, name: str, least: int) -> int:
-    """value as a Python int via operator.index; ValueError when it is not
-    an integer or falls below `least`."""
+    """value as a Python int via operator.index; ValueError when it is a
+    bool or not an integer, or falls below `least`."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name}={value!r} must be an integer") from None
@@ -172,27 +185,44 @@ def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
     return table
 
 
-def _coords(k: tuple, x) -> list[np.ndarray]:
-    n = len(k)
+def _points(x, n: int, what: str) -> np.ndarray:
+    """x as a float array of points of R^n in the layout of the module
+    docstring, not copied when it already is one; ValueError naming the
+    argument `what` when the last axis is not n long (n > 1) or an entry
+    is not finite."""
     x = np.asarray(x, dtype=float)
-    if n == 1:
-        return [x]
-    if x.shape[-1] != n:
-        raise ValueError(f"points must have last axis {n}, got shape {x.shape}")
-    return [x[..., j] for j in range(n)]
+    if n > 1 and x.shape[-1:] != (n,):
+        raise ValueError(f"{what}: points must have last axis {n}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what}: points must be finite")
+    return x
+
+
+def _point(x, n: int, what: str) -> np.ndarray:
+    """A single point of R^n as a float array of shape (n,); ValueError as
+    in `_points`, and when x holds more than one point."""
+    x = _points(x, n, what)
+    if x.size != n:
+        raise ValueError(f"{what}: expected a single point of R^{n}, got shape {x.shape}")
+    return x.reshape(n)
+
+
+def _coordinate(x: np.ndarray, n: int, j: int) -> np.ndarray:
+    """Coordinate j (1-based) of the checked points x of R^n; ValueError
+    when j is not in 1..n."""
+    if not 1 <= j <= n:
+        raise ValueError(f"coordinate j={j} out of range for n={n}")
+    return x if n == 1 else x[..., j - 1]
 
 
 def hermite_eval(k, x) -> np.ndarray:
-    """h_k(x) = prod_j h_{k_j}(x_j).
-
-    For n = 1, `x` is a scalar or array of positions; for n > 1 the last
-    axis of `x` holds coordinates.  Non-finite points are rejected.
-    """
+    """h_k(x) = prod_j h_{k_j}(x_j) at the points x of R^n, n = len(k)."""
     k = as_index(k)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
+    n = len(k)
+    x = _points(x, n, "x")
     scaled, r2 = 1.0, 0.0
-    for kj, xj in zip(k, _coords(k, x)):
+    for j, kj in enumerate(k, 1):
+        xj = _coordinate(x, n, j)
         # only the last row of the recurrence is kept: O(|x|) working memory
         scaled = scaled * deque(_scaled_rows(kj, xj), maxlen=1).pop()
         r2 = r2 + xj * xj
@@ -351,16 +381,10 @@ def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
 
 
 def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:
-    """h_k(x) for every row k of `modes` (shape (rows, n)) at the points x,
-    shape (rows, npts); the last axis of x holds coordinates when n > 1.
-    Non-finite points are rejected."""
+    """h_k(x) for every row k of `modes` (shape (rows, n)) at the points x
+    of R^n, shape (rows, npts)."""
     n = modes.shape[1]
-    x = np.asarray(x, dtype=float)
-    if n > 1 and x.shape[-1:] != (n,):
-        raise ValueError(f"points must have last axis {n}, got shape {x.shape}")
-    pts = x.reshape(-1, n)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    pts = _points(x, n, "x").reshape(-1, n)
     S = np.ones((len(modes), len(pts)))
     for j in range(n):
         idx = modes[:, j]
@@ -369,11 +393,8 @@ def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:
 
 
 def synthesize(e: HermiteExpansion, x) -> np.ndarray:
-    """sum_k coeffs[k] h_k(x); returns shape (d,) at a single point.
-
-    For n=1, `x` may be an array of positions (result (npts, d));
-    for n>1 a point is a length-n vector and arrays stack along axis 0.
-    """
+    """sum_k coeffs[k] h_k(x) at the points x, shape (npts, d), or (d,)
+    when x is a single point (a scalar for n = 1, a length-n vector)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 if e.n == 1 else x.ndim == 1
     out = point_synthesis_matrix(e.modes, x).T @ e.C

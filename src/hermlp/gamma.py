@@ -74,8 +74,11 @@ class TimeGrid:
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         object.__setattr__(self, "N", _integer(self.N, "time grid node count N", 2))
+        span = float(self.t_max) / float(self.t_min)  # inf on overflow, no warning
+        if not math.isfinite(span):
+            raise ValueError(f"time span t_max/t_min = {self.t_max:g}/{self.t_min:g} overflows")
         nodes = np.geomspace(self.t_min, self.t_max, self.N)
-        step = math.log(self.t_max / self.t_min) / (self.N - 1)
+        step = math.log(span) / (self.N - 1)
         weights = np.full(self.N, step)
         weights[0] *= 0.5
         weights[-1] *= 0.5

@@ -53,7 +53,9 @@ pairs (`_lattice_plan`), so a sweep over many inputs on one lattice and
 one time grid transforms only the values: on a line, two FFT batches per
 call instead of three.
 
-Every entry point rejects non-finite points and times with ValueError.
+Every entry point rejects non-finite times, and points that are not
+finite or not in the layout of `basis`, with ValueError; the subordinated
+kernels also reject times outside [_T_MIN, _T_MAX] = [1e-60, 1e150].
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _integer
+from .basis import _coordinate, _integer, _points
 
 __all__ = [
     "ShiftedOperator",
@@ -84,6 +86,12 @@ _SQRT4PI = math.sqrt(4.0 * math.pi)
 # how far, in units of the exponents, a subordination window reaches into
 # both tails of its integrand (`SubordinationRule._window`)
 _CUT = 45.0
+# the times the subordinated kernels accept (`SubordinationRule._window`);
+# for n <= 3 all four are finite without a warning in this range.  At
+# 1/4-decade steps they fail below t = 1e-61.75 for n = 3 (1e-101.5 for
+# n = 1), where node weights times blocks overflow, and above 1e154,
+# where t * t does
+_T_MIN, _T_MAX = 1e-60, 1e150
 # e^x is subnormal or 0 below this, about -708.40 (`_mehler_block`)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 # the most entries (nodes x distinct values) of a block evaluated at once:
@@ -139,6 +147,9 @@ class SubordinationRule:
         """The log-s interval (lo, hi) of the rule for time t."""
         if t <= 0:
             raise ValueError("time must be positive")
+        if not _T_MIN <= t <= _T_MAX:
+            raise ValueError(f"time t={t!r} is outside [{_T_MIN:g}, {_T_MAX:g}], "
+                             "the range of the subordinated kernels")
         if decay <= 0:
             raise ValueError("large-s decay rate must be positive")
         rt = t * math.sqrt(decay) + _CUT
@@ -193,17 +204,6 @@ def _split(x, n):
     return np.sum(x * x, axis=-1)
 
 
-def _check_points(*points):
-    """The points as float arrays; ValueError for NaN and infinite points,
-    where the kernels return NaN or a meaningless 0.  Each entry point
-    checks once per call."""
-    points = [np.asarray(p, dtype=float) for p in points]
-    for p in points:
-        if not np.isfinite(p).all():
-            raise ValueError("points must be finite")
-    return points
-
-
 def _check_time(t, ndim=None):
     """t as a float array whose entries are finite and positive; with
     ndim=1 it must also be a scalar or a nonempty 1-D array.  ValueError
@@ -241,10 +241,10 @@ def _half_power(c, n: int):
 def heat_kernel(x, y, t, n: int = 1):
     """Gaussian closed form of the oscillator heat kernel W_t(x, y).
 
-    Symmetric in (x, y) and strictly positive.  For n > 1 the last axis
-    of x, y holds coordinates; t may broadcast against the points.
+    Symmetric in (x, y) and strictly positive; t may broadcast against
+    the points.
     """
-    d2, s2 = _pair_keys(*_check_points(x, y), n)
+    d2, s2 = _pair_keys(_points(x, n, "x"), _points(y, n, "y"), n)
     A, B, c1 = _mehler(_check_time(t))
     return _half_power(c1, n) * np.exp(-0.25 * (A * d2 + B * s2))
 
@@ -364,7 +364,7 @@ def heat_kernel_one(x, t, n: int = 1):
 
     Tends to 1 as t -> 0+ and is nonincreasing in |x|.
     """
-    x, = _check_points(x)
+    x = _points(x, n, "x")
     t = _check_time(t)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
@@ -375,7 +375,7 @@ def heat_kernel_one(x, t, n: int = 1):
 
 def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form."""
-    x, = _check_points(x)
+    x = _points(x, op.n, "x")
     t = _check_time(t)
     r2 = _split(x, op.n)
     return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(r2, t, op)
@@ -473,11 +473,17 @@ def _mehler_block(s, d2, s2, n: int):
     return gauss
 
 
-def _subordinate_pairs(x, y, t, op: ShiftedOperator, rule, factor, affine=None):
+def _subordinate_pairs(x, y, t, op: ShiftedOperator, rule, factor, coefficients=None, j=1):
     """The Poisson-family kernel t/sqrt(4 pi) int s^{-3/2} factor(s, t)
-    e^{-t^2/(4s) - alpha s} W_s(x, y) ds, with W_s times the affine node
-    factor of `_subordinate` if one is given, for checked float points
-    x, y."""
+    e^{-t^2/(4s) - alpha s} W_s(x, y) ds at the points x, y of R^n.  With
+    `coefficients` W_s is multiplied by a(s) u + b(s) v, where
+    coefficients(s) returns (a, b), u = x_j - y_j and v = x_j + y_j (the
+    affine node factor of `_subordinate`)."""
+    x, y = _points(x, op.n, "x"), _points(y, op.n, "y")
+    affine = None
+    if coefficients is not None:
+        xj, yj = _coordinate(x, op.n, j), _coordinate(y, op.n, j)
+        affine = (coefficients, xj - yj, xj + yj)
     decay = op.n + op.alpha
     return _subordinate(
         t, decay, rule, lambda t: t / _SQRT4PI,
@@ -490,7 +496,6 @@ def poisson_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None 
     """Subordinated Poisson kernel of L + alpha; strictly positive.
 
     A 1-D array of times gives a leading time axis (see `_subordinate`)."""
-    x, y = _check_points(x, y)
     return _subordinate_pairs(x, y, t, op, rule, lambda s, t: 1.0)
 
 
@@ -501,7 +506,6 @@ def _g_factor(s, t):
 
 def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt of the Poisson kernel of L + alpha (g-function kernel)."""
-    x, y = _check_points(x, y)
     return _subordinate_pairs(x, y, t, op, rule, _g_factor)
 
 
@@ -509,9 +513,7 @@ def _g_kernel_dx(x, y, t, op: ShiftedOperator):
     """d/dx_1 of `g_kernel`, differentiated analytically: d/dx_1 of the
     Mehler exponent -(A u^2 + B v^2)/4, with u = x_1 - y_1 and v = x_1 +
     y_1, is -A u/2 - B v/2, so one subordination pass carries both terms."""
-    x, y = _check_points(x, y)
-    x1, y1 = (x, y) if op.n == 1 else (x[..., 0], y[..., 0])
-    return _subordinate_pairs(x, y, t, op, None, _g_factor, (_gradient_coefficients, x1 - y1, x1 + y1))
+    return _subordinate_pairs(x, y, t, op, None, _g_factor, _gradient_coefficients)
 
 
 def _gradient_coefficients(s):
@@ -557,21 +559,17 @@ def ladder_kernel(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not 1 <= j <= n:
-        raise ValueError(f"coordinate j={j} out of range for n={n}")
-    x, y = _check_points(x, y)
-    xj, yj = (x, y) if n == 1 else (x[..., j - 1], y[..., j - 1])
     # the Poisson kernel of L with the weight factor t: t times t/sqrt(4 pi)
     return _subordinate_pairs(
         x, y, t, ShiftedOperator(0.0, n), rule, lambda s, t: t,
-        (lambda s: _ladder_coefficients(s, sign), xj - yj, xj + yj),
+        lambda s: _ladder_coefficients(s, sign), j,
     )
 
 
 def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
     of the heat action on 1; its block depends on |x|^2 alone."""
-    x, = _check_points(x)
+    x = _points(x, op.n, "x")
     decay = op.n + op.alpha
     return _subordinate(
         t, decay, rule, lambda t: t / math.sqrt(math.pi),
@@ -582,7 +580,7 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
 
 def classical_poisson(x, t, n: int = 1):
     """Classical Poisson kernel P_t(x) = t^{-n} P(x/t) on R^n; unit mass."""
-    x, = _check_points(x)
+    x = _points(x, n, "x")
     t = _check_time(t)
     c = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
     r2 = _split(x, n)

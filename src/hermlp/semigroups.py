@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid, point_synthesis_matrix, synthesize_grid
+from .basis import (
+    HermiteExpansion, SpatialGrid, _coordinate, _point, point_synthesis_matrix, synthesize_grid,
+)
 from .gamma import BanachModel, TimeGrid, gamma_norms
 
 # values (times x d x points) per stacked product in `_maximal_function`
@@ -205,12 +207,8 @@ def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
 
 def coordinate_invsqrt(e: HermiteExpansion, j: int, grid: SpatialGrid) -> np.ndarray:
     """x_j L^{-1/2} f sampled on the grid; shape (grid.size, d)."""
-    if not 1 <= j <= e.n:
-        raise ValueError(f"coordinate j={j} out of range for n={e.n}")
-    vals = synthesize_grid(inv_sqrt(e, 0.0), grid)
-    pts = grid.points
-    xj = pts if e.n == 1 else pts[:, j - 1]
-    return xj[:, None] * vals
+    xj = _coordinate(grid.points, grid.n, j)
+    return xj[:, None] * synthesize_grid(inv_sqrt(e, 0.0), grid)
 
 
 def _maximal_function(
@@ -244,10 +242,7 @@ def maximal_norm(
     """sup_t ||semigroup(t) f (x)||_B over the time grid, including the
     t -> 0+ candidate ||f(x)||_B, at a single point x: the maximal
     function that `spaces.h1_norm` integrates over a grid."""
-    sup = _maximal_function(e, x, kind, alpha, B, times)
-    if sup.size != 1:
-        raise ValueError("maximal_norm takes a single point x")
-    return float(sup[0])
+    return float(_maximal_function(e, _point(x, e.n, "x"), kind, alpha, B, times)[0])
 
 
 def composed_maximal(
@@ -274,6 +269,7 @@ def composed_maximal(
     decayed below rounding) reads fewer columns of the shared draw, so
     its estimate has the same law but other draws.
     """
+    x = _point(x, e.n, "x")
     if isinstance(inner, str) and inner != "g":
         raise ValueError(f"unknown inner transform {inner!r}")
     if B.d != e.d:
@@ -284,10 +280,7 @@ def composed_maximal(
     _check_shift(targets, alpha)
     if not len(targets):
         return 0.0
-    S = point_synthesis_matrix(targets, x)
-    if S.shape[1] != 1:
-        raise ValueError("composed_maximal takes a single point x")
-    hc = S * C  # (rows, d): h_m(x) C per target mode
+    hc = point_synthesis_matrix(targets, x) * C  # (rows, d): h_m(x) C per target mode
     rs = np.sqrt(_eigenvalues(targets, alpha))
     P = _profiles(table, times.nodes) * np.sqrt(times.weights)
     s = np.concatenate(([0.0], sgrid.nodes))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid, _integer
+from .basis import HermiteExpansion, SpatialGrid, _integer, _point, _points
 from .gamma import BanachModel, TimeGrid
 from .kernels import heat_apply
 from .semigroups import TimeField, _maximal_function, gfunction
@@ -51,10 +51,8 @@ def critical_radius(x) -> np.ndarray:
     [0.25, 0.2].  An array of higher rank holds coordinates on its last
     axis: [[3, 4]] is one point in n = 2 and gives [1/6].  Non-finite
     points are rejected."""
-    x = np.asarray(x, dtype=float)
-    _check_point(x)
+    x = _points(x, 1, "x")
     r = np.abs(x) if x.ndim <= 1 or x.shape[-1] == 1 else np.linalg.norm(x, axis=-1)
-    r = np.asarray(r)
     return np.where(r < 1.0, 0.5, 1.0 / (1.0 + r))
 
 
@@ -62,16 +60,11 @@ def _ball_volume(r: float, n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * r ** n
 
 
-def _check_point(x, what: str = "point x"):
-    if not np.all(np.isfinite(np.asarray(x, dtype=float))):
-        raise ValueError(f"{what}={x!r} must be finite")
-
-
 def _distances(grid: SpatialGrid, center) -> np.ndarray:
-    pts = grid.points
-    if grid.n == 1:
-        return np.abs(pts - float(np.asarray(center).reshape(())))
-    return np.linalg.norm(pts - np.asarray(center, dtype=float), axis=-1)
+    """|x - center| at every grid point x, for a checked single point
+    `center` (`basis._point`)."""
+    diff = grid.points - center
+    return np.abs(diff) if grid.n == 1 else np.linalg.norm(diff, axis=-1)
 
 
 @dataclass
@@ -82,25 +75,21 @@ class Atom:
     kind "local" atoms do not.
     """
 
-    center: object
+    center: object  # a single point of R^n, kept as given
     radius: float
     kind: str
     grid: SpatialGrid
-    samples: np.ndarray  # (grid.size, d)
+    samples: np.ndarray  # (grid.size, d); (grid.size,) is taken as d = 1
 
     def __post_init__(self):
         if self.kind not in ("cancel", "local"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
-        _check_point(self.center, "atom center")
+        _point(self.center, self.grid.n, "atom center")
         if not math.isfinite(self.radius):
             raise ValueError("atom radius must be finite")
         if self.radius <= 0:
             raise ValueError("atom radius must be positive")
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if self.samples.shape[0] != self.grid.size:
-            raise ValueError("atom samples must cover the grid")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("atom samples must be finite")
+        self.samples = _grid_samples(self.samples, self.grid)
 
     @property
     def d(self) -> int:
@@ -110,11 +99,11 @@ class Atom:
 def validate_atom(a: Atom):
     """Check the atom clauses; returns (ok, list of violated clauses)."""
     violations = []
-    dist = _distances(a.grid, a.center)
-    outside = dist >= a.radius
+    center = _point(a.center, a.grid.n, "atom center")
+    outside = _distances(a.grid, center) >= a.radius
     if np.any(np.abs(a.samples[outside]) > 1e-12):
         violations.append("support exceeds B(x0, r0)")
-    rho = critical_radius(np.reshape(a.center, (1, a.grid.n))).item()
+    rho = critical_radius(center[None]).item()
     if a.radius > rho * (1 + 1e-12):
         violations.append("radius exceeds critical radius")
     bound = 1.0 / _ball_volume(a.radius, a.grid.n)
@@ -162,12 +151,16 @@ def make_random_atom(
 
 
 def _grid_samples(f, grid: SpatialGrid) -> np.ndarray:
-    """The samples of an Atom, or an array as (grid.size, d) floats;
-    ValueError unless they cover the grid and are finite."""
-    samples = f.samples if isinstance(f, Atom) else np.atleast_2d(np.asarray(f, dtype=float))
-    if samples.shape[0] != grid.size:
-        raise ValueError("samples must cover the grid")
-    if not np.all(np.isfinite(samples)):
+    """The samples of an Atom, or an array in the sample layout of `basis`
+    ((grid.size,) or (grid.size, d)) as (grid.size, d) floats; ValueError
+    unless they cover the grid and are finite."""
+    samples = f.samples if isinstance(f, Atom) else np.asarray(f, dtype=float)
+    if samples.ndim == 1:
+        samples = samples[:, None]
+    if samples.ndim != 2 or samples.shape[0] != grid.size:
+        raise ValueError(f"samples must cover the grid: shape {samples.shape}, not "
+                         f"({grid.size},) or ({grid.size}, d)")
+    if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
     return samples
 
@@ -330,7 +323,7 @@ def area_integral(
     |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted.  Pass a
     precomputed `field` (from gfunction on the same grid and times) when
     sweeping many x."""
-    _check_point(x)
+    x = _point(x, grid.n, "x")
     field = _gfield(f, alpha, grid, times, field)
     dist = _distances(grid, x)
     t = times.nodes
@@ -354,11 +347,10 @@ def carleson_functional(
     (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}.  The box
     sums of all balls containing x are one (balls x points) @ g^2 product,
     masked in t.  One-dimensional grids only."""
+    x = _point(x, grid.n, "x")
     _require_line(grid)
-    _check_point(x)
     field = _gfield(f, alpha, grid, times, field)
     centers, radii, _ = balls.balls()
-    x = float(np.asarray(x, dtype=float).reshape(()))
     keep = np.abs(x - centers) < radii
     lo, count = _ball_intervals(grid.axis, centers[keep], radii[keep])
     used = count > 0

@@ -35,7 +35,7 @@ from .kernels import (
     poisson_kernel,
 )
 from .semigroups import gfunction, inv_sqrt, ladder_transform, riesz
-from .spaces import Atom, BallSpec, bmo_norm, h1_norm
+from .spaces import BallSpec, _grid_samples, bmo_norm, h1_norm
 
 __all__ = [
     "CheckReport",
@@ -296,7 +296,7 @@ def check_operator_identities(K: int, seed: int = 0) -> CheckReport:
     K = _integer(K, "degree cap K", 1)
     grid = SpatialGrid(R=6.0, h=0.25, n=1)
     times = TimeGrid(0.1, 5.0, 12)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     e = HermiteExpansion(
         n=1,
         d=1,
@@ -357,18 +357,10 @@ def equivalence_suite(
     balls = BallSpec()
     ratios = []
     for f in family:
-        if isinstance(f, Atom):
-            e = analyze(f.samples[:, 0], grid, K=30)
-            fsamp = f.samples
-        elif isinstance(f, HermiteExpansion):
-            e = f
-            fsamp = synthesize_grid(f, grid)
+        if isinstance(f, HermiteExpansion):
+            e, fsamp = f, synthesize_grid(f, grid)
         else:
-            fsamp = np.asarray(f, dtype=float)
-            if fsamp.ndim == 1:
-                fsamp = fsamp[:, None]
-            if fsamp.shape[0] != grid.size:
-                raise ValueError("samples must cover the grid")
+            fsamp = _grid_samples(f, grid)
             e = analyze(fsamp[:, 0], grid, K=30)
         # x -> H-norm of (t d/dt P_t e)(x, .), shape (size, 1)
         g = gfunction(e, 0.0, grid, times).values

@@ -335,3 +335,34 @@ def test_analyze_reads_d_from_the_samples(n, K):
         for k, row in whole.coeffs.items():
             assert row[c] == (one[k][0] if k in one else 0.0)
         assert set(one) <= set(whole.coeffs)
+
+
+def _count_calls():
+    from hermlp import gamma, kernels, spaces, verify
+
+    T = gamma.rank_one(np.ones(4), np.ones(1), gamma.BanachModel(1, 4.0), gamma.TimeGrid(0.1, 1.0, 4))
+    return {
+        "SpatialGrid n": lambda v: SpatialGrid(4, 0.1, n=v),
+        "HermiteExpansion n": lambda v: HermiteExpansion(v, 1, 0, {}),
+        "HermiteExpansion d": lambda v: HermiteExpansion(1, v, 0, {}),
+        "HermiteExpansion K": lambda v: HermiteExpansion(1, 1, v, {}),
+        "ShiftedOperator n": lambda v: kernels.ShiftedOperator(0.0, v),
+        "SubordinationRule Q": lambda v: kernels.SubordinationRule(v),
+        "TimeGrid N": lambda v: gamma.TimeGrid(0.1, 1.0, v),
+        "BanachModel d": lambda v: gamma.BanachModel(v, 2.0),
+        "gamma_norm_mc M": lambda v: gamma.gamma_norm_mc(T, v, 0),
+        "gamma_norm_mc seed": lambda v: gamma.gamma_norm_mc(T, 100, v),
+        "BallSpec depth": lambda v: spaces.BallSpec(depth=v),
+        "check_eigen_ladder K": lambda v: verify.check_eigen_ladder(v),
+        "check_operator_identities K": lambda v: verify.check_operator_identities(v),
+        "check_operator_identities seed": lambda v: verify.check_operator_identities(2, v),
+    }
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", list(_count_calls()))
+def test_counts_reject_bools(name, value):
+    # SpatialGrid(4, 0.1, n=True), HermiteExpansion(True, 1, 0, {}) and
+    # gamma_norm_mc(T, 10, seed=True) each took True as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        _count_calls()[name](value)

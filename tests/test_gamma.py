@@ -489,3 +489,15 @@ def test_hilbert_and_q2_gamma_norm_take_one_frobenius_route():
         A = rng.normal(size=(d, N)) * 10.0 ** rng.uniform(-3.0, 3.0)
         T = DiscreteGammaOperator(BanachModel(d, 2.0), TimeGrid(1e-3, 20.0, N), A)
         assert gamma_norm_hilbert(T) == gamma_norm(T)[0]
+
+
+def test_time_grid_rejects_a_span_whose_ratio_overflows():
+    # TimeGrid(1e-200, 1e200, 8).weights were all inf, and h_norm on that
+    # grid returned inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_min, t_max in ((1e-200, 1e200), (np.float64(1e-300), np.float64(1e10))):
+            with pytest.raises(ValueError, match="time span t_max/t_min"):
+                TimeGrid(t_min, t_max, 8)
+        # the widest spans that fit keep finite weights
+        assert np.all(np.isfinite(TimeGrid(1e-150, 1e150, 8).weights))

@@ -913,3 +913,34 @@ def test_operator_and_rule_take_integer_counts_only(count):
         ShiftedOperator(0.0, 0)
     assert type(ShiftedOperator(0.0, np.int64(2)).n) is int
     assert type(SubordinationRule(np.int32(16)).Q) is int
+
+
+def _extreme_time_calls(n):
+    op = ShiftedOperator(0.0, n)
+    x = 0.0 if n == 1 else np.zeros(n)
+    y = 0.3 if n == 1 else np.full(n, 0.3)
+    return [
+        lambda t: poisson_kernel(x, x, t, op),
+        lambda t: poisson_kernel(x, y, t, op),
+        lambda t: g_kernel(x, x, t, op),
+        lambda t: ladder_kernel(x, x, t, n, -1, n),
+        lambda t: ladder_kernel(y, x, t, 1, +1, n),
+        lambda t: g_of_one(x, t, op),
+        lambda t: g_of_one(y, t, op),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subordinated_kernels_are_finite_over_their_time_range(n):
+    # at 1e-160 and 1e-150 they returned NaN or inf with a RuntimeWarning,
+    # at 1e-200 they raised "math domain error" and from 1e160 on "cannot
+    # convert float NaN to integer"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in _extreme_time_calls(n):
+            for t in (kernels._T_MIN, 1e-20, 1.0, 1e20, kernels._T_MAX, [kernels._T_MIN, 1.0]):
+                assert np.all(np.isfinite(call(t)))
+            for t in (1e-200, 1e-160, 1e-150, 0.5 * kernels._T_MIN, 2.0 * kernels._T_MAX,
+                      1e160, [1.0, 1e-200]):
+                with pytest.raises(ValueError, match=r"time t=.* is outside \[1e-60, 1e\+150\]"):
+                    call(t)
