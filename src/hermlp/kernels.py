@@ -46,16 +46,25 @@ Expanding the exponent,
 with A = coth t and B = tanh t; the middle factor is Toeplitz on the
 lattice and splits per axis, so each axis is one FFT convolution
 (the structure behind the fast Gauss transform); T times make one
-batched FFT per axis over a (T, ...) stack.  The scalings and the
-Gaussians' spectra depend on the axis and the times only; they form a
-read-only plan built once per (axis, times) and kept for the last 8
-pairs (`_lattice_plan`), so a sweep over many inputs on one lattice and
-one time grid transforms only the values: on a line, two FFT batches per
-call instead of three.
+batched FFT per axis over a (T, ...) stack.  The cost is set by the
+support of the values: outputs on L points from values in [lo, hi)
+need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the circle has
+about 2m + 1 points, not 2L - 1; an atom on 50 of 1201 points convolves
+on 1280 to 2048, by where it sits.  The Gaussian on the circle is real
+and even, so its spectrum is real, and the product is complex times
+real.  The edge scalings
+depend on the axis and the times only, and form a read-only plan built
+once per (axis, times) and kept for the last 8 pairs (`_lattice_plan`);
+the spectra are built once per (step, L, times, circle length), at most
+four lengths per lattice (`_gauss_spectrum`).  So a sweep over many
+inputs on one lattice and one time grid transforms only the values: on
+a line, two FFT batches per call.
 
 Every entry point rejects non-finite times, and points that are not
 finite or not in the layout of `basis`, with ValueError; the subordinated
-kernels also reject times outside [_T_MIN, _T_MAX] = [1e-60, 1e150].
+kernels also reject times outside [_t_min(n), 1e150], where the lower
+bound is 1e-60 for n <= 3 and rises with the dimension n (1e-48 for
+n = 4, 1e-34 for n = 6), so that their quadrature sums stay finite.
 """
 
 from __future__ import annotations
@@ -86,11 +95,9 @@ _SQRT4PI = math.sqrt(4.0 * math.pi)
 # how far, in units of the exponents, a subordination window reaches into
 # both tails of its integrand (`SubordinationRule._window`)
 _CUT = 45.0
-# the times the subordinated kernels accept (`SubordinationRule._window`);
-# for n <= 3 all four are finite without a warning in this range.  At
-# 1/4-decade steps they fail below t = 1e-61.75 for n = 3 (1e-101.5 for
-# n = 1), where node weights times blocks overflow, and above 1e154,
-# where t * t does
+# the times of the subordination rule (`SubordinationRule._window`): at
+# 1/4-decade steps its window fails above 1e154, where t * t overflows.
+# The kernels take t >= _t_min(n), which is _T_MIN for n <= 3
 _T_MIN, _T_MAX = 1e-60, 1e150
 # e^x is subnormal or 0 below this, about -708.40 (`_mehler_block`)
 _LOG_TINY = math.log(np.finfo(float).tiny)
@@ -148,8 +155,7 @@ class SubordinationRule:
         if t <= 0:
             raise ValueError("time must be positive")
         if not _T_MIN <= t <= _T_MAX:
-            raise ValueError(f"time t={t!r} is outside [{_T_MIN:g}, {_T_MAX:g}], "
-                             "the range of the subordinated kernels")
+            raise ValueError(_outside(t, 1))
         if decay <= 0:
             raise ValueError("large-s decay rate must be positive")
         rt = t * math.sqrt(decay) + _CUT
@@ -180,6 +186,25 @@ class SubordinationRule:
             rows = np.zeros((len(windows), self.Q))
             rows[j] = w
             yield s, rows
+
+
+def _t_min(n: int) -> float:
+    """The smallest time the subordinated kernels take in n dimensions:
+    1e-60 for n <= 3, and 10^-(240 // (n + 1)) above (1e-48 for n = 4,
+    1e-34 for n = 6).  The kernels grow like t^{-n} as t -> 0, and the
+    largest terms of their quadrature sums like t^{-(n+2)} (the lowering
+    ladder kernel on the diagonal), so for larger n these overflow at
+    larger t: at 1/4-decade steps the n = 4 ladder kernel failed below
+    1e-51.25 and the n = 6 Poisson kernel below 1e-44.  The bound keeps
+    t^{-(n+1)} <= 1e240, which leaves every kernel finite at every
+    1/4-decade step for n <= 8."""
+    return float(f"1e-{min(60, 240 // (n + 1))}")
+
+
+def _outside(t: float, n: int) -> str:
+    """The error for a time outside the subordinated kernels' range."""
+    return (f"time t={t!r} is outside [{_t_min(n):g}, {_T_MAX:g}], the range of the "
+            f"subordinated kernels" + (f" for n={n}" if n > 3 else ""))
 
 
 def _log_trapezoid(lo: float, hi: float, size: int):
@@ -255,16 +280,11 @@ def _pair_keys(x, y, n: int):
     return _split(x - y, n), _split(x + y, n)
 
 
-def _fft_size(m: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) >= m: a fast FFT length."""
-    while True:
-        r = m
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 1
+def _fft_length(m: int) -> int:
+    """Smallest of 2^a, 3 2^a and 5 2^a that is >= m: a fast FFT length,
+    at most 25 % above m."""
+    p = 1 << (m - 1).bit_length()  # the smallest power of two >= m
+    return min(c for c in (p, 3 * p // 4, 5 * p // 8) if c >= m)
 
 
 def _axis_step(axis) -> float:
@@ -273,30 +293,62 @@ def _axis_step(axis) -> float:
     return (axis[-1] - axis[0]) / (L - 1) if L > 1 else 0.0
 
 
+def _lattice_mass(h: float, t):
+    """theta(t) = h sqrt(c1) sum_k e^{-pi c1 (h k)^2} over all integers k:
+    the mass of the Gaussian factor of W_t sampled with step h, per axis.
+    By Poisson summation it is also sum_m e^{-pi m^2 / (c1 h^2)}; the sum
+    whose terms fall faster is taken, to six terms on each side: the
+    first term left out is below e^{-49 pi}.  For t >= h^2,
+    c1 h^2 <= 1/(4 pi) (c1 is 1/(4 pi t) times 2t / sinh 2t), so
+    2 e^{-pi/(c1 h^2)} < 2^-53 and theta is exactly 1.0; once t << h^2 it
+    grows like h / sqrt(4 pi t)."""
+    _, _, c1 = _mehler(np.asarray(t, dtype=float))
+    a = c1 * (h * h)
+    fine = a < 1.0
+    k = np.arange(6, 0, -1).reshape((-1,) + (1,) * a.ndim)
+    # b = inf where a is 0 or subnormal (large t): its terms are 0, theta 1
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.where(fine, 1.0 / a, a)
+        theta = 1.0 + 2.0 * np.sum(np.exp(-math.pi * b * (k * k)), axis=0)
+    return np.where(fine, theta, h * np.sqrt(c1) * theta)
+
+
 @functools.lru_cache(maxsize=8)
 def _lattice_plan(axis_bytes: bytes, times_bytes: bytes):
     """The part of `heat_apply` that depends on the lattice axis and the
     times only, built from their exact float64 bytes: the (T, L) edge
-    scalings e^{-B x^2/2}, the rfft of the T Gaussians e^{-pi c1 (h k)^2}
-    of length `size`, and the (T, 1) prefactors c1.  The arrays are
+    scalings e^{-B x^2/2} and the (T, 1) prefactors c1.  The arrays are
     read-only, because every hit hands out the same ones."""
     axis = np.frombuffer(axis_bytes)
-    times = np.frombuffer(times_bytes)
-    L = axis.size
-    _, B, c1 = _mehler(times.reshape(-1, 1))
+    _, B, c1 = _mehler(np.frombuffer(times_bytes).reshape(-1, 1))
     edge = np.exp(-0.5 * B * axis * axis)  # (T, L)
-    k = _axis_step(axis) * np.arange(L)
-    size = _fft_size(2 * L - 1)  # >= 2L - 1: nothing wraps into the window
+    for a in (edge, c1):
+        a.flags.writeable = False
+    return edge, c1
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_spectrum(h: float, L: int, times_bytes: bytes, size: int):
+    """The rfft, shape (T, size/2 + 1), of the T Gaussians
+    g[j] = e^{-pi c1 (h k)^2} with k = min(j, size - j) on a circle of
+    `size` points, and g[j] = 0 where k > L - 1, the longest lag of the
+    lattice.  g is real and even, so its spectrum is real: only the real
+    part is kept, read-only, half the bytes of the complex one."""
+    _, _, c1 = _mehler(np.frombuffer(times_bytes).reshape(-1, 1))
+    K = min(L - 1, size // 2)
+    k = h * np.arange(K + 1)
     # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at
-    # large t.  The Gaussian is even in k, so half of it is evaluated; e^x
-    # rounds to 0 below x = -745.2, and numpy's exp is several times slower
-    # on such arguments than on the rest, so they are skipped.
+    # large t.  e^x rounds to 0 below x = -745.2, and numpy's exp is
+    # several times slower on such arguments than on the rest, so they
+    # are skipped.
     arg = -math.pi * c1 * k * k
     half = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
-    gauss = np.fft.rfft(np.concatenate([half[:, :0:-1], half], axis=1), size)
-    for a in (edge, gauss, c1):
-        a.flags.writeable = False
-    return edge, gauss, c1, size
+    g = np.zeros((len(c1), size))
+    g[:, :K + 1] = half
+    g[:, size - K:] = half[:, K:0:-1]
+    spectrum = np.fft.rfft(g, axis=1).real.copy()
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def heat_apply(values, axis, t):
@@ -314,14 +366,36 @@ def heat_apply(values, axis, t):
     the FFT would spread a NaN over the lattice.  Quadrature weights are
     the caller's (multiply them into `values`).
 
-    The scalings and the Gaussians' spectra depend on the axis and the
-    times only.  They are built once per (axis, times), keyed on the
-    exact bytes of both, and the last 8 such plans are kept (about
-    0.47 MB for 16 times on 1201 points, about 24 L T bytes in general), so
-    repeated calls on one lattice and one time list do only the FFT of
-    the values, the product and the inverse FFT.  A plan gives the same
-    bits whether it is built or reused; every input check runs on every
-    call, and the result never shares memory with the plan.
+    The circle of each convolution is as short as the support of
+    `values` allows.  If the nonzero values, over every other axis and
+    component, lie in [lo, hi) along a lattice axis, outputs on all L
+    points need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the
+    convolution runs on the smallest of 2^a, 3 2^a and 5 2^a points that
+    is at least 2m + 1: an atom on 50 of 1201 points uses 1280 to 2048
+    points, by where it sits, and a dense input 2560.  The supports are
+    taken once from `values`, because a convolution along one axis leaves
+    the support along the others as it is, and so the length depends on
+    `values` only.  All-zero values give zeros without an FFT.
+
+    W_t is the continuum kernel sampled on the lattice: this is the dense
+    kernel matrix, applied fast.  It resolves W_t only for t >= h^2.
+    Below that the Gaussian is narrower than the step h, and the lattice
+    sum of the kernel per axis is theta(t) (`_lattice_mass`), about
+    h / sqrt(4 pi t), not 1: on SpatialGrid(12, 0.02) the weights of the
+    lattice give 1.78 at the centre for t = 1e-5, where W_t(1) is about
+    1.  `spaces.h1_norm` divides by theta^n.
+
+    The scalings depend on the axis and the times, and the Gaussians'
+    spectra on the step, L, the times and the circle's length.  They are
+    built once, keyed on exact values, and read-only: the last 8 scalings
+    and the last 32 spectra are kept.  For 16 times on 1201 points a
+    plan is 0.15 MB, and its at most four spectra (1280, 1536, 2048 and
+    2560 points) are 0.48 MB together: 8 L T bytes for the plan and
+    4 P T for the spectrum of a circle of P points.  So repeated calls on one lattice and
+    one time list do only the FFT of the values, the product with a real
+    spectrum and the inverse FFT.  A plan gives the same bits whether it
+    is built or reused; every input check runs on every call, and the
+    result never shares memory with the plan.
     """
     times = _check_time(t, ndim=1)
     axis = np.asarray(axis, dtype=float)
@@ -337,18 +411,27 @@ def heat_apply(values, axis, t):
         raise ValueError("heat_apply needs a uniform axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    edge, gauss, c1, size = _lattice_plan(axis.tobytes(), times.tobytes())
+    nonzero = values != 0
+    if not nonzero.any():
+        return np.zeros(times.shape + values.shape)
+    sizes = []
+    for j in range(n):
+        occupied = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(n + 1) if a != j)))
+        sizes.append(_fft_length(2 * int(max(occupied[-1], L - 1 - occupied[0])) + 1))
+    times_bytes = times.tobytes()
+    edge, c1 = _lattice_plan(axis.tobytes(), times_bytes)
     column = (len(c1), -1) + (1,) * n  # broadcast along the lattice axis 1
-    edge, gauss = edge.reshape(column), gauss.reshape(column)
+    edge = edge.reshape(column)
     out = values[None]
-    for j in range(1, n + 1):
+    for j, size in enumerate(sizes, start=1):
+        gauss = _gauss_spectrum(h, L, times_bytes, size).reshape(column)
         v = np.moveaxis(out, j, 1) * edge
         spec = np.fft.rfft(v, size, axis=1)
         del v
         spec *= gauss
         conv = np.fft.irfft(spec, size, axis=1)
         del spec
-        out = np.moveaxis(conv[:, L - 1:2 * L - 1] * edge, 1, j)
+        out = np.moveaxis(conv[:, :L] * edge, 1, j)
         del conv
     out = _half_power(c1, n).reshape((-1,) + (1,) * (n + 1)) * out
     return out if times.ndim else out[0]
@@ -412,7 +495,7 @@ def _distinct(*keys):
     return [k[first] for k in ordered], inverse
 
 
-def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None):
+def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None, n=1):
     """scale(t) * sum_i weight(s_i, t) block(s_i) over the log-s nodes of
     `rule` for a kernel decaying like e^{-decay s}.
 
@@ -431,10 +514,14 @@ def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None)
     `t` is a scalar or a 1-D array of T times; an array puts the times on
     a new leading axis in front of the point shape.  `weight(s, t)`
     broadcasts nodes against a column of times.  Repeated times are
-    computed once.
+    computed once.  Times outside [_t_min(n), _T_MAX], for a block in n
+    dimensions, are rejected.
     """
     times = _check_time(t, ndim=1)
     (ts,), back = _distinct(times.ravel())
+    for end in (ts[0], ts[-1]):
+        if not _t_min(n) <= end <= _T_MAX:
+            raise ValueError(_outside(float(end), n))
     shape = np.shape(keys[0])
     values, inverse = _distinct(*(np.ravel(k) for k in keys))
     rows = _BLOCK_ENTRIES // max(1, values[0].size) or 1
@@ -488,7 +575,7 @@ def _subordinate_pairs(x, y, t, op: ShiftedOperator, rule, factor, coefficients=
     return _subordinate(
         t, decay, rule, lambda t: t / _SQRT4PI,
         lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s, d2, s2: _mehler_block(s, d2, s2, op.n), _pair_keys(x, y, op.n), affine,
+        lambda s, d2, s2: _mehler_block(s, d2, s2, op.n), _pair_keys(x, y, op.n), affine, op.n,
     )
 
 
@@ -574,7 +661,7 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     return _subordinate(
         t, decay, rule, lambda t: t / math.sqrt(math.pi),
         lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),),
+        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),), n=op.n,
     )
 
 

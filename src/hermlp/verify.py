@@ -343,11 +343,11 @@ def equivalence_suite(
     """Two-sided norm comparison ||G f|| / ||f|| over a test family, for
     the unshifted operator.
 
-    For each member the square function is reduced to the scalar field
-    x -> H-norm of G f(x, .), and the requested space norm is taken of
-    that field and of f itself (BMO over the balls of `BallSpec()`).  L2
-    ratios must equal 1/2 up to 1e-3; H1/BMO families pass when max/min
-    ratio <= 25.
+    For each member the square function, of every component, is reduced
+    to the scalar field x -> H-norm of G f(x, .), and the requested space
+    norm is taken of that field and of f itself (BMO over the balls of
+    `BallSpec()`).  L2 ratios must equal 1/2 up to 1e-3; H1/BMO families
+    pass when max/min ratio <= 25.
     """
     if space not in ("L2", "H1", "BMO"):
         raise ValueError(f"unknown space {space!r}")
@@ -361,7 +361,7 @@ def equivalence_suite(
             e, fsamp = f, synthesize_grid(f, grid)
         else:
             fsamp = _grid_samples(f, grid)
-            e = analyze(fsamp[:, 0], grid, K=30)
+            e = analyze(fsamp.reshape(grid.shape + fsamp.shape[1:]), grid, K=30)
         # x -> H-norm of (t d/dt P_t e)(x, .), shape (size, 1)
         g = gfunction(e, 0.0, grid, times).values
         gnorm = np.sqrt(np.einsum("xtc,t->x", g ** 2, times.weights))[:, None]

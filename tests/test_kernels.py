@@ -431,13 +431,134 @@ def test_lattice_plan_miss_gives_the_bits_of_a_hit(grid, d, t):
 
 
 def test_lattice_plan_arrays_are_read_only():
-    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), HEAT_TIMES.tobytes())
-    arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 3
-    for a in arrays:
+    # the plan holds the edge scalings and c1; the Gaussians' real spectra
+    # are cached apart, one per circle length: 1280, 1536, 2048 and 2560
+    # points cover every support on 1201 points
+    L, times = HARDY_GRID.axis.size, HEAT_TIMES.tobytes()
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), times)
+    assert len(plan) == 2
+    spectra = [kernels._gauss_spectrum(kernels._axis_step(HARDY_GRID.axis), L, times, size)
+               for size in (1280, 1536, 2048, 2560)]
+    for spectrum, size in zip(spectra, (1280, 1536, 2048, 2560)):
+        assert spectrum.dtype == np.float64
+        assert spectrum.shape == (HEAT_TIMES.size, size // 2 + 1)
+    for a in list(plan) + spectra:
+        assert isinstance(a, np.ndarray)
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+def test_fft_length_is_the_smallest_of_the_three_forms():
+    forms = sorted(f << a for f in (1, 3, 5) for a in range(16))
+    for m in range(1, 20001):
+        assert kernels._fft_length(m) == next(p for p in forms if p >= m)
+    # the outputs of L = 1201 points need lags m in [600, 1200]: four lengths
+    assert {kernels._fft_length(2 * m + 1) for m in range(600, 1201)} == {1280, 1536, 2048, 2560}
+
+
+def _gaussian_scale(grid, values, t):
+    """c1^{n/2} sum_y e^{-B|y|^2/2} |values(y)|: no output of W_t exceeds
+    it, and the FFT rounds the convolution to a small multiple of eps
+    times it, however small the output is."""
+    _, B, c1 = kernels._mehler(t)
+    r2 = grid.points ** 2 if grid.n == 1 else np.sum(grid.points ** 2, axis=-1)
+    return c1 ** (grid.n / 2) * np.sum(np.exp(-0.5 * B * r2)[:, None] * np.abs(values))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 20.0])
+@pytest.mark.parametrize("grid", [HARDY_GRID, PLANE_GRID])
+def test_heat_apply_matches_dense_kernel_on_a_support(grid, t):
+    # the circle is sized to the support: each case is its own dense matrix
+    L, P = grid.axis.size, grid.points
+    W = heat_kernel(P[:, None], P[None, :], t, grid.n) if grid.n == 1 else \
+        heat_kernel(P[:, None, :], P[None, :, :], t, grid.n)
+    rng = np.random.default_rng(41)
+    rows = {"centre": slice(L // 2 - 5, L // 2 + 6), "left": slice(0, 8),
+            "right": slice(L - 8, L), "point": slice(L // 3, L // 3 + 1), "zeros": slice(0, 0)}
+    for where, row in rows.items():
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[(row,) * grid.n] = True
+        values = np.where(mask.reshape(-1, 1), rng.normal(size=(grid.size, 2)), 0.0)
+        fast = heat_apply(values.reshape(grid.shape + (2,)), grid.axis, t).reshape(grid.size, 2)
+        if where == "zeros":
+            assert np.array_equal(fast, np.zeros_like(values))
+            continue
+        dense = W @ values
+        err = np.max(np.abs(fast - dense))
+        if where in ("left", "right"):
+            # the FFT's rounding is absolute: for t >= 0.1 an edge
+            # support's output is far below the Gaussian bound (1e-20 at
+            # t = 1), and the error reaches 7e-10 of its maximum at t = 1
+            # in 1-D (9e-8 before the circle followed the support, at
+            # t = 0.37)
+            assert err <= 1e-13 * _gaussian_scale(grid, values, t), where
+        else:
+            assert err <= 1e-13 * np.max(np.abs(dense)), where
+
+
+def _circle_lengths(call):
+    """The lengths of the values' FFTs in call() (a spectrum's rfft has no
+    explicit length), and its result."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording(a, n=None, axis=-1, **kw):
+        if n is not None:
+            lengths.append(n)
+        return rfft(a, n, axis, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft", recording)
+        return lengths, call()
+
+
+def test_heat_apply_narrow_on_one_axis_only():
+    # five rows of the plane grid, every column: the rows' axis convolves
+    # on 48 points, the columns' on 96 (2 * 41 - 1 = 81 before)
+    grid = PLANE_GRID
+    values = np.zeros(grid.shape + (1,))
+    values[18:23] = np.random.default_rng(43).normal(size=(5, grid.shape[1], 1))
+    lengths, fast = _circle_lengths(lambda: heat_apply(values, grid.axis, HEAT_TIMES[:3]))
+    assert lengths == [48, 96]
+    P = grid.points
+    W = heat_kernel(P[:, None, :], P[None, :, :], HEAT_TIMES[:3, None, None], grid.n)
+    dense = W @ values.reshape(grid.size, 1)
+    assert np.max(np.abs(fast.reshape(dense.shape) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_atoms_convolve_on_circles_shorter_than_the_lattice_needs():
+    # an atom's support is about 50 of the 1201 points, so its circle has
+    # 1280, 1536 or 2048 points, where 2L - 1 = 2401 padded to 2430 before
+    from hermlp.spaces import make_random_atom
+
+    rng = np.random.default_rng(47)
+    for kind in ("cancel", "local") * 8:
+        w = HARDY_GRID.weights[:, None] * make_random_atom(rng, HARDY_GRID, kind).samples
+        lengths, _ = _circle_lengths(lambda: heat_apply(w, HARDY_GRID.axis, HEAT_TIMES))
+        assert lengths[0] in (1280, 1536, 2048)
+    ones = np.ones((HARDY_GRID.size, 1))
+    assert _circle_lengths(lambda: heat_apply(ones, HARDY_GRID.axis, HEAT_TIMES))[0] == [2560]
+
+
+def test_lattice_mass_is_the_direct_lattice_sum():
+    # theta(t) = h sqrt(c1) sum_k e^{-pi c1 (h k)^2}, summed directly, over
+    # both of its routes (c1 h^2 below and above 1)
+    for h in (0.02, 0.05, 0.15, 1.0):
+        for t in np.geomspace(1e-9, 2.0, 40):
+            _, _, c1 = kernels._mehler(t)
+            k = np.arange(-20000, 20001)
+            direct = h * math.sqrt(c1) * np.sum(np.exp(-math.pi * c1 * (h * k) ** 2))
+            assert kernels._lattice_mass(h, t) == pytest.approx(direct, rel=1e-14)
+    # exactly 1.0 wherever t >= h^2: the hardy and criterion 10 time grids
+    for h in (0.02, 0.05, 0.15, 1.0):
+        t = h * h * np.geomspace(1.0, 1e6, 200)
+        assert np.all(kernels._lattice_mass(h, t) == 1.0)
+    assert np.all(kernels._lattice_mass(0.02, np.geomspace(1e-3, 20.0, 32)) == 1.0)
+    assert kernels._lattice_mass(0.02, 1e-6) == pytest.approx(0.02 / math.sqrt(4e-6 * math.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels._lattice_mass(0.02, 800.0) == 1.0  # c1 underflows to 0
 
 
 @pytest.mark.parametrize("t", [0.37, HEAT_TIMES])
@@ -944,3 +1065,23 @@ def test_subordinated_kernels_are_finite_over_their_time_range(n):
                       1e160, [1.0, 1e-200]):
                 with pytest.raises(ValueError, match=r"time t=.* is outside \[1e-60, 1e\+150\]"):
                     call(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subordinated_kernels_are_finite_or_refused_at_quarter_decades(n):
+    # under warnings-as-errors ladder_kernel(zeros(4), zeros(4), 1e-55, 1,
+    # -1, 4) raised "overflow encountered in matmul", and the n = 6
+    # Poisson kernel overflowed from 1e-44.25 down; the lower bound now
+    # rises with n
+    t_min = kernels._t_min(n)
+    assert t_min == (1e-60 if n <= 3 else {4: 1e-48, 5: 1e-40, 6: 1e-34}[n])
+    refused = rf"time t=.* is outside \[{t_min:g}, 1e\+150\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in _extreme_time_calls(n):
+            for t in 10.0 ** (np.arange(-110 * 4, 161 * 4) / 4):
+                if t_min <= t <= kernels._T_MAX:
+                    assert np.all(np.isfinite(call(t)))
+                else:
+                    with pytest.raises(ValueError, match=refused):
+                        call(t)

@@ -28,6 +28,14 @@ ATOM_GRID = SpatialGrid(R=6.0, h=0.008, n=1)
 ATOM_TIMES = TimeGrid(1e-3, 10.0, 12)
 
 
+def lattice_mass(h, t):
+    """h sqrt(c1) sum_k e^{-pi c1 (h k)^2}, summed directly over |k| <= 4000:
+    the per-axis lattice mass that sampled h1_norm divides W_t by."""
+    c1 = math.exp(-2.0 * t) / (math.pi * -math.expm1(-4.0 * t))
+    k = np.arange(-4000, 4001)
+    return h * math.sqrt(c1) * float(np.sum(np.exp(-math.pi * c1 * (h * k) ** 2)))
+
+
 def test_critical_radius_values():
     assert critical_radius(0.0) == 0.5
     assert critical_radius(1.0) == 0.5
@@ -224,11 +232,34 @@ def test_h1_norm_sampled_planar_separable():
     f = np.multiply.outer(f1, f2)
     sup = np.abs(f)
     for t in ATOM_TIMES.nodes:
-        W = heat_kernel(x[:, None], x[None, :], t)
+        # h^2 = 2.5e-3: the first times are below the lattice, where
+        # h1_norm divides by the lattice mass per axis (1 + 2.8e-7 at 1e-3)
+        W = heat_kernel(x[:, None], x[None, :], t) / lattice_mass(grid.h, t)
         sup = np.maximum(sup, np.abs(np.multiply.outer(W @ (w * f1), W @ (w * f2))))
     want = float(np.sum(np.multiply.outer(w, w) * sup))
     got = h1_norm(f.reshape(grid.size, 1), B1, grid, ATOM_TIMES)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_sampled_h1_holds_below_the_lattice():
+    # the odd quartic-bump atom at x0 = 0.7, r0 = rho/2: h1_norm read
+    # 0.1180 at t_min = 1e-3, and 0.1180, 0.1809, 0.4999 and 4.716 at 1e-4,
+    # 1e-5, 1e-6 and 1e-8, where W_t is narrower than the step h = 0.02.
+    # Now 0.11788 at 1e-8
+    grid = SpatialGrid(12.0, 0.02)
+    r0 = float(critical_radius(0.7)) / 2
+    u = (grid.points - 0.7) / r0
+    f = np.where(np.abs(u) < 1.0, u * (1.0 - u * u) ** 2, 0.0)
+    atom = Atom(0.7, r0, "cancel", grid, f)
+    assert validate_atom(atom) == (True, [])
+    ref = h1_norm(atom, B1, grid, TimeGrid(1e-3, 20.0, 64))
+    for t_min in (1e-4, 1e-5, 1e-6, 1e-8):
+        assert abs(h1_norm(atom, B1, grid, TimeGrid(t_min, 20.0, 64)) - ref) <= 1e-3
+    # the function 1 has sup_t W_t 1 = 1 inside the lattice: it read 224265
+    # on the line and 1.2e10 on the plane
+    for grid, area in ((SpatialGrid(4.0, 0.1), 8.0), (SpatialGrid(2.0, 0.1, 2), 16.0)):
+        ones = np.ones(grid.size)
+        assert h1_norm(ones, B1, grid, TimeGrid(1e-12, 1.0, 8)) == pytest.approx(area, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -387,8 +418,9 @@ def test_carleson_constant_surrogate_stable():
 # ------------------------------------------------------ batched estimators
 def test_h1_norm_sampled_equals_per_time_heat_calls():
     # one batched heat_apply per block of times, bit for bit the max over
-    # scalar calls
-    from hermlp.kernels import heat_apply
+    # scalar calls.  On the plane grid (h^2 = 0.0225) each norm is divided
+    # by the lattice mass theta(t)^2, as h1_norm does
+    from hermlp.kernels import _lattice_mass, heat_apply
 
     rng = np.random.default_rng(12)
     for grid, d, q in ((SpatialGrid(12.0, 0.02), 1, 2.0), (SpatialGrid(12.0, 0.02), 3, 1.5),
@@ -397,8 +429,10 @@ def test_h1_norm_sampled_equals_per_time_heat_calls():
         B = BanachModel(d, q)
         wf = (grid.weights[:, None] * f).reshape(grid.shape + (d,))
         sup = B.norm(f)
-        for t in ATOM_TIMES.nodes:
-            sup = np.maximum(sup, B.norm(heat_apply(wf, grid.axis, t)).ravel())
+        mass = _lattice_mass(grid.h, ATOM_TIMES.nodes) ** grid.n
+        assert np.all(mass == 1.0) == (grid.n == 1)
+        for t, theta in zip(ATOM_TIMES.nodes, mass):
+            sup = np.maximum(sup, B.norm(heat_apply(wf, grid.axis, t)).ravel() / theta)
         assert h1_norm(f, B, grid, ATOM_TIMES) == float(np.sum(grid.weights * sup))
 
 

@@ -272,6 +272,25 @@ def test_equivalence_bmo():
     assert r.computed["max_ratio"] / r.computed["min_ratio"] <= 25.0
 
 
+def test_equivalence_analyzes_every_column():
+    # only column 0 went into the square function while every column went
+    # into the norm: two equal columns of exp(-x^2) read 0.35355 =
+    # 0.5/sqrt(2) and failed, where one column reads 0.49999936
+    x = verify.DEFAULT_GRID.points
+    f = np.exp(-x * x)
+    one = equivalence_suite("L2", [f], B1)
+    two = equivalence_suite("L2", [np.stack([f, f], 1)], BanachModel(2, 2.0))
+    assert two.passed, two.computed
+    assert two.computed["min_ratio"] == pytest.approx(one.computed["min_ratio"], rel=1e-12)
+    mixed = equivalence_suite("L2", [np.stack([f, x * f, -2.0 * f], 1)], BanachModel(3, 2.0))
+    assert mixed.passed, mixed.computed
+    # an H1 ratio does not change when a column is repeated
+    times = TimeGrid(1e-3, 20.0, 16)
+    one = equivalence_suite("H1", [f], B1, times=times)
+    two = equivalence_suite("H1", [np.stack([f, f], 1)], BanachModel(2, 2.0), times=times)
+    assert two.computed["min_ratio"] == pytest.approx(one.computed["min_ratio"], rel=1e-12)
+
+
 def test_equivalence_rejects_empty_family():
     with pytest.raises(ValueError):
         equivalence_suite("L2", [], B1)
