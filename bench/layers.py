@@ -5,13 +5,18 @@ one JSON record.
 
 GROUP is one of
   hardy     the `hardy` estimators: sampled `h1_norm` (also on a time
-            grid no earlier call used), `bmo_norm`, `carleson_functional`;
+            grid no earlier call used), `bmo_norm`, `carleson_functional`
+            (both also on a lattice axis no earlier call used);
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI parser dominate;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
             `maximal_norm` and `composed_maximal`;
   basis     the readers of the expansion's coefficient arrays: `analyze`,
-            a 2-D round trip, `gfunction` and spectral `h1_norm`;
+            a 2-D round trip, `gfunction` and spectral `h1_norm` (`analyze`
+            and `gfunction` also on a lattice axis no earlier call used);
+  tables    the warm and cold `bmo_norm`, `carleson_functional`, `analyze`
+            and `gfunction` cases of `hardy` and `basis`: what the shared
+            Hermite tables and ball intervals save;
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
             target entry) and full-rank operators, `composed_maximal` at
             q = 4 and 2, and `gamma_norm_hilbert`.
@@ -43,10 +48,22 @@ REPEATS = 7
 ROUNDS = 4
 
 HARDY = "SpatialGrid(12, 0.02): 1201 points"
+COLD = ("SpatialGrid(12, 0.02 (1 + 1e-9 i)) built fresh for call i: 1201 points on an axis "
+        "that no earlier call used")
 ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
 POINT_ARGV = ["kernel", "poisson", "--x", "0.5", "--y", "-0.25", "--t", "1.3",
               "--alpha", "2"]
+FRESH = itertools.count(1)
 INNERS = {"g": "g", "ladder": ("ladder", 1, +1), "riesz": ("riesz", 1, -1)}
+
+
+def cold(grid):
+    """`grid` with its step scaled by 1 + 1e-9 i for call i: a line of the
+    same size whose axis no earlier call used, so nothing derived from the
+    axis (Hermite tables, ball intervals) can be reused."""
+    from hermlp import basis
+
+    return basis.SpatialGrid(grid.R, grid.h * (1.0 + 1e-9 * next(FRESH)))
 
 
 def hardy_calls():
@@ -83,12 +100,11 @@ def hardy_calls():
 
     ks = rng.choice(31, size=3, replace=False)
     c = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
-    fresh = itertools.count(1)
 
     def atom_cold():
         # a time grid that no earlier call used: heat_apply cannot reuse
         # anything it derived from the lattice and the times
-        t_max = 20.0 * (1.0 + 1e-9 * next(fresh))
+        t_max = 20.0 * (1.0 + 1e-9 * next(FRESH))
         return spaces.h1_norm(atom, B, grid, gamma.TimeGrid(1e-3, t_max, 16))
 
     return {
@@ -99,7 +115,10 @@ def hardy_calls():
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
         "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
         "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
+        "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(grid), balls),
         "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
+        "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, cold(grid),
+                                                                 times),
     }
 
 
@@ -185,9 +204,12 @@ def basis_calls():
 
     return {
         "analyze_K30": lambda: basis.analyze(samples, line, 30).l2_norm(),
+        "analyze_K30_cold_axis": lambda: basis.analyze(samples, cold(line), 30).l2_norm(),
         "round_trip_2d_K8": round_trip,
         "gfunction_5modes": lambda: float(np.sum(
             semigroups.gfunction(five, 0.0, grid, times).values ** 2)),
+        "gfunction_5modes_cold_axis": lambda: float(np.sum(
+            semigroups.gfunction(five, 0.0, cold(grid), times).values ** 2)),
         "h1_spectral_mode": lambda: spaces.h1_norm(one, gamma.BanachModel(1, 2.0), grid, times),
     }
 
@@ -259,6 +281,8 @@ GROUPS = {
             "carleson": "carleson_functional at x = 0.7 of 3 random modes (K <= 30), "
                         f"alpha = 1, on {HARDY}, 16 times, BallSpec(0.5, 6, 3), g-field "
                         "computed in the call",
+            "bmo_mixed_cold_axis": f"bmo_mixed on {COLD}",
+            "carleson_cold_axis": f"carleson on {COLD}",
         },
     ),
     "verify": (
@@ -306,6 +330,10 @@ GROUPS = {
                                 "SpatialGrid(8.25, 0.055, 2): 301 x 301 points",
             "gfunction_5modes": f"gfunction of 5 random modes (K <= 30), alpha = 0, on {HARDY}, "
                                 "16 times, summed squares",
+            "analyze_K30_cold_axis": "analyze_K30 on default_grid(1, 30) with its step scaled "
+                                     "by 1 + 1e-9 i for call i, so no call sees an axis an "
+                                     "earlier call used",
+            "gfunction_5modes_cold_axis": f"gfunction_5modes on {COLD}",
             "h1_spectral_mode": f"spectral h1_norm of one random mode (K <= 30), heat, l^2, "
                                 f"on {HARDY}, 16 times",
         },
@@ -341,6 +369,27 @@ GROUPS = {
         },
     ),
 }
+
+
+# the cases of `hardy` and `basis` that read lattice-only tables, warm and cold
+TABLE_CASES = {
+    "hardy": ("bmo_mixed", "bmo_mixed_cold_axis", "carleson", "carleson_cold_axis"),
+    "basis": ("analyze_K30", "analyze_K30_cold_axis", "gfunction_5modes",
+              "gfunction_5modes_cold_axis"),
+}
+
+
+def tables_calls():
+    calls = {**hardy_calls(), **basis_calls()}
+    return {name: calls[name] for names in TABLE_CASES.values() for name in names}
+
+
+GROUPS["tables"] = (
+    "basis Hermite tables and spaces ball intervals, read warm and on a fresh lattice axis: "
+    "spaces.bmo_norm, spaces.carleson_functional, basis.analyze, semigroups.gfunction",
+    tables_calls,
+    {name: GROUPS[group][2][name] for group, names in TABLE_CASES.items() for name in names},
+)
 
 
 def child(group):

@@ -22,6 +22,15 @@ Layouts shared by every module:
 - Samples on a `SpatialGrid` follow `grid.points`: shape (grid.size,)
   for one component or (grid.size, d) for d (`spaces._grid_samples`).
   `analyze` alone takes the tensor layout grid.shape (+ (d,)).
+
+Hermite tables are shared.  `analyze`, `synthesize_grid`,
+`point_synthesis_matrix` and the checks of `verify` read one read-only
+table per axis (`_table`), keyed on the exact float64 bytes and shape of
+the axis and on `_FORWARD`.  It holds the rows m = 0..K of the largest K
+asked for on that axis so far; a smaller K is a slice of it, and a
+larger one rebuilds it.  The 8 most recently used axes are kept, at
+(K+1) L 8 bytes each for L points: 0.3 MB for K = 30 on 1201 points.
+`eval_table` returns a writable copy.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -175,14 +185,40 @@ def _scaled_rows(kmax: int, x):
         yield cur
 
 
+# (axis shape, axis float64 bytes, _FORWARD) -> read-only table of the most
+# rows built so far on that axis, least recently used first; the lock makes
+# each look-up, rebuild and eviction one step
+_TABLES: OrderedDict = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+_TABLE_AXES = 8
+
+
+def _table(kmax: int, axis) -> np.ndarray:
+    """Rows m = 0..kmax of the shared read-only table of this axis (module
+    docstring).  Row m does not depend on kmax, so a slice of a longer
+    table is exact."""
+    axis = np.asarray(axis, dtype=float)
+    key = (axis.shape, axis.tobytes(), _FORWARD)
+    with _TABLES_LOCK:
+        table = _TABLES.pop(key, None)
+        if table is None or len(table) <= kmax:
+            gauss = np.exp(-0.5 * axis * axis)
+            table = np.empty((kmax + 1,) + axis.shape)
+            for row, scaled in zip(table, _scaled_rows(kmax, axis)):
+                np.multiply(scaled, gauss, out=row)
+            table = _read_only(table)
+        _TABLES[key] = table
+        if len(_TABLES) > _TABLE_AXES:
+            _TABLES.popitem(last=False)
+    return table[:kmax + 1]
+
+
 def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
-    """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis)).
+    """h_m on a 1-D axis for m = 0..kmax, shape (kmax+1, len(axis)), as a
+    fresh writable copy of the shared table.
 
     Row m is bit-identical to `hermite_eval(m, axis)`."""
-    axis = np.asarray(axis, dtype=float)
-    table = np.stack(list(_scaled_rows(kmax, axis)))
-    table *= np.exp(-0.5 * axis * axis)
-    return table
+    return _table(_integer(kmax, "degree cap kmax", 0), axis).copy()
 
 
 def _points(x, n: int, what: str) -> np.ndarray:
@@ -364,7 +400,7 @@ def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
             f"samples have shape {np.shape(samples)}, expected {grid.shape} or {grid.shape} + (d,)"
         )
     d = a.shape[n]
-    T = eval_table(K, grid.axis) * grid.axis_weights  # (K+1, M)
+    T = _table(K, grid.axis) * grid.axis_weights  # (K+1, M)
     # one component at a time, so a column's coefficients do not depend on
     # the columns beside it (BLAS may order its sums by the product's width)
     parts = [a[..., c:c + 1] for c in range(d)]
@@ -388,7 +424,7 @@ def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:
     S = np.ones((len(modes), len(pts)))
     for j in range(n):
         idx = modes[:, j]
-        S *= eval_table(int(idx.max(initial=0)), pts[:, j])[idx]
+        S *= _table(int(idx.max(initial=0)), pts[:, j])[idx]
     return S
 
 
@@ -409,7 +445,7 @@ def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
         return np.zeros((grid.size, e.d))
     a = np.zeros((e.d,) + (e.K + 1,) * e.n)
     a[(slice(None),) + tuple(e.modes.T)] = e.C.T
-    T = eval_table(e.K, grid.axis)  # (K+1, M)
+    T = _table(e.K, grid.axis)  # (K+1, M)
     for _ in range(e.n):
         a = np.tensordot(a, T, axes=(1, 0))
     # (d, M, ..., M) -> (size, d)

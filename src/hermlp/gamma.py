@@ -103,8 +103,10 @@ class BanachModel:
             raise ValueError(f"exponent q={self.q} must be >= 1")
 
     def norm(self, v):
-        """l^q norm along the last axis."""
+        """l^q norm along the last axis; |v| when that axis has one entry."""
         v = np.asarray(v, dtype=float)
+        if v.shape[-1:] == (1,):
+            return np.abs(v[..., 0])
         if math.isinf(self.q):
             return np.max(np.abs(v), axis=-1)
         if self.q == 2.0:

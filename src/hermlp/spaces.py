@@ -10,18 +10,20 @@ deterministic lattice averages normalized by the quadrature mass of the
 interior points: each average is a weighted sum divided by the sum of
 the same weights, so the BMO estimate of the function 1 is exactly 1.
 The BMO and Carleson sweeps take their balls as arrays and each ball's
-interior as an index interval of the one-dimensional lattice.
+interior as an index interval of the one-dimensional lattice, built once
+per (axis, BallSpec) pair and kept for the last 8 pairs (`_ball_family`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid, _integer, _point, _points
+from .basis import HermiteExpansion, SpatialGrid, _integer, _point, _points, _read_only
 from .gamma import BanachModel, TimeGrid
 from .kernels import _lattice_mass, heat_apply
 from .semigroups import TimeField, _maximal_function, gfunction
@@ -281,6 +283,17 @@ def _ball_intervals(axis, centers, radii):
     return lo, np.maximum(hi - lo, 0)
 
 
+@functools.lru_cache(maxsize=8)
+def _ball_family(axis_bytes: bytes, balls: BallSpec):
+    """(centers, radii, oscillation, lo, count) of `balls.balls()` and
+    their `_ball_intervals` on the 1-D axis of these float64 bytes, for
+    the last 8 (axis, BallSpec) pairs.  The arrays are read-only, because
+    every hit hands out the same ones."""
+    centers, radii, oscillation = balls.balls()
+    lo, count = _ball_intervals(np.frombuffer(axis_bytes), centers, radii)
+    return tuple(_read_only(a) for a in (centers, radii, oscillation, lo, count))
+
+
 def _require_line(grid: SpatialGrid):
     if grid.n != 1:
         raise ValueError("ball sweeps run on one-dimensional grids (BallSpec centers are scalars)")
@@ -290,14 +303,13 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     """Max over the ball family of mean oscillation (r < rho(a)) or mean
     size (r >= rho(a)); averages over interior lattice points weighted by
     quadrature mass.  Balls without interior points are skipped (with a
-    single warning reporting how many).  All interiors are gathered into
+    warning per call reporting how many).  All interiors are gathered into
     one index array and every sum is one np.add.reduceat over it; each
     average is a weighted sum divided by the same mass, so the estimate
     of the function 1 is exactly 1.  One-dimensional grids only."""
     _require_line(grid)
     samples = _grid_samples(samples, grid)
-    centers, radii, oscillation = balls.balls()
-    lo, count = _ball_intervals(grid.axis, centers, radii)
+    _, _, oscillation, lo, count = _ball_family(grid.axis.tobytes(), balls)
     used = count > 0
     skipped = int(np.sum(~used))
     if skipped:
@@ -367,11 +379,9 @@ def carleson_functional(
     x = _point(x, grid.n, "x")
     _require_line(grid)
     field = _gfield(f, alpha, grid, times, field)
-    centers, radii, _ = balls.balls()
-    keep = np.abs(x - centers) < radii
-    lo, count = _ball_intervals(grid.axis, centers[keep], radii[keep])
-    used = count > 0
-    lo, count, radii = lo[used], count[used], radii[keep][used]
+    centers, radii, _, lo, count = _ball_family(grid.axis.tobytes(), balls)
+    keep = (np.abs(x - centers) < radii) & (count > 0)
+    lo, count, radii = lo[keep], count[keep], radii[keep]
     i = np.arange(grid.size)
     inside = (i >= lo[:, None]) & (i < (lo + count)[:, None])
     wmask = np.where(inside, grid.weights, 0.0)  # (balls, points)

@@ -21,8 +21,8 @@ from .basis import (
     HermiteExpansion,
     SpatialGrid,
     _integer,
+    _table,
     analyze,
-    eval_table,
     synthesize_grid,
 )
 from .gamma import BanachModel, TimeGrid
@@ -85,7 +85,7 @@ def check_eigen_ladder(K: int) -> CheckReport:
     K = _integer(K, "degree cap K", 0)
     xs = np.linspace(-6.0, 6.0, 41)
     step = 1e-5
-    H = eval_table(K + 2, xs)
+    H = _table(K + 2, xs)
     zero = np.zeros((1, xs.size))  # the row of degree -1
     m = np.arange(K + 2)[:, None]
     # (d/dx +/- x) h_m for m = 0..K+1: sqrt(2m) h_{m-1} and -sqrt(2m+2) h_{m+1}
@@ -99,7 +99,7 @@ def check_eigen_ladder(K: int) -> CheckReport:
     eigen = -d2 + xs * xs * hk - (2 * k + 1) * hk
     worst = float(np.max(np.abs(eigen)))
     # ladder identities vs finite differences of h_k' +/- x h_k
-    fd = (eval_table(K, xs + step) - eval_table(K, xs - step)) / (2 * step)
+    fd = (_table(K, xs + step) - _table(K, xs - step)) / (2 * step)
     for sign, ladder in ((+1, plus[:K + 1]), (-1, minus[:K + 1])):
         worst = max(worst, float(np.max(np.abs(fd + sign * xs * hk - ladder))))
     tol = 1e-8 if K == 0 else 1e-6
@@ -132,8 +132,8 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     wy = grid.weights
     xs = np.linspace(-4.0, 4.0, 5)
     times = np.asarray(t_list, dtype=float)
-    modes = (wy * eval_table(kmax, ys)).T  # (len(ys), modes): quadrature in y
-    hx = eval_table(kmax, xs).T  # (5, modes)
+    modes = (wy * _table(kmax, ys)).T  # (len(ys), modes): quadrature in y
+    hx = _table(kmax, xs).T  # (5, modes)
     eigen = 2.0 * np.arange(kmax + 1) + 1.0
     worst = 0.0
     for alpha in alpha_list:
@@ -148,7 +148,7 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     heat_times = [float(t) for t in t_list if t >= 0.1]
     heat_worst = 0.0 if heat_times else math.nan
     Ksum = 200
-    T = eval_table(Ksum, xs)
+    T = _table(Ksum, xs)
     for t in heat_times:
         lamf = np.exp(-t * (2 * np.arange(Ksum + 1) + 1))
         ssum = (T * lamf[:, None]).T @ T

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +106,93 @@ def test_eval_table_rows_are_hermite_eval(monkeypatch, perturb):
     table = eval_table(40, xs)
     for k in (0, 1, 7, 40):
         assert np.array_equal(table[k], hermite_eval(k, xs))
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty table store for one test."""
+    monkeypatch.setattr(basis, "_TABLES", OrderedDict())
+    return basis._TABLES
+
+
+@pytest.mark.parametrize("order", [[0, 3, 17, 40, 41], [41, 40, 17, 3, 0]])
+def test_table_cache_hit_equals_miss(fresh_tables, order):
+    # rising K rebuilds the stored table and falling K slices it; both must
+    # give the bits of a table built from an empty store
+    axes = [np.linspace(-7.0, 7.0, 29), SpatialGrid(12.0, 0.02).axis]
+    for K in order:
+        for xs in axes:
+            got = eval_table(K, xs)
+            fresh_tables.clear()
+            want = eval_table(K, xs)
+            assert got.tobytes() == want.tobytes() and got.shape == (K + 1, xs.size)
+            eval_table(max(order), xs)  # leave the longest table stored
+
+
+def test_table_cache_holds_one_longest_table_per_axis(fresh_tables):
+    xs = np.linspace(-3.0, 3.0, 11)
+    for K in (5, 30, 12):
+        eval_table(K, xs)
+    (table,) = fresh_tables.values()
+    assert table.shape == (31, 11) and not table.flags.writeable
+    for i in range(9):
+        eval_table(4, xs + i)
+    assert len(fresh_tables) == 8
+    assert not any(key[1] == xs.tobytes() for key in fresh_tables)
+
+
+def test_eval_table_returns_a_writable_copy(fresh_tables):
+    grid = SpatialGrid(10.0, 0.05)
+    xs = grid.axis
+    want = eval_table(12, xs)
+    samples = hermite_eval(3, xs)
+    coeffs = analyze(samples, grid, 12).C
+    table = eval_table(12, xs)
+    table[:] = np.nan
+    assert np.array_equal(eval_table(12, xs), want)
+    assert np.array_equal(analyze(samples, grid, 12).C, coeffs)
+
+
+def test_table_cache_keys_on_the_forward_factor(monkeypatch, fresh_tables):
+    # a table built before the canary perturbation must not be served after it
+    xs = np.linspace(-7.0, 7.0, 29)
+    exact = eval_table(40, xs)
+    monkeypatch.setattr(basis, "_FORWARD", 1.0 + 1e-6)
+    perturbed = eval_table(40, xs)
+    assert not np.array_equal(perturbed, exact)
+    assert np.array_equal(perturbed[40], hermite_eval(40, xs))
+
+
+def test_table_cache_under_threads(fresh_tables):
+    # four threads on two cores ask for rising and falling K on three axes;
+    # every answer has the reference bits, and each axis ends up holding
+    # the longest table asked for (a lost update would leave a shorter one)
+    axes = [np.linspace(-5.0, 5.0, 201) + i for i in range(3)]
+    want = {i: eval_table(60, xs) for i, xs in enumerate(axes)}
+    fresh_tables.clear()
+    rng = np.random.default_rng(5)
+    jobs = [[(int(i), int(K)) for i, K in zip(rng.integers(3, size=200), rng.integers(61, size=200))]
+            for _ in range(4)]
+
+    def work(calls):
+        return all(np.array_equal(eval_table(K, axes[i]), want[i][:K + 1]) for i, K in calls)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(work, c) for c in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 4
+    longest = {i: max(K for c in jobs for j, K in c if j == i) for i in range(3)}
+    assert sorted(len(t) for t in fresh_tables.values()) == sorted(K + 1 for K in longest.values())
+
+
+def test_eval_table_rejects_a_bad_degree():
+    for kmax in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="kmax"):
+            eval_table(kmax, np.zeros(3))
 
 
 def test_analyze_recovers_single_mode():

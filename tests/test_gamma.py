@@ -108,6 +108,35 @@ def test_banach_norm_cases():
             assert B.norm(a + b) <= B.norm(a) + B.norm(b) + 1e-12
 
 
+def _norm_of_a_general_axis(v, q):
+    """The l^q norm of a one-entry last axis by the branches that longer
+    axes take."""
+    if math.isinf(q):
+        return np.max(np.abs(v), axis=-1)
+    if q == 2.0:
+        return np.sqrt(np.sum(v * v, axis=-1))
+    a = np.abs(np.moveaxis(v, -1, 0), order="C")
+    top = np.max(a, axis=0)
+    a /= np.where((top > 0) & np.isfinite(top), top, 1.0)
+    return top * np.sum(a ** q, axis=0) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_banach_norm_of_one_entry_is_its_absolute_value(q):
+    rng = np.random.default_rng(31)
+    B = BanachModel(1, q)
+    for shape in [(1,), (7, 1), (16, 1201, 1), (3, 4, 5, 1)]:
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100, size=shape)
+        v.flat[0] = 0.0
+        got = B.norm(v)
+        assert got.shape == shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(_norm_of_a_general_axis(v, q)).tobytes()
+        assert np.array_equal(got, np.abs(v[..., 0]))
+    # beyond 1e+-154 the square of the q = 2 branch over- or underflows
+    v = np.array([[1e-200], [-1e200], [0.0]])
+    assert B.norm(v).tolist() == [1e-200, 1e200, 0.0]
+
+
 def test_banach_norm_large_q_neither_overflows_nor_underflows():
     B = BanachModel(2, 400.0)
     with warnings.catch_warnings():

@@ -336,6 +336,18 @@ def test_bmo_norm_warns_on_empty_balls():
         bmo_norm(np.ones((grid.size, 1)), B1, grid, balls)
 
 
+def test_bmo_norm_warns_on_every_call():
+    # the ball intervals are cached per grid; the warning is not
+    grid = SpatialGrid(R=8.0, h=0.05, n=1)
+    balls = BallSpec(spacing=0.077, extent=0.2, depth=12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            bmo_norm(np.ones((grid.size, 1)), B1, grid, balls)
+    assert len({str(w.message) for w in caught}) == 1
+    assert len(caught) == 3
+
+
 def test_ball_spec_validation():
     with pytest.raises(ValueError):
         BallSpec(spacing=0.0)
@@ -486,11 +498,30 @@ def test_sampled_h1_is_the_same_with_a_cleared_lattice_plan_cache():
        st.floats(0.5, 10.0), st.floats(0.003, 0.2))
 def test_ball_intervals_are_the_distance_masks(spacing, extent, depth, R, h):
     grid = SpatialGrid(R, h)
-    centers, radii, _ = BallSpec(spacing, extent, depth).balls()
-    lo, count = spaces._ball_intervals(grid.axis, centers, radii)
+    centers, radii, _, lo, count = spaces._ball_family(grid.axis.tobytes(),
+                                                       BallSpec(spacing, extent, depth))
     for a, r, start, size in zip(centers, radii, lo, count):
         mask = np.abs(grid.points - a) < r
         assert np.array_equal(np.flatnonzero(mask), np.arange(start, start + size))
+
+
+@pytest.mark.parametrize("balls", [BallSpec(0.5, 2.0, 2), BallSpec(0.25, 3.0, 3),
+                                   BallSpec(0.37, 4.0, 5), BallSpec(0.013, 1.0, 6), BallSpec()])
+def test_cached_ball_intervals_are_the_distance_masks(balls):
+    # h = 1/8: the centres that are multiples of 1/2 put a +/- r exactly on
+    # lattice points (r = 1/2, 1/4, 1, 2, ... near the origin), which the
+    # strict inequality leaves out
+    axis = SpatialGrid(4.0, 0.125).axis
+    for _ in range(2):  # a miss, then a hit
+        family = spaces._ball_family(axis.tobytes(), balls)
+        centers, radii, oscillation, lo, count = family
+        for got, want in zip(family, balls.balls()):
+            assert np.array_equal(got, want)
+        assert not any(a.flags.writeable for a in family)
+        for a, r, start, size in zip(centers, radii, lo, count):
+            mask = np.abs(axis - a) < r
+            assert np.array_equal(np.flatnonzero(mask), np.arange(start, start + size))
+    assert np.sum(np.isin(centers + radii, axis)) >= 4
 
 
 def test_ball_family_arrays_follow_the_ladder():
@@ -569,6 +600,22 @@ def test_carleson_functional_equals_a_per_ball_loop():
         want = _carleson_loop(field.values[:, :, 0] ** 2, x, balls, grid, times)
         got = carleson_functional(e, x, 0.0, balls, grid, times, field=field)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_carleson_functional_skips_empty_balls_around_x():
+    # balls of radius 0.5 / 2^12 around the off-lattice centre x hold no
+    # lattice point; the sweep of the cached family must leave them out
+    grid = SpatialGrid(R=8.0, h=0.05, n=1)
+    times = TimeGrid(1e-3, 2.0, 8)
+    balls = BallSpec(spacing=0.077, extent=0.2, depth=12)
+    e = HermiteExpansion(1, 1, 3, {(1,): [1.0], (3,): [-0.5]})
+    field = gfunction(e, 0.0, grid, times)
+    want = _carleson_loop(field.values[:, :, 0] ** 2, 0.077, balls, grid, times)
+    for _ in range(2):  # a miss, then a hit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = carleson_functional(e, 0.077, 0.0, balls, grid, times, field=field)
+        assert got == pytest.approx(want, rel=1e-14) and want > 0
 
 
 def test_ball_sweeps_reject_planar_grids():

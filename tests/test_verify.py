@@ -87,6 +87,19 @@ def test_kernel_vs_spectral_passes():
     assert r.details["heat_branch"] <= 1e-8
 
 
+def test_kernel_vs_spectral_reuses_its_hermite_tables(monkeypatch):
+    # the degree-200 heat reference and the quadrature tables are built
+    # once per axis, not once per call
+    runs = []
+    rows = basis._scaled_rows
+    monkeypatch.setattr(basis, "_scaled_rows", lambda kmax, x: runs.append(kmax) or rows(kmax, x))
+    first = check_kernel_vs_spectral([0.1, 1.0], [0.0])
+    runs.clear()
+    second = check_kernel_vs_spectral([0.1, 1.0], [0.0])
+    assert runs == []
+    assert second.computed == first.computed
+
+
 def test_kernel_vs_spectral_fails_on_heat_branch(monkeypatch):
     # a heat kernel off by 1e-7 relative stays inside the 1e-6 Poisson
     # tolerance but not the 1e-8 heat tolerance
