@@ -18,8 +18,9 @@ GROUP is one of
             and `gfunction` cases of `hardy` and `basis`: what the shared
             Hermite tables and ball intervals save;
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
-            target entry) and full-rank operators, `composed_maximal` at
-            q = 4 and 2, and `gamma_norm_hilbert`.
+            target entry, one at M = 2: a call's fixed cost) and
+            full-rank operators, `composed_maximal` at q = 4 and 2, and
+            `gamma_norm_hilbert`.
 
 Each tree is imported in a child process of its own with BLAS pinned to
 one thread and glibc's malloc thresholds fixed: otherwise a case that
@@ -241,12 +242,16 @@ def gamma_calls():
     t2048 = gamma.TimeGrid(1e-4, 40.0, 2048)
     wide = gamma.DiscreteGammaOperator(gamma.BanachModel(8, 2.0), t2048,
                                        rng.normal(size=(8, 2048)) * np.exp(-t2048.nodes))
+    r3_128 = gamma.rank_one(t128.nodes * np.exp(-t128.nodes), rng.normal(size=3),
+                            gamma.BanachModel(3, 1.5), t128)
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
         "mc_full_rank_d3_q4": lambda: gamma.gamma_norm_mc(full, 20000, 5)[0],
         "mc_rank_one_d8_N128_M7500": lambda: gamma.gamma_norm_mc(r8_128, 7500, 8)[0],
         "mc_rank_one_b03_q4": lambda: gamma.gamma_norm_mc(b03, 20000, 9)[0],
+        "mc_fixed_cost_d3_N128_M2": lambda: gamma.gamma_norm_mc(r3_128, 2, 10)[0],
+        "mc_rank_one_d3_N128_M7500": lambda: gamma.gamma_norm_mc(r3_128, 7500, 10)[0],
         "composed_q4_one_mode": lambda: semigroups.composed_maximal(
             one, -0.6, 0.0, "g", B4, s32, M=2000, seed=6),
         "composed_q4_3modes": lambda: semigroups.composed_maximal(
@@ -355,6 +360,11 @@ GROUPS = {
             "mc_rank_one_b03_q4": "gamma_norm_mc of the rank-one operator t e^{-t} (x) (0, 3), "
                                   "l^4, TimeGrid(), M = 20000, seed 9: a zero first target "
                                   "entry, as in `hermlp gamma --b 0,3`",
+            "mc_fixed_cost_d3_N128_M2": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b "
+                                        "random in R^3, l^1.5, TimeGrid(1e-4, 40, 128), M = 2, "
+                                        "seed 10: a call's fixed cost, its draw two normals",
+            "mc_rank_one_d3_N128_M7500": "the same operator at M = 7500, seed 10: the median "
+                                         "mc_rank_one job of the benchmark",
             "composed_q4_one_mode": "composed_maximal at x = -0.6, inner 'g', one random mode "
                                     "(K <= 11), d = 2, l^4, TimeGrid(1e-3, 20, 32): 33 "
                                     "s-candidates of rank one, M = 2000, seed 6",

@@ -30,7 +30,9 @@ the axis and on `_FORWARD`.  It holds the rows m = 0..K of the largest K
 asked for on that axis so far; a smaller K is a slice of it, and a
 larger one rebuilds it.  The 8 most recently used axes are kept, at
 (K+1) L 8 bytes each for L points: 0.3 MB for K = 30 on 1201 points.
-`eval_table` returns a writable copy.
+A one-point axis is built on each call and not stored, so syntheses at
+single points do not evict lattice tables.  `eval_table` returns a
+writable copy.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ _FORWARD = 1.0
 
 
 def _scaled_rows(kmax: int, x):
-    """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence."""
-    x = np.asarray(x, dtype=float)
+    """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence,
+    at a float array or numpy float x."""
     prev = math.pi ** -0.25 * np.ones_like(x)
     yield prev
     if kmax == 0:
@@ -196,8 +198,14 @@ _TABLE_AXES = 8
 def _table(kmax: int, axis) -> np.ndarray:
     """Rows m = 0..kmax of the shared read-only table of this axis (module
     docstring).  Row m does not depend on kmax, so a slice of a longer
-    table is exact."""
+    table is exact.  A one-point axis (a synthesis at a single point) is
+    not stored, where it would evict a lattice table: its recurrence runs
+    on numpy scalars, several times faster than on a one-entry array."""
     axis = np.asarray(axis, dtype=float)
+    if axis.size == 1:
+        x = axis.reshape(-1)[0]
+        rows = np.fromiter(_scaled_rows(kmax, x), float, kmax + 1)
+        return (rows * np.exp(-0.5 * x * x)).reshape((kmax + 1,) + axis.shape)
     key = (axis.shape, axis.tobytes(), _FORWARD)
     with _TABLES_LOCK:
         table = _TABLES.pop(key, None)

@@ -141,6 +141,28 @@ def test_table_cache_holds_one_longest_table_per_axis(fresh_tables):
     assert not any(key[1] == xs.tobytes() for key in fresh_tables)
 
 
+def test_single_point_syntheses_leave_the_lattice_tables_stored(monkeypatch, fresh_tables):
+    # eight maximal_norm calls at random points used to store eight
+    # one-point tables and evict the 1201-point table of gfunction, which
+    # the next gfunction then rebuilt
+    from hermlp import gamma, semigroups
+
+    grid = SpatialGrid(12.0, 0.02)
+    times = gamma.TimeGrid(1e-3, 20.0, 16)
+    e = HermiteExpansion(1, 1, 7, {(3,): [0.5], (7,): [-1.0]})
+    first = semigroups.gfunction(e, 0.0, grid, times).values
+    runs = []
+    rows = basis._scaled_rows
+    monkeypatch.setattr(basis, "_scaled_rows", lambda kmax, x: runs.append(np.size(x)) or rows(kmax, x))
+    for x in np.random.default_rng(3).uniform(-3.0, 3.0, size=8):
+        semigroups.maximal_norm(e, x, "heat", 0.0, gamma.BanachModel(1, 2.0), times)
+    assert len(runs) >= 8 and set(runs) == {1}
+    runs.clear()
+    assert np.array_equal(semigroups.gfunction(e, 0.0, grid, times).values, first)
+    assert runs == []
+    assert [key[0] for key in fresh_tables] == [grid.axis.shape]
+
+
 def test_eval_table_returns_a_writable_copy(fresh_tables):
     grid = SpatialGrid(10.0, 0.05)
     xs = grid.axis

@@ -137,6 +137,22 @@ def test_banach_norm_of_one_entry_is_its_absolute_value(q):
     assert B.norm(v).tolist() == [1e-200, 1e200, 0.0]
 
 
+@pytest.mark.parametrize("q", [1.0, 3.0, 4.0, 5.0, 7.0, 64.0])
+def test_banach_norm_of_integer_q_takes_products(q):
+    # integer q raises the scaled entries by products instead of np.power:
+    # a few ulp per power, below rounding once the q-th root is taken
+    rng = np.random.default_rng(int(q))
+    B = BanachModel(6, q)
+    v = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-100, 100, size=(50, 1))
+    v[3] = 0.0
+    top = np.max(np.abs(v), axis=-1, keepdims=True)
+    want = top[:, 0] * np.sum(np.power(np.abs(v) / np.where(top > 0, top, 1.0), q), axis=-1) ** (1 / q)
+    got = B.norm(v)
+    assert got[3] == 0.0
+    assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+    assert BanachModel(2, q).norm([np.inf, 1.0]) == np.inf
+
+
 def test_banach_norm_large_q_neither_overflows_nor_underflows():
     B = BanachModel(2, 400.0)
     with warnings.catch_warnings():
@@ -410,6 +426,130 @@ FULL_RANK_PINS = [
 def test_mc_full_rank_operators_keep_their_recorded_estimates():
     for (T, M, seed), pin in zip(_full_rank_operators(), FULL_RANK_PINS):
         assert gamma_norm_mc(T, M, seed) == pytest.approx(pin, rel=1e-15, abs=0.0)
+
+
+def _image_factor_reference(A):
+    """`_image_factor` slice by slice from its docstring's rule: move the
+    zero target rows of the slice last (stably), cut the rows of R from
+    the QR of its transpose to the kept ones, in order, put the columns
+    back in target order and pad with zero rows to the largest rank."""
+    S, d, N = A.shape
+    tol = max(d, N) * np.finfo(float).eps
+
+    def kept(rows):
+        size = np.sqrt(np.sum(rows * rows, axis=-1))
+        return size > tol * size.max()
+
+    factors = []
+    for a in A:
+        order = np.argsort(~kept(a), kind="stable")
+        R = np.linalg.qr(a[order].T, mode="r")
+        factors.append(R[kept(R)][:, np.argsort(order)])
+    ranks = np.array([len(f) for f in factors])
+    F = np.zeros((S, ranks.max(), d))
+    for s, f in enumerate(factors):
+        F[s, :len(f)] = f
+    return F, ranks
+
+
+@st.composite
+def _stacks(draw):
+    S, d, N = (draw(st.sampled_from(c)) for c in ([1, 5], [1, 2, 3, 8], [1, 2, 4, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.empty((S, d, N))
+    for s in range(S):
+        rank = draw(st.integers(0, min(d, N)))
+        A[s] = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, N))
+        A[s, draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 0.0
+    exponents = draw(st.lists(st.sampled_from([-300, 0, 300]), min_size=S * d, max_size=S * d))
+    return np.ldexp(A, np.reshape(exponents, (S, d, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+def test_image_factor_is_its_rule_bit_for_bit(A):
+    # rows scaled by 2^-300 next to rows of 2^300 are not kept, like zero rows
+    from hermlp.gamma import _image_factor
+
+    F, ranks = _image_factor(A)
+    want, want_ranks = _image_factor_reference(A)
+    assert ranks.tolist() == want_ranks.tolist()
+    assert F.shape == want.shape and np.ascontiguousarray(F).tobytes() == want.tobytes()
+
+
+def _pinned_rank_one(d, q, zero):
+    g = TimeGrid(1e-4, 40.0, 128)
+    b = np.random.default_rng(100 + d).normal(size=d)
+    if zero:
+        b[::3] = 0.0
+    return rank_one(g.nodes * np.exp(-g.nodes), b, BanachModel(d, q), g)
+
+
+# (d, zero target entries, q, M) -> (estimate, stderr) of the rank-one
+# operator above with seed 11, recorded before the fixed cost of a call
+# was cut; d = 1 with a zero entry is the zero operator
+RANK_ONE_PINS = {
+    (1, False, 1.5, 2): (0.3799806404691233, 0.14420280080132208),
+    (1, False, 1.5, 7500): (0.3979651764761406, 0.002599993828644039),
+    (1, False, 4.0, 2): (0.3799806404691233, 0.14420280080132208),
+    (1, False, 4.0, 7500): (0.3979651764761406, 0.002599993828644039),
+    (1, False, math.inf, 2): (0.3799806404691233, 0.14420280080132208),
+    (1, False, math.inf, 7500): (0.3979651764761406, 0.002599993828644039),
+    (1, True, 1.5, 2): (0.0, 0.0),
+    (1, True, 1.5, 7500): (0.0, 0.0),
+    (1, True, 4.0, 2): (0.0, 0.0),
+    (1, True, 4.0, 7500): (0.0, 0.0),
+    (1, True, math.inf, 2): (0.0, 0.0),
+    (1, True, math.inf, 7500): (0.0, 0.0),
+    (3, False, 1.5, 2): (1.0286805158905212, 1.0568461818916643),
+    (3, False, 1.5, 7500): (1.0773681062764675, 0.01905506367057435),
+    (3, False, 4.0, 2): (0.6941429174270735, 0.48122540678540315),
+    (3, False, 4.0, 7500): (0.7269967972380836, 0.00867655191768851),
+    (3, False, math.inf, 2): (0.6154421976935363, 0.378290378299557),
+    (3, False, math.inf, 7500): (0.6445711616086246, 0.00682062098342579),
+    (3, True, 1.5, 2): (0.755619095349724, 0.5702385894743113),
+    (3, True, 1.5, 7500): (0.7913826511222745, 0.01028147029911431),
+    (3, True, 4.0, 2): (0.6253241620471446, 0.3905360904854394),
+    (3, True, 4.0, 7500): (0.6549208406950627, 0.007041412645818756),
+    (3, True, math.inf, 2): (0.6154421976935361, 0.37829037829955686),
+    (3, True, math.inf, 7500): (0.6445711616086245, 0.006820620983425788),
+    (8, False, 1.5, 2): (2.7426395189878527, 7.512564501311882),
+    (8, False, 1.5, 7500): (2.8724490248684917, 0.13545244081363286),
+    (8, False, 4.0, 2): (1.5449392000142461, 2.383820445226816),
+    (8, False, 4.0, 7500): (1.6180613849682095, 0.04298056911338702),
+    (8, False, math.inf, 2): (1.4065309995156363, 1.975829072618511),
+    (8, False, math.inf, 7500): (1.4731023052920171, 0.035624435633128865),
+    (8, True, 1.5, 2): (1.3466758396857266, 1.8112437173388742),
+    (8, True, 1.5, 7500): (1.4104141925099838, 0.032656941897679044),
+    (8, True, 4.0, 2): (0.9914542107181741, 0.9817390769055868),
+    (8, True, 4.0, 7500): (1.0383798749571627, 0.0177008735413537),
+    (8, True, math.inf, 2): (0.9682073258144913, 0.9362406282721473),
+    (8, True, math.inf, 7500): (1.014032711791711, 0.016880531044519642),
+}
+
+
+@pytest.mark.parametrize("key", list(RANK_ONE_PINS))
+def test_mc_rank_one_keeps_its_recorded_bits(key):
+    d, zero, q, M = key
+    got = gamma_norm_mc(_pinned_rank_one(d, q, zero), M, 11)
+    if q == 4.0:  # integer q takes products, not np.power: a few ulp may move
+        assert got == pytest.approx(RANK_ONE_PINS[key], rel=1e-15, abs=0.0)
+    else:
+        assert got == RANK_ONE_PINS[key]
+
+
+def test_composed_maximal_q4_keeps_its_recorded_estimates():
+    from hermlp.basis import HermiteExpansion
+    from hermlp.semigroups import composed_maximal
+
+    got = []
+    for count in (1, 3):
+        rng = np.random.default_rng(40 + count)
+        ks = rng.choice(12, size=count, replace=False)
+        e = HermiteExpansion(1, 2, int(max(ks)), {(int(k),): rng.normal(size=2) for k in ks})
+        got.append(composed_maximal(e, 0.4, 1.0, "g", BanachModel(2, 4.0), TimeGrid(1e-3, 20.0, 32),
+                                    M=2000, seed=7))
+    assert got == pytest.approx([0.05345949016466454, 0.3471269879600232], rel=1e-15, abs=0.0)
 
 
 def test_gamma_norms_of_a_stack_match_the_single_operator_norms():
