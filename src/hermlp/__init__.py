@@ -32,7 +32,6 @@ from .gamma import (
 from .kernels import (
     ShiftedOperator,
     SubordinationRule,
-    classical_poisson,
     g_kernel,
     g_of_one,
     heat_kernel,
@@ -45,7 +44,6 @@ from .semigroups import (
     TimeField,
     apply_semigroup,
     composed_maximal,
-    coordinate_invsqrt,
     gfunction,
     gfunction_l2_sq,
     inv_sqrt,
@@ -95,9 +93,7 @@ __all__ = [
     "check_kernel_vs_spectral",
     "check_operator_identities",
     "check_polarization",
-    "classical_poisson",
     "composed_maximal",
-    "coordinate_invsqrt",
     "critical_radius",
     "default_grid",
     "equivalence_suite",

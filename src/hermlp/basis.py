@@ -48,8 +48,6 @@ import numpy as np
 __all__ = [
     "SpatialGrid",
     "HermiteExpansion",
-    "total_degree",
-    "shift_index",
     "hermite_eval",
     "hermite_ladder_eval",
     "hermite_derivative",
@@ -61,11 +59,6 @@ __all__ = [
 ]
 
 
-def total_degree(k) -> int:
-    """|k| = k_1 + ... + k_n."""
-    return int(sum(k))
-
-
 def as_index(k) -> tuple:
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
@@ -73,18 +66,6 @@ def as_index(k) -> tuple:
     if any(kj < 0 for kj in k):
         raise ValueError(f"multi-index must be nonnegative, got {k}")
     return k
-
-
-def shift_index(k, j: int, step: int) -> tuple:
-    """k -> k +/- e_j with 1-based coordinate j."""
-    k = as_index(k)
-    if not 1 <= j <= len(k):
-        raise ValueError(f"coordinate j={j} out of range for n={len(k)}")
-    out = list(k)
-    out[j - 1] += step
-    if out[j - 1] < 0:
-        raise ValueError(f"decrement of {k} at j={j} leaves the index set")
-    return tuple(out)
 
 
 def _integer(value, name: str, least: int) -> int:
@@ -153,17 +134,27 @@ class SpatialGrid:
         return _read_only(w.ravel())
 
 
+def _resolution(K, n: int) -> tuple:
+    """(h, R): a grid resolves the Hermite modes of degree <= K in R^n when
+    its step is at most h = 0.25 / sqrt(2K+n), which follows the
+    oscillation of the highest mode, and its half-width is at least
+    R = sqrt(2K+n) + 4, which holds that mode's Gaussian envelope.  Each
+    bound carries a rounding slack (1e-12 on h, 1e-9 on R).  ValueError
+    unless K is an integer >= 0."""
+    root = math.sqrt(2 * _integer(K, "degree cap K", 0) + n)
+    return 0.25 / root + 1e-12, root + 4.0 - 1e-9
+
+
 def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
     """Grid sized so `analyze` resolves Hermite oscillation up to degree K.
 
-    The half-width sqrt(2K+n) + 4 that `analyze` requires is snapped up,
+    The half-width that `analyze` requires (`_resolution`) is snapped up,
     not to the nearest multiple of h, so the grid always covers it.
     """
     if K is None:
         K = 60 if n == 1 else 20
     h = 0.005 if n == 1 else 0.03
-    m = math.ceil((math.sqrt(2 * K + n) + 4.0) / h - 1e-9)
-    return SpatialGrid(m * h, h, n)
+    return SpatialGrid(math.ceil(_resolution(K, n)[1] / h) * h, h, n)
 
 
 # factor on the forward recurrence coefficient; exactly 1, and the tests
@@ -289,8 +280,10 @@ def hermite_ladder_eval(k, x, j: int, sign: int) -> np.ndarray:
         if kj == 0:
             # sqrt(0) * h_{k - e_j} := 0 by convention
             return 0.0 * hermite_eval(k, x)
-        return math.sqrt(2.0 * kj) * hermite_eval(shift_index(k, j, -1), x)
-    return -math.sqrt(2.0 * kj + 2.0) * hermite_eval(shift_index(k, j, +1), x)
+        step, amp = -1, math.sqrt(2.0 * kj)
+    else:
+        step, amp = +1, -math.sqrt(2.0 * kj + 2.0)
+    return amp * hermite_eval(k[:j - 1] + (kj + step,) + k[j:], x)
 
 
 def hermite_derivative(k, x, j: int = 1) -> np.ndarray:
@@ -363,11 +356,11 @@ class HermiteExpansion:
     def single(cls, k) -> "HermiteExpansion":
         """The mode h_k with coefficient 1: n = len(k), d = 1, K = |k|."""
         k = as_index(k)
-        return cls(n=len(k), d=1, K=total_degree(k), coeffs={k: [1.0]})
+        return cls(n=len(k), d=1, K=sum(k), coeffs={k: [1.0]})
 
     def eigenvalue(self, k, alpha: float = 0.0) -> float:
         """lambda_alpha(k) = 2|k| + n + alpha (requires alpha > -n for positivity)."""
-        return 2.0 * total_degree(k) + self.n + alpha
+        return 2.0 * sum(k) + self.n + alpha
 
     def l2_norm_sq(self) -> float:
         return float(sum(float(c @ c) for c in self.C))
@@ -385,21 +378,19 @@ def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
     The samples have shape grid.shape (d = 1) or grid.shape + (d,), the
     last axis holding the d components.
 
-    The grid must resolve the oscillation of the highest mode
-    (h <= 0.25 / sqrt(2K+n)) and contain its Gaussian envelope
-    (R >= sqrt(2K+n) + 4); otherwise the call is rejected.
+    The degree cap K is an integer >= 0, and the grid must resolve the
+    oscillation of the highest mode (h <= 0.25 / sqrt(2K+n)) and contain
+    its Gaussian envelope (R >= sqrt(2K+n) + 4, `_resolution`); otherwise
+    the call is rejected.
     """
     n = grid.n
-    osc = 0.25 / math.sqrt(2 * K + n)
-    if grid.h > osc + 1e-12:
+    K = _integer(K, "degree cap K", 0)
+    most_h, least_R = _resolution(K, n)
+    if grid.h > most_h:
+        raise ValueError(f"grid spacing h={grid.h} too coarse for K={K}; need h <= {most_h:.4g}")
+    if grid.R < least_R:
         raise ValueError(
-            f"grid spacing h={grid.h} too coarse for K={K}; need h <= {osc:.4g}"
-        )
-    need_R = math.sqrt(2 * K + n) + 4.0
-    if grid.R < need_R - 1e-9:
-        raise ValueError(
-            f"grid half-width R={grid.R} too small for K={K}; need R >= {need_R:.4g}"
-        )
+            f"grid half-width R={grid.R} too small for K={K}; need R >= {least_R:.4g}")
     a = np.asarray(samples, dtype=float)
     if a.shape == grid.shape:
         a = a[..., np.newaxis]

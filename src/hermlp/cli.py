@@ -180,12 +180,6 @@ def _parse_point(text: str, n: int):
     return np.array(parts)
 
 
-def _parse_time(t: float) -> float:
-    if not math.isfinite(t):
-        raise ConfigError(f"time {t} is not finite")
-    return t
-
-
 def cmd_basis(args, cfg):
     k = _parse_index(args.k)
     rows = []
@@ -197,12 +191,12 @@ def cmd_basis(args, cfg):
 
 def cmd_kernel(args, cfg):
     x = _parse_point(args.x, cfg.n)
-    t = _parse_time(args.t)
+    t = args.t
+    if not math.isfinite(t):
+        raise ConfigError(f"time {t} is not finite")
     rule = cfg.rule()
     if args.which == "heat-one":
-        value = float(heat_kernel_one(x, t, cfg.n))
-        row = {"x": args.x, "t": t, "value": value}
-        return [row], 0
+        return [{"x": args.x, "t": t, "value": float(heat_kernel_one(x, t, cfg.n))}], 0
     y = _parse_point(args.y, cfg.n)
     if args.which == "heat":
         value = float(heat_kernel(x, y, t, cfg.n))
@@ -219,10 +213,8 @@ def cmd_kernel(args, cfg):
 def cmd_semigroup(args, cfg):
     mode = HermiteExpansion.single(_parse_index(args.k))
     factor = float(apply_semigroup(mode, args.kind, args.t, args.alpha).C[0, 0])
-    return [
-        {"kind": args.kind, "k": args.k, "t": args.t, "alpha": args.alpha,
-         "factor": factor}
-    ], 0
+    return [{"kind": args.kind, "k": args.k, "t": args.t, "alpha": args.alpha,
+             "factor": factor}], 0
 
 
 def cmd_gamma(args, cfg):
@@ -310,20 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (RunConfig schema)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", help="output path (default: stdout)")
-    for f in _FIELDS:
-        common.add_argument(f"--{f.name}", type=type(f.default), default=None,
-                            help=f"override config field {f.name}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, fields, about):
+        # no abbreviations: --h would be read as --help where h is not a flag
+        p = sub.add_parser(name, parents=[common], help=about, description=about,
+                           allow_abbrev=False)
+        for field in fields.split():  # override flags for the config fields it reads
+            p.add_argument(f"--{field}", type=type(getattr(RunConfig, field)),
+                           default=argparse.SUPPRESS, help=f"override config field {field}")
+        return p
 
-    p = add("basis", help="evaluate orthonormal oscillator eigenfunctions")
+    p = add("basis", "", "evaluate orthonormal oscillator eigenfunctions")
     p.add_argument("--k", required=True, help="multi-index, comma separated")
     p.add_argument("--x", required=True, help="points, ';' separated")
     p.set_defaults(fn=cmd_basis)
 
-    p = add("kernel", help="evaluate heat/Poisson/g/ladder kernels")
+    p = add("kernel", "n Q", "evaluate heat/Poisson/g/ladder kernels")
     p.add_argument("which", choices=("heat", "heat-one", "poisson", "g", "ladder"))
     p.add_argument("--x", required=True)
     p.add_argument("--y", default="0")
@@ -333,24 +328,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.set_defaults(fn=cmd_kernel)
 
-    p = add("semigroup", help="spectral semigroup factor on one mode")
+    p = add("semigroup", "", "spectral semigroup factor on one mode")
     p.add_argument("--kind", choices=("heat", "poisson"), default="poisson")
     p.add_argument("--k", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(fn=cmd_semigroup)
 
-    p = add("gamma", help="rank-one gamma-norm Monte Carlo estimate")
+    p = add("gamma", "q tmin tmax N M seed", "rank-one gamma-norm Monte Carlo estimate")
     p.add_argument("--b", required=True, help="target vector, comma separated")
     p.set_defaults(fn=cmd_gamma)
 
-    p = add("spaces", help="critical radius and H1 norms")
+    p = add("spaces", "n q R h tmin tmax N",
+            "critical radius and H1 norms (h1 uses min(N, 48) time nodes)")
     p.add_argument("which", choices=("rho", "h1"))
     p.add_argument("--x", default="0")
     p.add_argument("--k", default="0")
     p.set_defaults(fn=cmd_spaces)
 
-    p = add("verify", help="run the verification suites (one-dimensional; --n is ignored)")
+    p = add("verify", "K seed",
+            "run the verification suites (one-dimensional; identities uses min(K, 15))")
     p.add_argument(
         "which",
         choices=("eigen", "kernel", "polarization", "identities", "envelopes",
@@ -370,9 +367,8 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         for f in _FIELDS:
-            override = getattr(args, f.name)
-            if override is not None:
-                setattr(cfg, f.name, override)
+            if hasattr(args, f.name):
+                setattr(cfg, f.name, getattr(args, f.name))
         cfg.validate()
         rows, code = args.fn(args, cfg)
     except (OSError, ValueError) as exc:

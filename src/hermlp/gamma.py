@@ -32,8 +32,7 @@ it is squared, and the results are scaled back, so entries anywhere in
 the double range neither overflow nor underflow; the scaling is exact.
 A call's cost is mostly fixed (numpy calls on small arrays): for rank one,
 d = 3, N = 128 (2-core x86_64, numpy 2.4.6) it took 97 us at M = 2, of
-which the seeded draw was 11, and 211 us at M = 7500, the draw 104; before
-the set-up was trimmed to fewer calls, 146 and 268 us.
+which the seeded draw was 11, and 211 us at M = 7500, the draw 104.
 """
 
 from __future__ import annotations
@@ -89,10 +88,6 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def refine(self) -> "TimeGrid":
-        """Same span with twice as many nodes (for convergence checks)."""
-        return TimeGrid(self.t_min, self.t_max, 2 * self.N)
-
 
 @dataclass(frozen=True)
 class BanachModel:
@@ -113,8 +108,6 @@ class BanachModel:
             return np.abs(v[..., 0])
         if math.isinf(self.q):
             return abs(v).max(axis=-1)
-        if self.q == 2.0:
-            return np.sqrt((v * v).sum(axis=-1))
         # divide by the largest entry so |v|^q neither overflows nor
         # underflows; zero and non-finite vectors are left unscaled.  The
         # entries go on the leading axis, because numpy reduces a short
@@ -161,13 +154,14 @@ class DiscreteGammaOperator:
 
 def h_norm(samples, grid: TimeGrid) -> float:
     """Scalar H-norm (sum_i f(t_i)^2 w_i)^{1/2} of a profile sampled on
-    the grid nodes."""
+    the grid nodes: the Frobenius norm of f sqrt(w), so samples anywhere in
+    the double range neither overflow nor underflow."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.N,):
         raise ValueError("profile samples must match the grid nodes")
     if not np.all(np.isfinite(samples)):
         raise ValueError("profile samples must be finite")
-    return float(np.sqrt(np.sum(samples * samples * grid.weights)))
+    return float(_frobenius((samples * np.sqrt(grid.weights))[None, None])[0])
 
 
 def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperator:

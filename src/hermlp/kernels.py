@@ -85,7 +85,6 @@ __all__ = [
     "heat_apply",
     "heat_one_dt",
     "poisson_kernel",
-    "classical_poisson",
     "g_kernel",
     "ladder_kernel",
     "g_of_one",
@@ -663,12 +662,3 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
         lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s) - decay * s),
         lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),), n=op.n,
     )
-
-
-def classical_poisson(x, t, n: int = 1):
-    """Classical Poisson kernel P_t(x) = t^{-n} P(x/t) on R^n; unit mass."""
-    x = _points(x, n, "x")
-    t = _check_time(t)
-    c = math.gamma((n + 1) / 2.0) / math.pi ** ((n + 1) / 2.0)
-    r2 = _split(x, n)
-    return c * t ** (-n) * (1.0 + r2 / (t * t)) ** (-(n + 1) / 2.0)

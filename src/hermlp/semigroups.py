@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _coordinate, _point, point_synthesis_matrix, synthesize_grid,
+    HermiteExpansion, SpatialGrid, _point, point_synthesis_matrix, synthesize_grid,
 )
 from .gamma import BanachModel, TimeGrid, gamma_norms
 
@@ -36,7 +36,6 @@ __all__ = [
     "ladder_transform",
     "riesz",
     "inv_sqrt",
-    "coordinate_invsqrt",
     "maximal_norm",
     "composed_maximal",
 ]
@@ -203,12 +202,6 @@ def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
     """(L + alpha)^{-1/2}: scale coefficient at k by (2|k|+n+alpha)^{-1/2}."""
     modes, C, _, rate, _ = _spectral_table(e, alpha, "poisson")
     return HermiteExpansion.from_arrays(e.n, e.d, modes, C / rate[:, None], e.K)
-
-
-def coordinate_invsqrt(e: HermiteExpansion, j: int, grid: SpatialGrid) -> np.ndarray:
-    """x_j L^{-1/2} f sampled on the grid; shape (grid.size, d)."""
-    xj = _coordinate(grid.points, grid.n, j)
-    return xj[:, None] * synthesize_grid(inv_sqrt(e, 0.0), grid)
 
 
 def _maximal_function(

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteExpansion, SpatialGrid, _integer, _point, _points, _read_only
+from .basis import (
+    HermiteExpansion, SpatialGrid, _integer, _point, _points, _read_only, _resolution,
+)
 from .gamma import BanachModel, TimeGrid
 from .kernels import _lattice_mass, heat_apply
 from .semigroups import TimeField, _maximal_function, gfunction
@@ -210,7 +212,7 @@ def h1_norm(
     if isinstance(f, HermiteExpansion):
         if f.n != grid.n:
             raise ValueError(f"expansion has n={f.n} but the grid has n={grid.n}")
-        if grid.h > 0.25 / math.sqrt(2 * f.K + f.n + 1e-12):
+        if grid.h > _resolution(f.K, f.n)[0]:
             raise ValueError("grid too coarse for the expansion degree")
         sup = _maximal_function(f, grid.points, kind, alpha, B, times)
         return float(np.sum(grid.weights * sup))

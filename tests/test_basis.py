@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -251,6 +252,20 @@ def test_analyze_rejects_short_grid():
     grid = SpatialGrid(R=5.0, h=0.01, n=1)
     with pytest.raises(ValueError, match="too small"):
         analyze(np.zeros(grid.shape), grid, K=60)
+
+
+@pytest.mark.parametrize("K, message", [(-1, "K=-1 must be >= 0"),
+                                        (2.5, "K=2.5 must be an integer"),
+                                        (True, "K=True must be an integer")])
+def test_analyze_and_default_grid_check_the_degree_cap(K, message):
+    # analyze(samples, grid, -1) and default_grid(1, -1) raised "math domain
+    # error", and analyze(samples, grid, 2.5) a TypeError
+    grid = default_grid(1, 10)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analyze(np.zeros(grid.shape), grid, K)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_grid(1, K)
+    assert analyze(np.zeros(grid.shape), grid, np.int64(10)).K == 10
 
 
 def test_roundtrip_analyze_synthesize():

@@ -304,6 +304,17 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
 OVERRIDES = {"n": "2", "K": "7", "q": "3.5", "R": "5", "h": "0.1", "tmin": "0.01",
              "tmax": "9", "N": "16", "Q": "8", "M": "100", "seed": "5"}
 
+# per subcommand: an argv tail that reaches its handler, and the config
+# fields the handler reads (the only ones it takes an override flag for)
+READS = {
+    "basis": (["--k", "0", "--x", "0"], set()),
+    "kernel": (["heat", "--x", "0", "--t", "1"], {"n", "Q"}),
+    "semigroup": (["--k", "0", "--t", "1"], set()),
+    "gamma": (["--b", "1"], {"q", "tmin", "tmax", "N", "M", "seed"}),
+    "spaces": (["rho"], {"n", "q", "R", "h", "tmin", "tmax", "N"}),
+    "verify": (["eigen"], {"K", "seed"}),
+}
+
 
 def test_overrides_cover_every_config_field():
     import dataclasses
@@ -311,6 +322,7 @@ def test_overrides_cover_every_config_field():
     from hermlp.cli import RunConfig
 
     assert set(OVERRIDES) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert set().union(*(fields for _, fields in READS.values())) == set(OVERRIDES)
 
 
 @pytest.mark.parametrize("name", sorted(OVERRIDES))
@@ -325,11 +337,12 @@ def test_every_config_field_can_be_overridden(monkeypatch, name):
         seen.append(cfg)
         return [], 0
 
+    command = next(c for c, (_, fields) in READS.items() if name in fields)
     default = getattr(cli.RunConfig(), name)
-    monkeypatch.setattr(cli, "cmd_semigroup", record)
+    monkeypatch.setattr(cli, f"cmd_{command}", record)
     cli.build_parser.cache_clear()  # the cached parser holds the handlers
     try:
-        argv = ["semigroup", "--k", "0", "--t", "1", f"--{name}", OVERRIDES[name]]
+        argv = [command] + READS[command][0] + [f"--{name}", OVERRIDES[name]]
         assert cli.main(argv) == 0
     finally:
         cli.build_parser.cache_clear()
@@ -339,6 +352,32 @@ def test_every_config_field_can_be_overridden(monkeypatch, name):
     assert type(value) is type(default)
     others = {f.name for f in dataclasses.fields(cfg)} - {name}
     assert all(getattr(cfg, f) == getattr(cli.RunConfig(), f) for f in others)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (_, fields) in READS.items()
+    for name in sorted(OVERRIDES) if name not in fields
+])
+def test_an_unread_config_field_is_not_a_flag(command, name):
+    # every subcommand took all 11 flags and ran with the ones it does not
+    # read ignored; --h on a subcommand without it would abbreviate --help
+    r = run_main(command, *READS[command][0], f"--{name}", OVERRIDES[name])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"unrecognized arguments: --{name} {OVERRIDES[name]}" in r.stderr
+
+
+def test_help_lists_the_fields_each_subcommand_reads():
+    flags = {}
+    for command in READS:
+        r = run_main(command, "--help")
+        assert r.returncode == 0
+        flags[command] = set(re.findall(r"--(\w+)", r.stdout)) & set(OVERRIDES)
+        assert flags[command] == READS[command][1]
+    assert sum(map(len, flags.values())) == 17
+    # the two clamps are stated in the help (argparse wraps it to the terminal)
+    assert "min(N, 48)" in " ".join(run_main("spaces", "--help").stdout.split())
+    assert "min(K, 15)" in " ".join(run_main("verify", "--help").stdout.split())
 
 
 @pytest.mark.parametrize(

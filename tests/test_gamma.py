@@ -75,7 +75,7 @@ def test_h_norm_poisson_derivative_profile():
 
 def test_h_norm_grid_refinement_converges():
     prof = GRID.nodes * np.exp(-GRID.nodes)
-    fine = GRID.refine()
+    fine = TimeGrid(GRID.t_min, GRID.t_max, 2 * GRID.N)
     prof2 = fine.nodes * np.exp(-fine.nodes)
     assert abs(h_norm(prof, GRID) - h_norm(prof2, fine)) <= 1e-6
 
@@ -87,6 +87,18 @@ def test_h_norm_rejects_mismatched_samples():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         h_norm(bad, GRID)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_h_norm_of_a_huge_or_a_tiny_profile(scale):
+    # sum(f * f * w) overflowed to inf or underflowed to 0; h_norm is now
+    # the Frobenius norm of the rank-one operator with b = [1]
+    prof = scale * GRID.nodes * np.exp(-GRID.nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = h_norm(prof, GRID)
+        assert got == gamma_norm_hilbert(rank_one(prof, [1.0], BanachModel(1, 2.0), GRID))
+    assert got == pytest.approx(0.5 * scale, rel=1e-4, abs=0.0)
 
 
 def test_banach_norm_cases():
@@ -151,6 +163,19 @@ def test_banach_norm_of_integer_q_takes_products(q):
     assert got[3] == 0.0
     assert np.allclose(got, want, rtol=4e-16, atol=0.0)
     assert BanachModel(2, q).norm([np.inf, 1.0]) == np.inf
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_banach_norm_at_q_two_neither_overflows_nor_underflows(d):
+    # q = 2 summed unscaled squares: [1e200, 1e200] gave inf with an
+    # overflow warning and [1e-200, 1e-200] gave 0.0
+    B = BanachModel(d, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200, 1.0):
+            got = B.norm(np.full((3, d), scale))
+            assert got == pytest.approx(np.full(3, math.sqrt(d) * scale), rel=1e-15, abs=0.0)
+        assert B.norm(np.zeros(d)) == 0.0
 
 
 def test_banach_norm_large_q_neither_overflows_nor_underflows():

@@ -12,7 +12,6 @@ from hermlp.basis import SpatialGrid, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
     SubordinationRule,
-    classical_poisson,
     g_kernel,
     g_of_one,
     heat_apply,
@@ -22,6 +21,7 @@ from hermlp.kernels import (
     ladder_kernel,
     poisson_kernel,
 )
+from hermlp.verify import kernel_bound_ratio
 
 L = ShiftedOperator(0.0, 1)
 L2 = ShiftedOperator(2.0, 1)
@@ -282,20 +282,6 @@ def test_g_of_one_sup_finite():
         sup = max(sup, float(np.max(np.abs(g_of_one(xs, t, L2)))))
     assert np.isfinite(sup)
     assert sup <= 5.0
-
-
-def test_classical_poisson_values():
-    assert classical_poisson(0.0, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    # scaling identity
-    assert classical_poisson(0.6, 0.3) == pytest.approx(
-        classical_poisson(2.0, 1.0) / 0.3, rel=1e-13
-    )
-
-
-def test_classical_poisson_unit_mass():
-    for t in (0.2, 1.0, 4.0):
-        mass, _ = quad(lambda x: classical_poisson(x, t), -np.inf, np.inf)
-        assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_gradient_envelope_finite():
@@ -751,7 +737,6 @@ POINT_CALLS = {
     "g_kernel": lambda x, y, n: g_kernel(x, y, [0.5, 2.0], ShiftedOperator(0.0, n)),
     "ladder_kernel": lambda x, y, n: ladder_kernel(x, y, 0.5, n, -1, n),
     "g_of_one": lambda x, y, n: g_of_one(x + y, 0.5, ShiftedOperator(0.0, n)),
-    "classical_poisson": lambda x, y, n: classical_poisson(x + y, 0.5, n),
 }
 
 
@@ -888,7 +873,8 @@ TIME_CALLS = {
     "heat_kernel": lambda t: heat_kernel(0.3, -0.2, t),
     "heat_kernel_one": lambda t: heat_kernel_one(0.3, t),
     "heat_one_dt": lambda t: heat_one_dt(0.3, t, L),
-    "classical_poisson": lambda t: classical_poisson(0.3, t),
+    # the envelope check hands its times to the closed-form kernels
+    "kernel_bound_ratio": lambda t: kernel_bound_ratio("heat", _AXIS, t),
     "heat_apply": lambda t: heat_apply(np.ones((_AXIS.size, 1)), _AXIS, t),
     "poisson_kernel": lambda t: poisson_kernel(0.3, -0.2, t, L2),
     "g_kernel": lambda t: g_kernel(0.3, -0.2, t, L),

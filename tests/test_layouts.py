@@ -12,13 +12,13 @@ from hermlp.basis import (
     HermiteExpansion,
     SpatialGrid,
     hermite_eval,
+    hermite_ladder_eval,
     point_synthesis_matrix,
     synthesize,
 )
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.kernels import (
     ShiftedOperator,
-    classical_poisson,
     g_kernel,
     g_of_one,
     heat_kernel,
@@ -54,7 +54,7 @@ def point_calls(n):
         ("g_kernel", "x", lambda p: g_kernel(p, q, 1.0, op), False),
         ("g_kernel", "y", lambda p: g_kernel(q, p, 1.0, op), False),
         ("g_of_one", "x", lambda p: g_of_one(p, 1.0, op), False),
-        ("classical_poisson", "x", lambda p: classical_poisson(p, 1.0, n), False),
+        ("hermite_ladder_eval", "x", lambda p: hermite_ladder_eval((1,) * n, p, n, -1), False),
         ("ladder_kernel", "x", lambda p: ladder_kernel(p, q, 1.0, n, +1, n), False),
         ("ladder_kernel", "y", lambda p: ladder_kernel(q, p, 1.0, n, -1, n), False),
         ("maximal_norm", "x", lambda p: maximal_norm(e, p, "heat", 0.0, B, TIMES), True),

@@ -13,7 +13,6 @@ from hermlp.kernels import ShiftedOperator, g_kernel, ladder_kernel
 from hermlp.semigroups import (
     apply_semigroup,
     composed_maximal,
-    coordinate_invsqrt,
     gfunction,
     gfunction_l2_sq,
     inv_sqrt,
@@ -234,21 +233,12 @@ def test_riesz_factors_through_inv_sqrt():
         )
 
 
-def test_coordinate_invsqrt_basics():
-    zero = HermiteExpansion(n=1, d=1, K=0, coeffs={})
-    assert np.all(coordinate_invsqrt(zero, 1, GRID) == 0.0)
-    e = expansion([(0, 1.0), (4, 2.0)])
-    vals = coordinate_invsqrt(e, 1, GRID)
-    x0 = np.argmin(np.abs(GRID.axis))
-    assert vals[x0, 0] == 0.0
-
-
 def test_riesz_minus_coordinate_is_derivative():
     # R_{1,+} f - x L^{-1/2} f = d/dx (L^{-1/2} f), checked by central
     # finite differences of the synthesized function
     e = expansion([(1, 1.0), (3, -0.4), (6, 0.2)])
     half = inv_sqrt(e, 0.0)
-    lhs = synthesize_grid(riesz(e, 1, +1), GRID) - coordinate_invsqrt(e, 1, GRID)
+    lhs = synthesize_grid(riesz(e, 1, +1), GRID) - GRID.axis[:, None] * synthesize_grid(half, GRID)
     h = 1e-5
     for xi in (8, 24, 40):
         x = GRID.axis[xi]
@@ -611,9 +601,8 @@ def test_composed_maximal_rejects_semigroup_inners_and_empty_bad_shift():
 @pytest.mark.parametrize("call", [
     lambda e, grid, times: gfunction(e, 0.0, grid, times),
     lambda e, grid, times: ladder_transform(e, 1, +1, grid, times),
-    lambda e, grid, times: coordinate_invsqrt(e, 1, grid),
     lambda e, grid, times: check_polarization(e, e),
-], ids=["gfunction", "ladder_transform", "coordinate_invsqrt", "check_polarization"])
+], ids=["gfunction", "ladder_transform", "check_polarization"])
 def test_dimension_mismatch_raises_before_the_dense_tensor(call):
     # the two-dimensional mode on the line used to build a 370 MB tensor
     # and then fail to reshape it

@@ -692,3 +692,38 @@ def test_area_and_carleson_reject_a_field_of_another_shape():
             area_integral(e, 0.3, 0.0, grid, ATOM_TIMES, field=field)
         with pytest.raises(ValueError, match="scalar-valued inputs"):
             carleson_functional(e, 0.3, 0.0, BallSpec(), grid, ATOM_TIMES, field=field)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norms_at_q_two_of_huge_and_tiny_samples_scale(scale):
+    # at q = 2 and d >= 2 the Banach norm summed unscaled squares, so h1_norm
+    # and bmo_norm read inf (with an overflow warning) or 0 for these samples
+    grid, times, B = SpatialGrid(4.0, 0.1), TimeGrid(1e-2, 5.0, 8), BanachModel(2, 2.0)
+    f = np.exp(-grid.points ** 2)
+    samples = np.stack([f, np.cos(grid.points) * f], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # bmo_norm skips empty balls
+        h1 = h1_norm(scale * samples, B, grid, times)
+        bmo = bmo_norm(scale * samples, B, grid, BallSpec())
+        h1_one, bmo_one = h1_norm(samples, B, grid, times), bmo_norm(samples, B, grid, BallSpec())
+    assert h1 == pytest.approx(scale * h1_one, rel=1e-14, abs=0.0)
+    assert bmo == pytest.approx(scale * bmo_one, rel=1e-14, abs=0.0)
+
+
+def test_spectral_h1_and_analyze_take_the_same_steps():
+    # the spectral h1_norm allowed h <= 0.25 / sqrt(2K + n + 1e-12) and
+    # analyze h <= 0.25 / sqrt(2K + n) + 1e-12, so the step 0.25 / sqrt(2K + n)
+    # passed analyze and failed h1_norm
+    K, times = 3, TimeGrid(0.1, 2.0, 4)
+    edge = 0.25 / math.sqrt(2 * K + 1)
+    for h, ok in [(edge, True), (edge + 5e-13, True), (edge * (1 + 1e-9), False)]:
+        grid = SpatialGrid(8.0, h)
+        calls = [lambda: analyze(np.zeros(grid.shape), grid, K),
+                 lambda: h1_norm(HermiteExpansion.single(K), B1, grid, times)]
+        for call in calls:
+            if ok:
+                call()
+            else:
+                with pytest.raises(ValueError, match="too coarse"):
+                    call()
