@@ -22,7 +22,6 @@ from .gamma import (
     BanachModel,
     DiscreteGammaOperator,
     TimeGrid,
-    gamma_norm,
     gamma_norm_hilbert,
     gamma_norm_mc,
     gamma_norms,
@@ -99,7 +98,6 @@ __all__ = [
     "equivalence_suite",
     "g_kernel",
     "g_of_one",
-    "gamma_norm",
     "gamma_norm_hilbert",
     "gamma_norm_mc",
     "gamma_norms",

@@ -304,22 +304,29 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fields, about):
-        # no abbreviations: --h would be read as --help where h is not a flag
+    def add(name, about, fields):
+        # fields: the config fields the subcommand reads, or a mode -> fields
+        # table.  No abbreviations: --h would be read as --help where h is
+        # not a flag
         p = sub.add_parser(name, parents=[common], help=about, description=about,
                            allow_abbrev=False)
-        for field in fields.split():  # override flags for the config fields it reads
+        modes = fields if isinstance(fields, dict) else {}
+        names = " ".join(modes.values()) if modes else fields
+        for field in dict.fromkeys(names.split()):  # each once, in table order
             p.add_argument(f"--{field}", type=type(getattr(RunConfig, field)),
                            default=argparse.SUPPRESS, help=f"override config field {field}")
+        if modes:  # the positional mode, and the fields each mode reads
+            p.add_argument("which", choices=tuple(modes))
+            p.set_defaults(reads={m: set(f.split()) for m, f in modes.items()})
         return p
 
-    p = add("basis", "", "evaluate orthonormal oscillator eigenfunctions")
+    p = add("basis", "evaluate orthonormal oscillator eigenfunctions", "")
     p.add_argument("--k", required=True, help="multi-index, comma separated")
     p.add_argument("--x", required=True, help="points, ';' separated")
     p.set_defaults(fn=cmd_basis)
 
-    p = add("kernel", "n Q", "evaluate heat/Poisson/g/ladder kernels")
-    p.add_argument("which", choices=("heat", "heat-one", "poisson", "g", "ladder"))
+    p = add("kernel", "evaluate heat/Poisson/g/ladder kernels",
+            {"heat": "n", "heat-one": "n", "poisson": "n Q", "g": "n Q", "ladder": "n Q"})
     p.add_argument("--x", required=True)
     p.add_argument("--y", default="0")
     p.add_argument("--t", type=float, required=True)
@@ -328,31 +335,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.set_defaults(fn=cmd_kernel)
 
-    p = add("semigroup", "", "spectral semigroup factor on one mode")
+    p = add("semigroup", "spectral semigroup factor on one mode", "")
     p.add_argument("--kind", choices=("heat", "poisson"), default="poisson")
     p.add_argument("--k", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(fn=cmd_semigroup)
 
-    p = add("gamma", "q tmin tmax N M seed", "rank-one gamma-norm Monte Carlo estimate")
+    p = add("gamma", "rank-one gamma-norm Monte Carlo estimate", "q tmin tmax N M seed")
     p.add_argument("--b", required=True, help="target vector, comma separated")
     p.set_defaults(fn=cmd_gamma)
 
-    p = add("spaces", "n q R h tmin tmax N",
-            "critical radius and H1 norms (h1 uses min(N, 48) time nodes)")
-    p.add_argument("which", choices=("rho", "h1"))
+    p = add("spaces",
+            "critical radius and H1 norms (h1 uses min(N, 48) time nodes)",
+            {"rho": "n", "h1": "n q R h tmin tmax N"})
     p.add_argument("--x", default="0")
     p.add_argument("--k", default="0")
     p.set_defaults(fn=cmd_spaces)
 
-    p = add("verify", "K seed",
-            "run the verification suites (one-dimensional; identities uses min(K, 15))")
-    p.add_argument(
-        "which",
-        choices=("eigen", "kernel", "polarization", "identities", "envelopes",
-                 "equivalence-l2", "all"),
-    )
+    p = add("verify",
+            "run the verification suites (one-dimensional; identities uses min(K, 15))",
+            {"eigen": "K", "kernel": "", "polarization": "", "identities": "K seed",
+             "envelopes": "", "equivalence-l2": "", "all": "K seed"})
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -366,8 +370,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        reads = args.reads[args.which] if hasattr(args, "reads") else None
         for f in _FIELDS:
             if hasattr(args, f.name):
+                if reads is not None and f.name not in reads:
+                    raise ConfigError(f"--{f.name} is not read by {args.command} {args.which}")
                 setattr(cfg, f.name, getattr(args, f.name))
         cfg.validate()
         rows, code = args.fn(args, cfg)

@@ -8,31 +8,20 @@ for a represented profile F; in this weighted coordinate basis the Hilbert
 (q = 2) gamma norm is exactly the Frobenius norm, and the general case is
 estimated by Monte Carlo over independent standard Gaussian coefficients.
 
-A gamma norm depends on the operator A only through the covariance A A^T
-of the Gaussian vector A gamma in R^d.  The Monte Carlo route therefore
-draws in the image of A, cut to its numerical rank.  With the QR
-factorization A^T = Q R (R has min(d, N) rows R_i), A A^T = R^T R =
-sum_i R_i^T R_i; the rows with ||R_i|| <= max(d, N) eps max_j ||R_j||
-are dropped, and each dropped row removes only its own R_i^T R_i, below
-(max(d, N) eps)^2 ||R||^2.  If r rows stay (F, kept in order), each row of
-g @ F for a standard Gaussian g in R^r has the law N(0, F^T F), so a
-sample costs r normals.  The QR does not pivot, so target entries whose
-row of A is numerically zero are moved last before it (a rank-one
-operator keeps one row wherever its zero entries are).  r is then the
-numerical rank unless a nonzero column of A^T lies in the span of the
-columns before it while a later one does not.  For r = 1, sample i of a
-slice is g_i F by homogeneity of the norm, so its squared norm is
-g_i^2 ||F||^2: one norm per operator and O(M) work for M samples.
-Operators that keep every row draw exactly what a draw of min(d, N)
-normals gave before; rank-deficient ones draw fewer normals, so for a
-fixed seed their draws differ while their law is the same.
+A gamma norm depends on the operator A only through the covariance
+C = A A^T of the Gaussian vector A gamma in R^d, so the Monte Carlo route
+reads C alone.  One symmetric eigendecomposition C = V diag(w) V^T is cut
+to the eigenpairs with w_i > d max(d, N) eps max_j w_j, the rounding bound
+of forming C (N eps tr C <= d N eps w_max) and of eigh (about d eps w_max),
+so noise is not kept.  In singular values of A the cut is
+sqrt(d max(d, N) eps) sigma_max.  If r pairs stay, F = diag(sqrt w) V^T has
+r rows and each row of g @ F for a standard Gaussian g in R^r has the law
+N(0, F^T F), so a sample costs r normals.  For r = 1, sample i of a slice
+is g_i F by homogeneity of the norm: one norm per operator, O(M) work.
 
 Each operator is scaled by the power of two at its largest |entry| before
 it is squared, and the results are scaled back, so entries anywhere in
 the double range neither overflow nor underflow; the scaling is exact.
-A call's cost is mostly fixed (numpy calls on small arrays): for rank one,
-d = 3, N = 128 (2-core x86_64, numpy 2.4.6) it took 97 us at M = 2, of
-which the seeded draw was 11, and 211 us at M = 7500, the draw 104.
 """
 
 from __future__ import annotations
@@ -56,7 +45,6 @@ __all__ = [
     "rank_one",
     "gamma_norm_hilbert",
     "gamma_norm_mc",
-    "gamma_norm",
     "gamma_norms",
 ]
 
@@ -108,13 +96,19 @@ class BanachModel:
             return np.abs(v[..., 0])
         if math.isinf(self.q):
             return abs(v).max(axis=-1)
-        # divide by the largest entry so |v|^q neither overflows nor
-        # underflows; zero and non-finite vectors are left unscaled.  The
-        # entries go on the leading axis, because numpy reduces a short
-        # contiguous last axis several times slower.
+        # scale each vector so |v|^q neither overflows nor underflows; zero
+        # and non-finite vectors stay unscaled.  The entries go on the
+        # leading axis: numpy reduces a short contiguous last axis slower.
         a = np.abs(v.transpose(-1, *range(v.ndim - 1)), order="C")
         top = a.max(axis=0)
-        np.divide(a, top, out=a, where=(top > 0) & np.isfinite(top))
+        if self.q <= 1022:
+            # by the power of two at the largest entry (exact, and faster
+            # than a divide): it lands in [1/2, 1), so its q-th power is normal
+            e = np.frexp(top)[1]
+            np.ldexp(a, -e, out=a)
+        else:  # 2^-q would underflow: divide, so the largest is exactly 1
+            e = None
+            np.divide(a, top, out=a, where=(top > 0) & np.isfinite(top))
         # an integer q up to 64 takes squarings and products (left-to-right
         # binary powers): several times faster than np.power, within q ulp
         k = int(min(self.q, 64.0))
@@ -126,7 +120,8 @@ class BanachModel:
                     a *= base
         else:
             np.power(a, self.q, out=a)
-        return top * a.sum(axis=0) ** (1.0 / self.q)
+        a = a.sum(axis=0) ** (1.0 / self.q)
+        return top * a if e is None else np.ldexp(a, e)
 
 
 @dataclass
@@ -175,7 +170,8 @@ def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperato
 
 def gamma_norm_hilbert(T: DiscreteGammaOperator) -> float:
     """Frobenius norm of the matrix: the exact gamma norm when q = 2, and
-    the same value, bit for bit, as `gamma_norm(T)[0]` there."""
+    the same value, bit for bit, as `gamma_norms(T.matrix[None], T.B)`
+    gives there."""
     return float(_frobenius(T.matrix[None])[0])
 
 
@@ -185,22 +181,16 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     Draws M independent samples of matrix @ gamma, gamma standard Gaussian
     in R^N, forms their squared B-norms and returns (sqrt of the sample
     mean, standard error of the mean of the squared norms).  The samples
-    are taken in the image of the operator, cut to its numerical rank:
-    the rows R_i of the triangular factor of the QR factorization of
-    matrix.T with ||R_i|| > max(d, N) eps max_j ||R_j|| are kept (r of
-    them, F), and each row of g @ F for g standard Gaussian in R^r has the
-    law N(0, F^T F), which differs from the law N(0, matrix @ matrix.T) of
-    matrix @ gamma by less than (max(d, N) eps)^2 ||matrix||^2 in its
-    covariance.  A sample costs r normals; a rank-one operator (r = 1)
-    costs one normal per sample and one B-norm in all, so O(M) work.
-    An operator that keeps all min(d, N) rows gets the draws and, up to
-    rounding, the estimate of a full min(d, N)-column draw; a
-    rank-deficient one gets other draws of the same law.  Entries may lie
-    anywhere in the double range (the operator is scaled by a power of
-    two); the stderr, in squared units, over- or underflows to inf or 0
-    once the entries pass about 1e+-154.  Deterministic given (seed, M):
-    M an integer >= 2, seed an integer >= 0, else ValueError.  Draws are
-    processed in blocks of at most 20000 to cap memory.
+    are drawn in the image of the operator cut to its numerical rank r,
+    the eigenpairs of C = matrix @ matrix.T with w_i > cut w_max, cut =
+    d max(d, N) eps (see the module docstring): the covariance of a draw
+    differs from C by less than d cut ||matrix||^2, and a sample costs r
+    normals.  A rank-one operator costs one normal per sample and one
+    B-norm in all, so O(M) work.  Entries may lie anywhere in the double
+    range (the operator is scaled by a power of two); the stderr, in
+    squared units, over- or underflows to inf or 0 once the entries pass
+    about 1e+-154.  Deterministic given (seed, M): M an integer >= 2, seed
+    an integer >= 0, else ValueError.  Draws go in blocks of at most 20000.
     """
     est, err = _mc_stack(T.matrix[None], T.B, M, seed)
     return float(est[0]), float(err[0])
@@ -224,40 +214,18 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt((row @ row.reshape(len(A), -1, 1)).reshape(-1)), e)
 
 
-def _image_factor(A: np.ndarray):
-    """Per slice of a stack A (S, d, N): a factor F with A A^T = F^T F up
-    to (max(d, N) eps ||A||)^2, cut to the numerical rank.
-
-    A row (of A, then of R) is kept when its norm is above max(d, N) eps
-    times its slice's largest row norm.  The QR does not pivot, so a row
-    of A that is not kept (a zero target entry) ahead of one that is
-    would keep a row of R: such slices are factored with those rows moved
-    last, in a stable order, and the columns of F put back in target
-    order.  One stacked QR of the transposes gives R (S, min(d, N), d),
-    whose kept rows are taken, in order and first.  Returns (F, ranks): F
-    is (S, r, d) with r the largest rank, and slice s holds zeros below
-    its ranks[s] kept rows."""
-    S, d, N = A.shape
-
-    def kept(rows):
-        size = np.sqrt((rows * rows).sum(axis=2))
-        return size > max(d, N) * _EPS * size.max(axis=1, keepdims=True)
-
-    keep = kept(A)
-    if (keep[:, :-1] < keep[:, 1:]).any():
-        order = np.argsort(~keep, axis=1, kind="stable")
-        F, ranks = _image_factor(np.take_along_axis(A, order[:, :, None], axis=1))
-        return np.take_along_axis(F, np.argsort(order, axis=1)[:, None, :], axis=2), ranks
-    R = np.linalg.qr(A.swapaxes(1, 2), mode="r")
-    keep = kept(R)
+def _cov_factor(C: np.ndarray, cut: float):
+    """Per slice of a stack C (S, d, d) of covariances: (F, ranks), where
+    F (S, r, d) holds sqrt(w_i) v_i^T over the eigenpairs of the slice with
+    w_i > cut w_max, largest first, so F^T F is C less the dropped pairs.
+    Taken in descending order the kept pairs are a prefix, so slice s has
+    ranks[s] rows and zeros below them up to the largest rank r."""
+    w, V = np.linalg.eigh(C)
+    w, V = w[:, ::-1], V[:, :, ::-1]
+    keep = w > cut * w[:, :1]
     ranks = keep.sum(axis=1)
     r = int(ranks.max())
-    if keep[:, :r].all():  # every slice keeps its first r rows: F is a view of R
-        return R[:, :r], ranks
-    first = np.argsort(~keep, axis=1, kind="stable")[:, :r]
-    F = np.take_along_axis(R, first[:, :, None], axis=1)
-    F[np.arange(r) >= ranks[:, None]] = 0.0
-    return F, ranks
+    return np.sqrt(w[:, :r] * keep[:, :r])[:, :, None] * V[:, :, :r].swapaxes(1, 2), ranks
 
 
 def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
@@ -268,20 +236,21 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     Each slice is scaled by a power of two (`_binary_scaled`); the
     estimates are scaled back by 2^e and the stderrs by 4^e.  All slices
     share one draw: standard normals g of shape (M, r), r the largest
-    numerical rank over the stack (`_image_factor`), taken row by row from
-    default_rng(seed) in blocks of at most 20000 draws summed over the
-    stack (20000 // S samples of every slice per block).  Slice s reads
-    the first ranks[s] columns of g, so a slice of full rank r gets the
-    draws of a standalone call and one of lower rank gets other draws of
-    the same law.  For r = 1 sample i of slice s is g_i F_s, so a block
-    adds ||F_s||^2 sum g^2 and ||F_s||^4 sum g^4: one B-norm per slice.
-    Otherwise the values of a block are formed entries first, (d, S, m):
-    `BanachModel.norm` of their transpose reduces contiguous rows."""
+    numerical rank over the stack (`_cov_factor` of the scaled A A^T, cut
+    at d max(d, N) eps), taken row by row from default_rng(seed) in blocks
+    of at most 20000 draws summed over the stack (20000 // S samples of
+    every slice per block).  Slice s reads the first ranks[s] columns of
+    g, so a slice of rank r gets the draws of a standalone call and one of
+    lower rank gets other draws of the same law.  For r = 1 sample i of
+    slice s is g_i F_s, so a block adds ||F_s||^2 sum g^2 and ||F_s||^4
+    sum g^4: one B-norm per slice.  Otherwise the values of a block are
+    formed entries first, (d, S, m), so `BanachModel.norm` of their
+    transpose reduces contiguous rows."""
     M = _integer(M, "Monte Carlo sample count M", 2)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
-    S, d, _ = A.shape
+    S, d, N = A.shape
     A, e = _binary_scaled(A)
-    F, _ = _image_factor(A)
+    F, _ = _cov_factor(A @ A.swapaxes(1, 2), d * max(d, N) * _EPS)
     r = F.shape[1]
     if r == 1:
         unit = B.norm(F[:, 0]) ** 2
@@ -313,22 +282,13 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
         return np.ldexp(np.sqrt(mean), e), np.ldexp(np.sqrt(var / M), 2 * e)
 
 
-def gamma_norm(T: DiscreteGammaOperator, M: int = 200000, seed: int = 0):
-    """Gamma norm by the route of `gamma_norms`: the Frobenius norm with
-    stderr 0 for q = 2, Monte Carlo otherwise.  Returns (estimate, stderr)."""
-    est, err = gamma_norms(T.matrix[None], T.B, M, seed)
-    return float(est[0]), float(err[0])
-
-
 def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
     """Gamma norms of a stack A (S, d, N) of operator matrices into B:
     arrays (estimates, stderrs) of length S.  For q = 2 the Frobenius norm
     of each slice with stderr 0; otherwise one Monte Carlo estimate of the
-    whole stack from `seed` (one stacked QR and one shared draw, in blocks
-    of at most 20000 draws summed over the stack).  A slice that keeps the
-    largest rank of the stack gets what `gamma_norm_mc` gives it alone; a
-    slice of lower rank reads fewer columns of the shared draw, so its
-    estimate has the same law but other draws."""
+    whole stack from `seed` (`_mc_stack`): a slice of the stack's largest
+    rank gets what `gamma_norm_mc` gives it alone; a slice of lower rank
+    reads fewer columns of the shared draw: same law, other draws."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[0] < 1 or A.shape[1] != B.d or A.shape[2] < 1:
         raise ValueError(f"stack shape {A.shape} is not (S, d={B.d}, N)")

@@ -253,14 +253,15 @@ def composed_maximal(
     All the s-candidates form one (s, d, N) stack, and the result is the
     largest of its `gamma_norms`.  For q = 2 that is the largest
     Frobenius norm of the slices.  Otherwise the whole stack goes to one
-    Monte Carlo estimate: one stacked QR of the slice transposes, each cut to its numerical rank,
-    and one shared draw of M samples from `seed` with as many normals
-    per sample as the largest rank, taken in blocks of at most 20000
-    draws summed over the stack.  A slice of that largest rank gets the
-    estimate a standalone `gamma_norm_mc` call with the same seed gives;
-    a slice of lower rank (at large s, where the faster modes have
-    decayed below rounding) reads fewer columns of the shared draw, so
-    its estimate has the same law but other draws.
+    Monte Carlo estimate: one stacked eigendecomposition of the slice
+    covariances A A^T, each cut to its numerical rank (eigenvalues above
+    d max(d, N) eps of the largest), and one shared draw of M samples from
+    `seed` with as many normals per sample as the largest rank, taken in
+    blocks of at most 20000 draws summed over the stack.  A slice of that
+    largest rank gets the estimate a standalone `gamma_norm_mc` call with
+    the same seed gives; a slice of lower rank (at large s, where the
+    faster modes have decayed below the cut) reads fewer columns of the
+    shared draw, so its estimate has the same law but other draws.
     """
     x = _point(x, e.n, "x")
     if isinstance(inner, str) and inner != "g":

@@ -304,15 +304,28 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
 OVERRIDES = {"n": "2", "K": "7", "q": "3.5", "R": "5", "h": "0.1", "tmin": "0.01",
              "tmax": "9", "N": "16", "Q": "8", "M": "100", "seed": "5"}
 
-# per subcommand: an argv tail that reaches its handler, and the config
-# fields the handler reads (the only ones it takes an override flag for)
+# per subcommand: an argv tail that reaches its handler in a mode that
+# reads all its fields, and the config fields the handler reads (the only
+# ones it takes an override flag for)
 READS = {
     "basis": (["--k", "0", "--x", "0"], set()),
-    "kernel": (["heat", "--x", "0", "--t", "1"], {"n", "Q"}),
+    "kernel": (["poisson", "--x", "0", "--t", "1"], {"n", "Q"}),
     "semigroup": (["--k", "0", "--t", "1"], set()),
     "gamma": (["--b", "1"], {"q", "tmin", "tmax", "N", "M", "seed"}),
-    "spaces": (["rho"], {"n", "q", "R", "h", "tmin", "tmax", "N"}),
-    "verify": (["eigen"], {"K", "seed"}),
+    "spaces": (["h1"], {"n", "q", "R", "h", "tmin", "tmax", "N"}),
+    "verify": (["identities"], {"K", "seed"}),
+}
+
+# per subcommand with modes: an argv tail after the mode, and the config
+# fields each mode reads
+MODES = {
+    "kernel": (["--x", "0", "--t", "1"],
+               {"heat": {"n"}, "heat-one": {"n"}, "poisson": {"n", "Q"}, "g": {"n", "Q"},
+                "ladder": {"n", "Q"}}),
+    "spaces": ([], {"rho": {"n"}, "h1": READS["spaces"][1]}),
+    "verify": ([], {"eigen": {"K"}, "kernel": set(), "polarization": set(),
+                    "identities": {"K", "seed"}, "envelopes": set(), "equivalence-l2": set(),
+                    "all": {"K", "seed"}}),
 }
 
 
@@ -365,6 +378,32 @@ def test_an_unread_config_field_is_not_a_flag(command, name):
     assert r.returncode == 2
     assert r.stdout == ""
     assert f"unrecognized arguments: --{name} {OVERRIDES[name]}" in r.stderr
+
+
+def test_each_mode_takes_only_the_field_flags_it_reads(monkeypatch):
+    for command in MODES:
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args, cfg: ([], 0))
+    cli.build_parser.cache_clear()  # the cached parser holds the handlers
+    try:
+        for command, (tail, modes) in MODES.items():
+            for mode, fields in modes.items():
+                for name in READS[command][1]:
+                    r = run_main(command, mode, *tail, f"--{name}", OVERRIDES[name])
+                    assert r.returncode == (0 if name in fields else 2), (command, mode, name)
+    finally:
+        cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("kernel", "heat", "--x", "0", "--t", "1", "--Q", "8"), "--Q is not read by kernel heat"),
+    (("verify", "kernel", "--K", "3"), "--K is not read by verify kernel"),
+    (("verify", "eigen", "--seed", "9"), "--seed is not read by verify eigen"),
+    (("spaces", "rho", "--R", "2", "--N", "5"), "--R is not read by spaces rho"),
+])
+def test_a_field_flag_the_mode_does_not_read_exits_2(argv, message):
+    # each used to exit 0 and print what it prints without the flag
+    r = run_main(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_help_lists_the_fields_each_subcommand_reads():

@@ -10,7 +10,6 @@ from hermlp.gamma import (
     BanachModel,
     DiscreteGammaOperator,
     TimeGrid,
-    gamma_norm,
     gamma_norm_hilbert,
     gamma_norm_mc,
     gamma_norms,
@@ -19,6 +18,7 @@ from hermlp.gamma import (
 )
 
 GRID = TimeGrid()
+EPS = np.finfo(float).eps
 
 
 def test_time_grid_invariants():
@@ -178,14 +178,17 @@ def test_banach_norm_at_q_two_neither_overflows_nor_underflows(d):
         assert B.norm(np.zeros(d)) == 0.0
 
 
-def test_banach_norm_large_q_neither_overflows_nor_underflows():
-    B = BanachModel(2, 400.0)
+@pytest.mark.parametrize("q", [400.0, 1022.0, 1023.0, 2000.0, 1e6])
+def test_banach_norm_large_q_neither_overflows_nor_underflows(q):
+    # a power-of-two scaling leaves the largest entry in [1/2, 1), whose
+    # q-th power underflows above q = 1022: [1, 0] read 0 at q = 2000
+    B = BanachModel(2, q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert B.norm([10.0, 0.0]) == pytest.approx(10.0, rel=1e-12)
-        assert B.norm([1e-3, 0.0]) == pytest.approx(1e-3, rel=1e-12)
-        assert B.norm([[0.0, 0.0], [-3.0, 3.0]]) == pytest.approx(
-            [0.0, 3.0 * 2.0 ** (1 / 400)], rel=1e-12
+        for v in ([10.0, 0.0], [1e-3, 0.0], [1.0, 0.0], [0.5, 0.0], [5e-324, 0.0]):
+            assert B.norm(v) == pytest.approx(v[0], rel=1e-12)
+        assert B.norm([[0.0, 0.0], [-3.0, 3.0], [1.0, 1.0]]) == pytest.approx(
+            [0.0, 3.0 * 2.0 ** (1 / q), 2.0 ** (1 / q)], rel=1e-12
         )
 
 
@@ -360,17 +363,15 @@ def test_gamma_norm_dispatch():
     prof = GRID.nodes * np.exp(-GRID.nodes)
     b = np.array([1.0, 2.0])
     T2 = rank_one(prof, b, BanachModel(2, 2.0), GRID)
-    est, err = gamma_norm(T2)
+    (est,), (err,) = gamma_norms(T2.matrix[None], T2.B)
     assert err == 0.0
-    assert est == pytest.approx(gamma_norm_hilbert(T2))
+    assert est == gamma_norm_hilbert(T2)
     T4 = rank_one(prof, b, BanachModel(2, 4.0), GRID)
-    est, err = gamma_norm(T4, M=50000, seed=4)
+    (est,), (err,) = gamma_norms(T4.matrix[None], T4.B, M=50000, seed=4)
     assert err > 0.0
     assert est == pytest.approx(h_norm(prof, GRID) * float(T4.B.norm(b)), rel=0.02)
-    # both are the first slice of gamma_norms, bit for bit
-    for T, M, seed in ((T2, 200000, 0), (T4, 50000, 4)):
-        stack = gamma_norms(T.matrix[None], T.B, M, seed)
-        assert gamma_norm(T, M, seed) == (stack[0][0], stack[1][0])
+    # a stack of one operator is a Monte Carlo call on it, bit for bit
+    assert (est, err) == gamma_norm_mc(T4, 50000, 4)
 
 
 @pytest.mark.parametrize("M", [math.nan, math.inf, 2.5, 1000.0, "1000", -3])
@@ -403,12 +404,12 @@ def test_banach_model_rejects_a_dimension_that_is_not_an_integer(d):
 @pytest.mark.parametrize("N", [4, 64])
 @pytest.mark.parametrize("d", [3, 8])
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_image_factor_keeps_the_rank_and_the_covariance(rank, d, N):
-    from hermlp.gamma import _image_factor
+def test_cov_factor_keeps_the_rank_and_the_covariance(rank, d, N):
+    from hermlp.gamma import _cov_factor
 
     rng = np.random.default_rng(100 * rank + 10 * d + N)
     A = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, N))
-    F, ranks = _image_factor(A[None])
+    F, ranks = _cov_factor((A @ A.T)[None], d * max(d, N) * EPS)
     assert ranks.tolist() == [rank] and F.shape == (1, rank, d)
     scale = np.linalg.norm(A, 2) ** 2
     assert np.max(np.abs(F[0].T @ F[0] - A @ A.T)) <= 1e-13 * scale
@@ -416,7 +417,7 @@ def test_image_factor_keeps_the_rank_and_the_covariance(rank, d, N):
 
 @pytest.mark.parametrize("q", [1.5, 4.0, math.inf])
 def test_mc_rank_one_draws_one_normal_per_sample(q):
-    # a d = 8 rank-one operator keeps one row b^T h_norm of its factor, so
+    # a d = 8 rank-one operator keeps one row +-b^T h_norm of its factor, so
     # sample i is |g_i| h_norm ||b||_q with g the first M normals of the seed
     prof = GRID.nodes * np.exp(-GRID.nodes)
     b = np.random.default_rng(61).normal(size=8)
@@ -428,8 +429,9 @@ def test_mc_rank_one_draws_one_normal_per_sample(q):
     assert est == pytest.approx(want, rel=1e-14)
 
 
-# (estimate, stderr) of full-rank operators, recorded from the estimator
-# that drew min(d, N) normals per sample before draws were cut to the rank
+# (estimate, stderr) of full-rank operators, recorded from the eigh factor
+# of the covariance; the QR factor before it drew other normals of the same
+# law, and CHANGES.md lists its values
 def _full_rank_operators():
     rng = np.random.default_rng(2024)
     g = TimeGrid()
@@ -442,39 +444,15 @@ def _full_rank_operators():
 
 
 FULL_RANK_PINS = [
-    (27.10483874860816, 3.5584050913181677),
-    (12.404863481224961, 0.9871993678494965),
-    (4.346116872995713, 0.2933606558553061),
+    (27.04141557261438, 3.531594010201359),
+    (12.414986759317017, 0.9940197457583763),
+    (4.413793325755939, 0.29056809833602093),
 ]
 
 
 def test_mc_full_rank_operators_keep_their_recorded_estimates():
     for (T, M, seed), pin in zip(_full_rank_operators(), FULL_RANK_PINS):
         assert gamma_norm_mc(T, M, seed) == pytest.approx(pin, rel=1e-15, abs=0.0)
-
-
-def _image_factor_reference(A):
-    """`_image_factor` slice by slice from its docstring's rule: move the
-    zero target rows of the slice last (stably), cut the rows of R from
-    the QR of its transpose to the kept ones, in order, put the columns
-    back in target order and pad with zero rows to the largest rank."""
-    S, d, N = A.shape
-    tol = max(d, N) * np.finfo(float).eps
-
-    def kept(rows):
-        size = np.sqrt(np.sum(rows * rows, axis=-1))
-        return size > tol * size.max()
-
-    factors = []
-    for a in A:
-        order = np.argsort(~kept(a), kind="stable")
-        R = np.linalg.qr(a[order].T, mode="r")
-        factors.append(R[kept(R)][:, np.argsort(order)])
-    ranks = np.array([len(f) for f in factors])
-    F = np.zeros((S, ranks.max(), d))
-    for s, f in enumerate(factors):
-        F[s, :len(f)] = f
-    return F, ranks
 
 
 @st.composite
@@ -492,14 +470,44 @@ def _stacks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_stacks())
-def test_image_factor_is_its_rule_bit_for_bit(A):
-    # rows scaled by 2^-300 next to rows of 2^300 are not kept, like zero rows
-    from hermlp.gamma import _image_factor
+def test_cov_factor_keeps_the_numerical_rank_and_the_covariance(A):
+    # on the scaled slices of `_mc_stack`: the rank is the count of singular
+    # values above sqrt(cut) sigma_max, F^T F is A A^T up to the dropped
+    # eigenvalues (at most d cut sigma_max^2) and rounding, and the rows
+    # below a slice's rank are zero; rows scaled by 2^-300 next to rows of
+    # 2^300 fall below the cut, like zero rows
+    from hermlp.gamma import _binary_scaled, _cov_factor
 
-    F, ranks = _image_factor(A)
-    want, want_ranks = _image_factor_reference(A)
-    assert ranks.tolist() == want_ranks.tolist()
-    assert F.shape == want.shape and np.ascontiguousarray(F).tobytes() == want.tobytes()
+    S, d, N = A.shape
+    cut = d * max(d, N) * EPS
+    A, _ = _binary_scaled(A)
+    F, ranks = _cov_factor(A @ A.swapaxes(1, 2), cut)
+    sv = np.linalg.svd(A, compute_uv=False)
+    assert ranks.tolist() == np.sum(sv > math.sqrt(cut) * sv[:, :1], axis=1).tolist()
+    assert F.shape == (S, max(ranks), d)
+    for f, a, rank, top in zip(F, A, ranks, sv[:, 0]):
+        assert np.max(np.abs(f.T @ f - a @ a.T)) <= 2 * d * cut * top * top
+        assert not f[rank:].any()
+
+
+@pytest.mark.parametrize("d, N", [(3, 1), (8, 1), (8, 2), (2, 1)])
+def test_cov_factor_keeps_rank_one_slices_at_rank_one(d, N):
+    # where max(d, N) is small, eigh's noise eigenvalues of a rank-one C come
+    # closest to the cut (2.1 eps w_max at d = 8, N = 2, against the cut's
+    # d max(d, N) eps = 64 eps); rows scaled by 2^+-300 or zeroed keep the
+    # rank one, and every slice keeps one row of its factor
+    from hermlp.gamma import _binary_scaled, _cov_factor
+
+    rng = np.random.default_rng(10 * d + N)
+    S = 20000
+    A = rng.normal(size=(S, d, 1)) * rng.normal(size=(S, 1, N))
+    A = np.ldexp(A, rng.choice([-300, 0, 300], size=(S, d, 1)))
+    zero = rng.random((S, d)) < 0.3
+    zero[np.arange(S), rng.integers(d, size=S)] = False
+    A[zero] = 0.0
+    A, _ = _binary_scaled(A)
+    _, ranks = _cov_factor(A @ A.swapaxes(1, 2), d * max(d, N) * EPS)
+    assert np.all(ranks == 1)
 
 
 def _pinned_rank_one(d, q, zero):
@@ -511,8 +519,8 @@ def _pinned_rank_one(d, q, zero):
 
 
 # (d, zero target entries, q, M) -> (estimate, stderr) of the rank-one
-# operator above with seed 11, recorded before the fixed cost of a call
-# was cut; d = 1 with a zero entry is the zero operator
+# operator above with seed 11, recorded from the eigh factor of the
+# covariance; d = 1 with a zero entry is the zero operator
 RANK_ONE_PINS = {
     (1, False, 1.5, 2): (0.3799806404691233, 0.14420280080132208),
     (1, False, 1.5, 7500): (0.3979651764761406, 0.002599993828644039),
@@ -526,30 +534,30 @@ RANK_ONE_PINS = {
     (1, True, 4.0, 7500): (0.0, 0.0),
     (1, True, math.inf, 2): (0.0, 0.0),
     (1, True, math.inf, 7500): (0.0, 0.0),
-    (3, False, 1.5, 2): (1.0286805158905212, 1.0568461818916643),
-    (3, False, 1.5, 7500): (1.0773681062764675, 0.01905506367057435),
-    (3, False, 4.0, 2): (0.6941429174270735, 0.48122540678540315),
-    (3, False, 4.0, 7500): (0.7269967972380836, 0.00867655191768851),
-    (3, False, math.inf, 2): (0.6154421976935363, 0.378290378299557),
-    (3, False, math.inf, 7500): (0.6445711616086246, 0.00682062098342579),
+    (3, False, 1.5, 2): (1.0286805158905215, 1.0568461818916648),
+    (3, False, 1.5, 7500): (1.0773681062764677, 0.019055063670574357),
+    (3, False, 4.0, 2): (0.6941429174270737, 0.48122540678540354),
+    (3, False, 4.0, 7500): (0.7269967972380839, 0.008676551917688515),
+    (3, False, math.inf, 2): (0.6154421976935364, 0.37829037829955725),
+    (3, False, math.inf, 7500): (0.6445711616086248, 0.006820620983425794),
     (3, True, 1.5, 2): (0.755619095349724, 0.5702385894743113),
     (3, True, 1.5, 7500): (0.7913826511222745, 0.01028147029911431),
-    (3, True, 4.0, 2): (0.6253241620471446, 0.3905360904854394),
-    (3, True, 4.0, 7500): (0.6549208406950627, 0.007041412645818756),
-    (3, True, math.inf, 2): (0.6154421976935361, 0.37829037829955686),
-    (3, True, math.inf, 7500): (0.6445711616086245, 0.006820620983425788),
-    (8, False, 1.5, 2): (2.7426395189878527, 7.512564501311882),
-    (8, False, 1.5, 7500): (2.8724490248684917, 0.13545244081363286),
-    (8, False, 4.0, 2): (1.5449392000142461, 2.383820445226816),
-    (8, False, 4.0, 7500): (1.6180613849682095, 0.04298056911338702),
-    (8, False, math.inf, 2): (1.4065309995156363, 1.975829072618511),
-    (8, False, math.inf, 7500): (1.4731023052920171, 0.035624435633128865),
-    (8, True, 1.5, 2): (1.3466758396857266, 1.8112437173388742),
-    (8, True, 1.5, 7500): (1.4104141925099838, 0.032656941897679044),
-    (8, True, 4.0, 2): (0.9914542107181741, 0.9817390769055868),
-    (8, True, 4.0, 7500): (1.0383798749571627, 0.0177008735413537),
-    (8, True, math.inf, 2): (0.9682073258144913, 0.9362406282721473),
-    (8, True, math.inf, 7500): (1.014032711791711, 0.016880531044519642),
+    (3, True, 4.0, 2): (0.6253241620471446, 0.3905360904854395),
+    (3, True, 4.0, 7500): (0.6549208406950628, 0.0070414126458187565),
+    (3, True, math.inf, 2): (0.6154421976935363, 0.378290378299557),
+    (3, True, math.inf, 7500): (0.6445711616086246, 0.00682062098342579),
+    (8, False, 1.5, 2): (2.742639518987853, 7.512564501311885),
+    (8, False, 1.5, 7500): (2.872449024868492, 0.1354524408136329),
+    (8, False, 4.0, 2): (1.544939200014246, 2.3838204452268155),
+    (8, False, 4.0, 7500): (1.6180613849682093, 0.042980569113387004),
+    (8, False, math.inf, 2): (1.4065309995156363, 1.9758290726185108),
+    (8, False, math.inf, 7500): (1.4731023052920171, 0.03562443563312886),
+    (8, True, 1.5, 2): (1.3466758396857275, 1.8112437173388767),
+    (8, True, 1.5, 7500): (1.4104141925099847, 0.03265694189767908),
+    (8, True, 4.0, 2): (0.991454210718175, 0.9817390769055884),
+    (8, True, 4.0, 7500): (1.0383798749571636, 0.017700873541353728),
+    (8, True, math.inf, 2): (0.9682073258144922, 0.9362406282721488),
+    (8, True, math.inf, 7500): (1.0140327117917118, 0.016880531044519673),
 }
 
 
@@ -574,7 +582,7 @@ def test_composed_maximal_q4_keeps_its_recorded_estimates():
         e = HermiteExpansion(1, 2, int(max(ks)), {(int(k),): rng.normal(size=2) for k in ks})
         got.append(composed_maximal(e, 0.4, 1.0, "g", BanachModel(2, 4.0), TimeGrid(1e-3, 20.0, 32),
                                     M=2000, seed=7))
-    assert got == pytest.approx([0.05345949016466454, 0.3471269879600232], rel=1e-15, abs=0.0)
+    assert got == pytest.approx([0.053459490164664523, 0.3482974430253266], rel=1e-15, abs=0.0)
 
 
 def test_gamma_norms_of_a_stack_match_the_single_operator_norms():
@@ -629,17 +637,20 @@ def test_mc_rank_one_route_matches_the_entrywise_norms(d, q, S):
 
 
 @pytest.mark.parametrize("b", [(0.0, 3.0), (0.0, 0.0, 1.0), (1.0, 0.0, -2.0), (0.0, 2.0, 0.0, 1.0)])
-def test_image_factor_of_a_rank_one_operator_with_zero_target_entries(b):
-    # the QR does not pivot: a zero column of matrix.T ahead of a nonzero
-    # one used to keep a row of R, so (0, 3) kept 2 rows and (0, 0, 1) 3
-    from hermlp.gamma import _image_factor
+def test_cov_factor_of_a_rank_one_operator_with_zero_target_entries(b):
+    # a non-pivoting QR of matrix.T kept a row of R for a zero column ahead
+    # of a nonzero one, so (0, 3) kept 2 rows and (0, 0, 1) 3; the
+    # eigenvector may carry rounding (-1.2e-16 of ||F|| for (1, 0, -2)) in
+    # a zero entry, so the entries are compared to an absolute tolerance
+    from hermlp.gamma import _cov_factor
 
     b = np.array(b)
     prof = GRID.nodes * np.exp(-GRID.nodes)
-    T = rank_one(prof, b, BanachModel(b.size, 4.0), GRID)
-    F, ranks = _image_factor(T.matrix[None])
+    A = rank_one(prof, b, BanachModel(b.size, 4.0), GRID).matrix
+    F, ranks = _cov_factor((A @ A.T)[None], b.size * GRID.N * EPS)
     assert ranks.tolist() == [1]
-    assert np.allclose(np.abs(F[0, 0]), h_norm(prof, GRID) * np.abs(b), rtol=1e-14, atol=0.0)
+    assert np.allclose(np.abs(F[0, 0]), h_norm(prof, GRID) * np.abs(b), rtol=0.0,
+                       atol=1e-15 * np.linalg.norm(F))
 
 
 @pytest.mark.parametrize("k", [-600, -300, 300, 600])
@@ -682,7 +693,7 @@ def test_hilbert_and_q2_gamma_norm_take_one_frobenius_route():
         d, N = int(rng.integers(1, 9)), int(rng.integers(2, 2049))
         A = rng.normal(size=(d, N)) * 10.0 ** rng.uniform(-3.0, 3.0)
         T = DiscreteGammaOperator(BanachModel(d, 2.0), TimeGrid(1e-3, 20.0, N), A)
-        assert gamma_norm_hilbert(T) == gamma_norm(T)[0]
+        assert gamma_norm_hilbert(T) == gamma_norms(T.matrix[None], T.B)[0][0]
 
 
 def test_time_grid_rejects_a_span_whose_ratio_overflows():

@@ -478,7 +478,7 @@ def test_riesz_matches_the_closed_form_factor(n, sign):
 
 def _composed_per_term(e, x, alpha, inner, B, times, M, seed):
     """composed_maximal written as a sum over the modes, one term at a time."""
-    from hermlp.gamma import DiscreteGammaOperator, gamma_norm
+    from hermlp.gamma import gamma_norms
 
     t = times.nodes
     terms = []  # (target mode, s-rate, profile, coefficient)
@@ -503,7 +503,7 @@ def _composed_per_term(e, x, alpha, inner, B, times, M, seed):
         for m, rs, prof, c in terms:
             hc = float(hermite_eval(m, x)) * c
             matrix += hc[:, None] * (math.exp(-s * rs) * prof * sw)[None, :]
-        best = max(best, gamma_norm(DiscreteGammaOperator(B, times, matrix), M=M, seed=seed)[0])
+        best = max(best, gamma_norms(matrix[None], B, M=M, seed=seed)[0][0])
     return best
 
 
@@ -555,13 +555,16 @@ def test_composed_maximal_q4_of_one_mode_matches_the_closed_form():
 
 def test_composed_maximal_q4_when_the_rank_falls_with_s():
     # modes 0 and 11 with independent coefficients give rank-2 slices at
-    # small s; from s of about 9 on, mode 11 has decayed below rounding
-    # against mode 0 (by e^{-s (sqrt 23 - 1)}) and the slice keeps one row
-    # of its factor.  Such a slice reads the first column of the shared
+    # small s; from s of about 5 on, mode 11 has decayed against mode 0 (by
+    # e^{-s (sqrt 23 - 1)}) below the rank cut, sqrt(d max(d, N) eps) of the
+    # largest singular value, and the slice keeps one row of its factor.
+    # Such a slice reads the first column of the shared
     # draw: its estimate has the law of a standalone gamma_norm_mc call
     # but other draws.  The sup is taken at a rank-2 slice, so the result
     # still equals the per-term sum.
-    from hermlp.gamma import DiscreteGammaOperator, _image_factor, _mc_stack, gamma_norm_mc
+    from hermlp.gamma import (
+        DiscreteGammaOperator, _binary_scaled, _cov_factor, _mc_stack, gamma_norm_mc,
+    )
 
     e = HermiteExpansion(1, 2, 11, {(0,): [1.0, 0.5], (11,): [-0.7, 2.0]})
     times = TimeGrid(1e-3, 20.0, 16)
@@ -574,7 +577,8 @@ def test_composed_maximal_q4_when_the_rank_falls_with_s():
         r = math.sqrt(2 * k + 1)
         prof = np.exp(-s * r)[:, None] * (-t * r * np.exp(-t * r) * sw)  # (s, N)
         stack += float(hermite_eval(k, x)) * c[None, :, None] * prof[:, None, :]
-    _, ranks = _image_factor(stack)
+    scaled, _ = _binary_scaled(stack)
+    _, ranks = _cov_factor(scaled @ scaled.swapaxes(1, 2), 2 * times.N * np.finfo(float).eps)
     assert ranks[0] == 2 and ranks[-1] == 1 and np.all(np.diff(ranks) <= 0)
 
     got = composed_maximal(e, x, 0.0, "g", B, times, M=2000, seed=11)
