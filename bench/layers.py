@@ -5,8 +5,9 @@ one JSON record.
 
 GROUP is one of
   hardy     the `hardy` estimators: sampled `h1_norm` (also on a time
-            grid no earlier call used), `bmo_norm`, `carleson_functional`
-            (both also on a lattice axis no earlier call used);
+            grid no earlier call used), `area_integral`, `bmo_norm` and
+            `carleson_functional` (the last two also on a lattice axis no
+            earlier call used);
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI parser dominate;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
@@ -117,6 +118,7 @@ def hardy_calls():
         "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
         "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
         "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(grid), balls),
+        "area": lambda: spaces.area_integral(c, 0.7, 1.0, grid, times),
         "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
         "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, cold(grid),
                                                                  times),
@@ -265,7 +267,8 @@ def gamma_calls():
 
 GROUPS = {
     "hardy": (
-        "spaces.h1_norm (sampled path), spaces.bmo_norm, spaces.carleson_functional",
+        "spaces.h1_norm (sampled path), spaces.area_integral, spaces.bmo_norm, "
+        "spaces.carleson_functional",
         hardy_calls,
         {
             "h1_atom_hardy": f"h1_norm of a cancel atom, d = 1, l^2, on {HARDY}, 16 times",
@@ -283,7 +286,9 @@ GROUPS = {
                             "BallSpec(0.5, 6, 3): 200 balls",
             "bmo_mixed": f"bmo_norm of a + b h_5 + clip(s x, -1, 1), l^2, on {HARDY}, "
                          "BallSpec(0.5, 6, 3)",
-            "carleson": "carleson_functional at x = 0.7 of 3 random modes (K <= 30), "
+            "area": "area_integral at x = 0.7 of 3 random modes (K <= 30), alpha = 1, on "
+                    f"{HARDY}, 16 times, g-field computed in the call",
+            "carleson": "carleson_functional at x = 0.7 of the same 3 modes, "
                         f"alpha = 1, on {HARDY}, 16 times, BallSpec(0.5, 6, 3), g-field "
                         "computed in the call",
             "bmo_mixed_cold_axis": f"bmo_mixed on {COLD}",

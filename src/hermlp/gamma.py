@@ -252,6 +252,8 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     A, e = _binary_scaled(A)
     F, _ = _cov_factor(A @ A.swapaxes(1, 2), d * max(d, N) * _EPS)
     r = F.shape[1]
+    if r == 0:  # every slice is zero
+        return np.zeros(S), np.zeros(S)
     if r == 1:
         unit = B.norm(F[:, 0]) ** 2
         unit_sq = unit * unit

@@ -28,7 +28,7 @@ from .basis import (
 )
 from .gamma import BanachModel, TimeGrid
 from .kernels import _lattice_mass, heat_apply
-from .semigroups import TimeField, _maximal_function, gfunction
+from .semigroups import _maximal_function, gfunction
 
 # lattice values (times x grid points x d) per heat_apply call in h1_norm:
 # 0.5 MB per real array, a few of which are alive during a call.  Blocks
@@ -128,16 +128,23 @@ def make_random_atom(
     d: int = 1,
     center_range: float = 4.0,
 ) -> Atom:
-    """Random polynomial-times-bump atom meeting every clause of its kind."""
+    """Random polynomial-times-bump atom meeting every clause of its kind,
+    centred in [-center_range, center_range]; ValueError if its ball holds
+    no lattice point."""
     if kind not in ("cancel", "local"):
         raise ValueError(f"unknown atom kind {kind!r}")
     if grid.n != 1:
         raise ValueError("random atoms are generated on one-dimensional grids")
+    d = _integer(d, "dimension d", 1)
+    if not 0 < 2 * center_range < math.inf:  # the width that rng.uniform draws over
+        raise ValueError(f"center_range={center_range!r} must be positive, 2 center_range finite")
     x0 = float(rng.uniform(-center_range, center_range))
     rho = float(critical_radius(x0))
     r0 = rho * float(rng.uniform(0.25, 0.5)) if kind == "cancel" else rho
     dist = _distances(grid, x0)
     inside = dist < r0
+    if not inside.any():
+        raise ValueError(f"the atom ball B({x0}, {r0}) holds no point of the grid")
     bump = np.where(inside, (1.0 - (dist / r0) ** 2) ** 2, 0.0)
     u = (grid.points - x0) / r0
     samples = np.zeros((grid.size, d))
@@ -154,10 +161,13 @@ def make_random_atom(
     return Atom(x0, r0, kind, grid, samples)
 
 
-def _grid_samples(f, grid: SpatialGrid) -> np.ndarray:
-    """The samples of an Atom, or an array in the sample layout of `basis`
-    ((grid.size,) or (grid.size, d)) as (grid.size, d) floats; ValueError
-    unless they cover the grid and are finite."""
+def _grid_samples(f, grid: SpatialGrid, d: int | None = None) -> np.ndarray:
+    """The samples of an Atom on this grid (same n, h and R), or an array in
+    the sample layout of `basis` ((grid.size,) or (grid.size, d)) as
+    (grid.size, d) floats; ValueError unless they cover the grid, are
+    finite and, when `d` is given, have d components."""
+    if isinstance(f, Atom) and (f.grid.n, f.grid.h, f.grid.R) != (grid.n, grid.h, grid.R):
+        raise ValueError("an atom is read only on the grid it was sampled on")
     samples = f.samples if isinstance(f, Atom) else np.asarray(f, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -166,6 +176,8 @@ def _grid_samples(f, grid: SpatialGrid) -> np.ndarray:
                          f"({grid.size},) or ({grid.size}, d)")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
+    if d is not None and samples.shape[1] != d:
+        raise ValueError(f"Banach model dimension must match the samples (d = {samples.shape[1]})")
     return samples
 
 
@@ -216,7 +228,7 @@ def h1_norm(
             raise ValueError("grid too coarse for the expansion degree")
         sup = _maximal_function(f, grid.points, kind, alpha, B, times)
         return float(np.sum(grid.weights * sup))
-    samples = _grid_samples(f, grid)
+    samples = _grid_samples(f, grid, B.d)
     if kind != "heat":
         raise ValueError("sampled inputs support the heat maximal function only")
     if alpha != 0.0:
@@ -310,7 +322,7 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     average is a weighted sum divided by the same mass, so the estimate
     of the function 1 is exactly 1.  One-dimensional grids only."""
     _require_line(grid)
-    samples = _grid_samples(samples, grid)
+    samples = _grid_samples(samples, grid, B.d)
     _, _, oscillation, lo, count = _ball_family(grid.axis.tobytes(), balls)
     used = count > 0
     skipped = int(np.sum(~used))
@@ -328,38 +340,23 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     return float(np.max(np.add.reduceat(w * B.norm(f), starts) / mass))
 
 
-def _gfield(f: HermiteExpansion, alpha: float, grid: SpatialGrid, times: TimeGrid,
-            field: TimeField | None) -> TimeField:
-    """`field`, or t d/dt P_t f on grid x times when it is None; either
-    must have the shape (grid.size, times.N, 1) of a scalar field there."""
-    if field is None:
-        field = gfunction(f, alpha, grid, times)
-    if field.values.shape != (grid.size, times.N, 1):
-        raise ValueError(
-            "area/Carleson functionals take scalar-valued inputs: the field has shape "
-            f"{field.values.shape}, expected {(grid.size, times.N, 1)}"
-        )
-    return field
-
-
 def area_integral(
     f: HermiteExpansion,
     x,
     alpha: float,
     grid: SpatialGrid,
     times: TimeGrid,
-    field: TimeField | None = None,
 ) -> float:
     """Square function over the cone {|x - y| < t}: the integral of
-    |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted.  Pass a
-    precomputed `field` (from gfunction on the same grid and times) when
-    sweeping many x."""
+    |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted, for a scalar
+    expansion f, whose g-field each call synthesizes (`gfunction`)."""
+    if f.d != 1:
+        raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
     x = _point(x, grid.n, "x")
-    field = _gfield(f, alpha, grid, times, field)
+    g2 = gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
     dist = _distances(grid, x)
     t = times.nodes
     cone = dist[:, None] < t[None, :]  # (size, N)
-    g2 = field.values[:, :, 0] ** 2
     wy = grid.weights[:, None]
     wt = (times.weights * t ** (-grid.n))[None, :]
     return math.sqrt(float(np.sum(np.where(cone, g2 * wy * wt, 0.0))))
@@ -372,21 +369,22 @@ def carleson_functional(
     balls: BallSpec,
     grid: SpatialGrid,
     times: TimeGrid,
-    field: TimeField | None = None,
 ) -> float:
     """sup over family balls containing x of the normalized box integral
-    (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}.  The box
-    sums of all balls containing x are one (balls x points) @ g^2 product,
-    masked in t.  One-dimensional grids only."""
+    (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}, for a scalar
+    expansion f, whose g-field each call synthesizes.  The box sums of all
+    balls containing x are one (balls x points) @ g^2 product, masked in t.
+    One-dimensional grids only."""
+    if f.d != 1:
+        raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
     x = _point(x, grid.n, "x")
     _require_line(grid)
-    field = _gfield(f, alpha, grid, times, field)
+    g2 = gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
     centers, radii, _, lo, count = _ball_family(grid.axis.tobytes(), balls)
     keep = (np.abs(x - centers) < radii) & (count > 0)
     lo, count, radii = lo[keep], count[keep], radii[keep]
     i = np.arange(grid.size)
     inside = (i >= lo[:, None]) & (i < (lo + count)[:, None])
     wmask = np.where(inside, grid.weights, 0.0)  # (balls, points)
-    g2 = field.values[:, :, 0] ** 2
     box = np.where(times.nodes < radii[:, None], wmask @ g2, 0.0) @ times.weights
     return float(np.max(np.sqrt(box / np.sum(wmask, axis=1)), initial=0.0))

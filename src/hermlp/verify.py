@@ -345,16 +345,16 @@ def equivalence_suite(
 
     For each member the square function, of every component, is reduced
     to the scalar field x -> H-norm of G f(x, .), and the requested space
-    norm is taken of that field and of f itself (BMO over the balls of
-    `BallSpec()`).  L2 ratios must equal 1/2 up to 1e-3; H1/BMO families
-    pass when max/min ratio <= 25.
+    norm is taken of that field in BanachModel(1, B.q) and of f in B (BMO
+    over the balls of `BallSpec()`).  L2 ratios must equal 1/2 up to 1e-3;
+    H1/BMO families pass when max/min ratio <= 25.
     """
     if space not in ("L2", "H1", "BMO"):
         raise ValueError(f"unknown space {space!r}")
     family = list(family)
     if not family:
         raise ValueError("test family must be nonempty")
-    balls = BallSpec()
+    balls, scalar = BallSpec(), BanachModel(1, B.q)
     ratios = []
     for f in family:
         if isinstance(f, HermiteExpansion):
@@ -369,10 +369,10 @@ def equivalence_suite(
             num = math.sqrt(float(grid.weights @ (gnorm[:, 0] ** 2)))
             den = math.sqrt(float(grid.weights @ np.sum(fsamp ** 2, axis=1)))
         elif space == "H1":
-            num = h1_norm(gnorm, B, grid, times)
+            num = h1_norm(gnorm, scalar, grid, times)
             den = h1_norm(fsamp, B, grid, times)
         else:
-            num = bmo_norm(gnorm, B, grid, balls)
+            num = bmo_norm(gnorm, scalar, grid, balls)
             den = bmo_norm(fsamp, B, grid, balls)
         ratios.append(num / den)
     lo, hi = min(ratios), max(ratios)

@@ -349,6 +349,24 @@ def test_mc_zero_operator(q):
     assert gamma_norm_mc(T, 1000, seed=5) == (0.0, 0.0)
 
 
+def test_mc_zero_operators_return_zeros_without_a_draw(monkeypatch):
+    # an all-zero stack (rank 0) drew M empty rows and took the B-norms of
+    # M zero vectors per slice
+    def norm(self, v):
+        raise AssertionError("BanachModel.norm called")
+
+    B = BanachModel(3, 4.0)
+    T = DiscreteGammaOperator(B, GRID, np.zeros((3, GRID.N)))
+    monkeypatch.setattr(BanachModel, "norm", norm)
+    with pytest.raises(ValueError, match="M"):
+        gamma_norm_mc(T, 1, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        gamma_norm_mc(T, 200000, seed=-1)
+    assert gamma_norm_mc(T, 200000, seed=5) == (0.0, 0.0)
+    est, err = gamma_norms(np.zeros((2, 3, 512)), B)
+    assert est.tolist() == [0.0, 0.0] and err.tolist() == [0.0, 0.0]
+
+
 def test_q_ordering():
     rng = np.random.default_rng(31)
     m = rng.normal(size=(3, GRID.N)) * np.exp(-GRID.nodes)

@@ -10,6 +10,7 @@ from hermlp.basis import HermiteExpansion, SpatialGrid, analyze, hermite_eval, p
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.kernels import heat_kernel
 from hermlp.semigroups import gfunction, maximal_norm
+from hermlp.verify import equivalence_suite
 from hermlp import spaces
 from hermlp.spaces import (
     Atom,
@@ -154,6 +155,55 @@ def test_random_atoms_are_valid():
             a = make_random_atom(rng, ATOM_GRID, kind)
             ok, violations = validate_atom(a)
             assert ok, (kind, a.center, a.radius, violations)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"d": 0}, "dimension d"), ({"d": True}, "dimension d"), ({"d": 2.0}, "dimension d"),
+    ({"center_range": math.nan}, "center_range"), ({"center_range": -1.0}, "center_range"),
+    ({"center_range": 0.0}, "center_range"), ({"center_range": math.inf}, "center_range"),
+    ({"center_range": 1e308}, "center_range"),
+    ({"center_range": 1e6}, "no point"), ({"center_range": 1e6, "kind": "local"}, "no point"),
+])
+def test_make_random_atom_checks_its_arguments(kwargs, match):
+    # d = 0 failed in a numpy reduction and d = True or 2.0 with a TypeError;
+    # nan, -1 and 1e308 failed inside rng.uniform; a ball beyond the grid gave
+    # NaN samples with a divide warning ("cancel") or an all-zero atom that
+    # validate_atom passed ("local")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            make_random_atom(np.random.default_rng(3), SpatialGrid(6.0, 0.05), **kwargs)
+
+
+def test_sampled_estimators_read_an_atom_only_on_its_own_grid():
+    # on SpatialGrid(12, 0.1), also 241 points, this atom read 1.6606
+    grid = SpatialGrid(6.0, 0.05)
+    times = TimeGrid(1e-3, 20.0, 16)
+    a = make_random_atom(np.random.default_rng(3), grid)
+    assert h1_norm(a, B1, SpatialGrid(6.0, 0.05), times) == pytest.approx(0.9155, abs=1e-4)
+    for other in (SpatialGrid(12.0, 0.1), SpatialGrid(6.1, 0.05), SpatialGrid(6.0, 0.05, 2)):
+        with pytest.raises(ValueError, match="sampled on"):
+            h1_norm(a, B1, other, times)
+        with pytest.raises(ValueError, match="sampled on"):
+            equivalence_suite("H1", [a], B1, grid=other, times=times)
+        if other.n == 1:  # ball sweeps refuse planar grids first
+            with pytest.raises(ValueError, match="sampled on"):
+                bmo_norm(a, B1, other, BallSpec())
+
+
+def test_sampled_estimators_check_the_banach_model_dimension():
+    # bmo_norm read the l^2_3 norm 1.7320508 of these ones in a d = 2 model,
+    # and h1_norm read 0.0 for the zeros
+    grid = SpatialGrid(6.0, 0.05)
+    B2 = BanachModel(2, 2.0)
+    times = TimeGrid(1e-3, 20.0, 16)
+    for samples in (np.ones((grid.size, 3)), np.zeros((grid.size, 3)), np.ones(grid.size),
+                    make_random_atom(np.random.default_rng(3), grid)):
+        with pytest.raises(ValueError, match="dimension must match"):
+            bmo_norm(samples, B2, grid, BallSpec())
+        with pytest.raises(ValueError, match="dimension must match"):
+            h1_norm(samples, B2, grid, times)
+    assert bmo_norm(np.ones((grid.size, 2)), B2, grid, BallSpec()) == pytest.approx(math.sqrt(2))
 
 
 def test_h1_norm_ground_mode():
@@ -364,10 +414,9 @@ def test_area_integral_zero():
 def test_area_integral_even_symmetry():
     grid = SpatialGrid(R=8.0, h=0.05, n=1)
     e = HermiteExpansion.single(0)
-    field = gfunction(e, 0.0, grid, ATOM_TIMES)
     for x in (0.5, 1.5, 3.0):
-        left = area_integral(e, -x, 0.0, grid, ATOM_TIMES, field=field)
-        right = area_integral(e, x, 0.0, grid, ATOM_TIMES, field=field)
+        left = area_integral(e, -x, 0.0, grid, ATOM_TIMES)
+        right = area_integral(e, x, 0.0, grid, ATOM_TIMES)
         assert left == pytest.approx(right, abs=1e-6)
 
 
@@ -377,10 +426,7 @@ def test_area_integral_l1_refinement_stable():
     for h, N in ((0.1, 24), (0.05, 48)):
         grid = SpatialGrid(R=8.0, h=h, n=1)
         times = TimeGrid(1e-3, 20.0, N)
-        field = gfunction(e, 0.0, grid, times)
-        vals = np.array(
-            [area_integral(e, x, 0.0, grid, times, field=field) for x in grid.points]
-        )
+        vals = np.array([area_integral(e, x, 0.0, grid, times) for x in grid.points])
         totals.append(float(grid.weights @ vals))
     assert np.isfinite(totals[1])
     assert abs(totals[1] - totals[0]) <= 0.05 * totals[0]
@@ -393,9 +439,8 @@ def test_carleson_zero_and_monotone():
     large = BallSpec(spacing=0.5, extent=4.0, depth=3)
     assert carleson_functional(zero, 0.0, 0.0, small, grid, ATOM_TIMES) == 0.0
     e = HermiteExpansion(n=1, d=1, K=2, coeffs={(0,): [1.0], (2,): [0.4]})
-    field = gfunction(e, 0.0, grid, ATOM_TIMES)
-    v_small = carleson_functional(e, 0.3, 0.0, small, grid, ATOM_TIMES, field=field)
-    v_large = carleson_functional(e, 0.3, 0.0, large, grid, ATOM_TIMES, field=field)
+    v_small = carleson_functional(e, 0.3, 0.0, small, grid, ATOM_TIMES)
+    v_large = carleson_functional(e, 0.3, 0.0, large, grid, ATOM_TIMES)
     # the larger family contains the smaller one's balls at shared centers
     assert v_large >= v_small - 1e-12
 
@@ -405,11 +450,10 @@ def test_area_and_carleson_reject_non_finite_points(bad):
     # both returned 0.0: no cone or ball contains a non-finite point
     grid = SpatialGrid(R=8.0, h=0.05, n=1)
     e = HermiteExpansion(n=1, d=1, K=2, coeffs={(0,): [1.0], (2,): [0.4]})
-    field = gfunction(e, 0.0, grid, ATOM_TIMES)
     with pytest.raises(ValueError, match="finite"):
-        area_integral(e, bad, 0.0, grid, ATOM_TIMES, field=field)
+        area_integral(e, bad, 0.0, grid, ATOM_TIMES)
     with pytest.raises(ValueError, match="finite"):
-        carleson_functional(e, bad, 0.0, BallSpec(1.0, 2.0, 1), grid, ATOM_TIMES, field=field)
+        carleson_functional(e, bad, 0.0, BallSpec(1.0, 2.0, 1), grid, ATOM_TIMES)
 
 
 def test_carleson_constant_surrogate_stable():
@@ -421,8 +465,7 @@ def test_carleson_constant_surrogate_stable():
     sub = SpatialGrid(R=8.0, h=0.05, n=1)
     vals = []
     for times in (TimeGrid(1e-3, 20.0, 24), TimeGrid(1e-3, 20.0, 48)):
-        field = gfunction(e, 0.0, sub, times)
-        vals.append(carleson_functional(e, 0.5, 0.0, balls, sub, times, field=field))
+        vals.append(carleson_functional(e, 0.5, 0.0, balls, sub, times))
     assert np.isfinite(vals[1]) and vals[1] > 0
     assert abs(vals[1] - vals[0]) <= 0.05 * vals[0]
 
@@ -598,7 +641,7 @@ def test_carleson_functional_equals_a_per_ball_loop():
                          int(rng.integers(0, 5)))
         x = float(rng.uniform(-3.0, 3.0))
         want = _carleson_loop(field.values[:, :, 0] ** 2, x, balls, grid, times)
-        got = carleson_functional(e, x, 0.0, balls, grid, times, field=field)
+        got = carleson_functional(e, x, 0.0, balls, grid, times)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -614,7 +657,7 @@ def test_carleson_functional_skips_empty_balls_around_x():
     for _ in range(2):  # a miss, then a hit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = carleson_functional(e, 0.077, 0.0, balls, grid, times, field=field)
+            got = carleson_functional(e, 0.077, 0.0, balls, grid, times)
         assert got == pytest.approx(want, rel=1e-14) and want > 0
 
 
@@ -681,17 +724,13 @@ def test_spectral_h1_norm_equals_the_per_time_products(n, q):
 
 
 def test_area_and_carleson_reject_a_field_of_another_shape():
-    # a d = 2 field was read through component 0, and a field from another
-    # grid failed inside numpy broadcasting
+    # the g-field of a d = 2 expansion was read through component 0
     grid = SpatialGrid(12.0, 0.02)
-    e = HermiteExpansion(n=1, d=1, K=2, coeffs={(0,): [1.0], (2,): [0.4]})
     pair = HermiteExpansion(n=1, d=2, K=2, coeffs={(0,): [1.0, 0.5], (2,): [0.4, 0.0]})
-    for field in (gfunction(pair, 0.0, grid, ATOM_TIMES),
-                  gfunction(e, 0.0, SpatialGrid(12.0, 0.1), ATOM_TIMES)):
-        with pytest.raises(ValueError, match="scalar-valued inputs"):
-            area_integral(e, 0.3, 0.0, grid, ATOM_TIMES, field=field)
-        with pytest.raises(ValueError, match="scalar-valued inputs"):
-            carleson_functional(e, 0.3, 0.0, BallSpec(), grid, ATOM_TIMES, field=field)
+    with pytest.raises(ValueError, match="scalar-valued inputs"):
+        area_integral(pair, 0.3, 0.0, grid, ATOM_TIMES)
+    with pytest.raises(ValueError, match="scalar-valued inputs"):
+        carleson_functional(pair, 0.3, 0.0, BallSpec(), grid, ATOM_TIMES)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
