@@ -23,31 +23,40 @@ GROUP is one of
             full-rank operators, `composed_maximal` at q = 4 and 2, and
             `gamma_norm_hilbert`.
 
-Each tree is imported in a child process of its own with BLAS pinned to
-one thread and glibc's malloc thresholds fixed: otherwise a case that
-frees large temporaries raises the mmap threshold for the cases after
-it, which then reuse heap pages instead of faulting in fresh ones, and a
-change to an earlier case moves the times of later ones.  A child times every case as the minimum of REPEATS calls
-after one warm-up call.  ROUNDS children run per tree, alternating which
-tree goes first, and each case keeps its minimum over the rounds, so a
-drift in the host's speed falls on both trees alike.  The record keeps
-both computed values and their relative difference, so a speed-up can be
-read next to what it changed.
+Both trees are imported into one child process, each under its own
+package name (`hermlp_before`, `hermlp_after`), so that the two are timed
+in the same process, heap and host state; `--before` and `--after` may
+name the same tree, which gives an A/A record whose ratios show the
+noise.  The child pins BLAS to one thread and fixes glibc's malloc
+thresholds: otherwise a case that frees large temporaries raises the
+mmap threshold for the cases after it, which then reuse heap pages
+instead of faulting in fresh ones, and a change to an earlier case moves
+the times of later ones.  Each case gets one warm-up call per tree, then
+ROUNDS rounds of one call per tree, alternating which tree goes first,
+so a drift in the host's speed falls on both trees alike; the record
+gives each tree's minimum and median over the rounds and their ratios.
+Timing separate processes per tree did not resolve microsecond cases on
+a shared 2-core host: one unchanged case read 0.59x-0.71x over four
+records.  The record keeps both computed values and their relative
+difference, so a speed-up can be read next to what it changed.
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 
-REPEATS = 7
-ROUNDS = 4
+ROUNDS = 100
+MODULES = ("basis", "kernels", "gamma", "semigroups", "spaces", "verify", "cli")
 
 HARDY = "SpatialGrid(12, 0.02): 1201 points"
 COLD = ("SpatialGrid(12, 0.02 (1 + 1e-9 i)) built fresh for call i: 1201 points on an axis "
@@ -59,19 +68,19 @@ FRESH = itertools.count(1)
 INNERS = {"g": "g", "ladder": ("ladder", 1, +1), "riesz": ("riesz", 1, -1)}
 
 
-def cold(grid):
+def cold(h, grid):
     """`grid` with its step scaled by 1 + 1e-9 i for call i: a line of the
     same size whose axis no earlier call used, so nothing derived from the
     axis (Hermite tables, ball intervals) can be reused."""
-    from hermlp import basis
-
-    return basis.SpatialGrid(grid.R, grid.h * (1.0 + 1e-9 * next(FRESH)))
+    return h.basis.SpatialGrid(grid.R, grid.h * (1.0 + 1e-9 * next(FRESH)))
 
 
-def hardy_calls():
-    """name -> zero-argument call returning the case's value."""
+def hardy_calls(h):
+    """name -> zero-argument call returning the case's value, for the
+    hermlp package `h`."""
     import numpy as np
-    from hermlp import basis, gamma, semigroups, spaces
+
+    basis, gamma, semigroups, spaces = h.basis, h.gamma, h.semigroups, h.spaces
 
     times = gamma.TimeGrid(1e-3, 20.0, 16)
     B = gamma.BanachModel(1, 2.0)
@@ -117,29 +126,36 @@ def hardy_calls():
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
         "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
         "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
-        "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(grid), balls),
+        "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(h, grid), balls),
         "area": lambda: spaces.area_integral(c, 0.7, 1.0, grid, times),
         "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
-        "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, cold(grid),
+        "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, cold(h, grid),
                                                                  times),
     }
 
 
-def verify_calls():
+def verify_calls(h):
     import numpy as np
-    from hermlp import cli, verify
 
+    cli, verify = h.cli, h.verify
     xs, ts = np.linspace(-4.0, 4.0, 65), np.geomspace(0.1, 2.0, 6)
     out = {f"envelope_{kind}": lambda kind=kind: verify.kernel_bound_ratio(kind, xs, ts).computed
            for kind in ENVELOPE_KINDS}
 
-    def point():
+    def stdout(argv):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli.main(POINT_ARGV)
-        return float(buf.getvalue().splitlines()[1].split(",")[-1])
+            cli.main(argv)
+        return buf.getvalue().splitlines()
+
+    def point():
+        return float(stdout(POINT_ARGV)[1].split(",")[-1])
+
+    def envelopes():
+        return sum(float(row.split(",")[1]) for row in stdout(["verify", "envelopes"])[1:])
 
     out.update({
+        "envelopes_all": envelopes,
         "kernel_vs_spectral": lambda: verify.check_kernel_vs_spectral(
             [0.1, 1.0, 5.0], [0.0, 2.0]).computed,
         "eigen_ladder_K20": lambda: verify.check_eigen_ladder(20).computed,
@@ -149,9 +165,10 @@ def verify_calls():
     return out
 
 
-def spectral_calls():
+def spectral_calls(h):
     import numpy as np
-    from hermlp import basis, gamma, semigroups, spaces
+
+    basis, gamma, semigroups, spaces = h.basis, h.gamma, h.semigroups, h.spaces
 
     rng = np.random.default_rng(11)
 
@@ -181,9 +198,10 @@ def spectral_calls():
     return out
 
 
-def basis_calls():
+def basis_calls(h):
     import numpy as np
-    from hermlp import basis, gamma, semigroups, spaces
+
+    basis, gamma, semigroups, spaces = h.basis, h.gamma, h.semigroups, h.spaces
 
     rng = np.random.default_rng(13)
     line = basis.default_grid(1, 30)
@@ -207,19 +225,20 @@ def basis_calls():
 
     return {
         "analyze_K30": lambda: basis.analyze(samples, line, 30).l2_norm(),
-        "analyze_K30_cold_axis": lambda: basis.analyze(samples, cold(line), 30).l2_norm(),
+        "analyze_K30_cold_axis": lambda: basis.analyze(samples, cold(h, line), 30).l2_norm(),
         "round_trip_2d_K8": round_trip,
         "gfunction_5modes": lambda: float(np.sum(
             semigroups.gfunction(five, 0.0, grid, times).values ** 2)),
         "gfunction_5modes_cold_axis": lambda: float(np.sum(
-            semigroups.gfunction(five, 0.0, cold(grid), times).values ** 2)),
+            semigroups.gfunction(five, 0.0, cold(h, grid), times).values ** 2)),
         "h1_spectral_mode": lambda: spaces.h1_norm(one, gamma.BanachModel(1, 2.0), grid, times),
     }
 
 
-def gamma_calls():
+def gamma_calls(h):
     import numpy as np
-    from hermlp import basis, gamma, semigroups
+
+    basis, gamma, semigroups = h.basis, h.gamma, h.semigroups
 
     rng = np.random.default_rng(17)
     times = gamma.TimeGrid()
@@ -307,6 +326,9 @@ GROUPS = {
             "eigen_ladder_K20": "check_eigen_ladder(20)",
             "eigen_ladder_K60": "check_eigen_ladder(60)",
             "cli_point_query": "cli.main(" + repr(POINT_ARGV) + ") in process, stdout captured",
+            "envelopes_all": "cli.main(['verify', 'envelopes']) in process, stdout captured: "
+                             "the six kinds as `hermlp verify envelopes` runs them; the value "
+                             "is the sum of the six computed sups",
         },
     ),
     "spectral": (
@@ -394,8 +416,8 @@ TABLE_CASES = {
 }
 
 
-def tables_calls():
-    calls = {**hardy_calls(), **basis_calls()}
+def tables_calls(h):
+    calls = {**hardy_calls(h), **basis_calls(h)}
     return {name: calls[name] for names in TABLE_CASES.values() for name in names}
 
 
@@ -407,33 +429,49 @@ GROUPS["tables"] = (
 )
 
 
-def child(group):
-    out = {}
-    for name, fn in GROUPS[group][1]().items():
-        value = fn()
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        out[name] = {"seconds": best, "value": float(value)}
+def load(src, name):
+    """The hermlp package under `src`, imported as the package `name` with
+    every module, so that two trees live side by side in one process."""
+    init = os.path.join(os.path.abspath(src), "hermlp", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in MODULES:
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def child(group, before, after):
+    """Times every case of `group` in both trees, one call per tree per
+    round, and prints per tree and case the first value and the times."""
+    calls = {side: GROUPS[group][1](load(src, f"hermlp_{side}"))
+             for side, src in (("before", before), ("after", after))}
+    out = {side: {} for side in calls}
+    for name in calls["before"]:
+        fns = {side: calls[side][name] for side in calls}
+        seconds = {side: [] for side in calls}
+        values = {side: float(fn()) for side, fn in fns.items()}  # the warm-up call
+        for i in range(ROUNDS):
+            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+                start = time.perf_counter()
+                fns[side]()
+                seconds[side].append(time.perf_counter() - start)
+        for side in calls:
+            out[side][name] = {"min_s": min(seconds[side]),
+                               "median_s": statistics.median(seconds[side]),
+                               "value": values[side]}
     json.dump(out, sys.stdout)
 
 
-def run_side(src, group):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+def run_child(group, before, after):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                MALLOC_MMAP_THRESHOLD_=str(2 ** 25), MALLOC_TRIM_THRESHOLD_=str(2 ** 30))
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), group, "--child"],
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), group, "--child",
+                           "--before", os.path.abspath(before), "--after", os.path.abspath(after)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
-
-
-def fastest(records):
-    """Per case, the first round's value and the least time over the rounds."""
-    return {name: {"seconds": min(r[name]["seconds"] for r in records),
-                   "value": case["value"]}
-            for name, case in records[0].items()}
 
 
 def main():
@@ -444,25 +482,23 @@ def main():
     ap.add_argument("--out")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.child:
-        child(args.group)
-        return
     if not (args.before and args.after):
         ap.error("--before and --after are required")
+    if args.child:
+        child(args.group, args.before, args.after)
+        return
     layer, _, inputs = GROUPS[args.group]
-    runs = {"before": [], "after": []}
-    for i in range(ROUNDS):
-        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-            runs[side].append(run_side(getattr(args, side), args.group))
-    before, after = (fastest(runs[side]) for side in ("before", "after"))
+    runs = run_child(args.group, args.before, args.after)
     cases = {}
     for name, what in inputs.items():
-        b, a = before[name], after[name]
+        b, a = runs["before"][name], runs["after"][name]
         scale = abs(b["value"]) or 1.0
         cases[name] = {
             "input": what,
-            "before_s": b["seconds"], "after_s": a["seconds"],
-            "speedup": b["seconds"] / a["seconds"],
+            "before_s": b["min_s"], "after_s": a["min_s"],
+            "before_median_s": b["median_s"], "after_median_s": a["median_s"],
+            "speedup": b["min_s"] / a["min_s"],
+            "median_speedup": b["median_s"] / a["median_s"],
             "before_value": b["value"], "after_value": a["value"],
             "rel_diff": abs(a["value"] - b["value"]) / scale,
         }
@@ -470,9 +506,11 @@ def main():
 
     record = {
         "layer": layer,
-        "timing": f"min of {REPEATS} calls after one warm-up per child process, min over "
-                  f"{ROUNDS} rounds of one child per tree in alternating order, BLAS pinned "
-                  "to 1 thread, glibc malloc mmap and trim thresholds fixed",
+        "a_a": os.path.realpath(args.before) == os.path.realpath(args.after),
+        "timing": f"both trees imported in one process, each under its own package name; per "
+                  f"case one warm-up call, then {ROUNDS} rounds of one call per tree, "
+                  "alternating which tree goes first; min and median over the rounds; BLAS "
+                  "pinned to 1 thread, glibc malloc mmap and trim thresholds fixed",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "cases": cases,

@@ -337,14 +337,17 @@ class HermiteExpansion:
         self.K = _integer(K, "degree cap K", 0)
         modes = np.array(modes, dtype=int, order="C").reshape(-1, self.n)
         C = np.array(C, dtype=float, order="C").reshape(-1, self.d)
-        for bad, message in (
-            (np.any(modes < 0, axis=1), "multi-index must be nonnegative, got {k}"),
-            (modes.sum(axis=1) > self.K, f"index {{k}} exceeds degree cap K={self.K}"),
-            (~np.all(np.isfinite(C), axis=1), "non-finite coefficient at {k}"),
-        ):
-            if np.any(bad):
-                k = tuple(modes[np.argmax(bad)].tolist())
-                raise ValueError(message.format(k=k))
+        # three whole-array tests; the per-row masks only name a bad row
+        if not (modes.min(initial=0) >= 0 and modes.sum(axis=1).max(initial=0) <= self.K
+                and np.isfinite(C).all()):
+            for bad, message in (
+                (np.any(modes < 0, axis=1), "multi-index must be nonnegative, got {k}"),
+                (modes.sum(axis=1) > self.K, f"index {{k}} exceeds degree cap K={self.K}"),
+                (~np.all(np.isfinite(C), axis=1), "non-finite coefficient at {k}"),
+            ):
+                if np.any(bad):
+                    k = tuple(modes[np.argmax(bad)].tolist())
+                    raise ValueError(message.format(k=k))
         self.modes, self.C = _read_only(modes), _read_only(C)
 
     @property
@@ -427,9 +430,18 @@ def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:
     return S
 
 
+def _expansion(e, what: str) -> HermiteExpansion:
+    """e when it is a HermiteExpansion; ValueError naming the argument
+    `what` otherwise (an array of samples, say)."""
+    if not isinstance(e, HermiteExpansion):
+        raise ValueError(f"{what}: expected a HermiteExpansion, got {type(e).__name__}")
+    return e
+
+
 def synthesize(e: HermiteExpansion, x) -> np.ndarray:
     """sum_k coeffs[k] h_k(x) at the points x, shape (npts, d), or (d,)
     when x is a single point (a scalar for n = 1, a length-n vector)."""
+    e = _expansion(e, "e")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 if e.n == 1 else x.ndim == 1
     out = point_synthesis_matrix(e.modes, x).T @ e.C
@@ -438,6 +450,7 @@ def synthesize(e: HermiteExpansion, x) -> np.ndarray:
 
 def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
     """Synthesis on a full tensor grid, shape (grid.size, d)."""
+    e = _expansion(e, "e")
     if e.n != grid.n:
         raise ValueError(f"expansion has n={e.n} but the grid has n={grid.n}")
     if not len(e.C):

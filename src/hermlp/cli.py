@@ -33,12 +33,12 @@ from .kernels import (
 from .semigroups import apply_semigroup
 from .spaces import critical_radius, h1_norm
 from .verify import (
+    _envelope_reports,
     check_eigen_ladder,
     check_kernel_vs_spectral,
     check_operator_identities,
     check_polarization,
     equivalence_suite,
-    kernel_bound_ratio,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -255,8 +255,7 @@ def _verify_reports(name: str, cfg: RunConfig):
     if name in ("envelopes", "all"):
         xs = np.linspace(-4.0, 4.0, 65)
         ts = np.geomspace(0.1, 2.0, 6)
-        for kind in ("heat", "poisson", "g", "gH", "ladder", "gradient"):
-            reports.append(kernel_bound_ratio(kind, xs, ts))
+        reports += _envelope_reports(("heat", "poisson", "g", "gH", "ladder", "gradient"), xs, ts)
     if name in ("equivalence-l2", "all"):
         fam = [
             HermiteExpansion.single(0),

@@ -26,15 +26,26 @@ weights carry the whole large-s decay e^{-(alpha+n)s}, so for a negative
 shift neither factor overflows or underflows at the top of the window
 (e^{-alpha s} alone overflows there while W_s underflows, and inf * 0
 would spread NaN to every time).  All of them run through one quadrature
-loop, `_subordinate`, which takes a scalar t or a 1-D array of T times
-(the result then gains a leading time axis).  The times share one log-s
-grid, in blocks of at most Q nodes; each block is evaluated once per
-node and distinct value of the invariants, the (T x nodes) weight matrix
-f(s, t) sums it by one matmul, and one inverse index scatters the sums
-back to the points.  Six times in [0.1, 2] need 113 nodes instead of
+loop, `_subordinate_family`, over a family of members that share the
+block: each member has its own times (a scalar t or a 1-D array of T
+times, which gives a leading time axis), decay n + alpha, scale, weight
+and optional affine factor, and a public kernel is a family of one.  The
+loop takes `_distinct` of the point invariants once and one log-s grid
+over the union of every member's (t, decay) windows, in blocks of at most
+Q nodes; each block is evaluated once per node and distinct value of the
+invariants, each member's (T x nodes) weight matrix f(s, t) sums it by a
+matmul, and one inverse index scatters a member's sums back to the points
+when it is yielded.  Six times in [0.1, 2] need 113 nodes instead of
 6 * 64 = 384, and the 65 x 65 lattice of `verify envelopes` has 1089
 distinct pairs in its 4225 points, so a kernel there evaluates 113 *
-1089 Mehler entries instead of 384 * 4225.
+1089 Mehler entries instead of 384 * 4225.  That suite's five
+subordinated kernels (Poisson, g, gH on 16 times, ladder and gradient)
+are one family (`_pair_family`) on those 113 nodes, not 5 * 113, and
+`verify kernel`'s shifts 0 and 2 one family on 173 nodes, not 146 + 160.
+On a 2-core host, in one process, `hermlp verify envelopes` went from
+9.98 to 5.16 ms and `check_kernel_vs_spectral` from 5.83 to 3.78 ms (the
+least of 100 interleaved rounds, `bench/layers.py verify`,
+`BENCH_family.json`).
 `SubordinationRule` describes the grid and its node-count bound.
 
 `heat_apply` applies W_t, for one time or a 1-D array of times, to
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +141,10 @@ class SubordinationRule:
     the module constant `_CUT` sets how far into both exponential tails
     the window reaches.
 
-    A list of times shares one grid (`_node_blocks`): the union of the
-    per-t windows at the finest per-t step, so every time sees a window
-    at least as wide and a step at least as fine as its own Q-point rule.
+    A list of times, each with its decay rate, shares one grid
+    (`_node_blocks`): the union of the per-t windows at the finest per-t
+    step, so every time sees a window at least as wide and a step at
+    least as fine as its own Q-point rule.
     The trapezoid rule converges geometrically in the step for these
     double-exponentially decaying integrands, so the shared grid is at
     least as accurate: over t in [1e-3, 20] it matches a Q = 1024 per-t
@@ -139,9 +152,9 @@ class SubordinationRule:
     Q = 64 rule misses it by up to 1e-9 at small t.  When the shared grid
     would need more than T * Q nodes (times spread over many decades,
     e.g. {1e-3, 40} needs 512), the nodes are the T per-t grids instead,
-    so a call never evaluates more than T * Q nodes.  For a single time the shared grid is exactly
-    the Q nodes of `s_nodes`.  The rule holds no precomputed nodes, so
-    constructing one costs nothing.
+    so a call never evaluates more than T * Q nodes.  For a single time
+    the shared grid is exactly the Q nodes of `s_nodes`.  The rule holds
+    no precomputed nodes, so constructing one costs nothing.
     """
 
     Q: int = 64
@@ -166,14 +179,16 @@ class SubordinationRule:
         Jacobian of the log substitution."""
         return _log_trapezoid(*self._window(t, decay), self.Q)
 
-    def _node_blocks(self, ts, decay: float):
+    def _node_blocks(self, ts, decay):
         """Yield (s, w) blocks of at most Q nodes covering the grid shared
-        by the distinct times `ts`; w holds the node weights per time,
+        by the times `ts`, whose large-s decay rate is `decay`, or decay[i]
+        for ts[i] when it is a list; w holds the node weights per time,
         shape (T, len(s)) or (len(s),) when every time uses them all."""
-        windows = [self._window(float(t), decay) for t in ts]
-        lo = min(a for a, _ in windows)
-        hi = max(b for _, b in windows)
-        step = min(b - a for a, b in windows) / (self.Q - 1)
+        decays = decay if isinstance(decay, list) else [decay] * len(ts)
+        windows = [self._window(float(t), d) for t, d in zip(ts, decays)]
+        los, his = zip(*windows)
+        lo, hi = min(los), max(his)
+        step = min(map(operator.sub, his, los)) / (self.Q - 1)
         size = math.ceil((hi - lo) / step - 1e-9) + 1
         if size <= len(windows) * self.Q:
             s, w = _log_trapezoid(lo, hi, size)
@@ -187,6 +202,7 @@ class SubordinationRule:
             yield s, rows
 
 
+@functools.cache
 def _t_min(n: int) -> float:
     """The smallest time the subordinated kernels take in n dimensions:
     1e-60 for n <= 3, and 10^-(240 // (n + 1)) above (1e-48 for n = 4,
@@ -235,9 +251,12 @@ def _check_time(t, ndim=None):
     t = np.asarray(t, dtype=float)
     if ndim is not None and (t.ndim > ndim or t.size == 0):
         raise ValueError("times must be a scalar or a nonempty 1-D array")
-    if not np.isfinite(t).all():
+    # time lists are short, and Python floats check them faster than
+    # numpy's reductions, whose fixed cost is several microseconds
+    values = t.ravel().tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("time t must be finite")
-    if not (t > 0).all():
+    if not min(values, default=1.0) > 0:
         raise ValueError("time t must be positive")
     return t
 
@@ -503,49 +522,82 @@ def _distinct(*keys):
 
 
 def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None, n=1):
-    """scale(t) * sum_i weight(s_i, t) block(s_i) over the log-s nodes of
-    `rule` for a kernel decaying like e^{-decay s}.
+    """The one-member call of `_subordinate_family`: the kernel of the
+    member (t, decay, scale, weight, affine)."""
+    (out,) = _subordinate_family([(t, decay, scale, weight, affine)], rule, block, keys, n)
+    return out
+
+
+def _subordinate_family(members, rule, block, keys, n=1):
+    """Yield, for each member (t, decay, scale, weight, affine) in turn,
+    scale(t) * sum_i weight(s_i, t) block(s_i) over log-s nodes of `rule`
+    for a kernel decaying like e^{-decay s}.  The members share the block,
+    and each node's block is evaluated once for all of them.
 
     The block depends on the points only through the invariants `keys`,
     float arrays of the point shape (|x - y|^2 and |x + y|^2, or |x|^2).
     `block(s, *values)` gets the nodes on a column and the distinct tuples
     of the invariants (`_distinct`), one array per invariant, and returns
     one row per node and one column per tuple, for at most _BLOCK_ENTRIES
-    entries at a time.  The rows of weights sum the columns by a 2-D
-    matmul, and one inverse index scatters the sums back to the points.
-    With `affine = (coefficients, u, v)` the integrand is (a(s) u + b(s)
-    v) block(s), where coefficients(s) returns the node factors (a, b)
-    and u, v are arrays of the point shape: a and b double the weight
-    rows of the same matmul, and u, v apply after the scatter.
+    entries at a time.  The nodes are the grid shared by the (t, decay)
+    windows of every member (`SubordinationRule._node_blocks`), so each
+    member sees a grid at least as fine as its own.  Each member's rows
+    of weights sum the columns by a 2-D matmul of their own into compact
+    sums (rows x distinct tuples): stacked into one matmul, BLAS would
+    round a row by where it falls in the stack, and a member would not
+    equal its one-member call bit for bit.  A member's sums are scattered
+    back to the points by one inverse index only when it is yielded, so
+    a caller that drops each kernel holds one at a time.  With
+    `affine = (coefficients, u, v)` the integrand is (a(s) u + b(s) v)
+    block(s), where coefficients(s) returns the node factors (a, b) and
+    u, v are arrays of the point shape: a and b double the member's rows
+    of weights, and u, v apply after the scatter.
 
     `t` is a scalar or a 1-D array of T times; an array puts the times on
     a new leading axis in front of the point shape.  `weight(s, t)`
-    broadcasts nodes against a column of times.  Repeated times are
-    computed once.  Times outside [_t_min(n), _T_MAX], for a block in n
-    dimensions, are rejected.
+    broadcasts nodes against a column of times.  Repeated times of a
+    member are computed once.  Times outside [_t_min(n), _T_MAX], for a
+    block in n dimensions, are rejected before any block is evaluated.
     """
-    times = _check_time(t, ndim=1)
-    (ts,), back = _distinct(times.ravel())
-    for end in (ts[0], ts[-1]):
-        if not _t_min(n) <= end <= _T_MAX:
-            raise ValueError(_outside(float(end), n))
+    rule = rule or _DEFAULT_RULE
+    least = _t_min(n)
+    sets, grid_ts, grid_decays = [], [], []
+    for t, decay, scale, weight, affine in members:
+        times = _check_time(t, ndim=1)
+        (ts,), back = _distinct(times.ravel())
+        distinct = ts.tolist()
+        for end in (distinct[0], distinct[-1]):
+            if not least <= end <= _T_MAX:
+                raise ValueError(_outside(end, n))
+        sets.append((times, ts, back, scale, weight, affine))
+        grid_ts += distinct
+        grid_decays += [decay] * len(distinct)
     shape = np.shape(keys[0])
     values, inverse = _distinct(*(np.ravel(k) for k in keys))
     rows = _BLOCK_ENTRIES // max(1, values[0].size) or 1
-    total = 0.0
-    for s, w in (rule or _DEFAULT_RULE)._node_blocks(ts, decay):
-        weights = w * weight(s, ts[:, None])
-        if affine is not None:
-            a, b = affine[0](s)
-            weights = np.concatenate([weights * a, weights * b])
+    totals = [0.0] * len(sets)
+    for s, w in rule._node_blocks(grid_ts, grid_decays):
+        weights, first = [], 0  # per member; `first` is its first time's row of w
+        for _, ts, _, _, weight, affine in sets:
+            wm = (w if w.ndim == 1 else w[first:first + ts.size]) * weight(s, ts[:, None])
+            first += ts.size
+            if affine is not None:
+                a, b = affine[0](s)
+                wm = np.concatenate([wm * a, wm * b])
+            weights.append(wm)
         for i in range(0, s.size, rows):
-            # the block is a temporary: it is freed before the next is built
-            total = total + weights[:, i:i + rows] @ block(s[i:i + rows, None], *values)
-    total = total[:, inverse].reshape(total.shape[:1] + shape)
-    if affine is not None:
-        total = affine[1] * total[:len(ts)] + affine[2] * total[len(ts):]
-    total = scale(ts).reshape((-1,) + (1,) * len(shape)) * total
-    return total[back].reshape(times.shape + shape)[()]  # a scalar for 0-d
+            part = block(s[i:i + rows, None], *values)
+            totals = [total + wm[:, i:i + rows] @ part for total, wm in zip(totals, weights)]
+            del part  # the block is a temporary: it is freed before the next is built
+    for (times, ts, back, scale, _, affine), total in zip(sets, totals):
+        total = total[:, inverse].reshape(total.shape[:1] + shape)
+        if affine is not None:
+            total = affine[1] * total[:ts.size] + affine[2] * total[ts.size:]
+        total = scale(ts).reshape((-1,) + (1,) * len(shape)) * total
+        out = total[back].reshape(times.shape + shape)[()]  # a scalar for 0-d
+        del total
+        yield out
+        del out  # a caller that dropped the kernel frees it before the next is built
 
 
 def _mehler_block(s, d2, s2, n: int):
@@ -567,30 +619,64 @@ def _mehler_block(s, d2, s2, n: int):
     return gauss
 
 
-def _subordinate_pairs(x, y, t, op: ShiftedOperator, rule, factor, coefficients=None, j=1):
-    """The Poisson-family kernel t/sqrt(4 pi) int s^{-3/2} factor(s, t)
-    e^{-t^2/(4s) - alpha s} W_s(x, y) ds at the points x, y of R^n.  With
-    `coefficients` W_s is multiplied by a(s) u + b(s) v, where
-    coefficients(s) returns (a, b), u = x_j - y_j and v = x_j + y_j (the
-    affine node factor of `_subordinate`)."""
-    x, y = _points(x, op.n, "x"), _points(y, op.n, "y")
-    affine = None
-    if coefficients is not None:
-        xj, yj = _coordinate(x, op.n, j), _coordinate(y, op.n, j)
-        affine = (coefficients, xj - yj, xj + yj)
-    decay = op.n + op.alpha
-    return _subordinate(
-        t, decay, rule, lambda t: t / _SQRT4PI,
-        lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s, d2, s2: _mehler_block(s, d2, s2, op.n), _pair_keys(x, y, op.n), affine, op.n,
-    )
+def _pair_family(x, y, members, rule=None):
+    """Yield, for each member (kind, t, op) in turn, the Poisson-family
+    kernel of op = L + alpha at the times t and the points x, y of R^n,
+    from one pass over the Mehler blocks; the members share the dimension
+    n.  The kinds are those of the public kernels: "poisson"
+    (`poisson_kernel`), "g" (`g_kernel`), "g_dx" (`_g_kernel_dx`) and
+    ("ladder", j, sign) (`ladder_kernel`, whose op is L).  Each is
+    t/sqrt(4 pi) int s^{-3/2} factor(s, t) e^{-t^2/(4s) - alpha s} W_s ds
+    with the kind's weight factor, and for "g_dx" and the ladder kernels
+    W_s is multiplied by a(s) u + b(s) v, with the kind's node factors
+    (a, b), u = x_j - y_j and v = x_j + y_j (the affine node factor of
+    `_subordinate_family`)."""
+    n = members[0][2].n
+    x, y = _points(x, n, "x"), _points(y, n, "y")
+    subs = []
+    for kind, t, op in members:
+        factor, coefficients, j = _g_factor, None, 1
+        if kind == "poisson":
+            factor = _unit_factor
+        elif kind == "g_dx":
+            coefficients = _gradient_coefficients
+        elif kind != "g":
+            _, j, sign = kind
+            factor, coefficients = _ladder_factor, functools.partial(_ladder_coefficients, sign=sign)
+        affine = None
+        if coefficients is not None:
+            xj, yj = _coordinate(x, n, j), _coordinate(y, n, j)
+            affine = (coefficients, xj - yj, xj + yj)
+        decay = n + op.alpha
+        subs.append((t, decay, _poisson_scale,
+                     lambda s, t, factor=factor, decay=decay:
+                         s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s),
+                     affine))
+    return _subordinate_family(subs, rule, lambda s, d2, s2: _mehler_block(s, d2, s2, n),
+                               _pair_keys(x, y, n), n)
+
+
+def _pair_kernel(x, y, member, rule=None):
+    """The one-member call of `_pair_family`."""
+    (out,) = _pair_family(x, y, [member], rule)
+    return out
+
+
+def _poisson_scale(t):
+    """The scale t/sqrt(4 pi) of every `_pair_family` member."""
+    return t / _SQRT4PI
+
+
+def _unit_factor(s, t):
+    """The weight factor of the Poisson kernel: 1."""
+    return 1.0
 
 
 def poisson_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """Subordinated Poisson kernel of L + alpha; strictly positive.
 
-    A 1-D array of times gives a leading time axis (see `_subordinate`)."""
-    return _subordinate_pairs(x, y, t, op, rule, lambda s, t: 1.0)
+    A 1-D array of times gives a leading time axis (see `_subordinate_family`)."""
+    return _pair_kernel(x, y, ("poisson", t, op), rule)
 
 
 def _g_factor(s, t):
@@ -600,14 +686,14 @@ def _g_factor(s, t):
 
 def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt of the Poisson kernel of L + alpha (g-function kernel)."""
-    return _subordinate_pairs(x, y, t, op, rule, _g_factor)
+    return _pair_kernel(x, y, ("g", t, op), rule)
 
 
 def _g_kernel_dx(x, y, t, op: ShiftedOperator):
     """d/dx_1 of `g_kernel`, differentiated analytically: d/dx_1 of the
     Mehler exponent -(A u^2 + B v^2)/4, with u = x_1 - y_1 and v = x_1 +
     y_1, is -A u/2 - B v/2, so one subordination pass carries both terms."""
-    return _subordinate_pairs(x, y, t, op, None, _g_factor, _gradient_coefficients)
+    return _pair_kernel(x, y, ("g_dx", t, op))
 
 
 def _gradient_coefficients(s):
@@ -627,6 +713,12 @@ def _ladder_coefficients(s, sign: int):
     if sign > 0:
         return -e / m2, e / (1.0 + e)
     return -1.0 / m2, -1.0 / (1.0 + e)
+
+
+def _ladder_factor(s, t):
+    """The weight factor of the ladder kernels, the Poisson kernel of L
+    with the factor t: t times t/sqrt(4 pi)."""
+    return t
 
 
 def ladder_kernel(
@@ -653,11 +745,7 @@ def ladder_kernel(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    # the Poisson kernel of L with the weight factor t: t times t/sqrt(4 pi)
-    return _subordinate_pairs(
-        x, y, t, ShiftedOperator(0.0, n), rule, lambda s, t: t,
-        lambda s: _ladder_coefficients(s, sign), j,
-    )
+    return _pair_kernel(x, y, (("ladder", j, sign), t, ShiftedOperator(0.0, n)), rule)
 
 
 def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _point, point_synthesis_matrix, synthesize_grid,
+    HermiteExpansion, SpatialGrid, _expansion, _point, point_synthesis_matrix, synthesize_grid,
 )
 from .gamma import BanachModel, TimeGrid, gamma_norms
 
@@ -137,6 +137,7 @@ def apply_semigroup(
 ) -> HermiteExpansion:
     """Multiply each coefficient by the semigroup symbol e^{-t lambda}
     (heat) or e^{-t sqrt(lambda)} (poisson), lambda = 2|k| + n + alpha."""
+    e = _expansion(e, "e")
     if kind not in ("heat", "poisson"):
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if not math.isfinite(t):
@@ -155,6 +156,7 @@ def gfunction(
 ) -> TimeField:
     """t d/dt P_t^{L+alpha} f sampled on grid x times: mode k carries the
     profile -t sqrt(lambda) e^{-t sqrt(lambda)}."""
+    e = _expansion(e, "e")
     return _field(_spectral_table(e, alpha, "g"), e, grid, times)
 
 
@@ -162,6 +164,7 @@ def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
     """Exact squared L^2(dx; H) norm of the square function: each mode
     contributes |c_k|^2 int_0^inf (t sqrt(lam) e^{-t sqrt(lam)})^2 dt/t,
     and that integral is 1/4 for every eigenvalue."""
+    e = _expansion(e, "e")
     _check_shift(e.modes, alpha)
     return 0.25 * e.l2_norm_sq()
 
@@ -172,6 +175,7 @@ def ladder_transform(
     """t (d/dx_j +/- x_j) P_t^L f sampled on grid x times, from the ladder
     rows of `_spectral_table`: mode k moves to k -/+ e_j and keeps the
     Poisson factor of its own eigenvalue 2|k| + n."""
+    e = _expansion(e, "e")
     return _field(_spectral_table(e, 0.0, ("ladder", j, sign)), e, grid, times)
 
 
@@ -194,12 +198,14 @@ def riesz(e: HermiteExpansion, j: int, sign: int) -> HermiteExpansion:
     """Riesz transform: coefficient at k moves to k -/+ e_j (sign +/-)
     with the ladder amplitude over sqrt(2|k| + n), the Riesz rows of
     `_spectral_table`."""
+    e = _expansion(e, "e")
     targets, C, amp, _, _ = _spectral_table(e, 0.0, ("riesz", j, sign))
     return HermiteExpansion.from_arrays(e.n, e.d, targets, amp[:, None] * C)
 
 
 def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
     """(L + alpha)^{-1/2}: scale coefficient at k by (2|k|+n+alpha)^{-1/2}."""
+    e = _expansion(e, "e")
     modes, C, _, rate, _ = _spectral_table(e, alpha, "poisson")
     return HermiteExpansion.from_arrays(e.n, e.d, modes, C / rate[:, None], e.K)
 
@@ -235,6 +241,7 @@ def maximal_norm(
     """sup_t ||semigroup(t) f (x)||_B over the time grid, including the
     t -> 0+ candidate ||f(x)||_B, at a single point x: the maximal
     function that `spaces.h1_norm` integrates over a grid."""
+    e = _expansion(e, "e")
     return float(_maximal_function(e, _point(x, e.n, "x"), kind, alpha, B, times)[0])
 
 
@@ -263,6 +270,7 @@ def composed_maximal(
     faster modes have decayed below the cut) reads fewer columns of the
     shared draw, so its estimate has the same law but other draws.
     """
+    e = _expansion(e, "e")
     x = _point(x, e.n, "x")
     if isinstance(inner, str) and inner != "g":
         raise ValueError(f"unknown inner transform {inner!r}")

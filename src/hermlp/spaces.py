@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _integer, _point, _points, _read_only, _resolution,
+    HermiteExpansion, SpatialGrid, _expansion, _integer, _point, _points, _read_only,
+    _resolution,
 )
 from .gamma import BanachModel, TimeGrid
 from .kernels import _lattice_mass, heat_apply
@@ -350,6 +351,7 @@ def area_integral(
     """Square function over the cone {|x - y| < t}: the integral of
     |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted, for a scalar
     expansion f, whose g-field each call synthesizes (`gfunction`)."""
+    f = _expansion(f, "f")
     if f.d != 1:
         raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
     x = _point(x, grid.n, "x")
@@ -375,6 +377,7 @@ def carleson_functional(
     expansion f, whose g-field each call synthesizes.  The box sums of all
     balls containing x are one (balls x points) @ g^2 product, masked in t.
     One-dimensional grids only."""
+    f = _expansion(f, "f")
     if f.d != 1:
         raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
     x = _point(x, grid.n, "x")

@@ -20,20 +20,14 @@ import numpy as np
 from .basis import (
     HermiteExpansion,
     SpatialGrid,
+    _expansion,
     _integer,
     _table,
     analyze,
     synthesize_grid,
 )
 from .gamma import BanachModel, TimeGrid
-from .kernels import (
-    ShiftedOperator,
-    _g_kernel_dx,
-    g_kernel,
-    heat_kernel,
-    ladder_kernel,
-    poisson_kernel,
-)
+from .kernels import ShiftedOperator, _pair_family, heat_kernel
 from .semigroups import gfunction, inv_sqrt, ladder_transform, riesz
 from .spaces import BallSpec, _grid_samples, bmo_norm, h1_norm
 
@@ -136,11 +130,13 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     hx = _table(kmax, xs).T  # (5, modes)
     eigen = 2.0 * np.arange(kmax + 1) + 1.0
     worst = 0.0
-    for alpha in alpha_list:
-        op = ShiftedOperator(float(alpha), 1)
-        # one shared subordination grid for every time: shape (T, 5, len(ys))
-        got = poisson_kernel(xs[:, None], ys[None, :], times, op) @ modes
-        want = np.exp(-times[:, None, None] * np.sqrt(eigen + float(alpha))) * hx
+    ops = [ShiftedOperator(float(alpha), 1) for alpha in alpha_list]
+    # one subordination grid for every shift and time; each kernel has
+    # shape (T, 5, len(ys))
+    family = _pair_family(xs[:, None], ys[None, :], [("poisson", times, op) for op in ops])
+    for op, kernel in zip(ops, family):
+        got = kernel @ modes
+        want = np.exp(-times[:, None, None] * np.sqrt(eigen + op.alpha)) * hx
         scale = np.abs(want)
         err = np.abs(got - want) / np.where(scale > 1e-8, scale, 1.0)
         worst = max(worst, float(np.max(err)))
@@ -168,13 +164,12 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     )
 
 
-def _envelope_ratio(kind, xs, ts):
-    """Sups of |kernel| / envelope over the off-diagonal pairs of xs and
-    all times ts: on the lattice xs and on its 2x-coarser sublattice
+def _envelope_ratio(kind, val, xs, ts, gh):
+    """Sups of |val| / envelope over the off-diagonal pairs of xs and all
+    times ts, where val is the kernel of `kind` on xs x xs (for "gH" on
+    the time grid gh): on the lattice xs and on its 2x-coarser sublattice
     xs[::2], whose pairs are the [::2, ::2] block of the same ratios.
-    The kernels are those of the unshifted one-dimensional operator, and
-    the Gaussian envelope factors decay at rate c = 1/16."""
-    op = ShiftedOperator()
+    The Gaussian envelope factors decay at rate c = 1/16."""
     c = 1.0 / 16.0
     X = xs[:, None]
     Y = xs[None, :]
@@ -182,38 +177,32 @@ def _envelope_ratio(kind, xs, ts):
     off = D > 0
     if kind == "gH":
         # H-norm over the time grid of t d/dt P_t vs the singular envelope
-        grid = TimeGrid(min(ts), max(ts), max(len(ts), 16))
-        acc = np.tensordot(grid.weights, g_kernel(X, Y, grid.nodes, op) ** 2, axes=1)
+        acc = np.tensordot(gh.weights, val ** 2, axes=1)
         env = np.exp(-c * (D * D + np.abs(Y) * D)) / np.where(off, D, 1.0)
         ratio = np.where(off, np.sqrt(acc) / env, 0.0)
         return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
     t = ts.reshape(-1, 1, 1)  # one time per leading slice
-    if kind == "heat":
-        val = heat_kernel(X, Y, t)
+    if kind == "heat":  # the heat and Poisson kernels are positive
         env = t ** -0.5 * np.exp(-D * D / (8.0 * t))
     elif kind == "poisson":
-        val = poisson_kernel(X, Y, ts, op)
         env = t / (t + D) ** 2 * np.exp(-c * (D * D + np.abs(X) * D))
-    elif kind == "g":
-        val = np.abs(g_kernel(X, Y, ts, op))
-        env = t / (t + D) ** 2
-    elif kind == "ladder":
-        val = np.abs(ladder_kernel(X, Y, ts, 1, +1))
-        env = t * t / (t + D) ** 3 * np.exp(-c * (D * D + np.abs(Y) * D))
-    elif kind == "gradient":
-        val = np.abs(_g_kernel_dx(X, Y, ts, op))
-        env = t / (t + D) ** 3
     else:
-        raise ValueError(f"unknown envelope kind {kind!r}")
+        val = np.abs(val)
+        if kind == "g":
+            env = t / (t + D) ** 2
+        elif kind == "ladder":
+            env = t * t / (t + D) ** 3 * np.exp(-c * (D * D + np.abs(Y) * D))
+        else:  # gradient
+            env = t / (t + D) ** 3
     ratio = np.max(np.where(off, val / env, 0.0), axis=0)
     return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
 
 
-def kernel_bound_ratio(kind: str, xs, ts) -> CheckReport:
-    """Empirical sup of |kernel| / envelope over an off-diagonal lattice
-    of the line; passes when finite and at most 1.1x the sup on a
-    2x-coarser lattice.  The "gH" kind integrates over a time grid
-    spanning ts, so it needs two distinct times."""
+def _envelope_reports(kinds, xs, ts) -> list:
+    """`kernel_bound_ratio` for each kind in `kinds`, in order.  The
+    subordinated kernels of the unshifted one-dimensional operator come
+    from one pass over the Mehler blocks (`kernels._pair_family`), one
+    kernel at a time."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if xs.ndim != 1 or ts.ndim > 1:
@@ -222,18 +211,48 @@ def kernel_bound_ratio(kind: str, xs, ts) -> CheckReport:
         raise ValueError("empty region")
     if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
         raise ValueError("points xs and times ts must be finite")
-    if kind == "gH" and np.min(ts) == np.max(ts):
-        raise ValueError("kind 'gH' needs two distinct times")
-    fine, coarse = _envelope_ratio(kind, xs, ts)
-    passed = bool(np.isfinite(fine) and fine <= 1.1 * coarse)
-    return CheckReport(
-        name=f"envelope({kind})",
-        computed=fine,
-        expected="finite/stable",
-        tolerance=0.1,
-        passed=passed,
-        details={"coarse": coarse},
-    )
+    op = ShiftedOperator()
+    gh, members = None, []
+    for kind in kinds:
+        if kind == "gH":
+            if np.min(ts) == np.max(ts):
+                raise ValueError("kind 'gH' needs two distinct times")
+            gh = TimeGrid(min(ts), max(ts), max(len(ts), 16))
+            members.append(("g", gh.nodes, op))
+        elif kind in ("poisson", "g"):
+            members.append((kind, ts, op))
+        elif kind == "ladder":  # the raising kernel along x_1
+            members.append((("ladder", 1, +1), ts, op))
+        elif kind == "gradient":
+            members.append(("g_dx", ts, op))
+        elif kind != "heat":
+            raise ValueError(f"unknown envelope kind {kind!r}")
+    X, Y = xs[:, None], xs[None, :]
+    family = _pair_family(X, Y, members) if members else iter(())
+    reports = []
+    for kind in kinds:
+        # each kernel is freed once its ratios are taken
+        fine, coarse = _envelope_ratio(
+            kind, heat_kernel(X, Y, ts.reshape(-1, 1, 1)) if kind == "heat" else next(family),
+            xs, ts, gh)
+        reports.append(CheckReport(
+            name=f"envelope({kind})",
+            computed=fine,
+            expected="finite/stable",
+            tolerance=0.1,
+            passed=bool(np.isfinite(fine) and fine <= 1.1 * coarse),
+            details={"coarse": coarse},
+        ))
+    return reports
+
+
+def kernel_bound_ratio(kind: str, xs, ts) -> CheckReport:
+    """Empirical sup of |kernel| / envelope over an off-diagonal lattice
+    of the line; passes when finite and at most 1.1x the sup on a
+    2x-coarser lattice.  The "gH" kind integrates over a time grid
+    spanning ts, so it needs two distinct times."""
+    (report,) = _envelope_reports([kind], xs, ts)
+    return report
 
 
 def _tail_factor(lam: float, T: float) -> float:
@@ -251,6 +270,7 @@ def check_polarization(a: HermiteExpansion, f: HermiteExpansion) -> CheckReport:
     t in [1/N, N], N = _N_TRUNC, is compared against its closed-form
     per-mode tail bound.
     """
+    a, f = _expansion(a, "a"), _expansion(f, "f")
     grid, times = DEFAULT_GRID, DEFAULT_TIMES
     ga = gfunction(a, 0.0, grid, times)
     gf = gfunction(f, 0.0, grid, times)

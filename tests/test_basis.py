@@ -396,6 +396,22 @@ def test_from_arrays_applies_the_constructor_checks(modes, C, match):
         HermiteExpansion(1, 1, 2, {tuple(k): c for k, c in zip(modes, C)})
 
 
+@pytest.mark.parametrize(
+    "modes, C, message",
+    [
+        ([[0], [1], [-1], [2]], [[1.0]] * 4, "multi-index must be nonnegative, got (-1,)"),
+        ([[0], [1], [3], [4]], [[1.0]] * 4, "index (3,) exceeds degree cap K=2"),
+        ([[0], [1], [2], [1]], [[1.0], [2.0], [np.inf], [np.nan]],
+         "non-finite coefficient at (2,)"),
+        # a row failing a later check does not hide an earlier check's row
+        ([[0], [4], [-3], [1]], [[np.nan]] * 4, "multi-index must be nonnegative, got (-3,)"),
+    ],
+)
+def test_a_bad_row_behind_good_rows_is_named(modes, C, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HermiteExpansion.from_arrays(1, 1, np.array(modes), np.array(C), K=2)
+
+
 def test_analyze_returns_modes_in_lexicographic_order():
     grid = default_grid(n=2, K=6)
     rng = np.random.default_rng(2)

@@ -80,6 +80,22 @@ def test_verify_polarization_json():
     assert reports[0]["passed"] is True
 
 
+def test_verify_envelopes_rows_are_unchanged():
+    # the six rows as printed before the subordinated kinds shared one
+    # pass over the Mehler blocks, byte for byte
+    r = run_main("verify", "envelopes")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "name,computed,expected,tolerance,passed\n"
+        "envelope(heat),0.27577224587245858,finite/stable,0.10000000000000001,True\n"
+        "envelope(poisson),0.6262583792305636,finite/stable,0.10000000000000001,True\n"
+        "envelope(g),0.47808216511215629,finite/stable,0.10000000000000001,True\n"
+        "envelope(gH),0.12168905068705949,finite/stable,0.10000000000000001,True\n"
+        "envelope(ladder),1.7366526283244517,finite/stable,0.10000000000000001,True\n"
+        "envelope(gradient),1.6792823011696796,finite/stable,0.10000000000000001,True\n"
+    )
+
+
 def test_verify_identities_exit_zero():
     r = run_main("verify", "identities")
     assert r.returncode == 0

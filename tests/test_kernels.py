@@ -678,6 +678,91 @@ def test_node_count_at_most_times_by_q(monkeypatch, name, times, expected):
     assert counter.nodes == expected
 
 
+class _PairCounter:
+    """Counts the `_distinct` calls on point pairs (two invariants)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = kernels._distinct
+
+        def counted(*keys):
+            self.calls += len(keys) == 2
+            return inner(*keys)
+
+        monkeypatch.setattr(kernels, "_distinct", counted)
+
+
+ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
+
+
+@pytest.mark.parametrize("suite,nodes", [
+    # five kinds on one 113-node grid: gH's 16 times span the same window
+    ("envelopes", 113),
+    # the shifts 0 and 2 at times 0.1, 1 and 5 had grids of 146 and 160
+    ("kernel-vs-spectral", 173),
+])
+def test_a_verify_family_evaluates_its_blocks_once(monkeypatch, suite, nodes):
+    from hermlp import verify
+
+    counter, pairs = _NodeCounter(monkeypatch), _PairCounter(monkeypatch)
+    if suite == "envelopes":
+        verify._envelope_reports(ENVELOPE_KINDS, ENVELOPE_XS, ENVELOPE_TS)
+    else:
+        verify.check_kernel_vs_spectral([0.1, 1.0, 5.0], [0.0, 2.0])
+    assert counter.nodes == nodes
+    assert pairs.calls == 1
+
+
+def _envelope_members():
+    from hermlp.gamma import TimeGrid
+
+    nodes = TimeGrid(0.1, 2.0, 16).nodes
+    ts = ENVELOPE_TS
+    return [
+        (("poisson", ts, L), lambda X, Y: poisson_kernel(X, Y, ts, L)),
+        (("g", ts, L), lambda X, Y: g_kernel(X, Y, ts, L)),
+        (("g", nodes, L), lambda X, Y: g_kernel(X, Y, nodes, L)),
+        ((("ladder", 1, +1), ts, L), lambda X, Y: ladder_kernel(X, Y, ts, 1, +1)),
+        (("g_dx", ts, L), lambda X, Y: kernels._g_kernel_dx(X, Y, ts, L)),
+    ]
+
+
+def test_family_members_equal_their_one_member_calls():
+    # the envelope family's members share the one grid of each member's
+    # own call, and each member's rows get a matmul of their own, so the
+    # family gives the one-member kernels bit for bit
+    X, Y = ENVELOPE_XS[:, None], ENVELOPE_XS[None, :]
+    members, calls = zip(*_envelope_members())
+    family = list(kernels._pair_family(X, Y, list(members)))
+    assert len(family) == len(calls)
+    for got, call in zip(family, calls):
+        assert np.array_equal(got, call(X, Y))
+
+
+def test_family_members_on_a_finer_union_grid_match_their_calls():
+    # shifts 0 and 2 (decays 1 and 3): the union grid of 173 nodes is finer
+    # than each member's own (146 and 160 nodes), which moves the kernels
+    # by rounding only (measured up to 6.2e-15 of the maximum)
+    X, Y = np.linspace(-4.0, 4.0, 5)[:, None], np.linspace(-6.0, 6.0, 121)[None, :]
+    times = np.array([0.1, 1.0, 5.0])
+    ops = [ShiftedOperator(0.0, 1), ShiftedOperator(2.0, 1)]
+    members = [("poisson", times, op) for op in ops]
+    members.append((("ladder", 1, -1), times[::-1], ops[0]))
+    calls = [poisson_kernel(X, Y, times, op) for op in ops]
+    calls.append(ladder_kernel(X, Y, times[::-1], 1, -1))
+    for got, want in zip(kernels._pair_family(X, Y, members), calls):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_family_checks_every_member_before_any_block(monkeypatch):
+    counter = _NodeCounter(monkeypatch)
+    members = [("poisson", 0.5, L), ("g", [0.5, np.nan], L)]
+    with pytest.raises(ValueError, match="finite"):
+        next(kernels._pair_family(0.0, 0.0, members))
+    assert counter.nodes == 0
+
+
 def test_single_time_grid_is_the_per_time_rule():
     rule = SubordinationRule()
     for t in (1e-3, 0.3, 1.0, 40.0):

@@ -159,3 +159,40 @@ def test_samples_outside_the_layout_are_rejected(shape):
         h1_norm(np.zeros(shape), B, grid, TIMES)
     with pytest.raises(ValueError, match="samples must cover the grid"):
         Atom(0.0, 0.4, "local", grid, np.zeros(shape))
+
+
+def expansion_calls():
+    """(name, argument, call) for every public function that takes a
+    HermiteExpansion; call(v) passes v as that argument."""
+    from hermlp import semigroups
+    from hermlp.basis import synthesize_grid
+
+    e = HermiteExpansion.single(1)
+    grid = SpatialGrid(6.0, 0.05)
+    return [
+        ("synthesize", "e", lambda v: synthesize(v, 0.5)),
+        ("synthesize_grid", "e", lambda v: synthesize_grid(v, grid)),
+        ("apply_semigroup", "e", lambda v: semigroups.apply_semigroup(v, "heat", 0.5)),
+        ("gfunction", "e", lambda v: semigroups.gfunction(v, 0.0, grid, TIMES)),
+        ("gfunction_l2_sq", "e", lambda v: semigroups.gfunction_l2_sq(v, 0.0)),
+        ("ladder_transform", "e", lambda v: semigroups.ladder_transform(v, 1, -1, grid, TIMES)),
+        ("riesz", "e", lambda v: semigroups.riesz(v, 1, -1)),
+        ("inv_sqrt", "e", lambda v: semigroups.inv_sqrt(v)),
+        ("maximal_norm", "e", lambda v: maximal_norm(v, 0.5, "heat", 0.0, B, TIMES)),
+        ("composed_maximal", "e", lambda v: composed_maximal(v, 0.5, 0.0, "g", B, TIMES)),
+        ("area_integral", "f", lambda v: area_integral(v, 0.5, 0.0, grid, TIMES)),
+        ("carleson_functional", "f",
+         lambda v: carleson_functional(v, 0.5, 0.0, BallSpec(), grid, TIMES)),
+        ("check_polarization a", "a", lambda v: verify.check_polarization(v, e)),
+        ("check_polarization f", "f", lambda v: verify.check_polarization(e, v)),
+    ]
+
+
+@pytest.mark.parametrize("value", [np.ones(241), [1.0, 2.0]], ids=["array", "list"])
+@pytest.mark.parametrize("what,call", [pytest.param(what, call, id=name)
+                                       for name, what, call in expansion_calls()])
+def test_non_expansions_are_rejected_with_the_argument_named(what, call, value):
+    # an array or a list raised AttributeError ("... has no attribute 'd'")
+    with pytest.raises(ValueError, match=f"^{what}: expected a HermiteExpansion, got "
+                                         f"{type(value).__name__}$"):
+        call(value)

@@ -118,15 +118,15 @@ def test_kernel_vs_spectral_fails_on_poisson_branch(monkeypatch):
     # must show in the worst error of the whole (time, point, mode) stack
     import hermlp.verify as verify
 
-    exact = verify.poisson_kernel
+    exact = verify._pair_family
 
-    def skewed(x, y, t, op):
-        P = exact(x, y, t, op)
-        if op.alpha == 2.0:
-            P[1] *= 1 + 1e-5
-        return P
+    def skewed(x, y, members, rule=None):
+        for (_, _, op), P in zip(members, exact(x, y, members, rule)):
+            if op.alpha == 2.0:
+                P[1] *= 1 + 1e-5
+            yield P
 
-    monkeypatch.setattr(verify, "poisson_kernel", skewed)
+    monkeypatch.setattr(verify, "_pair_family", skewed)
     r = check_kernel_vs_spectral([0.1, 1.0, 5.0], [0.0, 2.0])
     assert r.computed == pytest.approx(1e-5, rel=1e-3)
     assert r.details["heat_branch"] <= 1e-8
