@@ -137,8 +137,9 @@ def hardy_calls(h):
 def verify_calls(h):
     import numpy as np
 
-    cli, verify = h.cli, h.verify
+    cli, kernels, verify = h.cli, h.kernels, h.verify
     xs, ts = np.linspace(-4.0, 4.0, 65), np.geomspace(0.1, 2.0, 6)
+    op = kernels.ShiftedOperator(2.0, 1)
     out = {f"envelope_{kind}": lambda kind=kind: verify.kernel_bound_ratio(kind, xs, ts).computed
            for kind in ENVELOPE_KINDS}
 
@@ -161,6 +162,7 @@ def verify_calls(h):
         "eigen_ladder_K20": lambda: verify.check_eigen_ladder(20).computed,
         "eigen_ladder_K60": lambda: verify.check_eigen_ladder(60).computed,
         "cli_point_query": point,
+        "g_of_one": lambda: float(np.sum(kernels.g_of_one(xs, ts, op))),
     })
     return out
 
@@ -326,6 +328,9 @@ GROUPS = {
             "eigen_ladder_K20": "check_eigen_ladder(20)",
             "eigen_ladder_K60": "check_eigen_ladder(60)",
             "cli_point_query": "cli.main(" + repr(POINT_ARGV) + ") in process, stdout captured",
+            "g_of_one": "g_of_one(linspace(-4, 4, 65), geomspace(0.1, 2, 6), ShiftedOperator(2, 1)): "
+                        "the envelope lattice's 33 distinct |x|^2; the value is the sum of the "
+                        "6 x 65 entries",
             "envelopes_all": "cli.main(['verify', 'envelopes']) in process, stdout captured: "
                              "the six kinds as `hermlp verify envelopes` runs them; the value "
                              "is the sum of the six computed sups",

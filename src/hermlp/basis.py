@@ -26,7 +26,7 @@ Layouts shared by every module:
 Hermite tables are shared.  `analyze`, `synthesize_grid`,
 `point_synthesis_matrix` and the checks of `verify` read one read-only
 table per axis (`_table`), keyed on the exact float64 bytes and shape of
-the axis and on `_FORWARD`.  It holds the rows m = 0..K of the largest K
+the axis.  It holds the rows m = 0..K of the largest K
 asked for on that axis so far; a smaller K is a slice of it, and a
 larger one rebuilds it.  The 8 most recently used axes are kept, at
 (K+1) L 8 bytes each for L points: 0.3 MB for K = 30 on 1201 points.
@@ -98,6 +98,8 @@ class SpatialGrid:
         if not (0 < R < math.inf and 0 < h < math.inf):
             raise ValueError("grid requires finite R > 0 and h > 0")
         self.n = _integer(n, "dimension n", 1)
+        if not math.isfinite(R / h):
+            raise ValueError(f"grid half-width over step, R/h = {R!r}/{h!r}, overflows")
         m = max(1, int(round(R / h)))
         self.h = float(h)
         self.R = m * self.h
@@ -157,11 +159,6 @@ def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
     return SpatialGrid(math.ceil(_resolution(K, n)[1] / h) * h, h, n)
 
 
-# factor on the forward recurrence coefficient; exactly 1, and the tests
-# set it to 1 + eps to check that the verification suite sees the error
-_FORWARD = 1.0
-
-
 def _scaled_rows(kmax: int, x):
     """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence,
     at a float array or numpy float x."""
@@ -172,13 +169,13 @@ def _scaled_rows(kmax: int, x):
     cur = math.sqrt(2.0) * x * prev
     yield cur
     for i in range(1, kmax):
-        a = math.sqrt(2.0 / (i + 1)) * _FORWARD
+        a = math.sqrt(2.0 / (i + 1))
         b = math.sqrt(i / (i + 1.0))
         prev, cur = cur, a * x * cur - b * prev
         yield cur
 
 
-# (axis shape, axis float64 bytes, _FORWARD) -> read-only table of the most
+# (axis shape, axis float64 bytes) -> read-only table of the most
 # rows built so far on that axis, least recently used first; the lock makes
 # each look-up, rebuild and eviction one step
 _TABLES: OrderedDict = OrderedDict()
@@ -197,7 +194,7 @@ def _table(kmax: int, axis) -> np.ndarray:
         x = axis.reshape(-1)[0]
         rows = np.fromiter(_scaled_rows(kmax, x), float, kmax + 1)
         return (rows * np.exp(-0.5 * x * x)).reshape((kmax + 1,) + axis.shape)
-    key = (axis.shape, axis.tobytes(), _FORWARD)
+    key = (axis.shape, axis.tobytes())
     with _TABLES_LOCK:
         table = _TABLES.pop(key, None)
         if table is None or len(table) <= kmax:

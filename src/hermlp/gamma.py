@@ -161,10 +161,14 @@ def h_norm(samples, grid: TimeGrid) -> float:
 
 def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperator:
     """Operator f |-> <f, profile>_H b; its gamma norm factors as
-    h_norm(profile) * norm_B(b)."""
+    h_norm(profile) * norm_B(b); b has B.d entries."""
     samples = np.asarray(samples, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(B.d)
-    matrix = b[:, None] * (samples * np.sqrt(grid.weights))[None, :]
+    if samples.shape != (grid.N,):
+        raise ValueError("profile samples must match the grid nodes")
+    b = np.asarray(b, dtype=float)
+    if b.size != B.d:
+        raise ValueError(f"b needs B.d={B.d} entries, got shape {b.shape}")
+    matrix = b.reshape(-1, 1) * (samples * np.sqrt(grid.weights))[None, :]
     return DiscreteGammaOperator(B, grid, matrix)
 
 

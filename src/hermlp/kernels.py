@@ -26,12 +26,13 @@ weights carry the whole large-s decay e^{-(alpha+n)s}, so for a negative
 shift neither factor overflows or underflows at the top of the window
 (e^{-alpha s} alone overflows there while W_s underflows, and inf * 0
 would spread NaN to every time).  All of them run through one quadrature
-loop, `_subordinate_family`, over a family of members that share the
-block: each member has its own times (a scalar t or a 1-D array of T
-times, which gives a leading time axis), decay n + alpha, scale, weight
-and optional affine factor, and a public kernel is a family of one.  The
-loop takes `_distinct` of the point invariants once and one log-s grid
-over the union of every member's (t, decay) windows, in blocks of at most
+loop, `_subordinate_family`, which writes the weight t/sqrt(4 pi) s^{-3/2}
+e^{-t^2/4s - (n+alpha)s} once, over members (t, decay, factor, affine)
+that share the block: times (a scalar t or a 1-D array of T times, which
+gives a leading time axis), decay n + alpha, a factor of the weight and
+an optional affine factor; a public kernel is a family of one.  The loop
+takes `_distinct` of the point invariants once and one log-s grid over
+the union of every member's (t, decay) windows, in blocks of at most
 Q nodes; each block is evaluated once per node and distinct value of the
 invariants, each member's (T x nodes) weight matrix f(s, t) sums it by a
 matmul, and one inverse index scatters a member's sums back to the points
@@ -64,8 +65,8 @@ about 2m + 1 points, not 2L - 1; an atom on 50 of 1201 points convolves
 on 1280 to 2048, by where it sits.  The Gaussian on the circle is real
 and even, so its spectrum is real, and the product is complex times
 real.  The edge scalings
-depend on the axis and the times only, and form a read-only plan built
-once per (axis, times) and kept for the last 8 pairs (`_lattice_plan`);
+depend on the axis, the times and n only, and form a read-only plan
+built once per (axis, times, n) and kept for the last 8 (`_lattice_plan`);
 the spectra are built once per (step, L, times, circle length), at most
 four lengths per lattice (`_gauss_spectrum`).  So a sweep over many
 inputs on one lattice and one time grid transforms only the values: on
@@ -113,7 +114,7 @@ _T_MIN, _T_MAX = 1e-60, 1e150
 # e^x is subnormal or 0 below this, about -708.40 (`_mehler_block`)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 # the most entries (nodes x distinct values) of a block evaluated at once:
-# its temporaries of 1 MiB each stay in a core's L2 cache (`_subordinate`)
+# its temporaries of 1 MiB each stay in a core's L2 cache (`_subordinate_family`)
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -179,12 +180,11 @@ class SubordinationRule:
         Jacobian of the log substitution."""
         return _log_trapezoid(*self._window(t, decay), self.Q)
 
-    def _node_blocks(self, ts, decay):
+    def _node_blocks(self, ts, decays):
         """Yield (s, w) blocks of at most Q nodes covering the grid shared
-        by the times `ts`, whose large-s decay rate is `decay`, or decay[i]
-        for ts[i] when it is a list; w holds the node weights per time,
-        shape (T, len(s)) or (len(s),) when every time uses them all."""
-        decays = decay if isinstance(decay, list) else [decay] * len(ts)
+        by the times `ts`, where ts[i] decays at the rate decays[i] for
+        large s; w holds the node weights per time, shape (T, len(s)) or
+        (len(s),) when every time uses them all."""
         windows = [self._window(float(t), d) for t, d in zip(ts, decays)]
         los, his = zip(*windows)
         lo, hi = min(los), max(his)
@@ -281,15 +281,28 @@ def _half_power(c, n: int):
     return out
 
 
+def _heat_prefactor(t, n: int):
+    """(A, B, c1^{n/2}) of `_mehler` at the times t, or a ValueError naming
+    the least t and n where coth t, c1 or c1^{n/2} is not finite: coth t
+    overflows below t = 5.6e-309, and c1^{3/2} below 2.5e-207."""
+    with np.errstate(over="ignore", divide="ignore"):
+        A, B, c1 = _mehler(t)
+        scale = _half_power(c1, n)
+    if not (np.isfinite(A).all() and np.isfinite(scale).all()):
+        raise ValueError(f"time t={float(np.min(t))!r} is too small for the closed-form heat "
+                         f"kernel in n={n} dimensions: coth t, c1 or c1^(n/2) is not finite")
+    return A, B, scale
+
+
 def heat_kernel(x, y, t, n: int = 1):
     """Gaussian closed form of the oscillator heat kernel W_t(x, y).
 
     Symmetric in (x, y) and strictly positive; t may broadcast against
-    the points.
+    the points.  Too small a time raises ValueError (`_heat_prefactor`).
     """
     d2, s2 = _pair_keys(_points(x, n, "x"), _points(y, n, "y"), n)
-    A, B, c1 = _mehler(_check_time(t))
-    return _half_power(c1, n) * np.exp(-0.25 * (A * d2 + B * s2))
+    A, B, scale = _heat_prefactor(_check_time(t), n)
+    return scale * np.exp(-0.25 * (A * d2 + B * s2))
 
 
 def _pair_keys(x, y, n: int):
@@ -332,17 +345,17 @@ def _lattice_mass(h: float, t):
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice_plan(axis_bytes: bytes, times_bytes: bytes):
-    """The part of `heat_apply` that depends on the lattice axis and the
-    times only, built from their exact float64 bytes: the (T, L) edge
-    scalings e^{-B x^2/2} and the (T, 1) prefactors c1.  The arrays are
-    read-only, because every hit hands out the same ones."""
+def _lattice_plan(axis_bytes: bytes, times_bytes: bytes, n: int):
+    """The part of `heat_apply` that depends on the lattice axis, the
+    times and n only, built from their exact float64 bytes: the (T, L)
+    edge scalings e^{-B x^2/2} and the (T, 1) prefactors c1^{n/2}.  The
+    arrays are read-only, because every hit hands out the same ones."""
     axis = np.frombuffer(axis_bytes)
-    _, B, c1 = _mehler(np.frombuffer(times_bytes).reshape(-1, 1))
+    _, B, scale = _heat_prefactor(np.frombuffer(times_bytes).reshape(-1, 1), n)
     edge = np.exp(-0.5 * B * axis * axis)  # (T, L)
-    for a in (edge, c1):
+    for a in (edge, scale):
         a.flags.writeable = False
-    return edge, c1
+    return edge, scale
 
 
 @functools.lru_cache(maxsize=32)
@@ -358,8 +371,9 @@ def _gauss_spectrum(h: float, L: int, times_bytes: bytes, size: int):
     # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at
     # large t.  e^x rounds to 0 below x = -745.2, and numpy's exp is
     # several times slower on such arguments than on the rest, so they
-    # are skipped.
-    arg = -math.pi * c1 * k * k
+    # are skipped, and so are those that overflow to -inf at tiny times.
+    with np.errstate(over="ignore"):
+        arg = -math.pi * c1 * k * k
     half = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
     g = np.zeros((len(c1), size))
     g[:, :K + 1] = half
@@ -382,7 +396,8 @@ def heat_apply(values, axis, t):
     O(T L^{2n}) of dense kernel matrices; the caller bounds T L^n, since
     a few arrays of that size are alive at once.  Values must be finite:
     the FFT would spread a NaN over the lattice.  Quadrature weights are
-    the caller's (multiply them into `values`).
+    the caller's (multiply them into `values`).  Too small a time raises
+    ValueError (`_heat_prefactor`).
 
     The circle of each convolution is as short as the support of
     `values` allows.  If the nonzero values, over every other axis and
@@ -411,7 +426,7 @@ def heat_apply(values, axis, t):
     dense `heat_kernel` matrix by 6.9e-10 of max|out|.  Check against it
     with an absolute tolerance, not a relative one.
 
-    The scalings depend on the axis and the times, and the Gaussians'
+    The scalings depend on the axis, the times and n, and the Gaussians'
     spectra on the step, L, the times and the circle's length.  They are
     built once, keyed on exact values, and read-only: the last 8 scalings
     and the last 32 spectra are kept.  For 16 times on 1201 points a
@@ -437,6 +452,8 @@ def heat_apply(values, axis, t):
         raise ValueError("heat_apply needs a uniform axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
+    times_bytes = times.tobytes()
+    edge, scale = _lattice_plan(axis.tobytes(), times_bytes, n)
     nonzero = values != 0
     if not nonzero.any():
         return np.zeros(times.shape + values.shape)
@@ -444,9 +461,7 @@ def heat_apply(values, axis, t):
     for j in range(n):
         occupied = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(n + 1) if a != j)))
         sizes.append(_fft_length(2 * int(max(occupied[-1], L - 1 - occupied[0])) + 1))
-    times_bytes = times.tobytes()
-    edge, c1 = _lattice_plan(axis.tobytes(), times_bytes)
-    column = (len(c1), -1) + (1,) * n  # broadcast along the lattice axis 1
+    column = (len(scale), -1) + (1,) * n  # broadcast along the lattice axis 1
     edge = edge.reshape(column)
     out = values[None]
     for j, size in enumerate(sizes, start=1):
@@ -459,7 +474,7 @@ def heat_apply(values, axis, t):
         del spec
         out = np.moveaxis(conv[:, :L] * edge, 1, j)
         del conv
-    out = _half_power(c1, n).reshape((-1,) + (1,) * (n + 1)) * out
+    out = scale.reshape((-1,) + (1,) * (n + 1)) * out
     return out if times.ndim else out[0]
 
 
@@ -521,18 +536,12 @@ def _distinct(*keys):
     return [k[first] for k in ordered], inverse
 
 
-def _subordinate(t, decay: float, rule, scale, weight, block, keys, affine=None, n=1):
-    """The one-member call of `_subordinate_family`: the kernel of the
-    member (t, decay, scale, weight, affine)."""
-    (out,) = _subordinate_family([(t, decay, scale, weight, affine)], rule, block, keys, n)
-    return out
-
-
 def _subordinate_family(members, rule, block, keys, n=1):
-    """Yield, for each member (t, decay, scale, weight, affine) in turn,
-    scale(t) * sum_i weight(s_i, t) block(s_i) over log-s nodes of `rule`
-    for a kernel decaying like e^{-decay s}.  The members share the block,
-    and each node's block is evaluated once for all of them.
+    """Yield, for each member (t, decay, factor, affine) in turn,
+    t/sqrt(4 pi) sum_i w_i s_i^{-3/2} factor(s_i, t) e^{-t^2/4s_i - decay s_i}
+    block(s_i) over the log-s nodes s_i and weights w_i of `rule`; factor
+    broadcasts nodes against a column of times.  The members share the
+    block, and each node's block is evaluated once for all of them.
 
     The block depends on the points only through the invariants `keys`,
     float arrays of the point shape (|x - y|^2 and |x + y|^2, or |x|^2).
@@ -554,22 +563,21 @@ def _subordinate_family(members, rule, block, keys, n=1):
     of weights, and u, v apply after the scatter.
 
     `t` is a scalar or a 1-D array of T times; an array puts the times on
-    a new leading axis in front of the point shape.  `weight(s, t)`
-    broadcasts nodes against a column of times.  Repeated times of a
+    a new leading axis in front of the point shape.  Repeated times of a
     member are computed once.  Times outside [_t_min(n), _T_MAX], for a
     block in n dimensions, are rejected before any block is evaluated.
     """
     rule = rule or _DEFAULT_RULE
     least = _t_min(n)
     sets, grid_ts, grid_decays = [], [], []
-    for t, decay, scale, weight, affine in members:
+    for t, decay, factor, affine in members:
         times = _check_time(t, ndim=1)
         (ts,), back = _distinct(times.ravel())
         distinct = ts.tolist()
         for end in (distinct[0], distinct[-1]):
             if not least <= end <= _T_MAX:
                 raise ValueError(_outside(end, n))
-        sets.append((times, ts, back, scale, weight, affine))
+        sets.append((times, ts, back, decay, factor, affine))
         grid_ts += distinct
         grid_decays += [decay] * len(distinct)
     shape = np.shape(keys[0])
@@ -578,8 +586,10 @@ def _subordinate_family(members, rule, block, keys, n=1):
     totals = [0.0] * len(sets)
     for s, w in rule._node_blocks(grid_ts, grid_decays):
         weights, first = [], 0  # per member; `first` is its first time's row of w
-        for _, ts, _, _, weight, affine in sets:
-            wm = (w if w.ndim == 1 else w[first:first + ts.size]) * weight(s, ts[:, None])
+        for _, ts, _, decay, factor, affine in sets:
+            t = ts[:, None]
+            wm = (w if w.ndim == 1 else w[first:first + ts.size]) * (
+                s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s))
             first += ts.size
             if affine is not None:
                 a, b = affine[0](s)
@@ -589,11 +599,11 @@ def _subordinate_family(members, rule, block, keys, n=1):
             part = block(s[i:i + rows, None], *values)
             totals = [total + wm[:, i:i + rows] @ part for total, wm in zip(totals, weights)]
             del part  # the block is a temporary: it is freed before the next is built
-    for (times, ts, back, scale, _, affine), total in zip(sets, totals):
+    for (times, ts, back, _, _, affine), total in zip(sets, totals):
         total = total[:, inverse].reshape(total.shape[:1] + shape)
         if affine is not None:
             total = affine[1] * total[:ts.size] + affine[2] * total[ts.size:]
-        total = scale(ts).reshape((-1,) + (1,) * len(shape)) * total
+        total = (ts / _SQRT4PI).reshape((-1,) + (1,) * len(shape)) * total
         out = total[back].reshape(times.shape + shape)[()]  # a scalar for 0-d
         del total
         yield out
@@ -624,13 +634,14 @@ def _pair_family(x, y, members, rule=None):
     kernel of op = L + alpha at the times t and the points x, y of R^n,
     from one pass over the Mehler blocks; the members share the dimension
     n.  The kinds are those of the public kernels: "poisson"
-    (`poisson_kernel`), "g" (`g_kernel`), "g_dx" (`_g_kernel_dx`) and
-    ("ladder", j, sign) (`ladder_kernel`, whose op is L).  Each is
+    (`poisson_kernel`), "g" (`g_kernel`), ("ladder", j, sign)
+    (`ladder_kernel`, whose op is L), and "g_dx", d/dx_1 of `g_kernel`
+    (`_gradient_coefficients`).  Each is
     t/sqrt(4 pi) int s^{-3/2} factor(s, t) e^{-t^2/(4s) - alpha s} W_s ds
     with the kind's weight factor, and for "g_dx" and the ladder kernels
     W_s is multiplied by a(s) u + b(s) v, with the kind's node factors
-    (a, b), u = x_j - y_j and v = x_j + y_j (the affine node factor of
-    `_subordinate_family`)."""
+    (a, b), u = x_j - y_j and v = x_j + y_j: the member (t, n + alpha,
+    factor, affine) of `_subordinate_family` on the block e^{ns} W_s."""
     n = members[0][2].n
     x, y = _points(x, n, "x"), _points(y, n, "y")
     subs = []
@@ -647,11 +658,7 @@ def _pair_family(x, y, members, rule=None):
         if coefficients is not None:
             xj, yj = _coordinate(x, n, j), _coordinate(y, n, j)
             affine = (coefficients, xj - yj, xj + yj)
-        decay = n + op.alpha
-        subs.append((t, decay, _poisson_scale,
-                     lambda s, t, factor=factor, decay=decay:
-                         s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - decay * s),
-                     affine))
+        subs.append((t, n + op.alpha, factor, affine))
     return _subordinate_family(subs, rule, lambda s, d2, s2: _mehler_block(s, d2, s2, n),
                                _pair_keys(x, y, n), n)
 
@@ -660,11 +667,6 @@ def _pair_kernel(x, y, member, rule=None):
     """The one-member call of `_pair_family`."""
     (out,) = _pair_family(x, y, [member], rule)
     return out
-
-
-def _poisson_scale(t):
-    """The scale t/sqrt(4 pi) of every `_pair_family` member."""
-    return t / _SQRT4PI
 
 
 def _unit_factor(s, t):
@@ -689,15 +691,11 @@ def g_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None
     return _pair_kernel(x, y, ("g", t, op), rule)
 
 
-def _g_kernel_dx(x, y, t, op: ShiftedOperator):
-    """d/dx_1 of `g_kernel`, differentiated analytically: d/dx_1 of the
-    Mehler exponent -(A u^2 + B v^2)/4, with u = x_1 - y_1 and v = x_1 +
-    y_1, is -A u/2 - B v/2, so one subordination pass carries both terms."""
-    return _pair_kernel(x, y, ("g_dx", t, op))
-
-
 def _gradient_coefficients(s):
-    """-(coth s)/2 and -(tanh s)/2, the node factors of `_g_kernel_dx`."""
+    """-(coth s)/2 and -(tanh s)/2, the node factors of "g_dx" in
+    `_pair_family`, d/dx_1 of `g_kernel`: d/dx_1 of the Mehler exponent
+    -(A u^2 + B v^2)/4, with u = x_1 - y_1 and v = x_1 + y_1, is -A u/2 -
+    B v/2, so one subordination pass carries both terms."""
     A, B, _ = _mehler(s)
     return -0.5 * A, -0.5 * B
 
@@ -752,9 +750,8 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
     of the heat action on 1; its block depends on |x|^2 alone."""
     x = _points(x, op.n, "x")
-    decay = op.n + op.alpha
-    return _subordinate(
-        t, decay, rule, lambda t: t / math.sqrt(math.pi),
-        lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s) - decay * s),
-        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),), n=op.n,
-    )
+    # t/sqrt(pi) s^{-1/2} is the Poisson weight's t/sqrt(4 pi) s^{-3/2} times 2s
+    (out,) = _subordinate_family(
+        [(t, op.n + op.alpha, lambda s, t: 2.0 * s, None)], rule,
+        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),), op.n)
+    return out

@@ -236,14 +236,16 @@ def h1_norm(
         raise ValueError("sampled inputs support alpha = 0 only")
     w = grid.weights
     wf = (w[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
-    # theta(t) is exactly 1.0 for t >= h^2 (`kernels._lattice_mass`)
-    mass = None if times.nodes[0] >= grid.h ** 2 else _lattice_mass(grid.h, times.nodes) ** grid.n
+    mass = None
     sup = B.norm(samples)
     step = max(1, _HEAT_BLOCK // wf.size)
     for i in range(0, times.N, step):
         heat = heat_apply(wf, grid.axis, times.nodes[i:i + step])
         norms = B.norm(heat.reshape(len(heat), grid.size, -1))
         del heat
+        # after heat_apply has checked the times; theta(t) = 1.0 for t >= h^2
+        if mass is None and times.nodes[0] < grid.h ** 2:
+            mass = _lattice_mass(grid.h, times.nodes) ** grid.n
         if mass is not None:
             norms /= mass[i:i + step, None]
         sup = np.maximum(sup, norms.max(axis=0))

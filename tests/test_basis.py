@@ -2,7 +2,6 @@ import math
 import re
 import subprocess
 import sys
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,20 +99,13 @@ def test_scaled_recurrence_stays_finite():
 
 
 @pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
-def test_eval_table_rows_are_hermite_eval(monkeypatch, perturb):
-    # the table and the single-degree route share one recurrence, canary included
-    monkeypatch.setattr(basis, "_FORWARD", 1.0 + perturb)
+def test_eval_table_rows_are_hermite_eval(perturb_recurrence, perturb):
+    # the table and the single-degree route share one recurrence, perturbed or not
+    perturb_recurrence(perturb)
     xs = np.linspace(-7.0, 7.0, 29)
     table = eval_table(40, xs)
     for k in (0, 1, 7, 40):
         assert np.array_equal(table[k], hermite_eval(k, xs))
-
-
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """An empty table store for one test."""
-    monkeypatch.setattr(basis, "_TABLES", OrderedDict())
-    return basis._TABLES
 
 
 @pytest.mark.parametrize("order", [[0, 3, 17, 40, 41], [41, 40, 17, 3, 0]])
@@ -174,16 +166,6 @@ def test_eval_table_returns_a_writable_copy(fresh_tables):
     table[:] = np.nan
     assert np.array_equal(eval_table(12, xs), want)
     assert np.array_equal(analyze(samples, grid, 12).C, coeffs)
-
-
-def test_table_cache_keys_on_the_forward_factor(monkeypatch, fresh_tables):
-    # a table built before the canary perturbation must not be served after it
-    xs = np.linspace(-7.0, 7.0, 29)
-    exact = eval_table(40, xs)
-    monkeypatch.setattr(basis, "_FORWARD", 1.0 + 1e-6)
-    perturbed = eval_table(40, xs)
-    assert not np.array_equal(perturbed, exact)
-    assert np.array_equal(perturbed[40], hermite_eval(40, xs))
 
 
 def test_table_cache_under_threads(fresh_tables):
@@ -312,6 +294,13 @@ def test_spatial_grid_takes_an_integer_dimension_and_finite_reals(n, bad):
     with pytest.raises(ValueError, match="finite R > 0 and h > 0"):
         SpatialGrid(12.0, bad)
     assert type(SpatialGrid(1.0, 0.5, np.int64(2)).n) is int
+
+
+@pytest.mark.parametrize("R, h", [(1.0, 1e-320), (1e300, 1e-300)])
+def test_spatial_grid_rejects_an_overflowing_point_count(R, h):
+    # R/h is inf, and int(round(R / h)) raised OverflowError
+    with pytest.raises(ValueError, match="R/h .* overflows"):
+        SpatialGrid(R, h)
 
 
 @pytest.mark.parametrize("n, K", [(2, 20), (1, 30)])

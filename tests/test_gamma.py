@@ -237,6 +237,16 @@ def test_rank_one_hilbert_factorization():
     assert gamma_norm_hilbert(T) == pytest.approx(h_norm(prof, GRID) * 3.0, rel=1e-12)
 
 
+def test_rank_one_checks_the_profile_and_the_vector():
+    # numpy's "could not be broadcast" and "cannot reshape" errors before
+    B, grid = BanachModel(2, 2.0), TimeGrid(1e-3, 1.0, 4)
+    with pytest.raises(ValueError, match="profile samples must match the grid nodes"):
+        rank_one(np.ones(3), [1.0, 2.0], B, grid)
+    with pytest.raises(ValueError, match=r"b needs B.d=2 entries, got shape \(3,\)"):
+        rank_one(np.ones(4), [1.0, 2.0, 3.0], B, grid)
+    assert rank_one(np.ones(4), [[1.0, 2.0]], B, grid).matrix.shape == (2, 4)
+
+
 def test_rank_one_zero_vector():
     prof = GRID.nodes * np.exp(-GRID.nodes)
     T = rank_one(prof, np.zeros(2), BanachModel(2, 4.0), GRID)

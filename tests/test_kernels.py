@@ -417,11 +417,11 @@ def test_lattice_plan_miss_gives_the_bits_of_a_hit(grid, d, t):
 
 
 def test_lattice_plan_arrays_are_read_only():
-    # the plan holds the edge scalings and c1; the Gaussians' real spectra
+    # the plan holds the edge scalings and c1^{n/2}; the Gaussians' real spectra
     # are cached apart, one per circle length: 1280, 1536, 2048 and 2560
     # points cover every support on 1201 points
     L, times = HARDY_GRID.axis.size, HEAT_TIMES.tobytes()
-    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), times)
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), times, 1)
     assert len(plan) == 2
     spectra = [kernels._gauss_spectrum(kernels._axis_step(HARDY_GRID.axis), L, times, size)
                for size in (1280, 1536, 2048, 2560)]
@@ -723,7 +723,7 @@ def _envelope_members():
         (("g", ts, L), lambda X, Y: g_kernel(X, Y, ts, L)),
         (("g", nodes, L), lambda X, Y: g_kernel(X, Y, nodes, L)),
         ((("ladder", 1, +1), ts, L), lambda X, Y: ladder_kernel(X, Y, ts, 1, +1)),
-        (("g_dx", ts, L), lambda X, Y: kernels._g_kernel_dx(X, Y, ts, L)),
+        (("g_dx", ts, L), lambda X, Y: kernels._pair_kernel(X, Y, ("g_dx", ts, L))),
     ]
 
 
@@ -766,7 +766,7 @@ def test_family_checks_every_member_before_any_block(monkeypatch):
 def test_single_time_grid_is_the_per_time_rule():
     rule = SubordinationRule()
     for t in (1e-3, 0.3, 1.0, 40.0):
-        (s, w), = list(rule._node_blocks(np.array([t]), 2.5))
+        (s, w), = list(rule._node_blocks(np.array([t]), [2.5]))
         s_ref, w_ref = rule.s_nodes(t, 2.5)
         assert np.array_equal(s, s_ref) and np.array_equal(w, w_ref)
         # the nodes are np.linspace's in log s, bit for bit
@@ -810,6 +810,35 @@ def test_non_finite_time_rejected(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+@pytest.mark.parametrize("call, t, n", [
+    (lambda: heat_kernel(0.0, 0.0, 1e-310), "1e-310", 1),
+    (lambda: heat_kernel(1.0, 0.0, [1e-3, 1e-310]), "1e-310", 1),
+    (lambda: heat_kernel([0, 0, 0], [0, 0, 0], 1e-300, 3), "1e-300", 3),
+    (lambda: heat_apply(np.ones((9, 1)), SpatialGrid(2.0, 0.5).axis, 1e-310), "1e-310", 1),
+    (lambda: heat_apply(np.zeros((9, 1)), SpatialGrid(2.0, 0.5).axis, 1e-310), "1e-310", 1),
+    (lambda: heat_apply(np.ones((5, 5, 5, 1)), SpatialGrid(1.0, 0.5).axis, 1e-300), "1e-300", 3),
+])
+def test_heat_closed_forms_reject_times_too_small_for_them(call, t, n):
+    # coth t, c1 or c1^{n/2} overflowed: NaN, or inf with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"t={t} .* n={n} "):
+            call()
+
+
+def test_heat_closed_forms_keep_the_smallest_times_they_take():
+    # c1^{1/2} is finite at t = 1e-308, where the kernel's diagonal reads
+    # the value it had before the check; the lattice spectrum's overflow to
+    # -inf used to warn there
+    axis = SpatialGrid(2.0, 0.5).axis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagonal = heat_kernel(0.0, 0.0, 1e-308)
+        applied = heat_apply(np.ones((9, 1)), axis, 1e-308)
+    assert diagonal == 2.8209479177387816e+153
+    assert np.array_equal(applied[:, 0], heat_kernel(axis, axis, 1e-308))
 
 
 # every kernel entry point, called as f(x, y) with n-point rows; the
@@ -863,23 +892,27 @@ def _unscaled_form(name, x, y, op):
     shape = pts[0].shape[:pts[0].ndim - (op.n > 1)]
     flat = [p.reshape(-1, op.n) if op.n > 1 else p.ravel() for p in pts]
     keys = (np.arange(math.prod(shape), dtype=float).reshape(shape),)
+    # the family's weight carries e^{-(alpha+n)s}, which each factor undoes
+    # down to the e^{-alpha s} of the direct factorization
     if name == "g_of_one":
-        def dt(s, k):
+        def block(s, k):
             x = flat[0][k.astype(int)]
             r2 = x * x if op.n == 1 else np.sum(x * x, axis=-1)
             e4, m4 = np.exp(-4.0 * s), -np.expm1(-4.0 * s)
             bracket = op.alpha + op.n * m4 / (1 + e4) + r2 * 4.0 * e4 / (1 + e4) ** 2
             return -np.exp(-op.alpha * s) * bracket * heat_kernel_one(x, s, op.n)
 
-        return lambda t: kernels._subordinate(
-            t, op.n + op.alpha, None, lambda t: t / math.sqrt(math.pi),
-            lambda s, t: s ** -0.5 * np.exp(-t * t / (4.0 * s)), dt, keys)
-    factor = (lambda s, t: 1.0) if name == "poisson" else (lambda s, t: 1.0 - t * t / (2.0 * s))
-    return lambda t: kernels._subordinate(
-        t, op.n + op.alpha, None, lambda t: t / math.sqrt(4.0 * math.pi),
-        lambda s, t: s ** -1.5 * factor(s, t) * np.exp(-t * t / (4.0 * s) - op.alpha * s),
-        lambda s, k: heat_kernel(flat[0][k.astype(int)], flat[1][k.astype(int)], s, op.n),
-        keys)
+        def factor(s, t):  # the block already carries e^{-alpha s}
+            return 2.0 * s * np.exp((op.n + op.alpha) * s)
+    else:
+        def block(s, k):
+            return heat_kernel(flat[0][k.astype(int)], flat[1][k.astype(int)], s, op.n)
+
+        def factor(s, t):
+            g = 1.0 if name == "poisson" else 1.0 - t * t / (2.0 * s)
+            return g * np.exp(op.n * s)
+    return lambda t: next(kernels._subordinate_family(
+        [(t, op.n + op.alpha, factor, None)], None, block, keys))
 
 
 NEGATIVE = ShiftedOperator(-0.9, 1)
@@ -1036,7 +1069,7 @@ ENVELOPE_TS = np.geomspace(0.1, 2.0, 6)
 ENVELOPE_KERNELS = {
     "poisson": lambda x, y, t: poisson_kernel(x, y, t, L),
     "g": lambda x, y, t: g_kernel(x, y, t, L2),
-    "g_dx": lambda x, y, t: kernels._g_kernel_dx(x, y, t, L),
+    "g_dx": lambda x, y, t: kernels._pair_kernel(x, y, ("g_dx", t, L)),
     "raising": lambda x, y, t: ladder_kernel(x, y, t, 1, +1),
     "lowering": lambda x, y, t: ladder_kernel(x, y, t, 1, -1),
 }
@@ -1069,7 +1102,7 @@ def test_g_kernel_dx_matches_central_difference():
     X, Y = ENVELOPE_XS[:, None], ENVELOPE_XS[None, :]
     h = 1e-5
     fd = (g_kernel(X + h, Y, ENVELOPE_TS, L) - g_kernel(X - h, Y, ENVELOPE_TS, L)) / (2 * h)
-    got = kernels._g_kernel_dx(X, Y, ENVELOPE_TS, L)
+    got = kernels._pair_kernel(X, Y, ("g_dx", ENVELOPE_TS, L))
     assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 

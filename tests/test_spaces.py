@@ -312,6 +312,21 @@ def test_sampled_h1_holds_below_the_lattice():
         assert h1_norm(ones, B1, grid, TimeGrid(1e-12, 1.0, 8)) == pytest.approx(area, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid, times, t, n", [
+    (SpatialGrid(2.0, 0.5), TimeGrid(1e-310, 1e-300, 4), "1e-310", 1),
+    (SpatialGrid(1.0, 0.5, 3), TimeGrid(1e-300, 1.0, 4), "1e-300", 3),
+])
+def test_sampled_h1_rejects_times_too_small_for_the_heat_kernel(grid, times, t, n):
+    # both read NaN; heat_apply now rejects the times before the lattice
+    # mass is taken, which warned on the first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"t={t} .* n={n} "):
+            h1_norm(np.ones((grid.size, 1)), B1, grid, times)
+        assert h1_norm(np.ones((125, 1)), B1, SpatialGrid(1.0, 0.5, 3),
+                       TimeGrid(1e-200, 1.0, 4)) == 8.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_h1_norm_rejects_non_finite_samples(bad):
     samples = np.zeros((ATOM_GRID.size, 1))

@@ -39,9 +39,9 @@ def test_eigen_ladder_ground_mode():
     assert r.computed <= 1e-8
 
 
-def test_eigen_ladder_perturbation_canary(monkeypatch):
+def test_eigen_ladder_perturbation_canary(perturb_recurrence):
     # a 1e-3 recurrence error must flip the verdict
-    monkeypatch.setattr(basis, "_FORWARD", 1.0 + 1e-3)
+    perturb_recurrence(1e-3)
     r = check_eigen_ladder(20)
     assert not r.passed
 
@@ -69,9 +69,9 @@ def _eigen_ladder_by_degree(K):
 
 @pytest.mark.parametrize("K", [0, 1, 5, 20, 60])
 @pytest.mark.parametrize("perturb", [0.0, 1e-6, 1e-3])
-def test_eigen_ladder_table_equals_degree_by_degree(monkeypatch, K, perturb):
+def test_eigen_ladder_table_equals_degree_by_degree(perturb_recurrence, K, perturb):
     # the table-based check reads the same numbers as the per-degree route
-    monkeypatch.setattr(basis, "_FORWARD", 1.0 + perturb)
+    perturb_recurrence(perturb)
     assert check_eigen_ladder(K).computed == _eigen_ladder_by_degree(K)
 
 
