@@ -7,7 +7,8 @@ GROUP is one of
   hardy     the `hardy` estimators: sampled `h1_norm` (also on a time
             grid no earlier call used), `area_integral`, `bmo_norm` and
             `carleson_functional` (the last two also on a lattice axis no
-            earlier call used);
+            earlier call used), and `kernels.heat_apply` itself on an atom
+            and on a dense input;
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI parser dominate;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
@@ -64,15 +65,16 @@ COLD = ("SpatialGrid(12, 0.02 (1 + 1e-9 i)) built fresh for call i: 1201 points 
 ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
 POINT_ARGV = ["kernel", "poisson", "--x", "0.5", "--y", "-0.25", "--t", "1.3",
               "--alpha", "2"]
-FRESH = itertools.count(1)
 INNERS = {"g": "g", "ladder": ("ladder", 1, +1), "riesz": ("riesz", 1, -1)}
 
 
-def cold(h, grid):
-    """`grid` with its step scaled by 1 + 1e-9 i for call i: a line of the
-    same size whose axis no earlier call used, so nothing derived from the
-    axis (Hermite tables, ball intervals) can be reused."""
-    return h.basis.SpatialGrid(grid.R, grid.h * (1.0 + 1e-9 * next(FRESH)))
+def cold(h, grid, fresh):
+    """`grid` with its step scaled by 1 + 1e-9 i for call i, i drawn from
+    the counter `fresh`: a line of the same size whose axis no earlier
+    call used, so nothing derived from the axis (Hermite tables, ball
+    intervals) can be reused.  Each tree has its own counter, so round i
+    of a case runs on the same axis in both trees."""
+    return h.basis.SpatialGrid(grid.R, grid.h * (1.0 + 1e-9 * next(fresh)))
 
 
 def hardy_calls(h):
@@ -80,8 +82,9 @@ def hardy_calls(h):
     hermlp package `h`."""
     import numpy as np
 
-    basis, gamma, semigroups, spaces = h.basis, h.gamma, h.semigroups, h.spaces
+    basis, gamma, kernels, semigroups, spaces = h.basis, h.gamma, h.kernels, h.semigroups, h.spaces
 
+    fresh = itertools.count(1)
     times = gamma.TimeGrid(1e-3, 20.0, 16)
     B = gamma.BanachModel(1, 2.0)
     grid = basis.SpatialGrid(12.0, 0.02)
@@ -115,8 +118,14 @@ def hardy_calls(h):
     def atom_cold():
         # a time grid that no earlier call used: heat_apply cannot reuse
         # anything it derived from the lattice and the times
-        t_max = 20.0 * (1.0 + 1e-9 * next(FRESH))
+        t_max = 20.0 * (1.0 + 1e-9 * next(fresh))
         return spaces.h1_norm(atom, B, grid, gamma.TimeGrid(1e-3, t_max, 16))
+
+    def heat(samples):
+        # heat_apply on the trapezoid-weighted samples, as h1_norm calls it;
+        # the value is the sum of |W_t f| over the 16 times and the lattice
+        wf = grid.weights[:, None] * samples
+        return lambda: float(np.sum(np.abs(kernels.heat_apply(wf, grid.axis, times.nodes))))
 
     return {
         "h1_atom_hardy": lambda: spaces.h1_norm(atom, B, grid, times),
@@ -126,11 +135,13 @@ def hardy_calls(h):
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
         "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
         "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
-        "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(h, grid), balls),
+        "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(h, grid, fresh), balls),
         "area": lambda: spaces.area_integral(c, 0.7, 1.0, grid, times),
         "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
-        "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, cold(h, grid),
-                                                                 times),
+        "carleson_cold_axis": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls,
+                                                                 cold(h, grid, fresh), times),
+        "heat_atom": heat(atom.samples),
+        "heat_dense": heat(profile),
     }
 
 
@@ -205,6 +216,7 @@ def basis_calls(h):
 
     basis, gamma, semigroups, spaces = h.basis, h.gamma, h.semigroups, h.spaces
 
+    fresh = itertools.count(1)
     rng = np.random.default_rng(13)
     line = basis.default_grid(1, 30)
     e30 = basis.HermiteExpansion(1, 1, 30, {(k,): rng.normal(size=1) for k in range(31)})
@@ -227,12 +239,13 @@ def basis_calls(h):
 
     return {
         "analyze_K30": lambda: basis.analyze(samples, line, 30).l2_norm(),
-        "analyze_K30_cold_axis": lambda: basis.analyze(samples, cold(h, line), 30).l2_norm(),
+        "analyze_K30_cold_axis": lambda: basis.analyze(samples, cold(h, line, fresh),
+                                                       30).l2_norm(),
         "round_trip_2d_K8": round_trip,
         "gfunction_5modes": lambda: float(np.sum(
             semigroups.gfunction(five, 0.0, grid, times).values ** 2)),
         "gfunction_5modes_cold_axis": lambda: float(np.sum(
-            semigroups.gfunction(five, 0.0, cold(h, grid), times).values ** 2)),
+            semigroups.gfunction(five, 0.0, cold(h, grid, fresh), times).values ** 2)),
         "h1_spectral_mode": lambda: spaces.h1_norm(one, gamma.BanachModel(1, 2.0), grid, times),
     }
 
@@ -289,7 +302,7 @@ def gamma_calls(h):
 GROUPS = {
     "hardy": (
         "spaces.h1_norm (sampled path), spaces.area_integral, spaces.bmo_norm, "
-        "spaces.carleson_functional",
+        "spaces.carleson_functional, kernels.heat_apply",
         hardy_calls,
         {
             "h1_atom_hardy": f"h1_norm of a cancel atom, d = 1, l^2, on {HARDY}, 16 times",
@@ -314,6 +327,12 @@ GROUPS = {
                         "computed in the call",
             "bmo_mixed_cold_axis": f"bmo_mixed on {COLD}",
             "carleson_cold_axis": f"carleson on {COLD}",
+            "heat_atom": f"heat_apply of the h1_atom_hardy atom, trapezoid-weighted, on {HARDY}, "
+                         "the 16 times of TimeGrid(1e-3, 20, 16) in one call; the value is "
+                         "the sum of |W_t f|",
+            "heat_dense": "heat_apply of the h1_dense_profile profile, trapezoid-weighted, on "
+                          f"{HARDY}, full support, the same 16 times in one call; the value is "
+                          "the sum of |W_t f|",
         },
     ),
     "verify": (

@@ -50,8 +50,8 @@ least of 100 interleaved rounds, `bench/layers.py verify`,
 `SubordinationRule` describes the grid and its node-count bound.
 
 `heat_apply` applies W_t, for one time or a 1-D array of times, to
-samples on a uniform tensor lattice without forming the kernel matrix.
-Expanding the exponent,
+samples on a uniform tensor lattice without forming the kernel matrix,
+by one of two routes per time.  Expanding the exponent,
 
     W_t(x, y) = c_t e^{-B|x|^2/2} e^{-(A-B)|x-y|^2/4} e^{-B|y|^2/2},
 
@@ -64,13 +64,25 @@ need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the circle has
 about 2m + 1 points, not 2L - 1; an atom on 50 of 1201 points convolves
 on 1280 to 2048, by where it sits.  The Gaussian on the circle is real
 and even, so its spectrum is real, and the product is complex times
-real.  The edge scalings
-depend on the axis, the times and n only, and form a read-only plan
-built once per (axis, times, n) and kept for the last 8 (`_lattice_plan`);
+real.  The other route is Mehler's series per axis,
+
+    W_t(x, y) = sum_k e^{-(2k+1)t} h_k(x) h_k(y),
+
+the same dense matrix on the lattice, whose terms fall like e^{-2kt}:
+project the values onto the Hermite table over their support, scale
+row k by e^{-(2k+1)t}, and synthesize.  A time takes the series when it
+is within the FFT's own error scale after K(t) <= _SERIES_CAP = 64
+terms on every input on the lattice (`_series_order`); on
+SpatialGrid(12, 0.02) the times of TimeGrid(1e-3, 20, 16) from 0.74 up
+do, with K = 55, 35, 19, 10, 5 and 2, and each costs about what K(t)
+rows of the table cost, below one FFT row of that lattice.  The split,
+the series' decays and the FFT rows' edge scalings depend on the axis,
+the times and n only, and form read-only plans built once per (axis,
+times, n) and kept for the last 8 (`_heat_split`, `_lattice_plan`);
 the spectra are built once per (step, L, times, circle length), at most
 four lengths per lattice (`_gauss_spectrum`).  So a sweep over many
 inputs on one lattice and one time grid transforms only the values: on
-a line, two FFT batches per call.
+a line, two FFT batches and one matmul chain per series time per call.
 
 Every entry point rejects non-finite times, and points that are not
 finite or not in the layout of `basis`, with ValueError; the subordinated
@@ -88,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _coordinate, _integer, _points
+from .basis import _coordinate, _integer, _points, _read_only, _table
 
 __all__ = [
     "ShiftedOperator",
@@ -116,6 +128,11 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # the most entries (nodes x distinct values) of a block evaluated at once:
 # its temporaries of 1 MiB each stay in a core's L2 cache (`_subordinate_family`)
 _BLOCK_ENTRIES = 1 << 17
+# the rounding of heat_apply's FFT route, relative to its Gaussian bound;
+# a time takes the Mehler series when a series of at most _SERIES_CAP + 1
+# terms is that close on every input (`_series_order`)
+_HEAT_EPS = 1e-16
+_SERIES_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -345,14 +362,71 @@ def _lattice_mass(h: float, t):
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice_plan(axis_bytes: bytes, times_bytes: bytes, n: int):
-    """The part of `heat_apply` that depends on the lattice axis, the
-    times and n only, built from their exact float64 bytes: the (T, L)
-    edge scalings e^{-B x^2/2} and the (T, 1) prefactors c1^{n/2}.  The
-    arrays are read-only, because every hit hands out the same ones."""
+def _lattice_axis(axis_bytes: bytes) -> float:
+    """The step of a lattice axis, from its exact float64 bytes, after the
+    checks that depend on the axis only: every point finite, then the
+    steps uniform.  An axis that fails raises ValueError and is not kept,
+    and `heat_apply` builds no plan before its axis has passed."""
     axis = np.frombuffer(axis_bytes)
-    _, B, scale = _heat_prefactor(np.frombuffer(times_bytes).reshape(-1, 1), n)
-    edge = np.exp(-0.5 * B * axis * axis)  # (T, L)
+    if not np.all(np.isfinite(axis)):
+        raise ValueError("axis must be finite")
+    h = _axis_step(axis)
+    if axis.size > 2 and np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
+        raise ValueError("heat_apply needs a uniform axis")
+    return h
+
+
+def _series_order(t: float, R: float, n: int):
+    """The least K whose Mehler series W_t = sum_k e^{-(2k+1)t} h_k h_k,
+    cut after k = K, misses the one-dimensional kernel on an axis within
+    [-R, R] by at most _HEAT_EPS / n of the Gaussian bound; None when that
+    K exceeds _SERIES_CAP.  Indritz's |h_k| <= pi^{-1/4} bounds the
+    remainder kernel by pi^{-1/2} e^{-(2K+3)t} / (1 - e^{-2t}), and the
+    bound of `heat_apply` weighs each value at least by
+    c1^{1/2} e^{-B R^2/2}: their ratio is
+    sqrt(coth t) e^{B R^2/2 - (2K+2)t}, finite wherever coth t is."""
+    gap = math.log(n / _HEAT_EPS) + 0.5 * math.tanh(t) * R * R
+    gap += 0.5 * math.log(1.0 / math.tanh(t))
+    if gap > (2 * _SERIES_CAP + 2) * t:
+        return None
+    return max(0, math.ceil(gap / (2.0 * t)) - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _heat_split(axis_bytes: bytes, times_bytes: bytes, n: int):
+    """Which times of `heat_apply` take the Mehler series, from the exact
+    float64 bytes of the axis and the times: (fft, fft_times, series,
+    decays, table), where `fft` and `series` index the two routes' rows,
+    `fft_times` is the FFT rows' times as bytes (the key of
+    `_gauss_spectrum`), `decays` holds per series row the read-only
+    e^{-(2k+1)t} for k = 0..K(t) (`_series_order`), and `table` is the
+    axis's shared Hermite table of _SERIES_CAP + 1 rows (None without
+    series rows).  A time too small for the closed form goes to the FFT,
+    whose plan rejects it (`_lattice_plan`)."""
+    axis = np.frombuffer(axis_bytes)
+    times = np.frombuffer(times_bytes)
+    R = float(np.max(np.abs(axis)))
+    orders = [_series_order(t, R, n) for t in times.tolist()]
+    series = np.array([i for i, K in enumerate(orders) if K is not None], dtype=np.intp)
+    fft = np.array([i for i, K in enumerate(orders) if K is None], dtype=np.intp)
+    decays = tuple(_read_only(np.exp(-(2.0 * np.arange(orders[i] + 1) + 1.0) * times[i]))
+                   for i in series)
+    table = _table(_SERIES_CAP, axis) if decays else None
+    return fft, times[fft].tobytes(), series, decays, table
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice_plan(axis_bytes: bytes, times_bytes: bytes, n: int):
+    """The part of `heat_apply`'s FFT rows that depends on the lattice
+    axis, the times and n only, built from their exact float64 bytes: the
+    (T_fft, L) edge scalings e^{-B x^2/2} and the (T_fft, 1) prefactors
+    c1^{n/2} of the times that `_heat_split` leaves to the FFT.  The
+    arrays are read-only, because every hit hands out the same ones.  Too
+    small a time raises ValueError (`_heat_prefactor`)."""
+    axis = np.frombuffer(axis_bytes)
+    fft_times = _heat_split(axis_bytes, times_bytes, n)[1]
+    _, B, scale = _heat_prefactor(np.frombuffer(fft_times).reshape(-1, 1), n)
+    edge = np.exp(-0.5 * B * axis * axis)  # (T_fft, L)
     for a in (edge, scale):
         a.flags.writeable = False
     return edge, scale
@@ -390,53 +464,77 @@ def heat_apply(values, axis, t):
     (L,)*n + (d,); the result has the same shape.  `t` is a scalar or a
     1-D array of T times; an array puts the times on a new leading axis,
     shape (T,) + values.shape, equal bit for bit to stacking the scalar
-    calls.  Each lattice axis is one (T, L) diagonal scaling, one FFT
-    convolution with the T Gaussians e^{-(A-B)(h k)^2/4}, |k| < L, and
-    the same scaling again, so the cost is O(T L^n log L) rather than the
-    O(T L^{2n}) of dense kernel matrices; the caller bounds T L^n, since
-    a few arrays of that size are alive at once.  Values must be finite:
-    the FFT would spread a NaN over the lattice.  Quadrature weights are
-    the caller's (multiply them into `values`).  Too small a time raises
-    ValueError (`_heat_prefactor`).
+    calls.  Values must be finite: the FFT would spread a NaN over the
+    lattice.  Quadrature weights are the caller's (multiply them into
+    `values`).  Too small a time raises ValueError (`_heat_prefactor`);
+    the caller bounds T L^n, since a few arrays of that size are alive
+    at once.
 
-    The circle of each convolution is as short as the support of
-    `values` allows.  If the nonzero values, over every other axis and
-    component, lie in [lo, hi) along a lattice axis, outputs on all L
-    points need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the
-    convolution runs on the smallest of 2^a, 3 2^a and 5 2^a points that
-    is at least 2m + 1: an atom on 50 of 1201 points uses 1280 to 2048
-    points, by where it sits, and a dense input 2560.  The supports are
-    taken once from `values`, because a convolution along one axis leaves
-    the support along the others as it is, and so the length depends on
-    `values` only.  All-zero values give zeros without an FFT.
+    Each time takes one of two routes, by a rule that depends on the
+    axis, the times and n only (module docstring):
 
-    W_t is the continuum kernel sampled on the lattice: this is the dense
-    kernel matrix, applied fast.  It resolves W_t only for t >= h^2.
-    Below that the Gaussian is narrower than the step h, and the lattice
-    sum of the kernel per axis is theta(t) (`_lattice_mass`), about
-    h / sqrt(4 pi t), not 1: on SpatialGrid(12, 0.02) the weights of the
-    lattice give 1.78 at the centre for t = 1e-5, where W_t(1) is about
-    1.  `spaces.h1_norm` divides by theta^n.
+    - FFT rows.  Each lattice axis is one (T, L) diagonal scaling, one
+      FFT convolution with the Gaussians e^{-(A-B)(h k)^2/4}, |k| < L,
+      and the same scaling again: O(T L^n log L) rather than the
+      O(T L^{2n}) of dense kernel matrices.  The circle is as short as
+      the support of `values` allows.  If the nonzero values, over every
+      other axis and component, lie in [lo, hi) along a lattice axis,
+      outputs on all L points need the lags |k| <= m =
+      max(hi - 1, L - 1 - lo), so the convolution runs on the smallest of
+      2^a, 3 2^a and 5 2^a points that is at least 2m + 1: an atom on 50
+      of 1201 points uses 1280 to 2048 points, by where it sits, and a
+      dense input 2560.  The supports are taken once from `values`,
+      because an operator along one axis leaves the support along the
+      others as it is.
+    - Series rows.  Per lattice axis, Mehler's series cut after k = K(t):
+      the coefficients sum_y h_k(y) values(y) over the support, times
+      e^{-(2k+1)t}, synthesized on all L points from the shared Hermite
+      table (`basis._table`).  A time takes it when K(t) <= _SERIES_CAP
+      (64), where K(t) is the least K whose remainder is below 1e-16 / n
+      of the bound below on every input on the lattice, by Indritz's
+      |h_k| <= pi^{-1/4} (`_series_order`): the times from 0.58 up on
+      SpatialGrid(12, 0.02) (6 of the 16 of TimeGrid(1e-3, 20, 16)) and
+      from 0.34 up on SpatialGrid(6, 0.1, 2).  Short times keep the FFT.
 
-    The error of the FFT convolution is absolute: about 1e-16 of the
-    Gaussian bound c1^{n/2} sum_y e^{-B |y|^2 / 2} |values(y)| (`_mehler`),
-    however small the output.  An output far below that bound is
-    relatively inaccurate: 8 points of support at the left edge of
-    SpatialGrid(12, 0.02) give outputs of about 1e-20 at t = 1, off the
-    dense `heat_kernel` matrix by 6.9e-10 of max|out|.  Check against it
+    All-zero values give zeros with neither route.
+
+    W_t is the continuum kernel sampled on the lattice: both routes are
+    the dense kernel matrix, applied fast.  It resolves W_t only for
+    t >= h^2.  Below that the Gaussian is narrower than the step h, and
+    the lattice sum of the kernel per axis is theta(t) (`_lattice_mass`),
+    about h / sqrt(4 pi t), not 1: on SpatialGrid(12, 0.02) the weights
+    of the lattice give 1.78 at the centre for t = 1e-5, where W_t(1) is
+    about 1.  `spaces.h1_norm` divides by theta^n.
+
+    The FFT's error is absolute: about 1e-16 of the Gaussian bound
+    c1^{n/2} sum_y e^{-B |y|^2 / 2} |values(y)| (`_mehler`), however
+    small the output.  A series row's remainder is below 1e-16 of the
+    same bound, and its rounding is relative to
+    sum_k e^{-(2k+1)t} |h_k(x) h_k(y)| <= sqrt(W_t(x, x) W_t(y, y)), which
+    is below the bound too and far below it at the lattice's edges.  An
+    output far below the bound may be relatively inaccurate: 8 points of
+    support at the left edge of SpatialGrid(12, 0.02) give outputs of
+    about 1e-20 at t = 0.37, where the FFT is off the dense `heat_kernel`
+    matrix by 2.9e-8 of max|out|; at t = 1 the series is off by 8.9e-15
+    of max|out| (the FFT was off by 6.9e-10).  Check against the matrix
     with an absolute tolerance, not a relative one.
 
-    The scalings depend on the axis, the times and n, and the Gaussians'
-    spectra on the step, L, the times and the circle's length.  They are
-    built once, keyed on exact values, and read-only: the last 8 scalings
-    and the last 32 spectra are kept.  For 16 times on 1201 points a
-    plan is 0.15 MB, and its at most four spectra (1280, 1536, 2048 and
-    2560 points) are 0.48 MB together: 8 L T bytes for the plan and
-    4 P T for the spectrum of a circle of P points.  So repeated calls on one lattice and
-    one time list do only the FFT of the values, the product with a real
-    spectrum and the inverse FFT.  A plan gives the same bits whether it
-    is built or reused; every input check runs on every call, and the
-    result never shares memory with the plan.
+    The split between the routes, the series' decays and the FFT rows'
+    scalings depend on the axis, the times and n, and the Gaussians'
+    spectra on the step, L, the FFT rows' times and the circle's length.
+    They are built once, keyed on exact values, and read-only: the last
+    8 splits and scalings and the last 32 spectra are kept.  For 16
+    times on 1201 points the scalings are at most 0.15 MB, and the at
+    most four spectra (1280, 1536, 2048 and 2560 points) 0.48 MB
+    together: 8 L T bytes for the scalings and 4 P T for the spectrum of
+    a circle of P points; the series rows read the axis's Hermite table
+    of 65 rows, 0.62 MB, which `basis` shares.  So repeated calls on one
+    lattice and one time list do only the FFT of the values, the product
+    with a real spectrum and the inverse FFT, and the series' matmuls.
+    A plan gives the same bits whether it is built or reused; the axis
+    checks (finite, uniform) run once per axis, and no plan is kept for
+    an axis that fails them; every other input check runs on every call,
+    and the result never shares memory with a plan.
     """
     times = _check_time(t, ndim=1)
     axis = np.asarray(axis, dtype=float)
@@ -445,37 +543,73 @@ def heat_apply(values, axis, t):
     n = values.ndim - 1
     if axis.ndim != 1 or L == 0 or n < 1 or values.shape[:-1] != (L,) * n:
         raise ValueError("values must have shape (L,)*n + (d,) for an axis of L points")
-    if not np.all(np.isfinite(axis)):
-        raise ValueError("axis must be finite")
-    h = _axis_step(axis)
-    if L > 2 and np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
-        raise ValueError("heat_apply needs a uniform axis")
+    axis_bytes = axis.tobytes()
+    h = _lattice_axis(axis_bytes)
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     times_bytes = times.tobytes()
-    edge, scale = _lattice_plan(axis.tobytes(), times_bytes, n)
+    edge, scale = _lattice_plan(axis_bytes, times_bytes, n)
+    fft, fft_times, series, decays, table = _heat_split(axis_bytes, times_bytes, n)
     nonzero = values != 0
     if not nonzero.any():
         return np.zeros(times.shape + values.shape)
-    sizes = []
+    supports = []
     for j in range(n):
         occupied = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(n + 1) if a != j)))
-        sizes.append(_fft_length(2 * int(max(occupied[-1], L - 1 - occupied[0])) + 1))
+        supports.append((int(occupied[0]), int(occupied[-1]) + 1))
+    if not len(series):
+        out = _fft_rows(values, h, edge, scale, fft_times, supports)
+    else:
+        out = np.empty((times.size,) + values.shape)
+        if len(fft):
+            out[fft] = _fft_rows(values, h, edge, scale, fft_times, supports)
+        for i, row in zip(series, _series_rows(values, table, decays, supports)):
+            out[i] = row
+    return out if times.ndim else out[0]
+
+
+def _fft_rows(values, h, edge, scale, fft_times, supports):
+    """W_t values for the times of the FFT rows, shape (T_fft,) +
+    values.shape: per lattice axis, the edge scaling, a convolution on
+    the circle that the support [lo, hi) allows, and the scaling again."""
+    L, n = edge.shape[1], values.ndim - 1
     column = (len(scale), -1) + (1,) * n  # broadcast along the lattice axis 1
     edge = edge.reshape(column)
     out = values[None]
-    for j, size in enumerate(sizes, start=1):
-        gauss = _gauss_spectrum(h, L, times_bytes, size).reshape(column)
-        v = np.moveaxis(out, j, 1) * edge
+    for j, (lo, hi) in enumerate(supports, start=1):
+        size = _fft_length(2 * max(hi - 1, L - 1 - lo) + 1)
+        gauss = _gauss_spectrum(h, L, fft_times, size).reshape(column)
+        v = out.swapaxes(j, 1) * edge
         spec = np.fft.rfft(v, size, axis=1)
         del v
         spec *= gauss
         conv = np.fft.irfft(spec, size, axis=1)
         del spec
-        out = np.moveaxis(conv[:, :L] * edge, 1, j)
+        out = (conv[:, :L] * edge).swapaxes(1, j)
         del conv
-    out = scale.reshape((-1,) + (1,) * (n + 1)) * out
-    return out if times.ndim else out[0]
+    return scale.reshape((-1,) + (1,) * (n + 1)) * out
+
+
+def _series_rows(values, table, decays, supports):
+    """Yield W_t values for each series row, shape values.shape: per
+    lattice axis, the Hermite coefficients of the values over their
+    support [lo, hi), row k times e^{-(2k+1)t} for k <= K(t), and the
+    synthesis on the whole axis, each one matmul over every other axis at
+    once.  The first axis's coefficients are one projection onto every
+    row of `table`, shared by the times; the rest is one chain of
+    K(t) + 1 row matmuls per time.  No matmul's shape depends on the
+    other times of the call, so a row gives the same bits alone and in a
+    batch (BLAS sums a row differently with the number of rows beside it)."""
+    lo, hi = supports[0]
+    first = table[:, lo:hi] @ values[lo:hi].reshape(hi - lo, -1)
+    for decay in decays:
+        rows, decay = table[:len(decay)], decay[:, None]
+        out = (rows.T @ (decay * first[:len(rows)])).reshape(values.shape)
+        for j, (lo, hi) in enumerate(supports[1:], start=1):
+            moved = out.swapaxes(0, j)
+            coefficients = rows[:, lo:hi] @ moved[lo:hi].reshape(hi - lo, -1)
+            out = (rows.T @ (decay * coefficients)).reshape(moved.shape).swapaxes(0, j)
+        yield out
 
 
 def heat_kernel_one(x, t, n: int = 1):

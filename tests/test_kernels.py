@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hermlp import kernels
+from hermlp import basis, kernels
 from hermlp.basis import SpatialGrid, hermite_eval
 from hermlp.kernels import (
     ShiftedOperator,
@@ -583,6 +583,119 @@ def test_lattice_plans_follow_spacing_offset_and_times():
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
     info = kernels._lattice_plan.cache_info()
     assert (info.misses, info.hits) == (6, 0)
+
+
+# ------------------------------------------- heat_apply's Mehler series rows
+HARDY_TIMES = np.geomspace(1e-3, 20.0, 16)  # the nodes of TimeGrid(1e-3, 20, 16)
+
+
+def _split(grid, times):
+    """(series row indices, their orders K) of heat_apply at these times."""
+    split = kernels._heat_split(grid.axis.tobytes(), np.asarray(times, float).tobytes(), grid.n)
+    return split[2].tolist(), [len(decay) - 1 for decay in split[3]]
+
+
+def test_the_hardy_times_split_between_the_routes():
+    # the 6 longest of the 16 hardy times take the series, with these K;
+    # 0.38 would need K = 83 > 64 and keeps the FFT
+    assert _split(HARDY_GRID, HARDY_TIMES) == ([10, 11, 12, 13, 14, 15], [55, 35, 19, 10, 5, 2])
+    assert HARDY_TIMES[10] == pytest.approx(0.737, abs=1e-3)
+    assert kernels._series_order(HARDY_TIMES[9], HARDY_GRID.R, 1) is None
+    # a time's route and order do not depend on the other times
+    for i, t in enumerate(HARDY_TIMES):
+        rows, orders = _split(HARDY_GRID, [t])
+        assert rows == ([0] if i >= 10 else [])
+        assert orders == ([[55, 35, 19, 10, 5, 2][i - 10]] if i >= 10 else [])
+    # smaller lattices reach lower times, and n = 2 splits 1e-16 between its axes
+    assert _split(PLANE_GRID, HARDY_TIMES) == (list(range(9, 16)), [52, 27, 14, 7, 3, 2, 1])
+
+
+def test_hermite_functions_meet_indritz_bound():
+    # |h_k(x)| <= pi^{-1/4}, the bound behind every series order
+    x = np.linspace(-25.0, 25.0, 20001)
+    table = basis._table(200, x)
+    assert np.max(np.abs(table)) <= math.pi ** -0.25
+    assert np.max(np.abs(table)) >= 0.99 * math.pi ** -0.25  # h_0(0) is the bound itself
+
+
+@pytest.mark.parametrize("grid", [HARDY_GRID, PLANE_GRID])
+def test_series_remainder_is_below_its_bound_at_each_order(grid):
+    # the remainder kernel sum_{k > K} e^{-(2k+1)t} h_k(x) h_k(y), summed
+    # to k = K + 200, against 1e-16 / n of the least Gaussian weight
+    # c1^{1/2} e^{-B R^2/2} of the lattice; one order less misses the bound
+    x, R, n = grid.axis, grid.R, grid.n
+    table = basis._table(300, x)
+    rows, orders = _split(grid, HARDY_TIMES)
+    for t, K in zip(HARDY_TIMES[rows], orders):
+        k = np.arange(K + 1, K + 201)
+        tail = (table[k].T * np.exp(-(2.0 * k + 1.0) * t)) @ table[k]
+        _, B, c1 = kernels._mehler(t)
+        bound = 1e-16 / n * math.sqrt(c1) * math.exp(-0.5 * B * R * R)
+        assert np.max(np.abs(tail)) <= bound, (t, K)
+        # Indritz's bound on the same tail, and the rule's closed form of it
+        indritz = math.exp(-(2 * K + 3) * t) / (math.sqrt(math.pi) * -math.expm1(-2.0 * t))
+        assert indritz <= bound * (1 + 1e-12)
+        ratio = math.sqrt(1.0 / math.tanh(t)) * math.exp(0.5 * B * R * R - (2 * K + 2) * t)
+        assert ratio == pytest.approx(indritz / bound * 1e-16 / n, rel=1e-10)
+        if K > 0:
+            assert ratio * math.exp(2.0 * t) > 1e-16 / n
+
+
+@pytest.mark.parametrize("grid, times", [(HARDY_GRID, [0.8, 2.0, 20.0]),
+                                         (PLANE_GRID, [0.4, 3.0, 20.0])])
+def test_series_rows_match_the_dense_kernel_at_the_centre_and_edges(grid, times):
+    rows, _ = _split(grid, times)
+    assert rows == [0, 1, 2]
+    L, P = grid.axis.size, grid.points
+    rng = np.random.default_rng(53)
+    supports = {"centre": slice(L // 2 - 5, L // 2 + 6), "left": slice(0, 8),
+                "right": slice(L - 8, L), "dense": slice(0, L)}
+    for t in times:
+        W = heat_kernel(P[:, None], P[None, :], t, grid.n) if grid.n == 1 else \
+            heat_kernel(P[:, None, :], P[None, :, :], t, grid.n)
+        for where, row in supports.items():
+            mask = np.zeros(grid.shape, dtype=bool)
+            mask[(row,) * grid.n] = True
+            values = np.where(mask.reshape(-1, 1), rng.normal(size=(grid.size, 3)), 0.0)
+            fast = heat_apply(values.reshape(grid.shape + (3,)), grid.axis, t)
+            err = np.max(np.abs(fast.reshape(grid.size, 3) - W @ values))
+            assert err <= 1e-13 * _gaussian_scale(grid, values, t), (t, where)
+
+
+def test_series_rows_take_no_fft():
+    values = np.random.default_rng(59).normal(size=(HARDY_GRID.size, 1))
+    lengths, _ = _circle_lengths(lambda: heat_apply(values, HARDY_GRID.axis, [20.0, 1.0]))
+    assert lengths == []
+    # the FFT rows of a mixed batch keep their circle
+    lengths, _ = _circle_lengths(lambda: heat_apply(values, HARDY_GRID.axis, HARDY_TIMES))
+    assert lengths == [2560]
+
+
+def test_axis_checks_run_once_per_axis_and_keep_their_order():
+    axis = np.linspace(-1.0, 1.0, 7)
+    bent = axis.copy()
+    bent[3] += 0.01
+    nan_values = np.full((7, 1), math.nan)
+    # an axis fault comes before a values fault, a values fault before a
+    # time too small for the closed form, as before the checks were cached
+    with pytest.raises(ValueError, match="uniform"):
+        heat_apply(nan_values, bent, 1.0)
+    with pytest.raises(ValueError, match="values must be finite"):
+        heat_apply(nan_values, axis, 1e-320)
+    with pytest.raises(ValueError, match="too small"):
+        heat_apply(np.ones((7, 1)), axis, 1e-320)
+    # no plan is kept for a bad axis
+    kernels._lattice_axis.cache_clear()
+    for bad in (bent, np.where(axis > 0.5, math.inf, axis)):
+        with pytest.raises(ValueError):
+            heat_apply(np.ones((7, 1)), bad, 1.0)
+    assert kernels._lattice_axis.cache_info().currsize == 0
+    # a good axis is checked once, however many calls and time lists
+    kernels._lattice_axis.cache_clear()
+    for t in (0.1, 1.0, [0.5, 2.0]):
+        heat_apply(np.ones((7, 1)), axis, t)
+    info = kernels._lattice_axis.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 # ------------------------------------------------- times on one shared grid
