@@ -35,7 +35,10 @@ instead of faulting in fresh ones, and a change to an earlier case moves
 the times of later ones.  Each case gets one warm-up call per tree, then
 ROUNDS rounds of one call per tree, alternating which tree goes first,
 so a drift in the host's speed falls on both trees alike; the record
-gives each tree's minimum and median over the rounds and their ratios.
+gives each tree's minimum and median over the rounds and their ratios,
+and the median of the per-round ratios (before / after, both trees timed
+in the same round) with a bootstrap 95 % interval: the 2.5 and 97.5
+percentiles of that median over BOOTSTRAP resamples of the rounds.
 Timing separate processes per tree did not resolve microsecond cases on
 a shared 2-core host: one unchanged case read 0.59x-0.71x over four
 records.  The record keeps both computed values and their relative
@@ -51,12 +54,12 @@ import itertools
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
 
 ROUNDS = 100
+BOOTSTRAP = 2000
 MODULES = ("basis", "kernels", "gamma", "semigroups", "spaces", "verify", "cli")
 
 HARDY = "SpatialGrid(12, 0.02): 1201 points"
@@ -114,6 +117,8 @@ def hardy_calls(h):
 
     ks = rng.choice(31, size=3, replace=False)
     c = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
+    # centred within |x0| < 1, where rho = 1/2: a ball of about 50 points
+    local = spaces.make_random_atom(rng, grid, "local", center_range=1.0)
 
     def atom_cold():
         # a time grid that no earlier call used: heat_apply cannot reuse
@@ -130,6 +135,7 @@ def hardy_calls(h):
     return {
         "h1_atom_hardy": lambda: spaces.h1_norm(atom, B, grid, times),
         "h1_atom_cold_times": atom_cold,
+        "h1_atom_local": lambda: spaces.h1_norm(local, B, grid, times),
         "h1_dense_profile": lambda: spaces.h1_norm(profile, B, grid, times),
         "h1_plane_bump": lambda: spaces.h1_norm(bump, B, plane, times),
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
@@ -309,6 +315,9 @@ GROUPS = {
             "h1_atom_cold_times": f"the same h1_norm on {HARDY} with a TimeGrid(1e-3, "
                                   "20 (1 + 1e-9 i), 16) built fresh for call i, so no call "
                                   "sees times an earlier call used",
+            "h1_atom_local": f"h1_norm of a local atom of radius rho(x0) = 1/2, |x0| < 1, "
+                             f"d = 1, l^2, on {HARDY}, 16 times: about 50 points of "
+                             "support, the widest atom of the benchmark",
             "h1_dense_profile": "h1_norm of the g-field profile of 5 random modes, l^2, on "
                                 f"{HARDY}, full support, 16 times",
             "h1_plane_bump": "h1_norm of an n = 2 bump of radius 0.6, l^2, on "
@@ -483,9 +492,7 @@ def child(group, before, after):
                 fns[side]()
                 seconds[side].append(time.perf_counter() - start)
         for side in calls:
-            out[side][name] = {"min_s": min(seconds[side]),
-                               "median_s": statistics.median(seconds[side]),
-                               "value": values[side]}
+            out[side][name] = {"seconds": seconds[side], "value": values[side]}
     json.dump(out, sys.stdout)
 
 
@@ -511,29 +518,38 @@ def main():
     if args.child:
         child(args.group, args.before, args.after)
         return
+    import numpy
+
     layer, _, inputs = GROUPS[args.group]
     runs = run_child(args.group, args.before, args.after)
+    resample = numpy.random.default_rng(0).integers(0, ROUNDS, size=(BOOTSTRAP, ROUNDS))
     cases = {}
     for name, what in inputs.items():
         b, a = runs["before"][name], runs["after"][name]
+        before, after = numpy.array(b["seconds"]), numpy.array(a["seconds"])
+        ratios = before / after  # round i timed both trees back to back
+        medians = numpy.median(ratios[resample], axis=1)
         scale = abs(b["value"]) or 1.0
         cases[name] = {
             "input": what,
-            "before_s": b["min_s"], "after_s": a["min_s"],
-            "before_median_s": b["median_s"], "after_median_s": a["median_s"],
-            "speedup": b["min_s"] / a["min_s"],
-            "median_speedup": b["median_s"] / a["median_s"],
+            "before_s": before.min(), "after_s": after.min(),
+            "before_median_s": numpy.median(before), "after_median_s": numpy.median(after),
+            "speedup": before.min() / after.min(),
+            "median_speedup": numpy.median(before) / numpy.median(after),
+            "paired_speedup": numpy.median(ratios),
+            "paired_speedup_ci95": numpy.percentile(medians, [2.5, 97.5]).tolist(),
             "before_value": b["value"], "after_value": a["value"],
             "rel_diff": abs(a["value"] - b["value"]) / scale,
         }
-    import numpy
 
     record = {
         "layer": layer,
         "a_a": os.path.realpath(args.before) == os.path.realpath(args.after),
         "timing": f"both trees imported in one process, each under its own package name; per "
                   f"case one warm-up call, then {ROUNDS} rounds of one call per tree, "
-                  "alternating which tree goes first; min and median over the rounds; BLAS "
+                  "alternating which tree goes first; min and median over the rounds, and "
+                  f"the median per-round ratio with a bootstrap 95 % interval ({BOOTSTRAP} "
+                  "resamples of the rounds); BLAS "
                   "pinned to 1 thread, glibc malloc mmap and trim thresholds fixed",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},

@@ -51,20 +51,14 @@ least of 100 interleaved rounds, `bench/layers.py verify`,
 
 `heat_apply` applies W_t, for one time or a 1-D array of times, to
 samples on a uniform tensor lattice without forming the kernel matrix,
-by one of two routes per time.  Expanding the exponent,
+by one of three routes per time.  Expanding the exponent,
 
     W_t(x, y) = c_t e^{-B|x|^2/2} e^{-(A-B)|x-y|^2/4} e^{-B|y|^2/2},
 
-with A = coth t and B = tanh t; the middle factor is Toeplitz on the
-lattice and splits per axis, so each axis is one FFT convolution
-(the structure behind the fast Gauss transform); T times make one
-batched FFT per axis over a (T, ...) stack.  The cost is set by the
-support of the values: outputs on L points from values in [lo, hi)
-need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the circle has
-about 2m + 1 points, not 2L - 1; an atom on 50 of 1201 points convolves
-on 1280 to 2048, by where it sits.  The Gaussian on the circle is real
-and even, so its spectrum is real, and the product is complex times
-real.  The other route is Mehler's series per axis,
+with A = coth t and B = tanh t; the middle factor is the Gaussian
+e^{-pi c1 (h k)^2} of the lag k, Toeplitz on the lattice, and it splits
+per axis (the structure behind the fast Gauss transform).  Long times
+take Mehler's series per axis,
 
     W_t(x, y) = sum_k e^{-(2k+1)t} h_k(x) h_k(y),
 
@@ -74,15 +68,28 @@ row k by e^{-(2k+1)t}, and synthesize.  A time takes the series when it
 is within the FFT's own error scale after K(t) <= _SERIES_CAP = 64
 terms on every input on the lattice (`_series_order`); on
 SpatialGrid(12, 0.02) the times of TimeGrid(1e-3, 20, 16) from 0.74 up
-do, with K = 55, 35, 19, 10, 5 and 2, and each costs about what K(t)
-rows of the table cost, below one FFT row of that lattice.  The split,
-the series' decays and the FFT rows' edge scalings depend on the axis,
-the times and n only, and form read-only plans built once per (axis,
-times, n) and kept for the last 8 (`_heat_split`, `_lattice_plan`);
-the spectra are built once per (step, L, times, circle length), at most
-four lengths per lattice (`_gauss_spectrum`).  So a sweep over many
-inputs on one lattice and one time grid transforms only the values: on
-a line, two FFT batches and one matmul chain per series time per call.
+do.  The short times convolve with the Gaussian, one of two ways.  On a
+line, the Gaussian cut at the lag w(t) where it falls below 1e-17 is a
+stencil of 2w + 1 points, and a support of s points takes it directly,
+one np.convolve, when (2w + s) s <= _STENCIL_WORK (the near field of the
+fast Gauss transform: it costs about s (2w + 1) multiply-adds).  Every
+other short time, and every short time for n >= 2, takes an FFT on a
+circle sized to the support: outputs on L points from values in
+[lo, hi) need the lags |k| <= m = max(hi - 1, L - 1 - lo), so the circle
+has about 2m + 1 points, not 2L - 1, and T times make one batched FFT
+per axis over a (T, ...) stack.  The Gaussian on the circle is real and
+even, so its spectrum is real, and the product is complex times real.
+On SpatialGrid(12, 0.02) the 10 short hardy times have w = 19 to 404, so
+an atom (at most about 50 points) takes the stencil at each of them,
+and a dense input (1201 points) the FFT at each.
+
+Everything that depends on the axis, the times and n alone is one
+read-only plan per (axis, times, n), the last 16 kept (`_lattice_plan`):
+the axis checks and the step, each time's route between the series and
+the rest, the series' decays and Hermite table, the edge scalings,
+c1^{n/2}, the stencils, and the spectra per circle length, built on
+first use.  So a sweep over many inputs on one lattice and one time grid
+transforms only the values, and pays one plan lookup per call.
 
 Every entry point rejects non-finite times, and points that are not
 finite or not in the layout of `basis`, with ValueError; the subordinated
@@ -133,6 +140,15 @@ _BLOCK_ENTRIES = 1 << 17
 # terms is that close on every input (`_series_order`)
 _HEAT_EPS = 1e-16
 _SERIES_CAP = 64
+# the other times of heat_apply on a line take the Gaussian cut where it
+# falls below _STENCIL_EPS (of its peak, 1) as one direct convolution, of
+# about (2w + 1) s multiply-adds for w lags and a support of s points,
+# when (2w + s) s <= _STENCIL_WORK, and the FFT otherwise (`_stencil_rows`).
+# The constant sits at the crossover on SpatialGrid(12, 0.02): the 10
+# short hardy times took 194 us by stencil and 213 us by FFT for a support
+# of 200 points, 250 and 218 us for 300 points (one core)
+_STENCIL_EPS = 1e-17
+_STENCIL_WORK = 200_000
 
 
 @dataclass(frozen=True)
@@ -335,12 +351,6 @@ def _fft_length(m: int) -> int:
     return min(c for c in (p, 3 * p // 4, 5 * p // 8) if c >= m)
 
 
-def _axis_step(axis) -> float:
-    """Spacing of a uniform axis, from its end points."""
-    L = axis.size
-    return (axis[-1] - axis[0]) / (L - 1) if L > 1 else 0.0
-
-
 def _lattice_mass(h: float, t):
     """theta(t) = h sqrt(c1) sum_k e^{-pi c1 (h k)^2} over all integers k:
     the mass of the Gaussian factor of W_t sampled with step h, per axis.
@@ -361,21 +371,6 @@ def _lattice_mass(h: float, t):
     return np.where(fine, theta, h * np.sqrt(c1) * theta)
 
 
-@functools.lru_cache(maxsize=8)
-def _lattice_axis(axis_bytes: bytes) -> float:
-    """The step of a lattice axis, from its exact float64 bytes, after the
-    checks that depend on the axis only: every point finite, then the
-    steps uniform.  An axis that fails raises ValueError and is not kept,
-    and `heat_apply` builds no plan before its axis has passed."""
-    axis = np.frombuffer(axis_bytes)
-    if not np.all(np.isfinite(axis)):
-        raise ValueError("axis must be finite")
-    h = _axis_step(axis)
-    if axis.size > 2 and np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
-        raise ValueError("heat_apply needs a uniform axis")
-    return h
-
-
 def _series_order(t: float, R: float, n: int):
     """The least K whose Mehler series W_t = sum_k e^{-(2k+1)t} h_k h_k,
     cut after k = K, misses the one-dimensional kernel on an axis within
@@ -387,74 +382,86 @@ def _series_order(t: float, R: float, n: int):
     sqrt(coth t) e^{B R^2/2 - (2K+2)t}, finite wherever coth t is."""
     gap = math.log(n / _HEAT_EPS) + 0.5 * math.tanh(t) * R * R
     gap += 0.5 * math.log(1.0 / math.tanh(t))
-    if gap > (2 * _SERIES_CAP + 2) * t:
-        return None
-    return max(0, math.ceil(gap / (2.0 * t)) - 1)
+    return None if gap > (2 * _SERIES_CAP + 2) * t else max(0, math.ceil(gap / (2.0 * t)) - 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _heat_split(axis_bytes: bytes, times_bytes: bytes, n: int):
-    """Which times of `heat_apply` take the Mehler series, from the exact
-    float64 bytes of the axis and the times: (fft, fft_times, series,
-    decays, table), where `fft` and `series` index the two routes' rows,
-    `fft_times` is the FFT rows' times as bytes (the key of
-    `_gauss_spectrum`), `decays` holds per series row the read-only
-    e^{-(2k+1)t} for k = 0..K(t) (`_series_order`), and `table` is the
-    axis's shared Hermite table of _SERIES_CAP + 1 rows (None without
-    series rows).  A time too small for the closed form goes to the FFT,
-    whose plan rejects it (`_lattice_plan`)."""
-    axis = np.frombuffer(axis_bytes)
-    times = np.frombuffer(times_bytes)
-    R = float(np.max(np.abs(axis)))
-    orders = [_series_order(t, R, n) for t in times.tolist()]
-    series = np.array([i for i, K in enumerate(orders) if K is not None], dtype=np.intp)
-    fft = np.array([i for i, K in enumerate(orders) if K is None], dtype=np.intp)
-    decays = tuple(_read_only(np.exp(-(2.0 * np.arange(orders[i] + 1) + 1.0) * times[i]))
-                   for i in series)
-    table = _table(_SERIES_CAP, axis) if decays else None
-    return fft, times[fft].tobytes(), series, decays, table
+class _HeatPlan:
+    """What `heat_apply` needs of the lattice axis, the times and n alone,
+    built once per (axis, times, n) by `_lattice_plan`, after the checks
+    that depend on the axis only: every point finite, then the steps
+    uniform (a failing axis raises ValueError, and no plan is built).
+    Every array is read-only, because every hit hands out the same ones.
+
+    - `h`, the step; `series` and `short`, the indices of the times that
+      take the Mehler series and of the rest; `decays`, per series time
+      e^{-(2k+1)t} for k = 0..K(t) (`_series_order`); `table`, the axis's
+      shared Hermite table of _SERIES_CAP + 1 rows (None without series
+      times).
+    - `fault`, the error of a time too small for the closed form, raised
+      by `heat_apply` after its values check (None when there is none);
+      `peak`, the binary exponent of the largest c1^{n/2} of the times.
+    - Per short time: `edge`, (T_short, L), the scalings e^{-B x^2/2};
+      `scale`, (T_short, 1), c1^{n/2}; `weights`, their product, the
+      stencil rows' output scaling; `gauss`, (T_short, L), the Gaussian
+      e^{-pi c1 (h k)^2} at the lags k = 0..L-1; `widths`, the largest lag
+      w where it is at least _STENCIL_EPS (at most L - 1); `stencils`, the
+      Gaussian at the lags -w..w.
+    - `spectra`, the Gaussians' real spectra by circle length, built by
+      `spectrum` on first use."""
+
+    def __init__(self, axis_bytes: bytes, times_bytes: bytes, n: int):
+        axis, times = np.frombuffer(axis_bytes), np.frombuffer(times_bytes)
+        if not np.all(np.isfinite(axis)):
+            raise ValueError("axis must be finite")
+        L, R = axis.size, float(np.max(np.abs(axis)))
+        self.h = (axis[-1] - axis[0]) / (L - 1) if L > 1 else 0.0
+        if L > 2 and np.max(np.abs(np.diff(axis) - self.h)) > 1e-9 * abs(self.h):
+            raise ValueError("heat_apply needs a uniform axis")
+        orders = [_series_order(t, R, n) for t in times.tolist()]
+        self.series = [i for i, K in enumerate(orders) if K is not None]
+        self.short = np.array([i for i, K in enumerate(orders) if K is None], dtype=np.intp)
+        self.decays = [_read_only(np.exp(-(2.0 * np.arange(orders[i] + 1) + 1.0) * times[i]))
+                       for i in self.series]
+        self.table = _table(_SERIES_CAP, axis) if self.decays else None
+        self.spectra, self.fault = {}, None
+        try:
+            _, B, scale = _heat_prefactor(times.reshape(-1, 1), n)
+        except ValueError as err:
+            self.fault = str(err)
+            return
+        self.peak = math.frexp(float(np.max(scale)))[1]
+        self.edge = _read_only(np.exp(-0.5 * B[self.short] * axis * axis))
+        self.scale = _read_only(scale[self.short])
+        self.weights = _read_only(self.edge * self.scale)
+        k = self.h * np.arange(L)
+        # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation
+        # at large t.  e^x rounds to 0 below x = -745.2, and numpy's exp is
+        # several times slower on such arguments than on the rest, so they
+        # are skipped, and so are those that overflow to -inf at tiny times.
+        with np.errstate(over="ignore"):
+            arg = -math.pi * _mehler(times[self.short].reshape(-1, 1))[2] * k * k
+        self.gauss = _read_only(np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0))
+        self.widths = np.count_nonzero(self.gauss >= _STENCIL_EPS, axis=1) - 1  # g falls with k
+        self.stencils = [_read_only(np.concatenate([g[w:0:-1], g[:w + 1]]))
+                         for g, w in zip(self.gauss, self.widths.tolist())]
+
+    def spectrum(self, size: int):
+        """The rfft, shape (T_short, size/2 + 1), of the short times'
+        Gaussians on a circle of `size` points, g[j] = `gauss` at the lag
+        k = min(j, size - j), and g[j] = 0 where k > L - 1.  g is real and
+        even, so its spectrum is real: only the real part is kept, half the
+        bytes of the complex one."""
+        if size not in self.spectra:
+            L, lag = self.gauss.shape[1], np.minimum(np.arange(size), size - np.arange(size))
+            g = np.where(lag < L, np.take(self.gauss, lag, axis=1, mode="clip"), 0.0)
+            self.spectra[size] = _read_only(np.fft.rfft(g, axis=1).real.copy())
+        return self.spectra[size]
 
 
-@functools.lru_cache(maxsize=8)
-def _lattice_plan(axis_bytes: bytes, times_bytes: bytes, n: int):
-    """The part of `heat_apply`'s FFT rows that depends on the lattice
-    axis, the times and n only, built from their exact float64 bytes: the
-    (T_fft, L) edge scalings e^{-B x^2/2} and the (T_fft, 1) prefactors
-    c1^{n/2} of the times that `_heat_split` leaves to the FFT.  The
-    arrays are read-only, because every hit hands out the same ones.  Too
-    small a time raises ValueError (`_heat_prefactor`)."""
-    axis = np.frombuffer(axis_bytes)
-    fft_times = _heat_split(axis_bytes, times_bytes, n)[1]
-    _, B, scale = _heat_prefactor(np.frombuffer(fft_times).reshape(-1, 1), n)
-    edge = np.exp(-0.5 * B * axis * axis)  # (T_fft, L)
-    for a in (edge, scale):
-        a.flags.writeable = False
-    return edge, scale
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_spectrum(h: float, L: int, times_bytes: bytes, size: int):
-    """The rfft, shape (T, size/2 + 1), of the T Gaussians
-    g[j] = e^{-pi c1 (h k)^2} with k = min(j, size - j) on a circle of
-    `size` points, and g[j] = 0 where k > L - 1, the longest lag of the
-    lattice.  g is real and even, so its spectrum is real: only the real
-    part is kept, read-only, half the bytes of the complex one."""
-    _, _, c1 = _mehler(np.frombuffer(times_bytes).reshape(-1, 1))
-    K = min(L - 1, size // 2)
-    k = h * np.arange(K + 1)
-    # A - B = 4 e^{-2t} / (1 - e^{-4t}) = 4 pi c1, free of cancellation at
-    # large t.  e^x rounds to 0 below x = -745.2, and numpy's exp is
-    # several times slower on such arguments than on the rest, so they
-    # are skipped, and so are those that overflow to -inf at tiny times.
-    with np.errstate(over="ignore"):
-        arg = -math.pi * c1 * k * k
-    half = np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0)
-    g = np.zeros((len(c1), size))
-    g[:, :K + 1] = half
-    g[:, size - K:] = half[:, K:0:-1]
-    spectrum = np.fft.rfft(g, axis=1).real.copy()
-    spectrum.flags.writeable = False
-    return spectrum
+# the plan of `heat_apply` for the exact float64 bytes of a lattice axis
+# and of the times, and n; the last 16 are kept, and none for an axis that
+# fails its checks
+_lattice_plan = functools.lru_cache(maxsize=16)(_HeatPlan)
 
 
 def heat_apply(values, axis, t):
@@ -466,40 +473,52 @@ def heat_apply(values, axis, t):
     shape (T,) + values.shape, equal bit for bit to stacking the scalar
     calls.  Values must be finite: the FFT would spread a NaN over the
     lattice.  Quadrature weights are the caller's (multiply them into
-    `values`).  Too small a time raises ValueError (`_heat_prefactor`);
-    the caller bounds T L^n, since a few arrays of that size are alive
-    at once.
+    `values`).  Too small a time raises ValueError (`_heat_prefactor`),
+    and so does an output beyond the float range; the caller bounds
+    T L^n, since a few arrays of that size are alive at once.
 
-    Each time takes one of two routes, by a rule that depends on the
-    axis, the times and n only (module docstring):
+    Each time takes one of three routes (module docstring).  Whether it
+    takes the series depends on the axis, the times and n only; a short
+    time's choice between the stencil and the FFT reads the support of
+    `values` too, and each time's choice reads that time alone, never the
+    others of the call:
 
-    - FFT rows.  Each lattice axis is one (T, L) diagonal scaling, one
-      FFT convolution with the Gaussians e^{-(A-B)(h k)^2/4}, |k| < L,
-      and the same scaling again: O(T L^n log L) rather than the
-      O(T L^{2n}) of dense kernel matrices.  The circle is as short as
-      the support of `values` allows.  If the nonzero values, over every
-      other axis and component, lie in [lo, hi) along a lattice axis,
-      outputs on all L points need the lags |k| <= m =
-      max(hi - 1, L - 1 - lo), so the convolution runs on the smallest of
-      2^a, 3 2^a and 5 2^a points that is at least 2m + 1: an atom on 50
-      of 1201 points uses 1280 to 2048 points, by where it sits, and a
-      dense input 2560.  The supports are taken once from `values`,
-      because an operator along one axis leaves the support along the
-      others as it is.
     - Series rows.  Per lattice axis, Mehler's series cut after k = K(t):
       the coefficients sum_y h_k(y) values(y) over the support, times
       e^{-(2k+1)t}, synthesized on all L points from the shared Hermite
       table (`basis._table`).  A time takes it when K(t) <= _SERIES_CAP
       (64), where K(t) is the least K whose remainder is below 1e-16 / n
       of the bound below on every input on the lattice, by Indritz's
-      |h_k| <= pi^{-1/4} (`_series_order`): the times from 0.58 up on
-      SpatialGrid(12, 0.02) (6 of the 16 of TimeGrid(1e-3, 20, 16)) and
-      from 0.34 up on SpatialGrid(6, 0.1, 2).  Short times keep the FFT.
+      |h_k| <= pi^{-1/4} (`_series_order`): the times from 0.57 up on
+      SpatialGrid(12, 0.02) and from 0.34 up on SpatialGrid(6, 0.1, 2).
+    - Stencil rows (n = 1 only).  The Gaussian e^{-pi c1 (h k)^2} at the
+      lags |k| <= w(t), the largest lag where it is at least 1e-17 (at
+      most L - 1), convolved directly with the edge-scaled values on
+      their support [lo, hi) of s points, and written on
+      [lo - w, hi + w) within the lattice.  A time takes it when
+      (2w + s) s <= _STENCIL_WORK (200 000), a constant measured where
+      the stencil and the FFT cost the same.
+    - FFT rows: every other time.  Each lattice axis is one (T, L)
+      diagonal scaling, one FFT convolution with the Gaussians, |k| < L,
+      and the same scaling again: O(T L^n log L) rather than the
+      O(T L^{2n}) of dense kernel matrices.  The circle is as short as
+      the support of `values` allows.  If the nonzero values, over every
+      other axis and component, lie in [lo, hi) along a lattice axis,
+      outputs on all L points need the lags |k| <= m =
+      max(hi - 1, L - 1 - lo), so the convolution runs on the smallest
+      of 2^a, 3 2^a and 5 2^a points that is at least 2m + 1.  The
+      supports are taken once from `values`, because an operator along
+      one axis leaves the support along the others as it is.
 
-    All-zero values give zeros with neither route.
+    All-zero values give zeros with no route.  Values whose largest
+    magnitude is beyond 2^+-512 go through the routes divided by the
+    power of two at it, and the outputs come back multiplied by it: that
+    is exact, and no route overflows on finite values (below 2^512 none
+    can), so only an output that is itself beyond the float range
+    raises.
 
-    W_t is the continuum kernel sampled on the lattice: both routes are
-    the dense kernel matrix, applied fast.  It resolves W_t only for
+    W_t is the continuum kernel sampled on the lattice: all three routes
+    are the dense kernel matrix, applied fast.  It resolves W_t only for
     t >= h^2.  Below that the Gaussian is narrower than the step h, and
     the lattice sum of the kernel per axis is theta(t) (`_lattice_mass`),
     about h / sqrt(4 pi t), not 1: on SpatialGrid(12, 0.02) the weights
@@ -508,48 +527,46 @@ def heat_apply(values, axis, t):
 
     The FFT's error is absolute: about 1e-16 of the Gaussian bound
     c1^{n/2} sum_y e^{-B |y|^2 / 2} |values(y)| (`_mehler`), however
-    small the output.  A series row's remainder is below 1e-16 of the
-    same bound, and its rounding is relative to
+    small the output.  A stencil row leaves out lags whose Gaussian is
+    below 1e-17, so below 1e-17 of the same bound, and rounds like the
+    FFT: on SpatialGrid(12, 0.02), over supports of 1 to 200 points at
+    both edges and inside, the two routes differed by at most 4.7e-16 of
+    the bound at the 10 short hardy times.  A series row's remainder is
+    below 1e-16 of the same bound, and its rounding is relative to
     sum_k e^{-(2k+1)t} |h_k(x) h_k(y)| <= sqrt(W_t(x, x) W_t(y, y)), which
     is below the bound too and far below it at the lattice's edges.  An
     output far below the bound may be relatively inaccurate: 8 points of
     support at the left edge of SpatialGrid(12, 0.02) give outputs of
-    about 1e-20 at t = 0.37, where the FFT is off the dense `heat_kernel`
-    matrix by 2.9e-8 of max|out|; at t = 1 the series is off by 8.9e-15
-    of max|out| (the FFT was off by 6.9e-10).  Check against the matrix
-    with an absolute tolerance, not a relative one.
+    about 6e-20 at t = 0.37, where the stencil is off the dense
+    `heat_kernel` matrix by 1.4e-10 of max|out| (the lags it leaves out
+    carry outputs of that size; the FFT was off by 3.6e-8), and at t = 1
+    the series by 1.9e-14.  Check against the matrix with an absolute
+    tolerance, not a relative one.
 
-    The split between the routes, the series' decays and the FFT rows'
-    scalings depend on the axis, the times and n, and the Gaussians'
-    spectra on the step, L, the FFT rows' times and the circle's length.
-    They are built once, keyed on exact values, and read-only: the last
-    8 splits and scalings and the last 32 spectra are kept.  For 16
-    times on 1201 points the scalings are at most 0.15 MB, and the at
-    most four spectra (1280, 1536, 2048 and 2560 points) 0.48 MB
-    together: 8 L T bytes for the scalings and 4 P T for the spectrum of
-    a circle of P points; the series rows read the axis's Hermite table
-    of 65 rows, 0.62 MB, which `basis` shares.  So repeated calls on one
-    lattice and one time list do only the FFT of the values, the product
-    with a real spectrum and the inverse FFT, and the series' matmuls.
-    A plan gives the same bits whether it is built or reused; the axis
-    checks (finite, uniform) run once per axis, and no plan is kept for
-    an axis that fails them; every other input check runs on every call,
-    and the result never shares memory with a plan.
+    The plan (`_HeatPlan`) holds, per short time, three arrays of L
+    floats (the edge scalings, their product with c1^{1/2} and the
+    Gaussian), a stencil of 2w + 1 floats, and a spectrum of P/2 + 1
+    floats per circle length P the calls have used (at most four per
+    lattice); per series time K(t) + 1 decays; and the axis's Hermite
+    table of 65 rows, which `basis` shares.  Plans are keyed on the
+    exact bytes of the axis and the times, and the last 16 are kept, so
+    repeated calls on one lattice and one time list do only the
+    convolutions and the series' matmuls.  A plan gives the same bits
+    whether it is built or reused; the axis checks (finite, uniform) run
+    once per plan, and no plan is kept for an axis that fails them;
+    every other input check runs on every call, and the result never
+    shares memory with a plan.
     """
     times = _check_time(t, ndim=1)
-    axis = np.asarray(axis, dtype=float)
-    values = np.asarray(values, dtype=float)
-    L = axis.size
-    n = values.ndim - 1
+    axis, values = np.asarray(axis, dtype=float), np.asarray(values, dtype=float)
+    L, n = axis.size, values.ndim - 1
     if axis.ndim != 1 or L == 0 or n < 1 or values.shape[:-1] != (L,) * n:
         raise ValueError("values must have shape (L,)*n + (d,) for an axis of L points")
-    axis_bytes = axis.tobytes()
-    h = _lattice_axis(axis_bytes)
+    plan = _lattice_plan(axis.tobytes(), times.tobytes(), n)
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    times_bytes = times.tobytes()
-    edge, scale = _lattice_plan(axis_bytes, times_bytes, n)
-    fft, fft_times, series, decays, table = _heat_split(axis_bytes, times_bytes, n)
+    if plan.fault:
+        raise ValueError(plan.fault)
     nonzero = values != 0
     if not nonzero.any():
         return np.zeros(times.shape + values.shape)
@@ -557,28 +574,65 @@ def heat_apply(values, axis, t):
     for j in range(n):
         occupied = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(n + 1) if a != j)))
         supports.append((int(occupied[0]), int(occupied[-1]) + 1))
-    if not len(series):
-        out = _fft_rows(values, h, edge, scale, fft_times, supports)
-    else:
+    # values beyond 2^+-512 go through the routes over the power of two at
+    # their largest magnitude, and the outputs come back times it: exact,
+    # and then no route overflows on finite values (below 2^512 none can)
+    box = values[tuple(slice(lo, hi) for lo, hi in supports)]
+    e = math.frexp(max(float(box.max()), -float(box.min())))[1]
+    shift = e if abs(e) > 512 else 0
+    if shift:
+        values = np.ldexp(values, -shift)
+    s = supports[0][1] - supports[0][0]
+    # per time, never per batch: (2w + s) s <= _STENCIL_WORK, for integers w
+    near = plan.widths <= ((_STENCIL_WORK // s - s) // 2 if n == 1 else -1)
+    if near.any() or plan.series:
         out = np.empty((times.size,) + values.shape)
-        if len(fft):
-            out[fft] = _fft_rows(values, h, edge, scale, fft_times, supports)
-        for i, row in zip(series, _series_rows(values, table, decays, supports)):
-            out[i] = row
+        if near.any():
+            _stencil_rows(values, plan, np.flatnonzero(near), *supports[0], out)
+        if not near.all():
+            far = np.flatnonzero(~near) if near.any() else slice(None)
+            out[plan.short[far]] = _fft_rows(values, plan, far, supports)
+        _series_rows(values, plan, supports, out)
+    else:  # FFT rows only: their array is the result, without a copy
+        out = _fft_rows(values, plan, slice(None), supports)
+    if shift:
+        with np.errstate(over="ignore"):  # an output beyond the float range raises below
+            np.ldexp(out, shift, out=out)
+    # no output exceeds the largest c1^{n/2} times the sum of |values|
+    if plan.peak + box.size.bit_length() + e > 1022 and not np.all(np.isfinite(out)):
+        raise ValueError("heat_apply's output exceeds the float range")
     return out if times.ndim else out[0]
 
 
-def _fft_rows(values, h, edge, scale, fft_times, supports):
-    """W_t values for the times of the FFT rows, shape (T_fft,) +
-    values.shape: per lattice axis, the edge scaling, a convolution on
-    the circle that the support [lo, hi) allows, and the scaling again."""
-    L, n = edge.shape[1], values.ndim - 1
-    column = (len(scale), -1) + (1,) * n  # broadcast along the lattice axis 1
-    edge = edge.reshape(column)
+def _stencil_rows(values, plan, rows, lo, hi, out):
+    """Write W_t values on a line (n = 1) for the short times `rows` of
+    the plan into their rows of `out`, shape (T,) + values.shape: per
+    time, the edge scaling of the support [lo, hi), one convolution with
+    the truncated stencil per component, kept on [lo - w, hi + w) within
+    the lattice, the edge scaling times c1^{1/2} there, and zeros
+    elsewhere."""
+    out[plan.short[rows]] = 0.0
+    v = values[lo:hi] * plan.edge[rows, lo:hi, None]
+    for r, i in enumerate(rows.tolist()):
+        stencil, w = plan.stencils[i], len(plan.stencils[i]) // 2
+        a, b = max(lo - w, 0), min(hi + w, len(values))
+        for c in range(values.shape[1]):
+            np.multiply(np.convolve(v[r, :, c], stencil)[a - lo + w:b - lo + w],
+                        plan.weights[i, a:b], out=out[plan.short[i], a:b, c])
+
+
+def _fft_rows(values, plan, rows, supports):
+    """W_t values for the short times `rows` (an index array or a slice of
+    the plan's), shape (T_rows,) + values.shape: per lattice axis, the
+    edge scaling, a convolution on the circle that the support [lo, hi)
+    allows, and the scaling again."""
+    L, n = plan.edge.shape[1], values.ndim - 1
+    column = (plan.scale[rows].size, -1) + (1,) * n  # broadcast along the lattice axis 1
+    edge = plan.edge[rows].reshape(column)
     out = values[None]
     for j, (lo, hi) in enumerate(supports, start=1):
         size = _fft_length(2 * max(hi - 1, L - 1 - lo) + 1)
-        gauss = _gauss_spectrum(h, L, fft_times, size).reshape(column)
+        gauss = plan.spectrum(size)[rows].reshape(column)
         v = out.swapaxes(j, 1) * edge
         spec = np.fft.rfft(v, size, axis=1)
         del v
@@ -587,29 +641,30 @@ def _fft_rows(values, h, edge, scale, fft_times, supports):
         del spec
         out = (conv[:, :L] * edge).swapaxes(1, j)
         del conv
-    return scale.reshape((-1,) + (1,) * (n + 1)) * out
+    return plan.scale[rows].reshape((-1,) + (1,) * (n + 1)) * out
 
 
-def _series_rows(values, table, decays, supports):
-    """Yield W_t values for each series row, shape values.shape: per
-    lattice axis, the Hermite coefficients of the values over their
-    support [lo, hi), row k times e^{-(2k+1)t} for k <= K(t), and the
-    synthesis on the whole axis, each one matmul over every other axis at
-    once.  The first axis's coefficients are one projection onto every
-    row of `table`, shared by the times; the rest is one chain of
-    K(t) + 1 row matmuls per time.  No matmul's shape depends on the
-    other times of the call, so a row gives the same bits alone and in a
-    batch (BLAS sums a row differently with the number of rows beside it)."""
+def _series_rows(values, plan, supports, out):
+    """Write W_t values for each series time of the plan into `out`, shape
+    (T,) + values.shape: per lattice axis, the Hermite coefficients of the
+    values over their support [lo, hi), row k times e^{-(2k+1)t} for
+    k <= K(t), and the synthesis on the whole axis, each one matmul over
+    every other axis at once.  The first axis's coefficients are one
+    projection onto every row of the plan's table, shared by the times;
+    the rest is one chain of K(t) + 1 row matmuls per time.  No matmul's
+    shape depends on the other times of the call, so a row gives the same
+    bits alone and in a batch (BLAS sums a row differently with the
+    number of rows beside it)."""
     lo, hi = supports[0]
-    first = table[:, lo:hi] @ values[lo:hi].reshape(hi - lo, -1)
-    for decay in decays:
-        rows, decay = table[:len(decay)], decay[:, None]
-        out = (rows.T @ (decay * first[:len(rows)])).reshape(values.shape)
+    first = plan.table[:, lo:hi] @ values[lo:hi].reshape(hi - lo, -1) if plan.series else None
+    for i, decay in zip(plan.series, plan.decays):
+        rows, decay = plan.table[:len(decay)], decay[:, None]
+        row = (rows.T @ (decay * first[:len(rows)])).reshape(values.shape)
         for j, (lo, hi) in enumerate(supports[1:], start=1):
-            moved = out.swapaxes(0, j)
+            moved = row.swapaxes(0, j)
             coefficients = rows[:, lo:hi] @ moved[lo:hi].reshape(hi - lo, -1)
-            out = (rows.T @ (decay * coefficients)).reshape(moved.shape).swapaxes(0, j)
-        yield out
+            row = (rows.T @ (decay * coefficients)).reshape(moved.shape).swapaxes(0, j)
+        out[i] = row
 
 
 def heat_kernel_one(x, t, n: int = 1):

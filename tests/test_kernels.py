@@ -417,18 +417,19 @@ def test_lattice_plan_miss_gives_the_bits_of_a_hit(grid, d, t):
 
 
 def test_lattice_plan_arrays_are_read_only():
-    # the plan holds the edge scalings and c1^{n/2}; the Gaussians' real spectra
-    # are cached apart, one per circle length: 1280, 1536, 2048 and 2560
-    # points cover every support on 1201 points
-    L, times = HARDY_GRID.axis.size, HEAT_TIMES.tobytes()
-    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), times, 1)
-    assert len(plan) == 2
-    spectra = [kernels._gauss_spectrum(kernels._axis_step(HARDY_GRID.axis), L, times, size)
-               for size in (1280, 1536, 2048, 2560)]
+    # one plan holds the edge scalings, c1^{n/2}, the series decays and
+    # table, the Gaussians and their stencils, and their real spectra, one per circle
+    # length: 1280, 1536, 2048 and 2560 points cover every support on 1201
+    # points; a spectrum is built on first use and then handed out again
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), HEAT_TIMES.tobytes(), 1)
+    spectra = [plan.spectrum(size) for size in (1280, 1536, 2048, 2560)]
     for spectrum, size in zip(spectra, (1280, 1536, 2048, 2560)):
         assert spectrum.dtype == np.float64
-        assert spectrum.shape == (HEAT_TIMES.size, size // 2 + 1)
-    for a in list(plan) + spectra:
+        assert spectrum.shape == (len(plan.short), size // 2 + 1)
+        assert plan.spectrum(size) is spectrum
+    arrays = [plan.edge, plan.scale, plan.weights, plan.gauss, plan.table, *plan.decays,
+              *plan.stencils, *spectra]
+    for a in arrays:
         assert isinstance(a, np.ndarray)
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -513,16 +514,17 @@ def test_heat_apply_narrow_on_one_axis_only():
     assert np.max(np.abs(fast.reshape(dense.shape) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-def test_atoms_convolve_on_circles_shorter_than_the_lattice_needs():
-    # an atom's support is about 50 of the 1201 points, so its circle has
-    # 1280, 1536 or 2048 points, where 2L - 1 = 2401 padded to 2430 before
+def test_atoms_take_no_fft_and_a_dense_input_keeps_its_circle():
+    # an atom's support is at most about 50 of the 1201 points, so every
+    # short time of HEAT_TIMES takes the stencil, (2w + s) s <= 2e5 for
+    # w <= 404 lags; a dense input convolves on 2560 points
     from hermlp.spaces import make_random_atom
 
     rng = np.random.default_rng(47)
     for kind in ("cancel", "local") * 8:
         w = HARDY_GRID.weights[:, None] * make_random_atom(rng, HARDY_GRID, kind).samples
         lengths, _ = _circle_lengths(lambda: heat_apply(w, HARDY_GRID.axis, HEAT_TIMES))
-        assert lengths[0] in (1280, 1536, 2048)
+        assert lengths == []
     ones = np.ones((HARDY_GRID.size, 1))
     assert _circle_lengths(lambda: heat_apply(ones, HARDY_GRID.axis, HEAT_TIMES))[0] == [2560]
 
@@ -591,8 +593,8 @@ HARDY_TIMES = np.geomspace(1e-3, 20.0, 16)  # the nodes of TimeGrid(1e-3, 20, 16
 
 def _split(grid, times):
     """(series row indices, their orders K) of heat_apply at these times."""
-    split = kernels._heat_split(grid.axis.tobytes(), np.asarray(times, float).tobytes(), grid.n)
-    return split[2].tolist(), [len(decay) - 1 for decay in split[3]]
+    plan = kernels._lattice_plan(grid.axis.tobytes(), np.asarray(times, float).tobytes(), grid.n)
+    return plan.series, [len(decay) - 1 for decay in plan.decays]
 
 
 def test_the_hardy_times_split_between_the_routes():
@@ -671,7 +673,7 @@ def test_series_rows_take_no_fft():
     assert lengths == [2560]
 
 
-def test_axis_checks_run_once_per_axis_and_keep_their_order():
+def test_axis_checks_run_once_per_plan_and_keep_their_order():
     axis = np.linspace(-1.0, 1.0, 7)
     bent = axis.copy()
     bent[3] += 0.01
@@ -685,17 +687,136 @@ def test_axis_checks_run_once_per_axis_and_keep_their_order():
     with pytest.raises(ValueError, match="too small"):
         heat_apply(np.ones((7, 1)), axis, 1e-320)
     # no plan is kept for a bad axis
-    kernels._lattice_axis.cache_clear()
+    kernels._lattice_plan.cache_clear()
     for bad in (bent, np.where(axis > 0.5, math.inf, axis)):
         with pytest.raises(ValueError):
             heat_apply(np.ones((7, 1)), bad, 1.0)
-    assert kernels._lattice_axis.cache_info().currsize == 0
-    # a good axis is checked once, however many calls and time lists
-    kernels._lattice_axis.cache_clear()
-    for t in (0.1, 1.0, [0.5, 2.0]):
+    assert kernels._lattice_plan.cache_info().currsize == 0
+    # a good axis is checked once per plan, however many calls use it
+    kernels._lattice_plan.cache_clear()
+    for t in (0.1, 1.0, [0.5, 2.0]) * 2:
         heat_apply(np.ones((7, 1)), axis, t)
-    info = kernels._lattice_axis.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    info = kernels._lattice_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+
+# ------------------------------------------- heat_apply's Gaussian stencil rows
+HARDY_SHORT = HARDY_TIMES[:10]  # t = 1e-3 ... 0.37: the hardy times short of the series
+
+
+def test_hardy_stencils_reach_the_last_lag_above_1e_17():
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), HARDY_TIMES.tobytes(), 1)
+    assert plan.short.tolist() == list(range(10))
+    assert plan.widths.tolist() == [19, 27, 38, 53, 74, 103, 143, 200, 281, 404]
+    h = HARDY_GRID.h
+    for t, w, stencil in zip(HARDY_SHORT, plan.widths, plan.stencils):
+        _, _, c1 = kernels._mehler(t)
+        assert stencil.shape == (2 * w + 1,)
+        assert np.array_equal(stencil, stencil[::-1])
+        assert stencil[w] == 1.0
+        assert stencil[0] >= 1e-17 > math.exp(-math.pi * c1 * (h * (w + 1)) ** 2)
+    # about 21 KB for the 10 stencils
+    assert sum(s.nbytes for s in plan.stencils) == 8 * (2 * sum(plan.widths.tolist()) + 10)
+
+
+@pytest.mark.parametrize("size", [1, 8, 50])
+@pytest.mark.parametrize("where", ["left", "centre", "right"])
+def test_stencil_rows_match_the_dense_kernel(size, where):
+    grid, L, P = HARDY_GRID, HARDY_GRID.axis.size, HARDY_GRID.points
+    lo = {"left": 0, "centre": L // 2 - size // 2, "right": L - size}[where]
+    values = np.zeros((L, 2))
+    values[lo:lo + size] = np.random.default_rng(61).normal(size=(size, 2))
+    lengths, fast = _circle_lengths(lambda: heat_apply(values, grid.axis, HARDY_SHORT))
+    assert lengths == []  # every one of these times took the stencil
+    for t, row in zip(HARDY_SHORT, fast):
+        err = np.max(np.abs(row - heat_kernel(P[:, None], P[None, :], t) @ values))
+        assert err <= 1e-13 * _gaussian_scale(grid, values, t), (t, where)
+
+
+@pytest.mark.parametrize("axis", [np.array([0.3]), np.array([-0.2, 0.5]),
+                                  np.linspace(4.0, -4.0, 161)], ids=["L1", "L2", "descending"])
+def test_short_lattices_and_descending_axes_keep_their_values(axis):
+    # one point (step 0: no lag beyond 0), two points, and a negative step
+    values = np.random.default_rng(67).normal(size=(axis.size, 2))
+    times = np.array([1e-3, 0.05, 0.37, 2.0, 20.0])
+    got = heat_apply(values, axis, times)
+    dense = heat_kernel(axis[:, None], axis[None, :], times[:, None, None]) @ values
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    if axis.size > 2:  # the same lattice read the other way round
+        ascending = heat_apply(values[::-1], axis[::-1], times)[:, ::-1]
+        assert np.max(np.abs(got - ascending)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_a_stencil_row_keeps_its_bits_beside_fft_and_series_rows():
+    # 200 points of support: the 9 shortest hardy times take the stencil,
+    # (2w + s) s <= 2e5, t = 0.37 (w = 404) the FFT and the 6 longest the
+    # series; each row is its scalar call bit for bit
+    values = np.zeros((HARDY_GRID.size, 1))
+    values[500:700] = np.random.default_rng(71).normal(size=(200, 1))
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), HARDY_TIMES.tobytes(), 1)
+    near = (2 * plan.widths + 200) * 200 <= kernels._STENCIL_WORK
+    assert near.tolist() == [True] * 9 + [False]
+    lengths, batch = _circle_lengths(lambda: heat_apply(values, HARDY_GRID.axis, HARDY_TIMES))
+    assert lengths == [1536]
+    for t, row in zip(HARDY_TIMES, batch):
+        assert np.array_equal(heat_apply(values, HARDY_GRID.axis, t), row), t
+    # a dense input sends every short time to the FFT, whatever its batch
+    ones = np.ones((HARDY_GRID.size, 1))
+    assert np.array_equal(heat_apply(ones, HARDY_GRID.axis, HARDY_TIMES)[9],
+                          heat_apply(ones, HARDY_GRID.axis, HARDY_TIMES[9]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.floats(0.005, 0.3), st.floats(-0.5, 0.5), st.data(),
+       st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=4))
+def test_heat_apply_matches_the_dense_kernel_on_random_axes(L, h, offset, data, times):
+    # random uniform axes, supports and short times: stencil, FFT and
+    # series rows alike are the dense matrix within 1e-13 of the bound
+    axis = offset + h * (np.arange(L) - (L - 1) / 2)
+    lo = data.draw(st.integers(0, L - 1))
+    hi = data.draw(st.integers(lo + 1, L))
+    values = np.zeros((L, 1))
+    values[lo:hi, 0] = np.random.default_rng(lo * 401 + hi).normal(size=hi - lo)
+    got = heat_apply(values, axis, np.array(times))
+    for t, row in zip(times, got):
+        dense = heat_kernel(axis[:, None], axis[None, :], t) @ values
+        _, B, c1 = kernels._mehler(t)
+        bound = math.sqrt(c1) * np.sum(np.exp(-0.5 * B * axis[:, None] ** 2) * np.abs(values))
+        assert np.max(np.abs(row - dense)) <= 1e-13 * bound, t
+
+
+# ---------------------------------------------------- heat_apply's float range
+@pytest.mark.parametrize("times, support", [
+    (HARDY_SHORT, slice(580, 620)),   # stencil rows
+    (HARDY_SHORT, slice(0, 1201)),    # FFT rows
+    (HARDY_TIMES[10:], slice(0, 1201)),  # series rows
+])
+def test_heat_apply_scales_by_powers_of_two_bit_for_bit(times, support):
+    values = np.zeros((HARDY_GRID.size, 2))
+    values[support] = np.random.default_rng(73).normal(size=values[support].shape)
+    plain = heat_apply(values, HARDY_GRID.axis, times)
+    assert np.array_equal(heat_apply(2.0 ** 1000 * values, HARDY_GRID.axis, times),
+                          2.0 ** 1000 * plain)
+    assert np.array_equal(heat_apply(2.0 ** -1000 * values, HARDY_GRID.axis, times),
+                          2.0 ** -1000 * plain)
+
+
+def test_heat_apply_is_finite_up_to_the_float_range():
+    # the FFT's spectrum product overflowed from about 1e304, the series
+    # from 1e307; the outputs are about 50 times the values here
+    axis, ones = HARDY_GRID.axis, np.ones((HARDY_GRID.size, 1))
+    times = np.array([0.01, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = heat_apply(ones, axis, times)
+        for c in (1e304, 1e305, 3e306):
+            big = heat_apply(np.full((HARDY_GRID.size, 1), c), axis, times)
+            assert np.all(np.isfinite(big))
+            assert np.max(np.abs(big - c * unit)) <= 1e-15 * c * np.max(unit)
+        # outputs beyond the float range, from the FFT and from the series
+        for t in (0.01, 2.0):
+            with pytest.raises(ValueError, match="float range"):
+                heat_apply(np.full((HARDY_GRID.size, 1), 1.7e308), axis, t)
 
 
 # ------------------------------------------------- times on one shared grid

@@ -540,6 +540,15 @@ def test_sampled_h1_builds_one_lattice_plan_for_a_grid_and_times():
     assert (info.misses, info.hits) == (1, 63)
 
 
+def test_sampled_h1_of_huge_constants_scales_with_the_constant():
+    # the constant 1e305 read inf and 1e306 NaN, where heat_apply overflowed
+    grid = HARDY_ATOMS[0].grid
+    one = h1_norm(np.ones(grid.size), B1, grid, HARDY_TIMES)
+    for c in (1e305, 1e306):
+        got = h1_norm(np.full(grid.size, c), B1, grid, HARDY_TIMES)
+        assert got == pytest.approx(c * one, rel=1e-15, abs=0.0)
+
+
 def test_sampled_h1_is_the_same_with_a_cleared_lattice_plan_cache():
     from hermlp import kernels
 
