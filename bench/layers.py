@@ -10,7 +10,8 @@ GROUP is one of
             earlier call used), and `kernels.heat_apply` itself on an atom
             and on a dense input;
   verify    the verification layers that subordinated kernels, Hermite
-            tables and the CLI parser dominate;
+            tables and the CLI's argv parsing dominate, and one argv of
+            each shape the `verify` benchmark workload runs;
   spectral  the spectral semigroup layer: spectral `h1_norm`,
             `maximal_norm` and `composed_maximal`;
   basis     the readers of the expansion's coefficient arrays: `analyze`,
@@ -57,6 +58,7 @@ import platform
 import subprocess
 import sys
 import time
+import zlib
 
 ROUNDS = 100
 BOOTSTRAP = 2000
@@ -69,6 +71,13 @@ ENVELOPE_KINDS = ("heat", "poisson", "g", "gH", "ladder", "gradient")
 POINT_ARGV = ["kernel", "poisson", "--x", "0.5", "--y", "-0.25", "--t", "1.3",
               "--alpha", "2"]
 INNERS = {"g": "g", "ladder": ("ladder", 1, +1), "riesz": ("riesz", 1, -1)}
+# one argv of each shape the `verify` workload runs through the CLI, spelled as it spells them
+POINT = ["--x=0.5", "--y=-0.25", "--t=1.3"]
+ARGV_MIX = [["kernel", "heat", *POINT], ["kernel", "poisson", *POINT, "--alpha", "2.0"],
+            ["kernel", "g", *POINT, "--alpha", "1.0"],
+            ["kernel", "ladder", *POINT, "--j", "1", "--sign", "-"],
+            ["verify", "eigen", "--K", "20"], ["verify", "identities", "--K", "7", "--seed", "3"],
+            ["spaces", "h1", "--k", "3"]]
 
 
 def cold(h, grid, fresh):
@@ -172,6 +181,10 @@ def verify_calls(h):
     def envelopes():
         return sum(float(row.split(",")[1]) for row in stdout(["verify", "envelopes"])[1:])
 
+    def argv_mix():
+        text = "".join("\n".join(stdout(argv + ["--format", "json"])) for argv in ARGV_MIX)
+        return zlib.crc32(text.encode())
+
     out.update({
         "envelopes_all": envelopes,
         "kernel_vs_spectral": lambda: verify.check_kernel_vs_spectral(
@@ -179,6 +192,7 @@ def verify_calls(h):
         "eigen_ladder_K20": lambda: verify.check_eigen_ladder(20).computed,
         "eigen_ladder_K60": lambda: verify.check_eigen_ladder(60).computed,
         "cli_point_query": point,
+        "cli_argv_mix": argv_mix,
         "g_of_one": lambda: float(np.sum(kernels.g_of_one(xs, ts, op))),
     })
     return out
@@ -345,7 +359,7 @@ GROUPS = {
         },
     ),
     "verify": (
-        "verification suites: subordinated kernels, Hermite tables, CLI parsing",
+        "verification suites: subordinated kernels, Hermite tables, CLI argv parsing",
         verify_calls,
         {
             **{f"envelope_{kind}": f"kernel_bound_ratio({kind!r}, linspace(-4, 4, 65), "
@@ -356,6 +370,10 @@ GROUPS = {
             "eigen_ladder_K20": "check_eigen_ladder(20)",
             "eigen_ladder_K60": "check_eigen_ladder(60)",
             "cli_point_query": "cli.main(" + repr(POINT_ARGV) + ") in process, stdout captured",
+            "cli_argv_mix": "cli.main(argv + ['--format', 'json']) in process, stdout "
+                            "captured, for each of " + repr(ARGV_MIX) + "; the value is the "
+                            "CRC-32 of the seven outputs, so a changed byte shows as a nonzero "
+                            "rel_diff",
             "g_of_one": "g_of_one(linspace(-4, 4, 65), geomspace(0.1, 2, 6), ShiftedOperator(2, 1)): "
                         "the envelope lattice's 33 distinct |x|^2; the value is the sum of the "
                         "6 x 65 entries",

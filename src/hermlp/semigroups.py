@@ -146,8 +146,11 @@ def apply_semigroup(
         raise ValueError("time must be nonnegative")
     modes, C, _, rate, _ = _spectral_table(e, alpha, kind)
     # math.exp per mode: numpy's vectorized exp can differ from it in the
-    # last bit, and `hermlp semigroup` prints this factor to 17 digits
-    factor = np.array([math.exp(-t * r) for r in rate])
+    # last bit, and `hermlp semigroup` prints this factor to 17 digits.  The
+    # product is taken in Python floats: a numpy scalar warns where it
+    # overflows (t = 1e308), and the factor is 0.0 either way
+    t = float(t)
+    factor = np.array([math.exp(-t * r) for r in rate.tolist()])
     return HermiteExpansion.from_arrays(e.n, e.d, modes, factor[:, None] * C, e.K)
 
 

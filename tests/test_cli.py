@@ -6,9 +6,13 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hermlp import cli
 
@@ -203,6 +207,14 @@ def test_out_file(tmp_path):
     assert path.read_text().splitlines()[1] == "1,0.5"
 
 
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path):
+    # the write came after main's handlers: a FileNotFoundError traceback,
+    # exit 1 like a failed check
+    r = run_main("spaces", "rho", "--x", "1", "--out", str(tmp_path / "missing" / "report.csv"))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_help_lists_subcommands():
     r = run_cli("--help")
     assert r.returncode == 0
@@ -270,8 +282,9 @@ def test_verify_json_is_byte_identical_in_process(capsys):
 
 
 def test_cached_parser_keeps_calls_independent(capsys):
-    # the parser is built once per process; back-to-back calls with other
-    # subcommands and options print what calls on a fresh parser print
+    # one command table serves every call in a process; back-to-back calls
+    # with other subcommands and options print what the same calls print
+    # in the reverse order, and parsing leaves the table as it was
     from hermlp import cli
 
     calls = [
@@ -286,13 +299,11 @@ def test_cached_parser_keeps_calls_independent(capsys):
         code = cli.main(argv)
         return code, capsys.readouterr().out
 
+    table = repr(cli.COMMANDS)
     cached = [run(argv) for argv in calls]
-    assert cli.build_parser() is cli.build_parser()
-    fresh = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(run(argv))
+    fresh = [run(argv) for argv in reversed(calls)][::-1]
     assert cached == fresh
+    assert repr(cli.COMMANDS) == table
     assert "K=60" in cached[0][1] and cached[0][1].lstrip().startswith("[")
     assert "K=20" in cached[1][1] and cached[1][1].startswith("name,")
     assert cached[2][1] != cached[3][1]
@@ -307,11 +318,7 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
         raise RuntimeError("kaput")
 
     monkeypatch.setattr(cli, "cmd_spaces", boom)
-    cli.build_parser.cache_clear()  # the cached parser holds the handlers
-    try:
-        assert cli.main(["spaces", "rho", "--x", "3"]) == 3
-    finally:
-        cli.build_parser.cache_clear()
+    assert cli.main(["spaces", "rho", "--x", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: kaput\n"
@@ -369,12 +376,8 @@ def test_every_config_field_can_be_overridden(monkeypatch, name):
     command = next(c for c, (_, fields) in READS.items() if name in fields)
     default = getattr(cli.RunConfig(), name)
     monkeypatch.setattr(cli, f"cmd_{command}", record)
-    cli.build_parser.cache_clear()  # the cached parser holds the handlers
-    try:
-        argv = [command] + READS[command][0] + [f"--{name}", OVERRIDES[name]]
-        assert cli.main(argv) == 0
-    finally:
-        cli.build_parser.cache_clear()
+    argv = [command] + READS[command][0] + [f"--{name}", OVERRIDES[name]]
+    assert cli.main(argv) == 0
     (cfg,) = seen
     value = getattr(cfg, name)
     assert value == type(default)(OVERRIDES[name]) != default
@@ -399,15 +402,11 @@ def test_an_unread_config_field_is_not_a_flag(command, name):
 def test_each_mode_takes_only_the_field_flags_it_reads(monkeypatch):
     for command in MODES:
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args, cfg: ([], 0))
-    cli.build_parser.cache_clear()  # the cached parser holds the handlers
-    try:
-        for command, (tail, modes) in MODES.items():
-            for mode, fields in modes.items():
-                for name in READS[command][1]:
-                    r = run_main(command, mode, *tail, f"--{name}", OVERRIDES[name])
-                    assert r.returncode == (0 if name in fields else 2), (command, mode, name)
-    finally:
-        cli.build_parser.cache_clear()
+    for command, (tail, modes) in MODES.items():
+        for mode, fields in modes.items():
+            for name in READS[command][1]:
+                r = run_main(command, mode, *tail, f"--{name}", OVERRIDES[name])
+                assert r.returncode == (0 if name in fields else 2), (command, mode, name)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -494,3 +493,134 @@ def test_gamma_with_a_fractional_sample_count_in_the_config_exits_2(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: M=1000.5 must be an integer\n"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("row", GOLDEN["rows"],
+                         ids=lambda row: " ".join(row["argv"]) or "(no arguments)")
+def test_output_matches_the_golden_table(row, tmp_path):
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    r = run_main(*(arg.replace("{tmp}", str(tmp_path)) for arg in row["argv"]))
+    assert (r.returncode, r.stdout) == (row["code"], row["stdout"])
+
+
+def joined(argv):
+    """argv with each `--flag value` pair written as `--flag=value`."""
+    out, i = [], 0
+    while i < len(argv):
+        flag = argv[i].startswith("--") and i + 1 < len(argv)
+        out.append(f"{argv[i]}={argv[i + 1]}" if flag else argv[i])
+        i += 2 if flag else 1
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "g", "--x", "0", "--t", "1", "--alpha", "-1e-3"),
+    ("kernel", "heat", "--x", "0.5", "--y", "-2e-1", "--t", "1"),
+    ("kernel", "heat", "--n", "2", "--x", "-1,2", "--y", "0,0", "--t", "1"),
+    ("gamma", "--b", "-1,2", "--M", "10"),
+    ("basis", "--k", "1", "--x", "-1;2"),
+])
+def test_a_negative_value_after_a_flag_is_its_value(argv):
+    # each exited 2 with "expected one argument": argparse took a negative
+    # value other than -5 or -.5 for a flag
+    r = run_main(*argv)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == run_main(*joined(argv)).stdout
+
+
+def test_ladder_sign_minus_and_the_last_of_a_repeated_flag():
+    from hermlp.kernels import ladder_kernel
+
+    point = ("kernel", "ladder", "--x", "0.5", "--y", "0", "--t", "1")
+    minus = run_main(*point, "--sign", "-")
+    assert minus.returncode == 0
+    assert float(minus.stdout.splitlines()[1].split(",")[-1]) == ladder_kernel(0.5, 0.0, 1.0, 1, -1)
+    assert minus.stdout != run_main(*point, "--sign", "+").stdout
+    assert run_main(*point, "--sign=-").stdout == minus.stdout
+    assert run_main(*point, "--sign", "+", "--sign", "-").stdout == minus.stdout
+    assert run_main("kernel", "ladder", "--x", "3", *point[2:], "--sign=+", "--sign", "-",
+                    "--t", "2", "--t=1").stdout == minus.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("explode",), "argument command: invalid choice: 'explode'"),
+    (("--format", "json", "verify", "eigen"), "argument command: invalid choice: '--format'"),
+    (("kernel", "--x", "0", "--t", "1"), "the following arguments are required: mode"),
+    (("kernel", "heat", "--t", "1"), "the following arguments are required: --x"),
+    (("kernel", "heat", "--x", "0", "--t", "abc"), "argument --t: invalid float value: 'abc'"),
+    (("verify", "eigen", "--K", "2.5"), "argument --K: invalid int value: '2.5'"),
+    (("kernel", "heat", "--x", "0", "--t", "1", "--format", "xml"),
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (("kernel", "heat", "--x", "0", "--t"), "argument --t: expected one argument"),
+    (("kernel", "heat", "--x", "0", "--t", "1", "--form", "json"),
+     "unrecognized arguments: --form json"),
+    (("semigroup", "--k", "0", "--d", "3", "-4", "--t", "1"), "unrecognized arguments: --d 3 -4"),
+    (("spaces", "rho", "extra", "--x", "1"), "unrecognized arguments: extra"),
+])
+def test_a_usage_error_prints_the_usage_line_and_exits_2(argv, message):
+    r = run_main(*argv)
+    usage, error = r.stderr.splitlines()
+    assert (r.returncode, r.stdout) == (2, "")
+    assert usage.startswith("usage: hermlp")
+    assert error.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("-h", "kernel"), ("kernel", "-h"), ("kernel", "heat", "--x=-1", "--help"),
+    ("verify", "--bogus", "1", "-h"), ("gamma", "--b", "1", "--help", "--b"),
+])
+def test_help_goes_to_stdout_and_exits_0(argv):
+    r = run_main(*argv)
+    assert (r.returncode, r.stderr) == (0, "")
+    command = argv[0] if argv[0] in cli.COMMANDS else ""
+    assert r.stdout.startswith(f"usage: hermlp {command}".rstrip())
+
+
+def test_importing_the_cli_loads_no_argparse():
+    code = "import sys, hermlp.cli; print('argparse' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
+def json_real_by_round_trip(v):
+    """The JSON value of a real as the emitter used to take it: its 17
+    significant digits read back by json.loads."""
+    text = f"{float(v):.17g}"
+    return json.loads(text) if math.isfinite(v) else text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(2.0 ** 53)
+@example(1e16)
+@example(-1e16)
+@example(1e17)
+@example(99999999999999984.0)  # the largest double below 1e17
+@example(5e-324)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+def test_json_reals_print_the_bytes_of_the_round_trip(v):
+    for real in (v, np.float64(v)):
+        want = json.dumps([{"v": json_real_by_round_trip(real)}], indent=2) + "\n"
+        assert cli._emit([{"v": real}], "json") == want
+
+
+def test_non_finite_json_reals_are_strings():
+    rows = [{"a": math.inf, "b": -math.inf, "c": math.nan}]
+    assert json.loads(cli._emit(rows, "json")) == [{"a": "inf", "b": "-inf", "c": "nan"}]
+
+
+def test_semigroup_at_a_huge_time_runs_without_a_warning():
+    # exited 0 but printed "RuntimeWarning: overflow encountered in scalar
+    # multiply"; as an error the warning made it exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run_main("semigroup", "--kind", "heat", "--k", "1", "--t", "1e308")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "kind,k,t,alpha,factor\nheat,1,1e+308,0,0\n"

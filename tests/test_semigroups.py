@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ def test_semigroup_law():
         direct = apply_semigroup(e, kind, 1.2)
         for k in e.coeffs:
             assert once.coeffs[k][0] == pytest.approx(direct.coeffs[k][0], rel=1e-13)
+
+
+def test_semigroup_factor_at_a_huge_time_is_zero_without_a_warning():
+    # -t * r was a numpy scalar product, which warned where it overflowed;
+    # the factor is 0.0 either way, and every finite product keeps its bits
+    e = expansion([(0, 1.0), (1, 2.0), (7, -0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("heat", "poisson"):
+            for t in (1e308, np.float64(1e308), np.finfo(float).max):
+                assert not apply_semigroup(e, kind, t).C.any()
+            for t in np.geomspace(1e-3, 1e3, 25):
+                rates = 2.0 * np.array([0.0, 1.0, 7.0]) + 1.0
+                rates = rates if kind == "heat" else np.sqrt(rates)
+                want = [math.exp(-t * r) * c for r, c in zip(rates, (1.0, 2.0, -0.5))]
+                assert apply_semigroup(e, kind, t).C[:, 0].tolist() == want
 
 
 def test_semigroup_rejects_bad_input():
