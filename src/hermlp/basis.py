@@ -10,15 +10,24 @@ recurrence
 never from the raw Hermite polynomials (2^k k! overflows long before
 k = 100).  Internally the recurrence runs on the exponentially scaled
 values h_m(x) e^{x^2/2}; the Gaussian factor is reattached once per
-point, which keeps products over coordinates away from underflow.
+point, which keeps products over coordinates away from underflow.  That
+holds while |x| <= _X_NEAR = sqrt(1416) = 37.63 (in norm, for a point of
+R^n): beyond it e^{-|x|^2/2} leaves the normal floats and the scaled
+values may overflow.  There a value of the scaled recurrence that stays
+finite is kept, bit for bit, and every other one comes from `_far_rows`,
+which keeps each row's binary exponent apart; both table paths and
+`hermite_eval` share that rule.  The finite values kept beyond _X_NEAR
+went through a subnormal or zero Gaussian: tiny, but not accurate
+relative to themselves (README gives the errors).
 
 Layouts shared by every module:
 
 - A point of R^n is a bare position when n = 1 and has its n coordinates
   on the last axis otherwise; points stack along the leading axes, so
   for n = 1 an array of any shape holds positions.  `_points` checks
-  this layout and finiteness, `_point` also requires one point, and
-  `_coordinate` reads coordinate j; each names the argument it rejects.
+  this layout and finiteness and `_point` also requires one point, each
+  naming the argument it rejects; `_coordinate` reads coordinate j, and
+  `_ladder` checks the (j, sign) of a ladder operator for every module.
 - Samples on a `SpatialGrid` follow `grid.points`: shape (grid.size,)
   for one component or (grid.size, d) for d (`spaces._grid_samples`).
   `analyze` alone takes the tensor layout grid.shape (+ (d,)).
@@ -80,6 +89,11 @@ def _integer(value, name: str, least: int) -> int:
     if value < least:
         raise ValueError(f"{name}={value} must be >= {least}")
     return value
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -159,9 +173,19 @@ def default_grid(n: int = 1, K: int | None = None) -> SpatialGrid:
     return SpatialGrid(math.ceil(_resolution(K, n)[1] / h) * h, h, n)
 
 
+# the scaled recurrence holds where |x| <= _X_NEAR: e^{-x^2/2} >= e^{-708}
+# is a normal float, and |h_m(x) e^{x^2/2}| <= pi^{-1/4} e^{708} is well
+# inside the float range (|h_m| <= pi^{-1/4}, Indritz).  `_far_rows` mends
+# the points beyond it, and clamps them to _X_FAR, where every row of
+# degree below 10^10 underflows to a zero of the sign of h_m(x)
+_X_NEAR = math.sqrt(1416.0)
+_X_FAR = 2.0 ** 20
+_LN2 = math.log(2.0)
+
+
 def _scaled_rows(kmax: int, x):
     """Yield h_m(x) e^{x^2/2} for m = 0..kmax by the normalized recurrence,
-    at a float array or numpy float x."""
+    at a float array or numpy float x; finite within _X_NEAR."""
     prev = math.pi ** -0.25 * np.ones_like(x)
     yield prev
     if kmax == 0:
@@ -173,6 +197,34 @@ def _scaled_rows(kmax: int, x):
         b = math.sqrt(i / (i + 1.0))
         prev, cur = cur, a * x * cur - b * prev
         yield cur
+
+
+def _far_rows(kmax: int, x):
+    """Yield h_m(x) for m = 0..kmax at a float array or numpy float x of any
+    finite points, those beyond _X_NEAR included.  The recurrence runs on
+    mantissas: after every row, np.frexp moves the binary exponent of
+    h_m(x) e^{x^2/2} into an integer per point, and the row before is
+    scaled by the same power of two, which is exact.  The Gaussian is
+    G 2^{-F}, with the integer F nearest x^2/(2 ln 2) and G =
+    e^{F ln 2 - x^2/2} in [2^-1/2, 2^1/2], both chosen once per point, so
+    a row is ldexp(mantissa G, exponent - F): no factor leaves the float
+    range, and ldexp rounds a subnormal row once and keeps the sign of a
+    row that underflows."""
+    x = np.clip(x, -_X_FAR, _X_FAR)
+    u = 0.5 * x * x
+    F = np.round(u / _LN2)
+    G = np.exp(F * _LN2 - u)
+    F = F.astype(np.int64)
+    E = np.zeros_like(F)
+    prev, cur = np.zeros_like(x), math.pi ** -0.25 * np.ones_like(x)
+    yield np.ldexp(cur * G, -F)
+    for i in range(kmax):
+        a = math.sqrt(2.0 / (i + 1))
+        b = math.sqrt(i / (i + 1.0))
+        prev, (cur, e) = cur, np.frexp(a * x * cur - b * prev)
+        prev = np.ldexp(prev, -e)
+        E = E + e
+        yield np.ldexp(cur * G, E - F)
 
 
 # (axis shape, axis float64 bytes) -> read-only table of the most
@@ -187,26 +239,46 @@ def _table(kmax: int, axis) -> np.ndarray:
     """Rows m = 0..kmax of the shared read-only table of this axis (module
     docstring).  Row m does not depend on kmax, so a slice of a longer
     table is exact.  A one-point axis (a synthesis at a single point) is
-    not stored, where it would evict a lattice table: its recurrence runs
-    on numpy scalars, several times faster than on a one-entry array."""
+    not stored, where it would evict a lattice table: within _X_NEAR its
+    recurrence runs on numpy scalars, several times faster than on a
+    one-entry array."""
     axis = np.asarray(axis, dtype=float)
     if axis.size == 1:
         x = axis.reshape(-1)[0]
+        if abs(x) > _X_NEAR:
+            return _build(kmax, axis)
         rows = np.fromiter(_scaled_rows(kmax, x), float, kmax + 1)
         return (rows * np.exp(-0.5 * x * x)).reshape((kmax + 1,) + axis.shape)
     key = (axis.shape, axis.tobytes())
     with _TABLES_LOCK:
         table = _TABLES.pop(key, None)
         if table is None or len(table) <= kmax:
-            gauss = np.exp(-0.5 * axis * axis)
-            table = np.empty((kmax + 1,) + axis.shape)
-            for row, scaled in zip(table, _scaled_rows(kmax, axis)):
-                np.multiply(scaled, gauss, out=row)
-            table = _read_only(table)
+            table = _read_only(_build(kmax, axis))
         _TABLES[key] = table
         if len(_TABLES) > _TABLE_AXES:
             _TABLES.popitem(last=False)
     return table[:kmax + 1]
+
+
+def _build(kmax: int, axis: np.ndarray) -> np.ndarray:
+    """h_m on the float array axis for m = 0..kmax, shape (kmax+1,) +
+    axis.shape: the scaled recurrence times the Gaussian, with the entries
+    it leaves non-finite beyond _X_NEAR taken from `_far_rows`."""
+    table = np.empty((kmax + 1,) + axis.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss = np.exp(-0.5 * axis * axis)
+        for row, scaled in zip(table, _scaled_rows(kmax, axis)):
+            np.multiply(scaled, gauss, out=row)
+    far = np.abs(axis) > _X_NEAR
+    if far.any():
+        for row, values in zip(table, _far_rows(kmax, axis[far])):
+            row[far] = _finite_or(row[far], values)
+    return table
+
+
+def _finite_or(kept, values):
+    """kept where it is finite, values elsewhere."""
+    return np.where(np.isfinite(kept), kept, values)
 
 
 def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
@@ -240,25 +312,45 @@ def _point(x, n: int, what: str) -> np.ndarray:
 
 
 def _coordinate(x: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Coordinate j (1-based) of the checked points x of R^n; ValueError
-    when j is not in 1..n."""
-    if not 1 <= j <= n:
-        raise ValueError(f"coordinate j={j} out of range for n={n}")
+    """Coordinate j (1-based, in 1..n) of the checked points x of R^n."""
     return x if n == 1 else x[..., j - 1]
 
 
+def _ladder(j, sign, n: int) -> tuple:
+    """(j, sign) of the ladder operator d/dx_j + sign x_j on R^n, as Python
+    ints; ValueError unless sign is +1 or -1 and j is in 1..n.  Both must
+    be integers: numpy integers pass, bools and floats do not."""
+    if not (_is_integer(sign) and sign in (+1, -1)):
+        raise ValueError("sign must be +1 or -1")
+    if not (_is_integer(j) and 1 <= j <= n):
+        raise ValueError(f"coordinate j={j} out of range for n={n}")
+    return int(j), int(sign)
+
+
 def hermite_eval(k, x) -> np.ndarray:
-    """h_k(x) = prod_j h_{k_j}(x_j) at the points x of R^n, n = len(k)."""
+    """h_k(x) = prod_j h_{k_j}(x_j) at the points x of R^n, n = len(k).
+    At a point beyond _X_NEAR in norm, a value the scaled recurrence leaves
+    non-finite is the product of the last rows of `_far_rows` per
+    coordinate (module docstring)."""
     k = as_index(k)
     n = len(k)
     x = _points(x, n, "x")
     scaled, r2 = 1.0, 0.0
-    for j, kj in enumerate(k, 1):
-        xj = _coordinate(x, n, j)
-        # only the last row of the recurrence is kept: O(|x|) working memory
-        scaled = scaled * deque(_scaled_rows(kj, xj), maxlen=1).pop()
-        r2 = r2 + xj * xj
-    return scaled * np.exp(-0.5 * r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, kj in enumerate(k, 1):
+            xj = _coordinate(x, n, j)
+            # only the last row of the recurrence is kept: O(|x|) working memory
+            scaled = scaled * deque(_scaled_rows(kj, xj), maxlen=1).pop()
+            r2 = r2 + xj * xj
+        out = scaled * np.exp(-0.5 * r2)
+    far = (np.abs(x) if n == 1 else np.hypot.reduce(x, axis=-1)) > _X_NEAR
+    if far.any():
+        out = np.array(out)
+        out[far] = _finite_or(out[far], np.prod([
+            deque(_far_rows(kj, _coordinate(x[far], n, j)), maxlen=1).pop()
+            for j, kj in enumerate(k, 1)], axis=0))
+        out = out[()]
+    return out
 
 
 def hermite_ladder_eval(k, x, j: int, sign: int) -> np.ndarray:
@@ -268,10 +360,7 @@ def hermite_ladder_eval(k, x, j: int, sign: int) -> np.ndarray:
     sign=-1 gives -sqrt(2 k_j + 2) h_{k+e_j}(x).
     """
     k = as_index(k)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 1 <= j <= len(k):
-        raise ValueError(f"coordinate j={j} out of range for n={len(k)}")
+    j, sign = _ladder(j, sign, len(k))
     kj = k[j - 1]
     if sign == +1:
         if kj == 0:

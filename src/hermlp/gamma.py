@@ -56,8 +56,9 @@ class TimeGrid:
     t_min: float = 1e-4
     t_max: float = 40.0
     N: int = 512
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    # functions of (t_min, t_max, N), so they take no part in == and hash
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):

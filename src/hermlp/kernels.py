@@ -43,10 +43,6 @@ distinct pairs in its 4225 points, so a kernel there evaluates 113 *
 subordinated kernels (Poisson, g, gH on 16 times, ladder and gradient)
 are one family (`_pair_family`) on those 113 nodes, not 5 * 113, and
 `verify kernel`'s shifts 0 and 2 one family on 173 nodes, not 146 + 160.
-On a 2-core host, in one process, `hermlp verify envelopes` went from
-9.98 to 5.16 ms and `check_kernel_vs_spectral` from 5.83 to 3.78 ms (the
-least of 100 interleaved rounds, `bench/layers.py verify`,
-`BENCH_family.json`).
 `SubordinationRule` describes the grid and its node-count bound.
 
 `heat_apply` applies W_t, for one time or a 1-D array of times, to
@@ -107,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _coordinate, _integer, _points, _read_only, _table
+from .basis import _coordinate, _integer, _ladder, _points, _read_only, _table
 
 __all__ = [
     "ShiftedOperator",
@@ -331,8 +327,10 @@ def heat_kernel(x, y, t, n: int = 1):
     """Gaussian closed form of the oscillator heat kernel W_t(x, y).
 
     Symmetric in (x, y) and strictly positive; t may broadcast against
-    the points.  Too small a time raises ValueError (`_heat_prefactor`).
+    the points.  Too small a time raises ValueError (`_heat_prefactor`),
+    and so does a dimension n that is not an integer >= 1.
     """
+    n = _integer(n, "dimension n", 1)
     d2, s2 = _pair_keys(_points(x, n, "x"), _points(y, n, "y"), n)
     A, B, scale = _heat_prefactor(_check_time(t), n)
     return scale * np.exp(-0.25 * (A * d2 + B * s2))
@@ -675,22 +673,38 @@ def heat_kernel_one(x, t, n: int = 1):
         (2 e^{-2t} / (1 + e^{-4t}))^{n/2}
             * exp(-(1 - e^{-4t}) / (2 (1 + e^{-4t})) |x|^2).
 
-    Tends to 1 as t -> 0+ and is nonincreasing in |x|.
+    Tends to 1 as t -> 0+ and is nonincreasing in |x|; it is 0 where it
+    underflows, large t and |x| beyond the float range included
+    (`_radius2`, `_long_time`).  n must be an integer >= 1.
     """
-    x = _points(x, n, "x")
-    t = _check_time(t)
+    n = _integer(n, "dimension n", 1)
+    r2, t = _radius2(x, n), _long_time(t)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     pref = _half_power(2.0 * em2t / (1.0 + em4t), n)
-    return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * _split(x, n))
+    return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * r2)
+
+
+def _radius2(x, n: int):
+    """|x|^2 at the checked points x of R^n, each coordinate's magnitude
+    capped at 2^500, so that it does not overflow: beyond the cap the
+    factor e^{-c |x|^2} of the closed forms of W_t(1) is 0 at every
+    t >= 1e-298, and their brackets stay finite, free of inf * 0."""
+    return _split(np.minimum(np.abs(_points(x, n, "x")), 2.0 ** 500), n)
+
+
+def _long_time(t):
+    """The checked times t capped at 2^1000, so that no exponent c t
+    overflows: beyond the cap every factor e^{-c t} with c >= 2^-53 of the
+    closed forms of W_t(1) is 0 as it is at the cap."""
+    return np.minimum(_check_time(t), 2.0 ** 1000)
 
 
 def heat_one_dt(x, t, op: ShiftedOperator):
-    """d/dt of e^{-alpha t} W_t(1)(x), in closed form."""
-    x = _points(x, op.n, "x")
-    t = _check_time(t)
-    r2 = _split(x, op.n)
+    """d/dt of e^{-alpha t} W_t(1)(x), in closed form; -0.0 where it
+    underflows (`_radius2`, `_long_time`)."""
+    r2, t = _radius2(x, op.n), _long_time(t)
     return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(r2, t, op)
 
 
@@ -824,25 +838,21 @@ def _pair_family(x, y, members, rule=None):
     from one pass over the Mehler blocks; the members share the dimension
     n.  The kinds are those of the public kernels: "poisson"
     (`poisson_kernel`), "g" (`g_kernel`), ("ladder", j, sign)
-    (`ladder_kernel`, whose op is L), and "g_dx", d/dx_1 of `g_kernel`
-    (`_gradient_coefficients`).  Each is
+    (`ladder_kernel`, whose op is L; checked by the caller), and "g_dx",
+    d/dx_1 of `g_kernel` (`_gradient_coefficients`).  Each is
     t/sqrt(4 pi) int s^{-3/2} factor(s, t) e^{-t^2/(4s) - alpha s} W_s ds
-    with the kind's weight factor, and for "g_dx" and the ladder kernels
-    W_s is multiplied by a(s) u + b(s) v, with the kind's node factors
-    (a, b), u = x_j - y_j and v = x_j + y_j: the member (t, n + alpha,
-    factor, affine) of `_subordinate_family` on the block e^{ns} W_s."""
+    with the kind's factor of `_MEMBERS`, and where the kind has node
+    factors (a, b), W_s is multiplied by a(s) u + b(s) v with
+    u = x_j - y_j and v = x_j + y_j: the member (t, n + alpha, factor,
+    affine) of `_subordinate_family` on the block e^{ns} W_s."""
     n = members[0][2].n
     x, y = _points(x, n, "x"), _points(y, n, "y")
     subs = []
     for kind, t, op in members:
-        factor, coefficients, j = _g_factor, None, 1
-        if kind == "poisson":
-            factor = _unit_factor
-        elif kind == "g_dx":
-            coefficients = _gradient_coefficients
-        elif kind != "g":
-            _, j, sign = kind
-            factor, coefficients = _ladder_factor, functools.partial(_ladder_coefficients, sign=sign)
+        j = 1
+        if isinstance(kind, tuple):  # a ladder kind is looked up by its sign
+            _, j, kind = kind
+        factor, coefficients = _MEMBERS[kind]
         affine = None
         if coefficients is not None:
             xj, yj = _coordinate(x, n, j), _coordinate(y, n, j)
@@ -856,11 +866,6 @@ def _pair_kernel(x, y, member, rule=None):
     """The one-member call of `_pair_family`."""
     (out,) = _pair_family(x, y, [member], rule)
     return out
-
-
-def _unit_factor(s, t):
-    """The weight factor of the Poisson kernel: 1."""
-    return 1.0
 
 
 def poisson_kernel(x, y, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
@@ -902,10 +907,17 @@ def _ladder_coefficients(s, sign: int):
     return -1.0 / m2, -1.0 / (1.0 + e)
 
 
-def _ladder_factor(s, t):
-    """The weight factor of the ladder kernels, the Poisson kernel of L
-    with the factor t: t times t/sqrt(4 pi)."""
-    return t
+# `_pair_family`'s member kind -> (its factor of the Poisson weight, its
+# node factors (a, b) of the affine term, or None without one).  The
+# ladder kinds ("ladder", j, sign) are the kernels of t (d/dx_j + sign x_j)
+# P_t^L, keyed by their sign: their factor t is the t of t d/dx P_t
+_MEMBERS = {
+    "poisson": (lambda s, t: 1.0, None),
+    "g": (_g_factor, None),
+    "g_dx": (_g_factor, _gradient_coefficients),
+    +1: (lambda s, t: t, lambda s: _ladder_coefficients(s, +1)),
+    -1: (lambda s, t: t, lambda s: _ladder_coefficients(s, -1)),
+}
 
 
 def ladder_kernel(
@@ -930,17 +942,15 @@ def ladder_kernel(
     by 3.8e-15) and by 1.2e-13 at t = 5; the lowering kernel (sign -1)
     by 8.2e-15 at t = 20 and 1.2e-13 at t = 5.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _pair_kernel(x, y, (("ladder", j, sign), t, ShiftedOperator(0.0, n)), rule)
+    op = ShiftedOperator(0.0, n)
+    return _pair_kernel(x, y, (("ladder", *_ladder(j, sign, op.n)), t, op), rule)
 
 
 def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
     of the heat action on 1; its block depends on |x|^2 alone."""
-    x = _points(x, op.n, "x")
     # t/sqrt(pi) s^{-1/2} is the Poisson weight's t/sqrt(4 pi) s^{-3/2} times 2s
     (out,) = _subordinate_family(
         [(t, op.n + op.alpha, lambda s, t: 2.0 * s, None)], rule,
-        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_split(x, op.n),), op.n)
+        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_radius2(x, op.n),), op.n)
     return out

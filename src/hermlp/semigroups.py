@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _expansion, _point, point_synthesis_matrix, synthesize_grid,
+    HermiteExpansion, SpatialGrid, _expansion, _ladder, _point, point_synthesis_matrix,
+    synthesize_grid,
 )
 from .gamma import BanachModel, TimeGrid, gamma_norms
 
@@ -110,10 +111,7 @@ def _spectral_table(e: HermiteExpansion, alpha: float, op):
     if not (isinstance(op, tuple) and len(op) == 3 and op[0] in ("ladder", "riesz")):
         raise ValueError(f"unknown spectral operator {op!r}")
     name, j, sign = op
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not 1 <= j <= e.n:
-        raise ValueError(f"coordinate j={j} out of range for n={e.n}")
+    j, sign = _ladder(j, sign, e.n)
     if sign == +1:
         keep = modes[:, j - 1] > 0
         modes, C = modes[keep], C[keep]

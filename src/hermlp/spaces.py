@@ -202,19 +202,12 @@ def h1_norm(
     of time nodes at a time: at most _HEAT_BLOCK lattice values per
     block, so the 16 times of a 1201-point grid are one call and the
     times of a 241 x 241 lattice go one per call).  `heat_apply` takes
-    each time by one of three routes (`kernels` module docstring): long
-    times by the Mehler series cut where it is as accurate as the FFT;
-    on a line, short times by a direct convolution with the Gaussian cut
-    below 1e-17 of its peak when the support of the samples is small
-    enough for that time, (2w + s) s <= 200 000 for s points and w lags, as
-    an atom's is; and every other short time by a per-axis FFT
-    convolution on a circle sized to the support, as a dense input's.
-    All three are the same dense kernel matrix, to about 1e-16 of its
-    Gaussian bound.  What depends on the lattice and the times only is
-    one plan, built on the first call (`kernels._lattice_plan`), so every
-    call after it on one grid and one TimeGrid transforms only the
-    samples; a sweep of more than 16 time blocks rebuilds the plans each
-    call.  README gives the plan's size and the routes' times for the
+    each time by the route its docstring gives; all of them are the same
+    dense kernel matrix, to about 1e-16 of its Gaussian bound.  What
+    depends on the lattice and the times only is one plan, built on the
+    first call (`kernels._lattice_plan`), so every call after it on one
+    grid and one TimeGrid transforms only the samples; a sweep of more
+    than 16 time blocks rebuilds the plans each call.  README gives the plan's size and the routes' times for the
     benchmark's lattice.
 
     Resolution rule: the lattice resolves W_t for t >= h^2, the square of

@@ -164,42 +164,49 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     )
 
 
-def _envelope_ratio(kind, val, xs, ts, gh):
-    """Sups of |val| / envelope over the off-diagonal pairs of xs and all
-    times ts, where val is the kernel of `kind` on xs x xs (for "gH" on
-    the time grid gh): on the lattice xs and on its 2x-coarser sublattice
-    xs[::2], whose pairs are the [::2, ::2] block of the same ratios.
-    The Gaussian envelope factors decay at rate c = 1/16."""
-    c = 1.0 / 16.0
-    X = xs[:, None]
-    Y = xs[None, :]
-    D = np.abs(X - Y)
-    off = D > 0
-    if kind == "gH":
-        # H-norm over the time grid of t d/dt P_t vs the singular envelope
-        acc = np.tensordot(gh.weights, val ** 2, axes=1)
-        env = np.exp(-c * (D * D + np.abs(Y) * D)) / np.where(off, D, 1.0)
-        ratio = np.where(off, np.sqrt(acc) / env, 0.0)
-        return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
-    t = ts.reshape(-1, 1, 1)  # one time per leading slice
-    if kind == "heat":  # the heat and Poisson kernels are positive
-        env = t ** -0.5 * np.exp(-D * D / (8.0 * t))
-    elif kind == "poisson":
-        env = t / (t + D) ** 2 * np.exp(-c * (D * D + np.abs(X) * D))
-    else:
-        val = np.abs(val)
-        if kind == "g":
-            env = t / (t + D) ** 2
-        elif kind == "ladder":
-            env = t * t / (t + D) ** 3 * np.exp(-c * (D * D + np.abs(Y) * D))
-        else:  # gradient
-            env = t / (t + D) ** 3
-    ratio = np.max(np.where(off, val / env, 0.0), axis=0)
-    return float(np.max(ratio)), float(np.max(ratio[::2, ::2]))
+def _gaussian(D, Z):
+    """The Gaussian factor e^{-(D^2 + |Z| D)/16} of the envelopes."""
+    return np.exp(-(1.0 / 16.0) * (D * D + np.abs(Z) * D))
+
+
+# envelope kind -> (the `_pair_family` member kind of its kernel, None for
+# the closed-form heat kernel; the ratio of the kernel v to its envelope
+# at the pairs (X, Y) at distance D, with a leading axis for the times t
+# (`_times`)).  The heat and Poisson kernels are positive, so their ratios
+# take no absolute value
+_ENVELOPES = {
+    "heat": (None, lambda v, t, D, X, Y: v / (t ** -0.5 * np.exp(-D * D / (8.0 * t)))),
+    "poisson": ("poisson", lambda v, t, D, X, Y: v / (t / (t + D) ** 2 * _gaussian(D, X))),
+    "g": ("g", lambda v, t, D, X, Y: np.abs(v) / (t / (t + D) ** 2)),
+    # the H-norm over the time grid t of t d/dt P_t vs a singular envelope
+    "gH": ("g", lambda v, t, D, X, Y: np.sqrt(np.tensordot(t.weights, v ** 2, axes=1))[None]
+           / (_gaussian(D, Y) / np.where(D > 0, D, 1.0))),
+    "ladder": (("ladder", 1, +1),  # the raising kernel along x_1
+               lambda v, t, D, X, Y: np.abs(v) / (t * t / (t + D) ** 3 * _gaussian(D, Y))),
+    "gradient": ("g_dx", lambda v, t, D, X, Y: np.abs(v) / (t / (t + D) ** 3)),
+}
+
+
+def _times(kind, ts):
+    """The times of the envelope kind at ts: those of its kernel, and those
+    its ratio reads.  "gH" takes a time grid from the least to the largest
+    of ts in at least 16 nodes, and its ratio the grid itself; every other
+    kind takes ts, and its ratio a column of ts."""
+    if kind not in _ENVELOPES:
+        raise ValueError(f"unknown envelope kind {kind!r}")
+    if kind != "gH":
+        return ts, ts.reshape(-1, 1, 1)
+    if np.min(ts) == np.max(ts):
+        raise ValueError("kind 'gH' needs two distinct times")
+    grid = TimeGrid(min(ts), max(ts), max(len(ts), 16))
+    return grid.nodes, grid
 
 
 def _envelope_reports(kinds, xs, ts) -> list:
-    """`kernel_bound_ratio` for each kind in `kinds`, in order.  The
+    """`kernel_bound_ratio` for each kind in `kinds`, in order: the sups of
+    |kernel| / envelope (`_ENVELOPES`) over the off-diagonal pairs of xs
+    and all times, on the lattice xs and on its 2x-coarser sublattice
+    xs[::2], whose pairs are the [::2, ::2] block of the same ratios.  The
     subordinated kernels of the unshifted one-dimensional operator come
     from one pass over the Mehler blocks (`kernels._pair_family`), one
     kernel at a time."""
@@ -211,30 +218,19 @@ def _envelope_reports(kinds, xs, ts) -> list:
         raise ValueError("empty region")
     if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
         raise ValueError("points xs and times ts must be finite")
-    op = ShiftedOperator()
-    gh, members = None, []
-    for kind in kinds:
-        if kind == "gH":
-            if np.min(ts) == np.max(ts):
-                raise ValueError("kind 'gH' needs two distinct times")
-            gh = TimeGrid(min(ts), max(ts), max(len(ts), 16))
-            members.append(("g", gh.nodes, op))
-        elif kind in ("poisson", "g"):
-            members.append((kind, ts, op))
-        elif kind == "ladder":  # the raising kernel along x_1
-            members.append((("ladder", 1, +1), ts, op))
-        elif kind == "gradient":
-            members.append(("g_dx", ts, op))
-        elif kind != "heat":
-            raise ValueError(f"unknown envelope kind {kind!r}")
-    X, Y = xs[:, None], xs[None, :]
+    times = [_times(kind, ts) for kind in kinds]
+    op, X, Y = ShiftedOperator(), xs[:, None], xs[None, :]
+    members = [(_ENVELOPES[kind][0], t, op) for kind, (t, _) in zip(kinds, times)
+               if _ENVELOPES[kind][0]]
     family = _pair_family(X, Y, members) if members else iter(())
+    D = np.abs(X - Y)
     reports = []
-    for kind in kinds:
-        # each kernel is freed once its ratios are taken
-        fine, coarse = _envelope_ratio(
-            kind, heat_kernel(X, Y, ts.reshape(-1, 1, 1)) if kind == "heat" else next(family),
-            xs, ts, gh)
+    for kind, (_, t) in zip(kinds, times):
+        member, ratio = _ENVELOPES[kind]
+        v = next(family) if member else heat_kernel(X, Y, t)
+        sup = np.max(np.where(D > 0, ratio(v, t, D, X, Y), 0.0), axis=0)
+        del v  # each kernel is freed before the next is built
+        fine, coarse = float(np.max(sup)), float(np.max(sup[::2, ::2]))
         reports.append(CheckReport(
             name=f"envelope({kind})",
             computed=fine,

@@ -497,3 +497,110 @@ def test_counts_reject_bools(name, value):
     # gamma_norm_mc(T, 10, seed=True) each took True as 1
     with pytest.raises(ValueError, match="must be an integer"):
         _count_calls()[name](value)
+
+
+def _mp_hermite(k, x):
+    """h_k(x) by mpmath at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        norm = mpmath.sqrt(2 ** mpmath.mpf(k) * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+        return float(mpmath.hermite(k, x) * mpmath.exp(-x * x / 2) / norm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [650, 1000, 2000])
+def test_high_degrees_match_mpmath_out_to_the_turning_point_plus_four(fresh_tables, k):
+    # the scaled recurrence overflowed beyond |x| = 37.63 (hermite_eval(2000,
+    # 40.0) and hermite_eval(1000, 37.9) were NaN); every reader now takes
+    # the far points through `_far_rows`.  Measured error: 3.8e-15, 8.4e-15
+    # and 3.0e-14 for k = 650, 1000 and 2000
+    top = math.sqrt(2 * k + 1) + 4.0
+    xs = np.concatenate([np.linspace(-top, top, 41), [37.9, 40.0, top - 4.0]])
+    want = np.array([_mp_hermite(k, x) for x in xs])
+    got = hermite_eval(k, xs)
+    assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want))
+    assert np.array_equal(basis._table(k, xs)[k], got)
+    assert np.array_equal([basis._table(k, np.array([x]))[k, 0] for x in xs], got)
+
+
+def test_far_values_named_in_the_defect_report():
+    assert hermite_eval(2000, 40.0) == pytest.approx(0.107662611888671, rel=1e-12)
+    assert hermite_eval(1000, 37.9) == pytest.approx(-0.120869372046244, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e4, -1e4, 1e200, -1e300, 2.0 ** 20, -3.0e6])
+def test_far_out_values_are_zeros_of_the_sign_of_h_k(x):
+    # h_k(x) has the sign of x^k beyond its last zero, and underflows there
+    for k in (0, 1, 2, 3, 100, 101):
+        for value in (hermite_eval(k, x), basis._table(k, np.array([x]))[k, 0]):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == math.copysign(1.0, x) ** k
+
+
+@pytest.mark.filterwarnings("error")
+def test_tables_sized_for_high_degrees_are_finite(fresh_tables):
+    # default_grid(1, 650) spans |x| <= 40.07: the K = 650 table held 36 308
+    # non-finite entries, and a synthesis of h_760 on its grid 2126 NaNs
+    assert np.isfinite(basis._table(650, default_grid(1, 650).axis)).all()
+    grid = default_grid(1, 760)
+    values = synthesize_grid(HermiteExpansion.single(760), grid)
+    assert np.isfinite(values).all()
+    e = analyze(values.reshape(grid.shape + (1,)), grid, 760)
+    assert e.coeffs[(760,)][0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_points_in_two_dimensions_are_products_of_the_far_rows():
+    # |x| = 40.01 in norm, each coordinate within the scaled range: the
+    # product of the scaled values overflowed, the product of the h's does not
+    x = np.array([[30.0, 26.48], [0.5, -0.25]])
+    got = hermite_eval((450, 350), x)
+    assert np.isfinite(got).all()
+    assert got[0] == pytest.approx(_mp_hermite(450, 30.0) * _mp_hermite(350, 26.48), rel=1e-11)
+    assert got[1] == hermite_eval((450, 350), x[1])
+
+
+def test_near_points_keep_the_scaled_recurrence_bit_for_bit(fresh_tables):
+    # within |x| <= 37.63 the tables are the scaled recurrence times the
+    # Gaussian, as they were before the far rows existed
+    xs = np.linspace(-basis._X_NEAR, basis._X_NEAR, 2001)
+    rows = list(basis._scaled_rows(120, xs))
+    want = np.array(rows) * np.exp(-0.5 * xs * xs)
+    assert np.array_equal(basis._table(120, xs), want)
+    assert np.array_equal(hermite_eval(120, xs), want[120])
+
+
+@pytest.mark.parametrize("n, K", [(1, 60), (2, 20), (3, 20)])
+def test_default_grid_defaults_its_degree_cap_by_dimension(n, K):
+    got, want = default_grid(n), default_grid(n, K)
+    assert (got.n, got.h, got.R) == (want.n, want.h, want.R)
+
+
+def test_analyze_rejects_samples_of_the_wrong_shape():
+    grid = SpatialGrid(R=8.0, h=0.05, n=1)
+    for shape in [(grid.size + 1,), (grid.size, 2, 1), (2, grid.size)]:
+        with pytest.raises(ValueError, match="samples have shape"):
+            analyze(np.zeros(shape), grid, K=5)
+
+
+@pytest.mark.parametrize("j, sign, message", [
+    (1, 1.0, "sign must be"),
+    (1, True, "sign must be"),
+    (1, 0, "sign must be"),
+    (1, np.array([1, 1]), "sign must be"),
+    (1.5, 1, "coordinate j=1.5 out of range for n=2"),
+    (True, 1, "coordinate j=True out of range for n=2"),
+    (0, -1, "coordinate j=0 out of range for n=2"),
+    (3, -1, "coordinate j=3 out of range for n=2"),
+])
+def test_the_ladder_gate_takes_integers_only(j, sign, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        basis._ladder(j, sign, 2)
+
+
+def test_the_ladder_gate_takes_numpy_integers():
+    assert basis._ladder(np.int64(2), np.int8(-1), 2) == (2, -1)
+    assert type(basis._ladder(np.int32(1), np.int64(1), 1)[1]) is int

@@ -624,3 +624,32 @@ def test_semigroup_at_a_huge_time_runs_without_a_warning():
         r = run_main("semigroup", "--kind", "heat", "--k", "1", "--t", "1e308")
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == "kind,k,t,alpha,factor\nheat,1,1e+308,0,0\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"grid": 5}, "config key 'grid' must be an object"),
+    ({"time": [1, 2]}, "config key 'time' must be an object"),
+    ({"grid": {"X": 1.0}}, "unknown config key grid.X"),
+    ({"mc": {"Q": 64}}, "unknown config key mc.Q"),
+    ({"n": 0}, "n must be >= 1 and K >= 0"),
+    ({"K": -1}, "n must be >= 1 and K >= 0"),
+    ({"grid": {"R": 0.0}}, "grid.R and grid.h must be positive"),
+    ({"grid": {"h": -0.02}}, "grid.R and grid.h must be positive"),
+])
+def test_config_rejects_bad_groups_keys_and_ranges(raw, message):
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.RunConfig.from_mapping(raw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, value", [
+    # printed nan after two RuntimeWarnings, and 0 after three overflow warnings
+    (["basis", "--k", "100", "--x", "1e4"], "100,1e4,0"),
+    (["basis", "--k", "2000", "--x", "40"], "2000,40,0.10766261188867"),
+    (["kernel", "heat-one", "--x", "0", "--t", "1e308"], "0,1e+308,0"),
+])
+def test_far_points_and_long_times_print_their_values_without_warnings(argv, value):
+    r = run_main(*argv)
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines()[1].startswith(value)

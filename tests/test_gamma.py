@@ -734,3 +734,16 @@ def test_time_grid_rejects_a_span_whose_ratio_overflows():
                 TimeGrid(t_min, t_max, 8)
         # the widest spans that fit keep finite weights
         assert np.all(np.isfinite(TimeGrid(1e-150, 1e150, 8).weights))
+
+
+def test_time_grids_compare_and_hash_by_their_parameters():
+    # nodes and weights are functions of (t_min, t_max, N): comparing their
+    # arrays raised "truth value of an array ... is ambiguous", and hash a
+    # TypeError
+    assert TimeGrid() == TimeGrid()
+    assert TimeGrid(0.1, 1, 4) == TimeGrid(0.1, 1.0, 4)
+    assert TimeGrid() in [TimeGrid(0.1, 1.0, 4), TimeGrid()]
+    assert TimeGrid(0.1, 1.0, 4) != TimeGrid(0.1, 1.0, 5)
+    assert TimeGrid(0.1, 1.0, 4) != TimeGrid(0.2, 1.0, 4)
+    assert hash(TimeGrid(0.1, 1, 4)) == hash(TimeGrid(0.1, 1.0, 4))
+    assert len({TimeGrid(), TimeGrid(), TimeGrid(0.1, 1.0, 4)}) == 2

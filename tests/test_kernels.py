@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1423,3 +1424,63 @@ def test_subordinated_kernels_are_finite_or_refused_at_quarter_decades(n):
                 else:
                     with pytest.raises(ValueError, match=refused):
                         call(t)
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "dimension n=0 must be >= 1"),
+    (-1, "dimension n=-1 must be >= 1"),
+    (1.5, "dimension n=1.5 must be an integer"),
+    (True, "dimension n=True must be an integer"),
+])
+def test_heat_closed_forms_gate_the_dimension(n, message):
+    # heat_kernel(0.5, 0.5, 1.0, 0) returned 0.8266 and n=-1 0.1732;
+    # heat_kernel_one(0.5, 1.0, 0) returned 0.8865, and n=True ran as 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        heat_kernel(0.5, 0.5, 1.0, n)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        heat_kernel_one(0.5, 1.0, n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, want", [
+    # |x|^2 overflowed to inf, and the bracket times the Gaussian was inf * 0
+    (lambda: g_of_one(1e160, 1.0, L), 0.0),
+    (lambda: heat_one_dt(1e200, 1.0, L), -0.0),
+    (lambda: heat_one_dt([1e200, -1e300], [1.0, 1e308], L), -0.0),
+    (lambda: heat_one_dt(0.5, 1e308, ShiftedOperator(-0.5, 1)), -0.0),
+    # -2 t and -4 t overflowed, with three warnings
+    (lambda: heat_kernel_one(0.0, 1e308), 0.0),
+    (lambda: heat_kernel_one([1e200, 3.0], [1.0, 1e300], 1), 0.0),
+    (lambda: heat_kernel_one([[1e200, 0.0]], 1.0, 2), 0.0),
+])
+def test_closed_forms_of_heat_on_one_take_their_limit_zero(call, want):
+    got = np.asarray(call())
+    assert np.all(got == 0.0)
+    assert np.all(np.signbit(got) == np.signbit(want))
+
+
+def test_closed_forms_of_heat_on_one_keep_their_values_below_the_caps():
+    # the caps (|x_j| <= 2^500, t <= 2^1000) change no value: far below them
+    # the closed forms are what they were, and at them already 0
+    x = np.array([0.0, 0.7, -3.0, 25.0, 40.0, 1e100])
+    t = np.array([[1e-3], [0.4], [2.0], [700.0]])
+    r2, e = x * x, np.exp(-4.0 * t)
+    onep = 1.0 + e
+    one = np.sqrt(2.0 * np.exp(-2.0 * t) / onep) * np.exp(-0.5 * -np.expm1(-4.0 * t) / onep * r2)
+    assert np.array_equal(heat_kernel_one(x, t), one)
+    bracket = -np.expm1(-4.0 * t) / onep + r2 * 4.0 * e / (onep * onep)
+    dt = np.exp(-t) * (-bracket * np.sqrt(2.0 / onep) * np.exp(-0.5 * -np.expm1(-4.0 * t) / onep * r2))
+    assert np.array_equal(heat_one_dt(x, t, L), dt)
+
+
+def test_subordination_nodes_check_the_time_and_the_decay():
+    rule = SubordinationRule()
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="time must be positive"):
+            rule.s_nodes(t, 1.0)
+    for t in (1e-61, 1e151):
+        with pytest.raises(ValueError, match=r"is outside \[1e-60, 1e\+150\]"):
+            rule.s_nodes(t, 1.0)
+    for decay in (0.0, -2.0):
+        with pytest.raises(ValueError, match="decay rate must be positive"):
+            rule.s_nodes(1.0, decay)

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hermlp.basis import HermiteExpansion, SpatialGrid, hermite_eval, synthesize, synthesize_grid
+from hermlp.basis import (
+    HermiteExpansion, SpatialGrid, hermite_eval, hermite_ladder_eval, synthesize, synthesize_grid,
+)
 from hermlp.gamma import BanachModel, TimeGrid
 from hermlp.kernels import ShiftedOperator, g_kernel, ladder_kernel
 from hermlp.semigroups import (
+    TimeField,
     apply_semigroup,
     composed_maximal,
     gfunction,
@@ -636,3 +639,53 @@ def test_dimension_mismatch_raises_before_the_dense_tensor(call):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+E2 = HermiteExpansion(n=2, d=1, K=2, coeffs={(1, 1): [1.0]})
+GRID2 = SpatialGrid(R=2.0, h=0.5, n=2)
+
+
+@pytest.mark.parametrize("call", [
+    # each raised IndexError, TypeError or numpy's UFuncTypeError, or ran
+    # with the bool taken as 1, before every (j, sign) went through one gate
+    lambda: riesz(E2, 1.5, 1),
+    lambda: ladder_transform(E2, 1.5, 1, GRID2, SMALL_TIMES),
+    lambda: composed_maximal(E2, [0.0, 0.0], 0.0, ("ladder", 1.5, 1), BanachModel(), SMALL_TIMES),
+    lambda: ladder_kernel([0.0, 0.0], [0.0, 0.0], 1.0, 1.5, 1, n=2),
+    lambda: hermite_ladder_eval((1, 1), [0.0, 0.0], 1.5, 1),
+    lambda: riesz(E2, 1, 1.0),
+    lambda: riesz(E2, True, 1),
+    lambda: ladder_kernel(0.0, 0.0, 1.0, 1, True),
+])
+def test_every_ladder_entry_rejects_a_bad_coordinate_or_sign(call):
+    with pytest.raises(ValueError, match="sign must be|out of range for n"):
+        call()
+
+
+def test_every_ladder_entry_takes_numpy_integers():
+    assert riesz(E2, np.int64(2), np.int8(-1)).coeffs == riesz(E2, 2, -1).coeffs
+    assert ladder_kernel(0.1, 0.2, 1.0, np.int32(1), np.int64(-1)) == ladder_kernel(0.1, 0.2, 1.0, 1, -1)
+    assert hermite_ladder_eval((1, 1), [0.3, 0.1], np.int64(2), np.int64(1)) == \
+        hermite_ladder_eval((1, 1), [0.3, 0.1], 2, 1)
+
+
+def test_time_field_checks_its_shape_and_values():
+    e = expansion([(1, 1.0)])
+    field = gfunction(e, 0.0, GRID, SMALL_TIMES)
+    for values in (field.values[:-1], field.values[:, :, 0], field.values[:, :-1]):
+        with pytest.raises(ValueError, match="does not match"):
+            TimeField(GRID, SMALL_TIMES, values)
+    bad = field.values.copy()
+    bad[3, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        TimeField(GRID, SMALL_TIMES, bad)
+
+
+def test_maximal_norm_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown semigroup kind 'wave'"):
+        maximal_norm(expansion([(1, 1.0)]), 0.3, "wave", 0.0, BanachModel(), SMALL_TIMES)
+
+
+def test_composed_maximal_checks_the_banach_dimension():
+    with pytest.raises(ValueError, match="Banach model dimension"):
+        composed_maximal(expansion([(1, 1.0)]), 0.3, 0.0, "g", BanachModel(2), SMALL_TIMES)

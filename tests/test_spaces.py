@@ -790,3 +790,44 @@ def test_spectral_h1_and_analyze_take_the_same_steps():
             else:
                 with pytest.raises(ValueError, match="too coarse"):
                     call()
+
+
+def test_atom_checks_its_kind_and_radius_and_reads_d():
+    samples = np.zeros((ATOM_GRID.size, 3))
+    with pytest.raises(ValueError, match="unknown atom kind 'wide'"):
+        Atom(0.0, 0.25, "wide", ATOM_GRID, samples)
+    for radius in (0.0, -0.25):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Atom(0.0, radius, "cancel", ATOM_GRID, samples)
+    assert Atom(0.0, 0.25, "local", ATOM_GRID, samples).d == 3
+    assert Atom(0.0, 0.25, "local", ATOM_GRID, samples[:, 0]).d == 1
+
+
+def test_make_random_atom_checks_its_kind_and_grid():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="unknown atom kind 'wide'"):
+        make_random_atom(rng, ATOM_GRID, kind="wide")
+    with pytest.raises(ValueError, match="one-dimensional grids"):
+        make_random_atom(rng, SpatialGrid(R=2.0, h=0.25, n=2))
+
+
+def test_h1_norm_rejects_an_unknown_kind_and_sampled_poisson_or_shift():
+    f = make_random_atom(np.random.default_rng(5), ATOM_GRID)
+    with pytest.raises(ValueError, match="unknown semigroup kind 'wave'"):
+        h1_norm(f, B1, ATOM_GRID, ATOM_TIMES, kind="wave")
+    with pytest.raises(ValueError, match="heat maximal function only"):
+        h1_norm(f, B1, ATOM_GRID, ATOM_TIMES, kind="poisson")
+    with pytest.raises(ValueError, match="alpha = 0 only"):
+        h1_norm(f, B1, ATOM_GRID, ATOM_TIMES, alpha=1.0)
+
+
+def test_bmo_norm_of_no_usable_ball_is_zero_with_the_warning(monkeypatch):
+    # every SpatialGrid holds the origin and every BallSpec a ball about it,
+    # so no grid and ball family of the public API skips every ball; an
+    # empty interval table stands in for one
+    grid, balls = SpatialGrid(R=3.0, h=0.5), BallSpec()
+    centers, radii, oscillation, lo, count = spaces._ball_family(grid.axis.tobytes(), balls)
+    monkeypatch.setattr(spaces, "_ball_family",
+                        lambda *args: (centers, radii, oscillation, lo, 0 * count))
+    with pytest.warns(UserWarning, match=f"skipped {count.size} balls"):
+        assert bmo_norm(np.ones(grid.size), B1, grid, balls) == 0.0

@@ -323,3 +323,11 @@ def test_checks_reject_a_non_integer_cap(check):
     # both used to fail inside numpy or range() with a TypeError
     with pytest.raises(ValueError, match="degree cap K=2.5 must be an integer"):
         check(2.5)
+
+
+def test_envelope_rejects_an_unknown_kind():
+    xs, ts = np.linspace(-4.0, 4.0, 9), np.geomspace(0.1, 2.0, 6)
+    with pytest.raises(ValueError, match="unknown envelope kind 'wave'"):
+        kernel_bound_ratio("wave", xs, ts)
+    with pytest.raises(ValueError, match="unknown envelope kind 'wave'"):
+        verify._envelope_reports(["g", "wave"], xs, ts)
