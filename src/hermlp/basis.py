@@ -8,17 +8,18 @@ recurrence
     h_{m+1}(x) = x sqrt(2/(m+1)) h_m(x) - sqrt(m/(m+1)) h_{m-1}(x),
 
 never from the raw Hermite polynomials (2^k k! overflows long before
-k = 100).  Internally the recurrence runs on the exponentially scaled
-values h_m(x) e^{x^2/2}; the Gaussian factor is reattached once per
-point, which keeps products over coordinates away from underflow.  That
-holds while |x| <= _X_NEAR = sqrt(1416) = 37.63 (in norm, for a point of
-R^n): beyond it e^{-|x|^2/2} leaves the normal floats and the scaled
-values may overflow.  There a value of the scaled recurrence that stays
-finite is kept, bit for bit, and every other one comes from `_far_rows`,
-which keeps each row's binary exponent apart; both table paths and
-`hermite_eval` share that rule.  The finite values kept beyond _X_NEAR
-went through a subnormal or zero Gaussian: tiny, but not accurate
-relative to themselves (README gives the errors).
+k = 100).  One generator, `_rows`, yields h_m for m = 0..K at an array of
+positions and owns the rule for where each value comes from.  A position
+with |x| <= _X_NEAR = sqrt(1416) = 37.63 takes the recurrence on the
+exponentially scaled values h_m(x) e^{x^2/2} (`_scaled_rows`) times
+e^{-x^2/2}; beyond it that Gaussian leaves the normal floats and the
+scaled values may overflow, and every row there comes from `_far_rows`,
+which keeps each row's binary exponent apart.  The tables are filled
+from `_rows`, and `hermite_eval` is the product over coordinates of its
+last rows, so the two agree bit for bit in every dimension.  Against
+mpmath the relative error was at most 1.4e-12 for k <= 2000 in R, and
+1.2e-13 for products of two with k_j < 120, wherever the value is a
+normal float (README gives how it was measured).
 
 Layouts shared by every module:
 
@@ -227,6 +228,26 @@ def _far_rows(kmax: int, x):
         yield np.ldexp(cur * G, E - F)
 
 
+def _rows(kmax: int, x):
+    """Yield h_m(x) for m = 0..kmax at the float array x: at a point with
+    |x| <= _X_NEAR the scaled recurrence times e^{-x^2/2}, at any other
+    the row of `_far_rows`."""
+    far = np.abs(x) > _X_NEAR
+    if not far.any():
+        gauss = np.exp(-0.5 * x * x)
+        for scaled in _scaled_rows(kmax, x):
+            yield scaled * gauss
+        return
+    near = ~far
+    xn = x[near]
+    gauss = np.exp(-0.5 * xn * xn)
+    for scaled, values in zip(_scaled_rows(kmax, xn), _far_rows(kmax, x[far])):
+        row = np.empty(x.shape)
+        row[near] = scaled * gauss
+        row[far] = values
+        yield row
+
+
 # (axis shape, axis float64 bytes) -> read-only table of the most
 # rows built so far on that axis, least recently used first; the lock makes
 # each look-up, rebuild and eviction one step
@@ -262,23 +283,8 @@ def _table(kmax: int, axis) -> np.ndarray:
 
 def _build(kmax: int, axis: np.ndarray) -> np.ndarray:
     """h_m on the float array axis for m = 0..kmax, shape (kmax+1,) +
-    axis.shape: the scaled recurrence times the Gaussian, with the entries
-    it leaves non-finite beyond _X_NEAR taken from `_far_rows`."""
-    table = np.empty((kmax + 1,) + axis.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gauss = np.exp(-0.5 * axis * axis)
-        for row, scaled in zip(table, _scaled_rows(kmax, axis)):
-            np.multiply(scaled, gauss, out=row)
-    far = np.abs(axis) > _X_NEAR
-    if far.any():
-        for row, values in zip(table, _far_rows(kmax, axis[far])):
-            row[far] = _finite_or(row[far], values)
-    return table
-
-
-def _finite_or(kept, values):
-    """kept where it is finite, values elsewhere."""
-    return np.where(np.isfinite(kept), kept, values)
+    axis.shape, filled from `_rows`."""
+    return np.fromiter(_rows(kmax, axis), np.dtype((float, axis.shape)), kmax + 1)
 
 
 def eval_table(kmax: int, axis: np.ndarray) -> np.ndarray:
@@ -328,28 +334,16 @@ def _ladder(j, sign, n: int) -> tuple:
 
 
 def hermite_eval(k, x) -> np.ndarray:
-    """h_k(x) = prod_j h_{k_j}(x_j) at the points x of R^n, n = len(k).
-    At a point beyond _X_NEAR in norm, a value the scaled recurrence leaves
-    non-finite is the product of the last rows of `_far_rows` per
-    coordinate (module docstring)."""
+    """h_k(x) = prod_j h_{k_j}(x_j) at the points x of R^n, n = len(k): the
+    product, in coordinate order, of the last row of `_rows` per
+    coordinate, as `point_synthesis_matrix` takes it from the tables."""
     k = as_index(k)
     n = len(k)
     x = _points(x, n, "x")
-    scaled, r2 = 1.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, kj in enumerate(k, 1):
-            xj = _coordinate(x, n, j)
-            # only the last row of the recurrence is kept: O(|x|) working memory
-            scaled = scaled * deque(_scaled_rows(kj, xj), maxlen=1).pop()
-            r2 = r2 + xj * xj
-        out = scaled * np.exp(-0.5 * r2)
-    far = (np.abs(x) if n == 1 else np.hypot.reduce(x, axis=-1)) > _X_NEAR
-    if far.any():
-        out = np.array(out)
-        out[far] = _finite_or(out[far], np.prod([
-            deque(_far_rows(kj, _coordinate(x[far], n, j)), maxlen=1).pop()
-            for j, kj in enumerate(k, 1)], axis=0))
-        out = out[()]
+    out = 1.0
+    for j, kj in enumerate(k, 1):
+        # only the last row of the recurrence is kept: O(|x|) working memory
+        out = out * deque(_rows(kj, _coordinate(x, n, j)), maxlen=1).pop()
     return out
 
 

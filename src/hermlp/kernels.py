@@ -331,9 +331,14 @@ def heat_kernel(x, y, t, n: int = 1):
     and so does a dimension n that is not an integer >= 1.
     """
     n = _integer(n, "dimension n", 1)
-    d2, s2 = _pair_keys(_points(x, n, "x"), _points(y, n, "y"), n)
+    x, y = _points(x, n, "x"), _points(y, n, "y")
     A, B, scale = _heat_prefactor(_check_time(t), n)
-    return scale * np.exp(-0.25 * (A * d2 + B * s2))
+    # a pair key or exponent beyond the float range is inf, and e^{-inf} = 0
+    # is the kernel's limit there at every t; a cap on the points would not
+    # be (at t = 1e-300 the kernel is e^{-10.7} c1^{1/2} at x = y = 2^500)
+    with np.errstate(over="ignore"):
+        d2, s2 = _pair_keys(x, y, n)
+        return scale * np.exp(-0.25 * (A * d2 + B * s2))
 
 
 def _pair_keys(x, y, n: int):
@@ -686,12 +691,21 @@ def heat_kernel_one(x, t, n: int = 1):
     return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * r2)
 
 
+def _capped(x):
+    """The float points x with each coordinate clamped to [-2^500, 2^500],
+    where |x|^2 and |x -+ y|^2 stay finite; coordinates within it keep
+    their bits.  Beyond the cap the factor e^{-c |x|^2} of the closed
+    forms of W_t(1) is 0 at every t >= 1e-298 (`_radius2`), and every
+    Mehler block of `_pair_family` is 0 at every subordination node
+    (s >= 5.6e-123 for t >= _T_MIN), as they are at the cap."""
+    return np.minimum(np.maximum(x, -2.0 ** 500), 2.0 ** 500)
+
+
 def _radius2(x, n: int):
-    """|x|^2 at the checked points x of R^n, each coordinate's magnitude
-    capped at 2^500, so that it does not overflow: beyond the cap the
-    factor e^{-c |x|^2} of the closed forms of W_t(1) is 0 at every
-    t >= 1e-298, and their brackets stay finite, free of inf * 0."""
-    return _split(np.minimum(np.abs(_points(x, n, "x")), 2.0 ** 500), n)
+    """|x|^2 at the checked points x of R^n, capped (`_capped`) so that it
+    does not overflow and the brackets of the closed forms of W_t(1) stay
+    finite, free of inf * 0."""
+    return _split(_capped(_points(x, n, "x")), n)
 
 
 def _long_time(t):
@@ -705,7 +719,10 @@ def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form; -0.0 where it
     underflows (`_radius2`, `_long_time`)."""
     r2, t = _radius2(x, op.n), _long_time(t)
-    return np.exp(-(op.alpha + op.n) * t) * _heat_one_dt_rescaled(r2, t, op)
+    # (alpha + n) t beyond the float range is inf, and e^{-inf} = 0 its limit
+    with np.errstate(over="ignore"):
+        decay = np.exp(-(op.alpha + op.n) * t)
+    return decay * _heat_one_dt_rescaled(r2, t, op)
 
 
 def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
@@ -824,9 +841,11 @@ def _mehler_block(s, d2, s2, n: int):
     em2s = np.exp(-2.0 * s)
     m2 = -np.expm1(-2.0 * s)  # 1 - e^{-2s}
     A, B = (1.0 + em2s) / m2, m2 / (1.0 + em2s)  # as in `_mehler`
-    # -(A d2 + B s2)/4 with the exact factor 1/4 on the node column
-    arg = (-0.25 * A) * d2
-    arg += (-0.25 * B) * s2
+    # -(A d2 + B s2)/4 with the exact factor 1/4 on the node column; a term
+    # beyond the float range is -inf, which the mask below makes an exact 0
+    with np.errstate(over="ignore"):
+        arg = (-0.25 * A) * d2
+        arg += (-0.25 * B) * s2
     gauss = np.exp(arg, out=np.zeros_like(arg), where=arg >= _LOG_TINY)
     gauss *= (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0)
     return gauss
@@ -844,9 +863,11 @@ def _pair_family(x, y, members, rule=None):
     with the kind's factor of `_MEMBERS`, and where the kind has node
     factors (a, b), W_s is multiplied by a(s) u + b(s) v with
     u = x_j - y_j and v = x_j + y_j: the member (t, n + alpha, factor,
-    affine) of `_subordinate_family` on the block e^{ns} W_s."""
+    affine) of `_subordinate_family` on the block e^{ns} W_s.  The points
+    are capped (`_capped`), so that neither the pair keys nor u and v
+    overflow."""
     n = members[0][2].n
-    x, y = _points(x, n, "x"), _points(y, n, "y")
+    x, y = _capped(_points(x, n, "x")), _capped(_points(y, n, "y"))
     subs = []
     for kind, t, op in members:
         j = 1

@@ -207,8 +207,8 @@ def h1_norm(
     depends on the lattice and the times only is one plan, built on the
     first call (`kernels._lattice_plan`), so every call after it on one
     grid and one TimeGrid transforms only the samples; a sweep of more
-    than 16 time blocks rebuilds the plans each call.  README gives the plan's size and the routes' times for the
-    benchmark's lattice.
+    than 16 time blocks rebuilds the plans each call.  README gives the
+    plan's size and the routes' times for the benchmark's lattice.
 
     Resolution rule: the lattice resolves W_t for t >= h^2, the square of
     the grid step.  Below that the sampled kernel is narrower than the

@@ -604,3 +604,51 @@ def test_the_ladder_gate_takes_integers_only(j, sign, message):
 def test_the_ladder_gate_takes_numpy_integers():
     assert basis._ladder(np.int64(2), np.int8(-1), 2) == (2, -1)
     assert type(basis._ladder(np.int32(1), np.int64(1), 1)[1]) is int
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermite_eval_is_the_product_of_the_table_rows_bit_for_bit(fresh_tables, n):
+    # for n >= 2 hermite_eval reattached one Gaussian e^{-|x|^2/2} per point
+    # to the product of the scaled values, so it differed in the last bits
+    # from the product of the h's that the tables give, and by far more
+    # where that Gaussian went subnormal
+    rng = np.random.default_rng(2900 + n)
+    for _ in range(25):
+        k = tuple(rng.integers(0, 120, n).tolist())
+        x = rng.uniform(-45.0, 45.0, (6, n)).reshape((6,) if n == 1 else (6, n))
+        modes = np.array([k])
+        assert np.array_equal(hermite_eval(k, x), point_synthesis_matrix(modes, x)[0])
+        for point in x:
+            assert hermite_eval(k, point) == point_synthesis_matrix(modes, point)[0, 0]
+
+
+def _mp_product(k, x):
+    """prod_j h_{k_j}(x_j) by mpmath at 60 digits, rounded once to a float."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        value = mpmath.mpf(1)
+        for kj, xj in zip(k, x):
+            xj = mpmath.mpf(float(xj))
+            norm = mpmath.sqrt(2 ** mpmath.mpf(kj) * mpmath.factorial(kj) * mpmath.sqrt(mpmath.pi))
+            value *= mpmath.hermite(kj, xj) * mpmath.exp(-xj * xj / 2) / norm
+        return float(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, x", [
+    # h_100(38.65) read 0.0 and h_650(38.15) was 1.9e-8 off: both went
+    # through a subnormal e^{-x^2/2}; so did the two-dimensional values,
+    # 6 % and 1.1e-8 off, whose coordinates are each within 37.63
+    ((100,), [38.65]),
+    ((650,), [38.15]),
+    ((5, 5), [20.0, 33.0]),
+    ((40, 40), [27.0, 27.0]),
+])
+def test_values_past_the_scaled_range_match_mpmath(k, x):
+    want = _mp_product(k, x)
+    point = x[0] if len(k) == 1 else x
+    assert hermite_eval(k, point) == pytest.approx(want, rel=1e-12, abs=0.0)
+    single = HermiteExpansion.single(k)
+    assert synthesize(single, point)[0] == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -653,3 +653,17 @@ def test_far_points_and_long_times_print_their_values_without_warnings(argv, val
     assert r.returncode == 0
     assert r.stderr == ""
     assert r.stdout.splitlines()[1].startswith(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, value", [
+    # printed nan after three RuntimeWarnings
+    (["kernel", "ladder", "--x", "1e308", "--y", "-1e308", "--t", "1"], "1e308,-1e308,1,0"),
+    # printed 9.1505737239907677e-311: one Gaussian e^{-|x|^2/2} per point went subnormal
+    (["basis", "--k", "5,5", "--x", "20,33"], '"5,5","20,33",8.61830561335'),
+])
+def test_far_points_print_their_limit_or_mpmath_value(argv, value):
+    r = run_main(*argv)
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert r.stdout.splitlines()[1].startswith(value)

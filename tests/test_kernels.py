@@ -1473,6 +1473,40 @@ def test_closed_forms_of_heat_on_one_keep_their_values_below_the_caps():
     assert np.array_equal(heat_one_dt(x, t, L), dt)
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, want", [
+    # |x - y|^2 overflowed, and each returned 0 after two warnings
+    (lambda: heat_kernel(1e200, 0.0, 1.0), 0.0),
+    (lambda: poisson_kernel(1e200, 0.0, 1.0, L), 0.0),
+    (lambda: ladder_kernel(1e200, 0.0, 1.0, 1, 1), 0.0),
+    (lambda: heat_kernel([[1e200, 0]], [[0, 0]], 1.0, 2), 0.0),
+    # u = x - y overflowed and u times a zero sum was nan
+    (lambda: ladder_kernel(1e308, -1e308, 1.0, 1, 1), 0.0),
+    (lambda: ladder_kernel(1e308, -1e308, 1.0, 1, -1), 0.0),
+    # at short times coth t times |x - y|^2 overflowed as well
+    (lambda: heat_kernel(1e150, 0.0, 1e-10), 0.0),
+    (lambda: ladder_kernel(1e200, 0.0, 1e-3, 1, 1), 0.0),
+    (lambda: g_kernel([[1e200, 3.0]], [[0.0, 0.0]], 1e-20, ShiftedOperator(0.0, 2)), 0.0),
+    # (alpha + n) t overflowed
+    (lambda: heat_one_dt(0.0, 2.0, ShiftedOperator(1e308)), -0.0),
+])
+def test_kernels_at_far_points_and_huge_rates_take_their_limit_zero(call, want):
+    got = np.asarray(call())
+    assert np.all(got == 0.0)
+    assert np.all(np.signbit(got) == np.signbit(want))
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_heat_kernel_keeps_its_values_beyond_the_coordinate_cap():
+    # at t = 1e-300 the closed form is not 0 at |x| = |y| = 4e150 > 2^500,
+    # so its points are not capped the way the subordinated kernels' are
+    A, B, scale = kernels._heat_prefactor(np.asarray(1e-300), 1)
+    want = scale * np.exp(-0.25 * B * (8e150 * 8e150))
+    assert 0.0 < want < math.inf
+    assert heat_kernel(4e150, 4e150, 1e-300) == want
+    assert heat_kernel(1e200, 1e200, 1e-300) == 0.0
+
 def test_subordination_nodes_check_the_time_and_the_decay():
     rule = SubordinationRule()
     for t in (0.0, -1.0):
