@@ -5,10 +5,10 @@ one JSON record.
 
 GROUP is one of
   hardy     the `hardy` estimators: sampled `h1_norm` (also on a time
-            grid no earlier call used), `area_integral`, `bmo_norm` and
-            `carleson_functional` (the last two also on a lattice axis no
-            earlier call used), and `kernels.heat_apply` itself on an atom
-            and on a dense input;
+            grid no earlier call used), `area_integral`, `bmo_norm` (also
+            of a d = 3 vector at l^1.5) and `carleson_functional` (the
+            last two also on a lattice axis no earlier call used), and
+            `kernels.heat_apply` itself on an atom and on a dense input;
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI's argv parsing dominate, and one argv of
             each shape the `verify` benchmark workload runs;
@@ -121,7 +121,10 @@ def hardy_calls(h):
     x = grid.axis
     a, b, s = rng.normal(size=3)
     h5 = np.asarray(basis.hermite_eval(5, x))
-    mixed = (a + b * h5 + np.clip(s * x, -1.0, 1.0))[:, None]
+    clip = np.clip(s * x, -1.0, 1.0)
+    mixed = (a + b * h5 + clip)[:, None]
+    vector = np.stack([mixed[:, 0], h5, clip], axis=1)
+    B3 = gamma.BanachModel(3, 1.5)
     ones = np.ones((grid.size, 1))
 
     ks = rng.choice(31, size=3, replace=False)
@@ -150,6 +153,7 @@ def hardy_calls(h):
         "h1_plane_separable": lambda: spaces.h1_norm(separable, B, fine, times),
         "bmo_constant": lambda: spaces.bmo_norm(ones, B, grid, balls),
         "bmo_mixed": lambda: spaces.bmo_norm(mixed, B, grid, balls),
+        "bmo_vector": lambda: spaces.bmo_norm(vector, B3, grid, balls),
         "bmo_mixed_cold_axis": lambda: spaces.bmo_norm(mixed, B, cold(h, grid, fresh), balls),
         "area": lambda: spaces.area_integral(c, 0.7, 1.0, grid, times),
         "carleson": lambda: spaces.carleson_functional(c, 0.7, 1.0, balls, grid, times),
@@ -343,6 +347,8 @@ GROUPS = {
                             "BallSpec(0.5, 6, 3): 200 balls",
             "bmo_mixed": f"bmo_norm of a + b h_5 + clip(s x, -1, 1), l^2, on {HARDY}, "
                          "BallSpec(0.5, 6, 3)",
+            "bmo_vector": "bmo_norm of (a + b h_5 + clip(s x, -1, 1), h_5, clip(s x, -1, 1)), "
+                          f"d = 3, l^1.5, on {HARDY}, BallSpec(0.5, 6, 3)",
             "area": "area_integral at x = 0.7 of 3 random modes (K <= 30), alpha = 1, on "
                     f"{HARDY}, 16 times, g-field computed in the call",
             "carleson": "carleson_functional at x = 0.7 of the same 3 modes, "

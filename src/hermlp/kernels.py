@@ -679,11 +679,14 @@ def heat_kernel_one(x, t, n: int = 1):
             * exp(-(1 - e^{-4t}) / (2 (1 + e^{-4t})) |x|^2).
 
     Tends to 1 as t -> 0+ and is nonincreasing in |x|; it is 0 where it
-    underflows, large t and |x| beyond the float range included
-    (`_radius2`, `_long_time`).  n must be an integer >= 1.
+    underflows, large t (`_long_time`) and |x|^2 beyond the float range
+    included: there |x|^2 is inf and the Gaussian e^{-inf} = 0, its limit,
+    at every t.  n must be an integer >= 1.
     """
     n = _integer(n, "dimension n", 1)
-    r2, t = _radius2(x, n), _long_time(t)
+    x, t = _points(x, n, "x"), _long_time(t)
+    with np.errstate(over="ignore"):
+        r2 = _split(x, n)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
@@ -694,8 +697,8 @@ def heat_kernel_one(x, t, n: int = 1):
 def _capped(x):
     """The float points x with each coordinate clamped to [-2^500, 2^500],
     where |x|^2 and |x -+ y|^2 stay finite; coordinates within it keep
-    their bits.  Beyond the cap the factor e^{-c |x|^2} of the closed
-    forms of W_t(1) is 0 at every t >= 1e-298 (`_radius2`), and every
+    their bits.  Beyond the cap the factor e^{-c |x|^2} of `heat_one_dt`
+    and `g_of_one` is 0 at every t >= 1e-298 (`_radius2`), and every
     Mehler block of `_pair_family` is 0 at every subordination node
     (s >= 5.6e-123 for t >= _T_MIN), as they are at the cap."""
     return np.minimum(np.maximum(x, -2.0 ** 500), 2.0 ** 500)
@@ -703,8 +706,12 @@ def _capped(x):
 
 def _radius2(x, n: int):
     """|x|^2 at the checked points x of R^n, capped (`_capped`) so that it
-    does not overflow and the brackets of the closed forms of W_t(1) stay
-    finite, free of inf * 0."""
+    does not overflow: `heat_one_dt` and `g_of_one` read it, because their
+    brackets multiply |x|^2 by the Gaussian e^{-c |x|^2}, which an inf
+    |x|^2 would turn into inf * 0.  Beyond the cap `heat_one_dt` is
+    therefore exact only for t >= 1e-298 (`g_of_one`'s nodes all are).
+    `heat_kernel_one` has no bracket and takes |x|^2 uncapped, so it is
+    exact at every t."""
     return _split(_capped(_points(x, n, "x")), n)
 
 

@@ -11,7 +11,10 @@ interior points: each average is a weighted sum divided by the sum of
 the same weights, so the BMO estimate of the function 1 is exactly 1.
 The BMO and Carleson sweeps take their balls as arrays and each ball's
 interior as an index interval of the one-dimensional lattice, built once
-per (axis, BallSpec) pair and kept for the last 8 pairs (`_ball_family`).
+per (axis, BallSpec) pair and kept for the last 8 pairs (`_ball_family`),
+and sum over those intervals in place, one np.add.reduceat per sum
+(`_interval_sums`), from one read-only plan per (axis, weights, BallSpec)
+(`_ball_plan`); only the oscillation balls' interiors are copied.
 """
 
 from __future__ import annotations
@@ -311,6 +314,61 @@ def _ball_family(axis_bytes: bytes, balls: BallSpec):
     return tuple(_read_only(a) for a in (centers, radii, oscillation, lo, count))
 
 
+def _interval_sums(padded, bounds, axis: int = 0):
+    """Sums of `padded` along `axis` (0 or 1) over the index intervals
+    [lo_k, hi_k) given by the interleaved bounds lo_0, hi_0, lo_1, hi_1, ...
+    with lo_k < hi_k <= L, where `padded` holds L entries and one trailing
+    zero along `axis`, so that hi = L is an index.  One np.add.reduceat,
+    read at its even slots (an odd slot sums the gap to the next interval,
+    or reads one entry): each interval sums the same terms in the same
+    order as a reduceat over a gathered copy of the intervals, so it has
+    the same bits, without the copy."""
+    sums = np.add.reduceat(padded, bounds, axis=axis)
+    return sums[::2] if axis == 0 else sums[:, ::2]
+
+
+class _BallPlan:
+    """What the ball sweeps read of `_ball_family` on one line grid, built
+    once per (axis, weights, BallSpec) by `_ball_plan`.  Every array is
+    read-only, because every hit hands out the same ones.
+
+    - `skipped`, the number of balls without an interior lattice point;
+      the others are the used balls, oscillation balls first, each group
+      in family order, and `oscillating` is their number.
+    - `centers` and `radii` of the used balls; `bounds`, their interiors
+      as interleaved bounds lo_0, hi_0, lo_1, hi_1, ... (`_interval_sums`);
+      `mass`, the quadrature mass of each interior.
+    - Of the oscillation balls: `gather`, the lattice indices of their
+      interiors one after the other; `starts`, where each ball begins in
+      it; `count`, its number of points; `weights`, the grid weights at
+      `gather`."""
+
+    def __init__(self, axis_bytes: bytes, weight_bytes: bytes, balls: BallSpec):
+        centers, radii, oscillation, lo, count = _ball_family(axis_bytes, balls)
+        used = count > 0
+        self.skipped = int(count.size - np.count_nonzero(used))
+        oscillating = np.flatnonzero(used & oscillation)
+        order = np.concatenate([oscillating, np.flatnonzero(used & ~oscillation)])
+        k = self.oscillating = oscillating.size
+        lo, count = lo[order], count[order]
+        self.centers, self.radii = centers[order], radii[order]
+        self.bounds = np.stack([lo, lo + count], axis=1).ravel()
+        w = np.frombuffer(weight_bytes)
+        self.mass = _interval_sums(np.append(w, 0.0), self.bounds)
+        self.count = count[:k]
+        self.starts = np.cumsum(self.count) - self.count
+        self.gather = np.repeat(lo[:k] - self.starts, self.count) + np.arange(np.sum(self.count))
+        self.weights = w[self.gather]
+        for a in (self.centers, self.radii, self.bounds, self.mass, self.count, self.starts,
+                  self.gather, self.weights):
+            _read_only(a)
+
+
+# the plans of the last 8 (axis, weights, BallSpec) triples, keyed on the
+# exact bytes of the axis and the weights and on the frozen BallSpec
+_ball_plan = functools.lru_cache(maxsize=8)(_BallPlan)
+
+
 def _require_line(grid: SpatialGrid):
     if grid.n != 1:
         raise ValueError("ball sweeps run on one-dimensional grids (BallSpec centers are scalars)")
@@ -320,27 +378,31 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     """Max over the ball family of mean oscillation (r < rho(a)) or mean
     size (r >= rho(a)); averages over interior lattice points weighted by
     quadrature mass.  Balls without interior points are skipped (with a
-    warning per call reporting how many).  All interiors are gathered into
-    one index array and every sum is one np.add.reduceat over it; each
-    average is a weighted sum divided by the same mass, so the estimate
-    of the function 1 is exactly 1.  One-dimensional grids only."""
+    warning per call reporting how many).  Every ball interior is an index
+    interval of the lattice (`_ball_plan`), and the masses, the means of
+    the oscillation balls and the sizes sum w f and w ||f||_B over those
+    intervals in place (`_interval_sums`); only the oscillation balls'
+    interiors are gathered, for ||f - mean||_B.  Each average is a
+    weighted sum divided by the same mass, so the estimate of the
+    function 1 is exactly 1.  One-dimensional grids only."""
     _require_line(grid)
     samples = _grid_samples(samples, grid, B.d)
-    _, _, oscillation, lo, count = _ball_family(grid.axis.tobytes(), balls)
-    used = count > 0
-    skipped = int(np.sum(~used))
-    if skipped:
-        warnings.warn(f"skipped {skipped} balls without interior lattice points")
-    if not np.any(used):
+    w = grid.weights
+    plan = _ball_plan(grid.axis.tobytes(), w.tobytes(), balls)
+    if plan.skipped:
+        warnings.warn(f"skipped {plan.skipped} balls without interior lattice points")
+    if not plan.mass.size:
         return 0.0
-    lo, count, oscillation = lo[used], count[used], oscillation[used]
-    starts = np.cumsum(count) - count
-    idx = np.repeat(lo - starts, count) + np.arange(int(np.sum(count)))
-    w, f = grid.weights[idx], samples[idx]
-    mass = np.add.reduceat(w, starts)
-    mean = np.add.reduceat(w[:, None] * f, starts) / mass[:, None]
-    f -= np.repeat(np.where(oscillation[:, None], mean, 0.0), count, axis=0)
-    return float(np.max(np.add.reduceat(w * B.norm(f), starts) / mass))
+    k, bounds, mass = plan.oscillating, plan.bounds, plan.mass
+    wf = np.zeros((grid.size + 1, samples.shape[1]))
+    np.multiply(w[:, None], samples, out=wf[:-1])
+    mean = _interval_sums(wf, bounds[:2 * k]) / mass[:k, None]
+    dev = samples[plan.gather] - np.repeat(mean, plan.count, axis=0)
+    oscillation = np.add.reduceat(plan.weights * B.norm(dev), plan.starts) / mass[:k]
+    wn = np.zeros(grid.size + 1)
+    np.multiply(w, B.norm(samples), out=wn[:-1])
+    size = _interval_sums(wn, bounds[2 * k:]) / mass[k:]
+    return float(np.max(np.concatenate([oscillation, size])))
 
 
 def area_integral(
@@ -377,19 +439,20 @@ def carleson_functional(
     """sup over family balls containing x of the normalized box integral
     (1/|B| int_0^{r} int_B |t d/dt P_t f(y)|^2 dy dt/t)^{1/2}, for a scalar
     expansion f, whose g-field each call synthesizes.  The box sums of all
-    balls containing x are one (balls x points) @ g^2 product, masked in t.
-    One-dimensional grids only."""
+    balls containing x are interval sums (`_interval_sums`) of the
+    (times, points + 1) rows of w g^2 over the balls' cached bounds
+    (`_ball_plan`), masked in t.  One-dimensional grids only."""
     f = _expansion(f, "f")
     if f.d != 1:
         raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
     x = _point(x, grid.n, "x")
     _require_line(grid)
     g2 = gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
-    centers, radii, _, lo, count = _ball_family(grid.axis.tobytes(), balls)
-    keep = (np.abs(x - centers) < radii) & (count > 0)
-    lo, count, radii = lo[keep], count[keep], radii[keep]
-    i = np.arange(grid.size)
-    inside = (i >= lo[:, None]) & (i < (lo + count)[:, None])
-    wmask = np.where(inside, grid.weights, 0.0)  # (balls, points)
-    box = np.where(times.nodes < radii[:, None], wmask @ g2, 0.0) @ times.weights
-    return float(np.max(np.sqrt(box / np.sum(wmask, axis=1)), initial=0.0))
+    plan = _ball_plan(grid.axis.tobytes(), grid.weights.tobytes(), balls)
+    around = np.abs(x - plan.centers) < plan.radii
+    radii = plan.radii[around]
+    wg2 = np.zeros((times.N, grid.size + 1))
+    np.multiply(grid.weights, g2.T, out=wg2[:, :-1])
+    sums = _interval_sums(wg2, plan.bounds.reshape(-1, 2)[around].ravel(), axis=1)
+    box = np.where(times.nodes[:, None] < radii, sums, 0.0).T @ times.weights
+    return float(np.max(np.sqrt(box / plan.mass[around]), initial=0.0))

@@ -1473,6 +1473,22 @@ def test_closed_forms_of_heat_on_one_keep_their_values_below_the_caps():
     assert np.array_equal(heat_one_dt(x, t, L), dt)
 
 
+@pytest.mark.filterwarnings("error")
+def test_heat_kernel_one_takes_far_points_uncapped():
+    # |x_j| was capped at 2^500 (|x|^2 = 2^1000), which leaves e^{-10.7} of
+    # the Gaussian at t = 1e-300: heat_kernel_one(1e200, 1e-300) read
+    # 2.2207376003434842e-05, and at 1e151 the same, not e^{-100}
+    assert heat_kernel_one(1e200, 1e-300) == 0.0
+    assert heat_kernel_one(1e151, 1e-300) == 3.720075976020783e-44
+    assert heat_kernel_one(1e151, 1e-300) == pytest.approx(math.exp(-100.0), rel=1e-13)
+    assert np.array_equal(heat_kernel_one([[1e200, 0.0], [1e308, -1e308]], 1e-300, 2), [0.0, 0.0])
+    assert heat_kernel_one(1e308, 1e-320) == 0.0
+    # within the cap nothing moved: the capped form at the cap is the same value
+    x = np.array([0.3, 1e100, 2.0 ** 500, -(2.0 ** 500)])
+    want = np.exp(-0.5 * -np.expm1(-4e-300) / (1.0 + np.exp(-4e-300)) * (x * x))
+    assert np.array_equal(heat_kernel_one(x, 1e-300), want)
+
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, want", [

@@ -685,6 +685,74 @@ def test_carleson_functional_skips_empty_balls_around_x():
         assert got == pytest.approx(want, rel=1e-14) and want > 0
 
 
+def _bmo_gathered(samples, B, grid, balls):
+    """The gather route that `bmo_norm` took before its interval sums: the
+    interiors of all used balls copied into one index array, and every sum
+    one np.add.reduceat over that copy."""
+    _, _, oscillation, lo, count = spaces._ball_family(grid.axis.tobytes(), balls)
+    used = count > 0
+    lo, count, oscillation = lo[used], count[used], oscillation[used]
+    starts = np.cumsum(count) - count
+    idx = np.repeat(lo - starts, count) + np.arange(int(np.sum(count)))
+    w, f = grid.weights[idx], samples[idx]
+    mass = np.add.reduceat(w, starts)
+    mean = np.add.reduceat(w[:, None] * f, starts) / mass[:, None]
+    f -= np.repeat(np.where(oscillation[:, None], mean, 0.0), count, axis=0)
+    return float(np.max(np.add.reduceat(w * B.norm(f), starts) / mass))
+
+
+def test_bmo_norm_keeps_the_bits_of_the_gather_route():
+    rng = np.random.default_rng(90)
+    qs = (1.0, 1.5, 2.0, 4.0, math.inf)
+    with_empty = 0
+    for i in range(60):  # every (d, q) pair four times
+        grid = SpatialGrid(float(rng.uniform(2.0, 12.0)), float(rng.uniform(0.01, 0.2)))
+        B = BanachModel(1 + i % 3, qs[i % 5])
+        f = rng.normal(size=(grid.size, B.d)) * 10.0 ** rng.uniform(-3, 3, size=B.d)
+        f += np.sin(grid.points)[:, None]
+        # ladders up to rho 2^-9 around off-lattice centres hold empty balls
+        balls = BallSpec(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.3, 6.0)),
+                         int(rng.integers(0, 10)))
+        with_empty += spaces._ball_plan(grid.axis.tobytes(), grid.weights.tobytes(),
+                                        balls).skipped > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert bmo_norm(f, B, grid, balls) == _bmo_gathered(f, B, grid, balls)
+    assert 10 <= with_empty < 60
+
+
+def test_ball_plan_is_read_only_and_cold_and_warm_calls_agree():
+    # a step no other test uses: the first calls build the plan on this axis
+    grid = SpatialGrid(5.0, 0.05 * (1.0 + 2.0 ** -30))
+    balls, times = BallSpec(0.3, 4.0, 4), TimeGrid(1e-3, 4.0, 10)
+    B = BanachModel(2, 1.5)
+    f = np.stack([np.cos(grid.points), np.clip(grid.points, -1.0, 1.0)], axis=1)
+    e = HermiteExpansion(1, 1, 4, {(0,): [0.7], (4,): [-0.4]})
+    misses = spaces._ball_plan.cache_info().misses
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cold = bmo_norm(f, B, grid, balls), carleson_functional(e, 0.4, 0.0, balls, grid, times)
+        warm = bmo_norm(f, B, grid, balls), carleson_functional(e, 0.4, 0.0, balls, grid, times)
+    assert spaces._ball_plan.cache_info().misses == misses + 1
+    assert cold == warm and min(cold) > 0
+    plan = spaces._ball_plan(grid.axis.tobytes(), grid.weights.tobytes(), balls)
+    arrays = [plan.centers, plan.radii, plan.bounds, plan.mass, plan.count, plan.starts,
+              plan.gather, plan.weights]
+    assert not any(a.flags.writeable for a in arrays)
+    assert plan.skipped + plan.mass.size == balls.balls()[0].size
+
+
+def test_carleson_functional_on_and_off_the_lattice_equals_a_per_ball_loop():
+    grid, times = SpatialGrid(6.0, 0.04), TimeGrid(1e-3, 5.0, 12)
+    e = HermiteExpansion(1, 1, 6, {(1,): [0.8], (2,): [0.3], (6,): [-0.5]})
+    g2 = gfunction(e, 0.0, grid, times).values[:, :, 0] ** 2
+    balls = BallSpec(0.25, 3.0, 3)
+    for x in (float(grid.axis[160]), float(grid.axis[160]) + 0.013, 0.5, -1.2345):
+        want = _carleson_loop(g2, x, balls, grid, times)
+        got = carleson_functional(e, x, 0.0, balls, grid, times)
+        assert got == pytest.approx(want, rel=1e-14) and want > 0
+
+
 def test_ball_sweeps_reject_planar_grids():
     # BallSpec centers are scalars: on a plane they would sit at (a, a)
     grid = SpatialGrid(3.0, 0.25, 2)
