@@ -51,7 +51,9 @@ import functools
 import math
 import operator
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -102,27 +104,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True)
 class SpatialGrid:
     """Uniform tensor lattice on [-R, R]^n with trapezoid weights.
 
     R is snapped to an integer multiple of h so the lattice is symmetric
-    about 0 and contains the origin.
+    about 0 and contains the origin.  A grid is a value: two grids with
+    the same (R, h, n) after the snap are equal and hash alike, and
+    `axis`, `axis_weights`, `points` and `weights` are read-only.
     """
 
-    def __init__(self, R: float, h: float, n: int = 1):
-        if not (0 < R < math.inf and 0 < h < math.inf):
+    R: float
+    h: float
+    n: int = 1
+
+    def __post_init__(self):
+        if not (0 < self.R < math.inf and 0 < self.h < math.inf):
             raise ValueError("grid requires finite R > 0 and h > 0")
-        self.n = _integer(n, "dimension n", 1)
-        if not math.isfinite(R / h):
-            raise ValueError(f"grid half-width over step, R/h = {R!r}/{h!r}, overflows")
-        m = max(1, int(round(R / h)))
-        self.h = float(h)
-        self.R = m * self.h
-        self.axis = self.h * np.arange(-m, m + 1)
-        w = np.full(self.axis.size, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self.axis_weights = w
+        n = _integer(self.n, "dimension n", 1)
+        if not math.isfinite(self.R / self.h):
+            raise ValueError(f"grid half-width over step, R/h = {self.R!r}/{self.h!r}, overflows")
+        m = max(1, int(round(self.R / self.h)))
+        h = float(self.h)
+        w = np.full(2 * m + 1, h)
+        w[[0, -1]] = 0.5 * h
+        # past the frozen __setattr__; axis and axis_weights are functions of
+        # (R, h, n), so they are not fields and take no part in == and hash
+        self.__dict__.update(n=n, h=h, R=m * h, axis=_read_only(h * np.arange(-m, m + 1)),
+                             axis_weights=_read_only(w))
 
     @property
     def shape(self) -> tuple:
@@ -137,7 +146,7 @@ class SpatialGrid:
         """Flattened lattice, shape (size,) for n=1 and (size, n) otherwise;
         built on first access and read-only."""
         if self.n == 1:
-            return _read_only(self.axis.copy())
+            return self.axis
         mesh = np.meshgrid(*([self.axis] * self.n), indexing="ij")
         return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
@@ -228,20 +237,22 @@ def _far_rows(kmax: int, x):
         yield np.ldexp(cur * G, E - F)
 
 
-def _rows(kmax: int, x):
-    """Yield h_m(x) for m = 0..kmax at the float array x: at a point with
-    |x| <= _X_NEAR the scaled recurrence times e^{-x^2/2}, at any other
-    the row of `_far_rows`."""
+def _rows(kmax: int, x, first: int = 0):
+    """Yield h_m(x) for m = first..kmax at the float array x: at a point
+    with |x| <= _X_NEAR the scaled recurrence times e^{-x^2/2}, at any
+    other the row of `_far_rows`.  The rows below `first` are run through
+    but not multiplied by the Gaussian."""
     far = np.abs(x) > _X_NEAR
     if not far.any():
         gauss = np.exp(-0.5 * x * x)
-        for scaled in _scaled_rows(kmax, x):
+        for scaled in islice(_scaled_rows(kmax, x), first, None):
             yield scaled * gauss
         return
     near = ~far
     xn = x[near]
     gauss = np.exp(-0.5 * xn * xn)
-    for scaled, values in zip(_scaled_rows(kmax, xn), _far_rows(kmax, x[far])):
+    for scaled, values in islice(zip(_scaled_rows(kmax, xn), _far_rows(kmax, x[far])),
+                                 first, None):
         row = np.empty(x.shape)
         row[near] = scaled * gauss
         row[far] = values
@@ -342,8 +353,8 @@ def hermite_eval(k, x) -> np.ndarray:
     x = _points(x, n, "x")
     out = 1.0
     for j, kj in enumerate(k, 1):
-        # only the last row of the recurrence is kept: O(|x|) working memory
-        out = out * deque(_rows(kj, _coordinate(x, n, j)), maxlen=1).pop()
+        # only the last row is formed: O(|x|) working memory
+        out = out * next(_rows(kj, _coordinate(x, n, j), kj))
     return out
 
 

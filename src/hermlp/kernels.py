@@ -103,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _coordinate, _integer, _ladder, _points, _read_only, _table
+from .basis import _LN2, _coordinate, _integer, _ladder, _points, _read_only, _table
 
 __all__ = [
     "ShiftedOperator",
@@ -679,40 +679,45 @@ def heat_kernel_one(x, t, n: int = 1):
             * exp(-(1 - e^{-4t}) / (2 (1 + e^{-4t})) |x|^2).
 
     Tends to 1 as t -> 0+ and is nonincreasing in |x|; it is 0 where it
-    underflows, large t (`_long_time`) and |x|^2 beyond the float range
-    included: there |x|^2 is inf and the Gaussian e^{-inf} = 0, its limit,
-    at every t.  n must be an integer >= 1.
+    underflows, large t (`_long_time`) included.  The exponent c |x|^2 is
+    formed from |x|^2 = m 4^e (`_radius2`), never from |x|^2 itself, so it
+    is exact where |x|^2 is beyond the float range and t small: the value
+    of heat_kernel_one(1e155, 5e-324) is 1 - 4.9e-14, not 0.  Where |x|^2
+    is a float it has the bits of c |x|^2.  n must be an integer >= 1.
     """
     n = _integer(n, "dimension n", 1)
-    x, t = _points(x, n, "x"), _long_time(t)
-    with np.errstate(over="ignore"):
-        r2 = _split(x, n)
+    (m, e), t = _radius2(x, n), _long_time(t)
     em2t = np.exp(-2.0 * t)
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     pref = _half_power(2.0 * em2t / (1.0 + em4t), n)
-    return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * r2)
+    # -c 2^e (2^e m) rounds once, as -c |x|^2 did, also where 4^e alone
+    # overflows and c is small; beyond the float range it is -inf, and
+    # e^{-inf} = 0 its limit
+    with np.errstate(over="ignore"):
+        half = np.ldexp(1.0, e)
+        return pref * np.exp(-0.5 * m4 / (1.0 + em4t) * half * (half * m))
 
 
 def _capped(x):
     """The float points x with each coordinate clamped to [-2^500, 2^500],
-    where |x|^2 and |x -+ y|^2 stay finite; coordinates within it keep
-    their bits.  Beyond the cap the factor e^{-c |x|^2} of `heat_one_dt`
-    and `g_of_one` is 0 at every t >= 1e-298 (`_radius2`), and every
-    Mehler block of `_pair_family` is 0 at every subordination node
-    (s >= 5.6e-123 for t >= _T_MIN), as they are at the cap."""
+    where |x -+ y|^2 stays finite; coordinates within it keep their bits.
+    Beyond the cap every Mehler block of `_pair_family` is 0 at every
+    subordination node (s >= 5.6e-123 for t >= _T_MIN), as it is at the
+    cap."""
     return np.minimum(np.maximum(x, -2.0 ** 500), 2.0 ** 500)
 
 
 def _radius2(x, n: int):
-    """|x|^2 at the checked points x of R^n, capped (`_capped`) so that it
-    does not overflow: `heat_one_dt` and `g_of_one` read it, because their
-    brackets multiply |x|^2 by the Gaussian e^{-c |x|^2}, which an inf
-    |x|^2 would turn into inf * 0.  Beyond the cap `heat_one_dt` is
-    therefore exact only for t >= 1e-298 (`g_of_one`'s nodes all are).
-    `heat_kernel_one` has no bracket and takes |x|^2 uncapped, so it is
-    exact at every t."""
-    return _split(_capped(_points(x, n, "x")), n)
+    """(m, e) with |x|^2 = m 4^e exactly, at the points x of R^n, checked
+    here: e >= 0 is the binary exponent of the largest coordinate of a
+    point (0 below 1/2), and m is |x 2^{-e}|^2, in [1/4, n) or below 1/4
+    for e = 0, so neither overflows.  Scaling by 2^{-e} is exact, so
+    where |x|^2 is a normal float m 4^e is its bits, and c 4^e m rounds
+    as c |x|^2 did for every normal c 4^e."""
+    x = _points(x, n, "x")
+    e = np.maximum(np.frexp(x if n == 1 else np.max(np.abs(x), axis=-1))[1], 0)
+    return _split(np.ldexp(x, -e if n == 1 else -e[..., None]), n), e
 
 
 def _long_time(t):
@@ -724,22 +729,47 @@ def _long_time(t):
 
 def heat_one_dt(x, t, op: ShiftedOperator):
     """d/dt of e^{-alpha t} W_t(1)(x), in closed form; -0.0 where it
-    underflows (`_radius2`, `_long_time`)."""
+    underflows (`_long_time`), and a ValueError where it is beyond the
+    float range: heat_one_dt(1e155, 5e-324) is about -1.0e310.  It never
+    forms |x|^2, so it stays right where |x|^2 overflows
+    (`_heat_one_dt_rescaled`)."""
     r2, t = _radius2(x, op.n), _long_time(t)
     # (alpha + n) t beyond the float range is inf, and e^{-inf} = 0 its limit
     with np.errstate(over="ignore"):
         decay = np.exp(-(op.alpha + op.n) * t)
-    return decay * _heat_one_dt_rescaled(r2, t, op)
+    out = decay * _heat_one_dt_rescaled(r2, t, op)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("heat_one_dt's value exceeds the float range")
+    return out
 
 
 def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
-    """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x) at |x|^2 = r2: the time
-    derivative with its large-t decay taken out, finite at every t > 0."""
+    """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x) at |x|^2 = m 4^e, for
+    r2 = (m, e) of `_radius2`: the time derivative with its large-t decay
+    taken out, -(alpha + n (1 - e^{-4t})/(1 + e^{-4t}) + |x|^2 4 e^{-4t} /
+    (1 + e^{-4t})^2) (2/(1 + e^{-4t}))^{n/2} e^{-q}, q = c |x|^2.  Where
+    |x|^2 is a float and every q <= 700, so that e^{-q} is a normal float,
+    that is how it is computed.  Elsewhere the bracket is formed over 4^e,
+    and 4^e e^{-q} = e^{F ln 2 - q} 2^{2e - F} with the least F >= 0 that
+    keeps e^{F ln 2 - q} >= e^{-700}, so |x|^2 is never formed and a value
+    above the normal floats is never read from a subnormal Gaussian; one
+    ldexp puts 2^{2e - F} back, and gives inf beyond the float range.
+    Finite wherever the value is: at every t >= 5.6e-123, say."""
+    m, e = r2
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
     onep = 1.0 + em4t
-    bracket = op.alpha + op.n * m4 / onep + r2 * 4.0 * em4t / (onep * onep)
-    return -bracket * _half_power(2.0 / onep, op.n) * np.exp(-0.5 * m4 / onep * r2)
+    shift, factor = op.alpha + op.n * m4 / onep, -_half_power(2.0 / onep, op.n)
+    with np.errstate(over="ignore"):  # 4^e or c 4^e beyond the float range is inf
+        half = np.ldexp(1.0, e)
+        hm = half * m
+        r2 = half * hm  # |x|^2, inf where it overflows
+        nq = -0.5 * m4 / onep * half * hm  # -q, rounded once as in `heat_kernel_one`
+        if nq.min() >= -700.0 and np.isfinite(r2).all():
+            return (shift + r2 * 4.0 * em4t / (onep * onep)) * factor * np.exp(nq)
+        F = np.minimum(np.ceil(np.maximum(-700.0 - nq, 0.0) / _LN2), 4096.0)
+        bracket = shift / (half * half) + m * 4.0 * em4t / (onep * onep)
+        return np.ldexp(bracket * factor * np.exp(F * _LN2 + nq), 2 * e - F.astype(int))
 
 
 def _distinct(*keys):
@@ -976,9 +1006,10 @@ def ladder_kernel(
 
 def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     """t d/dt P_t^{L+alpha}(1)(x), subordinating the exact time derivative
-    of the heat action on 1; its block depends on |x|^2 alone."""
+    of the heat action on 1; its block depends on |x|^2 = m 4^e alone
+    (`_radius2`), keyed (e, m), which on a line orders the keys as |x|^2."""
     # t/sqrt(pi) s^{-1/2} is the Poisson weight's t/sqrt(4 pi) s^{-3/2} times 2s
     (out,) = _subordinate_family(
         [(t, op.n + op.alpha, lambda s, t: 2.0 * s, None)], rule,
-        lambda s, r2: _heat_one_dt_rescaled(r2, s, op), (_radius2(x, op.n),), op.n)
+        lambda s, e, m: _heat_one_dt_rescaled((m, e), s, op), _radius2(x, op.n)[::-1], op.n)
     return out

@@ -10,11 +10,12 @@ deterministic lattice averages normalized by the quadrature mass of the
 interior points: each average is a weighted sum divided by the sum of
 the same weights, so the BMO estimate of the function 1 is exactly 1.
 The BMO and Carleson sweeps take their balls as arrays and each ball's
-interior as an index interval of the one-dimensional lattice, built once
-per (axis, BallSpec) pair and kept for the last 8 pairs (`_ball_family`),
-and sum over those intervals in place, one np.add.reduceat per sum
-(`_interval_sums`), from one read-only plan per (axis, weights, BallSpec)
-(`_ball_plan`); only the oscillation balls' interiors are copied.
+interior as an index interval of the one-dimensional lattice, and sum
+over those intervals in place, one np.add.reduceat per sum
+(`_interval_sums`), from one read-only plan per (grid, BallSpec) pair,
+kept for the last 8 pairs (`_ball_plan`); a grid is a value, so equal
+grids share their plans.  Only the oscillation balls' interiors are
+copied.
 """
 
 from __future__ import annotations
@@ -166,11 +167,11 @@ def make_random_atom(
 
 
 def _grid_samples(f, grid: SpatialGrid, d: int | None = None) -> np.ndarray:
-    """The samples of an Atom on this grid (same n, h and R), or an array in
+    """The samples of an Atom on this grid (an equal one), or an array in
     the sample layout of `basis` ((grid.size,) or (grid.size, d)) as
     (grid.size, d) floats; ValueError unless they cover the grid, are
     finite and, when `d` is given, have d components."""
-    if isinstance(f, Atom) and (f.grid.n, f.grid.h, f.grid.R) != (grid.n, grid.h, grid.R):
+    if isinstance(f, Atom) and f.grid != grid:
         raise ValueError("an atom is read only on the grid it was sampled on")
     samples = f.samples if isinstance(f, Atom) else np.asarray(f, dtype=float)
     if samples.ndim == 1:
@@ -303,17 +304,6 @@ def _ball_intervals(axis, centers, radii):
     return lo, np.maximum(hi - lo, 0)
 
 
-@functools.lru_cache(maxsize=8)
-def _ball_family(axis_bytes: bytes, balls: BallSpec):
-    """(centers, radii, oscillation, lo, count) of `balls.balls()` and
-    their `_ball_intervals` on the 1-D axis of these float64 bytes, for
-    the last 8 (axis, BallSpec) pairs.  The arrays are read-only, because
-    every hit hands out the same ones."""
-    centers, radii, oscillation = balls.balls()
-    lo, count = _ball_intervals(np.frombuffer(axis_bytes), centers, radii)
-    return tuple(_read_only(a) for a in (centers, radii, oscillation, lo, count))
-
-
 def _interval_sums(padded, bounds, axis: int = 0):
     """Sums of `padded` along `axis` (0 or 1) over the index intervals
     [lo_k, hi_k) given by the interleaved bounds lo_0, hi_0, lo_1, hi_1, ...
@@ -328,9 +318,10 @@ def _interval_sums(padded, bounds, axis: int = 0):
 
 
 class _BallPlan:
-    """What the ball sweeps read of `_ball_family` on one line grid, built
-    once per (axis, weights, BallSpec) by `_ball_plan`.  Every array is
-    read-only, because every hit hands out the same ones.
+    """What the ball sweeps read of `balls.balls()` and their
+    `_ball_intervals` on one line grid, built once per (grid, BallSpec)
+    by `_ball_plan`.  Every array is read-only, because every hit hands
+    out the same ones.
 
     - `skipped`, the number of balls without an interior lattice point;
       the others are the used balls, oscillation balls first, each group
@@ -343,8 +334,9 @@ class _BallPlan:
       it; `count`, its number of points; `weights`, the grid weights at
       `gather`."""
 
-    def __init__(self, axis_bytes: bytes, weight_bytes: bytes, balls: BallSpec):
-        centers, radii, oscillation, lo, count = _ball_family(axis_bytes, balls)
+    def __init__(self, grid: SpatialGrid, balls: BallSpec):
+        centers, radii, oscillation = balls.balls()
+        lo, count = _ball_intervals(grid.axis, centers, radii)
         used = count > 0
         self.skipped = int(count.size - np.count_nonzero(used))
         oscillating = np.flatnonzero(used & oscillation)
@@ -353,7 +345,7 @@ class _BallPlan:
         lo, count = lo[order], count[order]
         self.centers, self.radii = centers[order], radii[order]
         self.bounds = np.stack([lo, lo + count], axis=1).ravel()
-        w = np.frombuffer(weight_bytes)
+        w = grid.weights
         self.mass = _interval_sums(np.append(w, 0.0), self.bounds)
         self.count = count[:k]
         self.starts = np.cumsum(self.count) - self.count
@@ -364,8 +356,8 @@ class _BallPlan:
             _read_only(a)
 
 
-# the plans of the last 8 (axis, weights, BallSpec) triples, keyed on the
-# exact bytes of the axis and the weights and on the frozen BallSpec
+# the plans of the last 8 (grid, BallSpec) pairs; both are values, so a
+# grid built anew with the same (R, h, n) finds its plan
 _ball_plan = functools.lru_cache(maxsize=8)(_BallPlan)
 
 
@@ -388,7 +380,7 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     _require_line(grid)
     samples = _grid_samples(samples, grid, B.d)
     w = grid.weights
-    plan = _ball_plan(grid.axis.tobytes(), w.tobytes(), balls)
+    plan = _ball_plan(grid, balls)
     if plan.skipped:
         warnings.warn(f"skipped {plan.skipped} balls without interior lattice points")
     if not plan.mass.size:
@@ -405,6 +397,20 @@ def bmo_norm(samples, B: BanachModel, grid: SpatialGrid, balls: BallSpec) -> flo
     return float(np.max(np.concatenate([oscillation, size])))
 
 
+def _g_squared(f, x, alpha: float, grid: SpatialGrid, times: TimeGrid, line: bool = False):
+    """(x, g2) for the area and Carleson functionals: the checked single
+    point x, and (t d/dt P_t f)^2 on the grid at the times, shape
+    (grid.size, times.N), for a scalar expansion f.  With `line`, a grid
+    that is not one-dimensional is refused after the point is checked."""
+    f = _expansion(f, "f")
+    if f.d != 1:
+        raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
+    x = _point(x, grid.n, "x")
+    if line:
+        _require_line(grid)
+    return x, gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
+
+
 def area_integral(
     f: HermiteExpansion,
     x,
@@ -415,11 +421,7 @@ def area_integral(
     """Square function over the cone {|x - y| < t}: the integral of
     |t d/dt P_t f(y)|^2 dy dt / t^{n+1}, square-rooted, for a scalar
     expansion f, whose g-field each call synthesizes (`gfunction`)."""
-    f = _expansion(f, "f")
-    if f.d != 1:
-        raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
-    x = _point(x, grid.n, "x")
-    g2 = gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
+    x, g2 = _g_squared(f, x, alpha, grid, times)
     dist = _distances(grid, x)
     t = times.nodes
     cone = dist[:, None] < t[None, :]  # (size, N)
@@ -442,13 +444,8 @@ def carleson_functional(
     balls containing x are interval sums (`_interval_sums`) of the
     (times, points + 1) rows of w g^2 over the balls' cached bounds
     (`_ball_plan`), masked in t.  One-dimensional grids only."""
-    f = _expansion(f, "f")
-    if f.d != 1:
-        raise ValueError(f"area/Carleson functionals take scalar-valued inputs, not d = {f.d}")
-    x = _point(x, grid.n, "x")
-    _require_line(grid)
-    g2 = gfunction(f, alpha, grid, times).values[:, :, 0] ** 2
-    plan = _ball_plan(grid.axis.tobytes(), grid.weights.tobytes(), balls)
+    x, g2 = _g_squared(f, x, alpha, grid, times, line=True)
+    plan = _ball_plan(grid, balls)
     around = np.abs(x - plan.centers) < plan.radii
     radii = plan.radii[around]
     wg2 = np.zeros((times.N, grid.size + 1))

@@ -348,6 +348,32 @@ def test_grid_arrays_are_built_once_and_read_only(n):
     assert grid.points.shape == ((grid.size,) if n == 1 else (grid.size, n))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_axis_arrays_are_read_only(n):
+    # axis and axis_weights were writable, so a write moved every lattice
+    # array built from them afterwards
+    grid = SpatialGrid(R=1.0, h=0.25, n=n)
+    for name in ("axis", "axis_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(grid, name, np.zeros(9))
+    assert grid.axis.tolist() == [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_grids_compare_and_hash_by_their_snapped_parameters():
+    # the axis and weights are functions of (R, h, n) after the snap, so
+    # grids built apart with equal parameters are one value
+    assert SpatialGrid(12, 0.02) == SpatialGrid(12.0, 0.02, 1)
+    assert hash(SpatialGrid(12, 0.02)) == hash(SpatialGrid(12.0, 0.02, 1))
+    assert SpatialGrid(12.004, 0.02) == SpatialGrid(12.0, 0.02)  # R snaps to 600 h
+    assert SpatialGrid(12.0, 0.02) != SpatialGrid(12.0, 0.02, 2)
+    assert SpatialGrid(12.0, 0.02) != SpatialGrid(12.0, 0.025)
+    assert SpatialGrid(12.0, 0.02) != SpatialGrid(12.04, 0.02)
+    assert len({SpatialGrid(6, 0.5), SpatialGrid(6.0, 0.5, np.int64(1)), SpatialGrid(6, 0.25)}) == 2
+    assert repr(SpatialGrid(12, 0.02)) == "SpatialGrid(R=12.0, h=0.02, n=1)"
+
+
 def test_expansion_rejects_excess_degree():
     with pytest.raises(ValueError, match="degree cap"):
         HermiteExpansion(n=1, d=1, K=2, coeffs={(3,): [1.0]})

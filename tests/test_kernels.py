@@ -1489,6 +1489,54 @@ def test_heat_kernel_one_takes_far_points_uncapped():
     assert np.array_equal(heat_kernel_one(x, 1e-300), want)
 
 
+def _heat_one_mpmath(x, t, alpha=None):
+    """W_t(1)(x) on R, or d/dt e^{-alpha t} W_t(1)(x) when alpha is given,
+    by mpmath at 60 digits and rounded once to a float: W_t(1)(x) =
+    sech(2t)^{1/2} e^{-tanh(2t) x^2/2}, whose sech and tanh keep their
+    relative precision at subnormal t, where 1 - e^{-4t} at 60 digits
+    would read 0."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
+        tanh, sech = mpmath.tanh(2 * t), mpmath.sech(2 * t)
+        value = mpmath.sqrt(sech) * mpmath.exp(-tanh * x * x / 2)
+        if alpha is not None:
+            value *= -mpmath.exp(-alpha * t) * (alpha + tanh + x * x * sech ** 2)
+        return float(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, x, t", [
+    # |x|^2 overflowed to inf: heat_kernel_one read 0.0 for both, and
+    # heat_one_dt, its |x_j| capped at 2^500, -2.3795e296, -1.0715e301 and
+    # -2.3795e296
+    ("one", 1e155, 5e-324), ("one", 1e160, 1e-318),
+    ("dt", 1e151, 1e-300), ("dt", 1e160, 1e-318), ("dt", 1e200, 1e-300),
+    # e^{-c|x|^2} is subnormal (c|x|^2 = 718 and 720) while the value is not:
+    # the capped form read -2.3795e296 and -1.536133670648546e-307
+    ("dt", 2.68e151, 1e-300), ("dt", 848.5, 1e-3),
+])
+def test_closed_forms_of_heat_on_one_match_mpmath_where_the_square_overflows(kind, x, t):
+    # measured: at most 7.6e-14 relative, the rounding of c |x|^2 <= 720
+    if kind == "one":
+        got, want = heat_kernel_one(x, t), _heat_one_mpmath(x, t)
+    else:
+        got, want = heat_one_dt(x, t, L), _heat_one_mpmath(x, t, 0.0)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_heat_one_dt_beyond_the_float_range_raises():
+    # its value is about -1.0e310; the capped form read -1.0715e301
+    assert math.isinf(_heat_one_mpmath(1e155, 5e-324, 0.0))
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        heat_one_dt(1e155, 5e-324, L)
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        heat_one_dt([0.5, 1e155], 5e-324, L)
+
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, want", [

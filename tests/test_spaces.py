@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -565,8 +566,8 @@ def test_sampled_h1_is_the_same_with_a_cleared_lattice_plan_cache():
        st.floats(0.5, 10.0), st.floats(0.003, 0.2))
 def test_ball_intervals_are_the_distance_masks(spacing, extent, depth, R, h):
     grid = SpatialGrid(R, h)
-    centers, radii, _, lo, count = spaces._ball_family(grid.axis.tobytes(),
-                                                       BallSpec(spacing, extent, depth))
+    centers, radii, _ = BallSpec(spacing, extent, depth).balls()
+    lo, count = spaces._ball_intervals(grid.axis, centers, radii)
     for a, r, start, size in zip(centers, radii, lo, count):
         mask = np.abs(grid.points - a) < r
         assert np.array_equal(np.flatnonzero(mask), np.arange(start, start + size))
@@ -578,16 +579,17 @@ def test_cached_ball_intervals_are_the_distance_masks(balls):
     # h = 1/8: the centres that are multiples of 1/2 put a +/- r exactly on
     # lattice points (r = 1/2, 1/4, 1, 2, ... near the origin), which the
     # strict inequality leaves out
-    axis = SpatialGrid(4.0, 0.125).axis
+    grid = SpatialGrid(4.0, 0.125)
+    axis = grid.axis
+    centers, radii, _ = balls.balls()
+    empty = sum(not np.any(np.abs(axis - a) < r) for a, r in zip(centers, radii))
     for _ in range(2):  # a miss, then a hit
-        family = spaces._ball_family(axis.tobytes(), balls)
-        centers, radii, oscillation, lo, count = family
-        for got, want in zip(family, balls.balls()):
-            assert np.array_equal(got, want)
-        assert not any(a.flags.writeable for a in family)
-        for a, r, start, size in zip(centers, radii, lo, count):
+        plan = spaces._ball_plan(grid, balls)
+        assert plan.skipped == empty
+        for a, r, start, stop in zip(plan.centers, plan.radii, plan.bounds[::2],
+                                     plan.bounds[1::2]):
             mask = np.abs(axis - a) < r
-            assert np.array_equal(np.flatnonzero(mask), np.arange(start, start + size))
+            assert np.array_equal(np.flatnonzero(mask), np.arange(start, stop))
     assert np.sum(np.isin(centers + radii, axis)) >= 4
 
 
@@ -689,7 +691,8 @@ def _bmo_gathered(samples, B, grid, balls):
     """The gather route that `bmo_norm` took before its interval sums: the
     interiors of all used balls copied into one index array, and every sum
     one np.add.reduceat over that copy."""
-    _, _, oscillation, lo, count = spaces._ball_family(grid.axis.tobytes(), balls)
+    centers, radii, oscillation = balls.balls()
+    lo, count = spaces._ball_intervals(grid.axis, centers, radii)
     used = count > 0
     lo, count, oscillation = lo[used], count[used], oscillation[used]
     starts = np.cumsum(count) - count
@@ -713,8 +716,7 @@ def test_bmo_norm_keeps_the_bits_of_the_gather_route():
         # ladders up to rho 2^-9 around off-lattice centres hold empty balls
         balls = BallSpec(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.3, 6.0)),
                          int(rng.integers(0, 10)))
-        with_empty += spaces._ball_plan(grid.axis.tobytes(), grid.weights.tobytes(),
-                                        balls).skipped > 0
+        with_empty += spaces._ball_plan(grid, balls).skipped > 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert bmo_norm(f, B, grid, balls) == _bmo_gathered(f, B, grid, balls)
@@ -735,11 +737,36 @@ def test_ball_plan_is_read_only_and_cold_and_warm_calls_agree():
         warm = bmo_norm(f, B, grid, balls), carleson_functional(e, 0.4, 0.0, balls, grid, times)
     assert spaces._ball_plan.cache_info().misses == misses + 1
     assert cold == warm and min(cold) > 0
-    plan = spaces._ball_plan(grid.axis.tobytes(), grid.weights.tobytes(), balls)
+    plan = spaces._ball_plan(grid, balls)
     arrays = [plan.centers, plan.radii, plan.bounds, plan.mass, plan.count, plan.starts,
               plan.gather, plan.weights]
     assert not any(a.flags.writeable for a in arrays)
     assert plan.skipped + plan.mass.size == balls.balls()[0].size
+
+
+def test_equal_grids_built_apart_share_one_ball_plan():
+    # the plan was keyed on the bytes of the axis and the weights; a grid
+    # is now its own key, and a step no other test uses makes the first
+    # call a miss
+    balls, B, step = BallSpec(0.4, 3.0, 2), BanachModel(1, 2.0), 0.05 * (1.0 + 2.0 ** -29)
+    first, second = SpatialGrid(4.0, step), SpatialGrid(4.0, step)
+    assert first is not second and first == second
+    f = np.cos(first.points)
+    misses = spaces._ball_plan.cache_info().misses
+    assert bmo_norm(f, B, first, balls) == bmo_norm(f, B, second, balls)
+    assert spaces._ball_plan.cache_info().misses == misses + 1
+    assert spaces._ball_plan(first, balls) is spaces._ball_plan(second, balls)
+
+
+def test_an_atom_is_read_on_an_equal_grid_built_apart():
+    grid, times = SpatialGrid(6.0, 0.05), TimeGrid(1e-3, 20.0, 16)
+    a = make_random_atom(np.random.default_rng(3), grid)
+    other = SpatialGrid(6.0, 0.05)
+    assert other is not grid
+    assert h1_norm(a, B1, other, times) == h1_norm(a, B1, grid, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert bmo_norm(a, B1, other, BallSpec()) == bmo_norm(a.samples, B1, grid, BallSpec())
 
 
 def test_carleson_functional_on_and_off_the_lattice_equals_a_per_ball_loop():
@@ -892,10 +919,11 @@ def test_h1_norm_rejects_an_unknown_kind_and_sampled_poisson_or_shift():
 def test_bmo_norm_of_no_usable_ball_is_zero_with_the_warning(monkeypatch):
     # every SpatialGrid holds the origin and every BallSpec a ball about it,
     # so no grid and ball family of the public API skips every ball; an
-    # empty interval table stands in for one
+    # empty interval table stands in for one, read by a plan cache of its own
     grid, balls = SpatialGrid(R=3.0, h=0.5), BallSpec()
-    centers, radii, oscillation, lo, count = spaces._ball_family(grid.axis.tobytes(), balls)
-    monkeypatch.setattr(spaces, "_ball_family",
-                        lambda *args: (centers, radii, oscillation, lo, 0 * count))
+    centers, radii, _ = balls.balls()
+    lo, count = spaces._ball_intervals(grid.axis, centers, radii)
+    monkeypatch.setattr(spaces, "_ball_intervals", lambda *args: (lo, 0 * count))
+    monkeypatch.setattr(spaces, "_ball_plan", functools.lru_cache(maxsize=8)(spaces._BallPlan))
     with pytest.warns(UserWarning, match=f"skipped {count.size} balls"):
         assert bmo_norm(np.ones(grid.size), B1, grid, balls) == 0.0
