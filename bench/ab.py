@@ -4,8 +4,9 @@ written as one JSON record.
     python3 bench/ab.py REV [--workloads verify,gamma,hardy] [--pairs 10]
         [--seed 9001] [--seconds 25] [--out FILE]
 
-REV is checked out with `git worktree` into a temporary directory, which
-is removed at the end, also after Ctrl-C or SIGTERM.  Pair i runs
+REV's files are exported with `git archive` into a temporary directory
+(under TMPDIR), which is removed at the end, also after Ctrl-C or
+SIGTERM; the repository's own metadata is left as it was.  Pair i runs
 `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` with
 S = SEED + i once in REV's checkout and once in the working tree, each
 tree with its own `perfbench/` and `src/`.
@@ -19,13 +20,16 @@ interquartile range.  Every run's metrics and failed-job counts are kept.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -96,10 +100,13 @@ def main():
         "workloads": {},
     }
     checkout = Path(tempfile.mkdtemp(prefix="hermlp-ab-")) / "rev"
-    git("worktree", "add", "--detach", str(checkout), commit)
     # a SIGTERM ends the runs through the `finally` below, which removes the checkout
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkout, filter="data")
         for workload in args.workloads.split(","):
             runs = []
             for seed in range(args.seed, args.seed + args.pairs):
@@ -113,8 +120,7 @@ def main():
                       file=sys.stderr)
             record["workloads"][workload] = {"metrics": compare(runs, better), "runs": runs}
     finally:
-        git("worktree", "remove", "--force", str(checkout))
-        os.rmdir(checkout.parent)
+        shutil.rmtree(checkout.parent)
     text = json.dumps(record, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

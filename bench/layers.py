@@ -20,6 +20,11 @@ GROUP is one of
   tables    the warm and cold `bmo_norm`, `carleson_functional`, `analyze`
             and `gfunction` cases of `hardy` and `basis`: what the shared
             Hermite tables and ball intervals save;
+  fields    the spectral fields and their synthesis: `gfunction` and
+            `ladder_transform` on the lattice of `verify identities` and on
+            the `hardy` lattice, `check_operator_identities` at three
+            caps, and `synthesize_grid` of sparse and dense modes on a line
+            and of every mode |k| <= 8 on a plane;
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
             target entry, one at M = 2: a call's fixed cost) and
             full-rank operators, `composed_maximal` at q = 4 and 2, and
@@ -274,6 +279,44 @@ def basis_calls(h):
     }
 
 
+def fields_calls(h):
+    import numpy as np
+
+    basis, gamma, semigroups, verify = h.basis, h.gamma, h.semigroups, h.verify
+
+    rng = np.random.default_rng(19)
+    small, small_times = basis.SpatialGrid(6.0, 0.25), gamma.TimeGrid(0.1, 5.0, 12)
+    e9 = basis.HermiteExpansion(1, 1, 9, {(k,): [float(rng.normal())] for k in range(10)})
+    grid, times = basis.SpatialGrid(12.0, 0.02), gamma.TimeGrid(1e-3, 20.0, 16)
+    ks = rng.choice(31, size=4, replace=False)
+    e4 = basis.HermiteExpansion(1, 1, int(max(ks)), {(int(k),): [float(rng.normal())] for k in ks})
+    e30 = basis.HermiteExpansion(1, 1, 30, {(k,): [float(rng.normal())] for k in range(31)})
+    plane = basis.SpatialGrid(8.4, 0.05, 2)
+    e8 = basis.HermiteExpansion(2, 1, 8, {k: [float(rng.normal())] for k in np.ndindex(9, 9)
+                                          if sum(k) <= 8})
+
+    def squares(field):
+        return float(np.sum(field.values ** 2))
+
+    out = {
+        "gfunction_identities_K9": lambda: squares(semigroups.gfunction(e9, 2.0, small,
+                                                                        small_times)),
+        "ladder_identities_K9": lambda: squares(semigroups.ladder_transform(e9, 1, +1, small,
+                                                                            small_times)),
+        "gfunction_hardy_4modes": lambda: squares(semigroups.gfunction(e4, 1.0, grid, times)),
+        "ladder_hardy_4modes": lambda: squares(semigroups.ladder_transform(e4, 1, -1, grid,
+                                                                           times)),
+    }
+    for K in (3, 9, 15):
+        out[f"identities_K{K}"] = lambda K=K: verify.check_operator_identities(K, 3).computed
+    out.update({
+        "synthesize_line_4modes": lambda: float(np.sum(basis.synthesize_grid(e4, grid) ** 2)),
+        "synthesize_line_K30": lambda: float(np.sum(basis.synthesize_grid(e30, grid) ** 2)),
+        "synthesize_plane_K8": lambda: float(np.sum(basis.synthesize_grid(e8, plane) ** 2)),
+    })
+    return out
+
+
 def gamma_calls(h):
     import numpy as np
 
@@ -425,6 +468,34 @@ GROUPS = {
             "gfunction_5modes_cold_axis": f"gfunction_5modes on {COLD}",
             "h1_spectral_mode": f"spectral h1_norm of one random mode (K <= 30), heat, l^2, "
                                 f"on {HARDY}, 16 times",
+        },
+    ),
+    "fields": (
+        "spectral fields: semigroups.gfunction, semigroups.ladder_transform, "
+        "verify.check_operator_identities, basis.synthesize_grid",
+        fields_calls,
+        {
+            "gfunction_identities_K9": "gfunction, alpha = 2, of random coefficients on the modes "
+                                       "0..9 on SpatialGrid(6, 0.25): 49 points, "
+                                       "TimeGrid(0.1, 5, 12), as `verify identities` samples "
+                                       "it; the value is the sum of squares",
+            "ladder_identities_K9": "ladder_transform (j = 1, +) of the same expansion on the "
+                                    "same lattice and times",
+            "gfunction_hardy_4modes": f"gfunction, alpha = 1, of 4 random modes (K <= 30) on "
+                                      f"{HARDY}, 16 times, as `hardy`'s area and carleson "
+                                      "jobs compute it",
+            "ladder_hardy_4modes": f"ladder_transform (j = 1, -) of the same 4 modes on {HARDY}, "
+                                   "16 times",
+            **{f"identities_K{K}": f"check_operator_identities({K}, seed 3), as "
+                                   f"`hermlp verify identities --K {K}` runs it; the value is "
+                                   "its computed discrepancy"
+               for K in (3, 9, 15)},
+            "synthesize_line_4modes": f"synthesize_grid of the same 4 modes on {HARDY}",
+            "synthesize_line_K30": f"synthesize_grid of random coefficients on every mode 0..30 "
+                                   f"on {HARDY}: the `verify` workload's line round trip",
+            "synthesize_plane_K8": "synthesize_grid of random coefficients on the 45 modes "
+                                   "|k| <= 8 on SpatialGrid(8.4, 0.05, 2): 337 x 337 points, "
+                                   "the `verify` workload's plane round trip",
         },
     ),
     "gamma": (

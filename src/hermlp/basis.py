@@ -540,17 +540,41 @@ def synthesize(e: HermiteExpansion, x) -> np.ndarray:
 
 
 def synthesize_grid(e: HermiteExpansion, grid: SpatialGrid) -> np.ndarray:
-    """Synthesis on a full tensor grid, shape (grid.size, d)."""
+    """Synthesis on a full tensor grid, shape (grid.size, d): on a line
+    from the stored coefficient rows alone, on a lattice of n >= 2
+    through the dense (K+1)^n coefficient tensor (`_synthesize`)."""
     e = _expansion(e, "e")
-    if e.n != grid.n:
-        raise ValueError(f"expansion has n={e.n} but the grid has n={grid.n}")
-    if not len(e.C):
-        return np.zeros((grid.size, e.d))
-    a = np.zeros((e.d,) + (e.K + 1,) * e.n)
-    a[(slice(None),) + tuple(e.modes.T)] = e.C.T
-    T = _table(e.K, grid.axis)  # (K+1, M)
-    for _ in range(e.n):
+    return _synthesize(e.modes, e.C, e.K, grid)
+
+
+def _synthesize(modes: np.ndarray, C: np.ndarray, K: int, grid: SpatialGrid) -> np.ndarray:
+    """sum_i C[i] h_{modes[i]} on the grid, shape (grid.size, d), for the
+    modes (rows, n) with |k| <= K and their coefficient rows C (rows, d).
+
+    The dimension is checked first: an n = 2 mode on a line would
+    otherwise build a dense tensor before failing, and an n = 1 mode on a
+    plane would fail inside numpy.  On a line the stored rows multiply
+    their rows H of the axis table, as (C^T H)^T with C^T made
+    contiguous: the dense route's product without its zero rows, in its
+    layout, and with every mode 0..K stored in order it has the dense
+    route's bits.  BLAS sums a transposed view of C, or H^T C, in another
+    order, and H^T C moved the CLI's printed output.  For n >= 2 the rows
+    are scattered into the (d, K+1, ..., K+1) tensor, which is contracted
+    with the table once per axis; K sets that tensor's extent, and so the
+    order of the sums."""
+    n, d = modes.shape[1], C.shape[1]
+    if n != grid.n:
+        raise ValueError(f"expansion has n={n} but the grid has n={grid.n}")
+    if not len(C):
+        return np.zeros((grid.size, d))
+    if n == 1:
+        idx = modes[:, 0]
+        return (np.ascontiguousarray(C.T) @ _table(int(idx.max()), grid.axis)[idx]).T
+    a = np.zeros((d,) + (K + 1,) * n)
+    a[(slice(None),) + tuple(modes.T)] = C.T
+    T = _table(K, grid.axis)  # (K+1, M)
+    for _ in range(n):
         a = np.tensordot(a, T, axes=(1, 0))
     # (d, M, ..., M) -> (size, d)
-    return np.moveaxis(a, 0, -1).reshape(grid.size, e.d)
+    return np.moveaxis(a, 0, -1).reshape(grid.size, d)
 

@@ -10,7 +10,10 @@ a strictly positive eigenvalue (needed for alpha = -2 in low
 dimensions), and rejected otherwise.
 
 Every operator reads one table (`_spectral_table`): per stored mode a
-target mode, a coefficient and a time profile a t^p e^{-r t}.
+target mode, a coefficient and a time profile a t^p e^{-r t}.  A
+sampled field (`gfunction`, `ladder_transform`) hands its table rows,
+outer(profile(t), C) on each target mode, straight to the array-level
+synthesis of `basis` (`_field`); no expansion is built for them.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _expansion, _ladder, _point, point_synthesis_matrix,
-    synthesize_grid,
+    HermiteExpansion, SpatialGrid, _expansion, _ladder, _point, _synthesize,
+    point_synthesis_matrix,
 )
 from .gamma import BanachModel, TimeGrid, gamma_norms
 
@@ -158,7 +161,7 @@ def gfunction(
     """t d/dt P_t^{L+alpha} f sampled on grid x times: mode k carries the
     profile -t sqrt(lambda) e^{-t sqrt(lambda)}."""
     e = _expansion(e, "e")
-    return _field(_spectral_table(e, alpha, "g"), e, grid, times)
+    return _field(_spectral_table(e, alpha, "g"), grid, times)
 
 
 def gfunction_l2_sq(e: HermiteExpansion, alpha: float) -> float:
@@ -177,22 +180,23 @@ def ladder_transform(
     rows of `_spectral_table`: mode k moves to k -/+ e_j and keeps the
     Poisson factor of its own eigenvalue 2|k| + n."""
     e = _expansion(e, "e")
-    return _field(_spectral_table(e, 0.0, ("ladder", j, sign)), e, grid, times)
+    return _field(_spectral_table(e, 0.0, ("ladder", j, sign)), grid, times)
 
 
-def _field(table, e: HermiteExpansion, grid: SpatialGrid, times: TimeGrid) -> TimeField:
+def _field(table, grid: SpatialGrid, times: TimeGrid) -> TimeField:
     """sum over the table rows of h_target(x) profile(t) C, on grid x times.
 
-    The rows are packed into one expansion with N*d components, the
-    target mode carrying outer(profile(t), C), so a single synthesize_grid
-    call makes the whole field.
+    Row i of the table is one coefficient row outer(profile_i(t), C[i])
+    of N*d entries on its target mode, and `basis._synthesize` makes the
+    whole field from those rows in one call; the dimension check it
+    starts with runs before anything is synthesized.
     """
     targets, C = table[:2]
-    rows = _profiles(table, times.nodes)[:, :, None] * C[:, None, :]
-    packed = HermiteExpansion.from_arrays(e.n, times.N * e.d, targets,
-                                          rows.reshape(len(C), times.N * e.d))
-    values = synthesize_grid(packed, grid).reshape(grid.size, times.N, e.d)
-    return TimeField(grid, times, values)
+    d = C.shape[1]
+    rows = _profiles(table, times.nodes)[:, :, None] * C[:, None, :]  # (rows, N, d)
+    K = int(targets.sum(axis=1).max(initial=0))
+    values = _synthesize(targets, rows.reshape(len(C), times.N * d), K, grid)
+    return TimeField(grid, times, values.reshape(grid.size, times.N, d))
 
 
 def riesz(e: HermiteExpansion, j: int, sign: int) -> HermiteExpansion:

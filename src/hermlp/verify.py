@@ -43,6 +43,9 @@ __all__ = [
 
 DEFAULT_GRID = SpatialGrid(R=12.0, h=0.02, n=1)
 DEFAULT_TIMES = TimeGrid(1e-3, 20.0, 32)
+# the lattice and times on which `check_operator_identities` samples its fields
+_IDENTITY_GRID = SpatialGrid(R=6.0, h=0.25, n=1)
+_IDENTITY_TIMES = TimeGrid(0.1, 5.0, 12)
 # the truncated polarization variant integrates over t in [1/N, N]
 _N_TRUNC = 1000.0
 
@@ -264,9 +267,12 @@ def check_polarization(a: HermiteExpansion, f: HermiteExpansion) -> CheckReport:
     The left side is computed by quadrature on DEFAULT_GRID x
     DEFAULT_TIMES, the right side spectrally.  The truncated variant over
     t in [1/N, N], N = _N_TRUNC, is compared against its closed-form
-    per-mode tail bound.
+    per-mode tail bound.  a and f must have the same number of
+    components d.
     """
     a, f = _expansion(a, "a"), _expansion(f, "f")
+    if a.d != f.d:
+        raise ValueError(f"a has d={a.d} components but f has d={f.d}")
     grid, times = DEFAULT_GRID, DEFAULT_TIMES
     ga = gfunction(a, 0.0, grid, times)
     gf = gfunction(f, 0.0, grid, times)
@@ -308,35 +314,30 @@ def check_operator_identities(K: int, seed: int = 0) -> CheckReport:
     (a) t (d/dx + x) P_t  =  -(t d/dt P_t^{L+2}) R_+,
     (b) the lowering analogue with shift -2 (valid modewise here),
     (c) R_+/- = ladder amplitude applied after L^{-1/2} (coefficients).
+
+    The fields of (a) and (b) are sampled on _IDENTITY_GRID x
+    _IDENTITY_TIMES, and each Riesz transform serves both its identity
+    and (c).  The coefficients are one draw of K + 1 normals from `seed`.
+    (c) reads R_+/- e at its target modes k -/+ 1 and compares it with
+    sqrt(2k) resp. -sqrt(2k + 2) times L^{-1/2} e at k.
     """
     K = _integer(K, "degree cap K", 1)
-    grid = SpatialGrid(R=6.0, h=0.25, n=1)
-    times = TimeGrid(0.1, 5.0, 12)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
-    e = HermiteExpansion(
-        n=1,
-        d=1,
-        K=K,
-        coeffs={(k,): [float(rng.normal())] for k in range(K + 1)},
-    )
-    worst_ab = 0.0
+    k = np.arange(K + 1)
+    e = HermiteExpansion.from_arrays(1, 1, k[:, None], rng.normal(size=(K + 1, 1)), K)
+    half = inv_sqrt(e, 0.0).C[:, 0]
+    worst_ab = worst_c = 0.0
     for sign, shift in ((+1, 2.0), (-1, -2.0)):
-        lhs = ladder_transform(e, 1, sign, grid, times)
-        rhs = gfunction(riesz(e, 1, sign), shift, grid, times)
+        r = riesz(e, 1, sign)
+        lhs = ladder_transform(e, 1, sign, _IDENTITY_GRID, _IDENTITY_TIMES)
+        rhs = gfunction(r, shift, _IDENTITY_GRID, _IDENTITY_TIMES)
         worst_ab = max(worst_ab, float(np.max(np.abs(lhs.values + rhs.values))))
-    # (c): coefficient-level factorization through the negative power
-    half = inv_sqrt(e, 0.0).coeffs
-    worst_c = 0.0
-    for sign in (+1, -1):
-        r = riesz(e, 1, sign).coeffs
-        for (kj,), c in half.items():
-            if sign == +1:
-                if kj == 0:
-                    continue
-                target, amp = (kj - 1,), math.sqrt(2 * kj)
-            else:
-                target, amp = (kj + 1,), -math.sqrt(2 * kj + 2)
-            worst_c = max(worst_c, abs(float(r[target][0]) - amp * float(c[0])))
+        # (c): coefficient-level factorization through the negative power
+        src = k[k > 0] if sign == +1 else k
+        amp = sign * np.sqrt(2.0 * src + (1 - sign))
+        at = np.zeros(K + 2)
+        at[r.modes[:, 0]] = r.C[:, 0]
+        worst_c = max(worst_c, float(np.max(np.abs(at[src - sign] - amp * half[src]))))
     worst = max(worst_ab, worst_c)
     tol = 1e-10
     return CheckReport(

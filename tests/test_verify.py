@@ -241,11 +241,68 @@ def test_polarization_truncation_tail(monkeypatch):
     assert abs(r2.details["truncated"] - r2.expected) <= r2.details["tail_bound"] + 1e-14
 
 
+@pytest.mark.parametrize("a, f, d", [
+    (HermiteExpansion(n=1, d=2, K=1, coeffs={(1,): [1.0, 2.0]}), HermiteExpansion.single(0), 1),
+    (HermiteExpansion(n=1, d=2, K=1, coeffs={(0,): [1.0, 2.0]}), HermiteExpansion.single(0), 1),
+    (HermiteExpansion(n=1, d=3, K=0, coeffs={(0,): [1.0, 2.0, 3.0]}),
+     HermiteExpansion(n=1, d=2, K=0, coeffs={(0,): [1.0, 2.0]}), 2),
+], ids=["disjoint modes", "common mode", "d=3 against d=2"])
+def test_polarization_rejects_mismatched_components(a, f, d):
+    # the disjoint pair passed (einsum broadcast f's one component), the
+    # common mode failed inside numpy's matmul and d = 3 inside einsum
+    with pytest.raises(ValueError, match=f"a has d={a.d} components but f has d={d}"):
+        check_polarization(a, f)
+
+
 def test_operator_identities_pass():
     r = check_operator_identities(15)
     assert r.passed
     assert r.details["sampled"] <= 1e-10
     assert r.details["coefficient"] <= 1e-14
+
+
+def _identities_by_mode(K, seed):
+    """The per-mode dict loop that `check_operator_identities` replaced:
+    (worst, sampled, coefficient)."""
+    from hermlp.semigroups import gfunction, inv_sqrt, ladder_transform, riesz
+
+    grid, times = SpatialGrid(R=6.0, h=0.25, n=1), TimeGrid(0.1, 5.0, 12)
+    rng = np.random.default_rng(seed)
+    e = HermiteExpansion(n=1, d=1, K=K,
+                         coeffs={(k,): [float(rng.normal())] for k in range(K + 1)})
+    worst_ab = 0.0
+    for sign, shift in ((+1, 2.0), (-1, -2.0)):
+        lhs = ladder_transform(e, 1, sign, grid, times)
+        rhs = gfunction(riesz(e, 1, sign), shift, grid, times)
+        worst_ab = max(worst_ab, float(np.max(np.abs(lhs.values + rhs.values))))
+    half = inv_sqrt(e, 0.0).coeffs
+    worst_c = 0.0
+    for sign in (+1, -1):
+        r = riesz(e, 1, sign).coeffs
+        for (kj,), c in half.items():
+            if sign == +1:
+                if kj == 0:
+                    continue
+                target, amp = (kj - 1,), math.sqrt(2 * kj)
+            else:
+                target, amp = (kj + 1,), -math.sqrt(2 * kj + 2)
+            worst_c = max(worst_c, abs(float(r[target][0]) - amp * float(c[0])))
+    return max(worst_ab, worst_c), worst_ab, worst_c
+
+
+@pytest.mark.parametrize("seed", [0, 3, 752])
+def test_operator_identities_keep_the_bits_of_the_per_mode_loop(seed):
+    for K in range(1, 16):
+        r = check_operator_identities(K, seed)
+        worst, sampled, coefficient = _identities_by_mode(K, seed)
+        assert (r.computed, r.details) == (worst, {"sampled": sampled,
+                                                   "coefficient": coefficient}), K
+
+
+def test_operator_identities_draw_the_coefficients_one_at_a_time():
+    # one (K + 1, 1) draw gives the numbers of K + 1 scalar draws
+    a, b = np.random.default_rng(752), np.random.default_rng(752)
+    assert np.array_equal(a.normal(size=(16, 1))[:, 0], [b.normal() for _ in range(16)])
 
 
 def test_operator_identities_reject_zero_cap():
