@@ -410,7 +410,22 @@ class HermiteExpansion:
     @classmethod
     def from_arrays(cls, n: int, d: int, modes, C, K: int | None = None) -> "HermiteExpansion":
         """Expansion with coefficient C[i] on mode modes[i]; K defaults to
-        the largest degree among the modes."""
+        the largest degree among the modes.  A mode given twice is a
+        ValueError: it would be stored twice."""
+        e = cls._from_rows(n, d, modes, C, K)
+        if len(e.modes) > 1:
+            ordered = e.modes[np.lexsort(e.modes.T[::-1])]
+            repeated = np.all(ordered[1:] == ordered[:-1], axis=1)
+            if repeated.any():
+                k = tuple(ordered[np.argmax(repeated)].tolist())
+                raise ValueError(f"mode {k} is given more than once")
+        return e
+
+    @classmethod
+    def _from_rows(cls, n, d, modes, C, K=None) -> "HermiteExpansion":
+        """`from_arrays` for modes that are distinct by construction (an
+        expansion's own modes, filtered or shifted by one e_j), without its
+        test for a repeated mode."""
         modes, C = np.asarray(modes), np.asarray(C)
         if modes.ndim != 2 or modes.shape[1] != n:
             raise ValueError(f"modes of shape {modes.shape} have wrong dimension (n={n})")
@@ -463,7 +478,7 @@ class HermiteExpansion:
         return math.sqrt(self.l2_norm_sq())
 
     def scaled(self, factor: float) -> "HermiteExpansion":
-        return HermiteExpansion.from_arrays(self.n, self.d, self.modes, factor * self.C, self.K)
+        return HermiteExpansion._from_rows(self.n, self.d, self.modes, factor * self.C, self.K)
 
 
 def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
@@ -506,7 +521,7 @@ def analyze(samples, grid: SpatialGrid, K: int) -> HermiteExpansion:
     modes = modes[modes.sum(axis=1) <= K]
     C = a[(slice(None),) + tuple(modes.T)].T
     keep = np.any(C != 0.0, axis=1)
-    return HermiteExpansion.from_arrays(n, d, modes[keep], C[keep], K)
+    return HermiteExpansion._from_rows(n, d, modes[keep], C[keep], K)
 
 
 def point_synthesis_matrix(modes: np.ndarray, x) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _integer
+from .basis import _integer, _read_only
 
 # Monte Carlo draws per block, summed over a stack of operators
 _BLOCK = 20000
@@ -51,7 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Log-spaced trapezoid discretization of (0, inf) with measure dt/t."""
+    """Log-spaced trapezoid discretization of (0, inf) with measure dt/t.
+
+    A grid is a value, like `SpatialGrid`: `nodes` and `weights` are
+    read-only, so a grid shared as a module constant stays as built."""
 
     t_min: float = 1e-4
     t_max: float = 40.0
@@ -74,8 +77,8 @@ class TimeGrid:
         weights = np.full(self.N, step)
         weights[0] *= 0.5
         weights[-1] *= 0.5
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
 
 
 @dataclass(frozen=True)

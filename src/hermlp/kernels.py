@@ -128,9 +128,17 @@ _CUT = 45.0
 _T_MIN, _T_MAX = 1e-60, 1e150
 # e^x is subnormal or 0 below this, about -708.40 (`_mehler_block`)
 _LOG_TINY = math.log(np.finfo(float).tiny)
-# the most entries (nodes x distinct values) of a block evaluated at once:
-# its temporaries of 1 MiB each stay in a core's L2 cache (`_subordinate_family`)
+# the most entries (nodes x distinct values) of a block summed by one matmul
+# per member (`_subordinate_family`).  It sets every summation order, and so
+# the kernels' bits: at 1 << 15 the golden `verify envelopes` rows changed.
+# A chunk of 1 << 17 entries is 1 MiB, and built whole it kept 2.1 MiB alive
+# at its peak (the exponent, its exp mask and a zeroed output), more than a
+# core's 2 MiB of L2 on a Xeon with AVX-512, so
 _BLOCK_ENTRIES = 1 << 17
+# a block that writes in place fills its chunk in strips of about this many
+# entries (256 KiB of whole nodes), whose temporaries are strip-sized too:
+# `_mehler_block` keeps one (the second term of its exponent) and a mask
+_STRIP_ENTRIES = 1 << 15
 # the rounding of heat_apply's FFT route, relative to its Gaussian bound;
 # a time takes the Mehler series when a series of at most _SERIES_CAP + 1
 # terms is that close on every input (`_series_order`)
@@ -773,27 +781,34 @@ def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
 
 
 def _distinct(*keys):
-    """The distinct tuples of the equally long 1-D float arrays `keys`,
-    matched by exact equality and sorted by the first key, then the next,
-    as one array per key; and the index that maps each position to its
-    tuple.  For one key this is np.unique with return_inverse, at a
-    fraction of its fixed cost."""
+    """The distinct tuples of one or two equally long 1-D arrays `keys`
+    (floats, or exact integers in float range), matched by exact equality
+    and sorted by the first key, then the second, as one array per key in
+    its own dtype; and the index that maps each position to its tuple.
+    Two keys sort as one complex array, whose real part is the first: a
+    stable sort of it is np.lexsort's order, at a fraction of its cost.
+    For one key this is np.unique with return_inverse, at a fraction of
+    its fixed cost."""
     size = keys[0].size
     if size == 1:
         return keys, np.zeros(1, dtype=np.intp)
-    order = np.lexsort(keys[::-1])
-    ordered = [k[order] for k in keys]
+    packed = keys[0]
+    if len(keys) == 2:
+        packed = np.empty((size, 2))
+        packed[:, 0], packed[:, 1] = keys
+        packed = packed.view(complex)[:, 0]
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
     first = np.empty(size, dtype=bool)
     first[:1] = True
-    np.not_equal(ordered[0][1:], ordered[0][:-1], out=first[1:])
-    for k in ordered[1:]:
-        first[1:] |= k[1:] != k[:-1]
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
     inverse = np.empty(size, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return [k[first] for k in ordered], inverse
+    kept = order[first]
+    return [k[kept] for k in keys], inverse
 
 
-def _subordinate_family(members, rule, block, keys, n=1):
+def _subordinate_family(members, rule, block, keys, n=1, fills=False):
     """Yield, for each member (t, decay, factor, affine) in turn,
     t/sqrt(4 pi) sum_i w_i s_i^{-3/2} factor(s_i, t) e^{-t^2/4s_i - decay s_i}
     block(s_i) over the log-s nodes s_i and weights w_i of `rule`; factor
@@ -804,16 +819,26 @@ def _subordinate_family(members, rule, block, keys, n=1):
     float arrays of the point shape (|x - y|^2 and |x + y|^2, or |x|^2).
     `block(s, *values)` gets the nodes on a column and the distinct tuples
     of the invariants (`_distinct`), one array per invariant, and returns
-    one row per node and one column per tuple, for at most _BLOCK_ENTRIES
-    entries at a time.  The nodes are the grid shared by the (t, decay)
-    windows of every member (`SubordinationRule._node_blocks`), so each
-    member sees a grid at least as fine as its own.  Each member's rows
-    of weights sum the columns by a 2-D matmul of their own into compact
-    sums (rows x distinct tuples): stacked into one matmul, BLAS would
-    round a row by where it falls in the stack, and a member would not
-    equal its one-member call bit for bit.  A member's sums are scattered
-    back to the points by one inverse index only when it is yielded, so
-    a caller that drops each kernel holds one at a time.  With
+    one row per node and one column per tuple.  The nodes come in chunks
+    of _BLOCK_ENTRIES // (distinct tuples) nodes (at least one), and each
+    member sums a chunk by one matmul, so the chunk fixes the bits.  With
+    `fills`, `block(s, *values, out)` writes those rows into `out`
+    instead, a strip of one reused chunk buffer: _STRIP_ENTRIES //
+    (distinct tuples) nodes (at least one) at a time, so that its
+    temporaries stay in cache.  The strip does not change the bits, as a
+    filling block must be elementwise in (node, tuple); a returning block
+    is called once per chunk, as it may read the whole chunk
+    (`_heat_one_dt_rescaled` picks its formula by the least exponent).
+    The nodes are the grid shared by the (t, decay) windows of every
+    member (`SubordinationRule._node_blocks`), so each member sees a grid
+    at least as fine as its own.  Each member's rows of weights sum the
+    columns by a 2-D matmul of their own into compact sums (rows x
+    distinct tuples): stacked into one matmul, BLAS would round a row by
+    where it falls in the stack, and a member would not equal its
+    one-member call bit for bit.  A member's sums are scattered back to
+    the points by one inverse index, into a C-ordered kernel, only when
+    it is yielded, so a caller that drops each kernel holds one at a
+    time.  With
     `affine = (coefficients, u, v)` the integrand is (a(s) u + b(s) v)
     block(s), where coefficients(s) returns the node factors (a, b) and
     u, v are arrays of the point shape: a and b double the member's rows
@@ -839,7 +864,11 @@ def _subordinate_family(members, rule, block, keys, n=1):
         grid_decays += [decay] * len(distinct)
     shape = np.shape(keys[0])
     values, inverse = _distinct(*(np.ravel(k) for k in keys))
-    rows = _BLOCK_ENTRIES // max(1, values[0].size) or 1
+    size = max(1, values[0].size)
+    rows = _BLOCK_ENTRIES // size or 1
+    if fills:
+        strip = _STRIP_ENTRIES // size or 1
+        chunk = np.empty((min(rows, rule.Q), values[0].size))
     totals = [0.0] * len(sets)
     for s, w in rule._node_blocks(grid_ts, grid_decays):
         weights, first = [], 0  # per member; `first` is its first time's row of w
@@ -853,39 +882,63 @@ def _subordinate_family(members, rule, block, keys, n=1):
                 wm = np.concatenate([wm * a, wm * b])
             weights.append(wm)
         for i in range(0, s.size, rows):
-            part = block(s[i:i + rows, None], *values)
+            nodes = s[i:i + rows, None]
+            if fills:
+                part = chunk[:nodes.size]
+                for j in range(0, nodes.size, strip):
+                    block(nodes[j:j + strip], *values, part[j:j + strip])
+            else:
+                part = block(nodes, *values)
             totals = [total + wm[:, i:i + rows] @ part for total, wm in zip(totals, weights)]
-            del part  # the block is a temporary: it is freed before the next is built
+            del part  # a returned block is a temporary: it is freed before the next is built
     for (times, ts, back, _, _, affine), total in zip(sets, totals):
-        total = total[:, inverse].reshape(total.shape[:1] + shape)
-        if affine is not None:
-            total = affine[1] * total[:ts.size] + affine[2] * total[ts.size:]
-        total = (ts / _SQRT4PI).reshape((-1,) + (1,) * len(shape)) * total
-        out = total[back].reshape(times.shape + shape)[()]  # a scalar for 0-d
+        # each step below is elementwise in (time, point), so the rows can go
+        # to the times (`back`) first, on the compact sums; `take` then
+        # writes the points in C order (a fancy index a[:, inverse] writes
+        # them transposed, and a gather of rows out of that is slow)
+        scale = (ts / _SQRT4PI)[back]
+        if affine is None:
+            total = (scale[:, None] * total[back]).take(inverse, axis=1)
+        else:
+            a, b = (half[back].take(inverse, axis=1).reshape(back.shape + shape)
+                    for half in (total[:ts.size], total[ts.size:]))
+            total = scale.reshape((-1,) + (1,) * len(shape)) * (affine[1] * a + affine[2] * b)
+            del a, b
+        out = total.reshape(times.shape + shape)[()]  # a scalar for 0-d
         del total
         yield out
         del out  # a caller that dropped the kernel frees it before the next is built
 
 
-def _mehler_block(s, d2, s2, n: int):
+def _mehler_block(s, d2, s2, n: int, out=None):
     """e^{ns} W_s at the pairs with |x - y|^2 = d2 and |x + y|^2 = s2, as
     (pi (1 - e^{-4s}))^{-n/2} e^{-(A d2 + B s2)/4}; nodes s on a column.
+    The exponent and then its exp are written in place, into `out` when it
+    is given (a strip of `_subordinate_family`), else into a new array.
     Finite at every s > 0, where W_s itself underflows to 0 once ns
     exceeds about 745.  At small s most exponents are far below
     log(tiny), where numpy's exp returns a subnormal or 0 many times
-    slower than elsewhere (and products with subnormals are slow too), so
-    they become exact zeros without calling exp."""
-    em2s = np.exp(-2.0 * s)
-    m2 = -np.expm1(-2.0 * s)  # 1 - e^{-2s}
-    A, B = (1.0 + em2s) / m2, m2 / (1.0 + em2s)  # as in `_mehler`
+    slower than elsewhere (and so does exp(-inf)), so they become exact
+    zeros without calling exp; where no exponent is that low, exp runs
+    unmasked."""
+    e = -2.0 * s
+    em2s = np.exp(e)
+    m2 = -np.expm1(e)  # 1 - e^{-2s}
+    onep = 1.0 + em2s
+    A, B = onep / m2, m2 / onep  # as in `_mehler`
     # -(A d2 + B s2)/4 with the exact factor 1/4 on the node column; a term
     # beyond the float range is -inf, which the mask below makes an exact 0
     with np.errstate(over="ignore"):
-        arg = (-0.25 * A) * d2
-        arg += (-0.25 * B) * s2
-    gauss = np.exp(arg, out=np.zeros_like(arg), where=arg >= _LOG_TINY)
-    gauss *= (math.pi * -np.expm1(-4.0 * s)) ** (-n / 2.0)
-    return gauss
+        out = np.multiply(-0.25 * A, d2, out=out)
+        out += (-0.25 * B) * s2
+    if out.min(initial=0.0) >= _LOG_TINY:  # every exponent is <= 0; none for no pairs
+        np.exp(out, out=out)
+    else:
+        kept = out >= _LOG_TINY
+        np.exp(out, out=out, where=kept)
+        np.copyto(out, 0.0, where=~kept)
+    out *= (math.pi * -np.expm1(2.0 * e)) ** (-n / 2.0)  # 2e = -4s exactly
+    return out
 
 
 def _pair_family(x, y, members, rule=None):
@@ -916,8 +969,9 @@ def _pair_family(x, y, members, rule=None):
             xj, yj = _coordinate(x, n, j), _coordinate(y, n, j)
             affine = (coefficients, xj - yj, xj + yj)
         subs.append((t, n + op.alpha, factor, affine))
-    return _subordinate_family(subs, rule, lambda s, d2, s2: _mehler_block(s, d2, s2, n),
-                               _pair_keys(x, y, n), n)
+    return _subordinate_family(subs, rule,
+                               lambda s, d2, s2, out: _mehler_block(s, d2, s2, n, out),
+                               _pair_keys(x, y, n), n, fills=True)
 
 
 def _pair_kernel(x, y, member, rule=None):

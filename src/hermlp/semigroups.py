@@ -152,7 +152,7 @@ def apply_semigroup(
     # overflows (t = 1e308), and the factor is 0.0 either way
     t = float(t)
     factor = np.array([math.exp(-t * r) for r in rate.tolist()])
-    return HermiteExpansion.from_arrays(e.n, e.d, modes, factor[:, None] * C, e.K)
+    return HermiteExpansion._from_rows(e.n, e.d, modes, factor[:, None] * C, e.K)
 
 
 def gfunction(
@@ -205,14 +205,14 @@ def riesz(e: HermiteExpansion, j: int, sign: int) -> HermiteExpansion:
     `_spectral_table`."""
     e = _expansion(e, "e")
     targets, C, amp, _, _ = _spectral_table(e, 0.0, ("riesz", j, sign))
-    return HermiteExpansion.from_arrays(e.n, e.d, targets, amp[:, None] * C)
+    return HermiteExpansion._from_rows(e.n, e.d, targets, amp[:, None] * C)
 
 
 def inv_sqrt(e: HermiteExpansion, alpha: float = 0.0) -> HermiteExpansion:
     """(L + alpha)^{-1/2}: scale coefficient at k by (2|k|+n+alpha)^{-1/2}."""
     e = _expansion(e, "e")
     modes, C, _, rate, _ = _spectral_table(e, alpha, "poisson")
-    return HermiteExpansion.from_arrays(e.n, e.d, modes, C / rate[:, None], e.K)
+    return HermiteExpansion._from_rows(e.n, e.d, modes, C / rate[:, None], e.K)
 
 
 def _maximal_function(

@@ -324,7 +324,7 @@ def check_operator_identities(K: int, seed: int = 0) -> CheckReport:
     K = _integer(K, "degree cap K", 1)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     k = np.arange(K + 1)
-    e = HermiteExpansion.from_arrays(1, 1, k[:, None], rng.normal(size=(K + 1, 1)), K)
+    e = HermiteExpansion._from_rows(1, 1, k[:, None], rng.normal(size=(K + 1, 1)), K)
     half = inv_sqrt(e, 0.0).C[:, 0]
     worst_ab = worst_c = 0.0
     for sign, shift in ((+1, 2.0), (-1, -2.0)):

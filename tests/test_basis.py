@@ -411,6 +411,19 @@ def test_from_arrays_applies_the_constructor_checks(modes, C, match):
         HermiteExpansion(1, 1, 2, {tuple(k): c for k, c in zip(modes, C)})
 
 
+@pytest.mark.parametrize("n, modes, repeated", [
+    (1, [[2], [2]], "(2,)"),
+    (1, [[0], [3], [1], [3], [1]], "(1,)"),
+    (2, [[1, 0], [0, 1], [2, 0], [0, 1]], "(0, 1)"),
+])
+def test_from_arrays_rejects_a_repeated_mode(n, modes, repeated):
+    # from_arrays(1, 1, [[2], [2]], [[1.0], [3.0]]) synthesized as 4 h_2,
+    # read `coeffs` as {(2,): [3.0]} and had l2_norm_sq 10.0
+    C = np.arange(1.0, len(modes) + 1.0)[:, None]
+    with pytest.raises(ValueError, match=f"^mode {re.escape(repeated)} is given more than once$"):
+        HermiteExpansion.from_arrays(n, 1, np.array(modes), C)
+
+
 @pytest.mark.parametrize(
     "modes, C, message",
     [

@@ -56,6 +56,22 @@ def test_time_grid_rejects_non_finite_ends(span):
             TimeGrid(*span, 8)
 
 
+def test_time_grid_arrays_are_read_only():
+    # verify.DEFAULT_TIMES is a shared module constant: writing its nodes
+    # changed every later check_polarization and equivalence_suite
+    from hermlp import verify
+
+    grid = verify.DEFAULT_TIMES
+    nodes, weights = grid.nodes.copy(), grid.weights.copy()
+    for a in (grid.nodes, grid.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+    assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
+    assert grid == TimeGrid(1e-3, 20.0, 32)
+    assert np.array_equal(grid.nodes, TimeGrid(1e-3, 20.0, 32).nodes)
+
+
 def test_h_norm_exponential_profile():
     # int_0^inf (t e^{-t})^2 dt/t = 1/4
     assert h_norm(GRID.nodes * np.exp(-GRID.nodes), GRID) == pytest.approx(0.5, abs=1e-4)

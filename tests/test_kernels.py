@@ -1030,6 +1030,18 @@ def test_time_order_and_repeats_do_not_change_values(times, name):
     got = kernel(np.array(times))
     want = kernel(distinct)[np.searchsorted(distinct, times)]
     assert np.array_equal(got, want)
+    # C order, as a caller's BLAS product rounds by the layout (the gH
+    # envelope's tensordot over the times)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_kernels_of_no_points_are_empty(n):
+    none = np.zeros((0,) if n == 1 else (0, n))
+    op = ShiftedOperator(0.5, n)
+    assert poisson_kernel(none, none, 1.0, op).shape == (0,)
+    assert g_kernel(none, none, [0.5, 2.0], op).shape == (2, 0)
+    assert ladder_kernel(none, none, [0.5, 2.0, 0.5], 1, +1, n).shape == (3, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -1358,6 +1370,89 @@ def test_distinct_is_np_unique(keys):
     assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse.ravel())
     for k, v in zip(keys, values):
         assert np.array_equal(v[inverse], k)
+
+
+def _lexsort_distinct(*keys):
+    """`_distinct` as it was written with np.lexsort: the reference."""
+    order = np.lexsort(keys[::-1])
+    ordered = [k[order] for k in keys]
+    first = np.ones(keys[0].size, dtype=bool)
+    first[1:] = np.any([k[1:] != k[:-1] for k in ordered], axis=0)
+    inverse = np.empty(keys[0].size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return [k[first] for k in ordered], inverse
+
+
+# ties, exact zeros of both signs, subnormals and huge values
+_KEY_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e-300, 1e300, 3.0]) | st.floats(
+    -1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda size: st.tuples(
+    st.lists(_KEY_FLOATS, min_size=size, max_size=size),
+    st.lists(_KEY_FLOATS, min_size=size, max_size=size),
+    st.lists(st.integers(0, 1100), min_size=size, max_size=size),
+    st.sampled_from(["one", "two", "exponents"]))))
+def test_distinct_is_the_lexsort_reference(case):
+    # the single sort of a complex view (two keys) or of the key itself
+    # (one key, the times) against np.lexsort: the same tuples in the same
+    # order, each in its key's own dtype, and the same inverse
+    first, second, exponents, kind = case
+    keys = {"one": [np.array(first)],
+            "two": [np.array(first), np.array(second)],
+            # g_of_one's keys (e, m): integer exponents, then floats
+            "exponents": [np.array(exponents), np.abs(np.array(second))]}[kind]
+    values, inverse = kernels._distinct(*keys)
+    want, want_inverse = _lexsort_distinct(*keys)
+    assert np.array_equal(inverse, want_inverse)
+    for got, ref, key in zip(values, want, keys):
+        assert got.dtype == key.dtype and got.tobytes() == ref.tobytes()
+        assert np.array_equal(got[inverse], key)  # -0.0 and 0.0 are one tuple
+
+
+# the chunk sizes the strip test runs at: the default rule, and chunks of 7
+# nodes, which end inside a node block and a strip
+_CHUNKS = (None, 7)
+
+
+def _family_kernels(x, y, t, alpha, n):
+    """Every member kind of `_pair_family` at once, and `g_of_one`."""
+    op, lap = ShiftedOperator(alpha, n), ShiftedOperator(0.0, n)
+    members = [("poisson", t, op), ("g", t, op), ("g_dx", t, op),
+               (("ladder", n, +1), t, lap), (("ladder", 1, -1), t, lap)]
+    return [*kernels._pair_family(x, y, members), g_of_one(x, t, op)]
+
+
+_COORDINATES = st.floats(-6.0, 6.0, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0, 40.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 5), st.integers(1, 5), st.data(),
+       st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6),
+       st.sampled_from([0.0, 1.5, -0.5]))
+def test_strips_keep_the_bits_of_every_member(n, rows, cols, data, times, alpha):
+    # a chunk's block buffer is filled in strips of _STRIP_ENTRIES entries;
+    # the block is elementwise in (node, tuple), so every strip size from
+    # one node to a whole chunk gives every member kind the same bits
+    x = np.array(data.draw(st.lists(_COORDINATES, min_size=rows * n, max_size=rows * n)))
+    y = np.array(data.draw(st.lists(_COORDINATES, min_size=cols * n, max_size=cols * n)))
+    x, y = (x.reshape(rows, 1), y.reshape(1, cols)) if n == 1 else (
+        x.reshape(rows, 1, n), y.reshape(1, cols, n))
+    t = np.array(times)
+    tuples = kernels._distinct(*map(np.ravel, kernels._pair_keys(
+        kernels._capped(x), kernels._capped(y), n)))[0][0].size
+    for chunk in _CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(kernels, "_BLOCK_ENTRIES", chunk * tuples)
+            mp.setattr(kernels, "_STRIP_ENTRIES", kernels._BLOCK_ENTRIES)
+            want = _family_kernels(x, y, t, alpha, n)
+            for strip in (1, 3):
+                mp.setattr(kernels, "_STRIP_ENTRIES", strip * tuples)
+                got = _family_kernels(x, y, t, alpha, n)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
