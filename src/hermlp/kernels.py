@@ -34,9 +34,10 @@ an optional affine factor; a public kernel is a family of one.  The loop
 takes `_distinct` of the point invariants once and one log-s grid over
 the union of every member's (t, decay) windows, in blocks of at most
 Q nodes; each block is evaluated once per node and distinct value of the
-invariants, each member's (T x nodes) weight matrix f(s, t) sums it by a
-matmul, and one inverse index scatters a member's sums back to the points
-when it is yielded.  Six times in [0.1, 2] need 113 nodes instead of
+invariants, written in place, strip by strip, into one reused buffer
+(`block(s, *values, out)`), each member's (T x nodes) weight matrix
+f(s, t) sums it by a matmul, and one inverse index scatters a member's
+sums back to the points when it is yielded.  Six times in [0.1, 2] need 113 nodes instead of
 6 * 64 = 384, and the 65 x 65 lattice of `verify envelopes` has 1089
 distinct pairs in its 4225 points, so a kernel there evaluates 113 *
 1089 Mehler entries instead of 384 * 4225.  That suite's five
@@ -135,8 +136,8 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 # at its peak (the exponent, its exp mask and a zeroed output), more than a
 # core's 2 MiB of L2 on a Xeon with AVX-512, so
 _BLOCK_ENTRIES = 1 << 17
-# a block that writes in place fills its chunk in strips of about this many
-# entries (256 KiB of whole nodes), whose temporaries are strip-sized too:
+# every block writes its chunk in place, in strips of about this many entries
+# (256 KiB of whole nodes), whose temporaries are strip-sized too:
 # `_mehler_block` keeps one (the second term of its exponent) and a mask
 _STRIP_ENTRIES = 1 << 15
 # the rounding of heat_apply's FFT route, relative to its Gaussian bound;
@@ -170,7 +171,7 @@ class ShiftedOperator:
             raise ValueError(f"shift alpha={self.alpha} must exceed -n={-self.n}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubordinationRule:
     """Quadrature for the half-line subordination integrals.
 
@@ -192,13 +193,15 @@ class SubordinationRule:
     e.g. {1e-3, 40} needs 512), the nodes are the T per-t grids instead,
     so a call never evaluates more than T * Q nodes.  For a single time
     the shared grid is exactly the Q nodes of `s_nodes`.  The rule holds
-    no precomputed nodes, so constructing one costs nothing.
+    no precomputed nodes, so constructing one costs nothing; it is a
+    read-only value, so Q stays the checked integer, and equal rules hash
+    alike.
     """
 
     Q: int = 64
 
     def __post_init__(self):
-        self.Q = _integer(self.Q, "subordination node count Q", 2)
+        object.__setattr__(self, "Q", _integer(self.Q, "subordination node count Q", 2))
 
     def _window(self, t: float, decay: float):
         """The log-s interval (lo, hi) of the rule for time t."""
@@ -751,18 +754,23 @@ def heat_one_dt(x, t, op: ShiftedOperator):
     return out
 
 
-def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
+def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator, out=None):
     """e^{(alpha+n)t} d/dt e^{-alpha t} W_t(1)(x) at |x|^2 = m 4^e, for
-    r2 = (m, e) of `_radius2`: the time derivative with its large-t decay
-    taken out, -(alpha + n (1 - e^{-4t})/(1 + e^{-4t}) + |x|^2 4 e^{-4t} /
-    (1 + e^{-4t})^2) (2/(1 + e^{-4t}))^{n/2} e^{-q}, q = c |x|^2.  Where
-    |x|^2 is a float and every q <= 700, so that e^{-q} is a normal float,
-    that is how it is computed.  Elsewhere the bracket is formed over 4^e,
-    and 4^e e^{-q} = e^{F ln 2 - q} 2^{2e - F} with the least F >= 0 that
-    keeps e^{F ln 2 - q} >= e^{-700}, so |x|^2 is never formed and a value
-    above the normal floats is never read from a subnormal Gaussian; one
-    ldexp puts 2^{2e - F} back, and gives inf beyond the float range.
-    Finite wherever the value is: at every t >= 5.6e-123, say."""
+    r2 = (m, e) of `_radius2`, written into `out` when it is given (a strip
+    of `_subordinate_family`), else into a new array: the time derivative
+    with its large-t decay taken out, -(alpha + n (1 - e^{-4t})/(1 +
+    e^{-4t}) + |x|^2 4 e^{-4t} / (1 + e^{-4t})^2) (2/(1 + e^{-4t}))^{n/2}
+    e^{-q}, q = c |x|^2.  Where |x|^2 is a float and every q <= 700 of the
+    call, so that e^{-q} is a normal float, that is how it is computed.
+    Elsewhere the bracket is formed over 4^e, and 4^e e^{-q} = e^{F ln 2 -
+    q} 2^{2e - F} with the least F >= 0 that keeps e^{F ln 2 - q} >=
+    e^{-700}, so |x|^2 is never formed and a value above the normal floats
+    is never read from a subnormal Gaussian; one ldexp puts 2^{2e - F}
+    back, and gives inf beyond the float range.  Where the first formula
+    applies, F = 0 and the two differ only by exact powers of two, so they
+    give the same bits, and the choice, made per call (per strip of
+    `g_of_one`), changes none.  Finite wherever the value is: at every
+    t >= 5.6e-123, say."""
     m, e = r2
     em4t = np.exp(-4.0 * t)
     m4 = -np.expm1(-4.0 * t)
@@ -773,11 +781,12 @@ def _heat_one_dt_rescaled(r2, t, op: ShiftedOperator):
         hm = half * m
         r2 = half * hm  # |x|^2, inf where it overflows
         nq = -0.5 * m4 / onep * half * hm  # -q, rounded once as in `heat_kernel_one`
-        if nq.min() >= -700.0 and np.isfinite(r2).all():
-            return (shift + r2 * 4.0 * em4t / (onep * onep)) * factor * np.exp(nq)
+        if nq.min(initial=0.0) >= -700.0 and np.isfinite(r2).all():  # no points: no minimum
+            return np.multiply((shift + r2 * 4.0 * em4t / (onep * onep)) * factor, np.exp(nq),
+                               out=out)
         F = np.minimum(np.ceil(np.maximum(-700.0 - nq, 0.0) / _LN2), 4096.0)
         bracket = shift / (half * half) + m * 4.0 * em4t / (onep * onep)
-        return np.ldexp(bracket * factor * np.exp(F * _LN2 + nq), 2 * e - F.astype(int))
+        return np.ldexp(bracket * factor * np.exp(F * _LN2 + nq), 2 * e - F.astype(int), out=out)
 
 
 def _distinct(*keys):
@@ -808,7 +817,7 @@ def _distinct(*keys):
     return [k[kept] for k in keys], inverse
 
 
-def _subordinate_family(members, rule, block, keys, n=1, fills=False):
+def _subordinate_family(members, rule, block, keys, n=1):
     """Yield, for each member (t, decay, factor, affine) in turn,
     t/sqrt(4 pi) sum_i w_i s_i^{-3/2} factor(s_i, t) e^{-t^2/4s_i - decay s_i}
     block(s_i) over the log-s nodes s_i and weights w_i of `rule`; factor
@@ -817,18 +826,17 @@ def _subordinate_family(members, rule, block, keys, n=1, fills=False):
 
     The block depends on the points only through the invariants `keys`,
     float arrays of the point shape (|x - y|^2 and |x + y|^2, or |x|^2).
-    `block(s, *values)` gets the nodes on a column and the distinct tuples
-    of the invariants (`_distinct`), one array per invariant, and returns
-    one row per node and one column per tuple.  The nodes come in chunks
-    of _BLOCK_ENTRIES // (distinct tuples) nodes (at least one), and each
-    member sums a chunk by one matmul, so the chunk fixes the bits.  With
-    `fills`, `block(s, *values, out)` writes those rows into `out`
-    instead, a strip of one reused chunk buffer: _STRIP_ENTRIES //
-    (distinct tuples) nodes (at least one) at a time, so that its
-    temporaries stay in cache.  The strip does not change the bits, as a
-    filling block must be elementwise in (node, tuple); a returning block
-    is called once per chunk, as it may read the whole chunk
-    (`_heat_one_dt_rescaled` picks its formula by the least exponent).
+    `block(s, *values, out)` gets the nodes on a column and the distinct
+    tuples of the invariants (`_distinct`), one array per invariant, and
+    writes one row per node and one column per tuple into `out`.  The
+    nodes come in chunks of _BLOCK_ENTRIES // (distinct tuples) nodes (at
+    least one), and each member sums a chunk by one matmul, so the chunk
+    fixes the bits.  One reused chunk buffer is filled in strips of
+    _STRIP_ENTRIES // (distinct tuples) nodes (at least one), `out` being
+    the strip, so that the block's temporaries stay in cache.  The strip
+    does not change the bits, as a block must be elementwise in (node,
+    tuple): one that picks a formula per strip, as `_heat_one_dt_rescaled`
+    does, must pick formulas that agree bit for bit where both apply.
     The nodes are the grid shared by the (t, decay) windows of every
     member (`SubordinationRule._node_blocks`), so each member sees a grid
     at least as fine as its own.  Each member's rows of weights sum the
@@ -865,10 +873,8 @@ def _subordinate_family(members, rule, block, keys, n=1, fills=False):
     shape = np.shape(keys[0])
     values, inverse = _distinct(*(np.ravel(k) for k in keys))
     size = max(1, values[0].size)
-    rows = _BLOCK_ENTRIES // size or 1
-    if fills:
-        strip = _STRIP_ENTRIES // size or 1
-        chunk = np.empty((min(rows, rule.Q), values[0].size))
+    rows, strip = _BLOCK_ENTRIES // size or 1, _STRIP_ENTRIES // size or 1
+    chunk = np.empty((min(rows, rule.Q), values[0].size))
     totals = [0.0] * len(sets)
     for s, w in rule._node_blocks(grid_ts, grid_decays):
         weights, first = [], 0  # per member; `first` is its first time's row of w
@@ -883,14 +889,10 @@ def _subordinate_family(members, rule, block, keys, n=1, fills=False):
             weights.append(wm)
         for i in range(0, s.size, rows):
             nodes = s[i:i + rows, None]
-            if fills:
-                part = chunk[:nodes.size]
-                for j in range(0, nodes.size, strip):
-                    block(nodes[j:j + strip], *values, part[j:j + strip])
-            else:
-                part = block(nodes, *values)
+            part = chunk[:nodes.size]
+            for j in range(0, nodes.size, strip):
+                block(nodes[j:j + strip], *values, part[j:j + strip])
             totals = [total + wm[:, i:i + rows] @ part for total, wm in zip(totals, weights)]
-            del part  # a returned block is a temporary: it is freed before the next is built
     for (times, ts, back, _, _, affine), total in zip(sets, totals):
         # each step below is elementwise in (time, point), so the rows can go
         # to the times (`back`) first, on the compact sums; `take` then
@@ -971,7 +973,7 @@ def _pair_family(x, y, members, rule=None):
         subs.append((t, n + op.alpha, factor, affine))
     return _subordinate_family(subs, rule,
                                lambda s, d2, s2, out: _mehler_block(s, d2, s2, n, out),
-                               _pair_keys(x, y, n), n, fills=True)
+                               _pair_keys(x, y, n), n)
 
 
 def _pair_kernel(x, y, member, rule=None):
@@ -1065,5 +1067,6 @@ def g_of_one(x, t, op: ShiftedOperator, rule: SubordinationRule | None = None):
     # t/sqrt(pi) s^{-1/2} is the Poisson weight's t/sqrt(4 pi) s^{-3/2} times 2s
     (out,) = _subordinate_family(
         [(t, op.n + op.alpha, lambda s, t: 2.0 * s, None)], rule,
-        lambda s, e, m: _heat_one_dt_rescaled((m, e), s, op), _radius2(x, op.n)[::-1], op.n)
+        lambda s, e, m, out: _heat_one_dt_rescaled((m, e), s, op, out),
+        _radius2(x, op.n)[::-1], op.n)
     return out

@@ -883,8 +883,9 @@ def test_time_axis_shapes(name, n, alpha):
 
 class _NodeCounter:
     """Counts the nodes at which the t-free blocks are evaluated: every
-    block calls _mehler_block(s, d2, s2, n) or _heat_one_dt_rescaled(r2,
-    s, op) with the nodes s on the leading axis."""
+    block calls _mehler_block(s, d2, s2, n, out) or
+    _heat_one_dt_rescaled(r2, s, op, out) with the nodes s on the leading
+    axis and `out` its strip of the chunk buffer."""
 
     def __init__(self, monkeypatch):
         import hermlp.kernels as kernels
@@ -1042,6 +1043,11 @@ def test_pair_kernels_of_no_points_are_empty(n):
     assert poisson_kernel(none, none, 1.0, op).shape == (0,)
     assert g_kernel(none, none, [0.5, 2.0], op).shape == (2, 0)
     assert ladder_kernel(none, none, [0.5, 2.0, 0.5], 1, +1, n).shape == (3, 0)
+    # the closed form at 1 and its subordination: each raised numpy's
+    # "zero-size array to reduction operation minimum"
+    assert g_of_one(none, 1.0, op).shape == (0,)
+    assert g_of_one(none, [0.5, 2.0], op).shape == (2, 0)
+    assert heat_one_dt(none, 1.0, op).shape == (0,)
 
 
 @pytest.mark.parametrize("call", [
@@ -1158,8 +1164,12 @@ def _unscaled_form(name, x, y, op):
         def factor(s, t):
             g = 1.0 if name == "poisson" else 1.0 - t * t / (2.0 * s)
             return g * np.exp(op.n * s)
+
+    def filling(s, k, out):  # the family's one block contract: write the strip
+        out[...] = block(s, k)
+
     return lambda t: next(kernels._subordinate_family(
-        [(t, op.n + op.alpha, factor, None)], None, block, keys))
+        [(t, op.n + op.alpha, factor, None)], None, filling, keys))
 
 
 NEGATIVE = ShiftedOperator(-0.9, 1)
@@ -1468,6 +1478,43 @@ def test_operator_and_rule_take_integer_counts_only(count):
         ShiftedOperator(0.0, 0)
     assert type(ShiftedOperator(0.0, np.int64(2)).n) is int
     assert type(SubordinationRule(np.int32(16)).Q) is int
+
+
+def test_subordination_rule_is_a_frozen_value():
+    # rule.Q = 1 after construction slipped past the count check, and the
+    # Poisson kernel then failed with ZeroDivisionError (TypeError for 2.5)
+    import dataclasses
+
+    rule = SubordinationRule(32)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.Q = 1
+    assert rule.Q == 32
+    assert SubordinationRule(np.int64(32)) == rule
+    assert hash(SubordinationRule(np.int64(32))) == hash(rule)
+    assert len({rule, SubordinationRule(32), SubordinationRule()}) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, -0.9])
+def test_rescaled_heat_derivative_formulas_agree_where_both_apply(n, alpha):
+    # `g_of_one`'s block picks its formula per strip: near points alone
+    # take the direct formula, and beside far ones (|x| = 1e5 and 1e154)
+    # the one over 4^e, which must give the near entries the same bits
+    op = ShiftedOperator(alpha, n)
+    s = np.geomspace(1e-300, 190.0, 400)[:, None]
+    near = np.linspace(-30.0, 30.0, 41)
+    far = np.array([1e5, -1e154])
+    if n == 2:
+        near = np.stack([near, near[::-1] / 2.0], axis=-1)
+        far = np.array([[1e5, 0.0], [-3.0, 1e154]])
+
+    def rescaled(points):
+        out = np.empty((s.size, len(points)))
+        assert kernels._heat_one_dt_rescaled(kernels._radius2(points, n), s, op, out) is out
+        return out
+
+    alone, beside = rescaled(near), rescaled(np.concatenate([near, far]))
+    assert beside[:, :len(near)].tobytes() == alone.tobytes()
 
 
 def _extreme_time_calls(n):
