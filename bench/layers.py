@@ -27,7 +27,8 @@ GROUP is one of
             and of every mode |k| <= 8 on a plane;
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
             target entry, one at M = 2: a call's fixed cost) and
-            full-rank operators, `composed_maximal` at q = 4 and 2, and
+            full-rank operators (two of them the benchmark's full-rank
+            q = 2 shapes), `composed_maximal` at q = 4 and 2, and
             `gamma_norm_hilbert`.
 
 Both trees are imported into one child process, each under its own
@@ -347,6 +348,10 @@ def gamma_calls(h):
                                        rng.normal(size=(8, 2048)) * np.exp(-t2048.nodes))
     r3_128 = gamma.rank_one(t128.nodes * np.exp(-t128.nodes), rng.normal(size=3),
                             gamma.BanachModel(3, 1.5), t128)
+    t256 = gamma.TimeGrid(1e-4, 40.0, 256)
+    full3, full8 = (gamma.DiscreteGammaOperator(gamma.BanachModel(d, 2.0), t256,
+                                                rng.normal(size=(d, 256)) * np.exp(-t256.nodes))
+                    for d in (3, 8))
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
@@ -363,6 +368,8 @@ def gamma_calls(h):
             four, 0.4, 1.0, "g", gamma.BanachModel(1, 2.0), gamma.TimeGrid(1e-3, 20.0, 64),
             M=2000),
         "hilbert_d8_N2048": lambda: gamma.gamma_norm_hilbert(wide),
+        "mc_full_q2_d3_M1e4": lambda: gamma.gamma_norm_mc(full3, 10000, 11)[0],
+        "mc_full_q2_d8_M15e3": lambda: gamma.gamma_norm_mc(full8, 15000, 12)[0],
     }
 
 
@@ -531,6 +538,11 @@ GROUPS = {
             "hilbert_d8_N2048": "gamma_norm_hilbert of a random 8 x 2048 operator with columns "
                                 "decaying like e^{-t}, TimeGrid(1e-4, 40, 2048): the "
                                 "benchmark's largest hilbert job",
+            "mc_full_q2_d3_M1e4": "gamma_norm_mc of a random 3 x 256 operator with columns "
+                                  "decaying like e^{-t}, l^2, TimeGrid(1e-4, 40, 256), "
+                                  "M = 10000, seed 11: the benchmark's mc_full_q2 shape at d = 3",
+            "mc_full_q2_d8_M15e3": "the same at d = 8, M = 15000, seed 12: the benchmark's "
+                                   "largest mc_full_q2 shape",
         },
     ),
 }

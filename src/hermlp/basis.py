@@ -209,9 +209,10 @@ def _scaled_rows(kmax: int, x):
         yield cur
 
 
-def _far_rows(kmax: int, x):
-    """Yield h_m(x) for m = 0..kmax at a float array or numpy float x of any
-    finite points, those beyond _X_NEAR included.  The recurrence runs on
+def _far_rows(kmax: int, x, first: int = 0):
+    """Yield h_m(x) for m = first..kmax at a float array or numpy float x of
+    any finite points, those beyond _X_NEAR included; the rows below
+    `first` are run through but not formed.  The recurrence runs on
     mantissas: after every row, np.frexp moves the binary exponent of
     h_m(x) e^{x^2/2} into an integer per point, and the row before is
     scaled by the same power of two, which is exact.  The Gaussian is
@@ -227,14 +228,16 @@ def _far_rows(kmax: int, x):
     F = F.astype(np.int64)
     E = np.zeros_like(F)
     prev, cur = np.zeros_like(x), math.pi ** -0.25 * np.ones_like(x)
-    yield np.ldexp(cur * G, -F)
+    if first == 0:
+        yield np.ldexp(cur * G, -F)
     for i in range(kmax):
         a = math.sqrt(2.0 / (i + 1))
         b = math.sqrt(i / (i + 1.0))
         prev, (cur, e) = cur, np.frexp(a * x * cur - b * prev)
         prev = np.ldexp(prev, -e)
         E = E + e
-        yield np.ldexp(cur * G, E - F)
+        if i + 1 >= first:
+            yield np.ldexp(cur * G, E - F)
 
 
 def _rows(kmax: int, x, first: int = 0):
@@ -251,8 +254,8 @@ def _rows(kmax: int, x, first: int = 0):
     near = ~far
     xn = x[near]
     gauss = np.exp(-0.5 * xn * xn)
-    for scaled, values in islice(zip(_scaled_rows(kmax, xn), _far_rows(kmax, x[far])),
-                                 first, None):
+    for scaled, values in zip(islice(_scaled_rows(kmax, xn), first, None),
+                              _far_rows(kmax, x[far], first)):
         row = np.empty(x.shape)
         row[near] = scaled * gauss
         row[far] = values

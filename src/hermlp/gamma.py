@@ -19,6 +19,17 @@ r rows and each row of g @ F for a standard Gaussian g in R^r has the law
 N(0, F^T F), so a sample costs r normals.  For r = 1, sample i of a slice
 is g_i F by homogeneity of the norm: one norm per operator, O(M) work.
 
+Draws go in blocks of at most 20000 samples over the stack, and a block
+fixes the sums: its squared norms, and their squares, are summed in one
+pass per slice.  For r >= 2 a block is filled in strips of at most 2^13
+values (64 KiB), each with its own draw, product and norm.  Beside the
+block's norms (at most 20000), every temporary of a call is then
+strip-sized, and none is large enough for the allocator to map and hand
+back on every call.  The generator gives the same normals cut into
+strips, but the BLAS product rounds a sample's value by its place in the
+call, so a rank >= 2 estimate may differ by an ulp from one whose block
+is multiplied in one call.
+
 Each operator is scaled by the power of two at its largest |entry| before
 it is squared, and the results are scaled back, so entries anywhere in
 the double range neither overflow nor underflow; the scaling is exact.
@@ -35,6 +46,10 @@ from .basis import _integer, _read_only
 
 # Monte Carlo draws per block, summed over a stack of operators
 _BLOCK = 20000
+# entries of one strip of a block's values at rank >= 2: 64 KiB of float64,
+# half of glibc's default mmap threshold, so a strip's temporaries reuse
+# heap pages instead of being mapped and trimmed on every call
+_STRIP_ENTRIES = 1 << 13
 _EPS = np.finfo(float).eps
 
 __all__ = [
@@ -200,8 +215,14 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     about 1e+-154.  Deterministic given (seed, M): M an integer >= 2, seed
     an integer >= 0, else ValueError.  Draws go in blocks of at most 20000.
     """
-    est, err = _mc_stack(T.matrix[None], T.B, M, seed)
+    est, err = _mc_stack(T.matrix[None], T.B, *_mc_args(M, seed))
     return float(est[0]), float(err[0])
+
+
+def _mc_args(M, seed) -> tuple:
+    """(M, seed) of a Monte Carlo estimate as Python ints; ValueError
+    unless M is an integer >= 2 and seed an integer >= 0."""
+    return _integer(M, "Monte Carlo sample count M", 2), _integer(seed, "seed", 0)
 
 
 def _binary_scaled(A: np.ndarray):
@@ -251,11 +272,15 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     g, so a slice of rank r gets the draws of a standalone call and one of
     lower rank gets other draws of the same law.  For r = 1 sample i of
     slice s is g_i F_s, so a block adds ||F_s||^2 sum g^2 and ||F_s||^4
-    sum g^4: one B-norm per slice.  Otherwise the values of a block are
-    formed entries first, (d, S, m), so `BanachModel.norm` of their
-    transpose reduces contiguous rows."""
-    M = _integer(M, "Monte Carlo sample count M", 2)
-    rng = np.random.default_rng(_integer(seed, "seed", 0))
+    sum g^4: one B-norm per slice.  Otherwise the block's (S, m) norms are
+    filled in strips of max(1, 2^13 // (d S)) samples: a strip draws its
+    (k, r) normals, forms their values entries first, (d, S, k), so
+    `BanachModel.norm` of their transpose reduces contiguous rows, and
+    writes the norms to its k columns.  The block still fixes how the
+    norms are summed; the strip only bounds the memory of a call, and may
+    move a rank >= 2 estimate by an ulp (module docstring).  M and seed
+    are the checked ints of `_mc_args`."""
+    rng = np.random.default_rng(seed)
     S, d, N = A.shape
     A, e = _binary_scaled(A)
     F, _ = _cov_factor(A @ A.swapaxes(1, 2), d * max(d, N) * _EPS)
@@ -267,20 +292,25 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
         unit_sq = unit * unit
     else:
         Ft = np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(d * S, r)
+        strip = max(1, _STRIP_ENTRIES // (d * S))
     batch = max(1, _BLOCK // S)
     total = np.zeros(S)
     total_sq = np.zeros(S)
     done = 0
     while done < M:
         m = min(batch, M - done)
-        g = rng.standard_normal((m, r))
         if r == 1:
+            g = rng.standard_normal((m, 1))
             g *= g
             total += unit * g.sum()
             g *= g
             total_sq += unit_sq * g.sum()
         else:
-            norms = B.norm((Ft @ g.T).reshape(d, S * m).T).reshape(S, m)
+            norms = np.empty((S, m))
+            for j in range(0, m, strip):
+                k = min(strip, m - j)
+                g = rng.standard_normal((k, r))
+                norms[:, j:j + k] = B.norm((Ft @ g.T).reshape(d, S * k).T).reshape(S, k)
             norms *= norms
             total += norms.sum(axis=1)
             norms *= norms
@@ -304,6 +334,7 @@ def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
         raise ValueError(f"stack shape {A.shape} is not (S, d={B.d}, N)")
     if not np.all(np.isfinite(A)):
         raise ValueError("operator matrix has non-finite entries")
+    M, seed = _mc_args(M, seed)
     if B.q == 2.0:
         return _frobenius(A), np.zeros(len(A))
     return _mc_stack(A, B, M, seed)

@@ -27,7 +27,7 @@ from .basis import (
     HermiteExpansion, SpatialGrid, _expansion, _ladder, _point, _synthesize,
     point_synthesis_matrix,
 )
-from .gamma import BanachModel, TimeGrid, gamma_norms
+from .gamma import BanachModel, TimeGrid, _mc_args, gamma_norms
 
 # values (times x d x points) per stacked product in `_maximal_function`
 _TIME_BLOCK = 2 ** 16
@@ -273,10 +273,12 @@ def composed_maximal(
     largest rank gets the estimate a standalone `gamma_norm_mc` call with
     the same seed gives; a slice of lower rank (at large s, where the
     faster modes have decayed below the cut) reads fewer columns of the
-    shared draw, so its estimate has the same law but other draws.
+    shared draw, so its estimate has the same law but other draws.  M and
+    seed are checked as in `gamma_norm_mc` for every q.
     """
     e = _expansion(e, "e")
     x = _point(x, e.n, "x")
+    M, seed = _mc_args(M, seed)
     if isinstance(inner, str) and inner != "g":
         raise ValueError(f"unknown inner transform {inner!r}")
     if B.d != e.d:

@@ -680,6 +680,87 @@ def test_mc_rank_one_route_matches_the_entrywise_norms(d, q, S):
         assert err[s] == pytest.approx(math.sqrt(np.var(sq, ddof=1) / M), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("S, M", [(1, 21001), (5, 8333)])
+@pytest.mark.parametrize("q", [1.0, 1.5, 4.0, math.inf])
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_mc_full_rank_route_matches_the_samplewise_norms(d, q, S, M):
+    # every slice has full rank d; each M spans more than one block
+    # (20000 // S samples) and leaves a partial last strip in each block,
+    # and the norms of every sample are formed here from one draw of the
+    # whole (M, r) array, whatever the strips are
+    from hermlp.gamma import _EPS, _binary_scaled, _cov_factor, _mc_stack
+
+    rng = np.random.default_rng(100 * d + S)
+    g = TimeGrid(1e-3, 10.0, 16)
+    A = rng.normal(size=(S, d, g.N)) * np.exp(-g.nodes)
+    B = BanachModel(d, q)
+    seed = 29
+    est, err = _mc_stack(A, B, M, seed)
+    scaled, e = _binary_scaled(A)
+    F, ranks = _cov_factor(scaled @ scaled.swapaxes(1, 2), d * g.N * _EPS)
+    assert ranks.tolist() == [d] * S
+    draws = np.random.default_rng(seed).standard_normal((M, d))
+    sq = B.norm(np.einsum("mr,srd->smd", draws, F)) ** 2
+    assert est == pytest.approx(np.ldexp(np.sqrt(sq.mean(axis=1)), e), rel=1e-14, abs=0.0)
+    assert err == pytest.approx(np.ldexp(np.sqrt(sq.var(axis=1, ddof=1) / M), 2 * e),
+                                rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+@pytest.mark.parametrize("M, seed", [(1, 0), (-5, 0), (2.5, 0), (100, -1)])
+def test_gamma_norms_check_the_sample_count_and_seed_for_every_q(q, M, seed):
+    # the q = 2 route needs neither, and took any values before the checks
+    # came ahead of it; composed_maximal also checks them with no targets
+    from hermlp.basis import HermiteExpansion
+    from hermlp.semigroups import composed_maximal
+
+    A = np.ones((1, 2, 4))
+    with pytest.raises(ValueError, match="sample count M|seed"):
+        gamma_norms(A, BanachModel(2, q), M=M, seed=seed)
+    e = HermiteExpansion(1, 2, 1, {(1,): [1.0, -0.5]})
+    for inner in ("g", ("ladder", 1, +1)):
+        with pytest.raises(ValueError, match="sample count M|seed"):
+            composed_maximal(e, 0.3, 0.0, inner, BanachModel(2, q), TimeGrid(1e-3, 20.0, 8),
+                             M=M, seed=seed)
+    e0 = HermiteExpansion(1, 2, 0, {(0,): [1.0, -0.5]})  # no target under the lowering ladder
+    with pytest.raises(ValueError, match="sample count M|seed"):
+        composed_maximal(e0, 0.3, 0.0, ("ladder", 1, +1), BanachModel(2, q),
+                         TimeGrid(1e-3, 20.0, 8), M=M, seed=seed)
+
+
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during one call, after a
+    warm-up call has built whatever the call caches."""
+    import tracemalloc
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_full_rank_temporaries_stay_strip_sized():
+    # a full-rank block used to hold its whole (m, r) draw, Ft @ g.T and the
+    # |.| copy of the norm at once: 3241 KiB for the d = 8 call, 1380 KiB
+    # for the composed one; strips of 2^13 entries keep each temporary at
+    # 64 KiB, beside the block's (S, m) norms
+    from hermlp.basis import HermiteExpansion
+    from hermlp.semigroups import composed_maximal
+
+    rng = np.random.default_rng(12)
+    times = TimeGrid(1e-4, 40.0, 256)
+    T = DiscreteGammaOperator(BanachModel(8, 2.0), times,
+                              rng.normal(size=(8, times.N)) * np.exp(-times.nodes))
+    assert _traced_peak(lambda: gamma_norm_mc(T, 15000, 3)) < 512 * 1024
+    e = HermiteExpansion(1, 2, 9, {(3,): [1.0, 0.4], (9,): [-0.3, 2.0]})
+    assert _traced_peak(lambda: composed_maximal(e, 0.4, 0.0, "g", BanachModel(2, 4.0),
+                                                 TimeGrid(1e-3, 20.0, 32), M=2000,
+                                                 seed=5)) < 512 * 1024
+
+
 @pytest.mark.parametrize("b", [(0.0, 3.0), (0.0, 0.0, 1.0), (1.0, 0.0, -2.0), (0.0, 2.0, 0.0, 1.0)])
 def test_cov_factor_of_a_rank_one_operator_with_zero_target_entries(b):
     # a non-pivoting QR of matrix.T kept a row of R for a zero column ahead
