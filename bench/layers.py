@@ -8,7 +8,9 @@ GROUP is one of
             grid no earlier call used), `area_integral`, `bmo_norm` (also
             of a d = 3 vector at l^1.5) and `carleson_functional` (the
             last two also on a lattice axis no earlier call used), and
-            `kernels.heat_apply` itself on an atom and on a dense input;
+            `kernels.heat_apply` itself on an atom (also at the 80 nodes of a
+            t-free heat bank) and on a dense input, and a sampled `h1_norm`
+            of 17 time blocks on a plane;
   verify    the verification layers that subordinated kernels, Hermite
             tables and the CLI's argv parsing dominate, and one argv of
             each shape the `verify` benchmark workload runs;
@@ -59,6 +61,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import subprocess
@@ -144,11 +147,16 @@ def hardy_calls(h):
         t_max = 20.0 * (1.0 + 1e-9 * next(fresh))
         return spaces.h1_norm(atom, B, grid, gamma.TimeGrid(1e-3, t_max, 16))
 
-    def heat(samples):
+    def heat(samples, nodes=times.nodes):
         # heat_apply on the trapezoid-weighted samples, as h1_norm calls it;
-        # the value is the sum of |W_t f| over the 16 times and the lattice
+        # the value is the sum of |W_t f| over the times and the lattice
         wf = grid.weights[:, None] * samples
-        return lambda: float(np.sum(np.abs(kernels.heat_apply(wf, grid.axis, times.nodes))))
+        return lambda: float(np.sum(np.abs(kernels.heat_apply(wf, grid.axis, nodes))))
+
+    # the 80 nodes of a t-free heat bank: ln s from ln 1e-12 in steps of 0.4,
+    # up to ln 60; the 37 below about 2.6e-6 have stencils of width 0
+    bank = np.exp(math.log(1e-12) + 0.4 * np.arange(80))
+    blocks_17 = gamma.TimeGrid(1e-3, 20.0, 17)
 
     return {
         "h1_atom_hardy": lambda: spaces.h1_norm(atom, B, grid, times),
@@ -167,6 +175,8 @@ def hardy_calls(h):
                                                                  cold(h, grid, fresh), times),
         "heat_atom": heat(atom.samples),
         "heat_dense": heat(profile),
+        "heat_bank_80": heat(atom.samples, bank),
+        "h1_plane_blocks_17": lambda: spaces.h1_norm(separable, B, fine, blocks_17),
     }
 
 
@@ -412,6 +422,14 @@ GROUPS = {
             "heat_dense": "heat_apply of the h1_dense_profile profile, trapezoid-weighted, on "
                           f"{HARDY}, full support, the same 16 times in one call; the value is "
                           "the sum of |W_t f|",
+            "heat_bank_80": "heat_apply of the h1_atom_hardy atom, trapezoid-weighted, on "
+                            f"{HARDY}, the 80 times e^(ln 1e-12 + 0.4 i), i < 80, of a t-free "
+                            "heat bank in one call (37 of them below 2.6e-6, where the stencil "
+                            "has width 0); the value is the sum of |W_t f|",
+            "h1_plane_blocks_17": "h1_norm of the h1_plane_separable input on "
+                                  "SpatialGrid(6, 0.05, 2) with TimeGrid(1e-3, 20, 17): 17 "
+                                  "blocks of one time each, more than the 16 plans the lattice "
+                                  "plan cache keeps",
         },
     ),
     "verify": (

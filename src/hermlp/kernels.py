@@ -86,7 +86,9 @@ the axis checks and the step, each time's route between the series and
 the rest, the series' decays and Hermite table, the edge scalings,
 c1^{n/2}, the stencils, and the spectra per circle length, built on
 first use.  So a sweep over many inputs on one lattice and one time grid
-transforms only the values, and pays one plan lookup per call.
+transforms only the values, and pays one plan lookup per call; sampled
+`spaces.h1_norm` looks up one plan for all of its time nodes, however
+many blocks it takes them in.
 
 Every entry point rejects non-finite times, and points that are not
 finite or not in the layout of `basis`, with ValueError; the subordinated
@@ -97,6 +99,7 @@ n = 4, 1e-34 for n = 6), so that their quadrature sums stay finite.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -407,10 +410,12 @@ class _HeatPlan:
     Every array is read-only, because every hit hands out the same ones.
 
     - `h`, the step; `series` and `short`, the indices of the times that
-      take the Mehler series and of the rest; `decays`, per series time
-      e^{-(2k+1)t} for k = 0..K(t) (`_series_order`); `table`, the axis's
-      shared Hermite table of _SERIES_CAP + 1 rows (None without series
-      times).
+      take the Mehler series and of the rest (`short_rows`, the same as
+      Python ints); `decays`, per series time e^{-(2k+1)t} for
+      k = 0..K(t) (`_series_order`); `table`, the axis's shared Hermite
+      table of _SERIES_CAP + 1 rows (None without series times); per
+      series time, `synthesis`, the table's first K(t) + 1 rows
+      transposed, and `decay_columns`, the decays as a column (views).
     - `fault`, the error of a time too small for the closed form, raised
       by `heat_apply` after its values check (None when there is none);
       `peak`, the binary exponent of the largest c1^{n/2} of the times.
@@ -418,8 +423,10 @@ class _HeatPlan:
       `scale`, (T_short, 1), c1^{n/2}; `weights`, their product, the
       stencil rows' output scaling; `gauss`, (T_short, L), the Gaussian
       e^{-pi c1 (h k)^2} at the lags k = 0..L-1; `widths`, the largest lag
-      w where it is at least _STENCIL_EPS (at most L - 1); `stencils`, the
-      Gaussian at the lags -w..w.
+      w where it is at least _STENCIL_EPS (at most L - 1), and
+      `width_list`, the same as Python ints; `stencils`, the Gaussian at
+      the lags -w..w; `stencil_rows`, per short time its stencil, its row
+      of `weights` and w, what a stencil row reads.
     - `spectra`, the Gaussians' real spectra by circle length, built by
       `spectrum` on first use."""
 
@@ -433,10 +440,13 @@ class _HeatPlan:
             raise ValueError("heat_apply needs a uniform axis")
         orders = [_series_order(t, R, n) for t in times.tolist()]
         self.series = [i for i, K in enumerate(orders) if K is not None]
-        self.short = np.array([i for i, K in enumerate(orders) if K is None], dtype=np.intp)
+        self.short_rows = [i for i, K in enumerate(orders) if K is None]
+        self.short = np.array(self.short_rows, dtype=np.intp)
         self.decays = [_read_only(np.exp(-(2.0 * np.arange(orders[i] + 1) + 1.0) * times[i]))
                        for i in self.series]
         self.table = _table(_SERIES_CAP, axis) if self.decays else None
+        self.synthesis = [self.table[:len(decay)].T for decay in self.decays]
+        self.decay_columns = [decay[:, None] for decay in self.decays]
         self.spectra, self.fault = {}, None
         try:
             _, B, scale = _heat_prefactor(times.reshape(-1, 1), n)
@@ -456,8 +466,10 @@ class _HeatPlan:
             arg = -math.pi * _mehler(times[self.short].reshape(-1, 1))[2] * k * k
         self.gauss = _read_only(np.exp(arg, out=np.zeros_like(arg), where=arg > -746.0))
         self.widths = np.count_nonzero(self.gauss >= _STENCIL_EPS, axis=1) - 1  # g falls with k
+        self.width_list = self.widths.tolist()
         self.stencils = [_read_only(np.concatenate([g[w:0:-1], g[:w + 1]]))
-                         for g, w in zip(self.gauss, self.widths.tolist())]
+                         for g, w in zip(self.gauss, self.width_list)]
+        self.stencil_rows = list(zip(self.stencils, self.weights, self.width_list))
 
     def spectrum(self, size: int):
         """The rfft, shape (T_short, size/2 + 1), of the short times'
@@ -511,7 +523,12 @@ def heat_apply(values, axis, t):
       their support [lo, hi) of s points, and written on
       [lo - w, hi + w) within the lattice.  A time takes it when
       (2w + s) s <= _STENCIL_WORK (200 000), a constant measured where
-      the stencil and the FFT cost the same.
+      the stencil and the FFT cost the same.  Below about h^2 / 156
+      (2.6e-6 on SpatialGrid(12, 0.02)) the Gaussian is below 1e-17 one
+      step out, w = 0 and the stencil is [1.0]; np.convolve sums from
+      0.0, so it gives v + 0.0, and all the rows of width 0 in a call are
+      one product, (v + 0.0) times the output scaling, with the bits of
+      the convolution (-0.0 comes out +0.0).
     - FFT rows: every other time.  Each lattice axis is one (T, L)
       diagonal scaling, one FFT convolution with the Gaussians, |k| < L,
       and the same scaling again: O(T L^n log L) rather than the
@@ -562,14 +579,19 @@ def heat_apply(values, axis, t):
     Gaussian), a stencil of 2w + 1 floats, and a spectrum of P/2 + 1
     floats per circle length P the calls have used (at most four per
     lattice); per series time K(t) + 1 decays; and the axis's Hermite
-    table of 65 rows, which `basis` shares.  Plans are keyed on the
-    exact bytes of the axis and the times, and the last 16 are kept, so
-    repeated calls on one lattice and one time list do only the
-    convolutions and the series' matmuls.  A plan gives the same bits
-    whether it is built or reused; the axis checks (finite, uniform) run
-    once per plan, and no plan is kept for an axis that fails them;
-    every other input check runs on every call, and the result never
-    shares memory with a plan.
+    table of 65 rows, which `basis` shares, with each time's route
+    bookkeeping as Python ints.  Plans are keyed on the exact bytes of
+    the axis and the times, and the last 16 are kept, so repeated calls
+    on one lattice and one time list do only the convolutions and the
+    series' matmuls.  A plan gives the same bits whether it is built or
+    reused, and a row the same bits in a plan of any time list, since
+    the plan's arrays are computed time by time; the axis checks
+    (finite, uniform) run once per plan, and no plan is kept for an axis
+    that fails them; every other input check runs on every call, and the
+    result never shares memory with a plan.  The work after the checks
+    is `_heat_rows`, for a range of the plan's times: sampled
+    `spaces.h1_norm` checks its samples once, looks up one plan for all
+    the nodes of its TimeGrid, and calls it once per block of times.
     """
     times = _check_time(t, ndim=1)
     axis, values = np.asarray(axis, dtype=float), np.asarray(values, dtype=float)
@@ -581,12 +603,27 @@ def heat_apply(values, axis, t):
         raise ValueError("values must be finite")
     if plan.fault:
         raise ValueError(plan.fault)
-    nonzero = values != 0
-    if not nonzero.any():
-        return np.zeros(times.shape + values.shape)
+    out = _heat_rows(values, plan, 0, times.size)
+    return out if times.ndim else out[0]
+
+
+def _heat_rows(values, plan, start, stop):
+    """W_t values for the times start..stop - 1 of `plan`, shape
+    (stop - start,) + values.shape: the work of `heat_apply` after its
+    checks, which the caller has made (the layout and finiteness of the
+    values, and `plan.fault`).  Each time takes its route by its own
+    width and order alone, so a row has the same bits whatever range it
+    is computed in."""
+    n = values.ndim - 1
+    shape = (stop - start,) + values.shape
+    # one scan for the support, as booleans (numpy counts those faster)
+    nonzero = values[..., 0] != 0 if values.shape[-1] == 1 else values.any(axis=-1)
     supports = []
     for j in range(n):
-        occupied = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(n + 1) if a != j)))
+        occupied = np.flatnonzero(nonzero if n == 1 else
+                                  nonzero.any(axis=tuple(a for a in range(n) if a != j)))
+        if not occupied.size:
+            return np.zeros(shape)
         supports.append((int(occupied[0]), int(occupied[-1]) + 1))
     # values beyond 2^+-512 go through the routes over the power of two at
     # their largest magnitude, and the outputs come back times it: exact,
@@ -596,48 +633,75 @@ def heat_apply(values, axis, t):
     shift = e if abs(e) > 512 else 0
     if shift:
         values = np.ldexp(values, -shift)
-    s = supports[0][1] - supports[0][0]
-    # per time, never per batch: (2w + s) s <= _STENCIL_WORK, for integers w
-    near = plan.widths <= ((_STENCIL_WORK // s - s) // 2 if n == 1 else -1)
-    if near.any() or plan.series:
-        out = np.empty((times.size,) + values.shape)
-        if near.any():
-            _stencil_rows(values, plan, np.flatnonzero(near), *supports[0], out)
-        if not near.all():
-            far = np.flatnonzero(~near) if near.any() else slice(None)
-            out[plan.short[far]] = _fft_rows(values, plan, far, supports)
-        _series_rows(values, plan, supports, out)
+    lo, hi = supports[0]
+    # per time, never per range: (2w + s) s <= _STENCIL_WORK, for integers w
+    limit = (_STENCIL_WORK // (hi - lo) - (hi - lo)) // 2 if n == 1 else -1
+    first = bisect.bisect_left(plan.short_rows, start)
+    last = bisect.bisect_left(plan.short_rows, stop)
+    zero, wide, far = [], [], []
+    for j in range(first, last):
+        w = plan.width_list[j]
+        (far if w > limit else wide if w else zero).append(j)
+    series = range(bisect.bisect_left(plan.series, start), bisect.bisect_left(plan.series, stop))
+    if zero or wide or series:
+        out = np.empty(shape)
+        if zero or wide:
+            _stencil_rows(values, plan, zero, wide, start, lo, hi, out)
+        if far:
+            out[_run([plan.short_rows[j] - start for j in far])] = _fft_rows(
+                values, plan, _run(far), supports)
+        if series:
+            _series_rows(values, plan, series, start, supports, out)
     else:  # FFT rows only: their array is the result, without a copy
-        out = _fft_rows(values, plan, slice(None), supports)
+        out = _fft_rows(values, plan, slice(first, last), supports)
     if shift:
         with np.errstate(over="ignore"):  # an output beyond the float range raises below
             np.ldexp(out, shift, out=out)
     # no output exceeds the largest c1^{n/2} times the sum of |values|
     if plan.peak + box.size.bit_length() + e > 1022 and not np.all(np.isfinite(out)):
         raise ValueError("heat_apply's output exceeds the float range")
-    return out if times.ndim else out[0]
+    return out
 
 
-def _stencil_rows(values, plan, rows, lo, hi, out):
-    """Write W_t values on a line (n = 1) for the short times `rows` of
-    the plan into their rows of `out`, shape (T,) + values.shape: per
-    time, the edge scaling of the support [lo, hi), one convolution with
-    the truncated stencil per component, kept on [lo - w, hi + w) within
-    the lattice, the edge scaling times c1^{1/2} there, and zeros
-    elsewhere."""
-    out[plan.short[rows]] = 0.0
-    v = values[lo:hi] * plan.edge[rows, lo:hi, None]
-    for r, i in enumerate(rows.tolist()):
-        stencil, w = plan.stencils[i], len(plan.stencils[i]) // 2
-        a, b = max(lo - w, 0), min(hi + w, len(values))
-        for c in range(values.shape[1]):
-            np.multiply(np.convolve(v[r, :, c], stencil)[a - lo + w:b - lo + w],
-                        plan.weights[i, a:b], out=out[plan.short[i], a:b, c])
+def _run(indices):
+    """A nonempty list of ints as a slice when they are consecutive, so
+    that indexing with it takes a view, and as it is otherwise."""
+    first = indices[0]
+    consecutive = indices == list(range(first, first + len(indices)))
+    return slice(first, first + len(indices)) if consecutive else indices
+
+
+def _stencil_rows(values, plan, zero, wide, start, lo, hi, out):
+    """Write W_t values on a line (n = 1) for the short times `zero` and
+    `wide` (lists of the plan's short positions, of stencil width 0 and
+    above) into their rows of `out`, shape (stop - start,) + values.shape:
+    per time, the edge scaling of the support [lo, hi), one convolution
+    with the truncated stencil per component, kept on [lo - w, hi + w)
+    within the lattice, the edge scaling times c1^{1/2} there, and zeros
+    elsewhere.  A stencil of width 0 is [1.0], and np.convolve sums from
+    0.0, so it gives v + 0.0 (-0.0 becomes +0.0): the rows of width 0 are
+    one product, (v + 0.0) times the output scaling, with the same bits."""
+    rows = zero + wide
+    at = [plan.short_rows[j] - start for j in rows]
+    out[_run(at)] = 0.0
+    v = values[lo:hi].T * plan.edge[_run(rows), None, lo:hi]  # (rows, d, s)
+    if zero:
+        z = v[:len(zero)] + 0.0
+        z *= plan.weights[_run(zero), None, lo:hi]
+        out[_run(at[:len(zero)]), lo:hi] = z.transpose(0, 2, 1)
+    # per time and component, one convolution and one product into the output
+    for c in range(values.shape[1]):
+        targets = out[:, :, c]
+        for j, k, vj in zip(wide, at[len(zero):], v[len(zero):, c]):
+            stencil, weight, w = plan.stencil_rows[j]
+            a, b = max(lo - w, 0), min(hi + w, len(weight))
+            np.multiply(np.convolve(vj, stencil)[a - lo + w:b - lo + w], weight[a:b],
+                        out=targets[k, a:b])
 
 
 def _fft_rows(values, plan, rows, supports):
-    """W_t values for the short times `rows` (an index array or a slice of
-    the plan's), shape (T_rows,) + values.shape: per lattice axis, the
+    """W_t values for the short times `rows` (a list or a slice of the
+    plan's short positions), shape (T_rows,) + values.shape: per lattice axis, the
     edge scaling, a convolution on the circle that the support [lo, hi)
     allows, and the scaling again."""
     L, n = plan.edge.shape[1], values.ndim - 1
@@ -658,27 +722,33 @@ def _fft_rows(values, plan, rows, supports):
     return plan.scale[rows].reshape((-1,) + (1,) * (n + 1)) * out
 
 
-def _series_rows(values, plan, supports, out):
-    """Write W_t values for each series time of the plan into `out`, shape
-    (T,) + values.shape: per lattice axis, the Hermite coefficients of the
-    values over their support [lo, hi), row k times e^{-(2k+1)t} for
-    k <= K(t), and the synthesis on the whole axis, each one matmul over
-    every other axis at once.  The first axis's coefficients are one
-    projection onto every row of the plan's table, shared by the times;
-    the rest is one chain of K(t) + 1 row matmuls per time.  No matmul's
-    shape depends on the other times of the call, so a row gives the same
-    bits alone and in a batch (BLAS sums a row differently with the
-    number of rows beside it)."""
+def _series_rows(values, plan, series, start, supports, out):
+    """Write W_t values for the series times `series` (a range of the
+    plan's series positions) into their rows of `out`, shape
+    (stop - start,) + values.shape: per lattice axis, the Hermite
+    coefficients of the values over their support [lo, hi), row k times
+    e^{-(2k+1)t} for k <= K(t), and the synthesis on the whole axis, each
+    one matmul over every other axis at once.  The first axis's
+    coefficients are one projection onto every row of the plan's table,
+    shared by the times; the rest is one chain of K(t) + 1 row matmuls per
+    time, and on a line the synthesis writes straight into the time's
+    row.  No matmul's shape depends on the other times of the call, so a
+    row gives the same bits alone and in a batch (BLAS sums a row
+    differently with the number of rows beside it)."""
     lo, hi = supports[0]
-    first = plan.table[:, lo:hi] @ values[lo:hi].reshape(hi - lo, -1) if plan.series else None
-    for i, decay in zip(plan.series, plan.decays):
-        rows, decay = plan.table[:len(decay)], decay[:, None]
-        row = (rows.T @ (decay * first[:len(rows)])).reshape(values.shape)
+    first = plan.table[:, lo:hi] @ values[lo:hi].reshape(hi - lo, -1)
+    for k in series:
+        synthesis, decay = plan.synthesis[k], plan.decay_columns[k]
+        coefficients = decay * first[:len(decay)]
+        if len(supports) == 1:
+            np.matmul(synthesis, coefficients, out=out[plan.series[k] - start])
+            continue
+        row = (synthesis @ coefficients).reshape(values.shape)
         for j, (lo, hi) in enumerate(supports[1:], start=1):
             moved = row.swapaxes(0, j)
-            coefficients = rows[:, lo:hi] @ moved[lo:hi].reshape(hi - lo, -1)
-            row = (rows.T @ (decay * coefficients)).reshape(moved.shape).swapaxes(0, j)
-        out[i] = row
+            coefficients = synthesis.T[:, lo:hi] @ moved[lo:hi].reshape(hi - lo, -1)
+            row = (synthesis @ (decay * coefficients)).reshape(moved.shape).swapaxes(0, j)
+        out[plan.series[k] - start] = row
 
 
 def heat_kernel_one(x, t, n: int = 1):

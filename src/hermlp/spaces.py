@@ -32,10 +32,10 @@ from .basis import (
     _resolution,
 )
 from .gamma import BanachModel, TimeGrid
-from .kernels import _lattice_mass, heat_apply
+from .kernels import _heat_rows, _lattice_mass, _lattice_plan
 from .semigroups import _maximal_function, gfunction
 
-# lattice values (times x grid points x d) per heat_apply call in h1_norm:
+# lattice values (times x grid points x d) per block of times in h1_norm:
 # 0.5 MB per real array, a few of which are alive during a call.  Blocks
 # of twice this size ran 1.5x slower on a 121 x 121 lattice.
 _HEAT_BLOCK = 2 ** 16
@@ -202,17 +202,19 @@ def h1_norm(
     `semigroups.maximal_norm` at every grid point, with the same input
     checks) or an Atom / raw finite samples of shape
     (grid.size, d) (sampled path, heat only: the trapezoid-weighted
-    samples go through `heat_apply` over the whole lattice, for a block
-    of time nodes at a time: at most _HEAT_BLOCK lattice values per
-    block, so the 16 times of a 1201-point grid are one call and the
-    times of a 241 x 241 lattice go one per call).  `heat_apply` takes
-    each time by the route its docstring gives; all of them are the same
-    dense kernel matrix, to about 1e-16 of its Gaussian bound.  What
-    depends on the lattice and the times only is one plan, built on the
-    first call (`kernels._lattice_plan`), so every call after it on one
-    grid and one TimeGrid transforms only the samples; a sweep of more
-    than 16 time blocks rebuilds the plans each call.  README gives the
-    plan's size and the routes' times for the benchmark's lattice.
+    samples go through `heat_apply`'s work over the whole lattice,
+    `kernels._heat_rows`, for a block of time nodes at a time: at most
+    _HEAT_BLOCK lattice values per block, so the 16 times of a
+    1201-point grid are one block and the times of a 241 x 241 lattice
+    go one per block).  Each time takes the route `heat_apply`'s
+    docstring gives; all of them are the same dense kernel matrix, to
+    about 1e-16 of its Gaussian bound, and the value is that of
+    `heat_apply` called per block.  The samples are checked once, and
+    what depends on the lattice and the times only is one plan for all
+    the nodes, built on the first call (`kernels._lattice_plan`), so
+    every call after it on one grid and one TimeGrid transforms only the
+    samples, however many blocks it takes.  README gives the plan's size
+    and the routes' times for the benchmark's lattice.
 
     Resolution rule: the lattice resolves W_t for t >= h^2, the square of
     the grid step.  Below that the sampled kernel is narrower than the
@@ -240,16 +242,21 @@ def h1_norm(
         raise ValueError("sampled inputs support alpha = 0 only")
     w = grid.weights
     wf = (w[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
-    mass = None
+    # one plan for every node, and heat_apply's checks once: the samples
+    # are finite, and so are the weighted ones unless a weight exceeds 1
+    plan = _lattice_plan(grid.axis.tobytes(), times.nodes.tobytes(), grid.n)
+    if grid.h > 1.0 and not np.all(np.isfinite(wf)):
+        raise ValueError("values must be finite")
+    if plan.fault:
+        raise ValueError(plan.fault)
+    # theta(t) = 1.0 for t >= h^2
+    mass = _lattice_mass(grid.h, times.nodes) ** grid.n if times.nodes[0] < grid.h ** 2 else None
     sup = B.norm(samples)
     step = max(1, _HEAT_BLOCK // wf.size)
     for i in range(0, times.N, step):
-        heat = heat_apply(wf, grid.axis, times.nodes[i:i + step])
+        heat = _heat_rows(wf, plan, i, min(i + step, times.N))
         norms = B.norm(heat.reshape(len(heat), grid.size, -1))
         del heat
-        # after heat_apply has checked the times; theta(t) = 1.0 for t >= h^2
-        if mass is None and times.nodes[0] < grid.h ** 2:
-            mass = _lattice_mass(grid.h, times.nodes) ** grid.n
         if mass is not None:
             norms /= mass[i:i + step, None]
         sup = np.maximum(sup, norms.max(axis=0))

@@ -767,6 +767,37 @@ def test_a_stencil_row_keeps_its_bits_beside_fft_and_series_rows():
                           heat_apply(ones, HARDY_GRID.axis, HARDY_TIMES[9]))
 
 
+# the 80 nodes of a t-free heat bank, ln s = ln 1e-12 + 0.4 i: on the hardy
+# lattice the 37 below about 2.6e-6 have stencils of width 0, [1.0]
+BANK_TIMES = np.exp(math.log(1e-12) + 0.4 * np.arange(80))
+
+
+def test_zero_width_stencil_rows_keep_the_convolution_bytes():
+    # the rows of width 0 are one product, (v + 0.0) times the output
+    # scaling; np.convolve(v, [1.0]) sums from 0.0, so it turns -0.0 into
+    # +0.0, and the product must too.  Each row is the same called alone,
+    # in one call with every width, and as the convolution it stands for
+    lo, hi = 590, 610
+    values = np.zeros((HARDY_GRID.size, 1))
+    values[lo:hi, 0] = np.random.default_rng(79).normal(size=hi - lo)
+    values[595, 0], values[600, 0] = -0.0, 0.0
+    plan = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), BANK_TIMES.tobytes(), 1)
+    zero = [i for i, w in zip(plan.short_rows, plan.width_list) if w == 0]
+    assert zero == list(range(37)) and max(plan.width_list) > 0
+    batch = heat_apply(values, HARDY_GRID.axis, BANK_TIMES)
+    for i in zero:
+        alone = heat_apply(values, HARDY_GRID.axis, BANK_TIMES[i])
+        single = kernels._lattice_plan(HARDY_GRID.axis.tobytes(), BANK_TIMES[i:i + 1].tobytes(), 1)
+        assert single.stencils[0].tolist() == [1.0]
+        want = np.zeros_like(values)
+        v = values[lo:hi, 0] * single.edge[0, lo:hi]
+        want[lo:hi, 0] = np.convolve(v, single.stencils[0]) * single.weights[0, lo:hi]
+        assert alone.tobytes() == want.tobytes() == batch[i].tobytes(), BANK_TIMES[i]
+        # the -0.0 comes out +0.0, where the bare product would keep its sign
+        assert not np.signbit(alone[595, 0]) and np.signbit(v[595 - lo] * single.weights[0, 595])
+        assert not np.signbit(alone[600, 0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 400), st.floats(0.005, 0.3), st.floats(-0.5, 0.5), st.data(),
        st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=4))

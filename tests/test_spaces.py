@@ -515,11 +515,11 @@ def test_h1_norm_sampled_equals_per_time_heat_calls():
 def test_h1_norm_time_blocks_stay_under_the_budget(monkeypatch, grid, N, calls):
     seen = []
 
-    def fake(values, axis, t):
-        seen.append(len(t))
-        return np.zeros((len(t),) + values.shape)
+    def fake(values, plan, start, stop):  # the worker h1_norm calls once per block
+        seen.append(stop - start)
+        return np.zeros((stop - start,) + values.shape)
 
-    monkeypatch.setattr(spaces, "heat_apply", fake)
+    monkeypatch.setattr(spaces, "_heat_rows", fake)
     h1_norm(np.ones((grid.size, 1)), B1, grid, TimeGrid(1e-3, 20.0, N))
     assert seen == calls
     assert max(seen) * grid.size <= spaces._HEAT_BLOCK
@@ -539,6 +539,21 @@ def test_sampled_h1_builds_one_lattice_plan_for_a_grid_and_times():
         h1_norm(a, B1, grid, HARDY_TIMES)
     info = kernels._lattice_plan.cache_info()
     assert (info.misses, info.hits) == (1, 63)
+
+
+@pytest.mark.parametrize("N", [17, 32])
+def test_sampled_h1_reuses_its_plan_beyond_16_time_blocks(N):
+    # SpatialGrid(6, 0.05, 2) takes one time per block; with a plan per
+    # block, more than the 16 kept were all rebuilt on every call
+    from hermlp import kernels
+
+    grid = SpatialGrid(6.0, 0.05, 2)
+    times = TimeGrid(1e-3, 20.0, N)
+    f = np.exp(-np.sum(grid.points ** 2, axis=-1))
+    first = h1_norm(f, B1, grid, times)
+    misses = kernels._lattice_plan.cache_info().misses
+    assert h1_norm(f, B1, grid, times) == first
+    assert kernels._lattice_plan.cache_info().misses == misses
 
 
 def test_sampled_h1_of_huge_constants_scales_with_the_constant():
