@@ -94,6 +94,29 @@ def _integer(value, name: str, least: int) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """value, a Python or numpy real scalar or a 0-d real array, as a
+    Python float; ValueError naming the argument for anything else (a bool,
+    a complex number, None, a string, an array of other rank) and for a
+    value that is not finite."""
+    value = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}={value!r} must be a real number")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name}={real!r} is not finite")
+    return real
+
+
+def _eigenvalue(degree, n: int, alpha):
+    """2|k| + n + alpha, the eigenvalue of the shifted oscillator L + alpha
+    on R^n at the modes k of degree |k| (an int or an int array)."""
+    return 2.0 * degree + n + alpha
+
+
 def _is_integer(value) -> bool:
     """Whether value is a Python or numpy integer other than a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -472,7 +495,7 @@ class HermiteExpansion:
 
     def eigenvalue(self, k, alpha: float = 0.0) -> float:
         """lambda_alpha(k) = 2|k| + n + alpha (requires alpha > -n for positivity)."""
-        return 2.0 * sum(k) + self.n + alpha
+        return _eigenvalue(sum(k), self.n, alpha)
 
     def l2_norm_sq(self) -> float:
         return float(sum(float(c @ c) for c in self.C))

@@ -35,9 +35,10 @@ from .kernels import (
     ladder_kernel,
     poisson_kernel,
 )
-from .semigroups import apply_semigroup
+from .semigroups import _KINDS, apply_semigroup
 from .spaces import critical_radius, h1_norm
 from .verify import (
+    _ENVELOPES,
     _envelope_reports,
     check_eigen_ladder,
     check_kernel_vs_spectral,
@@ -236,8 +237,7 @@ _SUITES = {
                                                     HermiteExpansion.single(0))],
     "identities": lambda cfg: [check_operator_identities(min(cfg.K, 15), seed=cfg.seed)],
     "envelopes": lambda cfg: _envelope_reports(
-        ("heat", "poisson", "g", "gH", "ladder", "gradient"),
-        np.linspace(-4.0, 4.0, 65), np.geomspace(0.1, 2.0, 6)),
+        tuple(_ENVELOPES), np.linspace(-4.0, 4.0, 65), np.geomspace(0.1, 2.0, 6)),
     "equivalence-l2": lambda cfg: [equivalence_suite("L2", [
         HermiteExpansion.single(0), HermiteExpansion.single(3),
         HermiteExpansion(n=1, d=1, K=5, coeffs={(0,): [1.0], (5,): [2.0]})], BanachModel(1, 2.0))],
@@ -288,7 +288,7 @@ COMMANDS = {
                    t=(float, _REQUIRED, "time"), alpha=(float, 0.0, "shift of L"),
                    j=(int, 1, "ladder axis"), sign=(("+", "-"), "+", "ladder sign")),
     "semigroup": _row("spectral semigroup factor on one mode", "", k=(str, _REQUIRED, _INDEX),
-                      kind=(("heat", "poisson"), "poisson", "semigroup"),
+                      kind=(_KINDS, "poisson", "semigroup"),
                       t=(float, _REQUIRED, "time"), alpha=(float, 0.0, "shift of L")),
     "gamma": _row("rank-one gamma-norm Monte Carlo estimate", "q tmin tmax N M seed",
                   b=(str, _REQUIRED, "target vector, comma separated")),

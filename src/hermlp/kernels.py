@@ -86,9 +86,12 @@ the axis checks and the step, each time's route between the series and
 the rest, the series' decays and Hermite table, the edge scalings,
 c1^{n/2}, the stencils, and the spectra per circle length, built on
 first use.  So a sweep over many inputs on one lattice and one time grid
-transforms only the values, and pays one plan lookup per call; sampled
-`spaces.h1_norm` looks up one plan for all of its time nodes, however
-many blocks it takes them in.
+transforms only the values, and pays one plan lookup per call.
+
+`_heat_maximal` owns the sampled heat maximal function that
+`spaces.h1_norm` integrates: one plan for all the time nodes, taken in
+blocks of _TIME_BLOCK lattice values, and the division by theta(t)^n,
+the lattice mass of the Gaussian per axis, below t = h^2.
 
 Every entry point rejects non-finite times, and points that are not
 finite or not in the layout of `basis`, with ValueError; the subordinated
@@ -107,7 +110,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _LN2, _coordinate, _integer, _ladder, _points, _read_only, _table
+from .basis import _LN2, _coordinate, _integer, _ladder, _points, _read_only, _real, _table
 
 __all__ = [
     "ShiftedOperator",
@@ -157,6 +160,10 @@ _SERIES_CAP = 64
 # of 200 points, 250 and 218 us for 300 points (one core)
 _STENCIL_EPS = 1e-17
 _STENCIL_WORK = 200_000
+# values (times x points x components) per block of times of a maximal
+# sweep (`_heat_maximal`, `semigroups._maximal_function`): 0.5 MB per real
+# array.  Twice this ran 1.5x slower in `_heat_maximal` on 121 x 121 points
+_TIME_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,7 @@ class ShiftedOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "dimension n", 1))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"shift alpha={self.alpha} is not finite")
+        object.__setattr__(self, "alpha", _real(self.alpha, "shift alpha"))
         if self.alpha <= -self.n:
             raise ValueError(f"shift alpha={self.alpha} must exceed -n={-self.n}")
 
@@ -212,7 +218,7 @@ class SubordinationRule:
             raise ValueError("time must be positive")
         if not _T_MIN <= t <= _T_MAX:
             raise ValueError(_outside(t, 1))
-        if decay <= 0:
+        if not decay > 0:  # NaN included
             raise ValueError("large-s decay rate must be positive")
         rt = t * math.sqrt(decay) + _CUT
         return math.log(t * t / (4.0 * rt)), math.log(rt / decay)
@@ -554,7 +560,7 @@ def heat_apply(values, axis, t):
     the lattice sum of the kernel per axis is theta(t) (`_lattice_mass`),
     about h / sqrt(4 pi t), not 1: on SpatialGrid(12, 0.02) the weights
     of the lattice give 1.78 at the centre for t = 1e-5, where W_t(1) is
-    about 1.  `spaces.h1_norm` divides by theta^n.
+    about 1.  `_heat_maximal` divides by theta^n.
 
     The FFT's error is absolute: about 1e-16 of the Gaussian bound
     c1^{n/2} sum_y e^{-B |y|^2 / 2} |values(y)| (`_mehler`), however
@@ -589,9 +595,8 @@ def heat_apply(values, axis, t):
     (finite, uniform) run once per plan, and no plan is kept for an axis
     that fails them; every other input check runs on every call, and the
     result never shares memory with a plan.  The work after the checks
-    is `_heat_rows`, for a range of the plan's times: sampled
-    `spaces.h1_norm` checks its samples once, looks up one plan for all
-    the nodes of its TimeGrid, and calls it once per block of times.
+    is `_heat_rows`, for a range of the plan's times, which
+    `_heat_maximal` calls once per block of times.
     """
     times = _check_time(t, ndim=1)
     axis, values = np.asarray(axis, dtype=float), np.asarray(values, dtype=float)
@@ -605,6 +610,33 @@ def heat_apply(values, axis, t):
         raise ValueError(plan.fault)
     out = _heat_rows(values, plan, 0, times.size)
     return out if times.ndim else out[0]
+
+
+def _heat_maximal(values, axis, times, h: float, norm):
+    """max over the ascending float array `times` of norm(W_t values) / theta(t)^n
+    at each point of the lattice axis^n, shape (L^n,), for values checked
+    as `heat_apply` checks them and a `norm` of (..., d) arrays.  One plan
+    serves every time, and its fault is raised here; the times go through
+    `_heat_rows` in blocks of at most _TIME_BLOCK values.  theta(t) is the
+    lattice mass of the Gaussian per axis at the step h (`_lattice_mass`):
+    about h / sqrt(4 pi t) below h^2, so that the sampled operator maps 1
+    to about 1, and exactly 1.0 from h^2 up, where nothing is divided.
+    h is the caller's grid step, which can differ from the plan's."""
+    n = values.ndim - 1
+    plan = _lattice_plan(axis.tobytes(), times.tobytes(), n)
+    if plan.fault:
+        raise ValueError(plan.fault)
+    mass = _lattice_mass(h, times) ** n if times[0] < h ** 2 else None
+    step = max(1, _TIME_BLOCK // values.size)
+
+    def block(i):
+        rows = _heat_rows(values, plan, i, min(i + step, len(times)))
+        norms = norm(rows.reshape(len(rows), -1, values.shape[-1]))
+        if mass is not None:
+            norms /= mass[i:i + step, None]
+        return norms.max(axis=0)
+
+    return functools.reduce(np.maximum, map(block, range(0, len(times), step)))
 
 
 def _heat_rows(values, plan, start, stop):

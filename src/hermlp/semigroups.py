@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _expansion, _ladder, _point, _synthesize,
+    HermiteExpansion, SpatialGrid, _eigenvalue, _expansion, _ladder, _point, _real, _synthesize,
     point_synthesis_matrix,
 )
 from .gamma import BanachModel, TimeGrid, _mc_args, gamma_norms
+from .kernels import _TIME_BLOCK
 
-# values (times x d x points) per stacked product in `_maximal_function`
-_TIME_BLOCK = 2 ** 16
+# the semigroups of `apply_semigroup`, the maximal functions and the CLI
+_KINDS = ("heat", "poisson")
 
 __all__ = [
     "TimeField",
@@ -69,22 +70,16 @@ class TimeField:
             raise ValueError("time field has non-finite values")
 
 
-def _eigenvalues(modes: np.ndarray, alpha: float) -> np.ndarray:
-    """2|k| + n + alpha for every row k of modes."""
-    return 2.0 * modes.sum(axis=1) + modes.shape[1] + alpha
-
-
 def _check_shift(modes: np.ndarray, alpha: float):
     """alpha > -n always works; otherwise every mode (a row of `modes`)
     must keep a positive eigenvalue (e.g. alpha = -2 with modes of
-    degree >= 1), and an empty set of modes is rejected.  A non-finite
-    alpha is rejected."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"shift alpha={alpha} is not finite")
+    degree >= 1), and an empty set of modes is rejected.  An alpha that
+    is not a finite real number is rejected (`basis._real`)."""
+    _real(alpha, "shift alpha")
     n = modes.shape[1]
     if alpha > -n:
         return
-    if modes.size and np.min(_eigenvalues(modes, alpha)) > 0:
+    if modes.size and np.min(_eigenvalue(modes.sum(axis=1), n, alpha)) > 0:
         return
     raise ValueError(f"shift alpha={alpha} gives non-positive eigenvalues for n={n}")
 
@@ -104,9 +99,9 @@ def _spectral_table(e: HermiteExpansion, alpha: float, op):
     `composed_maximal` checks it on the targets.
     """
     modes, C = e.modes, e.C
-    if op in ("heat", "poisson", "g"):
+    if op in _KINDS or op == "g":
         _check_shift(modes, alpha)
-        lam = _eigenvalues(modes, alpha)
+        lam = _eigenvalue(modes.sum(axis=1), e.n, alpha)
         rate = lam if op == "heat" else np.sqrt(lam)
         if op == "g":
             return modes, C, -rate, rate, 1
@@ -119,7 +114,7 @@ def _spectral_table(e: HermiteExpansion, alpha: float, op):
         keep = modes[:, j - 1] > 0
         modes, C = modes[keep], C[keep]
     amp = sign * np.sqrt(2.0 * modes[:, j - 1] + (1 - sign))
-    rate = np.sqrt(_eigenvalues(modes, 0.0))
+    rate = np.sqrt(_eigenvalue(modes.sum(axis=1), e.n, 0.0))
     targets = modes.copy()
     targets[:, j - 1] -= sign
     if name == "ladder":
@@ -139,18 +134,16 @@ def apply_semigroup(
     """Multiply each coefficient by the semigroup symbol e^{-t lambda}
     (heat) or e^{-t sqrt(lambda)} (poisson), lambda = 2|k| + n + alpha."""
     e = _expansion(e, "e")
-    if kind not in ("heat", "poisson"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown semigroup kind {kind!r}")
-    if not math.isfinite(t):
-        raise ValueError(f"time {t} is not finite")
+    t = _real(t, "time t")
     if t < 0:
         raise ValueError("time must be nonnegative")
     modes, C, _, rate, _ = _spectral_table(e, alpha, kind)
     # math.exp per mode: numpy's vectorized exp can differ from it in the
     # last bit, and `hermlp semigroup` prints this factor to 17 digits.  The
-    # product is taken in Python floats: a numpy scalar warns where it
-    # overflows (t = 1e308), and the factor is 0.0 either way
-    t = float(t)
+    # product is taken in Python floats (`_real` gives one): a numpy scalar
+    # warns where it overflows (t = 1e308), and the factor is 0.0 either way
     factor = np.array([math.exp(-t * r) for r in rate.tolist()])
     return HermiteExpansion._from_rows(e.n, e.d, modes, factor[:, None] * C, e.K)
 
@@ -225,7 +218,7 @@ def _maximal_function(
     of `_spectral_table` with the Hermite values S at the points; the
     products of a block of times (at most _TIME_BLOCK values) are one
     stacked matmul, so a single point takes all its times at once."""
-    if kind not in ("heat", "poisson"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if B.d != e.d:
         raise ValueError("Banach model dimension must match the expansion")
@@ -290,7 +283,7 @@ def composed_maximal(
     if not len(targets):
         return 0.0
     hc = point_synthesis_matrix(targets, x) * C  # (rows, d): h_m(x) C per target mode
-    rs = np.sqrt(_eigenvalues(targets, alpha))
+    rs = np.sqrt(_eigenvalue(targets.sum(axis=1), e.n, alpha))
     P = _profiles(table, times.nodes) * np.sqrt(times.weights)
     s = np.concatenate(([0.0], sgrid.nodes))
     stack = np.swapaxes(np.exp(-s[:, None] * rs)[:, :, None] * hc, 1, 2) @ P

@@ -28,17 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    HermiteExpansion, SpatialGrid, _expansion, _integer, _point, _points, _read_only,
+    HermiteExpansion, SpatialGrid, _expansion, _integer, _point, _points, _read_only, _real,
     _resolution,
 )
 from .gamma import BanachModel, TimeGrid
-from .kernels import _heat_rows, _lattice_mass, _lattice_plan
-from .semigroups import _maximal_function, gfunction
-
-# lattice values (times x grid points x d) per block of times in h1_norm:
-# 0.5 MB per real array, a few of which are alive during a call.  Blocks
-# of twice this size ran 1.5x slower on a 121 x 121 lattice.
-_HEAT_BLOCK = 2 ** 16
+from .kernels import _heat_maximal
+from .semigroups import _KINDS, _maximal_function, gfunction
 
 __all__ = [
     "critical_radius",
@@ -200,33 +195,16 @@ def h1_norm(
     f may be a HermiteExpansion (spectral path: each mode decays by its
     own eigenvalue; the integrand is the maximal function of
     `semigroups.maximal_norm` at every grid point, with the same input
-    checks) or an Atom / raw finite samples of shape
-    (grid.size, d) (sampled path, heat only: the trapezoid-weighted
-    samples go through `heat_apply`'s work over the whole lattice,
-    `kernels._heat_rows`, for a block of time nodes at a time: at most
-    _HEAT_BLOCK lattice values per block, so the 16 times of a
-    1201-point grid are one block and the times of a 241 x 241 lattice
-    go one per block).  Each time takes the route `heat_apply`'s
-    docstring gives; all of them are the same dense kernel matrix, to
-    about 1e-16 of its Gaussian bound, and the value is that of
-    `heat_apply` called per block.  The samples are checked once, and
-    what depends on the lattice and the times only is one plan for all
-    the nodes, built on the first call (`kernels._lattice_plan`), so
-    every call after it on one grid and one TimeGrid transforms only the
-    samples, however many blocks it takes.  README gives the plan's size
-    and the routes' times for the benchmark's lattice.
-
-    Resolution rule: the lattice resolves W_t for t >= h^2, the square of
-    the grid step.  Below that the sampled kernel is narrower than the
-    step, and its lattice sum per axis is theta(t), about
-    h / sqrt(4 pi t) rather than 1 (`kernels._lattice_mass`), so each
-    time's norms are divided by theta(t)^n: the sampled operator then
-    maps 1 to about 1 at every t inside the lattice, and tends to the
-    identity as t -> 0+.  For t >= h^2 theta is exactly 1.0 and nothing
-    is divided, so where every time has t >= h^2 (h = 0.02 and
-    t >= 1e-3, say) the value is that of the plain `heat_apply` sweep.
+    checks) or an Atom / raw finite samples of shape (grid.size, d)
+    (sampled path, heat only: the integrand is the sampled heat maximal
+    function of the trapezoid-weighted samples, whose owner is
+    `kernels._heat_maximal`; each time's norms are divided by theta(t)^n
+    below t = h^2, where the lattice no longer resolves W_t, so the
+    sampled operator tends to the identity as t -> 0+, and from h^2 up
+    the value is that of `heat_apply` at every node).  The samples are
+    checked once per call.
     """
-    if kind not in ("heat", "poisson"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if isinstance(f, HermiteExpansion):
         if f.n != grid.n:
@@ -238,29 +216,16 @@ def h1_norm(
     samples = _grid_samples(f, grid, B.d)
     if kind != "heat":
         raise ValueError("sampled inputs support the heat maximal function only")
-    if alpha != 0.0:
+    if _real(alpha, "shift alpha") != 0.0:
         raise ValueError("sampled inputs support alpha = 0 only")
     w = grid.weights
     wf = (w[:, None] * samples).reshape(grid.shape + (samples.shape[1],))
-    # one plan for every node, and heat_apply's checks once: the samples
-    # are finite, and so are the weighted ones unless a weight exceeds 1
-    plan = _lattice_plan(grid.axis.tobytes(), times.nodes.tobytes(), grid.n)
+    # heat_apply's values check: the samples are finite, and so are the
+    # weighted ones unless a weight exceeds 1
     if grid.h > 1.0 and not np.all(np.isfinite(wf)):
         raise ValueError("values must be finite")
-    if plan.fault:
-        raise ValueError(plan.fault)
-    # theta(t) = 1.0 for t >= h^2
-    mass = _lattice_mass(grid.h, times.nodes) ** grid.n if times.nodes[0] < grid.h ** 2 else None
-    sup = B.norm(samples)
-    step = max(1, _HEAT_BLOCK // wf.size)
-    for i in range(0, times.N, step):
-        heat = _heat_rows(wf, plan, i, min(i + step, times.N))
-        norms = B.norm(heat.reshape(len(heat), grid.size, -1))
-        del heat
-        if mass is not None:
-            norms /= mass[i:i + step, None]
-        sup = np.maximum(sup, norms.max(axis=0))
-    return float(np.sum(w * sup))
+    heat = _heat_maximal(wf, grid.axis, times.nodes, grid.h, B.norm)
+    return float(np.sum(w * np.maximum(B.norm(samples), heat)))  # with the t -> 0+ candidate
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     passes only if the whole comparison is within 1e-6 and the heat
     branch within 1e-8.
     """
-    if not t_list or not alpha_list:
+    if not len(t_list) or not len(alpha_list):
         raise ValueError("t_list and alpha_list must be nonempty")
     kmax = 10
     grid = DEFAULT_GRID
@@ -133,7 +133,7 @@ def check_kernel_vs_spectral(t_list, alpha_list) -> CheckReport:
     hx = _table(kmax, xs).T  # (5, modes)
     eigen = 2.0 * np.arange(kmax + 1) + 1.0
     worst = 0.0
-    ops = [ShiftedOperator(float(alpha), 1) for alpha in alpha_list]
+    ops = [ShiftedOperator(alpha, 1) for alpha in alpha_list]
     # one subordination grid for every shift and time; each kernel has
     # shape (T, 5, len(ys))
     family = _pair_family(xs[:, None], ys[None, :], [("poisson", times, op) for op in ops])

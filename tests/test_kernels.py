@@ -1755,3 +1755,9 @@ def test_subordination_nodes_check_the_time_and_the_decay():
     for decay in (0.0, -2.0):
         with pytest.raises(ValueError, match="decay rate must be positive"):
             rule.s_nodes(1.0, decay)
+
+
+def test_subordination_nodes_reject_a_nan_decay():
+    # decay <= 0 is False for NaN, which gave NaN nodes
+    with pytest.raises(ValueError, match="decay rate must be positive"):
+        SubordinationRule().s_nodes(1.0, math.nan)

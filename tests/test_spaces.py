@@ -513,16 +513,18 @@ def test_h1_norm_sampled_equals_per_time_heat_calls():
     (SpatialGrid(6.0, 0.05, 2), 512, [1] * 512),  # 241 x 241: never all 512 at once
 ])
 def test_h1_norm_time_blocks_stay_under_the_budget(monkeypatch, grid, N, calls):
+    from hermlp import kernels
+
     seen = []
 
-    def fake(values, plan, start, stop):  # the worker h1_norm calls once per block
+    def fake(values, plan, start, stop):  # the worker the sweep calls once per block
         seen.append(stop - start)
         return np.zeros((stop - start,) + values.shape)
 
-    monkeypatch.setattr(spaces, "_heat_rows", fake)
+    monkeypatch.setattr(kernels, "_heat_rows", fake)
     h1_norm(np.ones((grid.size, 1)), B1, grid, TimeGrid(1e-3, 20.0, N))
     assert seen == calls
-    assert max(seen) * grid.size <= spaces._HEAT_BLOCK
+    assert max(seen) * grid.size <= kernels._TIME_BLOCK
 
 
 HARDY_ATOMS = [make_random_atom(np.random.default_rng(29), SpatialGrid(12.0, 0.02), kind)

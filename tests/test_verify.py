@@ -155,6 +155,16 @@ def test_kernel_vs_spectral_rejects_empty():
         check_kernel_vs_spectral([], [0.0])
 
 
+def test_kernel_vs_spectral_takes_arrays_as_it_takes_lists():
+    # an array's truth value raised numpy's "ambiguous" ValueError
+    got = check_kernel_vs_spectral(np.array([0.1, 1.0]), np.array([0.0]))
+    want = check_kernel_vs_spectral([0.1, 1.0], [0.0])
+    assert float(got.computed).hex() == float(want.computed).hex()
+    assert got.row() == want.row() and got.details == want.details
+    with pytest.raises(ValueError, match="nonempty"):
+        check_kernel_vs_spectral(np.array([]), [0.0])
+
+
 @pytest.mark.parametrize("kind", ["heat", "poisson", "g", "gH", "ladder", "gradient"])
 def test_envelope_ratios_stable(kind):
     xs = np.linspace(-4.0, 4.0, 65)
