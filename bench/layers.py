@@ -30,8 +30,8 @@ GROUP is one of
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
             target entry, one at M = 2: a call's fixed cost) and
             full-rank operators (two of them the benchmark's full-rank
-            q = 2 shapes), `composed_maximal` at q = 4 and 2, and
-            `gamma_norm_hilbert`.
+            q = 2 shapes), `composed_maximal` at q = 4, 2 and 1 (a
+            rank-three l^1 stack), and `gamma_norm_hilbert`.
 
 Both trees are imported into one child process, each under its own
 package name (`hermlp_before`, `hermlp_after`), so that the two are timed
@@ -362,6 +362,7 @@ def gamma_calls(h):
     full3, full8 = (gamma.DiscreteGammaOperator(gamma.BanachModel(d, 2.0), t256,
                                                 rng.normal(size=(d, 256)) * np.exp(-t256.nodes))
                     for d in (3, 8))
+    three_d3 = modes(3, 11, 3)
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
@@ -374,6 +375,8 @@ def gamma_calls(h):
             one, -0.6, 0.0, "g", B4, s32, M=2000, seed=6),
         "composed_q4_3modes": lambda: semigroups.composed_maximal(
             three, 0.4, 1.0, "g", B4, s32, M=2000, seed=7),
+        "composed_q1_3modes_d3": lambda: semigroups.composed_maximal(
+            three_d3, 0.4, 1.0, "g", gamma.BanachModel(3, 1.0), s32, M=2000, seed=7),
         "composed_q2": lambda: semigroups.composed_maximal(
             four, 0.4, 1.0, "g", gamma.BanachModel(1, 2.0), gamma.TimeGrid(1e-3, 20.0, 64),
             M=2000),
@@ -524,7 +527,7 @@ GROUPS = {
         },
     ),
     "gamma": (
-        "gamma.gamma_norm_mc, semigroups.composed_maximal (Monte Carlo and q = 2), "
+        "gamma.gamma_norm_mc, semigroups.composed_maximal (exact routes, Monte Carlo and q = 2), "
         "gamma.gamma_norm_hilbert",
         gamma_calls,
         {
@@ -551,6 +554,9 @@ GROUPS = {
             "composed_q4_3modes": "composed_maximal at x = 0.4, inner 'g', 3 random modes "
                                   "(K <= 11), d = 2, alpha = 1, l^4, TimeGrid(1e-3, 20, 32), "
                                   "M = 2000, seed 7",
+            "composed_q1_3modes_d3": "composed_maximal at x = 0.4, inner 'g', 3 random modes "
+                                     "(K <= 11), d = 3, alpha = 1, l^1, TimeGrid(1e-3, 20, "
+                                     "32): 33 s-candidates of rank up to 3, M = 2000, seed 7",
             "composed_q2": "composed_maximal at x = 0.4, inner 'g', 4 random modes (K <= 20), "
                            "alpha = 1, l^2, TimeGrid(1e-3, 20, 64): 65 s-candidates",
             "hilbert_d8_N2048": "gamma_norm_hilbert of a random 8 x 2048 operator with columns "

@@ -5,19 +5,30 @@ The time half-line is truncated to [t_min, t_max] and discretized with a
 log-spaced trapezoid rule, so scalar H-norms are weighted sums of squares.
 An operator is stored as a d x N matrix whose column i is F(t_i) sqrt(w_i)
 for a represented profile F; in this weighted coordinate basis the Hilbert
-(q = 2) gamma norm is exactly the Frobenius norm, and the general case is
-estimated by Monte Carlo over independent standard Gaussian coefficients.
+(q = 2) gamma norm is exactly the Frobenius norm.  `gamma_norms` takes an
+exact route for every slice of a stack that has one, with stderr 0: a
+slice of numerical rank <= 1 is h (x) b, whose gamma norm is
+||h||_H ||b||_B for every q, and at q = 1 every slice has its exact l^1
+value by the arcsine law.  Only the other slices (rank >= 2 at q not in
+{1, 2}) are estimated by Monte Carlo over independent standard Gaussian
+coefficients; `gamma_norm_mc` is Monte Carlo at every rank and q, the
+independent route the exact ones are tested against.
 
 A gamma norm depends on the operator A only through the covariance
-C = A A^T of the Gaussian vector A gamma in R^d, so the Monte Carlo route
-reads C alone.  One symmetric eigendecomposition C = V diag(w) V^T is cut
+C = A A^T of the Gaussian vector A gamma in R^d, so every route but the
+Frobenius one reads C alone, from one factor stage (`_factor`) that owns
+the rank decision.  One symmetric eigendecomposition C = V diag(w) V^T is cut
 to the eigenpairs with w_i > d max(d, N) eps max_j w_j, the rounding bound
 of forming C (N eps tr C <= d N eps w_max) and of eigh (about d eps w_max),
 so noise is not kept.  In singular values of A the cut is
 sqrt(d max(d, N) eps) sigma_max.  If r pairs stay, F = diag(sqrt w) V^T has
 r rows and each row of g @ F for a standard Gaussian g in R^r has the law
 N(0, F^T F), so a sample costs r normals.  For r = 1, sample i of a slice
-is g_i F by homogeneity of the norm: one norm per operator, O(M) work.
+is g_i F by homogeneity of the norm: one norm per operator, O(M) work,
+and the exact route's value is ||F||_B itself.  The l^1 route reads
+sigma_i^2 = C_ii and rho = C_ij / (sigma_i sigma_j), and sums
+E|X_i||X_j| = (2/pi) sigma_i sigma_j (sqrt(1 - rho^2) + rho arcsin rho)
+over i, j: O(d^2) per slice.
 
 Draws go in blocks of at most 20000 samples over the stack, and a block
 fixes the sums: its squared norms, and their squares, are summed in one
@@ -42,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _integer, _read_only
+from .basis import _integer, _read_only, _real
 
 # Monte Carlo draws per block, summed over a stack of operators
 _BLOCK = 20000
@@ -105,8 +116,12 @@ class BanachModel:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer(self.d, "dimension d", 1))
-        if not self.q >= 1:  # NaN fails every comparison
-            raise ValueError(f"exponent q={self.q} must be >= 1")
+        # a real number, as every real argument is checked, or +inf
+        inf = isinstance(self.q, (float, np.floating)) and self.q == math.inf
+        q = math.inf if inf else _real(self.q, "exponent q")
+        if not q >= 1:
+            raise ValueError(f"exponent q={q} must be >= 1")
+        object.__setattr__(self, "q", q)
 
     def norm(self, v):
         """l^q norm along the last axis; |v| when that axis has one entry."""
@@ -156,7 +171,7 @@ class DiscreteGammaOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = _float_array(self.matrix, "operator matrix")
         if self.matrix.shape != (self.B.d, self.times.N):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
@@ -166,11 +181,20 @@ class DiscreteGammaOperator:
             raise ValueError("operator matrix has non-finite entries")
 
 
+def _float_array(a, name: str) -> np.ndarray:
+    """a as a float array; ValueError for complex entries, of which a cast
+    would keep only the real parts."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got complex entries")
+    return a.astype(float, copy=False)
+
+
 def h_norm(samples, grid: TimeGrid) -> float:
     """Scalar H-norm (sum_i f(t_i)^2 w_i)^{1/2} of a profile sampled on
     the grid nodes: the Frobenius norm of f sqrt(w), so samples anywhere in
     the double range neither overflow nor underflow."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _float_array(samples, "profile samples")
     if samples.shape != (grid.N,):
         raise ValueError("profile samples must match the grid nodes")
     if not np.all(np.isfinite(samples)):
@@ -181,10 +205,10 @@ def h_norm(samples, grid: TimeGrid) -> float:
 def rank_one(samples, b, B: BanachModel, grid: TimeGrid) -> DiscreteGammaOperator:
     """Operator f |-> <f, profile>_H b; its gamma norm factors as
     h_norm(profile) * norm_B(b); b has B.d entries."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _float_array(samples, "profile samples")
     if samples.shape != (grid.N,):
         raise ValueError("profile samples must match the grid nodes")
-    b = np.asarray(b, dtype=float)
+    b = _float_array(b, "target vector b")
     if b.size != B.d:
         raise ValueError(f"b needs B.d={B.d} entries, got shape {b.shape}")
     matrix = b.reshape(-1, 1) * (samples * np.sqrt(grid.weights))[None, :]
@@ -257,34 +281,41 @@ def _cov_factor(C: np.ndarray, cut: float):
     return np.sqrt(w[:, :r] * keep[:, :r])[:, :, None] * V[:, :, :r].swapaxes(1, 2), ranks
 
 
-def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
-    """Monte Carlo gamma norms of a stack A (S, d, N) of operator matrices
-    into B from one seed: arrays (estimates, stderrs) of length S, each
-    slice estimated as in `gamma_norm_mc`.
-
-    Each slice is scaled by a power of two (`_binary_scaled`); the
-    estimates are scaled back by 2^e and the stderrs by 4^e.  All slices
-    share one draw: standard normals g of shape (M, r), r the largest
-    numerical rank over the stack (`_cov_factor` of the scaled A A^T, cut
-    at d max(d, N) eps), taken row by row from default_rng(seed) in blocks
-    of at most 20000 draws summed over the stack (20000 // S samples of
-    every slice per block).  Slice s reads the first ranks[s] columns of
-    g, so a slice of rank r gets the draws of a standalone call and one of
-    lower rank gets other draws of the same law.  For r = 1 sample i of
-    slice s is g_i F_s, so a block adds ||F_s||^2 sum g^2 and ||F_s||^4
-    sum g^4: one B-norm per slice.  Otherwise the block's (S, m) norms are
-    filled in strips of max(1, 2^13 // (d S)) samples: a strip draws its
-    (k, r) normals, forms their values entries first, (d, S, k), so
-    `BanachModel.norm` of their transpose reduces contiguous rows, and
-    writes the norms to its k columns.  The block still fixes how the
-    norms are summed; the strip only bounds the memory of a call, and may
-    move a rank >= 2 estimate by an ulp (module docstring).  M and seed
-    are the checked ints of `_mc_args`."""
-    rng = np.random.default_rng(seed)
-    S, d, N = A.shape
+def _factor(A: np.ndarray):
+    """The factor stage of every non-Hilbert gamma norm, and the one owner
+    of the rank decision: for a stack A (S, d, N), (C, F, ranks, e), where
+    e holds the binary exponents of `_binary_scaled`, C (S, d, d) the
+    covariances A A^T of the scaled slices, and (F, ranks) their
+    `_cov_factor`, cut at d max(d, N) eps (module docstring)."""
+    _, d, N = A.shape
     A, e = _binary_scaled(A)
-    F, _ = _cov_factor(A @ A.swapaxes(1, 2), d * max(d, N) * _EPS)
-    r = F.shape[1]
+    C = A @ A.swapaxes(1, 2)
+    F, ranks = _cov_factor(C, d * max(d, N) * _EPS)
+    return C, F, ranks, e
+
+
+def _draw(F: np.ndarray, B: BanachModel, M: int, seed: int):
+    """The draw stage: Monte Carlo gamma norms into B of the slices of a
+    factor F (S, r, d) from `_factor`, in the scaled units, from one seed:
+    arrays (estimates, stderrs) of length S.
+
+    All slices share one draw: standard normals g of shape (M, r), r the
+    largest numerical rank over the stack, taken row by row from
+    default_rng(seed) in blocks of at most 20000 draws summed over the
+    stack (20000 // S samples of every slice per block).  Slice s reads the
+    first ranks[s] columns of g, so a slice of rank r gets the draws of a
+    standalone call and one of lower rank gets other draws of the same law.
+    For r = 1 sample i of slice s is g_i F_s, so a block adds ||F_s||^2
+    sum g^2 and ||F_s||^4 sum g^4: one B-norm per slice.  Otherwise the
+    block's (S, m) norms are filled in strips of max(1, 2^13 // (d S))
+    samples: a strip draws its (k, r) normals, forms their values entries
+    first, (d, S, k), so `BanachModel.norm` of their transpose reduces
+    contiguous rows, and writes the norms to its k columns.  The block
+    still fixes how the norms are summed; the strip only bounds the memory
+    of a call, and may move a rank >= 2 estimate by an ulp (module
+    docstring).  M and seed are the checked ints of `_mc_args`."""
+    rng = np.random.default_rng(seed)
+    S, r, d = F.shape
     if r == 0:  # every slice is zero
         return np.zeros(S), np.zeros(S)
     if r == 1:
@@ -318,23 +349,78 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
         done += m
     mean = total / M
     var = np.maximum(total_sq / M - mean * mean, 0.0) * M / (M - 1)
+    return np.sqrt(mean), np.sqrt(var / M)
+
+
+def _scaled_back(est: np.ndarray, err: np.ndarray, e: np.ndarray):
+    """Estimates scaled back by 2^e and stderrs, in squared units, by 4^e;
+    either may over- or underflow to inf or 0."""
     with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(np.sqrt(mean), e), np.ldexp(np.sqrt(var / M), 2 * e)
+        return np.ldexp(est, e), np.ldexp(err, 2 * e)
+
+
+def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
+    """Monte Carlo gamma norms of a stack A (S, d, N) of operator matrices
+    into B from one seed: arrays (estimates, stderrs) of length S, each
+    slice estimated as in `gamma_norm_mc`: `_factor`, then `_draw`, then
+    the estimates scaled back by 2^e and the stderrs by 4^e."""
+    _, F, _, e = _factor(A)
+    return _scaled_back(*_draw(F, B, M, seed), e)
+
+
+def _l1_squares(C: np.ndarray) -> np.ndarray:
+    """E||X||_1^2 for X ~ N(0, C_s), per slice of a stack C (S, d, d) of
+    covariances: the sum over i, j of E|X_i||X_j|, which by the arcsine
+    law is (2/pi) sigma_i sigma_j (sqrt(1 - rho^2) + rho arcsin rho), with
+    sigma_i^2 = C_ii and rho = C_ij / (sigma_i sigma_j) clipped to [-1, 1]
+    against rounding; a pair with a zero sigma adds 0."""
+    sigma = np.sqrt(np.diagonal(C, axis1=1, axis2=2))
+    ss = sigma[:, :, None] * sigma[:, None, :]
+    rho = np.divide(C, ss, out=np.zeros_like(C), where=ss > 0)
+    np.clip(rho, -1.0, 1.0, out=rho)
+    moment = ss * (np.sqrt(1.0 - rho * rho) + rho * np.arcsin(rho))
+    return (2.0 / math.pi) * moment.sum(axis=(1, 2))
 
 
 def gamma_norms(A, B: BanachModel, M: int = 200000, seed: int = 0):
     """Gamma norms of a stack A (S, d, N) of operator matrices into B:
-    arrays (estimates, stderrs) of length S.  For q = 2 the Frobenius norm
-    of each slice with stderr 0; otherwise one Monte Carlo estimate of the
-    whole stack from `seed` (`_mc_stack`): a slice of the stack's largest
-    rank gets what `gamma_norm_mc` gives it alone; a slice of lower rank
-    reads fewer columns of the shared draw: same law, other draws."""
-    A = np.asarray(A, dtype=float)
+    arrays (estimates, stderrs) of length S.  Each slice takes the first
+    route that applies, and an exact route returns stderr 0:
+
+    - q = 2: the Frobenius norm of every slice;
+    - numerical rank <= 1 (`_factor`'s cut), any q: the slice is h (x) b
+      and its gamma norm is ||h||_H ||b||_B, read as ||F_s||_B from the
+      one row of its factor;
+    - q = 1, any rank: the exact l^1 value from the slice's covariance
+      by the arcsine law (`_l1_squares`);
+    - otherwise Monte Carlo.  If any slice is left for it, the whole stack
+      is drawn from `seed` (`_draw`), so a drawn slice gets what
+      `_mc_stack` of the whole stack gives it: a slice of the stack's
+      largest rank gets what `gamma_norm_mc` gives it alone, and one of
+      lower rank reads fewer columns of the shared draw (same law, other
+      draws).  The exact values are then written over the other slices.
+
+    A stack with no slice left for Monte Carlo draws nothing, and an
+    all-zero stack takes no B-norm.  M and seed are checked as in
+    `gamma_norm_mc` for every q."""
+    A = _float_array(A, "operator stack")
     if A.ndim != 3 or A.shape[0] < 1 or A.shape[1] != B.d or A.shape[2] < 1:
         raise ValueError(f"stack shape {A.shape} is not (S, d={B.d}, N)")
     if not np.all(np.isfinite(A)):
         raise ValueError("operator matrix has non-finite entries")
     M, seed = _mc_args(M, seed)
+    S = len(A)
     if B.q == 2.0:
-        return _frobenius(A), np.zeros(len(A))
-    return _mc_stack(A, B, M, seed)
+        return _frobenius(A), np.zeros(S)
+    C, F, ranks, e = _factor(A)
+    est, err = np.zeros(S), np.zeros(S)
+    if not F.shape[1]:  # every slice is zero
+        return est, err
+    one = ranks <= 1
+    if B.q == 1.0:
+        est = np.sqrt(_l1_squares(C))
+    elif not one.all():
+        est, err = _draw(F, B, M, seed)
+        err[one] = 0.0
+    est[one] = B.norm(F[one, 0])
+    return _scaled_back(est, err, e)

@@ -257,17 +257,21 @@ def composed_maximal(
     row profiles with the square roots of the time weights folded in.
     All the s-candidates form one (s, d, N) stack, and the result is the
     largest of its `gamma_norms`.  For q = 2 that is the largest
-    Frobenius norm of the slices.  Otherwise the whole stack goes to one
-    Monte Carlo estimate: one stacked eigendecomposition of the slice
-    covariances A A^T, each cut to its numerical rank (eigenvalues above
-    d max(d, N) eps of the largest), and one shared draw of M samples from
-    `seed` with as many normals per sample as the largest rank, taken in
-    blocks of at most 20000 draws summed over the stack.  A slice of that
-    largest rank gets the estimate a standalone `gamma_norm_mc` call with
-    the same seed gives; a slice of lower rank (at large s, where the
-    faster modes have decayed below the cut) reads fewer columns of the
-    shared draw, so its estimate has the same law but other draws.  M and
-    seed are checked as in `gamma_norm_mc` for every q.
+    Frobenius norm of the slices.  Otherwise one stacked
+    eigendecomposition of the slice covariances A A^T cuts each to its
+    numerical rank (eigenvalues above d max(d, N) eps of the largest).  A
+    slice of rank <= 1 (every slice of a one-mode f, and those at large s
+    where the faster modes have decayed below the cut) takes its exact
+    value ||h||_H ||b||_B, and at q = 1 every slice takes its exact l^1
+    value, so such stacks are deterministic and draw nothing.  Only a
+    stack with a slice of rank >= 2 at q not in {1, 2} draws: one shared
+    draw of M samples from `seed` over the whole stack, with as many
+    normals per sample as the largest rank, in blocks of at most 20000
+    draws summed over the stack.  A slice of that largest rank gets the
+    estimate a standalone `gamma_norm_mc` call with the same seed gives;
+    a drawn slice of lower rank reads fewer columns of the shared draw,
+    so its estimate has the same law but other draws.  M and seed are
+    checked as in `gamma_norm_mc` for every q.
     """
     e = _expansion(e, "e")
     x = _point(x, e.n, "x")

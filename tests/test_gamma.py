@@ -412,9 +412,13 @@ def test_gamma_norm_dispatch():
     assert est == gamma_norm_hilbert(T2)
     T4 = rank_one(prof, b, BanachModel(2, 4.0), GRID)
     (est,), (err,) = gamma_norms(T4.matrix[None], T4.B, M=50000, seed=4)
+    assert err == 0.0
+    assert est == pytest.approx(h_norm(prof, GRID) * float(T4.B.norm(b)), rel=1e-15, abs=0.0)
+    # a stack of one operator of rank >= 2 is a Monte Carlo call on it, bit for bit
+    rank_two = np.stack([prof, np.exp(-GRID.nodes)]) * np.sqrt(GRID.weights)
+    T4 = DiscreteGammaOperator(T4.B, GRID, rank_two)
+    (est,), (err,) = gamma_norms(T4.matrix[None], T4.B, M=50000, seed=4)
     assert err > 0.0
-    assert est == pytest.approx(h_norm(prof, GRID) * float(T4.B.norm(b)), rel=0.02)
-    # a stack of one operator is a Monte Carlo call on it, bit for bit
     assert (est, err) == gamma_norm_mc(T4, 50000, 4)
 
 
@@ -626,7 +630,8 @@ def test_composed_maximal_q4_keeps_its_recorded_estimates():
         e = HermiteExpansion(1, 2, int(max(ks)), {(int(k),): rng.normal(size=2) for k in ks})
         got.append(composed_maximal(e, 0.4, 1.0, "g", BanachModel(2, 4.0), TimeGrid(1e-3, 20.0, 32),
                                     M=2000, seed=7))
-    assert got == pytest.approx([0.053459490164664523, 0.3482974430253266], rel=1e-15, abs=0.0)
+    # one mode gives a rank-one stack, which takes the exact route
+    assert got == pytest.approx([0.054248509331913025, 0.3482974430253266], rel=1e-15, abs=0.0)
 
 
 def test_gamma_norms_of_a_stack_match_the_single_operator_norms():
@@ -844,3 +849,142 @@ def test_time_grids_compare_and_hash_by_their_parameters():
     assert TimeGrid(0.1, 1.0, 4) != TimeGrid(0.2, 1.0, 4)
     assert hash(TimeGrid(0.1, 1, 4)) == hash(TimeGrid(0.1, 1.0, 4))
     assert len({TimeGrid(), TimeGrid(), TimeGrid(0.1, 1.0, 4)}) == 2
+
+
+def _rank_one_stack(d, g, seed):
+    """Five rank <= 1 slices b_s (x) h_s: slice 1 has b = 0, slice 3 has
+    h = 0 and slice 2's b has zero entries (for d = 1, all of them)."""
+    rng = np.random.default_rng(seed)
+    profs = rng.normal(size=(5, g.N)) * np.exp(-g.nodes)
+    bs = rng.normal(size=(5, d))
+    bs[1] = 0.0
+    bs[2, ::2] = 0.0
+    profs[3] = 0.0
+    return profs, bs, bs[:, :, None] * (profs * np.sqrt(g.weights))[:, None, :]
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 4.0, math.inf])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_rank_one_stacks_take_the_exact_route(d, q):
+    # h (x) b has the gamma norm ||h||_H ||b||_B, read off the one row of
+    # the slice's factor with stderr 0; Monte Carlo gave it with an error
+    g = TimeGrid(1e-3, 10.0, 64)
+    B = BanachModel(d, q)
+    profs, bs, A = _rank_one_stack(d, g, 7 * d)
+    est, err = gamma_norms(A, B, M=100, seed=1)
+    want = [h_norm(p, g) * float(B.norm(b)) for p, b in zip(profs, bs)]
+    assert est == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert not err.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-600, 600):
+            est_k, err_k = gamma_norms(np.ldexp(A, k), B, M=100, seed=1)
+            assert est_k.tolist() == np.ldexp(est, k).tolist()
+            assert not err_k.any()
+
+
+def test_exact_routes_draw_nothing(monkeypatch):
+    # a rank <= 1 stack at every q, and every stack at q = 1, drew M
+    # normals; composed_maximal of one mode is such a stack
+    from hermlp.basis import HermiteExpansion
+    from hermlp.semigroups import composed_maximal
+
+    def default_rng(seed=None):
+        raise AssertionError("np.random.default_rng called")
+
+    g = TimeGrid(1e-3, 10.0, 32)
+    _, _, one = _rank_one_stack(3, g, 5)
+    full = np.random.default_rng(5).normal(size=(4, 3, g.N)) * np.exp(-g.nodes)
+    e = HermiteExpansion(1, 2, 5, {(5,): [0.8, -1.3]})
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    for q in (1.0, 1.5, 4.0, math.inf):
+        gamma_norms(one, BanachModel(3, q))
+    gamma_norms(full, BanachModel(3, 1.0))
+    composed_maximal(e, 0.6, 0.0, "g", BanachModel(2, 4.0), TimeGrid(1e-3, 20.0, 32))
+    with pytest.raises(AssertionError, match="default_rng"):  # a full-rank l^4 stack draws
+        gamma_norms(full, BanachModel(3, 4.0))
+
+
+@pytest.mark.parametrize("q", [1.5, 4.0, math.inf])
+def test_a_mixed_rank_stack_draws_as_the_whole_stack(q):
+    # slices 0 and 2 have rank >= 2 and are drawn; slices 1 (rank one) and
+    # 3 (zero) take the exact route, but the draw is still the whole stack's
+    from hermlp.gamma import _mc_stack
+
+    g = TimeGrid(1e-3, 10.0, 32)
+    rng = np.random.default_rng(61)
+    B = BanachModel(3, q)
+    A = rng.normal(size=(4, 3, g.N)) * np.exp(-g.nodes)
+    A[0, 2] = A[0, 0] - A[0, 1]  # rank two
+    b = A[1, :, 0].copy()
+    A[1] = b[:, None] * np.exp(-g.nodes)
+    A[3] = 0.0
+    est, err = gamma_norms(A, B, M=3000, seed=17)
+    mc, mc_err = _mc_stack(A, B, 3000, 17)
+    assert est[[0, 2]].tolist() == mc[[0, 2]].tolist()
+    assert err[[0, 2]].tolist() == mc_err[[0, 2]].tolist()
+    assert err[0] > 0.0 and err[2] > 0.0
+    assert est[1] == pytest.approx(np.linalg.norm(np.exp(-g.nodes)) * float(B.norm(b)),
+                                   rel=1e-15, abs=0.0)
+    assert (est[3], err[1], err[3]) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("d, r", [(2, 2), (3, 2), (3, 3), (8, 8)])
+def test_l1_route_matches_monte_carlo(d, r):
+    g = TimeGrid(1e-3, 10.0, 64)
+    rng = np.random.default_rng(10 * d + r)
+    A = rng.normal(size=(d, r)) @ (rng.normal(size=(r, g.N)) * np.exp(-g.nodes))
+    B = BanachModel(d, 1.0)
+    (est,), (err,) = gamma_norms(A[None], B)
+    assert err == 0.0
+    mc, mc_err = gamma_norm_mc(DiscreteGammaOperator(B, g, A), 4_000_000, 1)
+    assert abs(mc * mc - est * est) <= 3.0 * mc_err
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_l1_route_equals_the_rank_one_route_on_rank_one_slices(d):
+    from hermlp.gamma import _factor, _l1_squares
+
+    g = TimeGrid(1e-3, 10.0, 64)
+    _, _, A = _rank_one_stack(d, g, 3 * d)
+    est, _ = gamma_norms(A, BanachModel(d, 1.0))
+    C, _, _, e = _factor(A)
+    assert np.ldexp(np.sqrt(_l1_squares(C)), e) == pytest.approx(est, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", ["2", None, 1 + 0j, True, np.True_, np.array([1.0, 2.0])], ids=repr)
+def test_banach_model_checks_its_exponent_as_a_real_number(bad):
+    # a string, None and a complex number raised TypeError, and a bool was
+    # taken as q = 1
+    with pytest.raises(ValueError, match="^exponent q=.* must be a real number"):
+        BanachModel(2, bad)
+
+
+def test_banach_model_keeps_an_infinite_exponent_and_reads_real_forms():
+    for inf in (math.inf, np.float64(math.inf)):
+        assert BanachModel(2, inf).q == math.inf
+    for form in (4, np.int64(4), np.float64(4.0), np.array(4.0)):
+        assert BanachModel(2, form) == BanachModel(2, 4.0)
+        assert type(BanachModel(2, form).q) is float
+    with pytest.raises(ValueError, match="exponent q=-inf"):
+        BanachModel(2, -math.inf)
+
+
+def test_complex_arrays_are_rejected():
+    # each cast dropped the imaginary parts with only a ComplexWarning:
+    # gamma_norms(1j A, B) gave (0, 0) and h_norm(1j prof) 0.0
+    g = TimeGrid(1e-3, 10.0, 16)
+    prof = g.nodes * np.exp(-g.nodes)
+    B = BanachModel(2, 4.0)
+    A = np.stack([prof, prof ** 2]) * np.sqrt(g.weights)
+    calls = [
+        lambda: h_norm(1j * prof, g),
+        lambda: rank_one(1j * prof, [1.0, 2.0], B, g),
+        lambda: rank_one(prof, [1.0, 2.0j], B, g),
+        lambda: DiscreteGammaOperator(B, g, 1j * A),
+        lambda: gamma_norms(1j * A[None], B),
+        lambda: gamma_norms((A + 0j)[None], BanachModel(2, 2.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be real"):
+            call()
