@@ -28,7 +28,7 @@ GROUP is one of
             caps, and `synthesize_grid` of sparse and dense modes on a line
             and of every mode |k| <= 8 on a plane;
   gamma     gamma norms: `gamma_norm_mc` on rank-one (one with a zero
-            target entry, one at M = 2: a call's fixed cost) and
+            target entry, two at M = 2: a call's fixed cost) and
             full-rank operators (two of them the benchmark's full-rank
             q = 2 shapes), `composed_maximal` at q = 4, 2 and 1 (a
             rank-three l^1 stack), and `gamma_norm_hilbert`.
@@ -363,12 +363,15 @@ def gamma_calls(h):
                                                 rng.normal(size=(d, 256)) * np.exp(-t256.nodes))
                     for d in (3, 8))
     three_d3 = modes(3, 11, 3)
+    r1_128 = gamma.rank_one(t128.nodes * np.exp(-t128.nodes), rng.normal(size=1),
+                            gamma.BanachModel(1, 1.5), t128)
     return {
         "mc_rank_one_d8_q1.5": lambda: gamma.gamma_norm_mc(r8, 20000, 3)[0],
         "mc_rank_one_d3_q4_M2e5": lambda: gamma.gamma_norm_mc(r3, 200000, 4)[0],
         "mc_full_rank_d3_q4": lambda: gamma.gamma_norm_mc(full, 20000, 5)[0],
         "mc_rank_one_d8_N128_M7500": lambda: gamma.gamma_norm_mc(r8_128, 7500, 8)[0],
         "mc_rank_one_b03_q4": lambda: gamma.gamma_norm_mc(b03, 20000, 9)[0],
+        "mc_fixed_cost_d1_N128_M2": lambda: gamma.gamma_norm_mc(r1_128, 2, 10)[0],
         "mc_fixed_cost_d3_N128_M2": lambda: gamma.gamma_norm_mc(r3_128, 2, 10)[0],
         "mc_rank_one_d3_N128_M7500": lambda: gamma.gamma_norm_mc(r3_128, 7500, 10)[0],
         "composed_q4_one_mode": lambda: semigroups.composed_maximal(
@@ -543,6 +546,9 @@ GROUPS = {
             "mc_rank_one_b03_q4": "gamma_norm_mc of the rank-one operator t e^{-t} (x) (0, 3), "
                                   "l^4, TimeGrid(), M = 20000, seed 9: a zero first target "
                                   "entry, as in `hermlp gamma --b 0,3`",
+            "mc_fixed_cost_d1_N128_M2": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b "
+                                        "random in R^1, l^1.5, TimeGrid(1e-4, 40, 128), M = 2, "
+                                        "seed 10: a call's fixed cost at d = 1",
             "mc_fixed_cost_d3_N128_M2": "gamma_norm_mc of a rank-one operator t e^{-t} (x) b, b "
                                         "random in R^3, l^1.5, TimeGrid(1e-4, 40, 128), M = 2, "
                                         "seed 10: a call's fixed cost, its draw two normals",

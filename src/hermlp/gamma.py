@@ -20,13 +20,15 @@ Frobenius one reads C alone, from one factor stage (`_factor`) that owns
 the rank decision.  One symmetric eigendecomposition C = V diag(w) V^T is cut
 to the eigenpairs with w_i > d max(d, N) eps max_j w_j, the rounding bound
 of forming C (N eps tr C <= d N eps w_max) and of eigh (about d eps w_max),
-so noise is not kept.  In singular values of A the cut is
-sqrt(d max(d, N) eps) sigma_max.  If r pairs stay, F = diag(sqrt w) V^T has
-r rows and each row of g @ F for a standard Gaussian g in R^r has the law
-N(0, F^T F), so a sample costs r normals.  For r = 1, sample i of a slice
-is g_i F by homogeneity of the norm: one norm per operator, O(M) work,
-and the exact route's value is ||F||_B itself.  The l^1 route reads
-sigma_i^2 = C_ii and rho = C_ij / (sigma_i sigma_j), and sums
+so noise is not kept.  At d = 1 the decomposition is w = C, V = 1, what
+LAPACK returns for a 1 x 1 matrix, and is taken without calling eigh.
+In singular values of A the cut is sqrt(d max(d, N) eps) sigma_max.  If
+r pairs stay, F = diag(sqrt w) V^T has r rows and each row of g @ F for a
+standard Gaussian g in R^r has the law N(0, F^T F), so a sample costs r
+normals.  For r = 1, sample i of a slice is g_i F by homogeneity of the
+norm: one norm per operator, O(M) work, and the exact route's value is
+||F||_B itself.  The l^1 route reads sigma_i^2 = C_ii and
+rho = C_ij / (sigma_i sigma_j), and sums
 E|X_i||X_j| = (2/pi) sigma_i sigma_j (sqrt(1 - rho^2) + rho arcsin rho)
 over i, j: O(d^2) per slice.
 
@@ -44,6 +46,12 @@ is multiplied in one call.
 Each operator is scaled by the power of two at its largest |entry| before
 it is squared, and the results are scaled back, so entries anywhere in
 the double range neither overflow nor underflow; the scaling is exact.
+
+`gamma_norm_mc` takes one operator, and for rank <= 1 makes the sums of
+a one-slice stack on Python floats: the same draws and blocks, the same
+block sums unit sum g^2, and the mean, stderr and scale-back by 2^e and
+4^e (math.ldexp, inf on overflow) in the same order, so it returns the
+bits of the stack route `_mc_stack` without its one-element arrays.
 """
 
 from __future__ import annotations
@@ -158,12 +166,14 @@ class BanachModel:
         return top * a if e is None else np.ldexp(a, e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteGammaOperator:
     """Finite-rank operator from the discretized H into a BanachModel.
 
     Column i of `matrix` is the image of the i-th weighted coordinate
-    basis vector, i.e. F(t_i) sqrt(w_i).
+    basis vector, i.e. F(t_i) sqrt(w_i).  An operator is a value, like
+    `TimeGrid`: `matrix` is a read-only copy of the array it was given,
+    so it keeps the shape and the finite entries it was checked for.
     """
 
     B: BanachModel
@@ -171,14 +181,15 @@ class DiscreteGammaOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = _float_array(self.matrix, "operator matrix")
-        if self.matrix.shape != (self.B.d, self.times.N):
+        matrix = _float_array(self.matrix, "operator matrix")
+        if matrix.shape != (self.B.d, self.times.N):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
+                f"matrix shape {matrix.shape} does not match "
                 f"(d, N) = ({self.B.d}, {self.times.N})"
             )
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.all(np.isfinite(matrix)):
             raise ValueError("operator matrix has non-finite entries")
+        object.__setattr__(self, "matrix", _read_only(matrix.copy()))
 
 
 def _float_array(a, name: str) -> np.ndarray:
@@ -239,8 +250,38 @@ def gamma_norm_mc(T: DiscreteGammaOperator, M: int, seed: int):
     about 1e+-154.  Deterministic given (seed, M): M an integer >= 2, seed
     an integer >= 0, else ValueError.  Draws go in blocks of at most 20000.
     """
-    est, err = _mc_stack(T.matrix[None], T.B, *_mc_args(M, seed))
-    return float(est[0]), float(err[0])
+    M, seed = _mc_args(M, seed)
+    _, F, _, e = _factor(T.matrix[None])
+    if not F.shape[1]:  # the zero operator
+        return 0.0, 0.0
+    if F.shape[1] > 1:
+        est, err = _draw(F, T.B, M, seed)
+        est, err = float(est[0]), float(err[0])
+    else:  # `_draw`'s rank-one sums for one slice, on Python floats
+        unit = float(T.B.norm(F[:, 0])[0])
+        unit *= unit
+        unit_sq = unit * unit
+        rng = np.random.default_rng(seed)
+        total = total_sq = 0.0
+        for done in range(0, M, _BLOCK):
+            g = rng.standard_normal(min(_BLOCK, M - done))
+            g *= g
+            total += unit * float(g.sum())
+            g *= g
+            total_sq += unit_sq * float(g.sum())
+        mean = total / M
+        var = max(total_sq / M - mean * mean, 0.0) * M / (M - 1)
+        est, err = math.sqrt(mean), math.sqrt(var / M)
+    e = int(e[0])
+    return _ldexp(est, e), _ldexp(err, 2 * e)
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e for x >= 0, inf on overflow: what `_scaled_back` gives."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _mc_args(M, seed) -> tuple:
@@ -272,13 +313,19 @@ def _cov_factor(C: np.ndarray, cut: float):
     F (S, r, d) holds sqrt(w_i) v_i^T over the eigenpairs of the slice with
     w_i > cut w_max, largest first, so F^T F is C less the dropped pairs.
     Taken in descending order the kept pairs are a prefix, so slice s has
-    ranks[s] rows and zeros below them up to the largest rank r."""
-    w, V = np.linalg.eigh(C)
-    w, V = w[:, ::-1], V[:, :, ::-1]
+    ranks[s] rows and zeros below them up to the largest rank r.  At d = 1
+    the eigenpair is (C, 1), as eigh gives it, without the call."""
+    if C.shape[1] == 1:
+        # dsyevd's N = 1 branch returns w = C, v = 1: eigh's answer, bit for bit
+        w, V = C[:, 0], None
+    else:
+        w, V = np.linalg.eigh(C)
+        w, V = w[:, ::-1], V[:, :, ::-1]
     keep = w > cut * w[:, :1]
     ranks = keep.sum(axis=1)
     r = int(ranks.max())
-    return np.sqrt(w[:, :r] * keep[:, :r])[:, :, None] * V[:, :, :r].swapaxes(1, 2), ranks
+    F = np.sqrt(w[:, :r] * keep[:, :r])[:, :, None]
+    return (F if V is None else F * V[:, :, :r].swapaxes(1, 2)), ranks
 
 
 def _factor(A: np.ndarray):
@@ -363,7 +410,9 @@ def _mc_stack(A: np.ndarray, B: BanachModel, M: int, seed: int):
     """Monte Carlo gamma norms of a stack A (S, d, N) of operator matrices
     into B from one seed: arrays (estimates, stderrs) of length S, each
     slice estimated as in `gamma_norm_mc`: `_factor`, then `_draw`, then
-    the estimates scaled back by 2^e and the stderrs by 4^e."""
+    the estimates scaled back by 2^e and the stderrs by 4^e.  The tests
+    hold `gamma_norm_mc`, which sums one operator's draws without it, to
+    this route bit for bit."""
     _, F, _, e = _factor(A)
     return _scaled_back(*_draw(F, B, M, seed), e)
 

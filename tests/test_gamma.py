@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -228,6 +229,20 @@ def test_operator_shape_checked():
         DiscreteGammaOperator(
             BanachModel(1, 2.0), GRID, np.full((1, GRID.N), np.inf)
         )
+
+
+def test_operator_is_a_read_only_value():
+    # a write after the checks used to skip them: with an inf entry,
+    # gamma_norm_mc returned (0.0, 0.0) and gamma_norm_hilbert inf
+    m = np.ones((2, GRID.N))
+    T = DiscreteGammaOperator(BanachModel(2, 4.0), GRID, m)
+    with pytest.raises(ValueError, match="read-only"):
+        T.matrix[:, 0] = np.inf
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.matrix = np.full((3, GRID.N), np.inf)
+    # the matrix is a copy: the caller's array stays the caller's
+    m[:, 0] = np.inf
+    assert m.flags.writeable and np.all(np.isfinite(T.matrix))
 
 
 def test_hilbert_norm_single_entry():
@@ -619,6 +634,46 @@ def test_mc_rank_one_keeps_its_recorded_bits(key):
         assert got == RANK_ONE_PINS[key]
 
 
+def _one_operator_cases(d):
+    # rank one, rank one with a zero target row, the zero operator and, for
+    # d >= 2, full rank (flagged), each with entries x 1, 2^1000 and 2^-1000
+    rng = np.random.default_rng(d)
+    g = TimeGrid(1e-3, 10.0, 16)
+    b = rng.normal(size=(d, 1))
+    h = rng.normal(size=(1, g.N)) * np.exp(-g.nodes)
+    zero_row = b.copy()
+    zero_row[0] = 0.0
+    cases = [(b * h, False), (zero_row * h, False), (np.zeros((d, g.N)), False)]
+    if d > 1:
+        cases.append((rng.normal(size=(d, g.N)), True))
+    for A, full in cases:
+        for k in (0, 1000, -1000):
+            yield g, np.ldexp(A, k), full
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_mc_one_operator_keeps_the_bits_of_the_stack_route(d, q):
+    # gamma_norm_mc sums a rank <= 1 operator's draws on Python floats and
+    # scales every rank back by math.ldexp; the stack route is the
+    # reference, in one block (M <= 20000) and in three (M = 45001).  At
+    # 2^1000 the stderr overflows to inf, at 2^-1000 it underflows to 0.
+    from hermlp.gamma import _mc_stack
+
+    B = BanachModel(d, q)
+    for g, A, full in _one_operator_cases(d):
+        T = DiscreteGammaOperator(B, g, A)
+        for M in (2, 7500, 20000, 45001):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gamma_norm_mc(T, M, 5)
+            est, err = _mc_stack(A[None], B, M, 5)
+            assert got == (float(est[0]), float(err[0]))
+            if full and q not in (1.0, 2.0):  # gamma_norms draws it as one stack
+                est, err = gamma_norms(A[None], B, M, 5)
+                assert got == (float(est[0]), float(err[0]))
+
+
 def test_composed_maximal_q4_keeps_its_recorded_estimates():
     from hermlp.basis import HermiteExpansion
     from hermlp.semigroups import composed_maximal
@@ -764,6 +819,29 @@ def test_mc_full_rank_temporaries_stay_strip_sized():
     assert _traced_peak(lambda: composed_maximal(e, 0.4, 0.0, "g", BanachModel(2, 4.0),
                                                  TimeGrid(1e-3, 20.0, 32), M=2000,
                                                  seed=5)) < 512 * 1024
+
+
+def test_cov_factor_at_d_one_is_the_eigh_answer():
+    # at d = 1 the factor takes w = C, v = 1 without calling eigh; eigh
+    # (LAPACK's N = 1 branch) gives the same, and the cut, kept as for
+    # every d, then gives the factor and ranks of eigh's eigenpairs
+    from hermlp.gamma import _cov_factor
+
+    rng = np.random.default_rng(59)
+    values = np.concatenate([[0.0, 5e-324, 1e300, 1.0],
+                             rng.random(2000) * 10.0 ** rng.uniform(-320, 300, 2000)])
+    values[rng.random(values.size) < 0.2] = 0.0
+    for C in (values, np.zeros(3), [0.0], [5e-324], [1e300]):
+        C = np.reshape(C, (-1, 1, 1))
+        w, V = np.linalg.eigh(C)
+        assert w.tobytes() == C[:, 0].tobytes() and np.all(V == 1.0)
+        for cut in (EPS, 128 * EPS):
+            keep = w > cut * w
+            r = int(keep.sum(axis=1).max())
+            want = np.sqrt(w[:, :r] * keep[:, :r])[:, :, None] * V[:, :, :r].swapaxes(1, 2)
+            F, ranks = _cov_factor(C, cut)
+            assert F.shape == want.shape and F.tobytes() == want.tobytes()
+            assert ranks.tolist() == keep.sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("b", [(0.0, 3.0), (0.0, 0.0, 1.0), (1.0, 0.0, -2.0), (0.0, 2.0, 0.0, 1.0)])
